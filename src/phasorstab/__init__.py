@@ -36,7 +36,6 @@ from .network import (
 )
 from .potential import (
     BregmanDivergence,
-    PathIntegralAccumulator,
     convexity_check,
     eval_vp,
     grad_vp,

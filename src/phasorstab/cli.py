@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from importlib import resources
 
 import numpy as np
@@ -31,20 +32,14 @@ from .equilibrium import (
     solve_equilibrium,
     solve_setpoints,
 )
-from .netfile import CaseDefinition, NetworkFileError, load_case
+from .netfile import CaseDefinition, NetworkFileError, load_case, parse_solver
 from .network import NetworkError
 from .potential import (
     enclosed_area,
     path_dependence_experiment,
     rectangle_contour_pair,
 )
-from .simulator import (
-    Scenario,
-    ScenarioError,
-    SimulationError,
-    SolverConfig,
-    simulate,
-)
+from .simulator import ScenarioError, SimulationError, simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,8 +76,6 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     """Apply global overrides and back-solve missing setpoints."""
     solver = case.solver
     if getattr(args, "config", None):
-        from .netfile import _parse_solver
-
         try:
             with open(args.config) as fh:
                 overrides = json.load(fh)
@@ -90,31 +83,13 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
             raise NetworkFileError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise NetworkFileError("config file must hold a solver object")
-        merged = {
-            "step_size": solver.step_size,
-            "newton_tol": solver.newton_tol,
-            "newton_max_iter": solver.newton_max_iter,
-            "integrator": solver.integrator,
-            "convention": solver.convention.value,
-        }
+        merged = {**asdict(solver), "convention": solver.convention.value}
         merged.update(overrides.get("solver", overrides))
-        solver = _parse_solver(merged)
+        solver = parse_solver(merged)
     if args.convention is not None:
-        solver = SolverConfig(
-            step_size=solver.step_size,
-            newton_tol=solver.newton_tol,
-            newton_max_iter=solver.newton_max_iter,
-            integrator=solver.integrator,
-            convention=SupplyConvention(args.convention),
-        )
+        solver = replace(solver, convention=SupplyConvention(args.convention))
     if getattr(args, "h", None):
-        solver = SolverConfig(
-            step_size=float(args.h),
-            newton_tol=solver.newton_tol,
-            newton_max_iter=solver.newton_max_iter,
-            integrator=solver.integrator,
-            convention=solver.convention,
-        )
+        solver = replace(solver, step_size=float(args.h))
     case.solver = solver
     missing = [cid for cid, c in case.components.items() if c.setpoints is None]
     if missing:
@@ -183,14 +158,11 @@ def cmd_simulate(args) -> int:
     if scenario is None:
         raise ScenarioError(f"case {case.name!r} declares no scenario")
     if args.horizon is not None:
-        scenario = Scenario(
-            horizon=float(args.horizon),
-            output_period=scenario.output_period,
-            initial=scenario.initial,
-            explicit_states=scenario.explicit_states,
-            disturbances=[
-                d for d in scenario.disturbances if d.at <= float(args.horizon)
-            ],
+        horizon = float(args.horizon)
+        scenario = replace(
+            scenario,
+            horizon=horizon,
+            disturbances=[d for d in scenario.disturbances if d.at <= horizon],
         )
     traj = simulate(case.net, case.components, scenario, case.solver)
     traj.to_csv(args.out)
@@ -240,20 +212,13 @@ def cmd_verify_identities(args) -> int:
 
     rows = []
     for h in sorted(steps, reverse=True):
-        solver = SolverConfig(
-            step_size=h,
-            newton_tol=case.solver.newton_tol,
-            newton_max_iter=case.solver.newton_max_iter,
-            integrator=case.solver.integrator,
-            convention=case.solver.convention,
-        )
+        solver = replace(case.solver, step_size=h)
         # snap the output period onto the integration grid of this sweep point
         period = h * max(1, round(max(h, scenario.output_period) / h))
-        run_scenario = Scenario(
+        run_scenario = replace(
+            scenario,
             horizon=horizon,
             output_period=period,
-            initial=scenario.initial,
-            explicit_states=scenario.explicit_states,
             disturbances=[d for d in scenario.disturbances if d.at <= horizon],
         )
         traj = simulate(case.net, case.components, run_scenario, solver, sol)

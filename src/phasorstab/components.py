@@ -141,9 +141,6 @@ class VsgComponent:
     def with_setpoints(self, sp: Setpoints) -> "VsgComponent":
         return replace(self, setpoints=sp)
 
-    def init_state(self, V: float, theta: float) -> tuple[float, ...]:
-        return (theta, 0.0, V)
-
     def terminal(self, x) -> tuple[float, float]:
         return (x[2], x[0])
 
@@ -156,10 +153,6 @@ class VsgComponent:
         return (theta_dot, omega_dot, v_dot)
 
     # -- storage -----------------------------------------------------------
-
-    def stiffness(self, anchor: Anchor | None = None) -> float:
-        a = anchor or Anchor.from_setpoints(self._sp())
-        return a.V + self.Dq * a.Q
 
     def storage(self, x, anchor: Anchor | None = None) -> float:
         a = anchor or Anchor.from_setpoints(self._sp())
@@ -240,9 +233,6 @@ class DroopComponent:
     def with_setpoints(self, sp: Setpoints) -> "DroopComponent":
         return replace(self, setpoints=sp)
 
-    def init_state(self, V: float, theta: float) -> tuple[float, ...]:
-        return (theta, V)
-
     def terminal(self, x) -> tuple[float, float]:
         return (x[1], x[0])
 
@@ -254,10 +244,6 @@ class DroopComponent:
         return (theta_dot, v_dot)
 
     # -- storage -----------------------------------------------------------
-
-    def stiffness(self, anchor: Anchor | None = None) -> float:
-        a = anchor or Anchor.from_setpoints(self._sp())
-        return a.V + self.Dq * a.Q
 
     def storage(self, x, anchor: Anchor | None = None) -> float:
         a = anchor or Anchor.from_setpoints(self._sp())

@@ -97,12 +97,6 @@ class SetpointSolution:
     load_mismatch: dict[str, tuple[float, float]]  # declared minus implied
 
 
-def _component_at(net: NetworkModel, components: dict[str, Component], node: int) -> Component:
-    shunt = net.shunt_at[node]
-    assert shunt is not None
-    return components[shunt.component_id]
-
-
 def steady_state_residual(
     net: NetworkModel,
     components: dict[str, Component],
@@ -126,10 +120,8 @@ def steady_state_residual(
             res[2 * i] = f1
             res[2 * i + 1] = f2
         else:
-            p0 = sum(cp.p0 for cp in net.cp_at[i])
-            q0 = sum(cp.q0 for cp in net.cp_at[i])
-            res[2 * i] = p[i] + p0
-            res[2 * i + 1] = q[i] + q0
+            res[2 * i] = p[i] + net.load_p[i]
+            res[2 * i + 1] = q[i] + net.load_q[i]
     return res
 
 
@@ -139,29 +131,26 @@ def _jacobian(
     V,
     theta,
 ) -> np.ndarray:
-    """Analytic Jacobian of the steady-state residual w.r.t. (theta_i, V_i)."""
+    """Analytic Jacobian of the steady-state residual w.r.t. (theta_i, V_i).
+
+    A passive bus's rows are its injection partials; a dynamic bus's rows
+    combine them with the component's partials by P and Q, plus its direct
+    dependence on the bus's own (theta, V).
+    """
     n = net.n_nodes
     dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta)
-    jac = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        shunt = net.shunt_at[i]
-        if shunt is not None:
-            comp = components[shunt.component_id]
-            rows = comp.steady_state_partials()
-            for r, (d_theta, d_v, d_p, d_q) in enumerate(rows):
-                row = 2 * i + r
-                jac[row, 2 * i] += d_theta
-                jac[row, 2 * i + 1] += d_v
-                for k in range(n):
-                    jac[row, 2 * k] += d_p * dp_dt[i, k] + d_q * dq_dt[i, k]
-                    jac[row, 2 * k + 1] += d_p * dp_dv[i, k] + d_q * dq_dv[i, k]
-        else:
-            for k in range(n):
-                jac[2 * i, 2 * k] = dp_dt[i, k]
-                jac[2 * i, 2 * k + 1] = dp_dv[i, k]
-                jac[2 * i + 1, 2 * k] = dq_dt[i, k]
-                jac[2 * i + 1, 2 * k + 1] = dq_dv[i, k]
-    return jac
+    # rows (P_0..P_n-1, Q_0..Q_n-1), columns (theta_0.., V_0..)
+    jac = np.block([[dp_dt, dp_dv], [dq_dt, dq_dv]])
+    for i in net.dynamic_nodes():
+        comp = components[net.shunt_at[i].component_id]
+        p_row = jac[i].copy()
+        q_row = jac[n + i].copy()
+        for row, (d_theta, d_v, d_p, d_q) in zip((i, n + i), comp.steady_state_partials()):
+            jac[row] = d_p * p_row + d_q * q_row
+            jac[row, i] += d_theta
+            jac[row, n + i] += d_v
+    interleave = np.arange(2 * n).reshape(2, n).T.ravel()
+    return jac[np.ix_(interleave, interleave)]
 
 
 def fd_jacobian(
@@ -350,8 +339,8 @@ def solve_setpoints(
     for i in net.passive_nodes():
         bus = net.non_ground[i]
         implied[bus] = (-p[i], -q[i])  # consumption-positive
-        declared_p = sum(cp.p0 for cp in net.cp_at[i])
-        declared_q = sum(cp.q0 for cp in net.cp_at[i])
+        declared_p = net.load_p[i]
+        declared_q = net.load_q[i]
         dp = declared_p - implied[bus][0]
         dq = declared_q - implied[bus][1]
         mismatch[bus] = (dp, dq)

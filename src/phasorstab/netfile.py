@@ -34,7 +34,7 @@ from .simulator import (
     StatePerturbation,
 )
 
-__all__ = ["NetworkFileError", "CaseDefinition", "load_case", "parse_case"]
+__all__ = ["NetworkFileError", "CaseDefinition", "load_case", "parse_case", "parse_solver"]
 
 
 class NetworkFileError(ValueError):
@@ -273,7 +273,8 @@ def _parse_scenario(raw: Any) -> Scenario:
         raise NetworkFileError(f"{where}: {exc}") from exc
 
 
-def _parse_solver(raw: Any) -> SolverConfig:
+def parse_solver(raw: Any) -> SolverConfig:
+    """Validate a solver section; absent fields take their defaults."""
     where = "solver"
     _check_fields(
         raw,
@@ -362,7 +363,7 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
         )
 
     scenario = _parse_scenario(doc["scenario"]) if "scenario" in doc else None
-    solver = _parse_solver(doc.get("solver", {}))
+    solver = parse_solver(doc.get("solver", {}))
     return CaseDefinition(
         name=str(doc.get("name", "unnamed")),
         net=net,

@@ -8,6 +8,14 @@ generation-positive (power injected from the shunt side into the network),
 with the sign conversion happening in exactly one place
 (:attr:`ConstantPowerBranch.p0_gen`).
 
+This module is the network kernel: :func:`power_injection` is the only edge
+loop that evaluates the line power-flow terms, and :func:`injection_partials`
+the only source of their partials. The equilibrium solver, the transient
+simulator and the potential's gradient and Hessian are all built on these
+two functions. The complex-arithmetic oracles at the end of the module
+(:func:`branch_currents_oracle`, :func:`kcl_residual`, :func:`tellegen_sum`)
+recompute the same physics independently, for checking.
+
 The model is immutable after construction and all evaluation functions are
 pure, so they are thread-safe. Branch reductions iterate in declaration order
 so repeated runs are bitwise reproducible.
@@ -32,13 +40,11 @@ __all__ = [
     "BusState",
     "power_injection",
     "injection_partials",
+    "self_partials",
     "branch_currents_oracle",
     "kcl_residual",
     "tellegen_sum",
 ]
-
-DENSE_BUS_LIMIT = 64  # dense susceptance fallback below this size
-
 
 class NetworkError(ValueError):
     """Raised when a network description violates a structural invariant."""
@@ -110,7 +116,15 @@ class DynamicShunt:
 
 @dataclass
 class NetworkModel:
-    """Validated bus/branch graph with derived adjacency structure."""
+    """Validated bus/branch graph with derived per-edge and per-bus arrays.
+
+    Derived, in network node order: ``edges`` holds one (i, k, B) triple per
+    line in declaration order, and ``edge_arrays`` the same as three numpy
+    arrays (from, to, B); ``partials_slots`` places the terms of
+    :func:`injection_partials`; ``load_p`` and ``load_q`` are the summed
+    consumption-positive constant-power loads per bus; ``coupling_sum`` is
+    the summed line coupling B per bus.
+    """
 
     buses: list[Bus]
     lines: list[LosslessLine]
@@ -121,8 +135,12 @@ class NetworkModel:
     bus_index: dict[str, int] = field(default_factory=dict, repr=False)
     non_ground: list[str] = field(default_factory=list, repr=False)
     node_index: dict[str, int] = field(default_factory=dict, repr=False)
-    adjacency: list[list[tuple[int, float]]] = field(default_factory=list, repr=False)
-    cp_at: list[list[ConstantPowerBranch]] = field(default_factory=list, repr=False)
+    edges: list[tuple[int, int, float]] = field(default_factory=list, repr=False)
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    partials_slots: np.ndarray = field(init=False, repr=False)
+    load_p: list[float] = field(default_factory=list, repr=False)
+    load_q: list[float] = field(default_factory=list, repr=False)
+    coupling_sum: list[float] = field(default_factory=list, repr=False)
     shunt_at: list[DynamicShunt | None] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -203,16 +221,26 @@ class NetworkModel:
         self.non_ground = [b.id for b in self.buses if b.kind is not BusKind.GROUND]
         self.node_index = {bid: i for i, bid in enumerate(self.non_ground)}
         n = len(self.non_ground)
-        self.adjacency = [[] for _ in range(n)]
-        for line in self.lines:
-            i = self.node_index[line.from_bus]
-            k = self.node_index[line.to_bus]
-            coupling = line.coupling
-            self.adjacency[i].append((k, coupling))
-            self.adjacency[k].append((i, coupling))
-        self.cp_at = [[] for _ in range(n)]
+        self.edges = [
+            (self.node_index[line.from_bus], self.node_index[line.to_bus], line.coupling)
+            for line in self.lines
+        ]
+        self.edge_arrays = (
+            np.array([i for i, _, _ in self.edges], dtype=np.intp),
+            np.array([k for _, k, _ in self.edges], dtype=np.intp),
+            np.array([b for _, _, b in self.edges], dtype=float),
+        )
+        self.partials_slots = _partials_slots(n, *self.edge_arrays[:2])
+        self.coupling_sum = [0.0] * n
+        for i, k, b in self.edges:
+            self.coupling_sum[i] += b
+            self.coupling_sum[k] += b
+        self.load_p = [0.0] * n
+        self.load_q = [0.0] * n
         for cp in self.constant_power:
-            self.cp_at[self.node_index[cp.bus]].append(cp)
+            i = self.node_index[cp.bus]
+            self.load_p[i] += cp.p0
+            self.load_q[i] += cp.q0
         self.shunt_at = [None] * n
         for shunt in self.dynamic_shunts:
             self.shunt_at[self.node_index[shunt.bus]] = shunt
@@ -262,25 +290,6 @@ class NetworkModel:
 
     def passive_nodes(self) -> list[int]:
         return [i for i, s in enumerate(self.shunt_at) if s is None]
-
-    def susceptance_matrix(self) -> np.ndarray:
-        """Symmetric coupling matrix with B[i, k] = 1/x for connected pairs.
-
-        Dense; intended for eigenanalysis and solver assembly on systems
-        below DENSE_BUS_LIMIT buses.
-        """
-        n = self.n_nodes
-        if n > DENSE_BUS_LIMIT:
-            raise NetworkError(
-                f"dense susceptance matrix limited to {DENSE_BUS_LIMIT} buses"
-            )
-        b = np.zeros((n, n))
-        for line in self.lines:
-            i = self.node_index[line.from_bus]
-            k = self.node_index[line.to_bus]
-            b[i, k] += line.coupling
-            b[k, i] += line.coupling
-        return b
 
     def with_scaled_line(self, line_idx: int, factor: float) -> "NetworkModel":
         """Copy of the network with one line's coupling scaled by `factor`."""
@@ -340,50 +349,74 @@ def power_injection(net: NetworkModel, V, theta) -> tuple[list[float], list[floa
     Q_i = sum_k B_ik (V_i^2 - V_i V_k cos(theta_i - theta_k)). Generation
     convention; returns plain lists in node order.
     """
-    n = net.n_nodes
-    p = [0.0] * n
-    q = [0.0] * n
-    for i in range(n):
+    p = [0.0] * net.n_nodes
+    q = p.copy()
+    for i, k, b in net.edges:
         vi = V[i]
-        ti = theta[i]
-        pi = 0.0
-        qi = 0.0
-        for k, coupling in net.adjacency[i]:
-            d = ti - theta[k]
-            vv = vi * V[k]
-            pi += coupling * vv * math.sin(d)
-            qi += coupling * (vi * vi - vv * math.cos(d))
-        p[i] = pi
-        q[i] = qi
+        vk = V[k]
+        d = theta[i] - theta[k]
+        vv = vi * vk
+        flow = b * vv * math.sin(d)
+        cross = vv * math.cos(d)
+        p[i] += flow
+        p[k] -= flow
+        q[i] += b * (vi * vi - cross)
+        q[k] += b * (vk * vk - cross)
     return p, q
+
+
+def self_partials(V, coupling_sum, P, Q):
+    """Partials of a bus's injections by its own angle and magnitude.
+
+    Exact identities of the closed form of :func:`power_injection`, with
+    S_i the coupling sum at bus i:
+    dP_i/dtheta_i = V_i^2 S_i - Q_i, dP_i/dV_i = P_i / V_i,
+    dQ_i/dtheta_i = P_i, dQ_i/dV_i = Q_i / V_i + V_i S_i.
+    Returned in that order; elementwise, so the arguments are one bus's
+    floats or arrays over buses.
+    """
+    vs = V * coupling_sum
+    return V * vs - Q, P / V, P, Q / V + vs
+
+
+def _partials_slots(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Flat positions, in the 2n x 2n matrix with rows (P, Q) and columns
+    (theta, V), of the terms :func:`injection_partials` lists: eight per
+    line, then the four diagonal blocks."""
+    r = np.arange(n)
+    rows = np.concatenate([i, k, i, k, n + i, n + k, n + i, n + k, r, r, n + r, n + r])
+    cols = np.concatenate([k, i, n + k, n + i, k, i, n + k, n + i, r, n + r, r, n + r])
+    return rows * (2 * n) + cols
 
 
 def injection_partials(
     net: NetworkModel, V, theta
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic partials (dP/dtheta, dP/dV, dQ/dtheta, dQ/dV) as dense arrays."""
+    """Analytic partials (dP/dtheta, dP/dV, dQ/dtheta, dQ/dV) as dense arrays.
+
+    Entry [i, k] is the partial of bus i's injection by bus k's coordinate.
+    Off-diagonal entries come from one vectorized pass over the lines; the
+    diagonal comes from the injections through :func:`self_partials`.
+    """
     n = net.n_nodes
-    dp_dt = np.zeros((n, n))
-    dp_dv = np.zeros((n, n))
-    dq_dt = np.zeros((n, n))
-    dq_dv = np.zeros((n, n))
-    for i in range(n):
-        vi = V[i]
-        ti = theta[i]
-        for k, b in net.adjacency[i]:
-            d = ti - theta[k]
-            s = math.sin(d)
-            c = math.cos(d)
-            vk = V[k]
-            dp_dt[i, i] += b * vi * vk * c
-            dp_dt[i, k] -= b * vi * vk * c
-            dp_dv[i, i] += b * vk * s
-            dp_dv[i, k] += b * vi * s
-            dq_dt[i, i] += b * vi * vk * s
-            dq_dt[i, k] -= b * vi * vk * s
-            dq_dv[i, i] += b * (2.0 * vi - vk * c)
-            dq_dv[i, k] -= b * vi * c
-    return dp_dt, dp_dv, dq_dt, dq_dv
+    p, q = power_injection(net, V, theta)
+    v = np.array(V, dtype=float)
+    t = np.array(theta, dtype=float)
+    i, k, b = net.edge_arrays
+    d = t[i] - t[k]
+    s = b * np.sin(d)
+    c = b * np.cos(d)
+    vi = v[i]
+    vk = v[k]
+    vvc = vi * vk * c
+    vvs = vi * vk * s
+    diag = self_partials(v, np.array(net.coupling_sum), np.array(p), np.array(q))
+    terms = np.concatenate(
+        [-vvc, -vvc, vi * s, -vk * s, -vvs, vvs, -vi * c, -vk * c, *diag]
+    )
+    jac = np.bincount(net.partials_slots, weights=terms, minlength=4 * n * n)
+    jac = jac.reshape(2 * n, 2 * n)
+    return jac[:n, :n], jac[:n, n:], jac[n:, :n], jac[n:, n:]
 
 
 def branch_currents_oracle(
@@ -442,16 +475,14 @@ def kcl_residual(
     dynamic_injections = dynamic_injections or {}
     vbar = state.phasors()
     res = [0j] * net.n_nodes
-    for i in range(net.n_nodes):
-        acc = 0j
-        shunt = net.shunt_at[i]
-        if shunt is not None:
-            gp, gq = dynamic_injections.get(shunt.component_id, (0.0, 0.0))
-            acc += (complex(gp, gq) / vbar[i]).conjugate()
-        for cp in net.cp_at[i]:
-            # BusState enforces V > 0, so the 1/Vbar here cannot be singular
-            acc += (complex(cp.p0_gen, cp.q0_gen) / vbar[i]).conjugate()
-        res[i] = acc
+    for shunt in net.dynamic_shunts:
+        i = net.node_index[shunt.bus]
+        gp, gq = dynamic_injections.get(shunt.component_id, (0.0, 0.0))
+        res[i] += (complex(gp, gq) / vbar[i]).conjugate()
+    for cp in net.constant_power:
+        i = net.node_index[cp.bus]
+        # BusState enforces V > 0, so the 1/Vbar here cannot be singular
+        res[i] += (complex(cp.p0_gen, cp.q0_gen) / vbar[i]).conjugate()
     for line in net.lines:
         i = net.node_index[line.from_bus]
         k = net.node_index[line.to_bus]

@@ -11,9 +11,13 @@ integral; callers report it relative to a reference of their choosing.
 
 Working coordinates are z = (theta, ln V): the trajectory identities pair
 power deviations with d(theta) and d(ln V), and they are exact only in these
-coordinates. At a stationary point of the divergence the Hessian signature
-is the same as in (theta, V) coordinates, so convexity verdicts do not
-depend on the choice.
+coordinates. In them the gradient of Vp is the bus injections plus the load
+constants, and its Hessian is the injection Jacobian with the V columns
+scaled by V, so both come from the network kernel
+(:func:`~phasorstab.network.power_injection`,
+:func:`~phasorstab.network.injection_partials`). Convexity verdicts depend on
+the coordinates: a divergence anchored linearly in V (:func:`hessian_vp_polar`)
+is a different function, and its Hessian can have a different signature.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import NetworkModel, injection_partials, power_injection
 
 __all__ = [
     "eval_vp",
@@ -32,8 +36,6 @@ __all__ = [
     "BregmanDivergence",
     "ConvexityReport",
     "convexity_check",
-    "PathIntegralAccumulator",
-    "PathSample",
     "ContourIntegralResult",
     "contour_integral",
     "path_dependence_experiment",
@@ -66,59 +68,20 @@ def grad_vp(net: NetworkModel, V, theta) -> np.ndarray:
     p0_i; the ln V partial is Q_i plus q0_i. Both vanish at load buses of a
     solved state and equal the component injections at dynamic buses.
     """
-    n = net.n_nodes
-    g = np.zeros(2 * n)
-    for line in net.lines:
-        i = net.node_index[line.from_bus]
-        k = net.node_index[line.to_bus]
-        d = theta[i] - theta[k]
-        vv = V[i] * V[k]
-        p = line.coupling * vv * math.sin(d)
-        g[i] += p
-        g[k] -= p
-        g[n + i] += line.coupling * (V[i] * V[i] - vv * math.cos(d))
-        g[n + k] += line.coupling * (V[k] * V[k] - vv * math.cos(d))
-    for cp in net.constant_power:
-        i = net.node_index[cp.bus]
-        g[i] += cp.p0
-        g[n + i] += cp.q0
-    return g
+    p, q = power_injection(net, V, theta)
+    return np.array(p + q) + np.array(net.load_p + net.load_q)
 
 
 def hessian_vp(net: NetworkModel, V, theta) -> np.ndarray:
     """Analytic Hessian of Vp in (theta, ln V) coordinates, 2n x 2n.
 
-    Load terms are linear in these coordinates, so only lines contribute.
+    Load terms are linear in these coordinates, so only lines contribute:
+    the Hessian is the injection Jacobian with its V columns scaled by V.
     The uniform angle-shift vector is in the kernel for every state.
     """
-    n = net.n_nodes
-    h = np.zeros((2 * n, 2 * n))
-    for line in net.lines:
-        i = net.node_index[line.from_bus]
-        k = net.node_index[line.to_bus]
-        d = theta[i] - theta[k]
-        c = line.coupling * V[i] * V[k] * math.cos(d)
-        p = line.coupling * V[i] * V[k] * math.sin(d)
-        # theta-theta block
-        h[i, i] += c
-        h[k, k] += c
-        h[i, k] -= c
-        h[k, i] -= c
-        # theta-lnV block (and symmetric partner)
-        h[i, n + i] += p
-        h[n + i, i] += p
-        h[i, n + k] += p
-        h[n + k, i] += p
-        h[k, n + i] -= p
-        h[n + i, k] -= p
-        h[k, n + k] -= p
-        h[n + k, k] -= p
-        # lnV-lnV block
-        h[n + i, n + i] += line.coupling * (2.0 * V[i] * V[i]) - c
-        h[n + k, n + k] += line.coupling * (2.0 * V[k] * V[k]) - c
-        h[n + i, n + k] -= c
-        h[n + k, n + i] -= c
-    return h
+    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta)
+    v = np.asarray(V, dtype=float)
+    return np.block([[dp_dt, dp_dv * v], [dq_dt, dq_dv * v]])
 
 
 def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
@@ -129,36 +92,16 @@ def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
     Hessians at the same state are not congruent in general: loads
     contribute -q0/V^2 here and nothing in (theta, ln V). Kept as a
     diagnostic for convexity studies.
+
+    The V gradient is (Q_i + q0_i) / V_i, so the rows of the Q partials are
+    divided by V_i and its diagonal loses (Q_i + q0_i) / V_i^2.
     """
-    n = net.n_nodes
-    h = np.zeros((2 * n, 2 * n))
-    for line in net.lines:
-        i = net.node_index[line.from_bus]
-        k = net.node_index[line.to_bus]
-        d = theta[i] - theta[k]
-        b = line.coupling
-        c = b * V[i] * V[k] * math.cos(d)
-        s = math.sin(d)
-        h[i, i] += c
-        h[k, k] += c
-        h[i, k] -= c
-        h[k, i] -= c
-        h[i, n + i] += b * V[k] * s
-        h[n + i, i] += b * V[k] * s
-        h[i, n + k] += b * V[i] * s
-        h[n + k, i] += b * V[i] * s
-        h[k, n + i] -= b * V[k] * s
-        h[n + i, k] -= b * V[k] * s
-        h[k, n + k] -= b * V[i] * s
-        h[n + k, k] -= b * V[i] * s
-        h[n + i, n + i] += b
-        h[n + k, n + k] += b
-        h[n + i, n + k] -= b * math.cos(d)
-        h[n + k, n + i] -= b * math.cos(d)
-    for cp in net.constant_power:
-        i = net.node_index[cp.bus]
-        h[n + i, n + i] -= cp.q0 / (V[i] * V[i])
-    return h
+    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta)
+    _, q = power_injection(net, V, theta)
+    v = np.asarray(V, dtype=float)
+    rows = v[:, None]
+    curvature = np.diag((np.array(q) + np.array(net.load_q)) / v**2)
+    return np.block([[dp_dt, dp_dv], [dq_dt / rows, dq_dv / rows - curvature]])
 
 
 @dataclass
@@ -277,54 +220,6 @@ def convexity_check(
         zero_mode_cosine=cosine,
         detail=detail,
     )
-
-
-# -- trajectory path integrals ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Per-component terminal data at one instant, as needed for quadrature."""
-
-    theta: dict[str, float]
-    ln_v: dict[str, float]
-    P: dict[str, float]
-    Q: dict[str, float]
-
-
-@dataclass
-class PathIntegralAccumulator:
-    """Running trapezoidal line integrals along a trajectory.
-
-    Per component: the deviation integral of dP d(theta) + dQ d(ln V) with
-    deviations taken against the supplied equilibrium injections. System
-    total: the unshifted integral of P d(theta) + Q d(ln V) summed over
-    dynamic components. Both are additive over trajectory segments and zero
-    on constant trajectories.
-    """
-
-    P_eq: dict[str, float]
-    Q_eq: dict[str, float]
-    shifted: dict[str, float] = field(default_factory=dict)
-    unshifted_total: float = 0.0
-
-    def __post_init__(self) -> None:
-        for cid in self.P_eq:
-            self.shifted.setdefault(cid, 0.0)
-
-    def advance(self, prev: PathSample, cur: PathSample) -> None:
-        for cid in self.P_eq:
-            d_theta = cur.theta[cid] - prev.theta[cid]
-            d_lnv = cur.ln_v[cid] - prev.ln_v[cid]
-            p_mid = 0.5 * (prev.P[cid] + cur.P[cid])
-            q_mid = 0.5 * (prev.Q[cid] + cur.Q[cid])
-            self.unshifted_total += p_mid * d_theta + q_mid * d_lnv
-            self.shifted[cid] += (p_mid - self.P_eq[cid]) * d_theta + (
-                q_mid - self.Q_eq[cid]
-            ) * d_lnv
-
-    def shifted_total(self) -> float:
-        return sum(self.shifted[cid] for cid in self.P_eq)
 
 
 # -- path-(in)dependence experiment ------------------------------------------

@@ -5,9 +5,15 @@ four-stage Runge-Kutta; the algebraic unknowns (voltage magnitude and angle
 of every passive bus) are re-solved by a warm-started Newton iteration at
 every stage evaluation, so each accepted state is algebraically consistent.
 An implicit trapezoidal integrator is available for stiff parameter sets.
+The inner Newton iteration evaluates the injections and their partials with
+the network kernel (:func:`~phasorstab.network.power_injection`,
+:func:`~phasorstab.network.injection_partials`); with a single passive bus it
+solves its 2 x 2 system in closed form from
+:func:`~phasorstab.network.self_partials`.
 
 Scenarios perturb component states, step loads, or scale line couplings at
-times aligned with the integration grid. Path integrals are accumulated with
+times aligned with the integration grid. Every disturbance is checked
+against the network before the run starts. Path integrals are accumulated with
 the trapezoid rule at every integration step (second-order in the step
 size); the remaining diagnostics are evaluated at output samples only.
 
@@ -32,7 +38,12 @@ from .components import (
     supply_rate,
 )
 from .equilibrium import EquilibriumProblem, EquilibriumSolution, solve_equilibrium
-from .network import NetworkModel
+from .network import (
+    NetworkModel,
+    injection_partials,
+    power_injection,
+    self_partials,
+)
 from .potential import BregmanDivergence, eval_vp
 
 __all__ = [
@@ -85,7 +96,8 @@ class LineScale:
     duration: float | None = None
 
 
-Disturbance = StatePerturbation | LoadStep | LineScale
+NetworkDisturbance = LoadStep | LineScale
+Disturbance = StatePerturbation | NetworkDisturbance
 
 
 @dataclass
@@ -131,6 +143,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.step_size <= 0.0:
             raise ScenarioError("step size must be positive")
+        if self.newton_max_iter < 0:
+            raise ScenarioError("newton_max_iter must be nonnegative")
         if self.integrator not in ("rk4", "trapezoid"):
             raise ScenarioError(f"unknown integrator {self.integrator!r}")
 
@@ -257,9 +271,7 @@ class _Engine:
         self.comp_ids = [s.component_id for s in net.dynamic_shunts]
         self.comps = [components[cid] for cid in self.comp_ids]
         self.comp_node = [net.node_index[s.bus] for s in net.dynamic_shunts]
-        self.n_nodes = net.n_nodes
         self.passive_nodes = net.passive_nodes()
-        self.passive_slot = {node: j for j, node in enumerate(self.passive_nodes)}
         # Y layout: per component, its states contiguously
         self.offsets: list[int] = []
         off = 0
@@ -275,50 +287,20 @@ class _Engine:
             self.offsets[c] + self.comps[c].state_labels.index("v")
             for c in range(len(self.comps))
         ]
-        self.active_mods: list[Disturbance] = []
-        self._bind_network(net)
-
-    # network binding ---------------------------------------------------------
-
-    def _bind_network(self, net: NetworkModel) -> None:
+        self.active_mods: list[NetworkDisturbance] = []
         self.net = net
-        self.lines_flat = [
-            (net.node_index[ln.from_bus], net.node_index[ln.to_bus], ln.coupling)
-            for ln in net.lines
-        ]
-        self.adjacency = net.adjacency
-        self.p0 = [0.0] * self.n_nodes
-        self.q0 = [0.0] * self.n_nodes
-        for i in range(self.n_nodes):
-            self.p0[i] = sum(cp.p0 for cp in net.cp_at[i])
-            self.q0[i] = sum(cp.q0 for cp in net.cp_at[i])
+        self.passive_block = np.ix_(self.passive_nodes, self.passive_nodes)
 
     def rebuild_with_mods(self) -> None:
         net = self.base_net
         for mod in self.active_mods:
             if isinstance(mod, LoadStep):
                 net = net.with_load_delta(mod.bus, mod.dp, mod.dq)
-            elif isinstance(mod, LineScale):
+            else:
                 net = net.with_scaled_line(mod.line_index, mod.factor)
-        self._bind_network(net)
+        self.net = net
 
     # evaluation ----------------------------------------------------------------
-
-    def injections(self, V: list[float], th: list[float]) -> tuple[list[float], list[float]]:
-        p = [0.0] * self.n_nodes
-        q = [0.0] * self.n_nodes
-        for i, k, b in self.lines_flat:
-            vi = V[i]
-            vk = V[k]
-            d = th[i] - th[k]
-            vv = vi * vk
-            flow = b * vv * math.sin(d)
-            cross = vv * math.cos(d)
-            p[i] += flow
-            p[k] -= flow
-            q[i] += b * (vi * vi - cross)
-            q[k] += b * (vk * vk - cross)
-        return p, q
 
     def scatter_terminals(self, y: list[float], V: list[float], th: list[float]) -> None:
         for c in range(len(self.comps)):
@@ -328,106 +310,75 @@ class _Engine:
 
     def solve_algebraic(
         self, V: list[float], th: list[float], t: float
-    ) -> None:
-        """Newton-solve passive-bus (theta, V) in place; V/th carry the warm start."""
-        m = len(self.passive_nodes)
-        if m == 0:
-            return
-        tol = self.config.newton_tol
-        for it in range(self.config.newton_max_iter):
-            p, q = self.injections(V, th)
+    ) -> tuple[list[float], list[float]]:
+        """Newton-solve passive-bus (theta, V) in place; V/th carry the warm
+        start. Returns the bus injections (P, Q) at the solved state."""
+        net = self.net
+        passive = self.passive_nodes
+        m = len(passive)
+        max_iter = self.config.newton_max_iter
+        load_p = net.load_p
+        load_q = net.load_q
+        for it in range(max_iter + 1):
+            p, q = power_injection(net, V, th)
+            rp: list[float] = []
+            rq: list[float] = []
             worst = 0.0
-            for node in self.passive_nodes:
-                rp = p[node] + self.p0[node]
-                rq = q[node] + self.q0[node]
-                if abs(rp) > worst:
-                    worst = abs(rp)
-                if abs(rq) > worst:
-                    worst = abs(rq)
-            if worst <= tol:
-                return
+            for i in passive:
+                a = p[i] + load_p[i]
+                b = q[i] + load_q[i]
+                rp.append(a)
+                rq.append(b)
+                if abs(a) > worst:
+                    worst = abs(a)
+                if abs(b) > worst:
+                    worst = abs(b)
+            if worst <= self.config.newton_tol:
+                return p, q
+            if it == max_iter:
+                break
             if m == 1:
-                node = self.passive_nodes[0]
-                j00 = j01 = j10 = j11 = 0.0
-                vi = V[node]
-                ti = th[node]
-                for k, b in self.adjacency[node]:
-                    d = ti - th[k]
-                    s = math.sin(d)
-                    c = math.cos(d)
-                    vk = V[k]
-                    j00 += b * vi * vk * c       # dP/dtheta_j
-                    j01 += b * vk * s            # dP/dV_j
-                    j10 += b * vi * vk * s       # dQ/dtheta_j
-                    j11 += b * (2.0 * vi - vk * c)  # dQ/dV_j
-                rp = p[node] + self.p0[node]
-                rq = q[node] + self.q0[node]
+                node = passive[0]
+                j00, j01, j10, j11 = self_partials(
+                    V[node], net.coupling_sum[node], p[node], q[node]
+                )
                 det = j00 * j11 - j01 * j10
                 if det == 0.0:
                     raise SimulationError(
                         f"algebraic Jacobian singular at t = {t:.6g}"
                     )
-                dth = (-rp * j11 + rq * j01) / det
-                dv = (-j00 * rq + j10 * rp) / det
-                scale = 1.0
-                while V[node] + scale * dv <= 0.0:
-                    scale *= 0.5
-                    if scale < 1e-12:
-                        raise SimulationError(
-                            f"voltage collapse at bus {self.net.non_ground[node]!r}, "
-                            f"t = {t:.6g}"
-                        )
-                th[node] += scale * dth
-                V[node] += scale * dv
+                d_theta = [(-rp[0] * j11 + rq[0] * j01) / det]
+                d_v = [(-j00 * rq[0] + j10 * rp[0]) / det]
             else:
-                jac = np.zeros((2 * m, 2 * m))
-                rhs = np.zeros(2 * m)
-                for j, node in enumerate(self.passive_nodes):
-                    vi = V[node]
-                    ti = th[node]
-                    rhs[2 * j] = -(p[node] + self.p0[node])
-                    rhs[2 * j + 1] = -(q[node] + self.q0[node])
-                    for k, b in self.adjacency[node]:
-                        d = ti - th[k]
-                        s = math.sin(d)
-                        c = math.cos(d)
-                        vk = V[k]
-                        jac[2 * j, 2 * j] += b * vi * vk * c
-                        jac[2 * j, 2 * j + 1] += b * vk * s
-                        jac[2 * j + 1, 2 * j] += b * vi * vk * s
-                        jac[2 * j + 1, 2 * j + 1] += b * (2.0 * vi - vk * c)
-                        slot = self.passive_slot.get(k)
-                        if slot is not None:
-                            jac[2 * j, 2 * slot] -= b * vi * vk * c
-                            jac[2 * j, 2 * slot + 1] += b * vi * s
-                            jac[2 * j + 1, 2 * slot] -= b * vi * vk * s
-                            jac[2 * j + 1, 2 * slot + 1] -= b * vi * c
+                dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, th)
+                blk = self.passive_block
+                jac = np.empty((2 * m, 2 * m))
+                jac[:m, :m] = dp_dt[blk]
+                jac[:m, m:] = dp_dv[blk]
+                jac[m:, :m] = dq_dt[blk]
+                jac[m:, m:] = dq_dv[blk]
                 try:
-                    delta = np.linalg.solve(jac, rhs)
+                    delta = np.linalg.solve(jac, [-r for r in rp + rq]).tolist()
                 except np.linalg.LinAlgError as exc:
                     raise SimulationError(
                         f"algebraic Jacobian singular at t = {t:.6g}: {exc}"
                     ) from exc
-                scale = 1.0
-                while any(
-                    V[node] + scale * delta[2 * j + 1] <= 0.0
-                    for j, node in enumerate(self.passive_nodes)
-                ):
+                d_theta, d_v = delta[:m], delta[m:]
+            scale = 1.0
+            for node, dv in zip(passive, d_v):
+                while V[node] + scale * dv <= 0.0:
                     scale *= 0.5
                     if scale < 1e-12:
-                        raise SimulationError(f"voltage collapse at t = {t:.6g}")
-                for j, node in enumerate(self.passive_nodes):
-                    th[node] += scale * delta[2 * j]
-                    V[node] += scale * delta[2 * j + 1]
-        p, q = self.injections(V, th)
-        worst = max(
-            max(abs(p[n] + self.p0[n]), abs(q[n] + self.q0[n]))
-            for n in self.passive_nodes
+                        raise SimulationError(
+                            f"voltage collapse at bus {net.non_ground[node]!r}, "
+                            f"t = {t:.6g}"
+                        )
+            for j, node in enumerate(passive):
+                th[node] += scale * d_theta[j]
+                V[node] += scale * d_v[j]
+        raise SimulationError(
+            f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
         )
-        if worst > tol:
-            raise SimulationError(
-                f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
-            )
 
     def derivative(
         self, y: list[float], p: list[float], q: list[float]
@@ -452,8 +403,7 @@ class _Engine:
                 raise SimulationError(
                     f"voltage collapse in component {self.comp_ids[c]!r} at t = {t:.6g}"
                 )
-        self.solve_algebraic(V, th, t)
-        p, q = self.injections(V, th)
+        p, q = self.solve_algebraic(V, th, t)
         return self.derivative(y, p, q), p, q
 
     # integrators ---------------------------------------------------------------
@@ -532,6 +482,47 @@ def _snap_to_grid(value: float, h: float, what: str) -> int:
     return steps
 
 
+@dataclass(frozen=True)
+class _Event:
+    """A disturbance taking effect, or with ``ends`` a timed one expiring."""
+
+    disturbance: Disturbance
+    ends: bool = False
+
+
+def _schedule(
+    net: NetworkModel,
+    components: dict[str, Component],
+    scenario: Scenario,
+    h: float,
+) -> dict[int, list[_Event]]:
+    """Check every disturbance against the network and map step indices to
+    the events due at them, so a bad scenario fails before any work."""
+    comp_ids = {s.component_id for s in net.dynamic_shunts}
+    events: dict[int, list[_Event]] = {}
+    for d in scenario.disturbances:
+        if isinstance(d, StatePerturbation):
+            if d.component not in comp_ids:
+                raise ScenarioError(f"unknown component {d.component!r}")
+            labels = components[d.component].state_labels
+            for label in d.delta:
+                if label not in labels:
+                    raise ScenarioError(
+                        f"component {d.component!r} has no state {label!r}"
+                    )
+        elif isinstance(d, LoadStep):
+            # the network the event switches to raises what applying it would
+            net.with_load_delta(d.bus, d.dp, d.dq)
+        else:
+            net.with_scaled_line(d.line_index, d.factor)
+        idx = _snap_to_grid(d.at, h, "disturbance time")
+        events.setdefault(idx, []).append(_Event(d))
+        if not isinstance(d, StatePerturbation) and d.duration is not None:
+            end_idx = _snap_to_grid(d.at + d.duration, h, "disturbance end time")
+            events.setdefault(end_idx, []).append(_Event(d, ends=True))
+    return events
+
+
 def simulate(
     net: NetworkModel,
     components: dict[str, Component],
@@ -546,8 +537,6 @@ def simulate(
     ``initial="equilibrium"`` it is also the pre-disturbance initial state.
     Deterministic for fixed inputs and step size.
     """
-    if equilibrium is None:
-        equilibrium = solve_equilibrium(EquilibriumProblem(net, components))
     h = config.step_size
     n_steps_total = _snap_to_grid(scenario.horizon, h, "horizon")
     sample_every = _snap_to_grid(scenario.output_period, h, "output period")
@@ -555,6 +544,9 @@ def simulate(
         raise ScenarioError("output period shorter than one step")
     if scenario.horizon > 0 and n_steps_total % sample_every != 0:
         raise ScenarioError("horizon must be a whole number of output periods")
+    events = _schedule(net, components, scenario, h)
+    if equilibrium is None:
+        equilibrium = solve_equilibrium(EquilibriumProblem(net, components))
 
     engine = _Engine(net, components, config)
     comp_ids = engine.comp_ids
@@ -602,41 +594,24 @@ def simulate(
                     )
                 y[off + j] = float(given[label])
 
-    # event schedule: step index -> list of callables on the engine/state
-    events: dict[int, list[Disturbance]] = {}
-    for d in scenario.disturbances:
-        idx = _snap_to_grid(d.at, h, "disturbance time")
-        events.setdefault(idx, []).append(d)
-        duration = getattr(d, "duration", None)
-        if duration is not None:
-            end_idx = _snap_to_grid(d.at + duration, h, "disturbance end time")
-            events.setdefault(end_idx, []).append(("revert", d))  # type: ignore[arg-type]
-
     def apply_events(step_idx: int) -> tuple[bool, bool]:
         """Mutates y/engine; returns (anything applied, network modified)."""
         if step_idx not in events:
             return False, False
         network_dirty = False
-        for entry in events[step_idx]:
-            if isinstance(entry, tuple):  # revert marker
-                _, dist = entry
-                engine.active_mods.remove(dist)
-                network_dirty = True
+        for event in events[step_idx]:
+            d = event.disturbance
+            if isinstance(d, StatePerturbation):
+                c = comp_ids.index(d.component)
+                labels = engine.comps[c].state_labels
+                for label, delta in d.delta.items():
+                    y[engine.offsets[c] + labels.index(label)] += delta
                 continue
-            if isinstance(entry, StatePerturbation):
-                if entry.component not in comp_ids:
-                    raise ScenarioError(f"unknown component {entry.component!r}")
-                c = comp_ids.index(entry.component)
-                comp = engine.comps[c]
-                for label, delta in entry.delta.items():
-                    if label not in comp.state_labels:
-                        raise ScenarioError(
-                            f"component {entry.component!r} has no state {label!r}"
-                        )
-                    y[engine.offsets[c] + comp.state_labels.index(label)] += delta
+            if event.ends:
+                engine.active_mods.remove(d)
             else:
-                engine.active_mods.append(entry)
-                network_dirty = True
+                engine.active_mods.append(d)
+            network_dirty = True
         if network_dirty:
             engine.rebuild_with_mods()
         return True, network_dirty

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from phasorstab.cli import resolve_case_path
 from phasorstab.components import DroopComponent, Setpoints, VsgComponent
@@ -18,6 +19,7 @@ from phasorstab.network import (
     DynamicShunt,
     LosslessLine,
     NetworkModel,
+    power_injection,
 )
 from phasorstab.simulator import simulate
 
@@ -178,3 +180,61 @@ def compensated_load_case():
 @pytest.fixture()
 def mixed_pair():
     return make_mixed_pair()
+
+
+@st.composite
+def ring_networks(draw, min_buses=3, max_buses=12):
+    """Connected network (ring plus chords, parallel lines allowed) with a
+    state (V, theta) on it. Bus 0 carries a source, the rest loads."""
+    n = draw(st.integers(min_buses, max_buses))
+    pairs = [(j, (j + 1) % n) for j in range(n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=n))
+    pairs += [(a, (a + off) % n) for a, off in chords]
+    xs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    ids = [f"b{j}" for j in range(n)]
+    net = NetworkModel(
+        buses=[Bus(ids[0], BusKind.DYNAMIC, "src")]
+        + [Bus(bid, BusKind.PASSIVE) for bid in ids[1:]]
+        + [Bus("gnd", BusKind.GROUND)],
+        lines=[LosslessLine(ids[a], ids[b], x) for (a, b), x in zip(pairs, xs)],
+        constant_power=[ConstantPowerBranch(bid, 0.1, 0.05) for bid in ids[1:]],
+        dynamic_shunts=[DynamicShunt(ids[0], "src")],
+    )
+    v = draw(st.lists(st.floats(0.6, 1.4), min_size=n, max_size=n))
+    th = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    return net, np.array(v), np.array(th)
+
+
+def make_two_load_chain():
+    """Swing and droop sources around two load buses (a ring of four, so the
+    passive-bus algebra is a coupled 4 x 4 system). Loads are the ones
+    implied by a chosen operating point, so setpoints back-solve exactly."""
+    ids = ["g1", "l1", "l2", "g2"]
+    lines = [
+        LosslessLine("g1", "l1", 0.2),
+        LosslessLine("l1", "l2", 0.15),
+        LosslessLine("l2", "g2", 0.25),
+        LosslessLine("g2", "g1", 0.4),
+    ]
+    buses = [
+        Bus("g1", BusKind.DYNAMIC, "vsg1"),
+        Bus("l1", BusKind.PASSIVE),
+        Bus("l2", BusKind.PASSIVE),
+        Bus("g2", BusKind.DYNAMIC, "droop2"),
+        Bus("gnd", BusKind.GROUND),
+    ]
+    shunts = [DynamicShunt("g1", "vsg1"), DynamicShunt("g2", "droop2")]
+    v = [1.0, 0.97, 0.96, 1.0]
+    th = [0.0, -0.04, -0.06, -0.01]
+    probe = NetworkModel(buses, lines, [ConstantPowerBranch(b, 0.0, 0.0) for b in ids[1:3]], shunts)
+    p, q = power_injection(probe, v, th)
+    loads = [ConstantPowerBranch(b, -p[i], -q[i]) for i, b in enumerate(ids) if b in ("l1", "l2")]
+    net = NetworkModel(buses, lines, loads, shunts)
+    comps = {
+        "vsg1": VsgComponent(id="vsg1", bus="g1", M=0.16, Dp=0.076, Dq=0.03, tau_q=0.3),
+        "droop2": DroopComponent(id="droop2", bus="g2", tau_p=0.5, tau_q=0.3, Dp=0.05, Dq=0.03),
+    }
+    sp = solve_setpoints(net, comps, v, th)
+    for cid in comps:
+        comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
+    return net, comps

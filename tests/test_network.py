@@ -24,6 +24,8 @@ from phasorstab.network import (
     tellegen_sum,
 )
 
+from conftest import ring_networks
+
 
 def two_bus(x=1.0):
     return NetworkModel(
@@ -55,12 +57,12 @@ def loaded_bus():
 
 
 def test_case_file_coupling_values(case3bus):
-    b = case3bus.net.susceptance_matrix()
+    net = case3bus.net
     expected = 1.0 / 0.12
-    assert b[0, 2] == pytest.approx(expected, rel=1e-12)
-    assert b[1, 2] == pytest.approx(expected, rel=1e-12)
-    assert b[0, 1] == 0.0
-    assert np.allclose(b, b.T)
+    assert [(i, k) for i, k, _ in net.edges] == [(0, 2), (1, 2)]
+    for _, _, b in net.edges:
+        assert b == pytest.approx(expected, rel=1e-12)
+    assert net.coupling_sum == pytest.approx([expected, expected, 2 * expected], rel=1e-12)
 
 
 def test_trivial_shunt_only_network_is_valid():
@@ -211,6 +213,29 @@ def test_injection_partials_match_finite_differences(case3bus):
             for i in range(3):
                 fd = (p_plus[i] - p_minus[i]) / (2 * eps)
                 assert block[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ring_networks())
+def test_all_partial_blocks_match_finite_differences(case):
+    net, v, th = case
+    n = net.n_nodes
+    blocks = injection_partials(net, v, th)
+    eps = 1e-6
+    for k in range(n):
+        for col, coord in ((0, th), (1, v)):
+            plus, minus = coord.copy(), coord.copy()
+            plus[k] += eps
+            minus[k] -= eps
+            args_plus = (v, plus) if col == 0 else (plus, th)
+            args_minus = (v, minus) if col == 0 else (minus, th)
+            p_plus, q_plus = power_injection(net, *args_plus)
+            p_minus, q_minus = power_injection(net, *args_minus)
+            fd_p = (np.array(p_plus) - np.array(p_minus)) / (2 * eps)
+            fd_q = (np.array(q_plus) - np.array(q_minus)) / (2 * eps)
+            # blocks: dP/dtheta, dP/dV, dQ/dtheta, dQ/dV
+            assert np.allclose(blocks[col][:, k], fd_p, rtol=1e-6, atol=1e-6)
+            assert np.allclose(blocks[2 + col][:, k], fd_q, rtol=1e-6, atol=1e-6)
 
 
 # -- oracle branch laws ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Voltage potential, divergence, convexity, path integrals, contour experiment."""
+"""Voltage potential, divergence, convexity, contour experiment."""
 
 import cmath
 import math
@@ -17,8 +17,6 @@ from phasorstab.network import (
 )
 from phasorstab.potential import (
     BregmanDivergence,
-    PathIntegralAccumulator,
-    PathSample,
     contour_integral,
     convexity_check,
     enclosed_area,
@@ -30,6 +28,8 @@ from phasorstab.potential import (
     rectangle_contour_pair,
     uniform_angle_mode,
 )
+
+from conftest import ring_networks
 
 
 def line_only_pair(x=1.0):
@@ -192,6 +192,26 @@ def test_uniform_angle_mode_always_in_kernel(case3bus, v, th):
     h = hessian_vp(case3bus.net, v, th)
     mode = uniform_angle_mode(case3bus.net.n_nodes)
     assert np.linalg.norm(h @ mode) <= 1e-10 * max(1.0, np.linalg.norm(h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ring_networks())
+def test_hessian_is_symmetric_gradient_jacobian(case):
+    net, v, th = case
+    n = net.n_nodes
+    h = hessian_vp(net, v, th)
+    scale = max(1.0, float(np.max(np.abs(h))))
+    assert np.allclose(h, h.T, rtol=0.0, atol=1e-13 * scale)
+    z = np.concatenate([th, np.log(v)])
+    eps = 1e-6
+    for j in range(2 * n):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += eps
+        zm[j] -= eps
+        fd = (
+            grad_vp(net, np.exp(zp[n:]), zp[:n]) - grad_vp(net, np.exp(zm[n:]), zm[:n])
+        ) / (2 * eps)
+        assert np.allclose(h[:, j], fd, rtol=1e-6, atol=1e-6 * scale)
 
 
 # -- divergence -----------------------------------------------------------------
@@ -388,48 +408,6 @@ def test_polar_hessian_matches_finite_differences(case3bus):
                 args.append(vp_of(vv, tt))
             fd = (args[0] - args[1] - args[2] + args[3]) / (4 * eps * eps)
             assert h[a, b] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-# -- path-integral accumulator ------------------------------------------------------
-
-
-def flat_sample(theta=0.0, lnv=0.0, p=0.0, q=0.0):
-    return PathSample(theta={"c": theta}, ln_v={"c": lnv}, P={"c": p}, Q={"c": q})
-
-
-def test_constant_trajectory_accumulates_nothing():
-    acc = PathIntegralAccumulator(P_eq={"c": 0.1}, Q_eq={"c": 0.2})
-    s = flat_sample(0.3, 0.1, 0.5, 0.6)
-    for _ in range(5):
-        acc.advance(s, s)
-    assert acc.unshifted_total == 0.0
-    assert acc.shifted["c"] == 0.0
-
-
-def test_accumulator_is_additive_over_segments():
-    acc1 = PathIntegralAccumulator(P_eq={"c": 0.0}, Q_eq={"c": 0.0})
-    acc2 = PathIntegralAccumulator(P_eq={"c": 0.0}, Q_eq={"c": 0.0})
-    a = flat_sample(0.0, 0.0, 1.0, 0.0)
-    b = flat_sample(0.5, 0.1, 2.0, 1.0)
-    c = flat_sample(1.0, 0.3, 0.5, 2.0)
-    acc1.advance(a, b)
-    acc1.advance(b, c)
-    acc2.advance(a, c)
-    # trapezoid of the two-segment path differs from the single chord, but
-    # both equal the same closed form when the integrand is linear in the
-    # coordinates; here just check the two-segment total is the sum
-    total = 0.5 * (1.0 + 2.0) * 0.5 + 0.5 * (0.0 + 1.0) * 0.1
-    total += 0.5 * (2.0 + 0.5) * 0.5 + 0.5 * (1.0 + 2.0) * 0.2
-    assert acc1.unshifted_total == pytest.approx(total, rel=1e-12)
-
-
-def test_shifted_accumulator_subtracts_reference_power():
-    acc = PathIntegralAccumulator(P_eq={"c": 1.5}, Q_eq={"c": 0.0})
-    a = flat_sample(0.0, 0.0, 1.5, 0.0)
-    b = flat_sample(0.2, 0.0, 1.5, 0.0)
-    acc.advance(a, b)
-    assert acc.unshifted_total == pytest.approx(0.3, rel=1e-12)
-    assert acc.shifted["c"] == 0.0
 
 
 # -- contour experiment ---------------------------------------------------------------

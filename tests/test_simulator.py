@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from phasorstab import simulator
 from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium
-from phasorstab.network import BusState, kcl_residual
+from phasorstab.network import BusState, NetworkError, kcl_residual, power_injection
 from phasorstab.simulator import (
     LineScale,
     LoadStep,
@@ -15,6 +16,8 @@ from phasorstab.simulator import (
     StatePerturbation,
     simulate,
 )
+
+from conftest import make_two_load_chain
 
 
 def quiet(horizon, period=0.01, **kw):
@@ -208,6 +211,67 @@ def test_unknown_state_label_in_disturbance(case3bus, case3bus_solution):
         )
 
 
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (StatePerturbation(at=1.0, component="nope", delta={"omega": 1.0}),
+         ScenarioError, "unknown component 'nope'"),
+        (StatePerturbation(at=1.0, component="vsg1", delta={"psi": 1.0}),
+         ScenarioError, "component 'vsg1' has no state 'psi'"),
+        (LoadStep(at=1.0, bus="bus1", dp=0.1, dq=0.0),
+         NetworkError, "load step at bus 'bus1' with no constant-power branch"),
+        (LineScale(at=1.0, line_index=5, factor=0.5),
+         NetworkError, "line index 5 out of range"),
+    ],
+    ids=["unknown-component", "unknown-state", "load-step-without-load", "line-index"],
+)
+def test_bad_disturbance_rejected_before_any_work(monkeypatch, case3bus, bad, error, message):
+    # the bad event sits at the last step; it must be rejected before the
+    # equilibrium solve and before the first integration step
+    def must_not_run(*args, **kwargs):
+        pytest.fail("simulate did work before rejecting the scenario")
+
+    monkeypatch.setattr(simulator, "solve_equilibrium", must_not_run)
+    monkeypatch.setattr(simulator._Engine, "rk4_step", must_not_run)
+    scen = Scenario(horizon=1.0, output_period=0.1, disturbances=[bad])
+    with pytest.raises(error, match=message):
+        simulate(case3bus.net, case3bus.components, scen, SolverConfig(step_size=1e-3))
+
+
+def test_coupled_passive_buses_stay_balanced(tmp_path):
+    # two load buses: the inner solve is the coupled (m > 1) Newton system
+    net, comps = make_two_load_chain()
+    assert len(net.passive_nodes()) == 2
+    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    scen = Scenario(
+        horizon=1.0,
+        output_period=0.01,
+        disturbances=[
+            StatePerturbation(at=0.0, component="vsg1", delta={"omega": 0.1}),
+            LoadStep(at=0.3, bus="l2", dp=0.05, dq=0.02, duration=0.3),
+        ],
+    )
+    config = SolverConfig(step_size=1e-3)
+    outputs = []
+    for run in range(2):
+        traj = simulate(net, comps, scen, config, sol)
+        out = tmp_path / f"run{run}.csv"
+        traj.to_csv(str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    # the step is applied at t = 0.3 and reverted at t = 0.6, before sampling
+    stepped = net.with_load_delta("l2", 0.05, 0.02)
+    moved = 0.0
+    for s, t in enumerate(traj.times):
+        active = stepped if 0.3 - 1e-9 < t < 0.6 - 1e-9 else net
+        p, q = power_injection(net, traj.V[s], traj.theta[s])
+        for node in net.passive_nodes():
+            assert abs(p[node] + active.load_p[node]) <= config.newton_tol
+            assert abs(q[node] + active.load_q[node]) <= config.newton_tol
+        moved = max(moved, float(np.max(np.abs(traj.V[s] - sol.state.V))))
+    assert moved > 1e-4
+
+
 def test_scenario_validation():
     with pytest.raises(ScenarioError, match="horizon"):
         Scenario(horizon=-1.0)
@@ -223,6 +287,8 @@ def test_scenario_validation():
         )
     with pytest.raises(ScenarioError, match="explicit"):
         Scenario(horizon=1.0, initial="explicit")
+    with pytest.raises(ScenarioError, match="newton_max_iter"):
+        SolverConfig(newton_max_iter=-1)
 
 
 def test_explicit_initial_condition(vsg_empty_bus):
