@@ -109,19 +109,24 @@ def steady_state_residual(
     injections. Passive bus: generation balance P_i + p0 = 0, Q_i + q0 = 0
     (loads consumption-positive, so an empty bus balances at zero flow).
     """
-    n = net.n_nodes
-    p, q = power_injection(net, V, theta)
-    res = np.zeros(2 * n)
-    for i in range(n):
-        shunt = net.shunt_at[i]
-        if shunt is not None:
-            comp = components[shunt.component_id]
-            f1, f2 = comp.steady_state_residual(theta[i], V[i], p[i], q[i])
-            res[2 * i] = f1
-            res[2 * i + 1] = f2
-        else:
-            res[2 * i] = p[i] + net.load_p[i]
-            res[2 * i + 1] = q[i] + net.load_q[i]
+    return _residual(net, components, V, theta, power_injection(net, V, theta))
+
+
+def _residual(
+    net: NetworkModel,
+    components: dict[str, Component],
+    V,
+    theta,
+    injections,
+) -> np.ndarray:
+    """:func:`steady_state_residual` given the injections (P, Q) at the state."""
+    p, q = injections
+    res = np.empty(2 * net.n_nodes)
+    res[0::2] = p + net.load_p
+    res[1::2] = q + net.load_q
+    for i in net.dynamic_nodes():
+        comp = components[net.shunt_at[i].component_id]
+        res[2 * i : 2 * i + 2] = comp.steady_state_residual(theta[i], V[i], p[i], q[i])
     return res
 
 
@@ -130,15 +135,17 @@ def _jacobian(
     components: dict[str, Component],
     V,
     theta,
+    injections=None,
 ) -> np.ndarray:
     """Analytic Jacobian of the steady-state residual w.r.t. (theta_i, V_i).
 
     A passive bus's rows are its injection partials; a dynamic bus's rows
     combine them with the component's partials by P and Q, plus its direct
-    dependence on the bus's own (theta, V).
+    dependence on the bus's own (theta, V). ``injections`` is the (P, Q) at
+    the state, if the caller holds it.
     """
     n = net.n_nodes
-    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta)
+    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta, injections)
     # rows (P_0..P_n-1, Q_0..Q_n-1), columns (theta_0.., V_0..)
     jac = np.block([[dp_dt, dp_dv], [dq_dt, dq_dv]])
     for i in net.dynamic_nodes():
@@ -225,13 +232,15 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
             theta_pin = 0.0
         t[ref] = theta_pin
 
-    def residual(vv, tt) -> np.ndarray:
-        res = steady_state_residual(net, comps, vv, tt)
+    def residual(vv, tt):
+        """Residual with the reference row pinned, and the injections (P, Q)."""
+        inj = power_injection(net, vv, tt)
+        res = _residual(net, comps, vv, tt, inj)
         if pin:
             res[ref_row] = tt[ref] - theta_pin
-        return res
+        return res, inj
 
-    res = residual(v, t)
+    res, inj = residual(v, t)
     norm = float(np.max(np.abs(res)))
     history = [norm]
     iterations = 0
@@ -241,7 +250,7 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
                 f"Newton did not converge in {problem.max_iter} iterations "
                 f"(residual {norm:.3e})"
             )
-        jac = _jacobian(net, comps, v, t)
+        jac = _jacobian(net, comps, v, t, inj)
         if pin:
             jac[ref_row, :] = 0.0
             jac[ref_row, 2 * ref] = 1.0
@@ -258,7 +267,7 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
             if np.any(v_new <= 0.0):
                 scale *= 0.5
                 continue
-            res_new = residual(v_new, t_new)
+            res_new, inj_new = residual(v_new, t_new)
             norm_new = float(np.max(np.abs(res_new)))
             if norm_new < norm or norm_new <= problem.tol:
                 break
@@ -267,13 +276,13 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
             raise EquilibriumError(
                 f"Newton stalled at iteration {iterations} (residual {norm:.3e})"
             )
-        v, t, res, norm = v_new, t_new, res_new, norm_new
+        v, t, res, inj, norm = v_new, t_new, res_new, inj_new, norm_new
         history.append(norm)
         iterations += 1
 
     pin_resid = 0.0
     if pin:
-        full = steady_state_residual(net, comps, v, t)
+        full = _residual(net, comps, v, t, inj)
         pin_resid = float(abs(full[ref_row]))
         if pin_resid > CONSISTENCY_TOL:
             raise InconsistentInput(
@@ -282,7 +291,7 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
             )
 
     state = BusState(V=v, theta=t)
-    p, q = power_injection(net, v, t)
+    p, q = inj[0].tolist(), inj[1].tolist()
     comp_states: dict[str, tuple[float, ...]] = {}
     inj_p: dict[str, float] = {}
     inj_q: dict[str, float] = {}
@@ -326,7 +335,7 @@ def solve_setpoints(
         raise InconsistentInput("operating point has wrong length")
     if any(val <= 0.0 for val in V):
         raise InconsistentInput("operating point voltages must be positive")
-    p, q = power_injection(net, V, theta)
+    p, q = (x.tolist() for x in power_injection(net, V, theta))
     setpoints: dict[str, Setpoints] = {}
     implied: dict[str, tuple[float, float]] = {}
     mismatch: dict[str, tuple[float, float]] = {}

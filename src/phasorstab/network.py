@@ -8,17 +8,22 @@ generation-positive (power injected from the shunt side into the network),
 with the sign conversion happening in exactly one place
 (:attr:`ConstantPowerBranch.p0_gen`).
 
-This module is the network kernel: :func:`power_injection` is the only edge
-loop that evaluates the line power-flow terms, and :func:`injection_partials`
+This module is the network kernel: :func:`power_injection` evaluates the
+line power-flow terms on edge arrays (one gather, one sin and one cos over
+all lines, one scatter onto the buses), and :func:`injection_partials` is
 the only source of their partials. The equilibrium solver, the transient
 simulator and the potential's gradient and Hessian are all built on these
-two functions. The complex-arithmetic oracles at the end of the module
-(:func:`branch_currents_oracle`, :func:`kcl_residual`, :func:`tellegen_sum`)
-recompute the same physics independently, for checking.
+two functions. :func:`power_injection_scalar` is the same closed form as a
+Python loop over the lines: the simulator's fast path for networks with at
+most one passive bus, where per-call numpy overhead outweighs the loop, and
+a reference for the array kernel. The complex-arithmetic oracles at the end
+of the module (:func:`branch_currents_oracle`, :func:`kcl_residual`,
+:func:`tellegen_sum`) recompute the same physics independently, for
+checking.
 
 The model is immutable after construction and all evaluation functions are
-pure, so they are thread-safe. Branch reductions iterate in declaration order
-so repeated runs are bitwise reproducible.
+pure, so they are thread-safe. Branch reductions run in declaration order
+(the array kernel's scatter too), so repeated runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "NetworkError",
     "BusState",
     "power_injection",
+    "power_injection_scalar",
     "injection_partials",
     "self_partials",
     "branch_currents_oracle",
@@ -120,10 +126,11 @@ class NetworkModel:
 
     Derived, in network node order: ``edges`` holds one (i, k, B) triple per
     line in declaration order, and ``edge_arrays`` the same as three numpy
-    arrays (from, to, B); ``partials_slots`` places the terms of
-    :func:`injection_partials`; ``load_p`` and ``load_q`` are the summed
-    consumption-positive constant-power loads per bus; ``coupling_sum`` is
-    the summed line coupling B per bus.
+    arrays (from, to, B); ``injection_slots`` and ``partials_slots`` place
+    the terms of :func:`power_injection` and :func:`injection_partials`;
+    ``load_p`` and ``load_q`` are the summed consumption-positive
+    constant-power loads per bus; ``coupling_sum`` is the summed line
+    coupling B per bus.
     """
 
     buses: list[Bus]
@@ -137,6 +144,7 @@ class NetworkModel:
     node_index: dict[str, int] = field(default_factory=dict, repr=False)
     edges: list[tuple[int, int, float]] = field(default_factory=list, repr=False)
     edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    injection_slots: np.ndarray = field(init=False, repr=False)
     partials_slots: np.ndarray = field(init=False, repr=False)
     load_p: list[float] = field(default_factory=list, repr=False)
     load_q: list[float] = field(default_factory=list, repr=False)
@@ -230,7 +238,10 @@ class NetworkModel:
             np.array([k for _, k, _ in self.edges], dtype=np.intp),
             np.array([b for _, _, b in self.edges], dtype=float),
         )
-        self.partials_slots = _partials_slots(n, *self.edge_arrays[:2])
+        i, k, _ = self.edge_arrays
+        # P rows take each line's from and to end, then Q rows the same
+        self.injection_slots = np.concatenate([i, k, n + i, n + k])
+        self.partials_slots = _partials_slots(n, i, k)
         self.coupling_sum = [0.0] * n
         for i, k, b in self.edges:
             self.coupling_sum[i] += b
@@ -342,12 +353,39 @@ class BusState:
 # -- evaluation ------------------------------------------------------------
 
 
-def power_injection(net: NetworkModel, V, theta) -> tuple[list[float], list[float]]:
+def power_injection(net: NetworkModel, V, theta) -> tuple[np.ndarray, np.ndarray]:
     """Net power injected from the shunt side into the network at each bus.
 
     Closed form over lines: P_i = sum_k B_ik V_i V_k sin(theta_i - theta_k),
     Q_i = sum_k B_ik (V_i^2 - V_i V_k cos(theta_i - theta_k)). Generation
-    convention; returns plain lists in node order.
+    convention; returns two arrays in node order.
+
+    The edge-array kernel: one gather of the line ends from ``edge_arrays``,
+    one sin and one cos over all lines, one ``np.bincount`` scatter onto
+    the buses in a fixed order.
+    """
+    n = net.n_nodes
+    i, k, b = net.edge_arrays
+    v = np.asarray(V, dtype=float)
+    t = np.asarray(theta, dtype=float)
+    vi = v[i]
+    vk = v[k]
+    d = t[i] - t[k]
+    bvv = b * vi * vk
+    flow = bvv * np.sin(d)
+    cross = bvv * np.cos(d)
+    terms = np.concatenate([flow, -flow, b * vi * vi - cross, b * vk * vk - cross])
+    pq = np.bincount(net.injection_slots, weights=terms, minlength=2 * n)
+    return pq[:n], pq[n:]
+
+
+def power_injection_scalar(net: NetworkModel, V, theta) -> tuple[list[float], list[float]]:
+    """:func:`power_injection` as a Python loop over ``net.edges``, returning
+    plain lists of floats.
+
+    On a few buses the loop is several times faster than the array kernel,
+    whose cost there is numpy's per-call overhead. The simulator uses it for
+    the inner solve when at most one bus is passive.
     """
     p = [0.0] * net.n_nodes
     q = p.copy()
@@ -390,18 +428,20 @@ def _partials_slots(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def injection_partials(
-    net: NetworkModel, V, theta
+    net: NetworkModel, V, theta, injections=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic partials (dP/dtheta, dP/dV, dQ/dtheta, dQ/dV) as dense arrays.
 
     Entry [i, k] is the partial of bus i's injection by bus k's coordinate.
     Off-diagonal entries come from one vectorized pass over the lines; the
     diagonal comes from the injections through :func:`self_partials`.
+    ``injections`` is the (P, Q) of :func:`power_injection` at the same
+    state, for callers that hold it already; it is computed when omitted.
     """
     n = net.n_nodes
-    p, q = power_injection(net, V, theta)
-    v = np.array(V, dtype=float)
-    t = np.array(theta, dtype=float)
+    v = np.asarray(V, dtype=float)
+    t = np.asarray(theta, dtype=float)
+    p, q = power_injection(net, v, t) if injections is None else injections
     i, k, b = net.edge_arrays
     d = t[i] - t[k]
     s = b * np.sin(d)
@@ -410,7 +450,7 @@ def injection_partials(
     vk = v[k]
     vvc = vi * vk * c
     vvs = vi * vk * s
-    diag = self_partials(v, np.array(net.coupling_sum), np.array(p), np.array(q))
+    diag = self_partials(v, np.asarray(net.coupling_sum), np.asarray(p), np.asarray(q))
     terms = np.concatenate(
         [-vvc, -vvc, vi * s, -vk * s, -vvs, vvs, -vi * c, -vk * c, *diag]
     )

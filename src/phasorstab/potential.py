@@ -47,16 +47,13 @@ __all__ = [
 def eval_vp(net: NetworkModel, V, theta) -> float:
     """Voltage potential at a bus state (absolute; see module docstring)."""
     total = 0.0
-    for line in net.lines:
-        i = net.node_index[line.from_bus]
-        k = net.node_index[line.to_bus]
+    for i, k, b in net.edges:
+        vi = V[i]
+        vk = V[k]
         d = theta[i] - theta[k]
-        total += 0.5 * line.coupling * (
-            V[i] * V[i] + V[k] * V[k] - 2.0 * V[i] * V[k] * math.cos(d)
-        )
-    for cp in net.constant_power:
-        i = net.node_index[cp.bus]
-        total += cp.p0 * theta[i] + cp.q0 * math.log(V[i])
+        total += 0.5 * b * (vi * vi + vk * vk - 2.0 * vi * vk * math.cos(d))
+    for i, (p0, q0) in enumerate(zip(net.load_p, net.load_q)):
+        total += p0 * theta[i] + q0 * math.log(V[i])
     return total
 
 
@@ -69,7 +66,7 @@ def grad_vp(net: NetworkModel, V, theta) -> np.ndarray:
     solved state and equal the component injections at dynamic buses.
     """
     p, q = power_injection(net, V, theta)
-    return np.array(p + q) + np.array(net.load_p + net.load_q)
+    return np.concatenate([p + net.load_p, q + net.load_q])
 
 
 def hessian_vp(net: NetworkModel, V, theta) -> np.ndarray:
@@ -96,11 +93,11 @@ def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
     The V gradient is (Q_i + q0_i) / V_i, so the rows of the Q partials are
     divided by V_i and its diagonal loses (Q_i + q0_i) / V_i^2.
     """
-    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta)
-    _, q = power_injection(net, V, theta)
+    p, q = power_injection(net, V, theta)
+    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta, (p, q))
     v = np.asarray(V, dtype=float)
     rows = v[:, None]
-    curvature = np.diag((np.array(q) + np.array(net.load_q)) / v**2)
+    curvature = np.diag((q + net.load_q) / v**2)
     return np.block([[dp_dt, dp_dv], [dq_dt / rows, dq_dv / rows - curvature]])
 
 

@@ -2,14 +2,29 @@
 
 Differential states (the dynamic components' states) advance with classical
 four-stage Runge-Kutta; the algebraic unknowns (voltage magnitude and angle
-of every passive bus) are re-solved by a warm-started Newton iteration at
+of every passive bus) are re-solved, warm-started from the last solution, at
 every stage evaluation, so each accepted state is algebraically consistent.
 An implicit trapezoidal integrator is available for stiff parameter sets.
-The inner Newton iteration evaluates the injections and their partials with
-the network kernel (:func:`~phasorstab.network.power_injection`,
-:func:`~phasorstab.network.injection_partials`); with a single passive bus it
-solves its 2 x 2 system in closed form from
-:func:`~phasorstab.network.self_partials`.
+
+The inner solve takes one of two paths, by the number of passive buses:
+
+* at most one: Newton on Python floats, with the injections from
+  :func:`~phasorstab.network.power_injection_scalar` and the 2 x 2 system
+  solved in closed form from :func:`~phasorstab.network.self_partials`;
+* two or more: a chord (simplified Newton) iteration on the array kernel
+  :func:`~phasorstab.network.power_injection`. It keeps the inverse of one
+  passive-bus Jacobian (from :func:`~phasorstab.network.injection_partials`)
+  across iterations, RK stages and steps, and rebuilds it at the current
+  state when there is none yet, when a load or line event changes the
+  network, or when a step fails to shrink the largest passive residual by
+  the factor ``CHORD_CONTRACTION`` (Hairer & Wanner, *Solving ODEs II*,
+  ch. VI).
+
+Both stop when the largest passive residual is at most ``newton_tol``,
+within ``newton_max_iter`` steps. The chord iteration converges linearly, so
+it stops just under the tolerance where Newton overshoots it by orders of
+magnitude. The manifest records the solves, the steps and the Jacobian
+factorizations of the run (for the closed form, one per step).
 
 Scenarios perturb component states, step loads, or scale line couplings at
 times aligned with the integration grid. Every disturbance is checked
@@ -17,8 +32,11 @@ against the network before the run starts. Path integrals are accumulated with
 the trapezoid rule at every integration step (second-order in the step
 size); the remaining diagnostics are evaluated at output samples only.
 
-A single simulation is a sequential state recurrence over plain Python
-floats in fixed iteration order, so repeated runs are bitwise identical.
+A single simulation is a sequential state recurrence with no dependence on
+timing: every run performs the same floating-point operations in the same
+order (numpy's elementwise operations and ``np.bincount`` scatters included,
+and the chord's refresh decisions depend only on the residuals), so repeated
+runs on one installation are bitwise identical.
 """
 
 from __future__ import annotations
@@ -42,6 +60,7 @@ from .network import (
     NetworkModel,
     injection_partials,
     power_injection,
+    power_injection_scalar,
     self_partials,
 )
 from .potential import BregmanDivergence, eval_vp
@@ -59,6 +78,9 @@ __all__ = [
 ]
 
 GRID_ALIGN_TOL = 1e-9
+# a chord step must cut the passive residual at least this much, or the
+# passive-bus Jacobian is rebuilt at the current state before the next step
+CHORD_CONTRACTION = 0.25
 
 
 class SimulationError(RuntimeError):
@@ -186,6 +208,10 @@ class Trajectory:
     config: SolverConfig
     scenario: Scenario
     network_changed: bool
+    # work of the passive-bus solve over the whole run
+    inner_solves: int = 0
+    inner_iterations: int = 0
+    jacobian_factorizations: int = 0
 
     @property
     def n_samples(self) -> int:
@@ -242,6 +268,9 @@ class Trajectory:
             "convention": self.convention.value,
             "columns": self.columns(),
             "network_changed_during_run": self.network_changed,
+            "inner_solves": self.inner_solves,
+            "inner_iterations": self.inner_iterations,
+            "jacobian_factorizations": self.jacobian_factorizations,
             "buses": list(self.bus_ids),
             "components": self.component_ids(),
         }
@@ -288,8 +317,21 @@ class _Engine:
             for c in range(len(self.comps))
         ]
         self.active_mods: list[NetworkDisturbance] = []
+        self.passive = np.array(self.passive_nodes, dtype=np.intp)
+        self.passive_block = np.ix_(self.passive, self.passive)
+        # counts of the inner solve, reported in the manifest
+        self.inner_solves = 0
+        self.inner_iterations = 0
+        self.factorizations = 0
+        self._use_network(net)
+
+    def _use_network(self, net: NetworkModel) -> None:
+        """Switch to `net`, dropping the chord Jacobian built on the last one."""
         self.net = net
-        self.passive_block = np.ix_(self.passive_nodes, self.passive_nodes)
+        self.passive_loads = np.concatenate(
+            [np.array(net.load_p)[self.passive], np.array(net.load_q)[self.passive]]
+        )
+        self.jac_inv: np.ndarray | None = None
 
     def rebuild_with_mods(self) -> None:
         net = self.base_net
@@ -298,7 +340,7 @@ class _Engine:
                 net = net.with_load_delta(mod.bus, mod.dp, mod.dq)
             else:
                 net = net.with_scaled_line(mod.line_index, mod.factor)
-        self.net = net
+        self._use_network(net)
 
     # evaluation ----------------------------------------------------------------
 
@@ -311,74 +353,116 @@ class _Engine:
     def solve_algebraic(
         self, V: list[float], th: list[float], t: float
     ) -> tuple[list[float], list[float]]:
-        """Newton-solve passive-bus (theta, V) in place; V/th carry the warm
-        start. Returns the bus injections (P, Q) at the solved state."""
+        """Solve passive-bus (theta, V) in place; V/th carry the warm start.
+        Returns the bus injections (P, Q) at the solved state."""
+        self.inner_solves += 1
+        if len(self.passive_nodes) > 1:
+            return self._solve_chord(V, th, t)
+        return self._solve_scalar(V, th, t)
+
+    def _solve_scalar(
+        self, V: list[float], th: list[float], t: float
+    ) -> tuple[list[float], list[float]]:
+        """Newton iteration for at most one passive bus, on Python floats,
+        with its 2 x 2 system solved in closed form."""
         net = self.net
-        passive = self.passive_nodes
-        m = len(passive)
         max_iter = self.config.newton_max_iter
-        load_p = net.load_p
-        load_q = net.load_q
         for it in range(max_iter + 1):
-            p, q = power_injection(net, V, th)
-            rp: list[float] = []
-            rq: list[float] = []
-            worst = 0.0
-            for i in passive:
-                a = p[i] + load_p[i]
-                b = q[i] + load_q[i]
-                rp.append(a)
-                rq.append(b)
-                if abs(a) > worst:
-                    worst = abs(a)
-                if abs(b) > worst:
-                    worst = abs(b)
+            p, q = power_injection_scalar(net, V, th)
+            if not self.passive_nodes:
+                return p, q
+            node = self.passive_nodes[0]
+            rp = p[node] + net.load_p[node]
+            rq = q[node] + net.load_q[node]
+            worst = max(abs(rp), abs(rq))
             if worst <= self.config.newton_tol:
                 return p, q
             if it == max_iter:
                 break
-            if m == 1:
-                node = passive[0]
-                j00, j01, j10, j11 = self_partials(
-                    V[node], net.coupling_sum[node], p[node], q[node]
-                )
-                det = j00 * j11 - j01 * j10
-                if det == 0.0:
-                    raise SimulationError(
-                        f"algebraic Jacobian singular at t = {t:.6g}"
-                    )
-                d_theta = [(-rp[0] * j11 + rq[0] * j01) / det]
-                d_v = [(-j00 * rq[0] + j10 * rp[0]) / det]
-            else:
-                dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, th)
-                blk = self.passive_block
-                jac = np.empty((2 * m, 2 * m))
-                jac[:m, :m] = dp_dt[blk]
-                jac[:m, m:] = dp_dv[blk]
-                jac[m:, :m] = dq_dt[blk]
-                jac[m:, m:] = dq_dv[blk]
-                try:
-                    delta = np.linalg.solve(jac, [-r for r in rp + rq]).tolist()
-                except np.linalg.LinAlgError as exc:
-                    raise SimulationError(
-                        f"algebraic Jacobian singular at t = {t:.6g}: {exc}"
-                    ) from exc
-                d_theta, d_v = delta[:m], delta[m:]
+            j00, j01, j10, j11 = self_partials(
+                V[node], net.coupling_sum[node], p[node], q[node]
+            )
+            self.factorizations += 1
+            det = j00 * j11 - j01 * j10
+            if det == 0.0:
+                raise SimulationError(f"algebraic Jacobian singular at t = {t:.6g}")
+            d_theta = (-rp * j11 + rq * j01) / det
+            d_v = (-j00 * rq + j10 * rp) / det
             scale = 1.0
-            for node, dv in zip(passive, d_v):
-                while V[node] + scale * dv <= 0.0:
-                    scale *= 0.5
-                    if scale < 1e-12:
-                        raise SimulationError(
-                            f"voltage collapse at bus {net.non_ground[node]!r}, "
-                            f"t = {t:.6g}"
-                        )
-            for j, node in enumerate(passive):
-                th[node] += scale * d_theta[j]
-                V[node] += scale * d_v[j]
+            while V[node] + scale * d_v <= 0.0:
+                scale *= 0.5
+                if scale < 1e-12:
+                    raise SimulationError(
+                        f"voltage collapse at bus {net.non_ground[node]!r}, t = {t:.6g}"
+                    )
+            th[node] += scale * d_theta
+            V[node] += scale * d_v
+            self.inner_iterations += 1
         raise SimulationError(
             f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
         )
+
+    def _solve_chord(
+        self, V: list[float], th: list[float], t: float
+    ) -> tuple[list[float], list[float]]:
+        """Chord iteration for two or more passive buses on the array kernel.
+
+        Steps with the kept inverse of the passive-bus Jacobian; refreshes
+        it when there is none (first solve, changed network) or when the
+        last step failed to shrink the residual by CHORD_CONTRACTION."""
+        net = self.net
+        pas = self.passive
+        m = len(pas)
+        max_iter = self.config.newton_max_iter
+        v = np.array(V)
+        a = np.array(th)
+        last = math.inf
+        for it in range(max_iter + 1):
+            p, q = power_injection(net, v, a)
+            r = np.concatenate([p[pas], q[pas]]) + self.passive_loads
+            worst = float(np.abs(r).max())
+            if worst <= self.config.newton_tol:
+                V[:] = v.tolist()
+                th[:] = a.tolist()
+                return p.tolist(), q.tolist()
+            if it == max_iter:
+                break
+            if self.jac_inv is None or worst > CHORD_CONTRACTION * last:
+                self._factorize(v, a, (p, q), t)
+            last = worst
+            step = -(self.jac_inv @ r)
+            d_theta = step[:m]
+            d_v = step[m:]
+            v_pas = v[pas]
+            scale = 1.0
+            bad = v_pas + d_v <= 0.0
+            while bad.any():
+                scale *= 0.5
+                if scale < 1e-12:
+                    node = int(pas[np.argmax(bad)])
+                    raise SimulationError(
+                        f"voltage collapse at bus {net.non_ground[node]!r}, t = {t:.6g}"
+                    )
+                bad = v_pas + scale * d_v <= 0.0
+            a[pas] += scale * d_theta
+            v[pas] = v_pas + scale * d_v
+            self.inner_iterations += 1
+        raise SimulationError(
+            f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
+        )
+
+    def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float) -> None:
+        """Invert the passive-bus Jacobian at (v, a) for the chord iteration."""
+        dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(self.net, v, a, injections)
+        blk = self.passive_block
+        jac = np.block([[dp_dt[blk], dp_dv[blk]], [dq_dt[blk], dq_dv[blk]]])
+        try:
+            self.jac_inv = np.linalg.inv(jac)
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(
+                f"algebraic Jacobian singular at t = {t:.6g}: {exc}"
+            ) from exc
+        self.factorizations += 1
 
     def derivative(
         self, y: list[float], p: list[float], q: list[float]
@@ -648,13 +732,10 @@ def simulate(
 
     def record(sample: int, t: float) -> None:
         times[sample] = t
-        for i in range(net.n_nodes):
-            bus_v[sample, i] = V[i]
-            bus_t[sample, i] = th[i]
-        va = np.array(V)
-        ta = np.array(th)
-        vp_series[sample] = eval_vp(net, va, ta) - vp_ref
-        w_series[sample] = bregman.value(va, ta)
+        bus_v[sample] = V
+        bus_t[sample] = th
+        vp_series[sample] = eval_vp(net, V, th) - vp_ref
+        w_series[sample] = bregman.value(V, th)
         for c, (cid, comp) in enumerate(zip(comp_ids, engine.comps)):
             off = engine.offsets[c]
             x = y[off : off + comp.nstates]
@@ -753,4 +834,7 @@ def simulate(
         config=config,
         scenario=scenario,
         network_changed=network_changed,
+        inner_solves=engine.inner_solves,
+        inner_iterations=engine.inner_iterations,
+        jacobian_factorizations=engine.factorizations,
     )

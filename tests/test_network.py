@@ -21,6 +21,7 @@ from phasorstab.network import (
     injection_partials,
     kcl_residual,
     power_injection,
+    power_injection_scalar,
     tellegen_sum,
 )
 
@@ -143,7 +144,7 @@ def test_quarter_turn_two_bus_flows():
 
 def test_uniform_state_has_zero_injection(case3bus):
     p, q = power_injection(case3bus.net, [1.0] * 3, [0.3] * 3)
-    assert max(abs(v) for v in p + q) <= 1e-14
+    assert np.max(np.abs(np.concatenate([p, q]))) <= 1e-14
 
 
 def test_case_operating_point_load_bus_injection(case3bus):
@@ -189,8 +190,28 @@ def test_active_power_balance_and_rotation_symmetry(case3bus, state, shift):
     p, q = power_injection(case3bus.net, v, th)
     assert sum(p) == pytest.approx(0.0, abs=1e-10)
     p2, q2 = power_injection(case3bus.net, v, [t + shift for t in th])
-    for a, b in zip(p + q, p2 + q2):
+    for a, b in zip(np.concatenate([p, q]), np.concatenate([p2, q2])):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ring_networks())
+def test_array_kernel_scalar_loop_and_oracle_agree(case):
+    net, v, th = case
+    p, q = power_injection(net, v, th)
+    p_loop, q_loop = power_injection_scalar(net, v.tolist(), th.tolist())
+    currents = branch_currents_oracle(net, BusState(v, th))
+    nodal = np.zeros(net.n_nodes, dtype=complex)
+    for idx, line in enumerate(net.lines):
+        cur = currents[f"line:{line.from_bus}-{line.to_bus}:{idx}"]
+        nodal[net.node_index[line.from_bus]] += cur
+        nodal[net.node_index[line.to_bus]] -= cur
+    s = v * np.exp(1j * th) * nodal.conj()
+    for got_p, got_q in ((p, q), (p_loop, q_loop)):
+        np.testing.assert_allclose(got_p, s.real, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_q, s.imag, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(p, p_loop, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(q, q_loop, rtol=1e-12, atol=1e-12)
 
 
 def test_injection_partials_match_finite_differences(case3bus):

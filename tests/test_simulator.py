@@ -272,6 +272,55 @@ def test_coupled_passive_buses_stay_balanced(tmp_path):
     assert moved > 1e-4
 
 
+def test_chord_jacobian_refreshed_after_line_scale(tmp_path):
+    # two load buses take the chord path; the scaled line changes the
+    # passive-bus Jacobian, so the kept inverse must be rebuilt
+    net, comps = make_two_load_chain()
+    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    kick = StatePerturbation(at=0.0, component="vsg1", delta={"omega": 0.1})
+    config = SolverConfig(step_size=1e-3)
+    quiet_run = simulate(net, comps, Scenario(1.0, 0.01, disturbances=[kick]), config, sol)
+    assert quiet_run.jacobian_factorizations * 100 <= quiet_run.inner_solves
+    scen = Scenario(
+        horizon=1.0,
+        output_period=0.01,
+        disturbances=[kick, LineScale(at=0.3, line_index=1, factor=0.5, duration=0.3)],
+    )
+    manifests = []
+    for run in range(2):
+        traj = simulate(net, comps, scen, config, sol)
+        path = tmp_path / f"run{run}.json"
+        traj.write_manifest(str(path))
+        manifests.append(path.read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = traj.manifest()
+    # one factorization at the start, one at the event, one at its revert
+    assert manifest["jacobian_factorizations"] >= quiet_run.jacobian_factorizations + 2
+    assert manifest["inner_solves"] == traj.inner_solves > 0
+    assert manifest["inner_iterations"] == traj.inner_iterations > 0
+    scaled = net.with_scaled_line(1, 0.5)
+    for s, t in enumerate(traj.times):
+        active = scaled if 0.3 - 1e-9 < t < 0.6 - 1e-9 else net
+        p, q = power_injection(active, traj.V[s], traj.theta[s])
+        for node in net.passive_nodes():
+            assert abs(p[node] + net.load_p[node]) <= config.newton_tol
+            assert abs(q[node] + net.load_q[node]) <= config.newton_tol
+
+
+def test_chord_failure_reports_time_and_residual():
+    net, comps = make_two_load_chain()
+    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    scen = Scenario(
+        horizon=0.1,
+        output_period=0.01,
+        disturbances=[StatePerturbation(at=0.0, component="vsg1", delta={"v": 0.01})],
+    )
+    with pytest.raises(
+        SimulationError, match=r"inner Newton failed at t = 0 \(residual \d\.\d{3}e-\d+\)"
+    ):
+        simulate(net, comps, scen, SolverConfig(newton_max_iter=0), sol)
+
+
 def test_scenario_validation():
     with pytest.raises(ScenarioError, match="horizon"):
         Scenario(horizon=-1.0)
