@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -72,6 +73,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _number_option(text: str, flag: str) -> float:
+    """Value of a numeric command-line option; anything but a finite number
+    is a validation error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScenarioError(f"{flag} expects a finite number, got {text!r}")
+    return value
+
+
 def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     """Apply global overrides and back-solve missing setpoints."""
     solver = case.solver
@@ -81,15 +94,17 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise NetworkFileError(f"cannot read config {args.config}: {exc}") from exc
+        if isinstance(overrides, dict):
+            overrides = overrides.get("solver", overrides)
         if not isinstance(overrides, dict):
             raise NetworkFileError("config file must hold a solver object")
         merged = {**asdict(solver), "convention": solver.convention.value}
-        merged.update(overrides.get("solver", overrides))
+        merged.update(overrides)
         solver = parse_solver(merged)
     if args.convention is not None:
         solver = replace(solver, convention=SupplyConvention(args.convention))
-    if getattr(args, "h", None):
-        solver = replace(solver, step_size=float(args.h))
+    if getattr(args, "h", None) is not None:
+        solver = replace(solver, step_size=_number_option(args.h, "--h"))
     case.solver = solver
     missing = [cid for cid, c in case.components.items() if c.setpoints is None]
     if missing:
@@ -158,7 +173,7 @@ def cmd_simulate(args) -> int:
     if scenario is None:
         raise ScenarioError(f"case {case.name!r} declares no scenario")
     if args.horizon is not None:
-        horizon = float(args.horizon)
+        horizon = _number_option(args.horizon, "--horizon")
         scenario = replace(
             scenario,
             horizon=horizon,
@@ -202,8 +217,12 @@ def cmd_verify_identities(args) -> int:
         raise ScenarioError(
             "identity verification requires a scenario without load or line events"
         )
-    horizon = float(args.horizon) if args.horizon is not None else scenario.horizon
-    steps = [float(s) for s in args.h_sweep.split(",")]
+    horizon = (
+        _number_option(args.horizon, "--horizon")
+        if args.horizon is not None
+        else scenario.horizon
+    )
+    steps = [_number_option(s, "--h-sweep") for s in args.h_sweep.split(",")]
     if len(steps) < 2:
         raise ScenarioError("--h-sweep needs at least two step sizes")
     sol = _solve_case_equilibrium(case)

@@ -125,12 +125,14 @@ class BregmanDivergence:
         self.grad0 = grad_vp(self.net, self.V0, self.theta0)
         self.z0 = np.concatenate([self.theta0, np.log(self.V0)])
 
-    def value(self, V, theta) -> float:
+    def value(self, V, theta, vp: float | None = None) -> float:
+        """W at (V, theta); ``vp`` is :func:`eval_vp` at the same state, for
+        callers that hold it already. It is computed when omitted."""
+        if vp is None:
+            vp = eval_vp(self.net, V, theta)
         z = np.concatenate([np.asarray(theta, dtype=float),
                             np.log(np.asarray(V, dtype=float))])
-        return eval_vp(self.net, V, theta) - self.vp0 - float(
-            self.grad0 @ (z - self.z0)
-        )
+        return vp - self.vp0 - float(self.grad0 @ (z - self.z0))
 
     def gradient(self, V, theta) -> np.ndarray:
         return grad_vp(self.net, V, theta) - self.grad0

@@ -131,23 +131,24 @@ class Scenario:
     disturbances: list[Disturbance] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.horizon < 0.0:
+        # the comparisons are written to fail for NaN as well
+        if not 0.0 <= self.horizon < math.inf:
             raise ScenarioError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.output_period <= 0.0:
+        if not 0.0 < self.output_period < math.inf:
             raise ScenarioError("output period must be positive")
         if self.initial not in ("equilibrium", "explicit"):
             raise ScenarioError(f"unknown initial condition source {self.initial!r}")
         if self.initial == "explicit" and not self.explicit_states:
             raise ScenarioError("explicit initial condition requires explicit_states")
         for d in self.disturbances:
-            if d.at < 0.0 or d.at > self.horizon:
+            if not 0.0 <= d.at <= self.horizon:
                 raise ScenarioError(
                     f"disturbance time {d.at} outside horizon [0, {self.horizon}]"
                 )
             if isinstance(d, LineScale) and d.factor <= 0.0:
                 raise ScenarioError(f"line scale factor must be positive, got {d.factor}")
             duration = getattr(d, "duration", None)
-            if duration is not None and duration <= 0.0:
+            if duration is not None and not 0.0 < duration < math.inf:
                 raise ScenarioError("disturbance duration must be positive")
 
     def network_events(self) -> bool:
@@ -163,8 +164,11 @@ class SolverConfig:
     convention: SupplyConvention = SupplyConvention.NEGATED
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0.0:
+        # the comparisons are written to fail for NaN as well
+        if not 0.0 < self.step_size < math.inf:
             raise ScenarioError("step size must be positive")
+        if not self.newton_tol > 0.0:
+            raise ScenarioError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 0:
             raise ScenarioError("newton_max_iter must be nonnegative")
         if self.integrator not in ("rk4", "trapezoid"):
@@ -232,28 +236,30 @@ class Trajectory:
             cols.extend([f"{cid}_storage", f"{cid}_supply", f"{cid}_integral"])
         return cols
 
-    def rows(self):
-        for s in range(self.n_samples):
-            row = [self.times[s]]
-            for b in range(len(self.bus_ids)):
-                row.extend([self.V[s, b], self.theta[s, b]])
-            for cid in self.component_ids():
-                row.extend(self.comp_states[cid][s])
-                row.extend([self.P[cid][s], self.Q[cid][s]])
-            row.extend([self.vp[s], self.w[s]])
-            for cid in self.component_ids():
-                row.extend(
-                    [self.storage[cid][s], self.supply[cid][s], self.integral[cid][s]]
-                )
-            yield row
+    def table(self) -> np.ndarray:
+        """The samples as one array, one row per sample, in :meth:`columns`
+        order."""
+        n = self.n_samples
+        # V and theta interleaved per bus
+        parts = [self.times[:, None], np.stack([self.V, self.theta], axis=2).reshape(n, -1)]
+        for cid in self.component_ids():
+            parts.extend(
+                [self.comp_states[cid], self.P[cid][:, None], self.Q[cid][:, None]]
+            )
+        parts.extend([self.vp[:, None], self.w[:, None]])
+        for cid in self.component_ids():
+            parts.append(
+                np.column_stack([self.storage[cid], self.supply[cid], self.integral[cid]])
+            )
+        return np.hstack(parts)
 
     def to_csv(self, path: str) -> None:
         """Write the sample table; repr() of each float round-trips exactly."""
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(",".join(self.columns()) + "\n")
-            for row in self.rows():
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            for row in self.table():
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
         os.replace(tmp, path)
 
     def manifest(self, source: str = "<memory>") -> dict:
@@ -299,23 +305,24 @@ class _Engine:
         self.config = config
         self.comp_ids = [s.component_id for s in net.dynamic_shunts]
         self.comps = [components[cid] for cid in self.comp_ids]
-        self.comp_node = [net.node_index[s.bus] for s in net.dynamic_shunts]
         self.passive_nodes = net.passive_nodes()
-        # Y layout: per component, its states contiguously
+        # Y layout: per component, its states contiguously. Built once for
+        # the hot loops, per component: (derivative, state slice, bus node),
+        # and its terminal (bus node, theta and v positions in Y, id)
         self.offsets: list[int] = []
+        self.comp_table = []
+        self.terminals = []
         off = 0
-        for comp in self.comps:
+        for shunt, comp in zip(net.dynamic_shunts, self.comps):
+            node = net.node_index[shunt.bus]
+            labels = comp.state_labels
             self.offsets.append(off)
+            self.comp_table.append((comp.derivative, off, off + comp.nstates, node))
+            self.terminals.append(
+                (node, off + labels.index("theta"), off + labels.index("v"), shunt.component_id)
+            )
             off += comp.nstates
         self.ny = off
-        self.theta_idx = [
-            self.offsets[c] + self.comps[c].state_labels.index("theta")
-            for c in range(len(self.comps))
-        ]
-        self.v_idx = [
-            self.offsets[c] + self.comps[c].state_labels.index("v")
-            for c in range(len(self.comps))
-        ]
         self.active_mods: list[NetworkDisturbance] = []
         self.passive = np.array(self.passive_nodes, dtype=np.intp)
         self.passive_block = np.ix_(self.passive, self.passive)
@@ -326,11 +333,18 @@ class _Engine:
         self._use_network(net)
 
     def _use_network(self, net: NetworkModel) -> None:
-        """Switch to `net`, dropping the chord Jacobian built on the last one."""
+        """Switch to `net`, dropping the chord Jacobian built on the last one
+        and taking the passive loads (and, for one passive bus, its coupling
+        sum) that the inner solve reads on every iteration."""
         self.net = net
         self.passive_loads = np.concatenate(
             [np.array(net.load_p)[self.passive], np.array(net.load_q)[self.passive]]
         )
+        if len(self.passive_nodes) == 1:
+            node = self.passive_nodes[0]
+            self.scalar_bus = (
+                node, net.load_p[node], net.load_q[node], net.coupling_sum[node]
+            )
         self.jac_inv: np.ndarray | None = None
 
     def rebuild_with_mods(self) -> None:
@@ -343,12 +357,6 @@ class _Engine:
         self._use_network(net)
 
     # evaluation ----------------------------------------------------------------
-
-    def scatter_terminals(self, y: list[float], V: list[float], th: list[float]) -> None:
-        for c in range(len(self.comps)):
-            node = self.comp_node[c]
-            th[node] = y[self.theta_idx[c]]
-            V[node] = y[self.v_idx[c]]
 
     def solve_algebraic(
         self, V: list[float], th: list[float], t: float
@@ -366,38 +374,41 @@ class _Engine:
         """Newton iteration for at most one passive bus, on Python floats,
         with its 2 x 2 system solved in closed form."""
         net = self.net
+        if not self.passive_nodes:
+            return power_injection_scalar(net, V, th)
+        node, load_p, load_q, coupling = self.scalar_bus
+        tol = self.config.newton_tol
         max_iter = self.config.newton_max_iter
         for it in range(max_iter + 1):
             p, q = power_injection_scalar(net, V, th)
-            if not self.passive_nodes:
-                return p, q
-            node = self.passive_nodes[0]
-            rp = p[node] + net.load_p[node]
-            rq = q[node] + net.load_q[node]
+            p_n = p[node]
+            q_n = q[node]
+            rp = p_n + load_p
+            rq = q_n + load_q
             worst = max(abs(rp), abs(rq))
-            if worst <= self.config.newton_tol:
+            if worst <= tol:
+                # one closed-form factorization and one update per iteration
+                self.factorizations += it
+                self.inner_iterations += it
                 return p, q
             if it == max_iter:
                 break
-            j00, j01, j10, j11 = self_partials(
-                V[node], net.coupling_sum[node], p[node], q[node]
-            )
-            self.factorizations += 1
+            v_n = V[node]
+            j00, j01, j10, j11 = self_partials(v_n, coupling, p_n, q_n)
             det = j00 * j11 - j01 * j10
             if det == 0.0:
                 raise SimulationError(f"algebraic Jacobian singular at t = {t:.6g}")
             d_theta = (-rp * j11 + rq * j01) / det
             d_v = (-j00 * rq + j10 * rp) / det
             scale = 1.0
-            while V[node] + scale * d_v <= 0.0:
+            while v_n + scale * d_v <= 0.0:
                 scale *= 0.5
                 if scale < 1e-12:
                     raise SimulationError(
                         f"voltage collapse at bus {net.non_ground[node]!r}, t = {t:.6g}"
                     )
             th[node] += scale * d_theta
-            V[node] += scale * d_v
-            self.inner_iterations += 1
+            V[node] = v_n + scale * d_v
         raise SimulationError(
             f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
         )
@@ -467,26 +478,23 @@ class _Engine:
     def derivative(
         self, y: list[float], p: list[float], q: list[float]
     ) -> list[float]:
-        dy = [0.0] * self.ny
-        for c, comp in enumerate(self.comps):
-            node = self.comp_node[c]
-            off = self.offsets[c]
-            x = y[off : off + comp.nstates]
-            f = comp.derivative(x, (p[node], q[node]))
-            for j, val in enumerate(f):
-                dy[off + j] = val
+        dy: list[float] = []
+        for derivative, lo, hi, node in self.comp_table:
+            dy.extend(derivative(y[lo:hi], (p[node], q[node])))
         return dy
 
     def consistent_eval(
         self, y: list[float], V: list[float], th: list[float], t: float
     ) -> tuple[list[float], list[float], list[float]]:
         """Scatter terminals, solve algebraic in place, return (dy, P, Q)."""
-        self.scatter_terminals(y, V, th)
-        for c in range(len(self.comps)):
-            if y[self.v_idx[c]] <= 0.0:
+        for node, i_theta, i_v, cid in self.terminals:
+            v = y[i_v]
+            if v <= 0.0:
                 raise SimulationError(
-                    f"voltage collapse in component {self.comp_ids[c]!r} at t = {t:.6g}"
+                    f"voltage collapse in component {cid!r} at t = {t:.6g}"
                 )
+            th[node] = y[i_theta]
+            V[node] = v
         p, q = self.solve_algebraic(V, th, t)
         return self.derivative(y, p, q), p, q
 
@@ -501,18 +509,17 @@ class _Engine:
         h: float,
         t: float,
     ) -> list[float]:
-        ny = self.ny
         half = 0.5 * h
-        y2 = [y[j] + half * dy0[j] for j in range(ny)]
+        y2 = [a + half * b for a, b in zip(y, dy0)]
         k2, _, _ = self.consistent_eval(y2, V, th, t + half)
-        y3 = [y[j] + half * k2[j] for j in range(ny)]
+        y3 = [a + half * b for a, b in zip(y, k2)]
         k3, _, _ = self.consistent_eval(y3, V, th, t + half)
-        y4 = [y[j] + h * k3[j] for j in range(ny)]
+        y4 = [a + h * b for a, b in zip(y, k3)]
         k4, _, _ = self.consistent_eval(y4, V, th, t + h)
         sixth = h / 6.0
         return [
-            y[j] + sixth * (dy0[j] + 2.0 * (k2[j] + k3[j]) + k4[j])
-            for j in range(ny)
+            a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, dy0, k2, k3, k4)
         ]
 
     def trapezoid_step(
@@ -708,8 +715,8 @@ def simulate(
     dy, p, q = engine.consistent_eval(y, V, th, 0.0)
     vp_ref = eval_vp(net, V, th)  # base-network potential at the initial point
 
-    # accumulators (advanced every integration step)
-    shifted = {cid: 0.0 for cid in comp_ids}
+    # accumulators (advanced every integration step), per component
+    shifted = [0.0] * len(comp_ids)
     unshifted = 0.0
 
     n_samples = n_steps_total // sample_every + 1 if n_steps_total else 1
@@ -730,81 +737,92 @@ def simulate(
     integral_series = {cid: np.zeros(n_samples) for cid in comp_ids}
     unshifted_series = np.zeros(n_samples)
 
+    # per component, for record: state slice, bus node, theta and v label
+    # indices, anchor, and whether its storage is available
+    sampled = [
+        (cid, comp, lo, hi, node, comp.state_labels.index("theta"),
+         comp.state_labels.index("v"), anchors[cid], storage_ok[cid])
+        for cid, comp, (_, lo, hi, node) in zip(comp_ids, engine.comps, engine.comp_table)
+    ]
+    convention = config.convention
+
     def record(sample: int, t: float) -> None:
         times[sample] = t
         bus_v[sample] = V
         bus_t[sample] = th
-        vp_series[sample] = eval_vp(net, V, th) - vp_ref
-        w_series[sample] = bregman.value(V, th)
-        for c, (cid, comp) in enumerate(zip(comp_ids, engine.comps)):
-            off = engine.offsets[c]
-            x = y[off : off + comp.nstates]
-            node = engine.comp_node[c]
+        vp = eval_vp(net, V, th)
+        vp_series[sample] = vp - vp_ref
+        w_series[sample] = bregman.value(V, th, vp=vp)
+        for c, (cid, comp, lo, hi, node, i_theta, i_v, anchor, has_storage) in enumerate(
+            sampled
+        ):
+            x = y[lo:hi]
             u = (p[node], q[node])
             comp_states[cid][sample, :] = x
             series_p[cid][sample] = u[0]
             series_q[cid][sample] = u[1]
-            anchor = anchors[cid]
-            if storage_ok[cid]:
+            if has_storage:
                 storage_series[cid][sample] = comp.storage(x, anchor)
                 wdot_series[cid][sample] = comp.storage_rate(x, u, anchor)
             else:
                 storage_series[cid][sample] = math.nan
                 wdot_series[cid][sample] = math.nan
             f = comp.derivative(x, u)
-            theta_dot = f[comp.state_labels.index("theta")]
-            v_dot = f[comp.state_labels.index("v")]
             supply_series[cid][sample] = supply_rate(
                 u[0] - anchor.P,
                 u[1] - anchor.Q,
-                theta_dot,
-                x[comp.state_labels.index("v")],
-                v_dot,
-                config.convention,
+                f[i_theta],
+                x[i_v],
+                f[i_v],
+                convention,
             )
-            integral_series[cid][sample] = shifted[cid]
+            integral_series[cid][sample] = shifted[c]
         unshifted_series[sample] = unshifted
 
     record(0, 0.0)
 
     stepper = engine.rk4_step if config.integrator == "rk4" else engine.trapezoid_step
 
-    prev_theta = [y[engine.theta_idx[c]] for c in range(len(comp_ids))]
-    prev_lnv = [math.log(y[engine.v_idx[c]]) for c in range(len(comp_ids))]
-    prev_p = [p[engine.comp_node[c]] for c in range(len(comp_ids))]
-    prev_q = [q[engine.comp_node[c]] for c in range(len(comp_ids))]
+    # per component, for the accumulation: theta and v positions in y, bus
+    # node, and the anchor's (P, Q)
+    accumulated = [
+        (i_theta, i_v, node, anchors[cid].P, anchors[cid].Q)
+        for node, i_theta, i_v, cid in engine.terminals
+    ]
 
+    def endpoints() -> list[tuple[float, float, float, float]]:
+        """(theta, ln v, P, Q) of every component at the current state."""
+        return [
+            (y[i_theta], math.log(y[i_v]), p[node], q[node])
+            for i_theta, i_v, node, _, _ in accumulated
+        ]
+
+    prev = endpoints()
     for step in range(n_steps_total):
         t = step * h
         y = stepper(y, dy, V, th, h, t)
         t_next = (step + 1) * h
         dy, p, q = engine.consistent_eval(y, V, th, t_next)
         # trapezoid accumulation over this step
-        for c, cid in enumerate(comp_ids):
-            theta_c = y[engine.theta_idx[c]]
-            lnv_c = math.log(y[engine.v_idx[c]])
-            node = engine.comp_node[c]
-            p_mid = 0.5 * (prev_p[c] + p[node])
-            q_mid = 0.5 * (prev_q[c] + q[node])
-            d_theta = theta_c - prev_theta[c]
-            d_lnv = lnv_c - prev_lnv[c]
+        for c, (i_theta, i_v, node, anchor_p, anchor_q) in enumerate(accumulated):
+            theta0, lnv0, p0, q0 = prev[c]
+            theta1 = y[i_theta]
+            lnv1 = math.log(y[i_v])
+            p1 = p[node]
+            q1 = q[node]
+            p_mid = 0.5 * (p0 + p1)
+            q_mid = 0.5 * (q0 + q1)
+            d_theta = theta1 - theta0
+            d_lnv = lnv1 - lnv0
             unshifted += p_mid * d_theta + q_mid * d_lnv
-            anchor = anchors[cid]
-            shifted[cid] += (p_mid - anchor.P) * d_theta + (q_mid - anchor.Q) * d_lnv
-            prev_theta[c] = theta_c
-            prev_lnv[c] = lnv_c
-            prev_p[c] = p[node]
-            prev_q[c] = q[node]
+            shifted[c] += (p_mid - anchor_p) * d_theta + (q_mid - anchor_q) * d_lnv
+            prev[c] = (theta1, lnv1, p1, q1)
         applied, net_dirty = apply_events(step + 1)
         if applied:
             network_changed = network_changed or net_dirty
             dy, p, q = engine.consistent_eval(y, V, th, t_next)
-            for c in range(len(comp_ids)):
-                # refresh accumulator endpoints across the discontinuity
-                prev_theta[c] = y[engine.theta_idx[c]]
-                prev_lnv[c] = math.log(y[engine.v_idx[c]])
-                prev_p[c] = p[engine.comp_node[c]]
-                prev_q[c] = q[engine.comp_node[c]]
+            # refresh accumulator endpoints across the discontinuity
+            prev = endpoints()
         if (step + 1) % sample_every == 0:
             record((step + 1) // sample_every, t_next)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from phasorstab.cli import resolve_case_path
 from phasorstab.components import DroopComponent, Setpoints, VsgComponent
 from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium, solve_setpoints
-from phasorstab.netfile import load_case
+from phasorstab.netfile import load_case, parse_case
 from phasorstab.network import (
     Bus,
     BusKind,
@@ -24,10 +24,8 @@ from phasorstab.network import (
 from phasorstab.simulator import simulate
 
 
-@pytest.fixture(scope="session")
-def case3bus():
-    """Packaged 3-bus case with setpoints back-solved from its operating point."""
-    case = load_case(resolve_case_path("case3bus"))
+def with_setpoints_from_operating_point(case):
+    """Back-solve the case's setpoints from its operating point, in place."""
     v = [case.operating_point[b][0] for b in case.net.non_ground]
     th = [case.operating_point[b][1] for b in case.net.non_ground]
     sp = solve_setpoints(case.net, case.components, v, th)
@@ -36,18 +34,28 @@ def case3bus():
     return case
 
 
-@pytest.fixture(scope="session")
-def case3bus_solution(case3bus):
-    guess_v = np.array([case3bus.operating_point[b][0] for b in case3bus.net.non_ground])
-    guess_t = np.array([case3bus.operating_point[b][1] for b in case3bus.net.non_ground])
+def equilibrium_near_operating_point(case):
+    guess_v = np.array([case.operating_point[b][0] for b in case.net.non_ground])
+    guess_t = np.array([case.operating_point[b][1] for b in case.net.non_ground])
     return solve_equilibrium(
         EquilibriumProblem(
-            case3bus.net,
-            case3bus.components,
+            case.net,
+            case.components,
             initial_V=guess_v,
             initial_theta=guess_t,
         )
     )
+
+
+@pytest.fixture(scope="session")
+def case3bus():
+    """Packaged 3-bus case with setpoints back-solved from its operating point."""
+    return with_setpoints_from_operating_point(load_case(resolve_case_path("case3bus")))
+
+
+@pytest.fixture(scope="session")
+def case3bus_solution(case3bus):
+    return equilibrium_near_operating_point(case3bus)
 
 
 @pytest.fixture(scope="session")
@@ -238,3 +246,42 @@ def make_two_load_chain():
     for cid in comps:
         comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
     return net, comps
+
+
+def soft_anchor_doc():
+    """Case file of a swing source whose storage certificate is unavailable.
+
+    A large voltage-droop gain with a capacitive load pulls the anchor
+    stiffness k = V + Dq*Q below zero at a perfectly solvable equilibrium.
+    """
+    x = 0.5
+    v2, th2 = 1.16, -math.acos(1.15 / 1.16)
+    p1 = v2 * math.sin(-th2) / x
+    q2 = (v2 * v2 - 1.15) / x
+    return {
+        "name": "softanchor",
+        "buses": [
+            {"id": "gen", "kind": "dynamic"},
+            {"id": "load", "kind": "passive"},
+            {"id": "gnd", "kind": "ground"},
+        ],
+        "branches": [
+            {"from": "gen", "to": "load", "kind": "line", "x": x},
+            {"from": "load", "to": "gnd", "kind": "constant_power",
+             "p0": p1, "q0": -q2},
+        ],
+        "components": [
+            {"id": "vsg1", "bus": "gen", "model": "vsg",
+             "params": {"M": 0.2, "Dp": 0.1, "Dq": 5.0, "tau_q": 0.5}}
+        ],
+        "operating_point": {
+            "gen": {"V": 1.0, "theta": 0.0},
+            "load": {"V": v2, "theta": th2},
+        },
+        "scenario": {"horizon": 0.5, "output_period": 0.1},
+    }
+
+
+def make_soft_anchor_case():
+    """:func:`soft_anchor_doc` parsed, with its setpoints back-solved."""
+    return with_setpoints_from_operating_point(parse_case(soft_anchor_doc()))

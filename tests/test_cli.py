@@ -6,6 +6,8 @@ import pytest
 
 from phasorstab.cli import main
 
+from conftest import soft_anchor_doc
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -195,37 +197,7 @@ def test_path_experiment_lossless_left_alone(capsys):
 
 
 def test_certify_reports_unavailable_certificate(capsys, tmp_path):
-    # a large voltage-droop gain with a capacitive load pulls the anchor
-    # stiffness k = V + Dq*Q below zero at a perfectly solvable equilibrium
-    import math
-
-    x = 0.5
-    v2, th2 = 1.16, -math.acos(1.15 / 1.16)
-    p1 = v2 * math.sin(-th2) / x
-    q2 = (v2 * v2 - 1.15) / x
-    doc = {
-        "name": "softanchor",
-        "buses": [
-            {"id": "gen", "kind": "dynamic"},
-            {"id": "load", "kind": "passive"},
-            {"id": "gnd", "kind": "ground"},
-        ],
-        "branches": [
-            {"from": "gen", "to": "load", "kind": "line", "x": x},
-            {"from": "load", "to": "gnd", "kind": "constant_power",
-             "p0": p1, "q0": -q2},
-        ],
-        "components": [
-            {"id": "vsg1", "bus": "gen", "model": "vsg",
-             "params": {"M": 0.2, "Dp": 0.1, "Dq": 5.0, "tau_q": 0.5}}
-        ],
-        "operating_point": {
-            "gen": {"V": 1.0, "theta": 0.0},
-            "load": {"V": v2, "theta": th2},
-        },
-        "scenario": {"horizon": 0.5, "output_period": 0.1},
-    }
-    path = write_case(tmp_path, doc)
+    path = write_case(tmp_path, soft_anchor_doc())
     report_path = tmp_path / "report.json"
     code, out, err = run_cli(
         capsys, "certify", path, "--with-trajectory", "--out", str(report_path)
@@ -253,10 +225,36 @@ def test_config_file_overrides_solver(capsys, tmp_path):
 
 def test_bad_config_file_exits_one(capsys, tmp_path):
     cfg = tmp_path / "overrides.json"
-    cfg.write_text("[]")
-    code, out, err = run_cli(capsys, "--config", str(cfg), "equilibrium", "case3bus")
+    for text, message in [
+        ("[]", "solver object"),
+        ('{"solver": 5}', "solver object"),
+        ('{"newton_tol": -1}', "newton_tol must be positive"),
+    ]:
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "equilibrium", "case3bus")
+        assert code == 1
+        assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "case3bus", "--h", "abc"], "--h expects a finite number, got 'abc'"),
+        (["simulate", "case3bus", "--h", "0"], "step size must be positive"),
+        (["simulate", "case3bus", "--horizon", "1s"], "--horizon expects a finite"),
+        (["simulate", "case3bus", "--horizon", "nan"], "--horizon expects a finite"),
+        (["certify", "case3bus", "--h", "fast"], "--h expects a finite"),
+        (["verify-identities", "case3bus", "--horizon", "x"], "--horizon expects"),
+        (["verify-identities", "case3bus", "--h-sweep", "2e-3,1e-3,"], "--h-sweep expects"),
+    ],
+    ids=["h-text", "h-zero", "horizon-text", "horizon-nan", "certify-h", "verify-horizon",
+         "h-sweep-empty-entry"],
+)
+def test_bad_numeric_option_exits_one(capsys, tmp_path, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 1
-    assert "solver object" in err
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_convention_flag_changes_recorded_supply(capsys, tmp_path):

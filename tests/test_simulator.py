@@ -1,5 +1,7 @@
 """Transient simulation: integrator order, consistency, events, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,11 @@ from phasorstab.simulator import (
     simulate,
 )
 
-from conftest import make_two_load_chain
+from conftest import (
+    equilibrium_near_operating_point,
+    make_soft_anchor_case,
+    make_two_load_chain,
+)
 
 
 def quiet(horizon, period=0.01, **kw):
@@ -338,6 +344,23 @@ def test_scenario_validation():
         Scenario(horizon=1.0, initial="explicit")
     with pytest.raises(ScenarioError, match="newton_max_iter"):
         SolverConfig(newton_max_iter=-1)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ScenarioError, match="newton_tol"):
+            SolverConfig(newton_tol=tol)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ScenarioError, match="step size"):
+            SolverConfig(step_size=bad)
+        with pytest.raises(ScenarioError, match="horizon must be"):
+            Scenario(horizon=bad)
+        with pytest.raises(ScenarioError, match="output period"):
+            Scenario(horizon=1.0, output_period=bad)
+        with pytest.raises(ScenarioError, match="duration"):
+            Scenario(horizon=1.0, disturbances=[LoadStep(0.0, "b", 0.1, 0.0, duration=bad)])
+    with pytest.raises(ScenarioError, match="outside horizon"):
+        Scenario(
+            horizon=1.0,
+            disturbances=[StatePerturbation(at=math.nan, component="x", delta={})],
+        )
 
 
 def test_explicit_initial_condition(vsg_empty_bus):
@@ -365,6 +388,71 @@ def test_voltage_collapse_is_reported(compensated_load_case):
     )
     with pytest.raises(SimulationError):
         simulate(net, comps, scen, SolverConfig(step_size=1e-3), sol)
+
+
+def test_component_voltage_collapse_names_component_and_time(
+    case3bus, case3bus_solution
+):
+    scen = Scenario(
+        horizon=1.0,
+        output_period=0.01,
+        disturbances=[StatePerturbation(at=0.5, component="vsg1", delta={"v": -2.0})],
+    )
+    with pytest.raises(
+        SimulationError, match=r"^voltage collapse in component 'vsg1' at t = 0\.5$"
+    ):
+        simulate(
+            case3bus.net, case3bus.components, scen,
+            SolverConfig(step_size=1e-3), case3bus_solution,
+        )
+
+
+def csv_values_by_column(traj):
+    """Every CSV column's expected values, taken from the trajectory's fields."""
+    cols = {"t": traj.times, "Vp": traj.vp, "W": traj.w}
+    for b, bus in enumerate(traj.bus_ids):
+        cols[f"{bus}_V"] = traj.V[:, b]
+        cols[f"{bus}_theta"] = traj.theta[:, b]
+    for cid in traj.component_ids():
+        for j, label in enumerate(traj.comp_labels[cid]):
+            cols[f"{cid}_{label}"] = traj.comp_states[cid][:, j]
+        cols[f"{cid}_P"] = traj.P[cid]
+        cols[f"{cid}_Q"] = traj.Q[cid]
+        cols[f"{cid}_storage"] = traj.storage[cid]
+        cols[f"{cid}_supply"] = traj.supply[cid]
+        cols[f"{cid}_integral"] = traj.integral[cid]
+    return cols
+
+
+def test_csv_round_trips_every_value(tmp_path, case3bus, case3bus_solution):
+    soft = make_soft_anchor_case()
+    runs = {
+        "case3bus": simulate(
+            case3bus.net, case3bus.components, kicked(0.1),
+            SolverConfig(step_size=1e-3), case3bus_solution,
+        ),
+        # storage unavailable at the anchor: its column holds NaN
+        "softanchor": simulate(
+            soft.net, soft.components, soft.scenario, soft.solver,
+            equilibrium_near_operating_point(soft),
+        ),
+    }
+    assert np.isnan(runs["softanchor"].storage["vsg1"]).all()
+    for name, traj in runs.items():
+        out = tmp_path / f"{name}.csv"
+        traj.to_csv(str(out))
+        header, *lines = out.read_text().splitlines()
+        header = header.split(",")
+        expected = csv_values_by_column(traj)
+        assert sorted(header) == sorted(expected)
+        assert len(lines) == traj.n_samples
+        cells = [line.split(",") for line in lines]
+        for j, column in enumerate(header):
+            parsed = np.array([float(row[j]) for row in cells])
+            assert np.array_equal(parsed, expected[column], equal_nan=True), column
+        if name == "softanchor":
+            storage_col = header.index("vsg1_storage")
+            assert all(row[storage_col] == "nan" for row in cells)
 
 
 def test_csv_layout_and_manifest(tmp_path, case3bus, case3bus_solution):
