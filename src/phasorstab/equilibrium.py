@@ -9,8 +9,8 @@ replaced relation is checked after convergence, so inconsistent setpoints
 are reported rather than silently absorbed.
 
 The Jacobian is assembled from the same closed-form injection partials used
-by the power-flow map; a finite-difference Jacobian is available as a debug
-oracle. Solves are deterministic and independent of each other.
+by the power-flow map. Solves are deterministic and independent of each
+other.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "solve_equilibrium",
     "solve_setpoints",
     "steady_state_residual",
-    "fd_jacobian",
 ]
 
 CONSISTENCY_TOL = 1e-8       # tolerance on a pinned-out steady-state relation
@@ -158,36 +157,6 @@ def _jacobian(
             jac[row, n + i] += d_v
     interleave = np.arange(2 * n).reshape(2, n).T.ravel()
     return jac[np.ix_(interleave, interleave)]
-
-
-def fd_jacobian(
-    net: NetworkModel,
-    components: dict[str, Component],
-    V,
-    theta,
-    step: float = 1e-7,
-) -> np.ndarray:
-    """Central finite-difference Jacobian; debug oracle for the analytic one."""
-    n = net.n_nodes
-    jac = np.zeros((2 * n, 2 * n))
-    v = np.array(V, dtype=float)
-    t = np.array(theta, dtype=float)
-    for k in range(n):
-        for sel, col in ((0, 2 * k), (1, 2 * k + 1)):
-            tv, vv = t.copy(), v.copy()
-            if sel == 0:
-                tv[k] += step
-            else:
-                vv[k] += step
-            r_plus = steady_state_residual(net, components, vv, tv)
-            tv, vv = t.copy(), v.copy()
-            if sel == 0:
-                tv[k] -= step
-            else:
-                vv[k] -= step
-            r_minus = steady_state_residual(net, components, vv, tv)
-            jac[:, col] = (r_plus - r_minus) / (2.0 * step)
-    return jac
 
 
 def _rotation_symmetric(net: NetworkModel, components: dict[str, Component]) -> bool:

@@ -16,7 +16,10 @@ simulator and the potential's gradient and Hessian are all built on these
 two functions. :func:`power_injection_scalar` is the same closed form as a
 Python loop over the lines: the simulator's fast path for networks with at
 most one passive bus, where per-call numpy overhead outweighs the loop, and
-a reference for the array kernel. The complex-arithmetic oracles at the end
+a reference for the array kernel. :func:`passive_bus_solution` solves the
+balance of a passive bus whose line neighbours are held fixed in closed
+form; the simulator uses it when no line joins two passive buses. The
+complex-arithmetic oracles at the end
 of the module (:func:`branch_currents_oracle`, :func:`kcl_residual`,
 :func:`tellegen_sum`) recompute the same physics independently, for
 checking.
@@ -47,10 +50,14 @@ __all__ = [
     "power_injection_scalar",
     "injection_partials",
     "self_partials",
+    "passive_bus_solution",
     "branch_currents_oracle",
     "kcl_residual",
     "tellegen_sum",
 ]
+
+TWO_PI = 2.0 * math.pi
+
 
 class NetworkError(ValueError):
     """Raised when a network description violates a structural invariant."""
@@ -387,7 +394,7 @@ def power_injection_scalar(net: NetworkModel, V, theta) -> tuple[list[float], li
     whose cost there is numpy's per-call overhead. The simulator uses it for
     the inner solve when at most one bus is passive.
     """
-    p = [0.0] * net.n_nodes
+    p = [0.0] * len(V)
     q = p.copy()
     for i, k, b in net.edges:
         vi = V[i]
@@ -415,6 +422,46 @@ def self_partials(V, coupling_sum, P, Q):
     """
     vs = V * coupling_sum
     return V * vs - Q, P / V, P, Q / V + vs
+
+
+def passive_bus_solution(
+    e_re, e_im, coupling_sum, load_p, load_q, v0, theta0, sqrt=np.sqrt, atan2=np.arctan2
+):
+    """(V, theta) that balance a passive bus against line neighbours held fixed.
+
+    The neighbours act as one source behind the bus's lines:
+    E = sum_k B_nk V_k e^(j theta_k), with real and imaginary parts ``e_re``
+    and ``e_im``. With S the coupling sum and (p, q) the consumption-positive
+    load, the balance P_n = -p, Q_n = -q of :func:`power_injection` reads
+    conj(V_n e^(j theta_n)) E = S x + q + j p with x = V_n^2, so
+
+        S^2 x^2 + (2 S q - |E|^2) x + p^2 + q^2 = 0,
+        theta_n = arg(E) + atan2(-p, S x + q),
+
+    the load flow of one load behind a reactance (Van Cutsem & Vournas,
+    *Voltage Stability of Electric Power Systems*, 1998, ch. 2). Of the two
+    roots the one on the side of the warm start ``v0``^2 is taken (the high
+    one when the low one is zero), so the solution stays on the branch an
+    iteration from ``v0`` would follow; both roots are formed without
+    cancellation. theta_n is shifted by a multiple of 2 pi to lie within pi
+    of ``theta0``, since angles are unwrapped.
+
+    Elementwise: one bus's floats with ``math.sqrt`` and ``math.atan2``,
+    which raise ValueError or ZeroDivisionError where no solution with
+    V_n > 0 exists (a load beyond the transfer limit, or S = 0), or arrays
+    over buses with the numpy defaults, which give NaN there.
+    """
+    s2 = coupling_sum * coupling_sum
+    load2 = load_p * load_p + load_q * load_q
+    # S^2 times the midpoint of the roots, and S^2 times their half distance
+    mid = 0.5 * (e_re * e_re + e_im * e_im) - coupling_sum * load_q
+    half_gap = sqrt(mid * mid - s2 * load2)
+    low = load2 / (mid + half_gap)
+    high = (v0 * v0 * s2 >= mid) | (load2 == 0.0)
+    x = low + high * (2.0 * half_gap / s2)
+    theta = atan2(e_im, e_re) + atan2(-load_p, coupling_sum * x + load_q)
+    theta += TWO_PI * (((theta0 - theta) / TWO_PI + 0.5) // 1.0)
+    return sqrt(x), theta
 
 
 def _partials_slots(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:

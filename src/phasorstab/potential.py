@@ -16,8 +16,8 @@ constants, and its Hessian is the injection Jacobian with the V columns
 scaled by V, so both come from the network kernel
 (:func:`~phasorstab.network.power_injection`,
 :func:`~phasorstab.network.injection_partials`). Convexity verdicts depend on
-the coordinates: a divergence anchored linearly in V (:func:`hessian_vp_polar`)
-is a different function, and its Hessian can have a different signature.
+the coordinates: a divergence anchored linearly in V is a different function,
+and its Hessian can have a different signature.
 """
 
 from __future__ import annotations
@@ -79,26 +79,6 @@ def hessian_vp(net: NetworkModel, V, theta) -> np.ndarray:
     dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta)
     v = np.asarray(V, dtype=float)
     return np.block([[dp_dt, dp_dv * v], [dq_dt, dq_dv * v]])
-
-
-def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
-    """Hessian of Vp in (theta, V) coordinates, 2n x 2n.
-
-    This is the curvature of the divergence anchored linearly in V rather
-    than ln V. The two anchorings are different functions, so their
-    Hessians at the same state are not congruent in general: loads
-    contribute -q0/V^2 here and nothing in (theta, ln V). Kept as a
-    diagnostic for convexity studies.
-
-    The V gradient is (Q_i + q0_i) / V_i, so the rows of the Q partials are
-    divided by V_i and its diagonal loses (Q_i + q0_i) / V_i^2.
-    """
-    p, q = power_injection(net, V, theta)
-    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta, (p, q))
-    v = np.asarray(V, dtype=float)
-    rows = v[:, None]
-    curvature = np.diag((q + net.load_q) / v**2)
-    return np.block([[dp_dt, dp_dv], [dq_dt / rows, dq_dv / rows - curvature]])
 
 
 @dataclass

@@ -6,12 +6,16 @@ of every passive bus) are re-solved, warm-started from the last solution, at
 every stage evaluation, so each accepted state is algebraically consistent.
 An implicit trapezoidal integrator is available for stiff parameter sets.
 
-The inner solve takes one of two paths, by the number of passive buses:
+The inner solve takes one of two paths, by the topology of the passive
+buses:
 
-* at most one: Newton on Python floats, with the injections from
-  :func:`~phasorstab.network.power_injection_scalar` and the 2 x 2 system
-  solved in closed form from :func:`~phasorstab.network.self_partials`;
-* two or more: a chord (simplified Newton) iteration on the array kernel
+* no line joins two passive buses: each passive bus sees its neighbours,
+  all dynamic, as one source behind its lines, and is set to its closed-form
+  solution (:func:`~phasorstab.network.passive_bus_solution`, on Python
+  floats for one passive bus and on arrays for more). One evaluation of the
+  kernel then checks the balance and gives the injections; there is no
+  iteration and no Jacobian;
+* otherwise: a chord (simplified Newton) iteration on the array kernel
   :func:`~phasorstab.network.power_injection`. It keeps the inverse of one
   passive-bus Jacobian (from :func:`~phasorstab.network.injection_partials`)
   across iterations, RK stages and steps, and rebuilds it at the current
@@ -20,11 +24,13 @@ The inner solve takes one of two paths, by the number of passive buses:
   the factor ``CHORD_CONTRACTION`` (Hairer & Wanner, *Solving ODEs II*,
   ch. VI).
 
-Both stop when the largest passive residual is at most ``newton_tol``,
-within ``newton_max_iter`` steps. The chord iteration converges linearly, so
-it stops just under the tolerance where Newton overshoots it by orders of
-magnitude. The manifest records the solves, the steps and the Jacobian
-factorizations of the run (for the closed form, one per step).
+A solve is accepted when the largest passive residual is at most
+``newton_tol``; the chord iteration gets ``newton_max_iter`` steps for it,
+and it also takes over from a closed-form solution that misses the
+tolerance. The chord iteration converges linearly, so it stops just under
+the tolerance, while the closed form is exact up to rounding. The manifest
+records the solves, the chord steps and the Jacobian factorizations of the
+run; a closed-form solve counts as one solve with neither.
 
 Scenarios perturb component states, step loads, or scale line couplings at
 times aligned with the integration grid. Every disturbance is checked
@@ -59,9 +65,9 @@ from .equilibrium import EquilibriumProblem, EquilibriumSolution, solve_equilibr
 from .network import (
     NetworkModel,
     injection_partials,
+    passive_bus_solution,
     power_injection,
     power_injection_scalar,
-    self_partials,
 )
 from .potential import BregmanDivergence, eval_vp
 
@@ -326,6 +332,10 @@ class _Engine:
         self.active_mods: list[NetworkDisturbance] = []
         self.passive = np.array(self.passive_nodes, dtype=np.intp)
         self.passive_block = np.ix_(self.passive, self.passive)
+        # a topology property, so load and line events keep it
+        position = {node: j for j, node in enumerate(self.passive_nodes)}
+        self.passive_position = position
+        self.coupled = any(i in position and k in position for i, k, _ in net.edges)
         # counts of the inner solve, reported in the manifest
         self.inner_solves = 0
         self.inner_iterations = 0
@@ -334,18 +344,39 @@ class _Engine:
 
     def _use_network(self, net: NetworkModel) -> None:
         """Switch to `net`, dropping the chord Jacobian built on the last one
-        and taking the passive loads (and, for one passive bus, its coupling
-        sum) that the inner solve reads on every iteration."""
+        and taking the per-network tables the inner solve reads: the passive
+        loads and, for the closed form, each passive bus's lines (position,
+        neighbour node, B) and coupling sum."""
         self.net = net
-        self.passive_loads = np.concatenate(
-            [np.array(net.load_p)[self.passive], np.array(net.load_q)[self.passive]]
-        )
-        if len(self.passive_nodes) == 1:
+        self.passive_p = np.array(net.load_p)[self.passive]
+        self.passive_q = np.array(net.load_q)[self.passive]
+        self.passive_loads = np.concatenate([self.passive_p, self.passive_q])
+        self.jac_inv: np.ndarray | None = None
+        if self.coupled:
+            return
+        position = self.passive_position
+        lines = [
+            (position[i], k, b) if i in position else (position[k], i, b)
+            for i, k, b in net.edges
+            if i in position or k in position
+        ]
+        if len(position) == 1:
             node = self.passive_nodes[0]
             self.scalar_bus = (
-                node, net.load_p[node], net.load_q[node], net.coupling_sum[node]
+                node,
+                [(k, b) for _, k, b in lines],
+                net.coupling_sum[node],
+                net.load_p[node],
+                net.load_q[node],
             )
-        self.jac_inv: np.ndarray | None = None
+        else:
+            self.scalar_bus = None
+            self.passive_lines = (
+                np.array([j for j, _, _ in lines], dtype=np.intp),
+                np.array([k for _, k, _ in lines], dtype=np.intp),
+                np.array([b for _, _, b in lines], dtype=float),
+            )
+            self.passive_coupling = np.array(net.coupling_sum)[self.passive]
 
     def rebuild_with_mods(self) -> None:
         net = self.base_net
@@ -364,59 +395,73 @@ class _Engine:
         """Solve passive-bus (theta, V) in place; V/th carry the warm start.
         Returns the bus injections (P, Q) at the solved state."""
         self.inner_solves += 1
+        if self.coupled:
+            return self._solve_chord(V, th, t, np.array(V), np.array(th))
         if len(self.passive_nodes) > 1:
-            return self._solve_chord(V, th, t)
-        return self._solve_scalar(V, th, t)
+            return self._solve_closed_array(V, th, t)
+        return self._solve_closed_scalar(V, th, t)
 
-    def _solve_scalar(
-        self, V: list[float], th: list[float], t: float
-    ) -> tuple[list[float], list[float]]:
-        """Newton iteration for at most one passive bus, on Python floats,
-        with its 2 x 2 system solved in closed form."""
-        net = self.net
-        if not self.passive_nodes:
-            return power_injection_scalar(net, V, th)
-        node, load_p, load_q, coupling = self.scalar_bus
-        tol = self.config.newton_tol
-        max_iter = self.config.newton_max_iter
-        for it in range(max_iter + 1):
-            p, q = power_injection_scalar(net, V, th)
-            p_n = p[node]
-            q_n = q[node]
-            rp = p_n + load_p
-            rq = q_n + load_q
-            worst = max(abs(rp), abs(rq))
-            if worst <= tol:
-                # one closed-form factorization and one update per iteration
-                self.factorizations += it
-                self.inner_iterations += it
-                return p, q
-            if it == max_iter:
-                break
-            v_n = V[node]
-            j00, j01, j10, j11 = self_partials(v_n, coupling, p_n, q_n)
-            det = j00 * j11 - j01 * j10
-            if det == 0.0:
-                raise SimulationError(f"algebraic Jacobian singular at t = {t:.6g}")
-            d_theta = (-rp * j11 + rq * j01) / det
-            d_v = (-j00 * rq + j10 * rp) / det
-            scale = 1.0
-            while v_n + scale * d_v <= 0.0:
-                scale *= 0.5
-                if scale < 1e-12:
-                    raise SimulationError(
-                        f"voltage collapse at bus {net.non_ground[node]!r}, t = {t:.6g}"
-                    )
-            th[node] += scale * d_theta
-            V[node] = v_n + scale * d_v
-        raise SimulationError(
-            f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
+    def _collapse(self, node: int, t: float) -> SimulationError:
+        return SimulationError(
+            f"voltage collapse at bus {self.net.non_ground[node]!r}, t = {t:.6g}"
         )
 
-    def _solve_chord(
+    def _solve_closed_scalar(
         self, V: list[float], th: list[float], t: float
     ) -> tuple[list[float], list[float]]:
-        """Chord iteration for two or more passive buses on the array kernel.
+        """Closed form for at most one passive bus, on Python floats."""
+        net = self.net
+        if self.scalar_bus is None:
+            return power_injection_scalar(net, V, th)
+        node, lines, coupling, load_p, load_q = self.scalar_bus
+        e_re = e_im = 0.0
+        for k, b in lines:
+            bv = b * V[k]
+            e_re += bv * math.cos(th[k])
+            e_im += bv * math.sin(th[k])
+        try:
+            V[node], th[node] = passive_bus_solution(
+                e_re, e_im, coupling, load_p, load_q, V[node], th[node],
+                math.sqrt, math.atan2,
+            )
+        except (ValueError, ZeroDivisionError):
+            raise self._collapse(node, t) from None
+        p, q = power_injection_scalar(net, V, th)
+        if max(abs(p[node] + load_p), abs(q[node] + load_q)) <= self.config.newton_tol:
+            return p, q
+        return self._solve_chord(V, th, t, np.array(V), np.array(th))
+
+    def _solve_closed_array(
+        self, V: list[float], th: list[float], t: float
+    ) -> tuple[list[float], list[float]]:
+        """Closed form for two or more passive buses on arrays, checked (and
+        if need be continued) by :meth:`_solve_chord`."""
+        pas = self.passive
+        position, nbr, b = self.passive_lines
+        v = np.array(V)
+        a = np.array(th)
+        bv = b * v[nbr]
+        a_nbr = a[nbr]
+        m = len(pas)
+        e_re = np.bincount(position, weights=bv * np.cos(a_nbr), minlength=m)
+        e_im = np.bincount(position, weights=bv * np.sin(a_nbr), minlength=m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_pas, a_pas = passive_bus_solution(
+                e_re, e_im, self.passive_coupling, self.passive_p, self.passive_q,
+                v[pas], a[pas],
+            )
+        bad = ~(v_pas > 0.0)
+        if bad.any():
+            raise self._collapse(int(pas[np.argmax(bad)]), t)
+        v[pas] = v_pas
+        a[pas] = a_pas
+        return self._solve_chord(V, th, t, v, a)
+
+    def _solve_chord(
+        self, V: list[float], th: list[float], t: float, v: np.ndarray, a: np.ndarray
+    ) -> tuple[list[float], list[float]]:
+        """Chord iteration on the array kernel from the start (v, a), written
+        back to V/th on convergence.
 
         Steps with the kept inverse of the passive-bus Jacobian; refreshes
         it when there is none (first solve, changed network) or when the
@@ -425,8 +470,6 @@ class _Engine:
         pas = self.passive
         m = len(pas)
         max_iter = self.config.newton_max_iter
-        v = np.array(V)
-        a = np.array(th)
         last = math.inf
         for it in range(max_iter + 1):
             p, q = power_injection(net, v, a)
@@ -450,10 +493,7 @@ class _Engine:
             while bad.any():
                 scale *= 0.5
                 if scale < 1e-12:
-                    node = int(pas[np.argmax(bad)])
-                    raise SimulationError(
-                        f"voltage collapse at bus {net.non_ground[node]!r}, t = {t:.6g}"
-                    )
+                    raise self._collapse(int(pas[np.argmax(bad)]), t)
                 bad = v_pas + scale * d_v <= 0.0
             a[pas] += scale * d_theta
             v[pas] = v_pas + scale * d_v

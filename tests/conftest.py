@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -211,6 +212,93 @@ def ring_networks(draw, min_buses=3, max_buses=12):
     v = draw(st.lists(st.floats(0.6, 1.4), min_size=n, max_size=n))
     th = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
     return net, np.array(v), np.array(th)
+
+
+def thevenin_sources(net, V, theta):
+    """E = sum_k B_nk V_k e^(j theta_k) over each bus's lines, by complex
+    arithmetic, one entry per node."""
+    e = np.zeros(net.n_nodes, dtype=complex)
+    for line in net.lines:
+        i = net.node_index[line.from_bus]
+        k = net.node_index[line.to_bus]
+        e[i] += line.coupling * V[k] * cmath.exp(1j * theta[k])
+        e[k] += line.coupling * V[i] * cmath.exp(1j * theta[i])
+    return e
+
+
+@st.composite
+def thevenin_networks(draw, load_factor=(0.1, 0.9), max_buses=12):
+    """Ring of an even number of buses, sources ("c<j>" at even "b<j>") and
+    loads alternating, with chords only from a load to a source, so no line
+    joins two passive buses. Returns the network and a state near 1 pu.
+
+    Each load has a power-factor angle psi and takes the fraction
+    `load_factor` of the largest load at that angle its bus can draw with
+    the sources held at the state, |E|^2 / (2 S (tan psi + sec psi)); a
+    fraction above 1 is beyond the transfer limit."""
+    n = 2 * draw(st.integers(1, max_buses // 2))
+    half = n // 2 - 1
+    pairs = [(j, (j + 1) % n) for j in range(n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, half), st.integers(0, half)), max_size=n // 2))
+    pairs += [(2 * a + 1, 2 * b) for a, b in chords]
+    xs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    ids = [f"b{j}" for j in range(n)]
+    v = np.array(draw(st.lists(st.floats(0.95, 1.05), min_size=n, max_size=n)))
+    th = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)))
+    lines = [LosslessLine(ids[a], ids[b], x) for (a, b), x in zip(pairs, xs)]
+    buses = [
+        Bus(bid, BusKind.DYNAMIC, f"c{j}") if j % 2 == 0 else Bus(bid, BusKind.PASSIVE)
+        for j, bid in enumerate(ids)
+    ]
+    shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(0, n, 2)]
+    probe = NetworkModel(buses + [Bus("gnd", BusKind.GROUND)], lines, [], shunts)
+    e = thevenin_sources(probe, v, th)
+    loads = []
+    for j in range(1, n, 2):
+        psi = draw(st.floats(-0.5, 0.5))
+        f = draw(st.floats(*load_factor))
+        p = f * abs(e[j]) ** 2 / (2.0 * probe.coupling_sum[j] * (math.tan(psi) + 1.0 / math.cos(psi)))
+        loads.append(ConstantPowerBranch(ids[j], p, p * math.tan(psi)))
+    net = NetworkModel(probe.buses, lines, loads, shunts)
+    return net, v, th
+
+
+def make_load_ladder(rungs=4):
+    """Two rails of `rungs` buses joined at every position, sources (swing
+    and droop alternating) and loads in a checkerboard, so every load bus
+    sits between sources. Loads are the ones implied by a chosen operating
+    point, so setpoints back-solve exactly."""
+    n = 2 * rungs
+    is_load = [((j // rungs) + (j % rungs)) % 2 == 1 for j in range(n)]
+    ids = [f"b{j}" for j in range(n)]
+    edges = [(rail * rungs + j, rail * rungs + j + 1) for rail in (0, 1) for j in range(rungs - 1)]
+    edges += [(j, rungs + j) for j in range(rungs)]
+    lines = [LosslessLine(ids[i], ids[k], 0.1 + 0.01 * (e % 5)) for e, (i, k) in enumerate(edges)]
+    buses = [
+        Bus(bid, BusKind.PASSIVE) if is_load[j] else Bus(bid, BusKind.DYNAMIC, f"c{j}")
+        for j, bid in enumerate(ids)
+    ] + [Bus("gnd", BusKind.GROUND)]
+    shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(n) if not is_load[j]]
+    v = [0.97 - 0.002 * (j % 3) if is_load[j] else 1.0 + 0.005 * (j % 2) for j in range(n)]
+    th = [0.004 * ((3 * j) % 5) - (0.03 if is_load[j] else 0.0) for j in range(n)]
+    probe = NetworkModel(buses, lines, [ConstantPowerBranch(ids[j], 0.0, 0.0) for j in range(n) if is_load[j]], shunts)
+    p, q = power_injection(probe, v, th)
+    loads = [ConstantPowerBranch(ids[j], -p[j], -q[j]) for j in range(n) if is_load[j]]
+    net = NetworkModel(buses, lines, loads, shunts)
+    comps = {}
+    for c, shunt in enumerate(shunts):
+        if c % 2 == 0:
+            comps[shunt.component_id] = VsgComponent(
+                id=shunt.component_id, bus=shunt.bus, M=0.16, Dp=0.076, Dq=0.03, tau_q=0.3
+            )
+        else:
+            comps[shunt.component_id] = DroopComponent(
+                id=shunt.component_id, bus=shunt.bus, tau_p=0.5, tau_q=0.3, Dp=0.05, Dq=0.03
+            )
+    sp = solve_setpoints(net, comps, v, th)
+    for cid in comps:
+        comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
+    return net, comps
 
 
 def make_two_load_chain():

@@ -10,7 +10,6 @@ from phasorstab.equilibrium import (
     EquilibriumError,
     EquilibriumProblem,
     InconsistentInput,
-    fd_jacobian,
     solve_equilibrium,
     solve_setpoints,
     steady_state_residual,
@@ -24,6 +23,8 @@ from phasorstab.network import (
     NetworkModel,
     power_injection,
 )
+
+from helpers import fd_jacobian
 
 
 def test_vsg_pair_reproduces_closed_form_angle(vsg_pair):

@@ -20,12 +20,13 @@ from phasorstab.network import (
     branch_currents_oracle,
     injection_partials,
     kcl_residual,
+    passive_bus_solution,
     power_injection,
     power_injection_scalar,
     tellegen_sum,
 )
 
-from conftest import ring_networks
+from conftest import ring_networks, thevenin_networks, thevenin_sources
 
 
 def two_bus(x=1.0):
@@ -212,6 +213,61 @@ def test_array_kernel_scalar_loop_and_oracle_agree(case):
         np.testing.assert_allclose(got_q, s.imag, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(p, p_loop, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(q, q_loop, rtol=1e-12, atol=1e-12)
+
+
+def passive_balance(net, v, th):
+    """Per passive bus: the balance residual and the load size |p| + |q|."""
+    p, q = power_injection(net, v, th)
+    return [
+        (max(abs(p[n] + net.load_p[n]), abs(q[n] + net.load_q[n])),
+         abs(net.load_p[n]) + abs(net.load_q[n]))
+        for n in net.passive_nodes()
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=thevenin_networks(), turns=st.integers(-3, 3))
+def test_passive_bus_solution_balances_and_keeps_branch(case, turns):
+    net, v, th = case
+    pas = np.array(net.passive_nodes())
+    e = thevenin_sources(net, v, th)[pas]
+    tables = (
+        e.real, e.imag, np.array(net.coupling_sum)[pas],
+        np.array(net.load_p)[pas], np.array(net.load_q)[pas],
+    )
+
+    def on_floats(v0, theta0):
+        out = [
+            passive_bus_solution(*(col[j] for col in tables), v0[j], theta0[j], math.sqrt, math.atan2)
+            for j in range(len(pas))
+        ]
+        return np.array([a for a, _ in out]), np.array([b for _, b in out])
+
+    def balanced(sol_v, sol_th):
+        vv, tt = v.copy(), th.copy()
+        vv[pas] = sol_v
+        tt[pas] = sol_th
+        for residual, size in passive_balance(net, vv, tt):
+            assert residual <= 1e-12 * size
+
+    # a warm start near 1 pu takes the high-voltage branch, on floats and on arrays
+    high_v, high_th = passive_bus_solution(*tables, v[pas], th[pas])
+    balanced(high_v, high_th)
+    float_v, float_th = on_floats(v[pas], th[pas])
+    balanced(float_v, float_th)
+    assert np.allclose(float_v, high_v, rtol=1e-14) and np.allclose(float_th, high_th, atol=1e-14)
+    # a warm start on the low-voltage branch stays on it
+    low_v, low_th = passive_bus_solution(*tables, 1e-3 * v[pas], th[pas])
+    balanced(low_v, low_th)
+    assert np.all(low_v < high_v)
+    for start in (low_v, 0.5 * low_v):
+        again_v, _ = passive_bus_solution(*tables, start, th[pas])
+        assert np.array_equal(again_v, low_v)
+    # an angle warm start offset by whole turns moves the solution with it
+    theta0 = th[pas] + 2.0 * math.pi * turns
+    _, turned_th = passive_bus_solution(*tables, v[pas], theta0)
+    assert np.all(np.abs(turned_th - theta0) <= math.pi)
+    assert np.allclose(turned_th, high_th + 2.0 * math.pi * turns, rtol=0.0, atol=1e-12)
 
 
 def test_injection_partials_match_finite_differences(case3bus):

@@ -23,13 +23,13 @@ from phasorstab.potential import (
     eval_vp,
     grad_vp,
     hessian_vp,
-    hessian_vp_polar,
     path_dependence_experiment,
     rectangle_contour_pair,
     uniform_angle_mode,
 )
 
 from conftest import ring_networks
+from helpers import hessian_vp_polar
 
 
 def line_only_pair(x=1.0):

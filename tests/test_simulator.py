@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from phasorstab import simulator
+from phasorstab.components import VsgComponent
 from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium
 from phasorstab.network import BusState, NetworkError, kcl_residual, power_injection
 from phasorstab.simulator import (
@@ -21,8 +23,10 @@ from phasorstab.simulator import (
 
 from conftest import (
     equilibrium_near_operating_point,
+    make_load_ladder,
     make_soft_anchor_case,
     make_two_load_chain,
+    thevenin_networks,
 )
 
 
@@ -311,6 +315,110 @@ def test_chord_jacobian_refreshed_after_line_scale(tmp_path):
         for node in net.passive_nodes():
             assert abs(p[node] + net.load_p[node]) <= config.newton_tol
             assert abs(q[node] + net.load_q[node]) <= config.newton_tol
+
+
+def engine_for(net):
+    """An inner-solve engine on `net`, with a swing source on every dynamic bus."""
+    comps = {
+        s.component_id: VsgComponent(id=s.component_id, bus=s.bus, M=0.2, Dp=0.1, Dq=0.05, tau_q=0.5)
+        for s in net.dynamic_shunts
+    }
+    return simulator._Engine(net, comps, SolverConfig())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=thevenin_networks())
+def test_uncoupled_passive_buses_solve_without_iteration(case):
+    # one passive bus takes the float closed form, more take the array one
+    net, v, th = case
+    engine = engine_for(net)
+    V, T = v.tolist(), th.tolist()
+    p, q = engine.solve_algebraic(V, T, 0.0)
+    p_ref, q_ref = power_injection(net, V, T)
+    assert np.allclose(p, p_ref, rtol=0.0, atol=1e-12)
+    assert np.allclose(q, q_ref, rtol=0.0, atol=1e-12)
+    for node in net.passive_nodes():
+        assert abs(p[node] + net.load_p[node]) <= engine.config.newton_tol
+        assert abs(q[node] + net.load_q[node]) <= engine.config.newton_tol
+    assert (engine.inner_solves, engine.inner_iterations, engine.factorizations) == (1, 0, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=thevenin_networks(load_factor=(1.05, 3.0)))
+def test_load_beyond_transfer_limit_is_voltage_collapse(case):
+    # every load is beyond its limit; the first passive bus is named
+    net, v, th = case
+    with pytest.raises(SimulationError, match=r"^voltage collapse at bus 'b1', t = 0\.25$"):
+        engine_for(net).solve_algebraic(v.tolist(), th.tolist(), 0.25)
+
+
+def passive_residuals(traj, active_at):
+    """Largest passive balance residual of each sample, against the network
+    `active_at(t)` returns."""
+    out = []
+    for s, t in enumerate(traj.times):
+        active = active_at(t)
+        p, q = power_injection(active, traj.V[s], traj.theta[s])
+        out.append(max(
+            max(abs(p[n] + active.load_p[n]), abs(q[n] + active.load_q[n]))
+            for n in active.passive_nodes()
+        ))
+    return np.array(out)
+
+
+def closed_form_case(name, case3bus):
+    if name == "case3bus":
+        scen = Scenario(2.0, 0.01, disturbances=case3bus.scenario.disturbances)
+        return case3bus.net, case3bus.components, scen
+    net, comps = make_load_ladder()
+    return net, comps, kicked_sources(comps, 0.5)
+
+
+def kicked_sources(comps, horizon):
+    kicks = [
+        StatePerturbation(at=0.0, component=cid, delta={"omega": 0.05} if j % 2 == 0 else {"v": -0.01})
+        for j, cid in enumerate(comps)
+    ]
+    return Scenario(horizon, 0.01, disturbances=kicks)
+
+
+@pytest.mark.parametrize("name", ["case3bus", "ladder"])
+def test_closed_form_runs_balanced_without_iterations(tmp_path, case3bus, name):
+    net, comps, scen = closed_form_case(name, case3bus)
+    config = SolverConfig(step_size=1e-3)
+    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    outputs = []
+    for run in range(2):
+        traj = simulate(net, comps, scen, config, sol)
+        out = tmp_path / f"run{run}.csv"
+        traj.to_csv(str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert np.all(passive_residuals(traj, lambda t: net) <= config.newton_tol)
+    assert float(np.max(np.abs(traj.V - sol.state.V))) > 1e-4
+    manifest = traj.manifest()
+    assert manifest["inner_solves"] == round(scen.horizon / config.step_size) * 4 + 1
+    assert manifest["inner_iterations"] == 0
+    assert manifest["jacobian_factorizations"] == 0
+
+
+def test_closed_form_tables_follow_a_load_step():
+    # a load step with a duration swaps the passive loads twice mid-run
+    net, comps = make_load_ladder()
+    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    scen = kicked_sources(comps, 0.5)
+    scen.disturbances.append(LoadStep(at=0.1, bus="b3", dp=0.2, dq=0.1, duration=0.2))
+    config = SolverConfig(step_size=1e-3)
+    traj = simulate(net, comps, scen, config, sol)
+    stepped = net.with_load_delta("b3", 0.2, 0.1)
+    residuals = passive_residuals(
+        traj, lambda t: stepped if 0.1 - 1e-9 < t < 0.3 - 1e-9 else net
+    )
+    assert np.all(residuals <= config.newton_tol)
+    # against the unchanged loads the stepped samples are far off balance
+    during = (traj.times > 0.1 + 1e-9) & (traj.times < 0.3 - 1e-9)
+    assert np.all(passive_residuals(traj, lambda t: net)[during] >= 0.1)
+    assert (traj.inner_iterations, traj.jacobian_factorizations) == (0, 0)
 
 
 def test_chord_failure_reports_time_and_residual():
