@@ -3,10 +3,15 @@
 Each component is an immutable value object exposing
 
 * ``derivative(x, u)``        -- state derivative for input u = (P, Q),
-* ``terminal(x)``             -- terminal voltage magnitude and angle,
 * ``steady_state_residual``   -- the relations that vanish at equilibrium,
 * ``storage`` / ``storage_rate`` -- a candidate storage function and its
-  analytic time derivative (chain rule, never numeric differencing).
+  analytic time derivative (chain rule, never numeric differencing),
+* ``linearization(anchor)``   -- the constant partials D_f of ``derivative``
+  by (x, P, Q) and the Hessian of ``storage`` at the anchor, both in closed
+  form; the local certificate is built from these two matrices.
+
+What the two models share (setpoint binding, the stiffness guard, the
+storage rate and the parameter check) lives in the :class:`Component` base.
 
 Inputs are generation-positive branch powers. Storage functions are
 normalized so they evaluate to zero at their anchor point; the anchor
@@ -106,8 +111,59 @@ def _voltage_store_grad(k: float, Dq: float, V: float, V_anchor: float) -> float
     return (k / Dq) * (1.0 / V_anchor - 1.0 / V)
 
 
+def _voltage_store_curvature(k: float, Dq: float, V_anchor: float) -> float:
+    """Second derivative of the voltage well at its anchor."""
+    return k / (Dq * V_anchor * V_anchor)
+
+
+class Component:
+    """What both models share. Each model declares ``state_labels`` and
+    ``positive_params`` and supplies ``derivative``, ``storage``,
+    ``storage_gradient``, the steady-state relations and ``linearization``."""
+
+    positive_params: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self.positive_params:
+            value = getattr(self, name)
+            # written to fail for NaN as well
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{self.id}: parameter {name} must be positive and finite, got {value}"
+                )
+
+    @property
+    def nstates(self) -> int:
+        return len(self.state_labels)
+
+    def with_setpoints(self, sp: Setpoints):
+        return replace(self, setpoints=sp)
+
+    def storage_rate(self, x, u, anchor: Anchor | None = None) -> float:
+        """Chain rule: sum over states of storage gradient times derivative."""
+        g = self.storage_gradient(x, anchor)
+        f = self.derivative(x, u)
+        rate = g[0] * f[0]
+        for j in range(1, len(g)):
+            rate += g[j] * f[j]
+        return rate
+
+    def require_stiffness(self, a: Anchor) -> float:
+        k = a.V + self.Dq * a.Q
+        if k <= 0.0:
+            raise CertificateUnavailable(
+                f"{self.id}: voltage stiffness k = V + Dq*Q = {k:.6g} <= 0 at anchor"
+            )
+        return k
+
+    def _sp(self) -> Setpoints:
+        if self.setpoints is None:
+            raise ValueError(f"{self.id}: setpoints not set")
+        return self.setpoints
+
+
 @dataclass(frozen=True)
-class VsgComponent:
+class VsgComponent(Component):
     """Inverter source with virtual inertia and frequency/voltage droop.
 
     State x = (theta, omega, v):
@@ -127,22 +183,8 @@ class VsgComponent:
     setpoints: Setpoints | None = None
 
     state_labels = ("theta", "omega", "v")
+    positive_params = ("M", "Dp", "Dq", "tau_q")
     anchors_angle = False  # dynamics depend on angles only through P
-
-    def __post_init__(self) -> None:
-        for name in ("M", "Dp", "Dq", "tau_q"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{self.id}: parameter {name} must be positive")
-
-    @property
-    def nstates(self) -> int:
-        return 3
-
-    def with_setpoints(self, sp: Setpoints) -> "VsgComponent":
-        return replace(self, setpoints=sp)
-
-    def terminal(self, x) -> tuple[float, float]:
-        return (x[2], x[0])
 
     def derivative(self, x, u) -> tuple[float, ...]:
         sp = self._sp()
@@ -164,23 +206,16 @@ class VsgComponent:
         k = self.require_stiffness(a)
         return (0.0, self.M * x[1], _voltage_store_grad(k, self.Dq, x[2], a.V))
 
-    def storage_rate(self, x, u, anchor: Anchor | None = None) -> float:
-        g = self.storage_gradient(x, anchor)
-        f = self.derivative(x, u)
-        return g[0] * f[0] + g[1] * f[1] + g[2] * f[2]
-
-    def require_stiffness(self, a: Anchor) -> float:
-        k = a.V + self.Dq * a.Q
-        if k <= 0.0:
-            raise CertificateUnavailable(
-                f"{self.id}: voltage stiffness k = V + Dq*Q = {k:.6g} <= 0 at anchor"
-            )
-        return k
-
-    def _sp(self) -> Setpoints:
-        if self.setpoints is None:
-            raise ValueError(f"{self.id}: setpoints not set")
-        return self.setpoints
+    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
+        """D_f by (theta, omega, v, P, Q), and the storage Hessian at anchor."""
+        k = self.require_stiffness(anchor)
+        d_f = np.array([
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, -self.Dp / self.M, 0.0, -1.0 / self.M, 0.0],
+            [0.0, 0.0, -1.0 / self.tau_q, 0.0, -self.Dq / self.tau_q],
+        ])
+        hess = np.diag([0.0, self.M, _voltage_store_curvature(k, self.Dq, anchor.V)])
+        return d_f, hess
 
     # -- equilibrium interface ----------------------------------------------
 
@@ -202,7 +237,7 @@ class VsgComponent:
 
 
 @dataclass(frozen=True)
-class DroopComponent:
+class DroopComponent(Component):
     """Inverter source with proportional angle and voltage droop.
 
     State x = (theta, v):
@@ -219,22 +254,8 @@ class DroopComponent:
     setpoints: Setpoints | None = None
 
     state_labels = ("theta", "v")
+    positive_params = ("tau_p", "tau_q", "Dp", "Dq")
     anchors_angle = True  # theta enters the dynamics directly
-
-    def __post_init__(self) -> None:
-        for name in ("tau_p", "tau_q", "Dp", "Dq"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{self.id}: parameter {name} must be positive")
-
-    @property
-    def nstates(self) -> int:
-        return 2
-
-    def with_setpoints(self, sp: Setpoints) -> "DroopComponent":
-        return replace(self, setpoints=sp)
-
-    def terminal(self, x) -> tuple[float, float]:
-        return (x[1], x[0])
 
     def derivative(self, x, u) -> tuple[float, ...]:
         sp = self._sp()
@@ -261,23 +282,15 @@ class DroopComponent:
             _voltage_store_grad(k, self.Dq, x[1], a.V),
         )
 
-    def storage_rate(self, x, u, anchor: Anchor | None = None) -> float:
-        g = self.storage_gradient(x, anchor)
-        f = self.derivative(x, u)
-        return g[0] * f[0] + g[1] * f[1]
-
-    def require_stiffness(self, a: Anchor) -> float:
-        k = a.V + self.Dq * a.Q
-        if k <= 0.0:
-            raise CertificateUnavailable(
-                f"{self.id}: voltage stiffness k = V + Dq*Q = {k:.6g} <= 0 at anchor"
-            )
-        return k
-
-    def _sp(self) -> Setpoints:
-        if self.setpoints is None:
-            raise ValueError(f"{self.id}: setpoints not set")
-        return self.setpoints
+    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
+        """D_f by (theta, v, P, Q), and the storage Hessian at anchor."""
+        k = self.require_stiffness(anchor)
+        d_f = np.array([
+            [-1.0 / self.tau_p, 0.0, -self.Dp / self.tau_p, 0.0],
+            [0.0, -1.0 / self.tau_q, 0.0, -self.Dq / self.tau_q],
+        ])
+        hess = np.diag([1.0 / self.Dp, _voltage_store_curvature(k, self.Dq, anchor.V)])
+        return d_f, hess
 
     # -- equilibrium interface ----------------------------------------------
 
@@ -300,9 +313,6 @@ class DroopComponent:
         return (theta, V)
 
 
-Component = VsgComponent | DroopComponent
-
-
 # -- local quadratic-form certificate ---------------------------------------
 
 
@@ -321,43 +331,21 @@ class LocalCertificate:
     reports: dict[SupplyConvention, QuadraticFormReport]
 
 
-def _rate_minus_supply(
-    comp: Component,
-    anchor: Anchor,
-    delta: np.ndarray,
-    convention: SupplyConvention,
-) -> float:
-    """storage_rate - supply_rate at the anchor displaced by `delta`.
-
-    delta spans the component states followed by (dP, dQ).
-    """
-    n = comp.nstates
-    x_e = list(comp.equilibrium_state(anchor.theta, anchor.V))
-    x = [x_e[j] + delta[j] for j in range(n)]
-    dp = delta[n]
-    dq = delta[n + 1]
-    u = (anchor.P + dp, anchor.Q + dq)
-    wdot = comp.storage_rate(x, u, anchor)
-    v, _ = comp.terminal(x)
-    f = comp.derivative(x, u)
-    theta_dot = f[comp.state_labels.index("theta")]
-    v_dot = f[comp.state_labels.index("v")]
-    s = supply_rate(dp, dq, theta_dot, v, v_dot, convention)
-    return wdot - s
+# eigenvalues within this fraction of the largest |eigenvalue| count as zero
+EIG_TOL = 1e-9
 
 
-def local_certificate(
-    comp: Component,
-    anchor: Anchor | None = None,
-    fd_step: float = 1e-4,
-    eig_tol: float = 1e-9,
-) -> LocalCertificate:
+def local_certificate(comp: Component, anchor: Anchor | None = None) -> LocalCertificate:
     """Definiteness analysis of storage_rate - supply_rate near equilibrium.
 
     Both the rate and the supply vanish to first order at the anchor, so
     their difference is locally a quadratic form in the deviations
-    (component states, dP, dQ). The form's symmetric matrix is extracted by
-    central second differences and classified per convention:
+    (component states, dP, dQ). Its symmetric matrix is the Hessian of the
+    difference, which is exact from :meth:`linearization`: the storage
+    gradient, f, dP and dQ all vanish at the anchor, so the storage rate
+    contributes A + A' with A = (padded storage Hessian) * D_f, and the
+    supply the symmetrized products of (dP, dQ) with the rows of D_f for
+    theta_dot and v_dot / V. The form is classified per convention:
 
     * "holds"            -- no positive eigenvalue and at least one strictly
                             negative one (dissipation in some direction),
@@ -369,36 +357,23 @@ def local_certificate(
         if comp.setpoints is None:
             raise ValueError(f"{comp.id}: no anchor and no setpoints")
         anchor = Anchor.from_setpoints(comp.setpoints)
-    comp.require_stiffness(anchor)  # fail fast with CertificateUnavailable
-    n = comp.nstates + 2
+    d_f, hess = comp.linearization(anchor)  # CertificateUnavailable if k <= 0
+    n = comp.nstates
     labels = comp.state_labels + ("dP", "dQ")
+    rate = np.zeros((n + 2, n + 2))
+    rate[:n] = hess @ d_f
+    rate += rate.T
+    supply = np.zeros((n + 2, n + 2))
+    supply[n] = d_f[labels.index("theta")]
+    supply[n + 1] = d_f[labels.index("v")] / anchor.V
+    supply += supply.T
     reports: dict[SupplyConvention, QuadraticFormReport] = {}
     for convention in SupplyConvention:
-        h = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                d = np.zeros(n)
-                if a == b:
-                    d[a] = fd_step
-                    f_plus = _rate_minus_supply(comp, anchor, d, convention)
-                    f_minus = _rate_minus_supply(comp, anchor, -d, convention)
-                    f_0 = _rate_minus_supply(comp, anchor, d * 0.0, convention)
-                    h[a, a] = (f_plus - 2.0 * f_0 + f_minus) / fd_step**2
-                else:
-                    d[a] = fd_step
-                    d[b] = fd_step
-                    f_pp = _rate_minus_supply(comp, anchor, d, convention)
-                    f_mm = _rate_minus_supply(comp, anchor, -d, convention)
-                    d[b] = -fd_step
-                    f_pm = _rate_minus_supply(comp, anchor, d, convention)
-                    f_mp = _rate_minus_supply(comp, anchor, -d, convention)
-                    h[a, b] = h[b, a] = (f_pp - f_pm - f_mp + f_mm) / (
-                        4.0 * fd_step**2
-                    )
+        h = rate - convention.apply(supply)
         # the quadratic form is (1/2) delta' H delta; the factor does not
         # change the signature so H is reported as-is
         eigs = np.linalg.eigvalsh(h)
-        tol = eig_tol * max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 1.0)
+        tol = EIG_TOL * max(1.0, float(np.max(np.abs(eigs))))
         if float(eigs[-1]) > tol:
             verdict = "fails"
         elif float(eigs[0]) < -tol:

@@ -15,6 +15,7 @@ other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,7 +214,12 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
     norm = float(np.max(np.abs(res)))
     history = [norm]
     iterations = 0
-    while norm > problem.tol:
+    # the comparisons are written to fail for NaN as well
+    while not norm <= problem.tol:
+        if not math.isfinite(norm):
+            raise EquilibriumError(
+                f"residual not finite at iteration {iterations} (residual {norm:.3e})"
+            )
         if iterations >= problem.max_iter:
             raise EquilibriumError(
                 f"Newton did not converge in {problem.max_iter} iterations "
@@ -253,7 +259,7 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
     if pin:
         full = _residual(net, comps, v, t, inj)
         pin_resid = float(abs(full[ref_row]))
-        if pin_resid > CONSISTENCY_TOL:
+        if not pin_resid <= CONSISTENCY_TOL:
             raise InconsistentInput(
                 f"setpoints inconsistent: pinned relation at bus "
                 f"{problem.reference_bus!r} has residual {pin_resid:.3e}"

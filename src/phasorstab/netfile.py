@@ -74,6 +74,14 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+def _integer(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise NetworkFileError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_buses(raw: Any) -> list[Bus]:
     if not isinstance(raw, list) or not raw:
         raise NetworkFileError("buses: expected a non-empty array")
@@ -107,10 +115,6 @@ def _parse_branches(
             _check_fields(entry, {"from", "to", "kind", "x", "g"}, where)
             x = _number(_require(entry, "x", where), f"{where}.x")
             g = _number(entry.get("g", 0.0), f"{where}.g")
-            if x <= 0.0:
-                raise NetworkFileError(
-                    f"{where}: zero reactance" if x == 0.0 else f"{where}: negative reactance {x}"
-                )
             if g != 0.0:
                 raise NetworkFileError(
                     f"{where}: lossy lines are not supported in the network model "
@@ -288,12 +292,17 @@ def parse_solver(raw: Any) -> SolverConfig:
         raise NetworkFileError(
             f"{where}.convention: must be printed or negated, got {convention_raw!r}"
         ) from None
+    # "rk4" is the only integrator; the field stays for the files that name it
+    integrator = raw.get("integrator", "rk4")
+    if integrator != "rk4":
+        raise NetworkFileError(f"{where}.integrator: must be rk4, got {integrator!r}")
     try:
         return SolverConfig(
             step_size=_number(raw.get("step_size", 1e-3), f"{where}.step_size"),
             newton_tol=_number(raw.get("newton_tol", 1e-10), f"{where}.newton_tol"),
-            newton_max_iter=int(raw.get("newton_max_iter", 25)),
-            integrator=str(raw.get("integrator", "rk4")),
+            newton_max_iter=_integer(
+                raw.get("newton_max_iter", 25), f"{where}.newton_max_iter"
+            ),
             convention=convention,
         )
     except ValueError as exc:

@@ -193,11 +193,11 @@ class NetworkModel:
                 raise NetworkError(
                     f"line {line.from_bus!r}-{line.to_bus!r} references unknown bus"
                 )
-            if line.x <= 0.0:
+            # written to fail for NaN as well
+            if not 0.0 < line.x < math.inf:
+                what = "zero" if line.x == 0.0 else "negative" if line.x < 0.0 else "non-finite"
                 raise NetworkError(
-                    f"line {line.from_bus!r}-{line.to_bus!r} has zero reactance"
-                    if line.x == 0.0
-                    else f"line {line.from_bus!r}-{line.to_bus!r} has negative reactance {line.x}"
+                    f"line {line.from_bus!r}-{line.to_bus!r} has {what} reactance {line.x}"
                 )
             if ground in (line.from_bus, line.to_bus):
                 raise NetworkError(

@@ -4,7 +4,6 @@ Differential states (the dynamic components' states) advance with classical
 four-stage Runge-Kutta; the algebraic unknowns (voltage magnitude and angle
 of every passive bus) are re-solved, warm-started from the last solution, at
 every stage evaluation, so each accepted state is algebraically consistent.
-An implicit trapezoidal integrator is available for stiff parameter sets.
 
 The inner solve takes one of two paths, by the topology of the passive
 buses:
@@ -166,7 +165,6 @@ class SolverConfig:
     step_size: float = 1e-3
     newton_tol: float = 1e-10
     newton_max_iter: int = 25
-    integrator: str = "rk4"  # or "trapezoid"
     convention: SupplyConvention = SupplyConvention.NEGATED
 
     def __post_init__(self) -> None:
@@ -177,8 +175,6 @@ class SolverConfig:
             raise ScenarioError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 0:
             raise ScenarioError("newton_max_iter must be nonnegative")
-        if self.integrator not in ("rk4", "trapezoid"):
-            raise ScenarioError(f"unknown integrator {self.integrator!r}")
 
 
 # -- trajectory ----------------------------------------------------------------
@@ -275,7 +271,7 @@ class Trajectory:
             "horizon": float(self.scenario.horizon),
             "output_period": float(self.scenario.output_period),
             "step_size": float(self.config.step_size),
-            "integrator": self.config.integrator,
+            "integrator": "rk4",  # the only integrator; the key stays in the layout
             "newton_tol": float(self.config.newton_tol),
             "convention": self.convention.value,
             "columns": self.columns(),
@@ -538,7 +534,7 @@ class _Engine:
         p, q = self.solve_algebraic(V, th, t)
         return self.derivative(y, p, q), p, q
 
-    # integrators ---------------------------------------------------------------
+    # integrator -----------------------------------------------------------------
 
     def rk4_step(
         self,
@@ -561,44 +557,6 @@ class _Engine:
             a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
             for a, b1, b2, b3, b4 in zip(y, dy0, k2, k3, k4)
         ]
-
-    def trapezoid_step(
-        self,
-        y: list[float],
-        dy0: list[float],
-        V: list[float],
-        th: list[float],
-        h: float,
-        t: float,
-    ) -> list[float]:
-        """Implicit trapezoid on the differential states, Newton by finite
-        differences on G(y') = y' - y - h/2 (f(y) + f(y')); fallback for
-        stiff parameter sets."""
-        ny = self.ny
-        y_new = list(y)
-        for _ in range(self.config.newton_max_iter):
-            f_new, _, _ = self.consistent_eval(y_new, V, th, t + h)
-            g = [
-                y_new[j] - y[j] - 0.5 * h * (dy0[j] + f_new[j]) for j in range(ny)
-            ]
-            worst = max(abs(v) for v in g)
-            if worst <= self.config.newton_tol:
-                return y_new
-            jac = np.zeros((ny, ny))
-            step = 1e-7
-            for j in range(ny):
-                y_pert = list(y_new)
-                y_pert[j] += step
-                f_pert, _, _ = self.consistent_eval(y_pert, V, th, t + h)
-                for r in range(ny):
-                    jac[r, j] = (
-                        (1.0 if r == j else 0.0)
-                        - 0.5 * h * (f_pert[r] - f_new[r]) / step
-                    )
-            delta = np.linalg.solve(jac, -np.array(g))
-            for j in range(ny):
-                y_new[j] += float(delta[j])
-        raise SimulationError(f"trapezoid Newton failed at t = {t:.6g}")
 
 
 # -- driver --------------------------------------------------------------------
@@ -821,8 +779,6 @@ def simulate(
 
     record(0, 0.0)
 
-    stepper = engine.rk4_step if config.integrator == "rk4" else engine.trapezoid_step
-
     # per component, for the accumulation: theta and v positions in y, bus
     # node, and the anchor's (P, Q)
     accumulated = [
@@ -840,7 +796,7 @@ def simulate(
     prev = endpoints()
     for step in range(n_steps_total):
         t = step * h
-        y = stepper(y, dy, V, th, h, t)
+        y = engine.rk4_step(y, dy, V, th, h, t)
         t_next = (step + 1) * h
         dy, p, q = engine.consistent_eval(y, V, th, t_next)
         # trapezoid accumulation over this step

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from phasorstab.components import Component
+from phasorstab.components import Anchor, Component, SupplyConvention, supply_rate
 from phasorstab.equilibrium import steady_state_residual
 from phasorstab.network import NetworkModel, injection_partials, power_injection
 
@@ -57,3 +57,42 @@ def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
     rows = v[:, None]
     curvature = np.diag((q + net.load_q) / v**2)
     return np.block([[dp_dt, dp_dv], [dq_dt / rows, dq_dv / rows - curvature]])
+
+
+def stencil_certificate_matrix(
+    comp: Component,
+    anchor: Anchor,
+    convention: SupplyConvention,
+    step: float = 1e-4,
+) -> np.ndarray:
+    """Hessian of storage_rate - supply_rate at the anchor by central second
+    differences in (component states, dP, dQ); an oracle for the closed form
+    of :func:`~phasorstab.components.local_certificate`."""
+    n = comp.nstates
+    x_e = comp.equilibrium_state(anchor.theta, anchor.V)
+    i_theta = comp.state_labels.index("theta")
+    i_v = comp.state_labels.index("v")
+
+    def rate_minus_supply(delta: np.ndarray) -> float:
+        x = [a + d for a, d in zip(x_e, delta[:n])]
+        dp, dq = delta[n], delta[n + 1]
+        u = (anchor.P + dp, anchor.Q + dq)
+        f = comp.derivative(x, u)
+        s = supply_rate(dp, dq, f[i_theta], x[i_v], f[i_v], convention)
+        return comp.storage_rate(x, u, anchor) - s
+
+    m = n + 2
+    h = np.zeros((m, m))
+    f_0 = rate_minus_supply(np.zeros(m))
+    for a in range(m):
+        d = np.zeros(m)
+        d[a] = step
+        h[a, a] = (rate_minus_supply(d) - 2.0 * f_0 + rate_minus_supply(-d)) / step**2
+        for b in range(a + 1, m):
+            d[b] = step
+            f_pp, f_mm = rate_minus_supply(d), rate_minus_supply(-d)
+            d[b] = -step
+            f_pm, f_mp = rate_minus_supply(d), rate_minus_supply(-d)
+            d[b] = 0.0
+            h[a, b] = h[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * step**2)
+    return h

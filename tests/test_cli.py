@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -229,11 +230,41 @@ def test_bad_config_file_exits_one(capsys, tmp_path):
         ("[]", "solver object"),
         ('{"solver": 5}', "solver object"),
         ('{"newton_tol": -1}', "newton_tol must be positive"),
+        ('{"newton_max_iter": Infinity}', "solver.newton_max_iter: expected an integer"),
+        ('{"newton_max_iter": 2.7}', "solver.newton_max_iter: expected an integer"),
+        ('{"newton_max_iter": true}', "solver.newton_max_iter: expected an integer"),
+        ('{"integrator": "trapezoid"}', "solver.integrator: must be rk4"),
     ]:
         cfg.write_text(text)
         code, out, err = run_cli(capsys, "--config", str(cfg), "equilibrium", "case3bus")
         assert code == 1
         assert message in err
+
+
+def _nan_mass(doc):
+    doc["components"][0]["params"]["M"] = math.nan
+
+
+def _nan_reactance(doc):
+    doc["branches"][0]["x"] = math.nan
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_nan_mass, "parameter M must be positive and finite"),
+     (_nan_reactance, "non-finite reactance nan")],
+    ids=["component-nan", "reactance-nan"],
+)
+def test_non_finite_case_value_exits_one(capsys, tmp_path, edit, message):
+    from phasorstab.cli import resolve_case_path
+
+    doc = json.loads(open(resolve_case_path("case3bus")).read())
+    edit(doc)
+    path = write_case(tmp_path, doc)
+    code, out, err = run_cli(capsys, "equilibrium", path)
+    assert code == 1
+    assert message in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasorstab.components import (
+    EIG_TOL,
     Anchor,
     CertificateUnavailable,
     DroopComponent,
@@ -17,6 +18,8 @@ from phasorstab.components import (
     local_certificate,
     supply_rate,
 )
+
+from helpers import stencil_certificate_matrix
 
 SP = Setpoints(P_e=0.2, Q_e=0.1, V_e=1.0, theta_e=0.05)
 
@@ -79,6 +82,14 @@ def test_parameter_positivity_enforced():
         vsg(M=0.0)
     with pytest.raises(ValueError, match="tau_p must be positive"):
         droop(tau_p=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(value):
+    with pytest.raises(ValueError, match="M must be positive and finite"):
+        vsg(M=value)
+    with pytest.raises(ValueError, match="Dq must be positive and finite"):
+        droop(Dq=value)
 
 
 def test_derivative_is_smooth_near_equilibrium():
@@ -247,10 +258,10 @@ def test_vsg_zero_reactive_certificate_matches_closed_form():
         1.0 + k / sp.V_e
     )
     expected[idx["dQ"], idx["dQ"]] = -2.0 * scale * c.Dq
-    assert np.allclose(rep.matrix, expected, atol=5e-7)
+    assert np.allclose(rep.matrix, expected, atol=1e-12)
     # with k = V_e the voltage block discriminant closes exactly; the top
-    # eigenvalue is zero up to differencing noise on a form of norm ~2e2
-    assert rep.eigenvalues[-1] <= 1e-6
+    # eigenvalue is zero up to rounding on a form of norm ~2e2
+    assert rep.eigenvalues[-1] <= 1e-12
 
 
 def test_vsg_printed_convention_fails():
@@ -273,7 +284,7 @@ def test_droop_zero_reactive_certificate():
     )
     idx = {"theta": 0, "v": 1, "dP": 2, "dQ": 3}
     block = rep.matrix[np.ix_([idx["theta"], idx["dP"]], [idx["theta"], idx["dP"]])]
-    assert np.allclose(block, expected_angle, atol=5e-7)
+    assert np.allclose(block, expected_angle, atol=1e-12)
 
 
 def test_nonzero_reactive_anchor_breaks_exact_semidefiniteness():
@@ -289,3 +300,47 @@ def test_certificate_unavailable_for_negative_stiffness():
     anchor = Anchor(P=0.0, Q=-60.0, V=1.0, theta=0.0)
     with pytest.raises(CertificateUnavailable):
         local_certificate(vsg(), anchor)
+
+
+def _classify(eigs: np.ndarray) -> str:
+    tol = EIG_TOL * max(1.0, float(np.max(np.abs(eigs))))
+    if eigs[-1] > tol:
+        return "fails"
+    return "holds" if eigs[0] < -tol else "holds-marginally"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(["vsg", "droop"]),
+    inertia_or_tau_p=st.floats(min_value=0.05, max_value=10.0),
+    tau_q=st.floats(min_value=0.05, max_value=10.0),
+    Dp=st.floats(min_value=0.01, max_value=1.0),
+    Dq=st.floats(min_value=0.01, max_value=0.3),
+    P=st.floats(min_value=-1.0, max_value=1.0),
+    Q=st.floats(min_value=-0.5, max_value=0.5),
+    V=st.floats(min_value=0.8, max_value=1.2),
+    theta=st.floats(min_value=-0.5, max_value=0.5),
+)
+def test_closed_form_certificate_matches_stencil(
+    model, inertia_or_tau_p, tau_q, Dp, Dq, P, Q, V, theta
+):
+    anchor = Anchor(P=P, Q=Q, V=V, theta=theta)
+    sp = Setpoints(P_e=P, Q_e=Q, V_e=V, theta_e=theta)
+    if model == "vsg":
+        c = vsg(M=inertia_or_tau_p, Dp=Dp, Dq=Dq, tau_q=tau_q, setpoints=sp)
+    else:
+        c = droop(tau_p=inertia_or_tau_p, Dp=Dp, Dq=Dq, tau_q=tau_q, setpoints=sp)
+    cert = local_certificate(c, anchor)
+    for convention, rep in cert.reports.items():
+        ref = stencil_certificate_matrix(c, anchor, convention)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(rep.matrix - ref)) <= 1e-6 * scale
+        # the stencil's error (~1e-8 of the scale) exceeds EIG_TOL, so it can
+        # only decide a verdict whose eigenvalues are clear of that band
+        stencil_eigs = np.linalg.eigvalsh(ref)
+        eig_scale = max(1.0, float(np.max(np.abs(stencil_eigs))))
+        if all(
+            abs(e) <= 1e-12 * eig_scale or abs(e) >= 1e-6 * eig_scale
+            for e in np.concatenate([rep.eigenvalues, stencil_eigs])
+        ):
+            assert rep.verdict == _classify(stencil_eigs)

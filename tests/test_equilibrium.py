@@ -181,6 +181,15 @@ def test_nonconvergence_reports_residual(case3bus):
         )
 
 
+def test_nan_initial_guess_is_not_accepted(case3bus):
+    theta = np.zeros(case3bus.net.n_nodes)
+    theta[-1] = math.nan
+    with pytest.raises(EquilibriumError, match="residual nan"):
+        solve_equilibrium(
+            EquilibriumProblem(case3bus.net, case3bus.components, initial_theta=theta)
+        )
+
+
 def test_residual_stacks_component_and_balance_rows(case3bus, case3bus_solution):
     res = steady_state_residual(
         case3bus.net,

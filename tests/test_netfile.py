@@ -4,8 +4,8 @@ import pytest
 
 from phasorstab.cli import resolve_case_path
 from phasorstab.components import DroopComponent, VsgComponent
-from phasorstab.netfile import NetworkFileError, load_case, parse_case
-from phasorstab.simulator import StatePerturbation
+from phasorstab.netfile import NetworkFileError, load_case, parse_case, parse_solver
+from phasorstab.simulator import SolverConfig, StatePerturbation
 
 
 def minimal_doc(**overrides):
@@ -156,3 +156,9 @@ def test_bad_convention_value_rejected():
 def test_case_name_resolution_error():
     with pytest.raises(NetworkFileError, match="neither a file nor a packaged case"):
         resolve_case_path("not_a_case_anywhere")
+
+
+def test_only_rk4_integrator_parses():
+    assert parse_solver({"integrator": "rk4"}) == SolverConfig()
+    with pytest.raises(NetworkFileError, match="solver.integrator: must be rk4"):
+        parse_solver({"integrator": "trapezoid"})

@@ -80,7 +80,12 @@ def test_trivial_shunt_only_network_is_valid():
 
 @pytest.mark.parametrize(
     "x, message",
-    [(0.0, "zero reactance"), (-0.2, "negative reactance")],
+    [
+        (0.0, "zero reactance"),
+        (-0.2, "negative reactance"),
+        (math.nan, "non-finite reactance"),
+        (math.inf, "non-finite reactance"),
+    ],
 )
 def test_bad_reactance_rejected(x, message):
     with pytest.raises(NetworkError, match=message):
@@ -250,10 +255,14 @@ def test_passive_bus_solution_balances_and_keeps_branch(case, turns):
         for residual, size in passive_balance(net, vv, tt):
             assert residual <= 1e-12 * size
 
-    # a warm start near 1 pu takes the high-voltage branch, on floats and on arrays
-    high_v, high_th = passive_bus_solution(*tables, v[pas], th[pas])
+    # a warm start above both roots takes the high-voltage branch, on floats
+    # and on arrays. Near 1 pu is not enough: the root on the side of v0^2 is
+    # taken, and a capacitive load can put the high root near 1.14 pu and the
+    # roots' midpoint above 0.97^2
+    v_high = 2.0 * v[pas]
+    high_v, high_th = passive_bus_solution(*tables, v_high, th[pas])
     balanced(high_v, high_th)
-    float_v, float_th = on_floats(v[pas], th[pas])
+    float_v, float_th = on_floats(v_high, th[pas])
     balanced(float_v, float_th)
     assert np.allclose(float_v, high_v, rtol=1e-14) and np.allclose(float_th, high_th, atol=1e-14)
     # a warm start on the low-voltage branch stays on it
@@ -265,7 +274,7 @@ def test_passive_bus_solution_balances_and_keeps_branch(case, turns):
         assert np.array_equal(again_v, low_v)
     # an angle warm start offset by whole turns moves the solution with it
     theta0 = th[pas] + 2.0 * math.pi * turns
-    _, turned_th = passive_bus_solution(*tables, v[pas], theta0)
+    _, turned_th = passive_bus_solution(*tables, v_high, theta0)
     assert np.all(np.abs(turned_th - theta0) <= math.pi)
     assert np.allclose(turned_th, high_th + 2.0 * math.pi * turns, rtol=0.0, atol=1e-12)
 

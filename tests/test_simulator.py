@@ -136,19 +136,6 @@ def test_step_halving_changes_little(case3bus, case3bus_solution):
     assert diff <= 1e-6
 
 
-def test_trapezoid_integrator_agrees_with_rk4(case3bus, case3bus_solution):
-    rk = simulate(
-        case3bus.net, case3bus.components, kicked(0.5, 0.1),
-        SolverConfig(step_size=1e-3), case3bus_solution,
-    )
-    tr = simulate(
-        case3bus.net, case3bus.components, kicked(0.5, 0.1),
-        SolverConfig(step_size=1e-3, integrator="trapezoid"), case3bus_solution,
-    )
-    assert np.max(np.abs(rk.V - tr.V)) <= 1e-5
-    assert np.max(np.abs(rk.theta - tr.theta)) <= 1e-5
-
-
 def test_load_pulse_returns_to_equilibrium(compensated_load_case):
     net, comps = compensated_load_case
     sol = solve_equilibrium(EquilibriumProblem(net, comps))
