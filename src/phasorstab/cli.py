@@ -242,14 +242,10 @@ def cmd_verify_identities(args) -> int:
         )
         traj = simulate(case.net, case.components, run_scenario, solver, sol)
         potential_res, divergence_res = identity_residuals(traj)
-        tellegen = 0.0
-        for s in range(traj.n_samples):
-            state = BusState(V=traj.V[s].copy(), theta=traj.theta[s].copy())
-            inj = {
-                cid: (traj.P[cid][s], traj.Q[cid][s])
-                for cid in traj.component_ids()
-            }
-            tellegen = max(tellegen, abs(tellegen_sum(case.net, state, inj)))
+        # one Tellegen sum per sample, over the sample axis at once
+        inj = {cid: (traj.P[cid], traj.Q[cid]) for cid in traj.component_ids()}
+        state = BusState(V=traj.V, theta=traj.theta)
+        tellegen = float(np.abs(tellegen_sum(case.net, state, inj)).max())
         rows.append(
             {
                 "h": h,

@@ -10,6 +10,11 @@ Each component is an immutable value object exposing
   by (x, P, Q) and the Hessian of ``storage`` at the anchor, both in closed
   form; the local certificate is built from these two matrices.
 
+``derivative``, ``storage``, ``storage_rate`` and :func:`supply_rate` are
+elementwise arithmetic, so a state x and input u may be floats or arrays
+over samples: x of shape (nstates, S) with P and Q of shape (S,) gives one
+value per sample.
+
 What the two models share (setpoint binding, the stiffness guard, the
 storage rate and the parameter check) lives in the :class:`Component` base.
 
@@ -93,16 +98,16 @@ def supply_rate(
     """Supply rate pairing power deviations with terminal-coordinate rates.
 
     Bilinear in (dP, dQ) against (theta_dot, V_dot/V); the convention flag
-    selects the sign.
+    selects the sign. Elementwise: floats, or arrays over samples.
     """
-    if V <= 0.0:
-        raise ValueError(f"terminal voltage must be positive, got {V}")
+    if np.any(V <= 0.0):
+        raise ValueError(f"terminal voltage must be positive, got {np.min(V)}")
     return convention.apply(dP * theta_dot + dQ * V_dot / V)
 
 
-def _voltage_store(k: float, Dq: float, V: float, V_anchor: float) -> float:
+def _voltage_store(k: float, Dq: float, V, V_anchor: float):
     """Normalized voltage well (k/Dq)*(V/Va - ln V) - value at V = Va."""
-    g = V / V_anchor - math.log(V)
+    g = V / V_anchor - np.log(V)
     g0 = 1.0 - math.log(V_anchor)
     return (k / Dq) * (g - g0)
 

@@ -13,6 +13,7 @@ Loads are consumption-positive by default; a branch may declare
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -72,6 +73,15 @@ def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise NetworkFileError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _finite(value: Any, where: str) -> float:
+    """A number that must also be finite: JSON as Python reads it accepts
+    NaN and Infinity, and no later check catches them in these fields."""
+    number = _number(value, where)
+    if not math.isfinite(number):
+        raise NetworkFileError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, where: str) -> int:
@@ -182,12 +192,10 @@ def _parse_components(
         if "setpoints" in entry:
             sp_where = f"{where}.setpoints"
             _check_fields(entry["setpoints"], {"P_e", "Q_e", "V_e", "theta_e"}, sp_where)
-            setpoints = Setpoints(
-                P_e=_number(_require(entry["setpoints"], "P_e", sp_where), sp_where),
-                Q_e=_number(_require(entry["setpoints"], "Q_e", sp_where), sp_where),
-                V_e=_number(_require(entry["setpoints"], "V_e", sp_where), sp_where),
-                theta_e=_number(_require(entry["setpoints"], "theta_e", sp_where), sp_where),
-            )
+            setpoints = Setpoints(**{
+                name: _finite(_require(entry["setpoints"], name, sp_where), f"{sp_where}.{name}")
+                for name in ("P_e", "Q_e", "V_e", "theta_e")
+            })
         else:
             all_have_setpoints = False
         try:
@@ -240,7 +248,7 @@ def _parse_disturbance(entry: Any, where: str):
         _check_fields(entry, {"at", "kind", "line", "factor", "duration"}, where)
         return LineScale(
             at=at,
-            line_index=int(_require(entry, "line", where)),
+            line_index=_integer(_require(entry, "line", where), f"{where}.line"),
             factor=_number(_require(entry, "factor", where), f"{where}.factor"),
             duration=(
                 _number(entry["duration"], f"{where}.duration")
@@ -358,8 +366,8 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
                 raise NetworkFileError(f"{where}: unknown non-ground bus")
             _check_fields(entry, {"V", "theta"}, where)
             operating_point[bus_id] = (
-                _number(_require(entry, "V", where), f"{where}.V"),
-                _number(_require(entry, "theta", where), f"{where}.theta"),
+                _finite(_require(entry, "V", where), f"{where}.V"),
+                _finite(_require(entry, "theta", where), f"{where}.theta"),
             )
         missing = set(net.non_ground) - set(operating_point)
         if missing:

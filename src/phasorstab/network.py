@@ -519,6 +519,9 @@ def branch_currents_oracle(
     is given, from nodal balance (which makes the current set satisfy KCL
     exactly). Keys are "line:<from>-<to>:<idx>", "cp:<bus>:<idx>" and
     "dyn:<component>".
+
+    ``state`` may carry a leading sample axis (V and theta of shape (S, n),
+    injections of shape (S,)); each current is then an array over samples.
     """
     vbar = state.phasors()
     currents: dict[str, complex] = {}
@@ -526,21 +529,21 @@ def branch_currents_oracle(
     for idx, line in enumerate(net.lines):
         i = net.node_index[line.from_bus]
         k = net.node_index[line.to_bus]
-        cur = line.admittance * (vbar[i] - vbar[k])
+        cur = line.admittance * (vbar[..., i] - vbar[..., k])
         currents[f"line:{line.from_bus}-{line.to_bus}:{idx}"] = cur
         nodal[i] += cur
         nodal[k] -= cur
     for idx, cp in enumerate(net.constant_power):
         i = net.node_index[cp.bus]
         # associated direction out of the bus: conj((p0 + j q0) / Vbar)
-        cur = (complex(cp.p0, cp.q0) / vbar[i]).conjugate()
+        cur = (complex(cp.p0, cp.q0) / vbar[..., i]).conjugate()
         currents[f"cp:{cp.bus}:{idx}"] = cur
         nodal[i] += cur
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
         if dynamic_injections is not None and shunt.component_id in dynamic_injections:
             gp, gq = dynamic_injections[shunt.component_id]
-            cur = -(complex(gp, gq) / vbar[i]).conjugate()
+            cur = -((gp + 1j * gq) / vbar[..., i]).conjugate()
         else:
             cur = -nodal[i]
         currents[f"dyn:{shunt.component_id}"] = cur
@@ -589,6 +592,8 @@ def tellegen_sum(
     Vanishes whenever the currents satisfy KCL and the voltages KVL; with
     dynamic currents taken from nodal balance this is an orthogonality
     identity, and with explicit injections it measures their imbalance.
+    With a sample axis on ``state`` (see :func:`branch_currents_oracle`),
+    one sum per sample, accumulated branch by branch as for one state.
     """
     vbar = state.phasors()
     currents = branch_currents_oracle(net, state, dynamic_injections)
@@ -596,12 +601,12 @@ def tellegen_sum(
     for idx, line in enumerate(net.lines):
         i = net.node_index[line.from_bus]
         k = net.node_index[line.to_bus]
-        v_branch = vbar[i] - vbar[k]
+        v_branch = vbar[..., i] - vbar[..., k]
         total += v_branch * currents[f"line:{line.from_bus}-{line.to_bus}:{idx}"].conjugate()
     for idx, cp in enumerate(net.constant_power):
         i = net.node_index[cp.bus]
-        total += vbar[i] * currents[f"cp:{cp.bus}:{idx}"].conjugate()
+        total += vbar[..., i] * currents[f"cp:{cp.bus}:{idx}"].conjugate()
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
-        total += vbar[i] * currents[f"dyn:{shunt.component_id}"].conjugate()
+        total += vbar[..., i] * currents[f"dyn:{shunt.component_id}"].conjugate()
     return total

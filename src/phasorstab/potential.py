@@ -44,17 +44,22 @@ __all__ = [
 ]
 
 
-def eval_vp(net: NetworkModel, V, theta) -> float:
-    """Voltage potential at a bus state (absolute; see module docstring)."""
-    total = 0.0
-    for i, k, b in net.edges:
-        vi = V[i]
-        vk = V[k]
-        d = theta[i] - theta[k]
-        total += 0.5 * b * (vi * vi + vk * vk - 2.0 * vi * vk * math.cos(d))
-    for i, (p0, q0) in enumerate(zip(net.load_p, net.load_q)):
-        total += p0 * theta[i] + q0 * math.log(V[i])
-    return total
+def eval_vp(net: NetworkModel, V, theta):
+    """Voltage potential at a bus state (absolute; see module docstring).
+
+    ``V`` and ``theta`` have the buses on their last axis and may carry a
+    leading sample axis: one state of shape (n,) gives a scalar, S states
+    of shape (S, n) give S values. Elementwise operations over
+    ``net.edge_arrays`` and sums over the last axis only, so each sample's
+    value does not depend on the others."""
+    i, k, b = net.edge_arrays
+    v = np.asarray(V, dtype=float)
+    t = np.asarray(theta, dtype=float)
+    vi = v[..., i]
+    vk = v[..., k]
+    lines = 0.5 * b * (vi * vi + vk * vk - 2.0 * vi * vk * np.cos(t[..., i] - t[..., k]))
+    loads = np.asarray(net.load_p) * t + np.asarray(net.load_q) * np.log(v)
+    return lines.sum(axis=-1) + loads.sum(axis=-1)
 
 
 def grad_vp(net: NetworkModel, V, theta) -> np.ndarray:
@@ -105,14 +110,18 @@ class BregmanDivergence:
         self.grad0 = grad_vp(self.net, self.V0, self.theta0)
         self.z0 = np.concatenate([self.theta0, np.log(self.V0)])
 
-    def value(self, V, theta, vp: float | None = None) -> float:
+    def value(self, V, theta, vp=None):
         """W at (V, theta); ``vp`` is :func:`eval_vp` at the same state, for
-        callers that hold it already. It is computed when omitted."""
+        callers that hold it already. It is computed when omitted.
+
+        Like :func:`eval_vp`, takes one state of shape (n,) for a scalar or
+        S states of shape (S, n) for S values, with ``vp`` of shape (S,)."""
         if vp is None:
             vp = eval_vp(self.net, V, theta)
-        z = np.concatenate([np.asarray(theta, dtype=float),
-                            np.log(np.asarray(V, dtype=float))])
-        return vp - self.vp0 - float(self.grad0 @ (z - self.z0))
+        z = np.concatenate(
+            [np.asarray(theta, dtype=float), np.log(np.asarray(V, dtype=float))], axis=-1
+        )
+        return vp - self.vp0 - (self.grad0 * (z - self.z0)).sum(axis=-1)
 
     def gradient(self, V, theta) -> np.ndarray:
         return grad_vp(self.net, V, theta) - self.grad0

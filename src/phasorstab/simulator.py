@@ -1,4 +1,4 @@
-"""Semi-explicit index-1 DAE transient simulation with streaming diagnostics.
+"""Semi-explicit index-1 DAE transient simulation with sampled diagnostics.
 
 Differential states (the dynamic components' states) advance with classical
 four-stage Runge-Kutta; the algebraic unknowns (voltage magnitude and angle
@@ -35,7 +35,10 @@ Scenarios perturb component states, step loads, or scale line couplings at
 times aligned with the integration grid. Every disturbance is checked
 against the network before the run starts. Path integrals are accumulated with
 the trapezoid rule at every integration step (second-order in the step
-size); the remaining diagnostics are evaluated at output samples only.
+size). The step loop records only the raw samples (time, bus state,
+component states, injections and integrals); the other diagnostics (Vp, W,
+and each component's storage, storage rate and supply rate) are evaluated
+after the run, in one array pass over all samples.
 
 A single simulation is a sequential state recurrence with no dependence on
 timing: every run performs the same floating-point operations in the same
@@ -185,10 +188,11 @@ class Trajectory:
     """Uniformly sampled simulation output with per-sample diagnostics.
 
     Angle/voltage columns are per non-ground bus in network order; component
-    series are keyed by component id. ``vp`` is relative to the trajectory's
-    initial point; ``w`` is the divergence anchored at the equilibrium under
-    test. ``supply`` is recorded under the run's convention and
-    ``integral`` holds the deviation path integrals.
+    series are keyed by component id. ``vp`` is the potential of the base
+    network (load and line events do not change it) relative to the
+    trajectory's initial point; ``w`` is the divergence anchored at the
+    equilibrium under test. ``supply`` is recorded under the run's
+    convention and ``integral`` holds the deviation path integrals.
     """
 
     times: np.ndarray
@@ -711,7 +715,6 @@ def simulate(
 
     _, network_changed = apply_events(0)
     dy, p, q = engine.consistent_eval(y, V, th, 0.0)
-    vp_ref = eval_vp(net, V, th)  # base-network potential at the initial point
 
     # accumulators (advanced every integration step), per component
     shifted = [0.0] * len(comp_ids)
@@ -727,54 +730,25 @@ def simulate(
     }
     series_p = {cid: np.zeros(n_samples) for cid in comp_ids}
     series_q = {cid: np.zeros(n_samples) for cid in comp_ids}
-    vp_series = np.zeros(n_samples)
-    w_series = np.zeros(n_samples)
-    storage_series = {cid: np.zeros(n_samples) for cid in comp_ids}
-    wdot_series = {cid: np.zeros(n_samples) for cid in comp_ids}
-    supply_series = {cid: np.zeros(n_samples) for cid in comp_ids}
     integral_series = {cid: np.zeros(n_samples) for cid in comp_ids}
     unshifted_series = np.zeros(n_samples)
 
-    # per component, for record: state slice, bus node, theta and v label
-    # indices, anchor, and whether its storage is available
+    # per component, for record: its sample buffers, state slice and bus node
     sampled = [
-        (cid, comp, lo, hi, node, comp.state_labels.index("theta"),
-         comp.state_labels.index("v"), anchors[cid], storage_ok[cid])
-        for cid, comp, (_, lo, hi, node) in zip(comp_ids, engine.comps, engine.comp_table)
+        (comp_states[cid], series_p[cid], series_q[cid], integral_series[cid], lo, hi, node)
+        for cid, (_, lo, hi, node) in zip(comp_ids, engine.comp_table)
     ]
-    convention = config.convention
 
     def record(sample: int, t: float) -> None:
+        """Keep the raw sample; the diagnostics are evaluated after the run."""
         times[sample] = t
         bus_v[sample] = V
         bus_t[sample] = th
-        vp = eval_vp(net, V, th)
-        vp_series[sample] = vp - vp_ref
-        w_series[sample] = bregman.value(V, th, vp=vp)
-        for c, (cid, comp, lo, hi, node, i_theta, i_v, anchor, has_storage) in enumerate(
-            sampled
-        ):
-            x = y[lo:hi]
-            u = (p[node], q[node])
-            comp_states[cid][sample, :] = x
-            series_p[cid][sample] = u[0]
-            series_q[cid][sample] = u[1]
-            if has_storage:
-                storage_series[cid][sample] = comp.storage(x, anchor)
-                wdot_series[cid][sample] = comp.storage_rate(x, u, anchor)
-            else:
-                storage_series[cid][sample] = math.nan
-                wdot_series[cid][sample] = math.nan
-            f = comp.derivative(x, u)
-            supply_series[cid][sample] = supply_rate(
-                u[0] - anchor.P,
-                u[1] - anchor.Q,
-                f[i_theta],
-                x[i_v],
-                f[i_v],
-                convention,
-            )
-            integral_series[cid][sample] = shifted[c]
+        for c, (states, sp, sq, integral, lo, hi, node) in enumerate(sampled):
+            states[sample] = y[lo:hi]
+            sp[sample] = p[node]
+            sq[sample] = q[node]
+            integral[sample] = shifted[c]
         unshifted_series[sample] = unshifted
 
     record(0, 0.0)
@@ -822,6 +796,29 @@ def simulate(
         if (step + 1) % sample_every == 0:
             record((step + 1) // sample_every, t_next)
 
+    # the diagnostics, one array pass over all samples. Vp is the base
+    # network's potential relative to the initial point, sample 0
+    vp = eval_vp(net, bus_v, bus_t)
+    storage_series: dict[str, np.ndarray] = {}
+    wdot_series: dict[str, np.ndarray] = {}
+    supply_series: dict[str, np.ndarray] = {}
+    for cid, comp in zip(comp_ids, engine.comps):
+        x = comp_states[cid].T  # (nstates, samples)
+        u = (series_p[cid], series_q[cid])
+        anchor = anchors[cid]
+        if storage_ok[cid]:
+            storage_series[cid] = comp.storage(x, anchor)
+            wdot_series[cid] = comp.storage_rate(x, u, anchor)
+        else:
+            storage_series[cid] = np.full(n_samples, math.nan)
+            wdot_series[cid] = np.full(n_samples, math.nan)
+        f = comp.derivative(x, u)
+        i_theta = comp.state_labels.index("theta")
+        i_v = comp.state_labels.index("v")
+        supply_series[cid] = supply_rate(
+            u[0] - anchor.P, u[1] - anchor.Q, f[i_theta], x[i_v], f[i_v], config.convention
+        )
+
     return Trajectory(
         times=times,
         bus_ids=list(net.non_ground),
@@ -833,8 +830,8 @@ def simulate(
         },
         P=series_p,
         Q=series_q,
-        vp=vp_series,
-        w=w_series,
+        vp=vp - vp[0],
+        w=bregman.value(bus_v, bus_t, vp=vp),
         storage=storage_series,
         storage_rate=wdot_series,
         supply=supply_series,

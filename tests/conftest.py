@@ -214,6 +214,20 @@ def ring_networks(draw, min_buses=3, max_buses=12):
     return net, np.array(v), np.array(th)
 
 
+@st.composite
+def ring_network_samples(draw, max_samples=6):
+    """A :func:`ring_networks` network with S states on a leading sample
+    axis, V and theta of shape (S, n), and a generation pair (P, Q) of the
+    source per sample, each of shape (S,)."""
+    net, v, th = draw(ring_networks())
+    s = draw(st.integers(1, max_samples))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = v * rng.uniform(0.9, 1.1, (s, len(v)))
+    theta = th + rng.uniform(-0.5, 0.5, (s, len(v)))
+    P, Q = rng.uniform(-1.0, 1.0, (2, s))
+    return net, V, theta, P, Q
+
+
 def thevenin_sources(net, V, theta):
     """E = sum_k B_nk V_k e^(j theta_k) over each bus's lines, by complex
     arithmetic, one entry per node."""

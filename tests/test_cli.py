@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,11 +252,21 @@ def _nan_reactance(doc):
     doc["branches"][0]["x"] = math.nan
 
 
+def _nan_setpoint(doc):
+    doc["components"][0]["setpoints"] = {"P_e": math.nan, "Q_e": 0.0, "V_e": 1.0, "theta_e": 0.0}
+
+
+def _inf_operating_angle(doc):
+    doc["operating_point"]["bus3"]["theta"] = -math.inf
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [(_nan_mass, "parameter M must be positive and finite"),
-     (_nan_reactance, "non-finite reactance nan")],
-    ids=["component-nan", "reactance-nan"],
+     (_nan_reactance, "non-finite reactance nan"),
+     (_nan_setpoint, "components[0].setpoints.P_e: expected a finite number, got nan"),
+     (_inf_operating_angle, "operating_point.bus3.theta: expected a finite number, got -inf")],
+    ids=["component-nan", "reactance-nan", "setpoint-nan", "operating-angle-inf"],
 )
 def test_non_finite_case_value_exits_one(capsys, tmp_path, edit, message):
     from phasorstab.cli import resolve_case_path
@@ -265,6 +278,28 @@ def test_non_finite_case_value_exits_one(capsys, tmp_path, edit, message):
     assert code == 1
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "line, shown",
+    [(True, "True"), (2.7, "2.7"), (math.inf, "inf")],
+    ids=["bool", "fraction", "infinity"],
+)
+def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
+    from phasorstab.cli import resolve_case_path
+
+    doc = json.loads(open(resolve_case_path("case3bus")).read())
+    doc["scenario"]["disturbances"].append(
+        {"at": 0.5, "kind": "line_scale", "line": line, "factor": 0.5}
+    )
+    path = write_case(tmp_path, doc)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "simulate", path, "--horizon", "1", "--out", str(out_csv))
+    assert code == 1
+    assert err == (
+        f"error: scenario.disturbances[2].line: expected an integer, got {shown}\n"
+    )
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize(
@@ -311,3 +346,22 @@ def test_convention_flag_changes_recorded_supply(capsys, tmp_path):
     row_p = outs["printed"][-1].split(",")
     assert float(row_n[supply_col]) == pytest.approx(-float(row_p[supply_col]), rel=1e-12)
     assert row_n[v_col] == row_p[v_col]
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # perfbench/tracer.py wraps these functions by name in a traced run; a
+    # rename must fail here, not in that run
+    import phasorstab.cli  # noqa: F401  (loads every module the tracer wraps)
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for binding in [*tracer.BINDINGS, tracer.ROOT_SPAN]:
+        module, *path_in_module = binding.split(".")
+        owner = sys.modules.get(f"phasorstab.{module}")
+        assert owner is not None, binding
+        for name in path_in_module:
+            assert hasattr(owner, name), binding
+            owner = getattr(owner, name)
+        assert callable(owner), binding

@@ -234,6 +234,59 @@ def test_supply_rate_bilinear(dp, dq, td, vd, scale):
 def test_supply_rate_requires_positive_voltage():
     with pytest.raises(ValueError):
         supply_rate(0.1, 0.1, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="got -0.5"):
+        supply_rate(np.zeros(3), np.zeros(3), np.zeros(3), np.array([1.0, -0.5, 0.9]), np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    make=st.sampled_from([vsg, droop]),
+    samples=st.lists(
+        st.tuples(
+            st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(0.7, 1.3),
+            st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_diagnostics_over_a_sample_axis_match_per_sample(make, samples):
+    c = make()
+    anchor = Anchor(P=0.15, Q=0.05, V=0.98, theta=0.02)
+    rows = np.array(samples)  # (theta, omega, v, P, Q) per sample
+    x = rows[:, :3].T if c.nstates == 3 else rows[:, [0, 2]].T
+    u = (rows[:, 3], rows[:, 4])
+    i_theta, i_v = c.state_labels.index("theta"), c.state_labels.index("v")
+    f = c.derivative(x, u)
+    arrays = {
+        "storage": c.storage(x, anchor),
+        "storage_rate": c.storage_rate(x, u, anchor),
+        **{f"derivative[{j}]": f[j] for j in range(c.nstates)},
+        **{
+            conv.value: supply_rate(
+                u[0] - anchor.P, u[1] - anchor.Q, f[i_theta], x[i_v], f[i_v], conv
+            )
+            for conv in SupplyConvention
+        },
+    }
+    for s in range(len(samples)):
+        xs = x[:, s].tolist()
+        us = (float(u[0][s]), float(u[1][s]))
+        fs = c.derivative(xs, us)
+        scalars = {
+            "storage": c.storage(xs, anchor),
+            "storage_rate": c.storage_rate(xs, us, anchor),
+            **{f"derivative[{j}]": fs[j] for j in range(c.nstates)},
+            **{
+                conv.value: supply_rate(
+                    us[0] - anchor.P, us[1] - anchor.Q, fs[i_theta], xs[i_v], fs[i_v], conv
+                )
+                for conv in SupplyConvention
+            },
+        }
+        for name, value in scalars.items():
+            assert arrays[name].shape == (len(samples),), name
+            assert arrays[name][s] == pytest.approx(value, rel=1e-12, abs=1e-15), name
 
 
 # -- local quadratic forms ------------------------------------------------------

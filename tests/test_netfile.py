@@ -1,5 +1,8 @@
 """Network description files: schema validation and assembly."""
 
+import math
+import re
+
 import pytest
 
 from phasorstab.cli import resolve_case_path
@@ -162,3 +165,34 @@ def test_only_rk4_integrator_parses():
     assert parse_solver({"integrator": "rk4"}) == SolverConfig()
     with pytest.raises(NetworkFileError, match="solver.integrator: must be rk4"):
         parse_solver({"integrator": "trapezoid"})
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["components"][0]["setpoints"].update(P_e=math.nan),
+         "components[0].setpoints.P_e"),
+        (lambda d: d["components"][0]["setpoints"].update(V_e=math.inf),
+         "components[0].setpoints.V_e"),
+        (lambda d: d["components"][0]["setpoints"].update(theta_e=-math.inf),
+         "components[0].setpoints.theta_e"),
+        (lambda d: d["operating_point"]["b"].update(V=math.nan), "operating_point.b.V"),
+        (lambda d: d["operating_point"]["a"].update(theta=math.inf), "operating_point.a.theta"),
+    ],
+    ids=["setpoint-nan", "setpoint-inf", "setpoint-neg-inf", "op-voltage-nan", "op-angle-inf"],
+)
+def test_non_finite_setpoints_rejected_with_field(edit, field):
+    doc = minimal_doc(operating_point={
+        "a": {"V": 1.0, "theta": 0.0},
+        "b": {"V": 0.98, "theta": -0.01},
+    })
+    edit(doc)
+    with pytest.raises(NetworkFileError, match=re.escape(f"{field}: expected a finite number")):
+        parse_case(doc)
+
+
+def test_setpoint_type_error_names_the_field():
+    doc = minimal_doc()
+    doc["components"][0]["setpoints"]["Q_e"] = "0.1"
+    with pytest.raises(NetworkFileError, match=re.escape("setpoints.Q_e: expected a number")):
+        parse_case(doc)

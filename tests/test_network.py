@@ -26,7 +26,7 @@ from phasorstab.network import (
     tellegen_sum,
 )
 
-from conftest import ring_networks, thevenin_networks, thevenin_sources
+from conftest import ring_network_samples, ring_networks, thevenin_networks, thevenin_sources
 
 
 def two_bus(x=1.0):
@@ -401,6 +401,22 @@ def test_branch_voltage_current_orthogonality(state):
     net = two_bus(x=0.7)
     total = tellegen_sum(net, BusState(np.array(v), np.array(th)))
     assert abs(total) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ring_network_samples())
+def test_tellegen_over_a_sample_axis_matches_per_sample(case):
+    net, V, TH, P, Q = case
+    # every branch power is at most 4 B Vmax^2 on a line, about 1 elsewhere
+    scale = 1.0 + 4.0 * float(V.max()) ** 2 * sum(b for _, _, b in net.edges)
+    states = BusState(V, TH)
+    for inj in (None, {"src": (P, Q)}):
+        batch = tellegen_sum(net, states, inj)
+        assert batch.shape == (len(V),)
+        for s in range(len(V)):
+            one = None if inj is None else {"src": (float(P[s]), float(Q[s]))}
+            ref = tellegen_sum(net, BusState(V[s], TH[s]), one)
+            assert abs(batch[s] - ref) <= 1e-12 * max(abs(ref), scale)
 
 
 def test_orthogonality_needs_balanced_injections(case3bus, case3bus_solution):

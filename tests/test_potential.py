@@ -28,7 +28,7 @@ from phasorstab.potential import (
     uniform_angle_mode,
 )
 
-from conftest import ring_networks
+from conftest import ring_network_samples, ring_networks
 from helpers import hessian_vp_polar
 
 
@@ -72,6 +72,38 @@ def test_case_potential_matches_branch_phasor_sum(case3bus):
         i = net.node_index[cp.bus]
         expected += cp.p0 * th[i] + cp.q0 * math.log(v[i])
     assert eval_vp(net, v, th) == pytest.approx(expected, rel=1e-12)
+
+
+def vp_loop(net, V, theta):
+    """Vp as a Python loop over the lines and loads, the reference for the
+    array form; returns the value and the sum of the terms' magnitudes."""
+    total = scale = 0.0
+    for i, k, b in net.edges:
+        term = 0.5 * b * (V[i] ** 2 + V[k] ** 2 - 2.0 * V[i] * V[k] * math.cos(theta[i] - theta[k]))
+        total += term
+        scale += abs(term)
+    for i, (p0, q0) in enumerate(zip(net.load_p, net.load_q)):
+        term = p0 * theta[i] + q0 * math.log(V[i])
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ring_network_samples())
+def test_vp_and_divergence_over_a_sample_axis_match_per_state(case):
+    net, V, TH, _, _ = case
+    bre = BregmanDivergence(net, V[0], TH[0])
+    vp = eval_vp(net, V, TH)
+    w = bre.value(V, TH, vp=vp)
+    assert vp.shape == w.shape == (len(V),)
+    assert np.array_equal(bre.value(V, TH), w)
+    for s in range(len(V)):
+        ref, scale = vp_loop(net, V[s].tolist(), TH[s].tolist())
+        assert eval_vp(net, V[s], TH[s]) == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
+        assert vp[s] == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
+        w_scale = scale + abs(bre.vp0) + float(np.abs(bre.grad0).sum())
+        assert w[s] == pytest.approx(bre.value(V[s], TH[s]), rel=1e-12, abs=1e-12 * w_scale)
 
 
 # -- gradient ------------------------------------------------------------------

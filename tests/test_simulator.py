@@ -10,6 +10,7 @@ from phasorstab import simulator
 from phasorstab.components import VsgComponent
 from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium
 from phasorstab.network import BusState, NetworkError, kcl_residual, power_injection
+from phasorstab.potential import eval_vp
 from phasorstab.simulator import (
     LineScale,
     LoadStep,
@@ -165,6 +166,25 @@ def test_line_scale_pulse_runs(case3bus, case3bus_solution):
     assert traj.network_changed
     # coupling is restored afterwards, so the system heads back
     assert np.abs(traj.V[-1] - case3bus_solution.state.V).max() < 0.05
+
+
+def test_vp_stays_on_the_base_network_during_a_load_step(case3bus, case3bus_solution):
+    # Vp is the base network's potential relative to sample 0, also while a
+    # load step is active; the stepped network's potential differs
+    step = LoadStep(at=0.1, bus="bus3", dp=0.05, dq=0.02)
+    scen = Scenario(horizon=0.5, output_period=0.01, disturbances=[step])
+    traj = simulate(
+        case3bus.net, case3bus.components, scen, SolverConfig(step_size=1e-3), case3bus_solution
+    )
+    assert traj.network_changed
+
+    def per_sample_vp(net):
+        return np.array([eval_vp(net, traj.V[s], traj.theta[s]) for s in range(traj.n_samples)])
+
+    base = per_sample_vp(case3bus.net)
+    assert np.all(np.abs(traj.vp - (base - base[0])) <= 1e-12 * np.maximum(1.0, np.abs(base)))
+    stepped = per_sample_vp(case3bus.net.with_load_delta("bus3", 0.05, 0.02))
+    assert abs(traj.vp[-1] - (stepped[-1] - stepped[0])) > 1e-4
 
 
 def test_event_time_must_sit_on_the_grid(case3bus, case3bus_solution):
