@@ -657,14 +657,6 @@ def simulate(
     bregman = BregmanDivergence(
         net, equilibrium.state.V.copy(), equilibrium.state.theta.copy()
     )
-    storage_ok: dict[str, bool] = {}
-    for cid, comp in zip(comp_ids, engine.comps):
-        try:
-            comp.require_stiffness(anchors[cid])
-            storage_ok[cid] = True
-        except CertificateUnavailable:
-            # storage diagnostics degrade to NaN; flows and integrals stay valid
-            storage_ok[cid] = False
 
     # initial differential state
     y: list[float] = [0.0] * engine.ny
@@ -806,10 +798,11 @@ def simulate(
         x = comp_states[cid].T  # (nstates, samples)
         u = (series_p[cid], series_q[cid])
         anchor = anchors[cid]
-        if storage_ok[cid]:
+        try:
             storage_series[cid] = comp.storage(x, anchor)
             wdot_series[cid] = comp.storage_rate(x, u, anchor)
-        else:
+        except CertificateUnavailable:
+            # storage diagnostics degrade to NaN; flows and integrals stay valid
             storage_series[cid] = np.full(n_samples, math.nan)
             wdot_series[cid] = np.full(n_samples, math.nan)
         f = comp.derivative(x, u)
