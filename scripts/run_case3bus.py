@@ -18,6 +18,7 @@ from phasorstab.certify import certify, render_report
 from phasorstab.cli import resolve_case_path
 from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium, solve_setpoints
 from phasorstab.netfile import load_case
+from phasorstab.records import replace
 from phasorstab.simulator import simulate
 
 
@@ -47,8 +48,6 @@ def main() -> None:
 
     scenario = case.scenario
     if args.horizon is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, horizon=args.horizon)
     traj = simulate(case.net, case.components, scenario, case.solver, sol)
     traj.to_csv(args.out)

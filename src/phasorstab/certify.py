@@ -18,7 +18,6 @@ only equilibria is not checkable numerically and is stated as assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .components import (
 from .equilibrium import EquilibriumSolution
 from .potential import ConvexityReport, convexity_check, hessian_vp
 from .network import NetworkModel
+from .records import recordclass
 from .simulator import Trajectory
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 DEFAULT_CRITERION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class IntegralVerdict:
     component_id: str
     satisfied: bool
@@ -58,7 +58,7 @@ class IntegralVerdict:
     tol: float
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class StorageVerdict:
     component_id: str
     convention: SupplyConvention
@@ -69,7 +69,7 @@ class StorageVerdict:
     unavailable_reason: str | None = None
 
 
-@dataclass
+@recordclass
 class CertificateReport:
     integral: dict[str, IntegralVerdict]
     storage: dict[SupplyConvention, dict[str, StorageVerdict]]

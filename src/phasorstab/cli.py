@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
 from importlib import resources
 
 import numpy as np
@@ -40,7 +39,8 @@ from .potential import (
     path_dependence_experiment,
     rectangle_contour_pair,
 )
-from .simulator import ScenarioError, SimulationError, simulate
+from .records import asdict, replace
+from .simulator import ScenarioError, SimulationError, _snap_to_grid, simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -82,6 +82,17 @@ def _number_option(text: str, flag: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise ScenarioError(f"{flag} expects a finite number, got {text!r}")
+    return value
+
+
+def _count_option(text: str, flag: str) -> int:
+    """Value of a command-line option that counts something: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ScenarioError(f"{flag} expects an integer >= 1, got {text!r}")
     return value
 
 
@@ -190,6 +201,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    tol = _number_option(args.tol, "--tol")
+    if tol < 0.0:
+        raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
     case = _prepare(load_case(resolve_case_path(args.case)), args)
     sol = _solve_case_equilibrium(case)
     traj = None
@@ -200,12 +214,33 @@ def cmd_certify(args) -> int:
             )
         traj = simulate(case.net, case.components, case.scenario, case.solver, sol)
     report = run_certify(
-        case.net, case.components, sol, traj, tol=args.tol
+        case.net, case.components, sol, traj, tol=tol
     )
     if args.out:
         _atomic_write(args.out, report.to_json())
     sys.stdout.write(render_report(report))
     return EXIT_OK
+
+
+def _step_sweep(text: str, horizon: float, disturbances: list) -> list[float]:
+    """The step sizes of ``--h-sweep``, checked before any work: at least two,
+    positive, distinct, and each putting the horizon and every disturbance
+    time on its step grid."""
+    steps = [_number_option(s, "--h-sweep") for s in text.split(",")]
+    if len(steps) < 2:
+        raise ScenarioError("--h-sweep needs at least two step sizes")
+    if len(set(steps)) < len(steps):
+        raise ScenarioError(f"--h-sweep step sizes must be distinct, got {text!r}")
+    for h in steps:
+        if not h > 0.0:
+            raise ScenarioError(f"--h-sweep step sizes must be positive, got {h}")
+        try:
+            _snap_to_grid(horizon, h, "horizon")
+            for d in disturbances:
+                _snap_to_grid(d.at, h, "disturbance time")
+        except ScenarioError as exc:
+            raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
+    return steps
 
 
 def cmd_verify_identities(args) -> int:
@@ -222,9 +257,8 @@ def cmd_verify_identities(args) -> int:
         if args.horizon is not None
         else scenario.horizon
     )
-    steps = [_number_option(s, "--h-sweep") for s in args.h_sweep.split(",")]
-    if len(steps) < 2:
-        raise ScenarioError("--h-sweep needs at least two step sizes")
+    disturbances = [d for d in scenario.disturbances if d.at <= horizon]
+    steps = _step_sweep(args.h_sweep, horizon, disturbances)
     sol = _solve_case_equilibrium(case)
     from .certify import identity_residuals
     from .network import BusState, tellegen_sum
@@ -238,7 +272,7 @@ def cmd_verify_identities(args) -> int:
             scenario,
             horizon=horizon,
             output_period=period,
-            disturbances=[d for d in scenario.disturbances if d.at <= horizon],
+            disturbances=disturbances,
         )
         traj = simulate(case.net, case.components, run_scenario, solver, sol)
         potential_res, divergence_res = identity_residuals(traj)
@@ -284,19 +318,22 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_path_experiment(args) -> int:
+    g = _number_option(args.g, "--g")
+    b = _number_option(args.b, "--b")
+    n = _count_option(args.n, "--n")
     if args.contours:
         with open(args.contours) as fh:
             raw = json.load(fh)
         contour_a = [complex(p[0], p[1]) for p in raw["a"]]
         contour_b = [complex(p[0], p[1]) for p in raw["b"]]
     else:
-        contour_a, contour_b = rectangle_contour_pair(args.width, args.height)
-    result = path_dependence_experiment(
-        args.g, args.b, contour_a, contour_b, n=args.n
-    )
+        contour_a, contour_b = rectangle_contour_pair(
+            _number_option(args.width, "--width"), _number_option(args.height, "--height")
+        )
+    result = path_dependence_experiment(g, b, contour_a, contour_b, n=n)
     doc = {
-        "g": args.g,
-        "b": args.b,
+        "g": g,
+        "b": b,
         "enclosed_area": enclosed_area(contour_a, contour_b),
         "integral_a": [result.integral_a.real, result.integral_a.imag],
         "integral_b": [result.integral_b.real, result.integral_b.imag],
@@ -323,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tol",
-        type=float,
-        default=1e-6,
+        default="1e-6",
         help="criterion tolerance for certification checks",
     )
     parser.add_argument(
@@ -367,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_path = sub.add_parser(
         "path-experiment", help="contour comparison of the branch line integral"
     )
-    p_path.add_argument("--g", type=float, default=0.0, help="conductance")
-    p_path.add_argument("--b", type=float, default=-1.0, help="susceptance")
-    p_path.add_argument("--width", type=float, default=1.0)
-    p_path.add_argument("--height", type=float, default=1.0)
-    p_path.add_argument("--n", type=int, default=512, help="points per segment")
+    p_path.add_argument("--g", default="0.0", help="conductance")
+    p_path.add_argument("--b", default="-1.0", help="susceptance")
+    p_path.add_argument("--width", default="1.0")
+    p_path.add_argument("--height", default="1.0")
+    p_path.add_argument("--n", default="512", help="points per segment")
     p_path.add_argument("--contours", default=None, help="JSON file with contours a/b")
     p_path.add_argument("--out", default=None)
     p_path.set_defaults(func=cmd_path_experiment)

@@ -32,10 +32,11 @@ the sign that makes the swing component verify exactly (dissipation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+
+from .records import recordclass, replace
 
 __all__ = [
     "SupplyConvention",
@@ -65,7 +66,7 @@ class SupplyConvention(Enum):
         return s if self is SupplyConvention.PRINTED else -s
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class Setpoints:
     P_e: float
     Q_e: float
@@ -73,7 +74,7 @@ class Setpoints:
     theta_e: float
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class Anchor:
     """Equilibrium point a storage function is anchored at."""
 
@@ -167,7 +168,7 @@ class Component:
         return self.setpoints
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class VsgComponent(Component):
     """Inverter source with virtual inertia and frequency/voltage droop.
 
@@ -241,7 +242,7 @@ class VsgComponent(Component):
         return (theta, 0.0, V)
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class DroopComponent(Component):
     """Inverter source with proportional angle and voltage droop.
 
@@ -321,7 +322,7 @@ class DroopComponent(Component):
 # -- local quadratic-form certificate ---------------------------------------
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class QuadraticFormReport:
     convention: SupplyConvention
     variables: tuple[str, ...]
@@ -330,7 +331,7 @@ class QuadraticFormReport:
     verdict: str  # "holds" | "holds-marginally" | "fails"
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class LocalCertificate:
     component_id: str
     reports: dict[SupplyConvention, QuadraticFormReport]

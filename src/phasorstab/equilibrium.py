@@ -16,7 +16,6 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .network import (
     injection_partials,
     power_injection,
 )
+from .records import field, recordclass
 
 __all__ = [
     "EquilibriumError",
@@ -52,7 +52,7 @@ class InconsistentInput(ValueError):
     """Setpoints or operating point incompatible with the network."""
 
 
-@dataclass
+@recordclass
 class EquilibriumProblem:
     net: NetworkModel
     components: dict[str, Component]  # keyed by component id
@@ -77,7 +77,7 @@ class EquilibriumProblem:
             )
 
 
-@dataclass
+@recordclass
 class EquilibriumSolution:
     state: BusState
     component_states: dict[str, tuple[float, ...]]
@@ -90,7 +90,7 @@ class EquilibriumSolution:
     pin_consistency_residual: float = 0.0
 
 
-@dataclass
+@recordclass
 class SetpointSolution:
     setpoints: dict[str, Setpoints]            # keyed by component id
     implied_loads: dict[str, tuple[float, float]]  # consumption-positive, by bus

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from .components import Component, DroopComponent, Setpoints, SupplyConvention, VsgComponent
@@ -27,6 +26,7 @@ from .network import (
     NetworkError,
     NetworkModel,
 )
+from .records import recordclass
 from .simulator import (
     LineScale,
     LoadStep,
@@ -42,7 +42,7 @@ class NetworkFileError(ValueError):
     """Schema violation, reported with its location in the document."""
 
 
-@dataclass
+@recordclass
 class CaseDefinition:
     """Everything a command needs, parsed and validated."""
 

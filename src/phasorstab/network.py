@@ -32,10 +32,11 @@ pure, so they are thread-safe. Branch reductions run in declaration order
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .records import field, recordclass
 
 __all__ = [
     "BusKind",
@@ -69,14 +70,14 @@ class BusKind(Enum):
     PASSIVE = "passive"
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class Bus:
     id: str
     kind: BusKind
     component_id: str | None = None
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class LosslessLine:
     """Series branch with admittance y = -j/x (susceptance b = -1/x).
 
@@ -102,7 +103,7 @@ class LosslessLine:
         return complex(0.0, self.susceptance)
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class ConstantPowerBranch:
     """Constant-power shunt; p0/q0 are declared consumption-positive."""
 
@@ -119,7 +120,7 @@ class ConstantPowerBranch:
         return -self.q0
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class DynamicShunt:
     """Shunt slot occupied by a dynamic component; always runs to ground."""
 
@@ -127,7 +128,7 @@ class DynamicShunt:
     component_id: str
 
 
-@dataclass
+@recordclass
 class NetworkModel:
     """Validated bus/branch graph with derived per-edge and per-bus arrays.
 
@@ -334,7 +335,7 @@ class NetworkModel:
         return NetworkModel(self.buses, list(self.lines), cps, list(self.dynamic_shunts))
 
 
-@dataclass
+@recordclass
 class BusState:
     """Voltage magnitude/angle per non-ground bus, in network node order.
 

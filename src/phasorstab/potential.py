@@ -23,11 +23,11 @@ and its Hessian can have a different signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import NetworkModel, injection_partials, power_injection
+from .records import field, recordclass
 
 __all__ = [
     "eval_vp",
@@ -86,7 +86,7 @@ def hessian_vp(net: NetworkModel, V, theta) -> np.ndarray:
     return np.block([[dp_dt, dp_dv * v], [dq_dt, dq_dv * v]])
 
 
-@dataclass
+@recordclass
 class BregmanDivergence:
     """Divergence W(z) = Vp(z) - Vp(z0) - grad Vp(z0) . (z - z0).
 
@@ -130,7 +130,7 @@ class BregmanDivergence:
         return hessian_vp(self.net, self.V0, self.theta0)
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class ConvexityReport:
     member: bool
     degenerate: bool
@@ -213,7 +213,7 @@ def convexity_check(
 # -- path-(in)dependence experiment ------------------------------------------
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class ContourIntegralResult:
     integral_a: complex
     integral_b: complex

@@ -10,7 +10,8 @@ downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import recordclass
 
 __all__ = [
     "ThreePhaseSignal",
@@ -28,7 +29,7 @@ _SQRT_2_3 = math.sqrt(2.0 / 3.0)
 PHASOR_ATOL = 1e-9  # default componentwise tolerance for phasor comparisons
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class ThreePhaseSignal:
     """One sample of a balanced AC three-phase signal.
 
@@ -54,7 +55,7 @@ class ThreePhaseSignal:
         return (a, b, c)
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class Phasor:
     """Complex-valued signal sample in magnitude/angle form.
 
@@ -90,7 +91,7 @@ class Phasor:
         return abs(self.re - other.re) <= atol and abs(self.im - other.im) <= atol
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class ComplexPower:
     """Active/reactive power pair (per-unit)."""
 

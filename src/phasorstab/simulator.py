@@ -52,7 +52,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +71,7 @@ from .network import (
     power_injection_scalar,
 )
 from .potential import BregmanDivergence, eval_vp
+from .records import field, recordclass
 
 __all__ = [
     "SimulationError",
@@ -102,14 +102,14 @@ class ScenarioError(ValueError):
 # -- scenario ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class StatePerturbation:
     at: float
     component: str
     delta: dict[str, float]  # state label -> additive increment
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class LoadStep:
     at: float
     bus: str
@@ -118,7 +118,7 @@ class LoadStep:
     duration: float | None = None
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class LineScale:
     at: float
     line_index: int
@@ -130,7 +130,7 @@ NetworkDisturbance = LoadStep | LineScale
 Disturbance = StatePerturbation | NetworkDisturbance
 
 
-@dataclass
+@recordclass
 class Scenario:
     horizon: float
     output_period: float = 0.01
@@ -163,7 +163,7 @@ class Scenario:
         return any(isinstance(d, (LoadStep, LineScale)) for d in self.disturbances)
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class SolverConfig:
     step_size: float = 1e-3
     newton_tol: float = 1e-10
@@ -183,7 +183,7 @@ class SolverConfig:
 # -- trajectory ----------------------------------------------------------------
 
 
-@dataclass
+@recordclass
 class Trajectory:
     """Uniformly sampled simulation output with per-sample diagnostics.
 
@@ -575,7 +575,7 @@ def _snap_to_grid(value: float, h: float, what: str) -> int:
     return steps
 
 
-@dataclass(frozen=True)
+@recordclass(frozen=True)
 class _Event:
     """A disturbance taking effect, or with ``ends`` a timed one expiring."""
 

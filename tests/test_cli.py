@@ -312,15 +312,52 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
         (["certify", "case3bus", "--h", "fast"], "--h expects a finite"),
         (["verify-identities", "case3bus", "--horizon", "x"], "--horizon expects"),
         (["verify-identities", "case3bus", "--h-sweep", "2e-3,1e-3,"], "--h-sweep expects"),
+        (["verify-identities", "case3bus", "--h-sweep", "2e-3,2e-3"], "--h-sweep step sizes must be distinct"),
+        (["verify-identities", "case3bus", "--h-sweep", "2e-3,-1e-3"], "--h-sweep step sizes must be positive"),
+        (["verify-identities", "case3bus", "--h-sweep", "4e-3,2e-3,1.5e-3", "--horizon", "2"],
+         "--h-sweep step 0.0015: horizon = 2.0 does not align"),
+        (["--tol", "nan", "certify", "case3bus", "--with-trajectory"], "--tol expects a finite"),
+        (["--tol", "abc", "certify", "case3bus"], "--tol expects a finite number, got 'abc'"),
+        (["--tol=-1e-6", "certify", "case3bus"], "--tol must be nonnegative"),
+        (["path-experiment", "--n", "0"], "--n expects an integer >= 1, got '0'"),
+        (["path-experiment", "--n", "-3"], "--n expects an integer >= 1"),
+        (["path-experiment", "--n", "2.5"], "--n expects an integer >= 1"),
+        (["path-experiment", "--g", "nan"], "--g expects a finite number"),
+        (["path-experiment", "--b", "inf"], "--b expects a finite number"),
+        (["path-experiment", "--width", "wide"], "--width expects a finite number"),
+        (["path-experiment", "--height=-inf"], "--height expects a finite number"),
     ],
     ids=["h-text", "h-zero", "horizon-text", "horizon-nan", "certify-h", "verify-horizon",
-         "h-sweep-empty-entry"],
+         "h-sweep-empty-entry", "h-sweep-repeated", "h-sweep-negative", "h-sweep-off-horizon",
+         "tol-nan", "tol-text", "tol-negative", "n-zero",
+         "n-negative", "n-fraction", "g-nan", "b-inf", "width-text", "height-inf"],
 )
 def test_bad_numeric_option_exits_one(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 1
     assert err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_h_sweep_is_checked_before_the_equilibrium_solve(capsys, tmp_path, monkeypatch):
+    import phasorstab.cli as cli
+
+    def no_solve(case):
+        raise AssertionError("the equilibrium was solved before the sweep was checked")
+
+    monkeypatch.setattr(cli, "_solve_case_equilibrium", no_solve)
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    doc["scenario"]["disturbances"][1]["at"] = 0.5
+    path = write_case(tmp_path, doc)
+    code, out, err = run_cli(
+        capsys, "verify-identities", path, "--h-sweep", "4e-3,3e-3", "--horizon", "0.6"
+    )
+    assert code == 1
+    assert err == (
+        "error: --h-sweep step 0.003: disturbance time = 0.5 does not align with the"
+        " step grid (h = 0.003)\n"
+    )
+    assert out == ""
 
 
 def test_convention_flag_changes_recorded_supply(capsys, tmp_path):
