@@ -12,11 +12,8 @@ summary. Equivalent CLI:
 
 import argparse
 
-import numpy as np
-
 from phasorstab.certify import certify, render_report
-from phasorstab.cli import resolve_case_path
-from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium, solve_setpoints
+from phasorstab.cli import back_solve_setpoints, resolve_case_path, solve_case_equilibrium
 from phasorstab.netfile import load_case
 from phasorstab.records import replace
 from phasorstab.simulator import simulate
@@ -28,19 +25,8 @@ def main() -> None:
     parser.add_argument("--horizon", type=float, default=None)
     args = parser.parse_args()
 
-    case = load_case(resolve_case_path("case3bus"))
-    v = [case.operating_point[b][0] for b in case.net.non_ground]
-    th = [case.operating_point[b][1] for b in case.net.non_ground]
-    sp = solve_setpoints(case.net, case.components, v, th)
-    for cid in case.components:
-        case.components[cid] = case.components[cid].with_setpoints(sp.setpoints[cid])
-
-    sol = solve_equilibrium(
-        EquilibriumProblem(
-            case.net, case.components,
-            initial_V=np.array(v), initial_theta=np.array(th),
-        )
-    )
+    case = back_solve_setpoints(load_case(resolve_case_path("case3bus")))
+    sol = solve_case_equilibrium(case)
     print(f"equilibrium ({sol.iterations} Newton iterations, "
           f"residual {sol.residual_norm:.2e}):")
     for i, bus in enumerate(case.net.non_ground):

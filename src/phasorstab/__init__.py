@@ -14,7 +14,6 @@ from .components import (
 )
 from .equilibrium import (
     EquilibriumError,
-    EquilibriumProblem,
     InconsistentInput,
     solve_equilibrium,
     solve_setpoints,

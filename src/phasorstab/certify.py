@@ -22,7 +22,6 @@ import json
 import numpy as np
 
 from .components import (
-    Anchor,
     CertificateUnavailable,
     Component,
     LocalCertificate,
@@ -30,7 +29,7 @@ from .components import (
     local_certificate,
 )
 from .equilibrium import EquilibriumSolution
-from .potential import ConvexityReport, convexity_check, hessian_vp
+from .potential import POS_TOL, ZERO_TOL, ConvexityReport, convexity_check, hessian_vp
 from .network import NetworkModel
 from .records import recordclass
 from .simulator import Trajectory
@@ -263,8 +262,6 @@ def certify(
     equilibrium: EquilibriumSolution,
     traj: Trajectory | None = None,
     tol: float = DEFAULT_CRITERION_TOL,
-    zero_tol: float = 1e-8,
-    pos_tol: float = 1e-10,
 ) -> CertificateReport:
     """Assemble the full certificate report for one equilibrium.
 
@@ -273,19 +270,10 @@ def certify(
     (identical to the setpoints whenever those are consistent).
     """
     hess = hessian_vp(net, equilibrium.state.V, equilibrium.state.theta)
-    convexity = convexity_check(hess, zero_tol=zero_tol, pos_tol=pos_tol)
+    convexity = convexity_check(hess)
 
-    anchors: dict[str, Anchor] = {}
-    for shunt in net.dynamic_shunts:
-        i = net.node_index[shunt.bus]
-        anchors[shunt.component_id] = Anchor(
-            P=equilibrium.injections_P[shunt.component_id],
-            Q=equilibrium.injections_Q[shunt.component_id],
-            V=float(equilibrium.state.V[i]),
-            theta=float(equilibrium.state.theta[i]),
-        )
     local_forms: dict[str, LocalCertificate] = {}
-    for cid, anchor in anchors.items():
+    for cid, anchor in equilibrium.anchors.items():
         try:
             local_forms[cid] = local_certificate(components[cid], anchor)
         except CertificateUnavailable:
@@ -356,7 +344,7 @@ def certify(
         identity_residual_divergence=divergence_res,
         w_consistency=w_note,
         conclusion=conclusion,
-        tolerances={"criterion_tol": tol, "zero_tol": zero_tol, "pos_tol": pos_tol},
+        tolerances={"criterion_tol": tol, "zero_tol": ZERO_TOL, "pos_tol": POS_TOL},
         trajectory_evaluated=traj is not None,
     )
 

@@ -27,7 +27,6 @@ from .certify import render_report
 from .components import SupplyConvention
 from .equilibrium import (
     EquilibriumError,
-    EquilibriumProblem,
     InconsistentInput,
     solve_equilibrium,
     solve_setpoints,
@@ -117,15 +116,25 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     if getattr(args, "h", None) is not None:
         solver = replace(solver, step_size=_number_option(args.h, "--h"))
     case.solver = solver
+    return back_solve_setpoints(case)
+
+
+def _operating_point(case: CaseDefinition) -> tuple[list[float], list[float]]:
+    """The case's operating point as (V, theta) lists in network order."""
+    op = case.operating_point
+    return [op[b][0] for b in case.net.non_ground], [op[b][1] for b in case.net.non_ground]
+
+
+def back_solve_setpoints(case: CaseDefinition) -> CaseDefinition:
+    """Give every component without setpoints the ones back-solved from the
+    case's operating point, in place; returns the case."""
     missing = [cid for cid, c in case.components.items() if c.setpoints is None]
     if missing:
         if case.operating_point is None:
             raise InconsistentInput(
                 f"components {missing} lack setpoints and the file has no operating_point"
             )
-        v = [case.operating_point[b][0] for b in case.net.non_ground]
-        th = [case.operating_point[b][1] for b in case.net.non_ground]
-        sol = solve_setpoints(case.net, case.components, v, th)
+        sol = solve_setpoints(case.net, case.components, *_operating_point(case))
         for cid in missing:
             case.components[cid] = case.components[cid].with_setpoints(
                 sol.setpoints[cid]
@@ -133,18 +142,10 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     return case
 
 
-def _solve_case_equilibrium(case: CaseDefinition):
-    guess_v = guess_t = None
-    if case.operating_point is not None:
-        guess_v = np.array([case.operating_point[b][0] for b in case.net.non_ground])
-        guess_t = np.array([case.operating_point[b][1] for b in case.net.non_ground])
-    problem = EquilibriumProblem(
-        case.net,
-        case.components,
-        initial_V=guess_v,
-        initial_theta=guess_t,
-    )
-    return solve_equilibrium(problem)
+def solve_case_equilibrium(case: CaseDefinition):
+    """The case's equilibrium, from its operating point when it has one."""
+    guess = _operating_point(case) if case.operating_point is not None else ()
+    return solve_equilibrium(case.net, case.components, *guess)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -152,7 +153,7 @@ def _solve_case_equilibrium(case: CaseDefinition):
 
 def cmd_equilibrium(args) -> int:
     case = _prepare(load_case(resolve_case_path(args.case)), args)
-    sol = _solve_case_equilibrium(case)
+    sol = solve_case_equilibrium(case)
     doc = {
         "case": case.name,
         "buses": {
@@ -165,8 +166,8 @@ def cmd_equilibrium(args) -> int:
         "components": {
             cid: {
                 "state": list(map(float, sol.component_states[cid])),
-                "P": float(sol.injections_P[cid]),
-                "Q": float(sol.injections_Q[cid]),
+                "P": float(sol.anchors[cid].P),
+                "Q": float(sol.anchors[cid].Q),
             }
             for cid in sol.component_states
         },
@@ -205,7 +206,7 @@ def cmd_certify(args) -> int:
     if tol < 0.0:
         raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
     case = _prepare(load_case(resolve_case_path(args.case)), args)
-    sol = _solve_case_equilibrium(case)
+    sol = solve_case_equilibrium(case)
     traj = None
     if args.with_trajectory:
         if case.scenario is None:
@@ -259,7 +260,7 @@ def cmd_verify_identities(args) -> int:
     )
     disturbances = [d for d in scenario.disturbances if d.at <= horizon]
     steps = _step_sweep(args.h_sweep, horizon, disturbances)
-    sol = _solve_case_equilibrium(case)
+    sol = solve_case_equilibrium(case)
     from .certify import identity_residuals
     from .network import BusState, tellegen_sum
 
@@ -347,8 +348,18 @@ def cmd_path_experiment(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_VALIDATION, not
+    argparse's 2, which this program reserves for solver failures. The
+    subcommand parsers are made of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasorstab",
         description="Phasor-circuit stability analytics",
     )

@@ -19,9 +19,8 @@ import math
 
 import numpy as np
 
-from .components import Component, Setpoints
+from .components import Anchor, Component, Setpoints
 from .network import (
-    BusKind,
     BusState,
     NetworkModel,
     injection_partials,
@@ -32,7 +31,6 @@ from .records import field, recordclass
 __all__ = [
     "EquilibriumError",
     "InconsistentInput",
-    "EquilibriumProblem",
     "EquilibriumSolution",
     "SetpointSolution",
     "solve_equilibrium",
@@ -40,6 +38,8 @@ __all__ = [
     "steady_state_residual",
 ]
 
+TOL = 1e-10                  # max-norm residual at which Newton stops
+MAX_ITER = 50                # Newton iterations before giving up
 CONSISTENCY_TOL = 1e-8       # tolerance on a pinned-out steady-state relation
 LOAD_MATCH_TOL = 1e-2        # declared vs implied load when back-solving
 
@@ -53,36 +53,11 @@ class InconsistentInput(ValueError):
 
 
 @recordclass
-class EquilibriumProblem:
-    net: NetworkModel
-    components: dict[str, Component]  # keyed by component id
-    reference_bus: str | None = None  # defaults to the first dynamic bus
-    initial_V: np.ndarray | None = None
-    initial_theta: np.ndarray | None = None
-    tol: float = 1e-10
-    max_iter: int = 50
-
-    def __post_init__(self) -> None:
-        for shunt in self.net.dynamic_shunts:
-            if shunt.component_id not in self.components:
-                raise InconsistentInput(
-                    f"no component supplied for id {shunt.component_id!r}"
-                )
-        if self.reference_bus is None:
-            dyn = [b.id for b in self.net.buses if b.kind is BusKind.DYNAMIC]
-            self.reference_bus = dyn[0] if dyn else self.net.non_ground[0]
-        if self.reference_bus not in self.net.node_index:
-            raise InconsistentInput(
-                f"reference bus {self.reference_bus!r} is not a non-ground bus"
-            )
-
-
-@recordclass
 class EquilibriumSolution:
     state: BusState
     component_states: dict[str, tuple[float, ...]]
-    injections_P: dict[str, float]  # generation-positive, keyed by component id
-    injections_Q: dict[str, float]
+    # each component's terminal (P, Q, V, theta), P and Q generation-positive
+    anchors: dict[str, Anchor]
     residual_norm: float
     iterations: int
     residual_history: list[float] = field(default_factory=list)
@@ -167,37 +142,40 @@ def _rotation_symmetric(net: NetworkModel, components: dict[str, Component]) -> 
     )
 
 
-def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
+def solve_equilibrium(
+    net: NetworkModel,
+    components: dict[str, Component],
+    initial_V=None,
+    initial_theta=None,
+) -> EquilibriumSolution:
     """Newton solve of the whole-system steady state.
 
-    Starts from the supplied guess (flat V = 1, theta = 0 by default), damps
-    by halving on residual increase, and stops at max-norm residual <= tol.
-    For rotation-symmetric systems the reference angle row is pinned; its
-    displaced relation is then verified against CONSISTENCY_TOL.
+    ``components`` is keyed by component id. Starts from the supplied guess
+    (flat V = 1, theta = 0 by default), damps by halving on residual
+    increase, and stops at max-norm residual <= TOL. For rotation-symmetric
+    systems the angle row of the reference bus (the first dynamic bus,
+    otherwise the first non-ground bus) is pinned; its displaced relation is
+    then verified against CONSISTENCY_TOL.
     """
-    net = problem.net
-    comps = problem.components
+    for shunt in net.dynamic_shunts:
+        if shunt.component_id not in components:
+            raise InconsistentInput(
+                f"no component supplied for id {shunt.component_id!r}"
+            )
     n = net.n_nodes
-    v = (
-        np.array(problem.initial_V, dtype=float)
-        if problem.initial_V is not None
-        else np.ones(n)
-    )
-    t = (
-        np.array(problem.initial_theta, dtype=float)
-        if problem.initial_theta is not None
-        else np.zeros(n)
-    )
+    v = np.array(initial_V, dtype=float) if initial_V is not None else np.ones(n)
+    t = np.array(initial_theta, dtype=float) if initial_theta is not None else np.zeros(n)
     if v.shape != (n,) or t.shape != (n,):
         raise InconsistentInput("initial guess has wrong length")
 
-    pin = _rotation_symmetric(net, comps)
-    ref = net.node_index[problem.reference_bus]
+    pin = _rotation_symmetric(net, components)
+    dynamic = net.dynamic_nodes()
+    ref = dynamic[0] if dynamic else 0
     ref_row = 2 * ref  # the angle-type relation of the reference bus
     ref_shunt = net.shunt_at[ref]
     if pin:
         if ref_shunt is not None:
-            theta_pin = comps[ref_shunt.component_id].setpoints.theta_e
+            theta_pin = components[ref_shunt.component_id].setpoints.theta_e
         else:
             theta_pin = 0.0
         t[ref] = theta_pin
@@ -205,7 +183,7 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
     def residual(vv, tt):
         """Residual with the reference row pinned, and the injections (P, Q)."""
         inj = power_injection(net, vv, tt)
-        res = _residual(net, comps, vv, tt, inj)
+        res = _residual(net, components, vv, tt, inj)
         if pin:
             res[ref_row] = tt[ref] - theta_pin
         return res, inj
@@ -215,17 +193,17 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
     history = [norm]
     iterations = 0
     # the comparisons are written to fail for NaN as well
-    while not norm <= problem.tol:
+    while not norm <= TOL:
         if not math.isfinite(norm):
             raise EquilibriumError(
                 f"residual not finite at iteration {iterations} (residual {norm:.3e})"
             )
-        if iterations >= problem.max_iter:
+        if iterations >= MAX_ITER:
             raise EquilibriumError(
-                f"Newton did not converge in {problem.max_iter} iterations "
+                f"Newton did not converge in {MAX_ITER} iterations "
                 f"(residual {norm:.3e})"
             )
-        jac = _jacobian(net, comps, v, t, inj)
+        jac = _jacobian(net, components, v, t, inj)
         if pin:
             jac[ref_row, :] = 0.0
             jac[ref_row, 2 * ref] = 1.0
@@ -244,7 +222,7 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
                 continue
             res_new, inj_new = residual(v_new, t_new)
             norm_new = float(np.max(np.abs(res_new)))
-            if norm_new < norm or norm_new <= problem.tol:
+            if norm_new < norm or norm_new <= TOL:
                 break
             scale *= 0.5
         else:
@@ -257,30 +235,28 @@ def solve_equilibrium(problem: EquilibriumProblem) -> EquilibriumSolution:
 
     pin_resid = 0.0
     if pin:
-        full = _residual(net, comps, v, t, inj)
+        full = _residual(net, components, v, t, inj)
         pin_resid = float(abs(full[ref_row]))
         if not pin_resid <= CONSISTENCY_TOL:
             raise InconsistentInput(
                 f"setpoints inconsistent: pinned relation at bus "
-                f"{problem.reference_bus!r} has residual {pin_resid:.3e}"
+                f"{net.non_ground[ref]!r} has residual {pin_resid:.3e}"
             )
 
-    state = BusState(V=v, theta=t)
     p, q = inj[0].tolist(), inj[1].tolist()
     comp_states: dict[str, tuple[float, ...]] = {}
-    inj_p: dict[str, float] = {}
-    inj_q: dict[str, float] = {}
+    anchors: dict[str, Anchor] = {}
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
-        comp = comps[shunt.component_id]
+        comp = components[shunt.component_id]
         comp_states[shunt.component_id] = comp.equilibrium_state(t[i], v[i])
-        inj_p[shunt.component_id] = p[i]
-        inj_q[shunt.component_id] = q[i]
+        anchors[shunt.component_id] = Anchor(
+            P=p[i], Q=q[i], V=float(v[i]), theta=float(t[i])
+        )
     return EquilibriumSolution(
-        state=state,
+        state=BusState(V=v, theta=t),
         component_states=comp_states,
-        injections_P=inj_p,
-        injections_Q=inj_q,
+        anchors=anchors,
         residual_norm=norm,
         iterations=iterations,
         residual_history=history,
@@ -294,14 +270,13 @@ def solve_setpoints(
     components: dict[str, Component],
     V,
     theta,
-    load_tol: float = LOAD_MATCH_TOL,
 ) -> SetpointSolution:
     """Back-solve component setpoints from a target operating point.
 
     Given bus voltages and angles, the natural setpoint choice
     (P_e, Q_e, V_e, theta_e) = (P_i, Q_i, V_i, theta_i) makes every
     steady-state relation vanish identically. Declared constant-power loads
-    are compared against the implied ones; a mismatch beyond `load_tol`
+    are compared against the implied ones; a mismatch beyond LOAD_MATCH_TOL
     (for example a target voltage that violates the load balance) is
     reported as inconsistent input.
     """
@@ -328,7 +303,7 @@ def solve_setpoints(
         dp = declared_p - implied[bus][0]
         dq = declared_q - implied[bus][1]
         mismatch[bus] = (dp, dq)
-        if abs(dp) > load_tol or abs(dq) > load_tol:
+        if abs(dp) > LOAD_MATCH_TOL or abs(dq) > LOAD_MATCH_TOL:
             bad.append(
                 f"{bus}: declared ({declared_p:.6g}, {declared_q:.6g}) vs "
                 f"implied ({implied[bus][0]:.6g}, {implied[bus][1]:.6g})"

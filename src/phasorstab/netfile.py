@@ -229,15 +229,15 @@ def _parse_disturbance(entry: Any, where: str):
         return StatePerturbation(
             at=at,
             component=str(_require(entry, "component", where)),
-            delta={str(k): _number(v, f"{where}.delta.{k}") for k, v in delta.items()},
+            delta={str(k): _finite(v, f"{where}.delta.{k}") for k, v in delta.items()},
         )
     if kind == "load_step":
         _check_fields(entry, {"at", "kind", "bus", "dp", "dq", "duration"}, where)
         return LoadStep(
             at=at,
             bus=str(_require(entry, "bus", where)),
-            dp=_number(_require(entry, "dp", where), f"{where}.dp"),
-            dq=_number(_require(entry, "dq", where), f"{where}.dq"),
+            dp=_finite(_require(entry, "dp", where), f"{where}.dp"),
+            dq=_finite(_require(entry, "dq", where), f"{where}.dq"),
             duration=(
                 _number(entry["duration"], f"{where}.duration")
                 if "duration" in entry
@@ -249,7 +249,7 @@ def _parse_disturbance(entry: Any, where: str):
         return LineScale(
             at=at,
             line_index=_integer(_require(entry, "line", where), f"{where}.line"),
-            factor=_number(_require(entry, "factor", where), f"{where}.factor"),
+            factor=_finite(_require(entry, "factor", where), f"{where}.factor"),
             duration=(
                 _number(entry["duration"], f"{where}.duration")
                 if "duration" in entry

@@ -147,10 +147,14 @@ def uniform_angle_mode(n: int) -> np.ndarray:
     return v
 
 
+ZERO_TOL = 1e-8   # |eigenvalue| / largest |eigenvalue| that counts as zero
+POS_TOL = 1e-10   # smallest eigenvalue that counts as positive
+
+
 def convexity_check(
     hessian: np.ndarray,
-    zero_tol: float = 1e-8,
-    pos_tol: float = 1e-10,
+    zero_tol: float = ZERO_TOL,
+    pos_tol: float = POS_TOL,
     cosine_min: float = 0.999,
 ) -> ConvexityReport:
     """Membership test for the convexity set of an equilibrium.

@@ -62,7 +62,7 @@ from .components import (
     SupplyConvention,
     supply_rate,
 )
-from .equilibrium import EquilibriumProblem, EquilibriumSolution, solve_equilibrium
+from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .network import (
     NetworkModel,
     injection_partials,
@@ -211,7 +211,6 @@ class Trajectory:
     integral: dict[str, np.ndarray]
     unshifted_integral: np.ndarray
     convention: SupplyConvention
-    anchors: dict[str, Anchor]
     equilibrium: EquilibriumSolution
     network: NetworkModel
     components: dict[str, Component]
@@ -222,6 +221,11 @@ class Trajectory:
     inner_solves: int = 0
     inner_iterations: int = 0
     jacobian_factorizations: int = 0
+
+    @property
+    def anchors(self) -> dict[str, Anchor]:
+        """Each component's equilibrium terminal state and injections."""
+        return self.equilibrium.anchors
 
     @property
     def n_samples(self) -> int:
@@ -639,21 +643,12 @@ def simulate(
         raise ScenarioError("horizon must be a whole number of output periods")
     events = _schedule(net, components, scenario, h)
     if equilibrium is None:
-        equilibrium = solve_equilibrium(EquilibriumProblem(net, components))
+        equilibrium = solve_equilibrium(net, components)
 
     engine = _Engine(net, components, config)
     comp_ids = engine.comp_ids
 
-    # anchors: solved-equilibrium terminal state and injections per component
-    anchors: dict[str, Anchor] = {}
-    for cid, comp in zip(comp_ids, engine.comps):
-        node = net.node_index[comp.bus]
-        anchors[cid] = Anchor(
-            P=equilibrium.injections_P[cid],
-            Q=equilibrium.injections_Q[cid],
-            V=float(equilibrium.state.V[node]),
-            theta=float(equilibrium.state.theta[node]),
-        )
+    anchors = equilibrium.anchors
     bregman = BregmanDivergence(
         net, equilibrium.state.V.copy(), equilibrium.state.theta.copy()
     )
@@ -831,7 +826,6 @@ def simulate(
         integral=integral_series,
         unshifted_integral=unshifted_series,
         convention=config.convention,
-        anchors=anchors,
         equilibrium=equilibrium,
         network=net,
         components=dict(components),

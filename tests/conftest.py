@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from phasorstab.cli import resolve_case_path
+from phasorstab.cli import back_solve_setpoints, resolve_case_path, solve_case_equilibrium
 from phasorstab.components import DroopComponent, Setpoints, VsgComponent
-from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium, solve_setpoints
+from phasorstab.equilibrium import solve_setpoints
 from phasorstab.netfile import load_case, parse_case
 from phasorstab.network import (
     Bus,
@@ -25,38 +25,15 @@ from phasorstab.network import (
 from phasorstab.simulator import simulate
 
 
-def with_setpoints_from_operating_point(case):
-    """Back-solve the case's setpoints from its operating point, in place."""
-    v = [case.operating_point[b][0] for b in case.net.non_ground]
-    th = [case.operating_point[b][1] for b in case.net.non_ground]
-    sp = solve_setpoints(case.net, case.components, v, th)
-    for cid in case.components:
-        case.components[cid] = case.components[cid].with_setpoints(sp.setpoints[cid])
-    return case
-
-
-def equilibrium_near_operating_point(case):
-    guess_v = np.array([case.operating_point[b][0] for b in case.net.non_ground])
-    guess_t = np.array([case.operating_point[b][1] for b in case.net.non_ground])
-    return solve_equilibrium(
-        EquilibriumProblem(
-            case.net,
-            case.components,
-            initial_V=guess_v,
-            initial_theta=guess_t,
-        )
-    )
-
-
 @pytest.fixture(scope="session")
 def case3bus():
     """Packaged 3-bus case with setpoints back-solved from its operating point."""
-    return with_setpoints_from_operating_point(load_case(resolve_case_path("case3bus")))
+    return back_solve_setpoints(load_case(resolve_case_path("case3bus")))
 
 
 @pytest.fixture(scope="session")
 def case3bus_solution(case3bus):
-    return equilibrium_near_operating_point(case3bus)
+    return solve_case_equilibrium(case3bus)
 
 
 @pytest.fixture(scope="session")
@@ -386,4 +363,4 @@ def soft_anchor_doc():
 
 def make_soft_anchor_case():
     """:func:`soft_anchor_doc` parsed, with its setpoints back-solved."""
-    return with_setpoints_from_operating_point(parse_case(soft_anchor_doc()))
+    return back_solve_setpoints(parse_case(soft_anchor_doc()))

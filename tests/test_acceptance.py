@@ -23,7 +23,7 @@ from phasorstab.certify import (
     identity_residuals,
 )
 from phasorstab.components import SupplyConvention
-from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium
+from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.network import BusState, branch_currents_oracle, power_injection, tellegen_sum
 from phasorstab.potential import (
     convexity_check,
@@ -89,12 +89,7 @@ def test_criterion_01_equilibrium_reproduction(case3bus):
     guess_v = np.array([case3bus.operating_point[b][0] for b in case3bus.net.non_ground])
     guess_t = np.array([case3bus.operating_point[b][1] for b in case3bus.net.non_ground])
     start = time.perf_counter()
-    sol = solve_equilibrium(
-        EquilibriumProblem(
-            case3bus.net, case3bus.components,
-            initial_V=guess_v, initial_theta=guess_t,
-        )
-    )
+    sol = solve_equilibrium(case3bus.net, case3bus.components, guess_v, guess_t)
     elapsed = time.perf_counter() - start
     v_ok = all(
         abs(sol.state.V[i] - case3bus.operating_point[b][0]) <= 5e-3
@@ -262,7 +257,7 @@ def test_criterion_08_oracle_equivalence(case3bus, traj_default):
 
 def test_criterion_09_certificate_engine(case3bus, case3bus_solution, traj_default):
     net, comps = make_vsg_with_empty_bus()
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     scen = Scenario(
         horizon=10.0,
         output_period=0.01,

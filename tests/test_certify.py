@@ -14,7 +14,7 @@ from phasorstab.certify import (
     render_report,
 )
 from phasorstab.components import Anchor, SupplyConvention, VsgComponent, Setpoints
-from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium
+from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.simulator import (
     LoadStep,
     Scenario,
@@ -41,7 +41,7 @@ def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
         constant_power=[],
         dynamic_shunts=[DynamicShunt("a", "c")],
     )
-    sol = solve_equilibrium(EquilibriumProblem(net, {"c": comp}))
+    sol = solve_equilibrium(net, {"c": comp})
     zeros = np.zeros(n)
     return Trajectory(
         times=times,
@@ -60,7 +60,6 @@ def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
         integral={"c": np.array(integral_series, dtype=float)},
         unshifted_integral=zeros.copy(),
         convention=SupplyConvention.NEGATED,
-        anchors={"c": Anchor(P=0.0, Q=0.0, V=1.0, theta=0.0)},
         equilibrium=sol,
         network=net,
         components={"c": comp},
@@ -151,7 +150,7 @@ def test_w_consistency_lens():
 
 def test_compensated_load_case_goes_green_on_trajectory_criteria(compensated_load_case):
     net, comps = compensated_load_case
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     scen = Scenario(
         horizon=20.0,
         output_period=0.02,
@@ -197,14 +196,13 @@ def test_report_without_trajectory(case3bus, case3bus_solution):
 
 def test_unavailable_certificate_surfaces(vsg_empty_bus):
     net, comps = vsg_empty_bus
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     traj = simulate(
         net, comps, Scenario(horizon=0.1, output_period=0.1),
         SolverConfig(step_size=1e-3), sol,
     )
     # no feasible equilibrium has k <= 0 for this toy, so force the anchor
-    sol.injections_Q["vsg1"] = -60.0
-    traj.anchors["vsg1"] = Anchor(P=0.0, Q=-60.0, V=1.0, theta=0.0)
+    sol.anchors["vsg1"] = Anchor(P=0.0, Q=-60.0, V=1.0, theta=0.0)
     report = certify(net, comps, sol, traj)
     verdict = report.storage[SupplyConvention.NEGATED]["vsg1"]
     assert verdict.satisfied is None

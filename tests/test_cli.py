@@ -260,13 +260,35 @@ def _inf_operating_angle(doc):
     doc["operating_point"]["bus3"]["theta"] = -math.inf
 
 
+def _nan_perturbation(doc):
+    doc["scenario"]["disturbances"][0]["delta"]["omega"] = math.nan
+
+
+def _disturbance(**fields):
+    def edit(doc):
+        doc["scenario"]["disturbances"].append({"at": 0.1, **fields})
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [(_nan_mass, "parameter M must be positive and finite"),
      (_nan_reactance, "non-finite reactance nan"),
      (_nan_setpoint, "components[0].setpoints.P_e: expected a finite number, got nan"),
-     (_inf_operating_angle, "operating_point.bus3.theta: expected a finite number, got -inf")],
-    ids=["component-nan", "reactance-nan", "setpoint-nan", "operating-angle-inf"],
+     (_inf_operating_angle, "operating_point.bus3.theta: expected a finite number, got -inf"),
+     (_nan_perturbation,
+      "scenario.disturbances[0].delta.omega: expected a finite number, got nan"),
+     (_disturbance(kind="load_step", bus="bus3", dp=math.nan, dq=0.0),
+      "scenario.disturbances[2].dp: expected a finite number, got nan"),
+     (_disturbance(kind="load_step", bus="bus3", dp=0.0, dq=-math.inf),
+      "scenario.disturbances[2].dq: expected a finite number, got -inf"),
+     (_disturbance(kind="line_scale", line=0, factor=math.nan),
+      "scenario.disturbances[2].factor: expected a finite number, got nan"),
+     (_disturbance(kind="line_scale", line=0, factor=math.inf),
+      "scenario.disturbances[2].factor: expected a finite number, got inf")],
+    ids=["component-nan", "reactance-nan", "setpoint-nan", "operating-angle-inf",
+         "perturbation-nan", "load-step-dp-nan", "load-step-dq-inf",
+         "line-factor-nan", "line-factor-inf"],
 )
 def test_non_finite_case_value_exits_one(capsys, tmp_path, edit, message):
     from phasorstab.cli import resolve_case_path
@@ -339,13 +361,36 @@ def test_bad_numeric_option_exits_one(capsys, tmp_path, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [(["--tol", "-1e-6", "certify", "case3bus"], 1, "argument --tol: expected one argument"),
+     (["certify", "case3bus", "--bogus"], 1, "unrecognized arguments: --bogus"),
+     ([], 1, "the following arguments are required: command"),
+     (["certify"], 1, "the following arguments are required: case"),
+     (["--help"], 0, None),
+     (["--version"], 0, None)],
+    ids=["tol-negative-unjoined", "unknown-flag", "no-command", "no-case", "help", "version"],
+)
+def test_usage_exit_codes(capsys, argv, code, message):
+    # a usage error is a validation error; exit 2 is kept for solver failures
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    if message is None:
+        assert out and err == ""
+    else:
+        assert err.startswith("usage: phasorstab")
+        assert err.endswith(f"error: {message}\n")
+
+
 def test_h_sweep_is_checked_before_the_equilibrium_solve(capsys, tmp_path, monkeypatch):
     import phasorstab.cli as cli
 
     def no_solve(case):
         raise AssertionError("the equilibrium was solved before the sweep was checked")
 
-    monkeypatch.setattr(cli, "_solve_case_equilibrium", no_solve)
+    monkeypatch.setattr(cli, "solve_case_equilibrium", no_solve)
     doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
     doc["scenario"]["disturbances"][1]["at"] = 0.5
     path = write_case(tmp_path, doc)

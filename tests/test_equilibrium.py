@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from phasorstab import equilibrium
 from phasorstab.components import Setpoints, VsgComponent
 from phasorstab.equilibrium import (
     EquilibriumError,
-    EquilibriumProblem,
     InconsistentInput,
     solve_equilibrium,
     solve_setpoints,
@@ -29,7 +29,7 @@ from helpers import fd_jacobian
 
 def test_vsg_pair_reproduces_closed_form_angle(vsg_pair):
     net, comps = vsg_pair
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     assert sol.pinned_reference
     expected = math.asin(0.1)  # P x / (V1 V2) with x = 1 and unit voltages
     assert sol.state.theta[0] - sol.state.theta[1] == pytest.approx(
@@ -53,7 +53,7 @@ def test_flat_no_load_case_needs_no_correction():
             setpoints=Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0),
         )
     }
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     assert sol.iterations == 0
     assert sol.state.V[0] == 1.0
     assert sol.state.theta[0] == 0.0
@@ -87,7 +87,7 @@ def test_round_trip_with_implied_loads(case3bus):
         cid: case3bus.components[cid].with_setpoints(sp.setpoints[cid])
         for cid in case3bus.components
     }
-    sol = solve_equilibrium(EquilibriumProblem(consistent, comps))
+    sol = solve_equilibrium(consistent, comps)
     for i, bus in enumerate(net.non_ground):
         assert sol.state.V[i] == pytest.approx(v[i], abs=1e-9)
         assert sol.state.theta[i] == pytest.approx(th[i], abs=1e-9)
@@ -137,7 +137,7 @@ def test_inconsistent_power_setpoints_reported(vsg_pair):
     )
     # total power setpoint no longer sums to zero in a lossless network
     with pytest.raises(InconsistentInput, match="pinned relation"):
-        solve_equilibrium(EquilibriumProblem(net, bad))
+        solve_equilibrium(net, bad)
 
 
 def test_analytic_jacobian_matches_fd(case3bus):
@@ -151,9 +151,7 @@ def test_analytic_jacobian_matches_fd(case3bus):
 def test_newton_quadratic_tail(case3bus):
     # flat start exercises a few genuine iterations; the last two residuals
     # obey the quadratic contraction bound with a generous constant
-    sol = solve_equilibrium(
-        EquilibriumProblem(case3bus.net, case3bus.components)
-    )
+    sol = solve_equilibrium(case3bus.net, case3bus.components)
     hist = sol.residual_history
     assert len(hist) >= 3
     assert hist[-1] <= 1e6 * hist[-2] ** 2
@@ -161,33 +159,34 @@ def test_newton_quadratic_tail(case3bus):
 
 def test_solution_invariant_to_uniform_guess_rotation(vsg_pair):
     net, comps = vsg_pair
-    base = solve_equilibrium(EquilibriumProblem(net, comps))
+    base = solve_equilibrium(net, comps)
     shifted = solve_equilibrium(
-        EquilibriumProblem(
-            net,
-            comps,
-            initial_V=np.array([1.0, 1.0]),
-            initial_theta=np.array([0.7, 0.7]),
-        )
+        net, comps, initial_V=np.array([1.0, 1.0]), initial_theta=np.array([0.7, 0.7])
     )
     assert np.allclose(base.state.theta, shifted.state.theta, atol=1e-9)
     assert np.allclose(base.state.V, shifted.state.V, atol=1e-9)
 
 
-def test_nonconvergence_reports_residual(case3bus):
+def test_nonconvergence_reports_residual(case3bus, monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
     with pytest.raises(EquilibriumError, match="did not converge"):
-        solve_equilibrium(
-            EquilibriumProblem(case3bus.net, case3bus.components, max_iter=1)
-        )
+        solve_equilibrium(case3bus.net, case3bus.components)
+
+
+def test_inputs_checked_before_the_solve(case3bus):
+    comps = dict(case3bus.components)
+    del comps["droop2"]
+    with pytest.raises(InconsistentInput, match="no component supplied for id 'droop2'"):
+        solve_equilibrium(case3bus.net, comps)
+    with pytest.raises(InconsistentInput, match="initial guess has wrong length"):
+        solve_equilibrium(case3bus.net, case3bus.components, initial_V=np.ones(2))
 
 
 def test_nan_initial_guess_is_not_accepted(case3bus):
     theta = np.zeros(case3bus.net.n_nodes)
     theta[-1] = math.nan
     with pytest.raises(EquilibriumError, match="residual nan"):
-        solve_equilibrium(
-            EquilibriumProblem(case3bus.net, case3bus.components, initial_theta=theta)
-        )
+        solve_equilibrium(case3bus.net, case3bus.components, initial_theta=theta)
 
 
 def test_residual_stacks_component_and_balance_rows(case3bus, case3bus_solution):
@@ -205,8 +204,16 @@ def test_injections_consistent_with_solution(case3bus, case3bus_solution):
         case3bus.net, case3bus_solution.state.V, case3bus_solution.state.theta
     )
     i1 = case3bus.net.node_index["bus1"]
-    assert case3bus_solution.injections_P["vsg1"] == pytest.approx(p[i1], abs=1e-14)
-    assert case3bus_solution.injections_Q["vsg1"] == pytest.approx(q[i1], abs=1e-14)
+    assert case3bus_solution.anchors["vsg1"].P == pytest.approx(p[i1], abs=1e-14)
+    assert case3bus_solution.anchors["vsg1"].Q == pytest.approx(q[i1], abs=1e-14)
+    # every anchor is its bus's solved state and the kernel's injections there
+    assert list(case3bus_solution.anchors) == ["vsg1", "droop2"]
+    for shunt in case3bus.net.dynamic_shunts:
+        i = case3bus.net.node_index[shunt.bus]
+        anchor = case3bus_solution.anchors[shunt.component_id]
+        assert anchor.V == case3bus_solution.state.V[i]
+        assert anchor.theta == case3bus_solution.state.theta[i]
+        assert (anchor.P, anchor.Q) == (p[i], q[i])
     # swing source holds its power setpoint exactly at steady state
     assert p[i1] == pytest.approx(
         case3bus.components["vsg1"].setpoints.P_e, abs=1e-10

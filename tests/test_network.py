@@ -355,19 +355,13 @@ def test_flat_start_residual_equals_load_magnitude():
 
 
 def test_solved_equilibrium_residual_small(case3bus, case3bus_solution):
-    inj = {
-        cid: (case3bus_solution.injections_P[cid], case3bus_solution.injections_Q[cid])
-        for cid in case3bus_solution.injections_P
-    }
+    inj = {cid: (a.P, a.Q) for cid, a in case3bus_solution.anchors.items()}
     res = kcl_residual(case3bus.net, case3bus_solution.state, inj)
     assert max(abs(r) for r in res) <= 1e-10
 
 
 def test_residual_scales_linearly_with_perturbation(case3bus, case3bus_solution):
-    inj = {
-        cid: (case3bus_solution.injections_P[cid], case3bus_solution.injections_Q[cid])
-        for cid in case3bus_solution.injections_P
-    }
+    inj = {cid: (a.P, a.Q) for cid, a in case3bus_solution.anchors.items()}
     rng = np.random.default_rng(7)
     direction = rng.normal(size=3)
     norms = []
@@ -420,10 +414,7 @@ def test_tellegen_over_a_sample_axis_matches_per_sample(case):
 
 
 def test_orthogonality_needs_balanced_injections(case3bus, case3bus_solution):
-    inj = {
-        cid: (case3bus_solution.injections_P[cid], case3bus_solution.injections_Q[cid])
-        for cid in case3bus_solution.injections_P
-    }
+    inj = {cid: (a.P, a.Q) for cid, a in case3bus_solution.anchors.items()}
     balanced = tellegen_sum(case3bus.net, case3bus_solution.state, inj)
     assert abs(balanced) <= 1e-10
     inj["vsg1"] = (inj["vsg1"][0] + 0.05, inj["vsg1"][1])

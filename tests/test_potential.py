@@ -115,8 +115,8 @@ def test_gradient_equals_injections_at_equilibrium(case3bus, case3bus_solution):
     n = case3bus.net.n_nodes
     for cid in ("vsg1", "droop2"):
         i = case3bus.net.node_index[case3bus.components[cid].bus]
-        assert g[i] == pytest.approx(sol.injections_P[cid], abs=1e-10)
-        assert g[n + i] == pytest.approx(sol.injections_Q[cid], abs=1e-10)
+        assert g[i] == pytest.approx(sol.anchors[cid].P, abs=1e-10)
+        assert g[n + i] == pytest.approx(sol.anchors[cid].Q, abs=1e-10)
     # constant-power bus entries vanish when its balance holds
     load = case3bus.net.node_index["bus3"]
     assert abs(g[load]) <= 1e-10
@@ -400,16 +400,14 @@ def test_load_scaling_sweep_records_verdicts(case3bus, case3bus_solution):
     # scaling the reactive load only moves the equilibrium; the verdict is
     # recorded at whatever state results (no membership asserted); a x10
     # scaling exceeds what two 0.12 pu lines can deliver, so x3 is used
-    from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium
+    from phasorstab.equilibrium import solve_equilibrium
 
     net = case3bus.net.with_load_delta("bus3", 0.0, 2 * 0.55)
     sol = solve_equilibrium(
-        EquilibriumProblem(
-            net,
-            case3bus.components,
-            initial_V=case3bus_solution.state.V.copy(),
-            initial_theta=case3bus_solution.state.theta.copy(),
-        )
+        net,
+        case3bus.components,
+        case3bus_solution.state.V.copy(),
+        case3bus_solution.state.theta.copy(),
     )
     rep = convexity_check(hessian_vp(net, sol.state.V, sol.state.theta))
     assert rep.eigenvalues is not None

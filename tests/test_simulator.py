@@ -8,7 +8,8 @@ from hypothesis import given, settings
 
 from phasorstab import simulator
 from phasorstab.components import VsgComponent
-from phasorstab.equilibrium import EquilibriumProblem, solve_equilibrium
+from phasorstab.cli import solve_case_equilibrium
+from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.network import BusState, NetworkError, kcl_residual, power_injection
 from phasorstab.potential import eval_vp
 from phasorstab.simulator import (
@@ -23,7 +24,6 @@ from phasorstab.simulator import (
 )
 
 from conftest import (
-    equilibrium_near_operating_point,
     make_load_ladder,
     make_soft_anchor_case,
     make_two_load_chain,
@@ -70,7 +70,7 @@ def test_rk4_one_step_error_drops_sixteenfold(mixed_pair):
     # no passive buses: a pure ODE; integrating a fixed interval with one
     # step versus two half steps shows the fourth-order ratio
     net, comps = mixed_pair
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
 
     def end_state(h, steps):
         scen = Scenario(
@@ -139,7 +139,7 @@ def test_step_halving_changes_little(case3bus, case3bus_solution):
 
 def test_load_pulse_returns_to_equilibrium(compensated_load_case):
     net, comps = compensated_load_case
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     scen = Scenario(
         horizon=30.0,
         output_period=0.05,
@@ -259,7 +259,7 @@ def test_coupled_passive_buses_stay_balanced(tmp_path):
     # two load buses: the inner solve is the coupled (m > 1) Newton system
     net, comps = make_two_load_chain()
     assert len(net.passive_nodes()) == 2
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     scen = Scenario(
         horizon=1.0,
         output_period=0.01,
@@ -293,7 +293,7 @@ def test_chord_jacobian_refreshed_after_line_scale(tmp_path):
     # two load buses take the chord path; the scaled line changes the
     # passive-bus Jacobian, so the kept inverse must be rebuilt
     net, comps = make_two_load_chain()
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     kick = StatePerturbation(at=0.0, component="vsg1", delta={"omega": 0.1})
     config = SolverConfig(step_size=1e-3)
     quiet_run = simulate(net, comps, Scenario(1.0, 0.01, disturbances=[kick]), config, sol)
@@ -393,7 +393,7 @@ def kicked_sources(comps, horizon):
 def test_closed_form_runs_balanced_without_iterations(tmp_path, case3bus, name):
     net, comps, scen = closed_form_case(name, case3bus)
     config = SolverConfig(step_size=1e-3)
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     outputs = []
     for run in range(2):
         traj = simulate(net, comps, scen, config, sol)
@@ -412,7 +412,7 @@ def test_closed_form_runs_balanced_without_iterations(tmp_path, case3bus, name):
 def test_closed_form_tables_follow_a_load_step():
     # a load step with a duration swaps the passive loads twice mid-run
     net, comps = make_load_ladder()
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     scen = kicked_sources(comps, 0.5)
     scen.disturbances.append(LoadStep(at=0.1, bus="b3", dp=0.2, dq=0.1, duration=0.2))
     config = SolverConfig(step_size=1e-3)
@@ -430,7 +430,7 @@ def test_closed_form_tables_follow_a_load_step():
 
 def test_chord_failure_reports_time_and_residual():
     net, comps = make_two_load_chain()
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     scen = Scenario(
         horizon=0.1,
         output_period=0.01,
@@ -495,7 +495,7 @@ def test_explicit_initial_condition(vsg_empty_bus):
 
 def test_voltage_collapse_is_reported(compensated_load_case):
     net, comps = compensated_load_case
-    sol = solve_equilibrium(EquilibriumProblem(net, comps))
+    sol = solve_equilibrium(net, comps)
     scen = Scenario(
         horizon=5.0,
         output_period=0.1,
@@ -549,7 +549,7 @@ def test_csv_round_trips_every_value(tmp_path, case3bus, case3bus_solution):
         # storage unavailable at the anchor: its column holds NaN
         "softanchor": simulate(
             soft.net, soft.components, soft.scenario, soft.solver,
-            equilibrium_near_operating_point(soft),
+            solve_case_equilibrium(soft),
         ),
     }
     assert np.isnan(runs["softanchor"].storage["vsg1"]).all()
