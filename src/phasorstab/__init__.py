@@ -29,7 +29,6 @@ from .network import (
     NetworkError,
     NetworkModel,
     branch_currents_oracle,
-    kcl_residual,
     power_injection,
     tellegen_sum,
 )

@@ -3,12 +3,15 @@
 Each component is an immutable value object exposing
 
 * ``derivative(x, u)``        -- state derivative for input u = (P, Q),
+* ``affine_matrix()`` / ``affine_offset()`` -- the model's one table of
+  coefficients: ``derivative`` is affine, f = D_f (x, P, Q) + c, with D_f
+  from the parameters and c from the setpoints,
 * ``steady_state_residual``   -- the relations that vanish at equilibrium,
 * ``storage`` / ``storage_rate`` -- a candidate storage function and its
   analytic time derivative (chain rule, never numeric differencing),
-* ``linearization(anchor)``   -- the constant partials D_f of ``derivative``
-  by (x, P, Q) and the Hessian of ``storage`` at the anchor, both in closed
-  form; the local certificate is built from these two matrices.
+* ``linearization(anchor)``   -- that D_f and the Hessian of ``storage`` at
+  the anchor, in closed form; the local certificate is built from these two
+  matrices.
 
 ``derivative``, ``storage``, ``storage_rate`` and :func:`supply_rate` are
 elementwise arithmetic, so a state x and input u may be floats or arrays
@@ -46,6 +49,7 @@ __all__ = [
     "VsgComponent",
     "DroopComponent",
     "supply_rate",
+    "AffineStack",
     "local_certificate",
     "LocalCertificate",
     "QuadraticFormReport",
@@ -124,8 +128,9 @@ def _voltage_store_curvature(k: float, Dq: float, V_anchor: float) -> float:
 
 class Component:
     """What both models share. Each model declares ``state_labels`` and
-    ``positive_params`` and supplies ``derivative``, ``storage``,
-    ``storage_gradient``, the steady-state relations and ``linearization``."""
+    ``positive_params`` and supplies ``derivative`` with its affine table,
+    ``storage``, ``storage_gradient``, the steady-state relations and
+    ``linearization``."""
 
     positive_params: tuple[str, ...] = ()
 
@@ -212,16 +217,26 @@ class VsgComponent(Component):
         k = self.require_stiffness(a)
         return (0.0, self.M * x[1], _voltage_store_grad(k, self.Dq, x[2], a.V))
 
-    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
-        """D_f by (theta, omega, v, P, Q), and the storage Hessian at anchor."""
-        k = self.require_stiffness(anchor)
-        d_f = np.array([
+    def affine_matrix(self) -> np.ndarray:
+        """D_f, the partials of ``derivative`` by (theta, omega, v, P, Q)."""
+        return np.array([
             [0.0, 1.0, 0.0, 0.0, 0.0],
             [0.0, -self.Dp / self.M, 0.0, -1.0 / self.M, 0.0],
             [0.0, 0.0, -1.0 / self.tau_q, 0.0, -self.Dq / self.tau_q],
         ])
+
+    def affine_offset(self) -> np.ndarray:
+        """c = ``derivative`` - D_f (x, P, Q), from the setpoints."""
+        sp = self._sp()
+        return np.array([
+            0.0, sp.P_e / self.M, (sp.V_e + self.Dq * sp.Q_e) / self.tau_q
+        ])
+
+    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
+        """D_f by (theta, omega, v, P, Q), and the storage Hessian at anchor."""
+        k = self.require_stiffness(anchor)
         hess = np.diag([0.0, self.M, _voltage_store_curvature(k, self.Dq, anchor.V)])
-        return d_f, hess
+        return self.affine_matrix(), hess
 
     # -- equilibrium interface ----------------------------------------------
 
@@ -288,15 +303,26 @@ class DroopComponent(Component):
             _voltage_store_grad(k, self.Dq, x[1], a.V),
         )
 
-    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
-        """D_f by (theta, v, P, Q), and the storage Hessian at anchor."""
-        k = self.require_stiffness(anchor)
-        d_f = np.array([
+    def affine_matrix(self) -> np.ndarray:
+        """D_f, the partials of ``derivative`` by (theta, v, P, Q)."""
+        return np.array([
             [-1.0 / self.tau_p, 0.0, -self.Dp / self.tau_p, 0.0],
             [0.0, -1.0 / self.tau_q, 0.0, -self.Dq / self.tau_q],
         ])
+
+    def affine_offset(self) -> np.ndarray:
+        """c = ``derivative`` - D_f (x, P, Q), from the setpoints."""
+        sp = self._sp()
+        return np.array([
+            (sp.theta_e + self.Dp * sp.P_e) / self.tau_p,
+            (sp.V_e + self.Dq * sp.Q_e) / self.tau_q,
+        ])
+
+    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
+        """D_f by (theta, v, P, Q), and the storage Hessian at anchor."""
+        k = self.require_stiffness(anchor)
         hess = np.diag([1.0 / self.Dp, _voltage_store_curvature(k, self.Dq, anchor.V)])
-        return d_f, hess
+        return self.affine_matrix(), hess
 
     # -- equilibrium interface ----------------------------------------------
 
@@ -317,6 +343,46 @@ class DroopComponent(Component):
 
     def equilibrium_state(self, theta: float, V: float) -> tuple[float, ...]:
         return (theta, V)
+
+
+class AffineStack:
+    """Every component's affine table as one sparse map over the stacked
+    states: dy = D (y, P, Q) + c.
+
+    y holds the components' states back to back, in the order given, and P
+    and Q are bus-indexed injections, of which component j reads the entry
+    at ``buses[j]``. The nonzero entries of each D_f are kept as (row,
+    column, value) triples; a call gathers the inputs they read, multiplies,
+    sums each row with one ``np.bincount`` in a fixed order and adds c. No
+    matrix product is formed, so no BLAS call (nor thread) is made.
+    """
+
+    def __init__(self, components: list[Component], buses: list[int], n_buses: int) -> None:
+        self.nstates = sum(comp.nstates for comp in components)
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        offsets = []
+        lo = 0
+        for comp, bus in zip(components, buses):
+            d_f = comp.affine_matrix()
+            n = comp.nstates
+            # column j of D_f in the stacked input (y, P, Q)
+            col_of = [*range(lo, lo + n), self.nstates + bus, self.nstates + n_buses + bus]
+            for r, k in zip(*np.nonzero(d_f)):
+                rows.append(lo + int(r))
+                cols.append(col_of[k])
+                vals.append(float(d_f[r, k]))
+            offsets.append(comp.affine_offset())
+            lo += n
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.vals = np.array(vals)
+        self.offset = np.concatenate(offsets) if offsets else np.zeros(0)
+
+    def __call__(self, y: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        terms = self.vals * np.concatenate([y, P, Q])[self.cols]
+        return np.bincount(self.rows, weights=terms, minlength=self.nstates) + self.offset
 
 
 # -- local quadratic-form certificate ---------------------------------------

@@ -84,6 +84,16 @@ def _finite(value: Any, where: str) -> float:
     return number
 
 
+def _duration(entry: dict, where: str) -> float | None:
+    """A network event's optional ``duration``: finite and positive."""
+    if "duration" not in entry:
+        return None
+    duration = _finite(entry["duration"], f"{where}.duration")
+    if not duration > 0.0:
+        raise NetworkFileError(f"{where}.duration: must be positive, got {duration!r}")
+    return duration
+
+
 def _integer(value: Any, where: str) -> int:
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
@@ -238,11 +248,7 @@ def _parse_disturbance(entry: Any, where: str):
             bus=str(_require(entry, "bus", where)),
             dp=_finite(_require(entry, "dp", where), f"{where}.dp"),
             dq=_finite(_require(entry, "dq", where), f"{where}.dq"),
-            duration=(
-                _number(entry["duration"], f"{where}.duration")
-                if "duration" in entry
-                else None
-            ),
+            duration=_duration(entry, where),
         )
     if kind == "line_scale":
         _check_fields(entry, {"at", "kind", "line", "factor", "duration"}, where)
@@ -250,11 +256,7 @@ def _parse_disturbance(entry: Any, where: str):
             at=at,
             line_index=_integer(_require(entry, "line", where), f"{where}.line"),
             factor=_finite(_require(entry, "factor", where), f"{where}.factor"),
-            duration=(
-                _number(entry["duration"], f"{where}.duration")
-                if "duration" in entry
-                else None
-            ),
+            duration=_duration(entry, where),
         )
     raise NetworkFileError(
         f"{where}: unknown disturbance kind {kind!r} "

@@ -19,10 +19,9 @@ most one passive bus, where per-call numpy overhead outweighs the loop, and
 a reference for the array kernel. :func:`passive_bus_solution` solves the
 balance of a passive bus whose line neighbours are held fixed in closed
 form; the simulator uses it when no line joins two passive buses. The
-complex-arithmetic oracles at the end
-of the module (:func:`branch_currents_oracle`, :func:`kcl_residual`,
-:func:`tellegen_sum`) recompute the same physics independently, for
-checking.
+complex-arithmetic oracles at the end of the module
+(:func:`branch_currents_oracle`, :func:`tellegen_sum`) recompute the same
+physics independently, for checking.
 
 The model is immutable after construction and all evaluation functions are
 pure, so they are thread-safe. Branch reductions run in declaration order
@@ -53,7 +52,6 @@ __all__ = [
     "self_partials",
     "passive_bus_solution",
     "branch_currents_oracle",
-    "kcl_residual",
     "tellegen_sum",
 ]
 
@@ -549,38 +547,6 @@ def branch_currents_oracle(
             cur = -nodal[i]
         currents[f"dyn:{shunt.component_id}"] = cur
     return currents
-
-
-def kcl_residual(
-    net: NetworkModel,
-    state: BusState,
-    dynamic_injections: dict[str, tuple[float, float]] | None = None,
-) -> list[complex]:
-    """Complex nodal current-balance residual per non-ground bus.
-
-    Shunt components contribute injected current conj((P + jQ)/Vbar) with
-    generation-positive (P, Q); constant-power branches contribute
-    conj(-(p0 + j q0)/Vbar); line currents are subtracted. A solved state
-    has residual ~0 everywhere.
-    """
-    dynamic_injections = dynamic_injections or {}
-    vbar = state.phasors()
-    res = [0j] * net.n_nodes
-    for shunt in net.dynamic_shunts:
-        i = net.node_index[shunt.bus]
-        gp, gq = dynamic_injections.get(shunt.component_id, (0.0, 0.0))
-        res[i] += (complex(gp, gq) / vbar[i]).conjugate()
-    for cp in net.constant_power:
-        i = net.node_index[cp.bus]
-        # BusState enforces V > 0, so the 1/Vbar here cannot be singular
-        res[i] += (complex(cp.p0_gen, cp.q0_gen) / vbar[i]).conjugate()
-    for line in net.lines:
-        i = net.node_index[line.from_bus]
-        k = net.node_index[line.to_bus]
-        cur = line.admittance * (vbar[i] - vbar[k])
-        res[i] -= cur
-        res[k] += cur
-    return res
 
 
 def tellegen_sum(

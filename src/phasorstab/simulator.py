@@ -5,23 +5,43 @@ four-stage Runge-Kutta; the algebraic unknowns (voltage magnitude and angle
 of every passive bus) are re-solved, warm-started from the last solution, at
 every stage evaluation, so each accepted state is algebraically consistent.
 
-The inner solve takes one of two paths, by the topology of the passive
-buses:
+The topology picks one of two paths for the whole run:
+
+* the float path, for at most one passive bus: the state and the bus
+  voltages and angles are lists of Python floats, each component's
+  ``derivative`` is called per stage, and the passive bus is set to its
+  closed-form solution (:func:`~phasorstab.network.passive_bus_solution`
+  on floats) and checked with the loop kernel
+  :func:`~phasorstab.network.power_injection_scalar`;
+* the array path, for two or more passive buses: the state, voltages and
+  angles are float arrays for the whole step. A stage scatters the
+  component terminals through index arrays, solves the passive buses,
+  evaluates :func:`~phasorstab.network.power_injection` once per check, and
+  applies every component's affine table at once
+  (:class:`~phasorstab.components.AffineStack`: a gather and one
+  ``np.bincount``, no matrix product). The RK4 combinations and the
+  trapezoid accumulation are array expressions.
+
+The inner solve of the array path takes one of two forms, by the topology
+of the passive buses:
 
 * no line joins two passive buses: each passive bus sees its neighbours,
   all dynamic, as one source behind its lines, and is set to its closed-form
-  solution (:func:`~phasorstab.network.passive_bus_solution`, on Python
-  floats for one passive bus and on arrays for more). One evaluation of the
-  kernel then checks the balance and gives the injections; there is no
-  iteration and no Jacobian;
-* otherwise: a chord (simplified Newton) iteration on the array kernel
-  :func:`~phasorstab.network.power_injection`. It keeps the inverse of one
-  passive-bus Jacobian (from :func:`~phasorstab.network.injection_partials`)
-  across iterations, RK stages and steps, and rebuilds it at the current
-  state when there is none yet, when a load or line event changes the
-  network, or when a step fails to shrink the largest passive residual by
-  the factor ``CHORD_CONTRACTION`` (Hairer & Wanner, *Solving ODEs II*,
-  ch. VI).
+  solution. One evaluation of the kernel then checks the balance and gives
+  the injections; there is no iteration and no Jacobian;
+* otherwise: a chord (simplified Newton) iteration on the array kernel. It
+  keeps the inverse of one passive-bus Jacobian (from
+  :func:`~phasorstab.network.injection_partials`) across iterations, RK
+  stages and steps, and rebuilds it at the current state when there is
+  none yet, when a load or line event changes the network, or when a step
+  fails to shrink the largest passive residual by the factor
+  ``CHORD_CONTRACTION`` (Hairer & Wanner, *Solving ODEs II*, ch. VI). With
+  each inverse it keeps the tangent K = -J_pp^-1 J_pd over the dynamic
+  buses that have a line to a passive bus, and before each solve moves the
+  passive buses by K times the change of those buses' (theta, V) since the
+  last converged solve: the first-order continuation predictor (Allgower &
+  Georg, *Introduction to Numerical Continuation Methods*, ch. 2). K is
+  dropped whenever the inverse is.
 
 A solve is accepted when the largest passive residual is at most
 ``newton_tol``; the chord iteration gets ``newton_max_iter`` steps for it,
@@ -36,7 +56,7 @@ times aligned with the integration grid. Every disturbance is checked
 against the network before the run starts. Path integrals are accumulated with
 the trapezoid rule at every integration step (second-order in the step
 size). The step loop records only the raw samples (time, bus state,
-component states, injections and integrals); the other diagnostics (Vp, W,
+injections, component states and integrals); the other diagnostics (Vp, W,
 and each component's storage, storage rate and supply rate) are evaluated
 after the run, in one array pass over all samples.
 
@@ -56,6 +76,7 @@ import os
 import numpy as np
 
 from .components import (
+    AffineStack,
     Anchor,
     CertificateUnavailable,
     Component,
@@ -148,7 +169,7 @@ class Scenario:
             raise ScenarioError(f"unknown initial condition source {self.initial!r}")
         if self.initial == "explicit" and not self.explicit_states:
             raise ScenarioError("explicit initial condition requires explicit_states")
-        for d in self.disturbances:
+        for i, d in enumerate(self.disturbances):
             if not 0.0 <= d.at <= self.horizon:
                 raise ScenarioError(
                     f"disturbance time {d.at} outside horizon [0, {self.horizon}]"
@@ -157,7 +178,9 @@ class Scenario:
                 raise ScenarioError(f"line scale factor must be positive, got {d.factor}")
             duration = getattr(d, "duration", None)
             if duration is not None and not 0.0 < duration < math.inf:
-                raise ScenarioError("disturbance duration must be positive")
+                raise ScenarioError(
+                    f"disturbances[{i}].duration must be positive, got {duration}"
+                )
 
     def network_events(self) -> bool:
         return any(isinstance(d, (LoadStep, LineScale)) for d in self.disturbances)
@@ -303,7 +326,14 @@ class Trajectory:
 
 
 class _Engine:
-    """Flattened, loop-friendly view of the system for the hot stepping path."""
+    """Flattened, loop-friendly view of the system for the hot stepping path.
+
+    This is the float path, for networks with at most one passive bus: the
+    state y and the bus voltages V and angles th are lists of Python floats,
+    which at this size cost less per element than numpy costs per call.
+    :class:`_ArrayEngine` is the path for more passive buses; use
+    :func:`_make_engine` to get the one for a network.
+    """
 
     def __init__(
         self,
@@ -346,41 +376,41 @@ class _Engine:
         self.factorizations = 0
         self._use_network(net)
 
+    @staticmethod
+    def buffer(values) -> list[float]:
+        """A working copy of `values` in this path's representation."""
+        return np.asarray(values, dtype=float).tolist()
+
+    def _passive_lines(self, net: NetworkModel) -> list[tuple[int, int, float]]:
+        """(position of the passive end, neighbour node, B) per line at a
+        passive bus, for the closed form."""
+        position = self.passive_position
+        return [
+            (position[i], k, b) if i in position else (position[k], i, b)
+            for i, k, b in net.edges
+            if i in position or k in position
+        ]
+
     def _use_network(self, net: NetworkModel) -> None:
         """Switch to `net`, dropping the chord Jacobian built on the last one
         and taking the per-network tables the inner solve reads: the passive
-        loads and, for the closed form, each passive bus's lines (position,
-        neighbour node, B) and coupling sum."""
+        loads and, for one passive bus, its lines (neighbour node, B),
+        coupling sum and load."""
         self.net = net
         self.passive_p = np.array(net.load_p)[self.passive]
         self.passive_q = np.array(net.load_q)[self.passive]
         self.passive_loads = np.concatenate([self.passive_p, self.passive_q])
         self.jac_inv: np.ndarray | None = None
-        if self.coupled:
-            return
-        position = self.passive_position
-        lines = [
-            (position[i], k, b) if i in position else (position[k], i, b)
-            for i, k, b in net.edges
-            if i in position or k in position
-        ]
-        if len(position) == 1:
+        self.scalar_bus = None
+        if len(self.passive_nodes) == 1:
             node = self.passive_nodes[0]
             self.scalar_bus = (
                 node,
-                [(k, b) for _, k, b in lines],
+                [(k, b) for _, k, b in self._passive_lines(net)],
                 net.coupling_sum[node],
                 net.load_p[node],
                 net.load_q[node],
             )
-        else:
-            self.scalar_bus = None
-            self.passive_lines = (
-                np.array([j for j, _, _ in lines], dtype=np.intp),
-                np.array([k for _, k, _ in lines], dtype=np.intp),
-                np.array([b for _, _, b in lines], dtype=float),
-            )
-            self.passive_coupling = np.array(net.coupling_sum)[self.passive]
 
     def rebuild_with_mods(self) -> None:
         net = self.base_net
@@ -393,27 +423,20 @@ class _Engine:
 
     # evaluation ----------------------------------------------------------------
 
-    def solve_algebraic(
-        self, V: list[float], th: list[float], t: float
-    ) -> tuple[list[float], list[float]]:
-        """Solve passive-bus (theta, V) in place; V/th carry the warm start.
-        Returns the bus injections (P, Q) at the solved state."""
-        self.inner_solves += 1
-        if self.coupled:
-            return self._solve_chord(V, th, t, np.array(V), np.array(th))
-        if len(self.passive_nodes) > 1:
-            return self._solve_closed_array(V, th, t)
-        return self._solve_closed_scalar(V, th, t)
-
     def _collapse(self, node: int, t: float) -> SimulationError:
         return SimulationError(
             f"voltage collapse at bus {self.net.non_ground[node]!r}, t = {t:.6g}"
         )
 
-    def _solve_closed_scalar(
+    def solve_algebraic(
         self, V: list[float], th: list[float], t: float
     ) -> tuple[list[float], list[float]]:
-        """Closed form for at most one passive bus, on Python floats."""
+        """Solve the passive bus's (theta, V) in place; V/th carry the warm
+        start. Returns the bus injections (P, Q) at the solved state.
+
+        The closed form on Python floats, checked (and if need be continued)
+        by :meth:`_solve_chord` on arrays."""
+        self.inner_solves += 1
         net = self.net
         if self.scalar_bus is None:
             return power_injection_scalar(net, V, th)
@@ -433,39 +456,18 @@ class _Engine:
         p, q = power_injection_scalar(net, V, th)
         if max(abs(p[node] + load_p), abs(q[node] + load_q)) <= self.config.newton_tol:
             return p, q
-        return self._solve_chord(V, th, t, np.array(V), np.array(th))
-
-    def _solve_closed_array(
-        self, V: list[float], th: list[float], t: float
-    ) -> tuple[list[float], list[float]]:
-        """Closed form for two or more passive buses on arrays, checked (and
-        if need be continued) by :meth:`_solve_chord`."""
-        pas = self.passive
-        position, nbr, b = self.passive_lines
         v = np.array(V)
         a = np.array(th)
-        bv = b * v[nbr]
-        a_nbr = a[nbr]
-        m = len(pas)
-        e_re = np.bincount(position, weights=bv * np.cos(a_nbr), minlength=m)
-        e_im = np.bincount(position, weights=bv * np.sin(a_nbr), minlength=m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v_pas, a_pas = passive_bus_solution(
-                e_re, e_im, self.passive_coupling, self.passive_p, self.passive_q,
-                v[pas], a[pas],
-            )
-        bad = ~(v_pas > 0.0)
-        if bad.any():
-            raise self._collapse(int(pas[np.argmax(bad)]), t)
-        v[pas] = v_pas
-        a[pas] = a_pas
-        return self._solve_chord(V, th, t, v, a)
+        p, q = self._solve_chord(v, a, t)
+        V[:] = v.tolist()
+        th[:] = a.tolist()
+        return p.tolist(), q.tolist()
 
     def _solve_chord(
-        self, V: list[float], th: list[float], t: float, v: np.ndarray, a: np.ndarray
-    ) -> tuple[list[float], list[float]]:
-        """Chord iteration on the array kernel from the start (v, a), written
-        back to V/th on convergence.
+        self, v: np.ndarray, a: np.ndarray, t: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Chord iteration on the array kernel from the start (v, a), in
+        place; returns the injections (P, Q) at the accepted state.
 
         Steps with the kept inverse of the passive-bus Jacobian; refreshes
         it when there is none (first solve, changed network) or when the
@@ -480,35 +482,36 @@ class _Engine:
             r = np.concatenate([p[pas], q[pas]]) + self.passive_loads
             worst = float(np.abs(r).max())
             if worst <= self.config.newton_tol:
-                V[:] = v.tolist()
-                th[:] = a.tolist()
-                return p.tolist(), q.tolist()
+                return p, q
             if it == max_iter:
                 break
             if self.jac_inv is None or worst > CHORD_CONTRACTION * last:
                 self._factorize(v, a, (p, q), t)
             last = worst
             step = -(self.jac_inv @ r)
-            d_theta = step[:m]
             d_v = step[m:]
             v_pas = v[pas]
             scale = 1.0
-            bad = v_pas + d_v <= 0.0
+            v_new = v_pas + d_v
+            bad = v_new <= 0.0
             while bad.any():
                 scale *= 0.5
                 if scale < 1e-12:
                     raise self._collapse(int(pas[np.argmax(bad)]), t)
-                bad = v_pas + scale * d_v <= 0.0
-            a[pas] += scale * d_theta
-            v[pas] = v_pas + scale * d_v
+                v_new = v_pas + scale * d_v
+                bad = v_new <= 0.0
+            a[pas] += scale * step[:m]
+            v[pas] = v_new
             self.inner_iterations += 1
         raise SimulationError(
             f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
         )
 
-    def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float) -> None:
-        """Invert the passive-bus Jacobian at (v, a) for the chord iteration."""
-        dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(self.net, v, a, injections)
+    def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float):
+        """Invert the passive-bus Jacobian at (v, a) for the chord iteration;
+        returns the injection partials it was taken from."""
+        partials = injection_partials(self.net, v, a, injections)
+        dp_dt, dp_dv, dq_dt, dq_dv = partials
         blk = self.passive_block
         jac = np.block([[dp_dt[blk], dp_dv[blk]], [dq_dt[blk], dq_dv[blk]]])
         try:
@@ -518,6 +521,7 @@ class _Engine:
                 f"algebraic Jacobian singular at t = {t:.6g}: {exc}"
             ) from exc
         self.factorizations += 1
+        return partials
 
     def derivative(
         self, y: list[float], p: list[float], q: list[float]
@@ -565,6 +569,195 @@ class _Engine:
             a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
             for a, b1, b2, b3, b4 in zip(y, dy0, k2, k3, k4)
         ]
+
+    # path integrals ---------------------------------------------------------------
+
+    def endpoints(self, y, p, q) -> list[tuple[float, float, float, float]]:
+        """(theta, ln v, P, Q) of every component at the state (y, P, Q)."""
+        return [
+            (y[i_theta], math.log(y[i_v]), p[node], q[node])
+            for node, i_theta, i_v, _ in self.terminals
+        ]
+
+    @staticmethod
+    def trapezoid(prev, now, anchor_p, anchor_q, shifted, unshifted: float) -> float:
+        """One trapezoid step of the path integrals between the endpoints
+        `prev` and `now`: adds each component's anchor-shifted increment to
+        `shifted` in place and returns `unshifted` advanced."""
+        for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1)) in enumerate(zip(prev, now)):
+            p_mid = 0.5 * (p0 + p1)
+            q_mid = 0.5 * (q0 + q1)
+            d_theta = theta1 - theta0
+            d_lnv = lnv1 - lnv0
+            unshifted += p_mid * d_theta + q_mid * d_lnv
+            shifted[c] += (p_mid - anchor_p[c]) * d_theta + (q_mid - anchor_q[c]) * d_lnv
+        return unshifted
+
+
+class _ArrayEngine(_Engine):
+    """The array path, for networks with two or more passive buses: y, V
+    and th are float arrays for the whole step.
+
+    A stage scatters the terminals through index arrays, solves the passive
+    buses in closed form (no line joins two of them) or by the chord
+    iteration (coupled), and applies the components' :class:`AffineStack`.
+    Before a coupled solve the passive buses are moved by the tangent
+    predictor: K = -J_pp^-1 J_pd, kept with each factorization, times the
+    change of the boundary buses' (theta, V) since the last converged solve
+    (the first-order continuation predictor; Allgower & Georg,
+    *Introduction to Numerical Continuation Methods*, ch. 2). The boundary
+    buses are the dynamic buses with a line to a passive bus, the only
+    columns where J_pd is nonzero.
+    """
+
+    def __init__(
+        self,
+        net: NetworkModel,
+        components: dict[str, Component],
+        config: SolverConfig,
+    ) -> None:
+        super().__init__(net, components, config)
+        nodes = [node for node, _, _, _ in self.terminals]
+        self.term_node = np.array(nodes, dtype=np.intp)
+        self.term_theta = np.array([i for _, i, _, _ in self.terminals], dtype=np.intp)
+        self.term_v = np.array([i for _, _, i, _ in self.terminals], dtype=np.intp)
+        self.rhs = AffineStack(self.comps, nodes, net.n_nodes)
+        position = self.passive_position
+        boundary = sorted(
+            {k for i, k, _ in net.edges if i in position and k not in position}
+            | {i for i, k, _ in net.edges if k in position and i not in position}
+        )
+        self.boundary_nodes = np.array(boundary, dtype=np.intp)
+        self.boundary_block = np.ix_(self.passive, self.boundary_nodes)
+        # (theta, V) of the boundary buses at the last converged coupled solve
+        self.boundary_state: np.ndarray | None = None
+
+    @staticmethod
+    def buffer(values) -> np.ndarray:
+        return np.array(values, dtype=float)
+
+    def _use_network(self, net: NetworkModel) -> None:
+        """As for the float path, and drop the predictor's K with the chord
+        Jacobian; for the closed form, take the incidence arrays (passive
+        position, neighbour node, B) and the passive coupling sums."""
+        super()._use_network(net)
+        self.tangent: np.ndarray | None = None
+        if not self.coupled:
+            lines = self._passive_lines(net)
+            self.passive_lines = (
+                np.array([j for j, _, _ in lines], dtype=np.intp),
+                np.array([k for _, k, _ in lines], dtype=np.intp),
+                np.array([b for _, _, b in lines], dtype=float),
+            )
+            self.passive_coupling = np.array(net.coupling_sum)[self.passive]
+
+    def solve_algebraic(
+        self, V: np.ndarray, th: np.ndarray, t: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Solve passive-bus (theta, V) in place; V/th carry the warm start.
+        Returns the bus injections (P, Q) at the solved state."""
+        self.inner_solves += 1
+        if not self.coupled:
+            self._closed_form(V, th, t)
+            return self._solve_chord(V, th, t)
+        nodes = self.boundary_nodes
+        boundary = np.concatenate([th[nodes], V[nodes]])
+        if self.tangent is not None:
+            shift = self.tangent @ (boundary - self.boundary_state)
+            pas = self.passive
+            m = len(pas)
+            v_pas = V[pas] + shift[m:]
+            # a prediction that leaves V > 0 is taken; the chord does the rest
+            if (v_pas > 0.0).all():
+                th[pas] += shift[:m]
+                V[pas] = v_pas
+        p, q = self._solve_chord(V, th, t)
+        self.boundary_state = boundary
+        return p, q
+
+    def _closed_form(self, V: np.ndarray, th: np.ndarray, t: float) -> None:
+        """Set the passive buses to their closed form, in place."""
+        pas = self.passive
+        position, nbr, b = self.passive_lines
+        bv = b * V[nbr]
+        a_nbr = th[nbr]
+        m = len(pas)
+        e_re = np.bincount(position, weights=bv * np.cos(a_nbr), minlength=m)
+        e_im = np.bincount(position, weights=bv * np.sin(a_nbr), minlength=m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_pas, a_pas = passive_bus_solution(
+                e_re, e_im, self.passive_coupling, self.passive_p, self.passive_q,
+                V[pas], th[pas],
+            )
+        bad = ~(v_pas > 0.0)
+        if bad.any():
+            raise self._collapse(int(pas[np.argmax(bad)]), t)
+        V[pas] = v_pas
+        th[pas] = a_pas
+
+    def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float):
+        """As for the float path; when coupled, also keep the predictor's
+        K = -J_pp^-1 J_pd over the boundary buses."""
+        dp_dt, dp_dv, dq_dt, dq_dv = partials = super()._factorize(v, a, injections, t)
+        if self.coupled:
+            blk = self.boundary_block
+            j_pd = np.block([[dp_dt[blk], dp_dv[blk]], [dq_dt[blk], dq_dv[blk]]])
+            self.tangent = -(self.jac_inv @ j_pd)
+        return partials
+
+    def consistent_eval(
+        self, y: np.ndarray, V: np.ndarray, th: np.ndarray, t: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scatter terminals, solve algebraic in place, return (dy, P, Q)."""
+        v = y[self.term_v]
+        bad = v <= 0.0
+        if bad.any():
+            cid = self.comp_ids[int(np.argmax(bad))]
+            raise SimulationError(f"voltage collapse in component {cid!r} at t = {t:.6g}")
+        th[self.term_node] = y[self.term_theta]
+        V[self.term_node] = v
+        p, q = self.solve_algebraic(V, th, t)
+        return self.rhs(y, p, q), p, q
+
+    def rk4_step(
+        self,
+        y: np.ndarray,
+        dy0: np.ndarray,
+        V: np.ndarray,
+        th: np.ndarray,
+        h: float,
+        t: float,
+    ) -> np.ndarray:
+        half = 0.5 * h
+        k2, _, _ = self.consistent_eval(y + half * dy0, V, th, t + half)
+        k3, _, _ = self.consistent_eval(y + half * k2, V, th, t + half)
+        k4, _, _ = self.consistent_eval(y + h * k3, V, th, t + h)
+        return y + (h / 6.0) * (dy0 + 2.0 * (k2 + k3) + k4)
+
+    def endpoints(self, y, p, q) -> tuple[np.ndarray, ...]:
+        """(theta, ln v, P, Q) of every component, one array each."""
+        node = self.term_node
+        return y[self.term_theta], np.log(y[self.term_v]), p[node], q[node]
+
+    @staticmethod
+    def trapezoid(prev, now, anchor_p, anchor_q, shifted, unshifted: float) -> float:
+        theta0, lnv0, p0, q0 = prev
+        theta1, lnv1, p1, q1 = now
+        p_mid = 0.5 * (p0 + p1)
+        q_mid = 0.5 * (q0 + q1)
+        d_theta = theta1 - theta0
+        d_lnv = lnv1 - lnv0
+        shifted += (p_mid - anchor_p) * d_theta + (q_mid - anchor_q) * d_lnv
+        return unshifted + float(np.sum(p_mid * d_theta + q_mid * d_lnv))
+
+
+def _make_engine(
+    net: NetworkModel, components: dict[str, Component], config: SolverConfig
+) -> _Engine:
+    """The engine for `net`: the array path for two or more passive buses,
+    otherwise the float path."""
+    engine = _ArrayEngine if len(net.passive_nodes()) > 1 else _Engine
+    return engine(net, components, config)
 
 
 # -- driver --------------------------------------------------------------------
@@ -645,7 +838,7 @@ def simulate(
     if equilibrium is None:
         equilibrium = solve_equilibrium(net, components)
 
-    engine = _Engine(net, components, config)
+    engine = _make_engine(net, components, config)
     comp_ids = engine.comp_ids
 
     anchors = equilibrium.anchors
@@ -673,6 +866,7 @@ def simulate(
                         f"explicit state for {cid!r} missing field {label!r}"
                     )
                 y[off + j] = float(given[label])
+    y = engine.buffer(y)
 
     def apply_events(step_idx: int) -> tuple[bool, bool]:
         """Mutates y/engine; returns (anything applied, network modified)."""
@@ -697,91 +891,72 @@ def simulate(
         return True, network_dirty
 
     # working buffers start at the equilibrium bus state
-    V = [float(equilibrium.state.V[i]) for i in range(net.n_nodes)]
-    th = [float(equilibrium.state.theta[i]) for i in range(net.n_nodes)]
+    V = engine.buffer(equilibrium.state.V)
+    th = engine.buffer(equilibrium.state.theta)
 
     _, network_changed = apply_events(0)
     dy, p, q = engine.consistent_eval(y, V, th, 0.0)
 
-    # accumulators (advanced every integration step), per component
-    shifted = [0.0] * len(comp_ids)
+    # accumulators (advanced every integration step), per component, and
+    # the anchors' (P, Q) they are shifted by
+    shifted = engine.buffer([0.0] * len(comp_ids))
     unshifted = 0.0
+    anchor_p = engine.buffer([anchors[cid].P for cid in comp_ids])
+    anchor_q = engine.buffer([anchors[cid].Q for cid in comp_ids])
 
     n_samples = n_steps_total // sample_every + 1 if n_steps_total else 1
     times = np.zeros(n_samples)
     bus_v = np.zeros((n_samples, net.n_nodes))
     bus_t = np.zeros((n_samples, net.n_nodes))
-    comp_states = {
-        cid: np.zeros((n_samples, comp.nstates))
-        for cid, comp in zip(comp_ids, engine.comps)
-    }
-    series_p = {cid: np.zeros(n_samples) for cid in comp_ids}
-    series_q = {cid: np.zeros(n_samples) for cid in comp_ids}
-    integral_series = {cid: np.zeros(n_samples) for cid in comp_ids}
+    bus_p = np.zeros((n_samples, net.n_nodes))
+    bus_q = np.zeros((n_samples, net.n_nodes))
+    states = np.zeros((n_samples, engine.ny))
+    integrals = np.zeros((n_samples, len(comp_ids)))
     unshifted_series = np.zeros(n_samples)
 
-    # per component, for record: its sample buffers, state slice and bus node
-    sampled = [
-        (comp_states[cid], series_p[cid], series_q[cid], integral_series[cid], lo, hi, node)
-        for cid, (_, lo, hi, node) in zip(comp_ids, engine.comp_table)
-    ]
-
     def record(sample: int, t: float) -> None:
-        """Keep the raw sample; the diagnostics are evaluated after the run."""
+        """Keep the raw sample, whole rows only; the diagnostics are
+        evaluated after the run."""
         times[sample] = t
         bus_v[sample] = V
         bus_t[sample] = th
-        for c, (states, sp, sq, integral, lo, hi, node) in enumerate(sampled):
-            states[sample] = y[lo:hi]
-            sp[sample] = p[node]
-            sq[sample] = q[node]
-            integral[sample] = shifted[c]
+        bus_p[sample] = p
+        bus_q[sample] = q
+        states[sample] = y
+        integrals[sample] = shifted
         unshifted_series[sample] = unshifted
 
     record(0, 0.0)
 
-    # per component, for the accumulation: theta and v positions in y, bus
-    # node, and the anchor's (P, Q)
-    accumulated = [
-        (i_theta, i_v, node, anchors[cid].P, anchors[cid].Q)
-        for node, i_theta, i_v, cid in engine.terminals
-    ]
-
-    def endpoints() -> list[tuple[float, float, float, float]]:
-        """(theta, ln v, P, Q) of every component at the current state."""
-        return [
-            (y[i_theta], math.log(y[i_v]), p[node], q[node])
-            for i_theta, i_v, node, _, _ in accumulated
-        ]
-
-    prev = endpoints()
+    prev = engine.endpoints(y, p, q)
     for step in range(n_steps_total):
         t = step * h
         y = engine.rk4_step(y, dy, V, th, h, t)
         t_next = (step + 1) * h
         dy, p, q = engine.consistent_eval(y, V, th, t_next)
         # trapezoid accumulation over this step
-        for c, (i_theta, i_v, node, anchor_p, anchor_q) in enumerate(accumulated):
-            theta0, lnv0, p0, q0 = prev[c]
-            theta1 = y[i_theta]
-            lnv1 = math.log(y[i_v])
-            p1 = p[node]
-            q1 = q[node]
-            p_mid = 0.5 * (p0 + p1)
-            q_mid = 0.5 * (q0 + q1)
-            d_theta = theta1 - theta0
-            d_lnv = lnv1 - lnv0
-            unshifted += p_mid * d_theta + q_mid * d_lnv
-            shifted[c] += (p_mid - anchor_p) * d_theta + (q_mid - anchor_q) * d_lnv
-            prev[c] = (theta1, lnv1, p1, q1)
+        now = engine.endpoints(y, p, q)
+        unshifted = engine.trapezoid(prev, now, anchor_p, anchor_q, shifted, unshifted)
+        prev = now
         applied, net_dirty = apply_events(step + 1)
         if applied:
             network_changed = network_changed or net_dirty
             dy, p, q = engine.consistent_eval(y, V, th, t_next)
             # refresh accumulator endpoints across the discontinuity
-            prev = endpoints()
+            prev = engine.endpoints(y, p, q)
         if (step + 1) % sample_every == 0:
             record((step + 1) // sample_every, t_next)
+
+    # the samples per component
+    comp_states: dict[str, np.ndarray] = {}
+    series_p: dict[str, np.ndarray] = {}
+    series_q: dict[str, np.ndarray] = {}
+    integral_series: dict[str, np.ndarray] = {}
+    for c, (cid, (_, lo, hi, node)) in enumerate(zip(comp_ids, engine.comp_table)):
+        comp_states[cid] = states[:, lo:hi].copy()
+        series_p[cid] = bus_p[:, node].copy()
+        series_q[cid] = bus_q[:, node].copy()
+        integral_series[cid] = integrals[:, c].copy()
 
     # the diagnostics, one array pass over all samples. Vp is the base
     # network's potential relative to the initial point, sample 0

@@ -327,6 +327,51 @@ def make_two_load_chain():
     return net, comps
 
 
+def make_mesh(n=12, chords=4, seed=3):
+    """A ring of `n` buses plus seeded chords between non-neighbours, one
+    bus in three a load and the rest swing and droop sources alternating.
+    A chord from b1 to b4 joins two loads, so the passive-bus algebra is
+    coupled. Loads are the ones implied by a chosen operating point, so
+    setpoints back-solve exactly."""
+    rng = np.random.default_rng(seed)
+    is_load = [j % 3 == 1 for j in range(n)]
+    ids = [f"b{j}" for j in range(n)]
+    edges = [(j, (j + 1) % n) for j in range(n)] + [(1, 4)]
+    have = {frozenset(e) for e in edges}
+    while len(edges) < n + 1 + chords:
+        i, k = (int(v) for v in rng.choice(n, size=2, replace=False))
+        if frozenset((i, k)) in have or min(abs(i - k), n - abs(i - k)) < 2:
+            continue
+        have.add(frozenset((i, k)))
+        edges.append((min(i, k), max(i, k)))
+    lines = [LosslessLine(ids[i], ids[k], 0.1 + 0.02 * (e % 4)) for e, (i, k) in enumerate(edges)]
+    buses = [
+        Bus(bid, BusKind.PASSIVE) if is_load[j] else Bus(bid, BusKind.DYNAMIC, f"c{j}")
+        for j, bid in enumerate(ids)
+    ] + [Bus("gnd", BusKind.GROUND)]
+    shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(n) if not is_load[j]]
+    v = [0.97 - 0.003 * (j % 2) if is_load[j] else 1.0 + 0.004 * (j % 3) for j in range(n)]
+    th = [0.005 * ((5 * j) % 7) - (0.04 if is_load[j] else 0.0) for j in range(n)]
+    probe = NetworkModel(buses, lines, [ConstantPowerBranch(ids[j], 0.0, 0.0) for j in range(n) if is_load[j]], shunts)
+    p, q = power_injection(probe, v, th)
+    loads = [ConstantPowerBranch(ids[j], -p[j], -q[j]) for j in range(n) if is_load[j]]
+    net = NetworkModel(buses, lines, loads, shunts)
+    comps = {}
+    for c, shunt in enumerate(shunts):
+        if c % 2 == 0:
+            comps[shunt.component_id] = VsgComponent(
+                id=shunt.component_id, bus=shunt.bus, M=0.16, Dp=0.076, Dq=0.03, tau_q=0.3
+            )
+        else:
+            comps[shunt.component_id] = DroopComponent(
+                id=shunt.component_id, bus=shunt.bus, tau_p=0.5, tau_q=0.3, Dp=0.05, Dq=0.03
+            )
+    sp = solve_setpoints(net, comps, v, th)
+    for cid in comps:
+        comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
+    return net, comps
+
+
 def soft_anchor_doc():
     """Case file of a swing source whose storage certificate is unavailable.
 

@@ -1,4 +1,5 @@
-"""Finite-difference and alternative-coordinate references used only by tests."""
+"""Finite-difference, alternative-coordinate and complex-arithmetic references
+used only by tests."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import numpy as np
 
 from phasorstab.components import Anchor, Component, SupplyConvention, supply_rate
 from phasorstab.equilibrium import steady_state_residual
-from phasorstab.network import NetworkModel, injection_partials, power_injection
+from phasorstab.network import BusState, NetworkModel, injection_partials, power_injection
 
 
 def fd_jacobian(
@@ -96,3 +97,35 @@ def stencil_certificate_matrix(
             d[b] = 0.0
             h[a, b] = h[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * step**2)
     return h
+
+
+def kcl_residual(
+    net: NetworkModel,
+    state: BusState,
+    dynamic_injections: dict[str, tuple[float, float]] | None = None,
+) -> list[complex]:
+    """Complex nodal current-balance residual per non-ground bus.
+
+    Shunt components contribute injected current conj((P + jQ)/Vbar) with
+    generation-positive (P, Q); constant-power branches contribute
+    conj(-(p0 + j q0)/Vbar); line currents are subtracted. A solved state
+    has residual ~0 everywhere.
+    """
+    dynamic_injections = dynamic_injections or {}
+    vbar = state.phasors()
+    res = [0j] * net.n_nodes
+    for shunt in net.dynamic_shunts:
+        i = net.node_index[shunt.bus]
+        gp, gq = dynamic_injections.get(shunt.component_id, (0.0, 0.0))
+        res[i] += (complex(gp, gq) / vbar[i]).conjugate()
+    for cp in net.constant_power:
+        i = net.node_index[cp.bus]
+        # BusState enforces V > 0, so the 1/Vbar here cannot be singular
+        res[i] += (complex(cp.p0_gen, cp.q0_gen) / vbar[i]).conjugate()
+    for line in net.lines:
+        i = net.node_index[line.from_bus]
+        k = net.node_index[line.to_bus]
+        cur = line.admittance * (vbar[i] - vbar[k])
+        res[i] -= cur
+        res[k] += cur
+    return res

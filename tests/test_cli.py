@@ -302,6 +302,32 @@ def test_non_finite_case_value_exits_one(capsys, tmp_path, edit, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["load_step", "line_scale"])
+@pytest.mark.parametrize(
+    "duration, message",
+    [(math.inf, "expected a finite number, got inf"),
+     (math.nan, "expected a finite number, got nan"),
+     (0, "must be positive, got 0.0"),
+     (-1, "must be positive, got -1.0")],
+    ids=["infinity", "nan", "zero", "negative"],
+)
+def test_bad_disturbance_duration_exits_one(capsys, tmp_path, kind, duration, message):
+    from phasorstab.cli import resolve_case_path
+
+    doc = json.loads(open(resolve_case_path("case3bus")).read())
+    fields = {"bus": "bus3", "dp": 0.1, "dq": 0.0} if kind == "load_step" else {
+        "line": 0, "factor": 0.5}
+    doc["scenario"]["disturbances"].append(
+        {"at": 0.5, "kind": kind, **fields, "duration": duration}
+    )
+    path = write_case(tmp_path, doc)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "simulate", path, "--horizon", "1", "--out", str(out_csv))
+    assert code == 1
+    assert err == f"error: scenario.disturbances[2].duration: {message}\n"
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize(
     "line, shown",
     [(True, "True"), (2.7, "2.7"), (math.inf, "inf")],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from phasorstab.components import (
     EIG_TOL,
+    AffineStack,
     Anchor,
     CertificateUnavailable,
     DroopComponent,
@@ -111,6 +112,62 @@ def test_derivative_is_smooth_near_equilibrium():
         return j
 
     assert np.allclose(jac(1e-5), jac(1e-6), rtol=1e-5, atol=1e-8)
+
+
+# -- the stacked affine map ----------------------------------------------------
+
+
+positive = st.floats(0.01, 10.0)
+
+
+@st.composite
+def component_sets(draw):
+    """Between one and six components of either model, with random
+    parameters and setpoints, on distinct buses of a larger network."""
+    comps = []
+    for j in range(draw(st.integers(1, 6))):
+        sp = Setpoints(*draw(st.tuples(
+            st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.5, 1.5), st.floats(-1.0, 1.0)
+        )))
+        if draw(st.booleans()):
+            comps.append(VsgComponent(f"c{j}", f"b{j}", *draw(st.tuples(*[positive] * 4)), sp))
+        else:
+            comps.append(DroopComponent(f"c{j}", f"b{j}", *draw(st.tuples(*[positive] * 4)), sp))
+    n_buses = len(comps) + draw(st.integers(0, 3))
+    buses = draw(st.permutations(range(n_buses)))[: len(comps)]
+    return comps, buses, n_buses
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=component_sets(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_map_is_every_components_derivative(case, seed):
+    comps, buses, n_buses = case
+    stack = AffineStack(comps, buses, n_buses)
+    rng = np.random.default_rng(seed)
+    ny = sum(c.nstates for c in comps)
+    y = rng.uniform(-1.0, 1.0, ny)
+    P, Q = rng.uniform(-2.0, 2.0, (2, n_buses))
+    dy = stack(y, P, Q)
+    assert dy.shape == (ny,) and dy.dtype == np.float64
+    dense = np.zeros((ny, ny + 2 * n_buses))
+    dense[stack.rows, stack.cols] = stack.vals
+    lo = 0
+    for comp, bus in zip(comps, buses):
+        hi = lo + comp.nstates
+        f = np.array(comp.derivative(y[lo:hi], (P[bus], Q[bus])))
+        d_f = comp.affine_matrix()
+        z = np.concatenate([y[lo:hi], [P[bus], Q[bus]]])
+        # rounding is relative to the terms summed, which may cancel
+        scale = np.abs(d_f) @ np.abs(z) + np.abs(comp.affine_offset())
+        assert np.all(np.abs(dy[lo:hi] - f) <= 1e-14 * scale)
+        # the table is the linearization's D_f, bit for bit, and the stack
+        # holds it at the component's states and bus
+        assert np.array_equal(comp.linearization(Anchor(0.1, 0.1, 1.0, 0.0))[0], d_f)
+        cols = [*range(lo, hi), ny + bus, ny + n_buses + bus]
+        assert np.array_equal(dense[lo:hi][:, cols], d_f)
+        lo = hi
+    # nothing outside the components' own blocks
+    assert np.count_nonzero(dense) == sum(np.count_nonzero(c.affine_matrix()) for c in comps)
 
 
 # -- storage -------------------------------------------------------------------

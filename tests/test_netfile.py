@@ -196,3 +196,41 @@ def test_setpoint_type_error_names_the_field():
     doc["components"][0]["setpoints"]["Q_e"] = "0.1"
     with pytest.raises(NetworkFileError, match=re.escape("setpoints.Q_e: expected a number")):
         parse_case(doc)
+
+
+@pytest.mark.parametrize("kind", ["load_step", "line_scale"])
+@pytest.mark.parametrize(
+    "duration, message",
+    [(math.inf, "expected a finite number, got inf"),
+     (math.nan, "expected a finite number, got nan"),
+     (0, "must be positive, got 0.0"),
+     (-1, "must be positive, got -1.0")],
+    ids=["infinity", "nan", "zero", "negative"],
+)
+def test_bad_disturbance_duration_names_the_field(kind, duration, message):
+    doc = minimal_doc()
+    fields = {"bus": "b", "dp": 0.1, "dq": 0.0} if kind == "load_step" else {
+        "line": 0, "factor": 0.5}
+    doc["scenario"] = {
+        "horizon": 1.0,
+        "disturbances": [{"at": 0.1, "kind": kind, **fields, "duration": duration}],
+    }
+    with pytest.raises(
+        NetworkFileError, match=re.escape(f"scenario.disturbances[0].duration: {message}")
+    ):
+        parse_case(doc)
+
+
+def test_scenario_names_a_bad_duration_and_its_value():
+    from phasorstab.simulator import LoadStep, Scenario, ScenarioError
+
+    with pytest.raises(
+        ScenarioError, match=re.escape("disturbances[1].duration must be positive, got -0.5")
+    ):
+        Scenario(
+            horizon=1.0,
+            disturbances=[
+                LoadStep(0.0, "b", 0.1, 0.0),
+                LoadStep(0.2, "b", 0.1, 0.0, duration=-0.5),
+            ],
+        )

@@ -19,7 +19,6 @@ from phasorstab.network import (
     NetworkModel,
     branch_currents_oracle,
     injection_partials,
-    kcl_residual,
     passive_bus_solution,
     power_injection,
     power_injection_scalar,
@@ -27,6 +26,7 @@ from phasorstab.network import (
 )
 
 from conftest import ring_network_samples, ring_networks, thevenin_networks, thevenin_sources
+from helpers import kcl_residual
 
 
 def two_bus(x=1.0):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 
 from phasorstab import simulator
-from phasorstab.components import VsgComponent
+from phasorstab.components import Setpoints, VsgComponent
 from phasorstab.cli import solve_case_equilibrium
 from phasorstab.equilibrium import solve_equilibrium
-from phasorstab.network import BusState, NetworkError, kcl_residual, power_injection
+from phasorstab.network import BusState, NetworkError, power_injection
 from phasorstab.potential import eval_vp
 from phasorstab.simulator import (
     LineScale,
@@ -25,10 +25,12 @@ from phasorstab.simulator import (
 
 from conftest import (
     make_load_ladder,
+    make_mesh,
     make_soft_anchor_case,
     make_two_load_chain,
     thevenin_networks,
 )
+from helpers import kcl_residual
 
 
 def quiet(horizon, period=0.01, **kw):
@@ -325,21 +327,27 @@ def test_chord_jacobian_refreshed_after_line_scale(tmp_path):
 
 
 def engine_for(net):
-    """An inner-solve engine on `net`, with a swing source on every dynamic bus."""
+    """An inner-solve engine on `net`, with a swing source on every dynamic
+    bus (the setpoints only fill the array path's affine table)."""
+    sp = Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0)
     comps = {
-        s.component_id: VsgComponent(id=s.component_id, bus=s.bus, M=0.2, Dp=0.1, Dq=0.05, tau_q=0.5)
+        s.component_id: VsgComponent(
+            id=s.component_id, bus=s.bus, M=0.2, Dp=0.1, Dq=0.05, tau_q=0.5, setpoints=sp
+        )
         for s in net.dynamic_shunts
     }
-    return simulator._Engine(net, comps, SolverConfig())
+    return simulator._make_engine(net, comps, SolverConfig())
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=thevenin_networks())
 def test_uncoupled_passive_buses_solve_without_iteration(case):
-    # one passive bus takes the float closed form, more take the array one
+    # one passive bus takes the float closed form on lists, more take the
+    # array one on arrays
     net, v, th = case
     engine = engine_for(net)
-    V, T = v.tolist(), th.tolist()
+    V, T = engine.buffer(v), engine.buffer(th)
+    assert isinstance(V, list) == (len(net.passive_nodes()) == 1)
     p, q = engine.solve_algebraic(V, T, 0.0)
     p_ref, q_ref = power_injection(net, V, T)
     assert np.allclose(p, p_ref, rtol=0.0, atol=1e-12)
@@ -355,8 +363,9 @@ def test_uncoupled_passive_buses_solve_without_iteration(case):
 def test_load_beyond_transfer_limit_is_voltage_collapse(case):
     # every load is beyond its limit; the first passive bus is named
     net, v, th = case
+    engine = engine_for(net)
     with pytest.raises(SimulationError, match=r"^voltage collapse at bus 'b1', t = 0\.25$"):
-        engine_for(net).solve_algebraic(v.tolist(), th.tolist(), 0.25)
+        engine.solve_algebraic(engine.buffer(v), engine.buffer(th), 0.25)
 
 
 def passive_residuals(traj, active_at):
@@ -426,6 +435,63 @@ def test_closed_form_tables_follow_a_load_step():
     during = (traj.times > 0.1 + 1e-9) & (traj.times < 0.3 - 1e-9)
     assert np.all(passive_residuals(traj, lambda t: net)[during] >= 0.1)
     assert (traj.inner_iterations, traj.jacobian_factorizations) == (0, 0)
+
+
+def kicked_pair(comps):
+    """A kick to the first two sources: omega of a swing source, v of a droop."""
+    return [
+        StatePerturbation(
+            at=0.0, component=cid,
+            delta={"omega": 0.1} if "omega" in comps[cid].state_labels else {"v": -0.02},
+        )
+        for cid in list(comps)[:2]
+    ]
+
+
+# (kicked run's chord steps, factorizations of the run with events) of the
+# chord iteration without the tangent predictor, on the scenarios below
+WITHOUT_PREDICTOR = {"two-load-chain": (5566, 5), "mesh": (4661, 5)}
+
+
+@pytest.mark.parametrize("name", ["two-load-chain", "mesh"])
+def test_array_path_with_events_stays_balanced(tmp_path, name):
+    net, comps = make_two_load_chain() if name == "two-load-chain" else make_mesh()
+    passive = net.passive_nodes()
+    assert len(passive) >= 2
+    assert any(i in passive and k in passive for i, k, _ in net.edges)
+    sol = solve_equilibrium(net, comps)
+    config = SolverConfig(step_size=1e-3)
+    load_bus = net.non_ground[passive[-1]]
+    events = [
+        LoadStep(at=0.1, bus=load_bus, dp=0.05, dq=0.02, duration=0.2),
+        LineScale(at=0.15, line_index=1, factor=0.5, duration=0.2),
+    ]
+    scen = Scenario(0.5, 0.01, disturbances=kicked_pair(comps) + events)
+    outputs = []
+    for run in range(2):
+        traj = simulate(net, comps, scen, config, sol)
+        out = tmp_path / f"run{run}.csv"
+        traj.to_csv(str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    stepped = net.with_load_delta(load_bus, 0.05, 0.02)
+
+    def active_at(t):
+        active = stepped if 0.1 - 1e-9 < t < 0.3 - 1e-9 else net
+        return active.with_scaled_line(1, 0.5) if 0.15 - 1e-9 < t < 0.35 - 1e-9 else active
+
+    assert np.all(passive_residuals(traj, active_at) <= config.newton_tol)
+    # the events visibly move the passive buses: against the unchanged
+    # network the samples while they are active are off balance
+    during = (traj.times > 0.1 + 1e-9) & (traj.times < 0.35 - 1e-9)
+    assert np.all(passive_residuals(traj, lambda t: net)[during] > 1e-3)
+    chord_steps, factorizations = WITHOUT_PREDICTOR[name]
+    # one at the start, and one after each of the four network switches
+    assert traj.jacobian_factorizations <= factorizations
+    kicked_run = simulate(net, comps, Scenario(0.5, 0.01, disturbances=kicked_pair(comps)), config, sol)
+    assert kicked_run.jacobian_factorizations == 1
+    assert kicked_run.inner_iterations < chord_steps
+    assert np.all(passive_residuals(kicked_run, lambda t: net) <= config.newton_tol)
 
 
 def test_chord_failure_reports_time_and_residual():
