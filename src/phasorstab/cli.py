@@ -31,7 +31,13 @@ from .equilibrium import (
     solve_equilibrium,
     solve_setpoints,
 )
-from .netfile import CaseDefinition, NetworkFileError, load_case, parse_solver
+from .netfile import (
+    CaseDefinition,
+    NetworkFileError,
+    load_case,
+    load_contours,
+    parse_solver,
+)
 from .network import NetworkError
 from .potential import (
     enclosed_area,
@@ -81,17 +87,6 @@ def _number_option(text: str, flag: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise ScenarioError(f"{flag} expects a finite number, got {text!r}")
-    return value
-
-
-def _count_option(text: str, flag: str) -> int:
-    """Value of a command-line option that counts something: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ScenarioError(f"{flag} expects an integer >= 1, got {text!r}")
     return value
 
 
@@ -321,17 +316,13 @@ def cmd_verify_identities(args) -> int:
 def cmd_path_experiment(args) -> int:
     g = _number_option(args.g, "--g")
     b = _number_option(args.b, "--b")
-    n = _count_option(args.n, "--n")
+    width = _number_option(args.width, "--width")
+    height = _number_option(args.height, "--height")
     if args.contours:
-        with open(args.contours) as fh:
-            raw = json.load(fh)
-        contour_a = [complex(p[0], p[1]) for p in raw["a"]]
-        contour_b = [complex(p[0], p[1]) for p in raw["b"]]
+        contour_a, contour_b = load_contours(args.contours)
     else:
-        contour_a, contour_b = rectangle_contour_pair(
-            _number_option(args.width, "--width"), _number_option(args.height, "--height")
-        )
-    result = path_dependence_experiment(g, b, contour_a, contour_b, n=n)
+        contour_a, contour_b = rectangle_contour_pair(width, height)
+    result = path_dependence_experiment(g, b, contour_a, contour_b)
     doc = {
         "g": g,
         "b": b,
@@ -418,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--b", default="-1.0", help="susceptance")
     p_path.add_argument("--width", default="1.0")
     p_path.add_argument("--height", default="1.0")
-    p_path.add_argument("--n", default="512", help="points per segment")
     p_path.add_argument("--contours", default=None, help="JSON file with contours a/b")
     p_path.add_argument("--out", default=None)
     p_path.set_defaults(func=cmd_path_experiment)

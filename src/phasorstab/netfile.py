@@ -26,6 +26,7 @@ from .network import (
     NetworkError,
     NetworkModel,
 )
+from .potential import shared_endpoints
 from .records import recordclass
 from .simulator import (
     LineScale,
@@ -35,7 +36,14 @@ from .simulator import (
     StatePerturbation,
 )
 
-__all__ = ["NetworkFileError", "CaseDefinition", "load_case", "parse_case", "parse_solver"]
+__all__ = [
+    "NetworkFileError",
+    "CaseDefinition",
+    "load_case",
+    "load_contours",
+    "parse_case",
+    "parse_solver",
+]
 
 
 class NetworkFileError(ValueError):
@@ -395,15 +403,46 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
     )
 
 
-def load_case(path: str) -> CaseDefinition:
-    """Parse a case from a JSON file, reporting parse errors with position."""
+def _read_json(path: str) -> Any:
+    """The JSON document in a file, reporting parse errors with position."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise NetworkFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise NetworkFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_case(doc, source=path)
+
+
+def load_case(path: str) -> CaseDefinition:
+    """Parse a case from a JSON file, reporting parse errors with position."""
+    return parse_case(_read_json(path), source=path)
+
+
+def _contour(raw: Any, where: str) -> list[complex]:
+    if not isinstance(raw, list):
+        raise NetworkFileError(f"{where}: expected a list of [x, y] points")
+    if len(raw) < 2:
+        raise NetworkFileError(f"{where}: needs at least two points, got {len(raw)}")
+    points = []
+    for j, point in enumerate(raw):
+        at = f"{where}[{j}]"
+        if not isinstance(point, list) or len(point) != 2:
+            raise NetworkFileError(f"{at}: expected a point [x, y], got {point!r}")
+        points.append(complex(_finite(point[0], at), _finite(point[1], at)))
+    return points
+
+
+def load_contours(path: str) -> tuple[list[complex], list[complex]]:
+    """The two contours of a ``path-experiment --contours`` file,
+    ``{"a": [[x, y], ...], "b": [[x, y], ...]}``: each two or more points of
+    finite coordinates, the two sharing their first and their last point."""
+    doc = _read_json(path)
+    _check_fields(doc, {"a", "b"}, "contours")
+    contour_a = _contour(_require(doc, "a", "contours"), "contours.a")
+    contour_b = _contour(_require(doc, "b", "contours"), "contours.b")
+    if not shared_endpoints(contour_a, contour_b):
+        raise NetworkFileError("contours: a and b must share both endpoints")
+    return contour_a, contour_b

@@ -3,10 +3,10 @@
 A network is a connected graph of buses with exactly one ground bus. Lossless
 lines (reactance x > 0, coupling B = 1/x) join non-ground buses; constant-power
 branches and dynamic shunts run from a bus to ground. Loads are declared
-consumption-positive in input files; every quantity computed here is
+consumption-positive in input files, and ``NetworkModel.load_p`` and
+``load_q`` keep that sign. Every injection computed here is
 generation-positive (power injected from the shunt side into the network),
-with the sign conversion happening in exactly one place
-(:attr:`ConstantPowerBranch.p0_gen`).
+so a passive bus balances at P_i + load_p_i = 0 and Q_i + load_q_i = 0.
 
 This module is the network kernel: :func:`power_injection` evaluates the
 line power-flow terms on edge arrays (one gather, one sin and one cos over
@@ -108,14 +108,6 @@ class ConstantPowerBranch:
     bus: str
     p0: float
     q0: float
-
-    @property
-    def p0_gen(self) -> float:
-        return -self.p0
-
-    @property
-    def q0_gen(self) -> float:
-        return -self.q0
 
 
 @recordclass(frozen=True)

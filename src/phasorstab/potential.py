@@ -38,6 +38,7 @@ __all__ = [
     "convexity_check",
     "ContourIntegralResult",
     "contour_integral",
+    "shared_endpoints",
     "path_dependence_experiment",
     "rectangle_contour_pair",
     "enclosed_area",
@@ -122,12 +123,6 @@ class BregmanDivergence:
             [np.asarray(theta, dtype=float), np.log(np.asarray(V, dtype=float))], axis=-1
         )
         return vp - self.vp0 - (self.grad0 * (z - self.z0)).sum(axis=-1)
-
-    def gradient(self, V, theta) -> np.ndarray:
-        return grad_vp(self.net, V, theta) - self.grad0
-
-    def hessian(self) -> np.ndarray:
-        return hessian_vp(self.net, self.V0, self.theta0)
 
 
 @recordclass(frozen=True)
@@ -231,28 +226,28 @@ class ContourIntegralResult:
         return (self.integral_a - self.integral_b).imag
 
 
-def contour_integral(g: float, b: float, contour: list[complex], n: int = 512) -> complex:
+def contour_integral(g: float, b: float, contour: list[complex]) -> complex:
     """Line integral of conj(I) dV = conj(y) conj(V) dV along a polyline,
-    for admittance y = g + jb, by composite trapezoid on each segment.
+    for admittance y = g + jb.
 
-    The integrand is linear along a straight segment, so the trapezoid rule
-    on any subdivision is exact up to rounding; n only densifies.
+    The integrand is linear along a straight segment, so one trapezoid per
+    segment is the exact integral.
     """
     if len(contour) < 2:
         raise ValueError("contour needs at least two points")
     y_conj = complex(g, -b)
     total = 0j
     for a, c in zip(contour[:-1], contour[1:]):
-        seg = c - a
-        acc = 0j
-        prev = y_conj * a.conjugate()
-        for j in range(1, n + 1):
-            z = a + seg * (j / n)
-            cur = y_conj * z.conjugate()
-            acc += 0.5 * (prev + cur)
-            prev = cur
-        total += acc * (seg / n)
+        total += 0.5 * y_conj * (a + c).conjugate() * (c - a)
     return total
+
+
+def shared_endpoints(contour_a: list[complex], contour_b: list[complex]) -> bool:
+    """Whether two contours start at one point and end at one point, to 1e-12."""
+    return (
+        abs(contour_a[0] - contour_b[0]) <= 1e-12
+        and abs(contour_a[-1] - contour_b[-1]) <= 1e-12
+    )
 
 
 def path_dependence_experiment(
@@ -260,7 +255,6 @@ def path_dependence_experiment(
     b: float,
     contour_a: list[complex],
     contour_b: list[complex],
-    n: int = 512,
 ) -> ContourIntegralResult:
     """Compare the branch line integral along two contours sharing endpoints.
 
@@ -269,13 +263,11 @@ def path_dependence_experiment(
     contour_a followed by reversed contour_b. Either part is
     path-independent exactly when its coefficient vanishes.
     """
-    if abs(contour_a[0] - contour_b[0]) > 1e-12 or abs(
-        contour_a[-1] - contour_b[-1]
-    ) > 1e-12:
+    if not shared_endpoints(contour_a, contour_b):
         raise ValueError("contours must share both endpoints")
     return ContourIntegralResult(
-        integral_a=contour_integral(g, b, contour_a, n),
-        integral_b=contour_integral(g, b, contour_b, n),
+        integral_a=contour_integral(g, b, contour_a),
+        integral_b=contour_integral(g, b, contour_b),
     )
 
 

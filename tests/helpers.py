@@ -121,7 +121,7 @@ def kcl_residual(
     for cp in net.constant_power:
         i = net.node_index[cp.bus]
         # BusState enforces V > 0, so the 1/Vbar here cannot be singular
-        res[i] += (complex(cp.p0_gen, cp.q0_gen) / vbar[i]).conjugate()
+        res[i] += (complex(-cp.p0, -cp.q0) / vbar[i]).conjugate()
     for line in net.lines:
         i = net.node_index[line.from_bus]
         k = net.node_index[line.to_bus]

@@ -154,14 +154,14 @@ def test_criterion_05_convexity_membership(case3bus, case3bus_solution):
     report(
         5, ok,
         f"eigenvalues {np.round(eigs, 6)}; {rep.detail} "
-        "(known conflict: the load-term sign fixed by the trajectory "
-        "identities makes this Hessian indefinite; membership holds only "
-        "under the opposite sign, which breaks those identities)",
+        "(known: the line terms make this Hessian indefinite at every state "
+        "that carries flow; the load terms are linear in (theta, ln V) and "
+        "do not enter it)",
     )
     assert rep.member, (
         "the divergence Hessian has a negative eigenvalue "
-        f"{eigs[0]:.4e}; membership requires the sign-flipped load term, "
-        "which the trajectory identities exclude"
+        f"{eigs[0]:.4e}; it comes from the line terms, which give one at any "
+        "nonzero flow, and no sign of the load terms changes it"
     )
 
 

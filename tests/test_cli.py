@@ -200,6 +200,67 @@ def test_path_experiment_lossless_left_alone(capsys):
     assert abs(doc["im_diff"]) <= 1e-8
 
 
+def test_path_experiment_reads_contours_file(capsys, tmp_path):
+    path = tmp_path / "contours.json"
+    path.write_text(json.dumps({"a": [[0, 0], [2, 0], [2, 0.5]],
+                                "b": [[0, 0], [0, 0.5], [2, 0.5]]}))
+    code, out, err = run_cli(
+        capsys, "path-experiment", "--g", "1.0", "--b", "0.0", "--contours", str(path)
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["enclosed_area"] == pytest.approx(1.0)
+    assert doc["im_diff"] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read "),
+        ('{"a": [[0, 0], [1, 1]],', "invalid JSON at line 1"),
+        ("[[0, 0], [1, 1]]", "contours: expected an object"),
+        ('{"a": [[0, 0], [1, 1]]}', "contours: missing required field 'b'"),
+        ('{"a": [[0, 0], [1, 1]], "b": [[0, 0], [1, 1]], "c": []}',
+         "contours: unknown field(s) ['c']"),
+        ('{"a": {"x": 0}, "b": [[0, 0], [1, 1]]}', "contours.a: expected a list of [x, y]"),
+        ('{"a": [[0, 0], [1, 1]], "b": [[1, 1]]}', "contours.b: needs at least two points"),
+        ('{"a": [[0, 0], [1]], "b": [[0, 0], [1, 1]]}', "contours.a[1]: expected a point"),
+        ('{"a": [[0, 0], ["1", 1]], "b": [[0, 0], [1, 1]]}',
+         "contours.a[1]: expected a number, got '1'"),
+        ('{"a": [[0, 0], [true, 1]], "b": [[0, 0], [1, 1]]}',
+         "contours.a[1]: expected a number, got True"),
+        ('{"a": [[0, 0], [1, 1]], "b": [[0, 0], [0, NaN], [1, 1]]}',
+         "contours.b[1]: expected a finite number, got nan"),
+        ('{"a": [[0, 0], [1, 1]], "b": [[0, 0], [1, Infinity]]}',
+         "contours.b[1]: expected a finite number, got inf"),
+        ('{"a": [[0, 0], [1, 1]], "b": [[0, 0], [1, 2]]}',
+         "contours: a and b must share both endpoints"),
+    ],
+    ids=["missing-file", "invalid-json", "not-an-object", "missing-b", "unknown-field",
+         "contour-not-a-list", "one-point", "short-point", "string-coordinate",
+         "bool-coordinate", "nan-coordinate", "inf-coordinate", "different-endpoints"],
+)
+def test_bad_contours_file_exits_one(capsys, tmp_path, monkeypatch, text, message):
+    import phasorstab.cli as cli
+
+    def no_integral(*args):
+        raise AssertionError("the contours were integrated before the file was checked")
+
+    monkeypatch.setattr(cli, "path_dependence_experiment", no_integral)
+    path = tmp_path / "contours.json"
+    if text is not None:
+        path.write_text(text)
+    out_file = tmp_path / "out.json"
+    code, out, err = run_cli(
+        capsys, "path-experiment", "--contours", str(path), "--out", str(out_file)
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert message in err
+    assert out == ""
+    assert not out_file.exists()
+
+
 def test_certify_reports_unavailable_certificate(capsys, tmp_path):
     path = write_case(tmp_path, soft_anchor_doc())
     report_path = tmp_path / "report.json"
@@ -367,18 +428,17 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
         (["--tol", "nan", "certify", "case3bus", "--with-trajectory"], "--tol expects a finite"),
         (["--tol", "abc", "certify", "case3bus"], "--tol expects a finite number, got 'abc'"),
         (["--tol=-1e-6", "certify", "case3bus"], "--tol must be nonnegative"),
-        (["path-experiment", "--n", "0"], "--n expects an integer >= 1, got '0'"),
-        (["path-experiment", "--n", "-3"], "--n expects an integer >= 1"),
-        (["path-experiment", "--n", "2.5"], "--n expects an integer >= 1"),
         (["path-experiment", "--g", "nan"], "--g expects a finite number"),
         (["path-experiment", "--b", "inf"], "--b expects a finite number"),
         (["path-experiment", "--width", "wide"], "--width expects a finite number"),
         (["path-experiment", "--height=-inf"], "--height expects a finite number"),
+        (["path-experiment", "--contours", "missing.json", "--width", "wide"],
+         "--width expects a finite number"),
     ],
     ids=["h-text", "h-zero", "horizon-text", "horizon-nan", "certify-h", "verify-horizon",
          "h-sweep-empty-entry", "h-sweep-repeated", "h-sweep-negative", "h-sweep-off-horizon",
-         "tol-nan", "tol-text", "tol-negative", "n-zero",
-         "n-negative", "n-fraction", "g-nan", "b-inf", "width-text", "height-inf"],
+         "tol-nan", "tol-text", "tol-negative", "g-nan", "b-inf", "width-text",
+         "height-inf", "width-text-with-contours"],
 )
 def test_bad_numeric_option_exits_one(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))

@@ -423,20 +423,17 @@ def test_orthogonality_needs_balanced_injections(case3bus, case3bus_solution):
 
 
 def test_constant_power_branch_current_reproduces_consumption(case3bus):
-    # feeding the oracle's branch current into the complex-power map returns
-    # the declared consumption as negative generation, exactly
-    from phasorstab.signals import Phasor, complex_power
-
+    # the power generated in the branch, -Vbar conj(I) in the associated
+    # reference direction of the oracle's current, is the declared
+    # consumption as negative generation, exactly
     v = [case3bus.operating_point[b][0] for b in case3bus.net.non_ground]
     th = [case3bus.operating_point[b][1] for b in case3bus.net.non_ground]
     state = BusState(np.array(v), np.array(th))
     cur = branch_currents_oracle(case3bus.net, state)["cp:bus3:0"]
     load = case3bus.net.node_index["bus3"]
-    s = complex_power(
-        Phasor(v[load], th[load]), Phasor.from_complex(cur)
-    )
-    assert s.active == pytest.approx(-0.03, abs=1e-12)
-    assert s.reactive == pytest.approx(-0.55, abs=1e-12)
+    s = -state.phasors()[load] * cur.conjugate()
+    assert s.real == pytest.approx(-0.03, abs=1e-12)
+    assert s.imag == pytest.approx(-0.55, abs=1e-12)
 
 
 # -- copy-with-modification helpers ---------------------------------------------
