@@ -74,7 +74,6 @@ class CertificateReport:
     storage: dict[SupplyConvention, dict[str, StorageVerdict]]
     local_forms: dict[str, LocalCertificate]
     convexity: ConvexityReport
-    hessian_eigenvalues: list[float]
     identity_residual_potential: float | None
     identity_residual_divergence: float | None
     w_consistency: str
@@ -339,7 +338,6 @@ def certify(
         storage=storage,
         local_forms=local_forms,
         convexity=convexity,
-        hessian_eigenvalues=[float(x) for x in np.linalg.eigvalsh(hess)],
         identity_residual_potential=potential_res,
         identity_residual_divergence=divergence_res,
         w_consistency=w_note,

@@ -34,6 +34,7 @@ from .equilibrium import (
 from .netfile import (
     CaseDefinition,
     NetworkFileError,
+    _read_json,
     load_case,
     load_contours,
     parse_solver,
@@ -94,11 +95,7 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     """Apply global overrides and back-solve missing setpoints."""
     solver = case.solver
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise NetworkFileError(f"cannot read config {args.config}: {exc}") from exc
+        overrides = _read_json(args.config)
         if isinstance(overrides, dict):
             overrides = overrides.get("solver", overrides)
         if not isinstance(overrides, dict):

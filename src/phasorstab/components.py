@@ -1,25 +1,30 @@
 """Dynamic components: swing-type and first-order droop voltage sources.
 
-Each component is an immutable value object exposing
+Each component is an immutable value object. A model states its physics
+once, in five members:
 
-* ``derivative(x, u)``        -- state derivative for input u = (P, Q),
-* ``affine_matrix()`` / ``affine_offset()`` -- the model's one table of
-  coefficients: ``derivative`` is affine, f = D_f (x, P, Q) + c, with D_f
-  from the parameters and c from the setpoints,
-* ``steady_state_residual``   -- the relations that vanish at equilibrium,
-* ``storage`` / ``storage_rate`` -- a candidate storage function and its
-  analytic time derivative (chain rule, never numeric differencing),
-* ``linearization(anchor)``   -- that D_f and the Hessian of ``storage`` at
-  the anchor, in closed form; the local certificate is built from these two
-  matrices.
+* ``derivative(x, u)``        -- state derivative for input u = (P, Q); it
+  must be affine in (x, P, Q),
+* ``steady_state_partials()`` -- the rows of its equilibrium relations, as
+  constant partials by (theta, V, P, Q),
+* ``storage`` / ``storage_gradient`` -- a candidate storage function and its
+  analytic gradient,
+* ``linearization(anchor)``   -- the table D_f and the Hessian of ``storage``
+  at the anchor, in closed form; the local certificate is built from these
+  two matrices.
+
+The :class:`Component` base derives the rest from them: the one table of
+coefficients ``affine_matrix()`` / ``affine_offset()`` (f = D_f (x, P, Q) + c,
+D_f from the parameters and c from the setpoints, both read off
+``derivative``), ``steady_state_residual``, ``equilibrium_state``,
+``anchors_angle`` and ``storage_rate`` (chain rule, never numeric
+differencing), along with the setpoint binding, the stiffness guard and the
+parameter check.
 
 ``derivative``, ``storage``, ``storage_rate`` and :func:`supply_rate` are
 elementwise arithmetic, so a state x and input u may be floats or arrays
 over samples: x of shape (nstates, S) with P and Q of shape (S,) gives one
 value per sample.
-
-What the two models share (setpoint binding, the stiffness guard, the
-storage rate and the parameter check) lives in the :class:`Component` base.
 
 Inputs are generation-positive branch powers. Storage functions are
 normalized so they evaluate to zero at their anchor point; the anchor
@@ -127,10 +132,12 @@ def _voltage_store_curvature(k: float, Dq: float, V_anchor: float) -> float:
 
 
 class Component:
-    """What both models share. Each model declares ``state_labels`` and
-    ``positive_params`` and supplies ``derivative`` with its affine table,
-    ``storage``, ``storage_gradient``, the steady-state relations and
-    ``linearization``."""
+    """What every model shares. A model declares ``state_labels`` (with
+    ``"theta"`` and ``"v"`` among them; any other state is an internal
+    deviation that rests at zero) and ``positive_params``, and defines
+    ``derivative``, ``steady_state_partials``, ``storage``,
+    ``storage_gradient`` and ``linearization``. The members below derive
+    everything else from those."""
 
     positive_params: tuple[str, ...] = ()
 
@@ -158,6 +165,45 @@ class Component:
         for j in range(1, len(g)):
             rate += g[j] * f[j]
         return rate
+
+    def affine_matrix(self) -> np.ndarray:
+        """D_f, the partials of ``derivative`` by (x, P, Q): ``derivative`` of
+        the unit columns with zero setpoints. ``+ 0.0`` turns the -0.0 that
+        the zero terms leave into 0.0."""
+        unit = np.eye(self.nstates + 2)
+        at_zero = self.with_setpoints(Setpoints(0.0, 0.0, 0.0, 0.0))
+        return np.array(at_zero.derivative(unit[:-2], (unit[-2], unit[-1]))) + 0.0
+
+    def affine_offset(self) -> np.ndarray:
+        """c = ``derivative`` - D_f (x, P, Q): ``derivative`` at x = 0 and
+        P = Q = 0, from the setpoints."""
+        return np.array(self.derivative((0.0,) * self.nstates, (0.0, 0.0))) + 0.0
+
+    def steady_state_residual(
+        self, theta: float, V: float, P: float, Q: float
+    ) -> tuple[float, ...]:
+        """The relations that vanish at equilibrium: each row of
+        ``steady_state_partials`` times the deviations from the setpoints."""
+        sp = self._sp()
+        deviation = (theta - sp.theta_e, V - sp.V_e, P - sp.P_e, Q - sp.Q_e)
+        residual = []
+        for row in self.steady_state_partials():
+            total = 0.0
+            for coeff, d in zip(row, deviation):
+                if coeff:
+                    total += coeff * d
+            residual.append(total)
+        return tuple(residual)
+
+    @property
+    def anchors_angle(self) -> bool:
+        """True when the steady state depends on the absolute angle."""
+        return any(row[0] for row in self.steady_state_partials())
+
+    def equilibrium_state(self, theta: float, V: float) -> tuple[float, ...]:
+        """The state at rest at terminal angle theta and voltage V."""
+        terminal = {"theta": theta, "v": V}
+        return tuple(terminal.get(label, 0.0) for label in self.state_labels)
 
     def require_stiffness(self, a: Anchor) -> float:
         k = a.V + self.Dq * a.Q
@@ -195,7 +241,6 @@ class VsgComponent(Component):
 
     state_labels = ("theta", "omega", "v")
     positive_params = ("M", "Dp", "Dq", "tau_q")
-    anchors_angle = False  # dynamics depend on angles only through P
 
     def derivative(self, x, u) -> tuple[float, ...]:
         sp = self._sp()
@@ -217,21 +262,6 @@ class VsgComponent(Component):
         k = self.require_stiffness(a)
         return (0.0, self.M * x[1], _voltage_store_grad(k, self.Dq, x[2], a.V))
 
-    def affine_matrix(self) -> np.ndarray:
-        """D_f, the partials of ``derivative`` by (theta, omega, v, P, Q)."""
-        return np.array([
-            [0.0, 1.0, 0.0, 0.0, 0.0],
-            [0.0, -self.Dp / self.M, 0.0, -1.0 / self.M, 0.0],
-            [0.0, 0.0, -1.0 / self.tau_q, 0.0, -self.Dq / self.tau_q],
-        ])
-
-    def affine_offset(self) -> np.ndarray:
-        """c = ``derivative`` - D_f (x, P, Q), from the setpoints."""
-        sp = self._sp()
-        return np.array([
-            0.0, sp.P_e / self.M, (sp.V_e + self.Dq * sp.Q_e) / self.tau_q
-        ])
-
     def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
         """D_f by (theta, omega, v, P, Q), and the storage Hessian at anchor."""
         k = self.require_stiffness(anchor)
@@ -240,21 +270,12 @@ class VsgComponent(Component):
 
     # -- equilibrium interface ----------------------------------------------
 
-    def steady_state_residual(
-        self, theta: float, V: float, P: float, Q: float
-    ) -> tuple[float, float]:
-        sp = self._sp()
-        return (P - sp.P_e, (V - sp.V_e) + self.Dq * (Q - sp.Q_e))
-
     def steady_state_partials(self) -> tuple[tuple[float, float, float, float], ...]:
         """Rows of d(residual)/d(theta, V, P, Q)."""
         return (
             (0.0, 0.0, 1.0, 0.0),
             (0.0, 1.0, 0.0, self.Dq),
         )
-
-    def equilibrium_state(self, theta: float, V: float) -> tuple[float, ...]:
-        return (theta, 0.0, V)
 
 
 @recordclass(frozen=True)
@@ -276,7 +297,6 @@ class DroopComponent(Component):
 
     state_labels = ("theta", "v")
     positive_params = ("tau_p", "tau_q", "Dp", "Dq")
-    anchors_angle = True  # theta enters the dynamics directly
 
     def derivative(self, x, u) -> tuple[float, ...]:
         sp = self._sp()
@@ -303,21 +323,6 @@ class DroopComponent(Component):
             _voltage_store_grad(k, self.Dq, x[1], a.V),
         )
 
-    def affine_matrix(self) -> np.ndarray:
-        """D_f, the partials of ``derivative`` by (theta, v, P, Q)."""
-        return np.array([
-            [-1.0 / self.tau_p, 0.0, -self.Dp / self.tau_p, 0.0],
-            [0.0, -1.0 / self.tau_q, 0.0, -self.Dq / self.tau_q],
-        ])
-
-    def affine_offset(self) -> np.ndarray:
-        """c = ``derivative`` - D_f (x, P, Q), from the setpoints."""
-        sp = self._sp()
-        return np.array([
-            (sp.theta_e + self.Dp * sp.P_e) / self.tau_p,
-            (sp.V_e + self.Dq * sp.Q_e) / self.tau_q,
-        ])
-
     def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
         """D_f by (theta, v, P, Q), and the storage Hessian at anchor."""
         k = self.require_stiffness(anchor)
@@ -326,23 +331,11 @@ class DroopComponent(Component):
 
     # -- equilibrium interface ----------------------------------------------
 
-    def steady_state_residual(
-        self, theta: float, V: float, P: float, Q: float
-    ) -> tuple[float, float]:
-        sp = self._sp()
-        return (
-            (theta - sp.theta_e) + self.Dp * (P - sp.P_e),
-            (V - sp.V_e) + self.Dq * (Q - sp.Q_e),
-        )
-
     def steady_state_partials(self) -> tuple[tuple[float, float, float, float], ...]:
         return (
             (1.0, 0.0, self.Dp, 0.0),
             (0.0, 1.0, 0.0, self.Dq),
         )
-
-    def equilibrium_state(self, theta: float, V: float) -> tuple[float, ...]:
-        return (theta, V)
 
 
 class AffineStack:

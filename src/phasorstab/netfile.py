@@ -177,10 +177,7 @@ def _parse_branches(
     return lines, cps
 
 
-_COMPONENT_PARAMS = {
-    "vsg": {"M", "Dp", "Dq", "tau_q"},
-    "droop": {"tau_p", "tau_q", "Dp", "Dq"},
-}
+_MODELS = {"vsg": VsgComponent, "droop": DroopComponent}
 
 
 def _parse_components(
@@ -195,12 +192,15 @@ def _parse_components(
         where = f"components[{idx}]"
         _check_fields(entry, {"id", "bus", "model", "params", "setpoints"}, where)
         model = _require(entry, "model", where)
-        if model not in _COMPONENT_PARAMS:
-            raise NetworkFileError(f"{where}: model must be vsg or droop, got {model!r}")
+        if not isinstance(model, str) or model not in _MODELS:
+            raise NetworkFileError(
+                f"{where}: model must be {' or '.join(_MODELS)}, got {model!r}"
+            )
         cid = str(entry.get("id", f"{model}_{idx}"))
         bus = str(_require(entry, "bus", where))
         params = _require(entry, "params", where)
-        expected = _COMPONENT_PARAMS[model]
+        cls = _MODELS[model]
+        expected = set(cls.positive_params)
         _check_fields(params, expected, f"{where}.params")
         missing = expected - set(params)
         if missing:
@@ -217,16 +217,7 @@ def _parse_components(
         else:
             all_have_setpoints = False
         try:
-            if model == "vsg":
-                comp: Component = VsgComponent(
-                    id=cid, bus=bus, M=values["M"], Dp=values["Dp"],
-                    Dq=values["Dq"], tau_q=values["tau_q"], setpoints=setpoints,
-                )
-            else:
-                comp = DroopComponent(
-                    id=cid, bus=bus, tau_p=values["tau_p"], tau_q=values["tau_q"],
-                    Dp=values["Dp"], Dq=values["Dq"], setpoints=setpoints,
-                )
+            comp = cls(id=cid, bus=bus, setpoints=setpoints, **values)
         except ValueError as exc:
             raise NetworkFileError(f"{where}: {exc}") from exc
         if cid in comps:

@@ -137,7 +137,6 @@ class NetworkModel:
     dynamic_shunts: list[DynamicShunt]
 
     # derived, filled by __post_init__
-    bus_index: dict[str, int] = field(default_factory=dict, repr=False)
     non_ground: list[str] = field(default_factory=list, repr=False)
     node_index: dict[str, int] = field(default_factory=dict, repr=False)
     edges: list[tuple[int, int, float]] = field(default_factory=list, repr=False)
@@ -223,7 +222,6 @@ class NetworkModel:
             )
 
     def _build_derived(self) -> None:
-        self.bus_index = {b.id: i for i, b in enumerate(self.buses)}
         self.non_ground = [b.id for b in self.buses if b.kind is not BusKind.GROUND]
         self.node_index = {bid: i for i, bid in enumerate(self.non_ground)}
         n = len(self.non_ground)

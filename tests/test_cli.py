@@ -290,7 +290,12 @@ def test_config_file_overrides_solver(capsys, tmp_path):
 
 def test_bad_config_file_exits_one(capsys, tmp_path):
     cfg = tmp_path / "overrides.json"
+    # read as case and contour files are: the same message forms
+    code, out, err = run_cli(capsys, "--config", str(cfg), "equilibrium", "case3bus")
+    assert code == 1
+    assert err.startswith(f"error: cannot read {cfg}: ")
     for text, message in [
+        ('{"newton_tol": 1e-9,\n', f"{cfg}: invalid JSON at line 2, column 1: Expecting"),
         ("[]", "solver object"),
         ('{"solver": 5}', "solver object"),
         ('{"newton_tol": -1}', "newton_tol must be positive"),

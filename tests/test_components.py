@@ -170,6 +170,79 @@ def test_stacked_map_is_every_components_derivative(case, seed):
     assert np.count_nonzero(dense) == sum(np.count_nonzero(c.affine_matrix()) for c in comps)
 
 
+# -- members the base derives, against the formulas the models once wrote ------
+
+
+def written_table(c):
+    """(D_f, c) as each model wrote them out."""
+    sp = c.setpoints
+    if isinstance(c, VsgComponent):
+        return (
+            np.array([
+                [0.0, 1.0, 0.0, 0.0, 0.0],
+                [0.0, -c.Dp / c.M, 0.0, -1.0 / c.M, 0.0],
+                [0.0, 0.0, -1.0 / c.tau_q, 0.0, -c.Dq / c.tau_q],
+            ]),
+            np.array([0.0, sp.P_e / c.M, (sp.V_e + c.Dq * sp.Q_e) / c.tau_q]),
+        )
+    return (
+        np.array([
+            [-1.0 / c.tau_p, 0.0, -c.Dp / c.tau_p, 0.0],
+            [0.0, -1.0 / c.tau_q, 0.0, -c.Dq / c.tau_q],
+        ]),
+        np.array([
+            (sp.theta_e + c.Dp * sp.P_e) / c.tau_p,
+            (sp.V_e + c.Dq * sp.Q_e) / c.tau_q,
+        ]),
+    )
+
+
+def written_residual(c, theta, V, P, Q):
+    sp = c.setpoints
+    if isinstance(c, VsgComponent):
+        return (P - sp.P_e, (V - sp.V_e) + c.Dq * (Q - sp.Q_e))
+    return (
+        (theta - sp.theta_e) + c.Dp * (P - sp.P_e),
+        (V - sp.V_e) + c.Dq * (Q - sp.Q_e),
+    )
+
+
+setpoint_value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    is_vsg=st.booleans(),
+    params=st.tuples(*[positive] * 4),
+    sp=st.builds(Setpoints, *[setpoint_value] * 4),
+    at=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+)
+def test_derived_members_match_the_written_formulas(is_vsg, params, sp, at):
+    cls = VsgComponent if is_vsg else DroopComponent
+    c = cls("c", "b", *params, sp)
+    d_f, offset = written_table(c)
+    assert c.affine_matrix().tobytes() == d_f.tobytes()
+    # a setpoint of -0.0 gives an offset entry 0.0 where the written form
+    # gave -0.0; "+ 0.0" on the reference changes only that
+    assert c.affine_offset().tobytes() == (offset + 0.0).tobytes()
+    assert c.steady_state_residual(*at) == written_residual(c, *at)
+    assert c.anchors_angle is not is_vsg
+    x_e = c.equilibrium_state(sp.theta_e, sp.V_e)
+    assert all(f == 0.0 for f in c.derivative(x_e, (sp.P_e, sp.Q_e)))
+    # each steady-state relation is a row of the table times a constant:
+    # omega's and v's rows for the VSG (omega rests at zero), theta's and
+    # v's for droop; columns theta, v, P, Q
+    labels = c.state_labels
+    cols = [labels.index("theta"), labels.index("v"), c.nstates, c.nstates + 1]
+    if is_vsg:
+        pairs = [(labels.index("omega"), -c.M), (labels.index("v"), -c.tau_q)]
+    else:
+        pairs = [(labels.index("theta"), -c.tau_p), (labels.index("v"), -c.tau_q)]
+    for partials, (row, scale) in zip(c.steady_state_partials(), pairs):
+        partials = np.array(partials)
+        assert np.all(np.abs(partials - scale * d_f[row, cols]) <= 1e-12 * np.abs(partials))
+
+
 # -- storage -------------------------------------------------------------------
 
 

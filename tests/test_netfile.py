@@ -132,6 +132,48 @@ def test_duplicate_component_id_rejected():
         parse_case(doc)
 
 
+VSG_PARAMS = {"M": 0.1, "Dp": 0.2, "Dq": 0.3, "tau_q": 0.4}
+DROOP_PARAMS = {"tau_p": 0.1, "tau_q": 0.2, "Dp": 0.3, "Dq": 0.4}
+
+
+def _without(params, name):
+    return {k: v for k, v in params.items() if k != name}
+
+
+@pytest.mark.parametrize(
+    "model, params, message",
+    [
+        ("pq", VSG_PARAMS, "components[0]: model must be vsg or droop, got 'pq'"),
+        (["vsg"], VSG_PARAMS, "components[0]: model must be vsg or droop, got ['vsg']"),
+        ("vsg", _without(VSG_PARAMS, "M"), "components[0].params: missing ['M']"),
+        ("droop", _without(DROOP_PARAMS, "tau_p"), "components[0].params: missing ['tau_p']"),
+        ("vsg", {**VSG_PARAMS, "tau_p": 1.0},
+         "components[0].params: unknown field(s) ['tau_p']"),
+        ("droop", {**DROOP_PARAMS, "M": 1.0}, "components[0].params: unknown field(s) ['M']"),
+    ],
+    ids=["unknown-model", "model-not-a-string", "vsg-missing", "droop-missing",
+         "vsg-unknown", "droop-unknown"],
+)
+def test_bad_component_model_or_params_named(model, params, message):
+    doc = minimal_doc()
+    doc["components"][0].update(model=model, params=params)
+    with pytest.raises(NetworkFileError) as info:
+        parse_case(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "model, params, cls",
+    [("vsg", VSG_PARAMS, VsgComponent), ("droop", DROOP_PARAMS, DroopComponent)],
+)
+def test_component_params_land_in_their_fields(model, params, cls):
+    doc = minimal_doc()
+    doc["components"][0].update(model=model, params=params)
+    comp = parse_case(doc).components["v1"]
+    assert type(comp) is cls
+    assert {name: getattr(comp, name) for name in params} == params
+
+
 def test_malformed_json_reports_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"name": "x", "buses": [}')
