@@ -46,7 +46,7 @@ from .potential import (
     rectangle_contour_pair,
 )
 from .records import asdict, replace
-from .simulator import ScenarioError, SimulationError, _snap_to_grid, simulate
+from .simulator import ScenarioError, SimulationError, _schedule, _snap_to_grid, simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -198,14 +198,18 @@ def cmd_certify(args) -> int:
     if tol < 0.0:
         raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
     case = _prepare(load_case(resolve_case_path(args.case)), args)
-    sol = solve_case_equilibrium(case)
-    traj = None
     if args.with_trajectory:
         if case.scenario is None:
             raise ScenarioError(
                 f"case {case.name!r} declares no scenario for --with-trajectory"
             )
-        traj = simulate(case.net, case.components, case.scenario, case.solver, sol)
+        _schedule(case.net, case.components, case.scenario, case.solver.step_size)
+    sol = solve_case_equilibrium(case)
+    traj = (
+        simulate(case.net, case.components, case.scenario, case.solver, sol)
+        if args.with_trajectory
+        else None
+    )
     report = run_certify(
         case.net, case.components, sol, traj, tol=tol
     )
@@ -251,14 +255,8 @@ def cmd_verify_identities(args) -> int:
         else scenario.horizon
     )
     disturbances = [d for d in scenario.disturbances if d.at <= horizon]
-    steps = _step_sweep(args.h_sweep, horizon, disturbances)
-    sol = solve_case_equilibrium(case)
-    from .certify import identity_residuals
-    from .network import BusState, tellegen_sum
-
-    rows = []
-    for h in sorted(steps, reverse=True):
-        solver = replace(case.solver, step_size=h)
+    runs = []
+    for h in sorted(_step_sweep(args.h_sweep, horizon, disturbances), reverse=True):
         # snap the output period onto the integration grid of this sweep point
         period = h * max(1, round(max(h, scenario.output_period) / h))
         run_scenario = replace(
@@ -267,6 +265,15 @@ def cmd_verify_identities(args) -> int:
             output_period=period,
             disturbances=disturbances,
         )
+        _schedule(case.net, case.components, run_scenario, h)
+        runs.append((h, run_scenario))
+    sol = solve_case_equilibrium(case)
+    from .certify import identity_residuals
+    from .network import BusState, tellegen_sum
+
+    rows = []
+    for h, run_scenario in runs:
+        solver = replace(case.solver, step_size=h)
         traj = simulate(case.net, case.components, run_scenario, solver, sol)
         potential_res, divergence_res = identity_residuals(traj)
         # one Tellegen sum per sample, over the sample axis at once

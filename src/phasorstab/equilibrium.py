@@ -105,34 +105,41 @@ def _residual(
     return res
 
 
-def _jacobian(
-    net: NetworkModel,
-    components: dict[str, Component],
-    V,
-    theta,
-    injections=None,
-) -> np.ndarray:
+def _steady_rows(net: NetworkModel, components: dict[str, Component]):
+    """The dynamic nodes, and the columns (theta, V, P, Q) of their
+    components' ``steady_state_partials``, one array per row pair: the
+    constants :func:`_jacobian` combines the injection partials with."""
+    dyn = np.array(net.dynamic_nodes(), dtype=np.intp)
+    rows = np.array(
+        [components[net.shunt_at[i].component_id].steady_state_partials() for i in dyn]
+    ).reshape(len(dyn), 2, 4)
+    return dyn, rows[:, 0].T, rows[:, 1].T
+
+
+def _jacobian(net: NetworkModel, steady_rows, V, theta, injections=None) -> np.ndarray:
     """Analytic Jacobian of the steady-state residual w.r.t. (theta_i, V_i).
 
     A passive bus's rows are its injection partials; a dynamic bus's rows
     combine them with the component's partials by P and Q, plus its direct
-    dependence on the bus's own (theta, V). ``injections`` is the (P, Q) at
-    the state, if the caller holds it.
+    dependence on the bus's own (theta, V), for all dynamic buses at once.
+    ``steady_rows`` is :func:`_steady_rows`; ``injections`` is the (P, Q)
+    at the state, if the caller holds it.
     """
     n = net.n_nodes
-    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta, injections)
-    # rows (P_0..P_n-1, Q_0..Q_n-1), columns (theta_0.., V_0..)
-    jac = np.block([[dp_dt, dp_dv], [dq_dt, dq_dv]])
-    for i in net.dynamic_nodes():
-        comp = components[net.shunt_at[i].component_id]
-        p_row = jac[i].copy()
-        q_row = jac[n + i].copy()
-        for row, (d_theta, d_v, d_p, d_q) in zip((i, n + i), comp.steady_state_partials()):
-            jac[row] = d_p * p_row + d_q * q_row
-            jac[row, i] += d_theta
-            jac[row, n + i] += d_v
-    interleave = np.arange(2 * n).reshape(2, n).T.ravel()
-    return jac[np.ix_(interleave, interleave)]
+    # rows (P_0, Q_0, P_1, ...), columns (theta_0, V_0, theta_1, ...)
+    jac = np.empty((2 * n, 2 * n))
+    partials = injection_partials(net, V, theta, injections)
+    for (row, col), block in zip(((0, 0), (0, 1), (1, 0), (1, 1)), partials):
+        jac[row::2, col::2] = block
+    dyn, first, second = steady_rows
+    at = 2 * dyn  # each dynamic bus's P row and theta column
+    p_rows = jac[at]
+    q_rows = jac[at + 1]
+    for row, (d_theta, d_v, d_p, d_q) in ((at, first), (at + 1, second)):
+        jac[row] = d_p[:, None] * p_rows + d_q[:, None] * q_rows
+        jac[row, at] += d_theta
+        jac[row, at + 1] += d_v
+    return jac
 
 
 def _rotation_symmetric(net: NetworkModel, components: dict[str, Component]) -> bool:
@@ -188,6 +195,7 @@ def solve_equilibrium(
             res[ref_row] = tt[ref] - theta_pin
         return res, inj
 
+    steady_rows = _steady_rows(net, components)
     res, inj = residual(v, t)
     norm = float(np.max(np.abs(res)))
     history = [norm]
@@ -203,7 +211,7 @@ def solve_equilibrium(
                 f"Newton did not converge in {MAX_ITER} iterations "
                 f"(residual {norm:.3e})"
             )
-        jac = _jacobian(net, components, v, t, inj)
+        jac = _jacobian(net, steady_rows, v, t, inj)
         if pin:
             jac[ref_row, :] = 0.0
             jac[ref_row, 2 * ref] = 1.0

@@ -13,12 +13,12 @@ line power-flow terms on edge arrays (one gather, one sin and one cos over
 all lines, one scatter onto the buses), and :func:`injection_partials` is
 the only source of their partials. The equilibrium solver, the transient
 simulator and the potential's gradient and Hessian are all built on these
-two functions. :func:`power_injection_scalar` is the same closed form as a
-Python loop over the lines: the simulator's fast path for networks with at
-most one passive bus, where per-call numpy overhead outweighs the loop, and
-a reference for the array kernel. :func:`passive_bus_solution` solves the
-balance of a passive bus whose line neighbours are held fixed in closed
-form; the simulator uses it when no line joins two passive buses. The
+two functions; the simulator's float path, for at most one passive bus,
+evaluates the same line terms as a loop over ``edges`` inside its stage,
+where per-call numpy overhead would outweigh the work.
+:func:`passive_bus_solution` solves the balance of a passive bus whose line
+neighbours are held fixed in closed form; the simulator uses it when no
+line joins two passive buses (on floats or on arrays). The
 complex-arithmetic oracles at the end of the module
 (:func:`branch_currents_oracle`, :func:`tellegen_sum`) recompute the same
 physics independently, for checking.
@@ -47,7 +47,6 @@ __all__ = [
     "NetworkError",
     "BusState",
     "power_injection",
-    "power_injection_scalar",
     "injection_partials",
     "self_partials",
     "passive_bus_solution",
@@ -373,30 +372,6 @@ def power_injection(net: NetworkModel, V, theta) -> tuple[np.ndarray, np.ndarray
     terms = np.concatenate([flow, -flow, b * vi * vi - cross, b * vk * vk - cross])
     pq = np.bincount(net.injection_slots, weights=terms, minlength=2 * n)
     return pq[:n], pq[n:]
-
-
-def power_injection_scalar(net: NetworkModel, V, theta) -> tuple[list[float], list[float]]:
-    """:func:`power_injection` as a Python loop over ``net.edges``, returning
-    plain lists of floats.
-
-    On a few buses the loop is several times faster than the array kernel,
-    whose cost there is numpy's per-call overhead. The simulator uses it for
-    the inner solve when at most one bus is passive.
-    """
-    p = [0.0] * len(V)
-    q = p.copy()
-    for i, k, b in net.edges:
-        vi = V[i]
-        vk = V[k]
-        d = theta[i] - theta[k]
-        vv = vi * vk
-        flow = b * vv * math.sin(d)
-        cross = vv * math.cos(d)
-        p[i] += flow
-        p[k] -= flow
-        q[i] += b * (vi * vi - cross)
-        q[k] += b * (vk * vk - cross)
-    return p, q
 
 
 def self_partials(V, coupling_sum, P, Q):

@@ -8,11 +8,13 @@ every stage evaluation, so each accepted state is algebraically consistent.
 The topology picks one of two paths for the whole run:
 
 * the float path, for at most one passive bus: the state and the bus
-  voltages and angles are lists of Python floats, each component's
-  ``derivative`` is called per stage, and the passive bus is set to its
+  voltages and angles are lists of Python floats. A stage is one closure
+  per network: it scatters the terminals, sets the passive bus to its
   closed-form solution (:func:`~phasorstab.network.passive_bus_solution`
-  on floats) and checked with the loop kernel
-  :func:`~phasorstab.network.power_injection_scalar`;
+  on floats), evaluates the line terms of
+  :func:`~phasorstab.network.power_injection` as a loop over the lines,
+  checks the balance, and makes one pass over the components' stacked
+  affine table, row by row;
 * the array path, for two or more passive buses: the state, voltages and
   angles are float arrays for the whole step. A stage scatters the
   component terminals through index arrays, solves the passive buses,
@@ -21,6 +23,10 @@ The topology picks one of two paths for the whole run:
   (:class:`~phasorstab.components.AffineStack`: a gather and one
   ``np.bincount``, no matrix product). The RK4 combinations and the
   trapezoid accumulation are array expressions.
+
+Both paths read the same (row, column, value) table and sum each row in
+the same order, and each takes one engine call per integration step: the
+RK4 stages, the stage at the step's end and the path integrals' step.
 
 The inner solve of the array path takes one of two forms, by the topology
 of the passive buses:
@@ -52,8 +58,9 @@ records the solves, the chord steps and the Jacobian factorizations of the
 run; a closed-form solve counts as one solve with neither.
 
 Scenarios perturb component states, step loads, or scale line couplings at
-times aligned with the integration grid. Every disturbance is checked
-against the network before the run starts. Path integrals are accumulated with
+times aligned with the integration grid. A scenario is checked against the
+step grid and the network before any work, by the same function in every
+command that runs one. Path integrals are accumulated with
 the trapezoid rule at every integration step (second-order in the step
 size). The step loop records only the raw samples (time, bus state,
 injections, component states and integrals); the other diagnostics (Vp, W,
@@ -89,7 +96,6 @@ from .network import (
     injection_partials,
     passive_bus_solution,
     power_injection,
-    power_injection_scalar,
 )
 from .potential import BregmanDivergence, eval_vp
 from .records import field, recordclass
@@ -347,22 +353,30 @@ class _Engine:
         self.comps = [components[cid] for cid in self.comp_ids]
         self.passive_nodes = net.passive_nodes()
         # Y layout: per component, its states contiguously. Built once for
-        # the hot loops, per component: (derivative, state slice, bus node),
-        # and its terminal (bus node, theta and v positions in Y, id)
+        # the hot loops, per component: its first position in Y, and its
+        # terminal (bus node, theta and v positions in Y, id)
         self.offsets: list[int] = []
-        self.comp_table = []
         self.terminals = []
         off = 0
         for shunt, comp in zip(net.dynamic_shunts, self.comps):
-            node = net.node_index[shunt.bus]
             labels = comp.state_labels
             self.offsets.append(off)
-            self.comp_table.append((comp.derivative, off, off + comp.nstates, node))
-            self.terminals.append(
-                (node, off + labels.index("theta"), off + labels.index("v"), shunt.component_id)
-            )
+            self.terminals.append((
+                net.node_index[shunt.bus],
+                off + labels.index("theta"),
+                off + labels.index("v"),
+                shunt.component_id,
+            ))
             off += comp.nstates
         self.ny = off
+        self.rhs = AffineStack(self.comps, [t[0] for t in self.terminals], net.n_nodes)
+        # the same table per row of Y, for the float path:
+        # (c, ((column in y + P + Q, value), ...)), terms in the stack's order
+        rows: list[list[tuple[int, float]]] = [[] for _ in range(self.ny)]
+        stack = self.rhs
+        for r, col, val in zip(stack.rows.tolist(), stack.cols.tolist(), stack.vals.tolist()):
+            rows[r].append((col, val))
+        self.affine_rows = tuple(zip(stack.offset.tolist(), map(tuple, rows)))
         self.active_mods: list[NetworkDisturbance] = []
         self.passive = np.array(self.passive_nodes, dtype=np.intp)
         self.passive_block = np.ix_(self.passive, self.passive)
@@ -392,25 +406,14 @@ class _Engine:
         ]
 
     def _use_network(self, net: NetworkModel) -> None:
-        """Switch to `net`, dropping the chord Jacobian built on the last one
-        and taking the per-network tables the inner solve reads: the passive
-        loads and, for one passive bus, its lines (neighbour node, B),
-        coupling sum and load."""
+        """Switch to `net`: drop the chord Jacobian built on the last one,
+        take the passive loads and build the stage for `net`."""
         self.net = net
         self.passive_p = np.array(net.load_p)[self.passive]
         self.passive_q = np.array(net.load_q)[self.passive]
         self.passive_loads = np.concatenate([self.passive_p, self.passive_q])
         self.jac_inv: np.ndarray | None = None
-        self.scalar_bus = None
-        if len(self.passive_nodes) == 1:
-            node = self.passive_nodes[0]
-            self.scalar_bus = (
-                node,
-                [(k, b) for _, k, b in self._passive_lines(net)],
-                net.coupling_sum[node],
-                net.load_p[node],
-                net.load_q[node],
-            )
+        self.stage = self._stage_for(net)
 
     def rebuild_with_mods(self) -> None:
         net = self.base_net
@@ -428,40 +431,81 @@ class _Engine:
             f"voltage collapse at bus {self.net.non_ground[node]!r}, t = {t:.6g}"
         )
 
-    def solve_algebraic(
-        self, V: list[float], th: list[float], t: float
-    ) -> tuple[list[float], list[float]]:
-        """Solve the passive bus's (theta, V) in place; V/th carry the warm
-        start. Returns the bus injections (P, Q) at the solved state.
+    def _stage_for(self, net: NetworkModel):
+        """The stage evaluation on `net`, ``stage(y, V, th, t) -> (dy, P,
+        Q)``: scatter the terminals into V/th, set the passive bus (if any)
+        to its closed form in place, evaluate the line terms, check the
+        passive balance (continuing by :meth:`_solve_chord` if it misses
+        ``newton_tol``) and apply the affine table, one pass over its rows.
+        Everything it reads is taken here, once per network."""
+        engine = self
+        terminals = self.terminals
+        table = self.affine_rows
+        edges = net.edges
+        n = net.n_nodes
+        tol = self.config.newton_tol
+        sin, cos, sqrt, atan2 = math.sin, math.cos, math.sqrt, math.atan2
+        bus = self.passive_nodes[0] if self.passive_nodes else None
+        if bus is not None:
+            lines = [(k, b) for _, k, b in self._passive_lines(net)]
+            coupling, load_p, load_q = net.coupling_sum[bus], net.load_p[bus], net.load_q[bus]
 
-        The closed form on Python floats, checked (and if need be continued)
-        by :meth:`_solve_chord` on arrays."""
-        self.inner_solves += 1
-        net = self.net
-        if self.scalar_bus is None:
-            return power_injection_scalar(net, V, th)
-        node, lines, coupling, load_p, load_q = self.scalar_bus
-        e_re = e_im = 0.0
-        for k, b in lines:
-            bv = b * V[k]
-            e_re += bv * math.cos(th[k])
-            e_im += bv * math.sin(th[k])
-        try:
-            V[node], th[node] = passive_bus_solution(
-                e_re, e_im, coupling, load_p, load_q, V[node], th[node],
-                math.sqrt, math.atan2,
-            )
-        except (ValueError, ZeroDivisionError):
-            raise self._collapse(node, t) from None
-        p, q = power_injection_scalar(net, V, th)
-        if max(abs(p[node] + load_p), abs(q[node] + load_q)) <= self.config.newton_tol:
-            return p, q
-        v = np.array(V)
-        a = np.array(th)
-        p, q = self._solve_chord(v, a, t)
-        V[:] = v.tolist()
-        th[:] = a.tolist()
-        return p.tolist(), q.tolist()
+        def stage(y, V, th, t):
+            engine.inner_solves += 1
+            for node, i_theta, i_v, cid in terminals:
+                v = y[i_v]
+                if v <= 0.0:
+                    raise SimulationError(
+                        f"voltage collapse in component {cid!r} at t = {t:.6g}"
+                    )
+                th[node] = y[i_theta]
+                V[node] = v
+            if bus is not None:
+                e_re = e_im = 0.0
+                for k, b in lines:
+                    bv = b * V[k]
+                    e_re += bv * cos(th[k])
+                    e_im += bv * sin(th[k])
+                try:
+                    V[bus], th[bus] = passive_bus_solution(
+                        e_re, e_im, coupling, load_p, load_q, V[bus], th[bus], sqrt, atan2
+                    )
+                except (ValueError, ZeroDivisionError):
+                    raise engine._collapse(bus, t) from None
+            # the line terms of power_injection, generation-positive
+            p = [0.0] * n
+            q = p.copy()
+            for i, k, b in edges:
+                vi = V[i]
+                vk = V[k]
+                d = th[i] - th[k]
+                vv = vi * vk
+                flow = b * vv * sin(d)
+                cross = vv * cos(d)
+                p[i] += flow
+                p[k] -= flow
+                q[i] += b * (vi * vi - cross)
+                q[k] += b * (vk * vk - cross)
+            # written to take the chord for NaN as well
+            if bus is not None and not (
+                abs(p[bus] + load_p) <= tol and abs(q[bus] + load_q) <= tol
+            ):
+                v = np.array(V)
+                a = np.array(th)
+                p, q = (x.tolist() for x in engine._solve_chord(v, a, t))
+                V[:] = v.tolist()
+                th[:] = a.tolist()
+            # the rows of AffineStack, summed in its order
+            x = y + p + q
+            dy = []
+            for c, terms in table:
+                acc = 0.0
+                for col, val in terms:
+                    acc += val * x[col]
+                dy.append(acc + c)
+            return dy, p, q
+
+        return stage
 
     def _solve_chord(
         self, v: np.ndarray, a: np.ndarray, t: float
@@ -523,54 +567,16 @@ class _Engine:
         self.factorizations += 1
         return partials
 
-    def derivative(
-        self, y: list[float], p: list[float], q: list[float]
-    ) -> list[float]:
-        dy: list[float] = []
-        for derivative, lo, hi, node in self.comp_table:
-            dy.extend(derivative(y[lo:hi], (p[node], q[node])))
-        return dy
-
-    def consistent_eval(
-        self, y: list[float], V: list[float], th: list[float], t: float
-    ) -> tuple[list[float], list[float], list[float]]:
-        """Scatter terminals, solve algebraic in place, return (dy, P, Q)."""
-        for node, i_theta, i_v, cid in self.terminals:
-            v = y[i_v]
-            if v <= 0.0:
-                raise SimulationError(
-                    f"voltage collapse in component {cid!r} at t = {t:.6g}"
-                )
-            th[node] = y[i_theta]
-            V[node] = v
-        p, q = self.solve_algebraic(V, th, t)
-        return self.derivative(y, p, q), p, q
-
     # integrator -----------------------------------------------------------------
 
-    def rk4_step(
-        self,
-        y: list[float],
-        dy0: list[float],
-        V: list[float],
-        th: list[float],
-        h: float,
-        t: float,
-    ) -> list[float]:
-        half = 0.5 * h
-        y2 = [a + half * b for a, b in zip(y, dy0)]
-        k2, _, _ = self.consistent_eval(y2, V, th, t + half)
-        y3 = [a + half * b for a, b in zip(y, k2)]
-        k3, _, _ = self.consistent_eval(y3, V, th, t + half)
-        y4 = [a + h * b for a, b in zip(y, k3)]
-        k4, _, _ = self.consistent_eval(y4, V, th, t + h)
-        sixth = h / 6.0
-        return [
-            a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, dy0, k2, k3, k4)
-        ]
-
-    # path integrals ---------------------------------------------------------------
+    def start_integrals(self, anchors: dict[str, Anchor], y, p, q) -> None:
+        """Start the path integrals at zero from the state (y, P, Q); each
+        component's is shifted by its anchor's (P, Q)."""
+        self.anchor_p = self.buffer([anchors[cid].P for cid in self.comp_ids])
+        self.anchor_q = self.buffer([anchors[cid].Q for cid in self.comp_ids])
+        self.shifted = self.buffer([0.0] * len(self.comp_ids))
+        self.unshifted = 0.0
+        self.prev = self.endpoints(y, p, q)
 
     def endpoints(self, y, p, q) -> list[tuple[float, float, float, float]]:
         """(theta, ln v, P, Q) of every component at the state (y, P, Q)."""
@@ -579,19 +585,38 @@ class _Engine:
             for node, i_theta, i_v, _ in self.terminals
         ]
 
-    @staticmethod
-    def trapezoid(prev, now, anchor_p, anchor_q, shifted, unshifted: float) -> float:
-        """One trapezoid step of the path integrals between the endpoints
-        `prev` and `now`: adds each component's anchor-shifted increment to
-        `shifted` in place and returns `unshifted` advanced."""
-        for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1)) in enumerate(zip(prev, now)):
+    def advance(self, y, dy, V, th, h: float, step: int):
+        """One RK4 step from (y, dy) at t = step h: the three inner stages,
+        the stage at the step's end, and the trapezoid step of the path
+        integrals between the step's endpoints. Returns (y, dy, P, Q) at the
+        end of the step."""
+        stage = self.stage
+        t = step * h
+        half = 0.5 * h
+        k2, _, _ = stage([a + half * b for a, b in zip(y, dy)], V, th, t + half)
+        k3, _, _ = stage([a + half * b for a, b in zip(y, k2)], V, th, t + half)
+        k4, _, _ = stage([a + h * b for a, b in zip(y, k3)], V, th, t + h)
+        sixth = h / 6.0
+        y = [
+            a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, dy, k2, k3, k4)
+        ]
+        dy, p, q = stage(y, V, th, (step + 1) * h)
+        now = self.endpoints(y, p, q)
+        shifted = self.shifted
+        unshifted = self.unshifted
+        for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1), ap, aq) in enumerate(
+            zip(self.prev, now, self.anchor_p, self.anchor_q)
+        ):
             p_mid = 0.5 * (p0 + p1)
             q_mid = 0.5 * (q0 + q1)
             d_theta = theta1 - theta0
             d_lnv = lnv1 - lnv0
             unshifted += p_mid * d_theta + q_mid * d_lnv
-            shifted[c] += (p_mid - anchor_p[c]) * d_theta + (q_mid - anchor_q[c]) * d_lnv
-        return unshifted
+            shifted[c] += (p_mid - ap) * d_theta + (q_mid - aq) * d_lnv
+        self.unshifted = unshifted
+        self.prev = now
+        return y, dy, p, q
 
 
 class _ArrayEngine(_Engine):
@@ -617,11 +642,9 @@ class _ArrayEngine(_Engine):
         config: SolverConfig,
     ) -> None:
         super().__init__(net, components, config)
-        nodes = [node for node, _, _, _ in self.terminals]
-        self.term_node = np.array(nodes, dtype=np.intp)
+        self.term_node = np.array([i for i, _, _, _ in self.terminals], dtype=np.intp)
         self.term_theta = np.array([i for _, i, _, _ in self.terminals], dtype=np.intp)
         self.term_v = np.array([i for _, _, i, _ in self.terminals], dtype=np.intp)
-        self.rhs = AffineStack(self.comps, nodes, net.n_nodes)
         position = self.passive_position
         boundary = sorted(
             {k for i, k, _ in net.edges if i in position and k not in position}
@@ -636,11 +659,11 @@ class _ArrayEngine(_Engine):
     def buffer(values) -> np.ndarray:
         return np.array(values, dtype=float)
 
-    def _use_network(self, net: NetworkModel) -> None:
-        """As for the float path, and drop the predictor's K with the chord
-        Jacobian; for the closed form, take the incidence arrays (passive
-        position, neighbour node, B) and the passive coupling sums."""
-        super()._use_network(net)
+    def _stage_for(self, net: NetworkModel):
+        """:meth:`_stage`, after dropping the predictor's K with the chord
+        Jacobian and, for the closed form, taking the incidence arrays
+        (passive position, neighbour node, B) and the passive coupling sums
+        of `net`."""
         self.tangent: np.ndarray | None = None
         if not self.coupled:
             lines = self._passive_lines(net)
@@ -650,6 +673,7 @@ class _ArrayEngine(_Engine):
                 np.array([b for _, _, b in lines], dtype=float),
             )
             self.passive_coupling = np.array(net.coupling_sum)[self.passive]
+        return self._stage
 
     def solve_algebraic(
         self, V: np.ndarray, th: np.ndarray, t: float
@@ -705,7 +729,7 @@ class _ArrayEngine(_Engine):
             self.tangent = -(self.jac_inv @ j_pd)
         return partials
 
-    def consistent_eval(
+    def _stage(
         self, y: np.ndarray, V: np.ndarray, th: np.ndarray, t: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Scatter terminals, solve algebraic in place, return (dy, P, Q)."""
@@ -719,36 +743,31 @@ class _ArrayEngine(_Engine):
         p, q = self.solve_algebraic(V, th, t)
         return self.rhs(y, p, q), p, q
 
-    def rk4_step(
-        self,
-        y: np.ndarray,
-        dy0: np.ndarray,
-        V: np.ndarray,
-        th: np.ndarray,
-        h: float,
-        t: float,
-    ) -> np.ndarray:
-        half = 0.5 * h
-        k2, _, _ = self.consistent_eval(y + half * dy0, V, th, t + half)
-        k3, _, _ = self.consistent_eval(y + half * k2, V, th, t + half)
-        k4, _, _ = self.consistent_eval(y + h * k3, V, th, t + h)
-        return y + (h / 6.0) * (dy0 + 2.0 * (k2 + k3) + k4)
-
     def endpoints(self, y, p, q) -> tuple[np.ndarray, ...]:
         """(theta, ln v, P, Q) of every component, one array each."""
         node = self.term_node
         return y[self.term_theta], np.log(y[self.term_v]), p[node], q[node]
 
-    @staticmethod
-    def trapezoid(prev, now, anchor_p, anchor_q, shifted, unshifted: float) -> float:
-        theta0, lnv0, p0, q0 = prev
+    def advance(self, y, dy, V, th, h: float, step: int):
+        """As for the float path, on arrays."""
+        t = step * h
+        half = 0.5 * h
+        k2, _, _ = self._stage(y + half * dy, V, th, t + half)
+        k3, _, _ = self._stage(y + half * k2, V, th, t + half)
+        k4, _, _ = self._stage(y + h * k3, V, th, t + h)
+        y = y + (h / 6.0) * (dy + 2.0 * (k2 + k3) + k4)
+        dy, p, q = self._stage(y, V, th, (step + 1) * h)
+        now = self.endpoints(y, p, q)
+        theta0, lnv0, p0, q0 = self.prev
         theta1, lnv1, p1, q1 = now
         p_mid = 0.5 * (p0 + p1)
         q_mid = 0.5 * (q0 + q1)
         d_theta = theta1 - theta0
         d_lnv = lnv1 - lnv0
-        shifted += (p_mid - anchor_p) * d_theta + (q_mid - anchor_q) * d_lnv
-        return unshifted + float(np.sum(p_mid * d_theta + q_mid * d_lnv))
+        self.shifted += (p_mid - self.anchor_p) * d_theta + (q_mid - self.anchor_q) * d_lnv
+        self.unshifted += float(np.sum(p_mid * d_theta + q_mid * d_lnv))
+        self.prev = now
+        return y, dy, p, q
 
 
 def _make_engine(
@@ -785,10 +804,28 @@ def _schedule(
     components: dict[str, Component],
     scenario: Scenario,
     h: float,
-) -> dict[int, list[_Event]]:
-    """Check every disturbance against the network and map step indices to
-    the events due at them, so a bad scenario fails before any work."""
+) -> tuple[int, int, dict[int, list[_Event]]]:
+    """Check a scenario against the step grid and the network, before any
+    work: the commands that solve the equilibrium first call it too.
+    Returns the step count, the steps per sample, and the events due at
+    each step index."""
+    n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
+    sample_every = _snap_to_grid(scenario.output_period, h, "output period")
+    if sample_every <= 0:
+        raise ScenarioError("output period shorter than one step")
+    if scenario.horizon > 0 and n_steps % sample_every != 0:
+        raise ScenarioError("horizon must be a whole number of output periods")
     comp_ids = {s.component_id for s in net.dynamic_shunts}
+    if scenario.initial == "explicit":
+        for s in net.dynamic_shunts:
+            given = scenario.explicit_states.get(s.component_id)
+            if given is None:
+                raise ScenarioError(f"explicit initial state missing for {s.component_id!r}")
+            for label in components[s.component_id].state_labels:
+                if label not in given:
+                    raise ScenarioError(
+                        f"explicit state for {s.component_id!r} missing field {label!r}"
+                    )
     events: dict[int, list[_Event]] = {}
     for d in scenario.disturbances:
         if isinstance(d, StatePerturbation):
@@ -810,7 +847,7 @@ def _schedule(
         if not isinstance(d, StatePerturbation) and d.duration is not None:
             end_idx = _snap_to_grid(d.at + d.duration, h, "disturbance end time")
             events.setdefault(end_idx, []).append(_Event(d, ends=True))
-    return events
+    return n_steps, sample_every, events
 
 
 def simulate(
@@ -828,13 +865,7 @@ def simulate(
     Deterministic for fixed inputs and step size.
     """
     h = config.step_size
-    n_steps_total = _snap_to_grid(scenario.horizon, h, "horizon")
-    sample_every = _snap_to_grid(scenario.output_period, h, "output period")
-    if sample_every <= 0:
-        raise ScenarioError("output period shorter than one step")
-    if scenario.horizon > 0 and n_steps_total % sample_every != 0:
-        raise ScenarioError("horizon must be a whole number of output periods")
-    events = _schedule(net, components, scenario, h)
+    n_steps_total, sample_every, events = _schedule(net, components, scenario, h)
     if equilibrium is None:
         equilibrium = solve_equilibrium(net, components)
 
@@ -847,31 +878,18 @@ def simulate(
     )
 
     # initial differential state
-    y: list[float] = [0.0] * engine.ny
-    if scenario.initial == "equilibrium":
-        for c, cid in enumerate(comp_ids):
-            xs = equilibrium.component_states[cid]
-            off = engine.offsets[c]
-            for j, val in enumerate(xs):
-                y[off + j] = float(val)
-    else:
-        for c, (cid, comp) in enumerate(zip(comp_ids, engine.comps)):
-            given = scenario.explicit_states.get(cid)
-            if given is None:
-                raise ScenarioError(f"explicit initial state missing for {cid!r}")
-            off = engine.offsets[c]
-            for j, label in enumerate(comp.state_labels):
-                if label not in given:
-                    raise ScenarioError(
-                        f"explicit state for {cid!r} missing field {label!r}"
-                    )
-                y[off + j] = float(given[label])
+    y: list[float] = []
+    for cid, comp in zip(comp_ids, engine.comps):
+        if scenario.initial == "equilibrium":
+            y.extend(map(float, equilibrium.component_states[cid]))
+        else:
+            given = scenario.explicit_states[cid]
+            y.extend(float(given[label]) for label in comp.state_labels)
     y = engine.buffer(y)
 
-    def apply_events(step_idx: int) -> tuple[bool, bool]:
-        """Mutates y/engine; returns (anything applied, network modified)."""
-        if step_idx not in events:
-            return False, False
+    def apply_events(step_idx: int, y) -> bool:
+        """Apply the events due at `step_idx` to y (in place) and the engine;
+        returns whether the network changed."""
         network_dirty = False
         for event in events[step_idx]:
             d = event.disturbance
@@ -888,21 +906,15 @@ def simulate(
             network_dirty = True
         if network_dirty:
             engine.rebuild_with_mods()
-        return True, network_dirty
+        return network_dirty
 
     # working buffers start at the equilibrium bus state
     V = engine.buffer(equilibrium.state.V)
     th = engine.buffer(equilibrium.state.theta)
 
-    _, network_changed = apply_events(0)
-    dy, p, q = engine.consistent_eval(y, V, th, 0.0)
-
-    # accumulators (advanced every integration step), per component, and
-    # the anchors' (P, Q) they are shifted by
-    shifted = engine.buffer([0.0] * len(comp_ids))
-    unshifted = 0.0
-    anchor_p = engine.buffer([anchors[cid].P for cid in comp_ids])
-    anchor_q = engine.buffer([anchors[cid].Q for cid in comp_ids])
+    network_changed = 0 in events and apply_events(0, y)
+    dy, p, q = engine.stage(y, V, th, 0.0)
+    engine.start_integrals(anchors, y, p, q)
 
     n_samples = n_steps_total // sample_every + 1 if n_steps_total else 1
     times = np.zeros(n_samples)
@@ -923,37 +935,29 @@ def simulate(
         bus_p[sample] = p
         bus_q[sample] = q
         states[sample] = y
-        integrals[sample] = shifted
-        unshifted_series[sample] = unshifted
+        integrals[sample] = engine.shifted
+        unshifted_series[sample] = engine.unshifted
 
     record(0, 0.0)
 
-    prev = engine.endpoints(y, p, q)
     for step in range(n_steps_total):
-        t = step * h
-        y = engine.rk4_step(y, dy, V, th, h, t)
-        t_next = (step + 1) * h
-        dy, p, q = engine.consistent_eval(y, V, th, t_next)
-        # trapezoid accumulation over this step
-        now = engine.endpoints(y, p, q)
-        unshifted = engine.trapezoid(prev, now, anchor_p, anchor_q, shifted, unshifted)
-        prev = now
-        applied, net_dirty = apply_events(step + 1)
-        if applied:
-            network_changed = network_changed or net_dirty
-            dy, p, q = engine.consistent_eval(y, V, th, t_next)
-            # refresh accumulator endpoints across the discontinuity
-            prev = engine.endpoints(y, p, q)
+        y, dy, p, q = engine.advance(y, dy, V, th, h, step)
+        if step + 1 in events:
+            network_changed = apply_events(step + 1, y) or network_changed
+            dy, p, q = engine.stage(y, V, th, (step + 1) * h)
+            # restart the integrals' endpoints across the discontinuity
+            engine.prev = engine.endpoints(y, p, q)
         if (step + 1) % sample_every == 0:
-            record((step + 1) // sample_every, t_next)
+            record((step + 1) // sample_every, (step + 1) * h)
 
     # the samples per component
     comp_states: dict[str, np.ndarray] = {}
     series_p: dict[str, np.ndarray] = {}
     series_q: dict[str, np.ndarray] = {}
     integral_series: dict[str, np.ndarray] = {}
-    for c, (cid, (_, lo, hi, node)) in enumerate(zip(comp_ids, engine.comp_table)):
-        comp_states[cid] = states[:, lo:hi].copy()
+    for c, (cid, comp, lo) in enumerate(zip(comp_ids, engine.comps, engine.offsets)):
+        node = engine.terminals[c][0]
+        comp_states[cid] = states[:, lo : lo + comp.nstates].copy()
         series_p[cid] = bus_p[:, node].copy()
         series_q[cid] = bus_q[:, node].copy()
         integral_series[cid] = integrals[:, c].copy()

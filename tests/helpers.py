@@ -3,6 +3,8 @@ used only by tests."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from phasorstab.components import Anchor, Component, SupplyConvention, supply_rate
@@ -129,3 +131,23 @@ def kcl_residual(
         res[i] -= cur
         res[k] += cur
     return res
+
+
+def power_injection_loop(net: NetworkModel, V, theta) -> tuple[list[float], list[float]]:
+    """:func:`~phasorstab.network.power_injection` as a Python loop over
+    ``net.edges``, returning lists of floats; a reference for the array
+    kernel and for the simulator's float stage."""
+    p = [0.0] * len(V)
+    q = p.copy()
+    for i, k, b in net.edges:
+        vi = V[i]
+        vk = V[k]
+        d = theta[i] - theta[k]
+        vv = vi * vk
+        flow = b * vv * math.sin(d)
+        cross = vv * math.cos(d)
+        p[i] += flow
+        p[k] -= flow
+        q[i] += b * (vi * vi - cross)
+        q[k] += b * (vk * vk - cross)
+    return p, q

@@ -496,6 +496,56 @@ def test_h_sweep_is_checked_before_the_equilibrium_solve(capsys, tmp_path, monke
     assert out == ""
 
 
+CERTIFY_TRAJECTORY = ["certify", "--with-trajectory"]
+VERIFY = ["verify-identities", "--horizon", "0.2"]
+NO_SCENARIO = "case 'case3bus' declares no scenario"
+
+
+@pytest.mark.parametrize(
+    "command, fault, message",
+    [
+        (CERTIFY_TRAJECTORY, "no-scenario", NO_SCENARIO + " for --with-trajectory"),
+        (VERIFY, "no-scenario", NO_SCENARIO),
+        (CERTIFY_TRAJECTORY, "unknown-component", "unknown component 'ghost'"),
+        (VERIFY, "unknown-component", "unknown component 'ghost'"),
+        (CERTIFY_TRAJECTORY, "unknown-state", "component 'vsg1' has no state 'psi'"),
+        (VERIFY, "unknown-state", "component 'vsg1' has no state 'psi'"),
+        (CERTIFY_TRAJECTORY, "load-step-without-load",
+         "load step at bus 'bus1' with no constant-power branch"),
+        (CERTIFY_TRAJECTORY, "line-index", "line index 5 out of range"),
+    ],
+    ids=["certify-no-scenario", "verify-no-scenario", "certify-unknown-component",
+         "verify-unknown-component", "certify-unknown-state", "verify-unknown-state",
+         "certify-load-step-without-load", "certify-line-index"],
+)
+def test_scenario_is_checked_before_the_equilibrium_solve(
+    capsys, tmp_path, monkeypatch, command, fault, message
+):
+    import phasorstab.cli as cli
+
+    solves = []
+    monkeypatch.setattr(cli, "solve_case_equilibrium", lambda case: solves.append(case))
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    disturbances = doc["scenario"]["disturbances"]
+    if fault == "no-scenario":
+        del doc["scenario"]
+    elif fault == "unknown-component":
+        disturbances[0]["component"] = "ghost"
+    elif fault == "unknown-state":
+        disturbances[0]["delta"] = {"psi": 0.1}
+    elif fault == "load-step-without-load":
+        disturbances.append({"at": 0.05, "kind": "load_step", "bus": "bus1", "dp": 0.1, "dq": 0.0})
+    else:
+        disturbances.append({"at": 0.05, "kind": "line_scale", "line": 5, "factor": 0.5})
+    path = write_case(tmp_path, doc)
+    code, out, err = run_cli(
+        capsys, command[0], path, *command[1:], "--out", str(tmp_path / "out")
+    )
+    assert (code, err, solves) == (1, f"error: {message}\n", [])
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_convention_flag_changes_recorded_supply(capsys, tmp_path):
     outs = {}
     for convention in ("negated", "printed"):

@@ -21,12 +21,11 @@ from phasorstab.network import (
     injection_partials,
     passive_bus_solution,
     power_injection,
-    power_injection_scalar,
     tellegen_sum,
 )
 
 from conftest import ring_network_samples, ring_networks, thevenin_networks, thevenin_sources
-from helpers import kcl_residual
+from helpers import kcl_residual, power_injection_loop
 
 
 def two_bus(x=1.0):
@@ -205,7 +204,7 @@ def test_active_power_balance_and_rotation_symmetry(case3bus, state, shift):
 def test_array_kernel_scalar_loop_and_oracle_agree(case):
     net, v, th = case
     p, q = power_injection(net, v, th)
-    p_loop, q_loop = power_injection_scalar(net, v.tolist(), th.tolist())
+    p_loop, q_loop = power_injection_loop(net, v.tolist(), th.tolist())
     currents = branch_currents_oracle(net, BusState(v, th))
     nodal = np.zeros(net.n_nodes, dtype=complex)
     for idx, line in enumerate(net.lines):

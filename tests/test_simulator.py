@@ -5,12 +5,23 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasorstab import simulator
-from phasorstab.components import Setpoints, VsgComponent
+from phasorstab.components import DroopComponent, Setpoints, VsgComponent
 from phasorstab.cli import solve_case_equilibrium
 from phasorstab.equilibrium import solve_equilibrium
-from phasorstab.network import BusState, NetworkError, power_injection
+from phasorstab.network import (
+    Bus,
+    BusKind,
+    BusState,
+    ConstantPowerBranch,
+    DynamicShunt,
+    LosslessLine,
+    NetworkError,
+    NetworkModel,
+    power_injection,
+)
 from phasorstab.potential import eval_vp
 from phasorstab.simulator import (
     LineScale,
@@ -29,6 +40,7 @@ from conftest import (
     make_soft_anchor_case,
     make_two_load_chain,
     thevenin_networks,
+    thevenin_sources,
 )
 from helpers import kcl_residual
 
@@ -251,7 +263,7 @@ def test_bad_disturbance_rejected_before_any_work(monkeypatch, case3bus, bad, er
         pytest.fail("simulate did work before rejecting the scenario")
 
     monkeypatch.setattr(simulator, "solve_equilibrium", must_not_run)
-    monkeypatch.setattr(simulator._Engine, "rk4_step", must_not_run)
+    monkeypatch.setattr(simulator._Engine, "advance", must_not_run)
     scen = Scenario(horizon=1.0, output_period=0.1, disturbances=[bad])
     with pytest.raises(error, match=message):
         simulate(case3bus.net, case3bus.components, scen, SolverConfig(step_size=1e-3))
@@ -339,6 +351,12 @@ def engine_for(net):
     return simulator._make_engine(net, comps, SolverConfig())
 
 
+def rest_state(engine, V, T):
+    """The sources' states (theta, omega, v) at rest at their buses' V and
+    theta, so a stage scatters the given bus state back unchanged."""
+    return engine.buffer([x for node, _, _, _ in engine.terminals for x in (T[node], 0.0, V[node])])
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=thevenin_networks())
 def test_uncoupled_passive_buses_solve_without_iteration(case):
@@ -348,7 +366,7 @@ def test_uncoupled_passive_buses_solve_without_iteration(case):
     engine = engine_for(net)
     V, T = engine.buffer(v), engine.buffer(th)
     assert isinstance(V, list) == (len(net.passive_nodes()) == 1)
-    p, q = engine.solve_algebraic(V, T, 0.0)
+    _, p, q = engine.stage(rest_state(engine, V, T), V, T, 0.0)
     p_ref, q_ref = power_injection(net, V, T)
     assert np.allclose(p, p_ref, rtol=0.0, atol=1e-12)
     assert np.allclose(q, q_ref, rtol=0.0, atol=1e-12)
@@ -365,7 +383,116 @@ def test_load_beyond_transfer_limit_is_voltage_collapse(case):
     net, v, th = case
     engine = engine_for(net)
     with pytest.raises(SimulationError, match=r"^voltage collapse at bus 'b1', t = 0\.25$"):
-        engine.solve_algebraic(engine.buffer(v), engine.buffer(th), 0.25)
+        engine.stage(rest_state(engine, v, th), engine.buffer(v), engine.buffer(th), 0.25)
+
+
+@st.composite
+def float_path_cases(draw):
+    """One to five sources of either model with drawn parameters, setpoints
+    and states, on a ring plus chords, and at most one passive bus with a
+    line to one or more of them and a load within its transfer limit."""
+    n_src = draw(st.integers(1, 5))
+    passive = draw(st.booleans())
+    ids = [f"b{j}" for j in range(n_src + passive)]
+    pairs = [(j, (j + 1) % n_src) for j in range(n_src)] if n_src > 2 else [(0, 1)] * (n_src - 1)
+    pairs += draw(st.lists(st.tuples(st.integers(0, n_src - 1), st.integers(0, n_src - 1))
+                           .filter(lambda ab: ab[0] != ab[1]), max_size=n_src))
+    if passive:
+        feeds = draw(st.lists(st.integers(0, n_src - 1), min_size=1, max_size=n_src, unique=True))
+        pairs += [(n_src, j) for j in feeds]
+    xs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    lines = [LosslessLine(ids[a], ids[b], x) for (a, b), x in zip(pairs, xs)]
+    buses = [Bus(ids[j], BusKind.DYNAMIC, f"c{j}") for j in range(n_src)]
+    buses += [Bus(bid, BusKind.PASSIVE) for bid in ids[n_src:]] + [Bus("gnd", BusKind.GROUND)]
+    shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(n_src)]
+    v = np.array(draw(st.lists(st.floats(0.9, 1.1), min_size=len(ids), max_size=len(ids))))
+    th = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=len(ids), max_size=len(ids))))
+    loads = []
+    if passive:
+        # a drawn fraction of the largest load at a drawn power-factor angle
+        probe = NetworkModel(buses, lines, [], shunts)
+        e = thevenin_sources(probe, v, th)[n_src]
+        psi, f = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.1, 0.9))
+        p = f * abs(e) ** 2 / (2.0 * probe.coupling_sum[n_src] * (math.tan(psi) + 1.0 / math.cos(psi)))
+        loads = [ConstantPowerBranch(ids[n_src], p, p * math.tan(psi))]
+    net = NetworkModel(buses, lines, loads, shunts)
+    param = st.floats(0.05, 2.0)
+    comps, y = {}, []
+    for j, shunt in enumerate(shunts):
+        sp = Setpoints(*draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.9, 1.1),
+                                       st.floats(-0.3, 0.3))))
+        if draw(st.booleans()):
+            comp = VsgComponent(shunt.component_id, shunt.bus, *draw(st.tuples(*[param] * 4)), sp)
+            y += [th[j], draw(st.floats(-0.5, 0.5)), v[j]]
+        else:
+            comp = DroopComponent(shunt.component_id, shunt.bus, *draw(st.tuples(*[param] * 4)), sp)
+            y += [th[j], v[j]]
+        comps[shunt.component_id] = comp
+    return net, comps, [float(x) for x in y], v, th
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=float_path_cases())
+def test_float_stage_is_every_derivative_on_the_kernel(case):
+    # the stage's (dy, P, Q) against each component's written derivative at
+    # the array kernel's injections of the solved bus state
+    net, comps, y, v, th = case
+    engine = simulator._make_engine(net, comps, SolverConfig())
+    assert type(engine) is simulator._Engine
+    V, T = engine.buffer(v), engine.buffer(th)
+    dy, p, q = engine.stage(list(y), V, T, 0.0)
+    p_ref, q_ref = power_injection(net, V, T)
+    dy_ref = []
+    for (node, _, _, cid), lo in zip(engine.terminals, engine.offsets):
+        comp = comps[cid]
+        dy_ref += comp.derivative(y[lo : lo + comp.nstates], (p_ref[node], q_ref[node]))
+    np.testing.assert_allclose(dy, dy_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12)
+    for node in net.passive_nodes():
+        assert abs(p[node] + net.load_p[node]) <= engine.config.newton_tol
+        assert abs(q[node] + net.load_q[node]) <= engine.config.newton_tol
+    for node, i_theta, i_v, _ in engine.terminals:
+        assert (V[node], T[node]) == (y[i_v], y[i_theta])
+    # the closed form balanced the passive bus; the chord did not run
+    assert (engine.inner_solves, engine.inner_iterations, engine.factorizations) == (1, 0, 0)
+
+
+def test_float_stage_continues_by_the_chord(monkeypatch, case3bus, case3bus_solution):
+    # a closed form that misses the balance: the chord iteration takes over
+    # and the stage returns, and leaves in V/th, the state it accepted
+    monkeypatch.setattr(
+        simulator, "passive_bus_solution", lambda *args: (1.01 * args[5], args[6] + 0.01)
+    )
+    net = case3bus.net
+    engine = simulator._make_engine(net, case3bus.components, case3bus.solver)
+    y = [x for cid in engine.comp_ids for x in case3bus_solution.component_states[cid]]
+    V = engine.buffer(case3bus_solution.state.V)
+    T = engine.buffer(case3bus_solution.state.theta)
+    _, p, q = engine.stage(y, V, T, 0.0)
+    p_ref, q_ref = power_injection(net, V, T)
+    assert (p, q) == (p_ref.tolist(), q_ref.tolist())
+    for node in net.passive_nodes():
+        assert abs(p[node] + net.load_p[node]) <= engine.config.newton_tol
+        assert abs(q[node] + net.load_q[node]) <= engine.config.newton_tol
+    assert engine.inner_iterations > 0 and engine.factorizations == 1
+
+
+def test_float_and_array_paths_agree_on_case3bus(monkeypatch, case3bus, case3bus_solution):
+    # the packaged kicks plus a load step, through the float path and through
+    # the array path forced on the same one-passive-bus case
+    step = LoadStep(at=0.5, bus="bus3", dp=0.05, dq=0.02, duration=0.5)
+    scen = Scenario(2.0, 0.01, disturbances=[*case3bus.scenario.disturbances, step])
+    config = SolverConfig(step_size=1e-3)
+    args = (case3bus.net, case3bus.components, scen, config, case3bus_solution)
+    assert type(simulator._make_engine(case3bus.net, case3bus.components, config)) is simulator._Engine
+    on_floats = simulate(*args)
+    monkeypatch.setattr(simulator, "_make_engine", simulator._ArrayEngine)
+    on_arrays = simulate(*args)
+    assert on_floats.columns() == on_arrays.columns()
+    np.testing.assert_allclose(on_arrays.table(), on_floats.table(), rtol=0.0, atol=1e-12)
+    assert on_arrays.manifest() == on_floats.manifest()
+    assert on_floats.network_changed
 
 
 def passive_residuals(traj, active_at):
