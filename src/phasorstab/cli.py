@@ -46,7 +46,14 @@ from .potential import (
     rectangle_contour_pair,
 )
 from .records import asdict, replace
-from .simulator import ScenarioError, SimulationError, _schedule, _snap_to_grid, simulate
+from .simulator import (
+    ScenarioError,
+    SimulationError,
+    _sample_grid,
+    _schedule,
+    _snap_to_grid,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -265,6 +272,10 @@ def cmd_verify_identities(args) -> int:
             output_period=period,
             disturbances=disturbances,
         )
+        try:
+            _sample_grid(run_scenario, h)
+        except ScenarioError as exc:
+            raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
         _schedule(case.net, case.components, run_scenario, h)
         runs.append((h, run_scenario))
     sol = solve_case_equilibrium(case)

@@ -8,13 +8,14 @@ every stage evaluation, so each accepted state is algebraically consistent.
 The topology picks one of two paths for the whole run:
 
 * the float path, for at most one passive bus: the state and the bus
-  voltages and angles are lists of Python floats. A stage is one closure
-  per network: it scatters the terminals, sets the passive bus to its
+  voltages and angles are lists of Python floats. For each network the
+  engine writes the whole RK4 step as straight-line Python on local names,
+  with the network's and the components' numbers as literals, and compiles
+  it: per stage it checks the terminals, sets the passive bus to its
   closed-form solution (:func:`~phasorstab.network.passive_bus_solution`
   on floats), evaluates the line terms of
-  :func:`~phasorstab.network.power_injection` as a loop over the lines,
-  checks the balance, and makes one pass over the components' stacked
-  affine table, row by row;
+  :func:`~phasorstab.network.power_injection` line by line, checks the
+  balance, and evaluates each row of the components' stacked affine table;
 * the array path, for two or more passive buses: the state, voltages and
   angles are float arrays for the whole step. A stage scatters the
   component terminals through index arrays, solves the passive buses,
@@ -26,7 +27,10 @@ The topology picks one of two paths for the whole run:
 
 Both paths read the same (row, column, value) table and sum each row in
 the same order, and each takes one engine call per integration step: the
-RK4 stages, the stage at the step's end and the path integrals' step.
+RK4 stages, the stage at the step's end and the path integrals' step. The
+generated float step performs the floating-point operations of the loops
+it was unrolled from, in their order, so its results are those loops'
+bit for bit; the tests keep the loops as its reference.
 
 The inner solve of the array path takes one of two forms, by the topology
 of the passive buses:
@@ -297,8 +301,9 @@ class Trajectory:
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(",".join(self.columns()) + "\n")
-            for row in self.table():
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+            # a list's repr is its floats' reprs joined by ", "
+            for row in self.table().tolist():
+                fh.write(repr(row)[1:-1].replace(", ", ",") + "\n")
         os.replace(tmp, path)
 
     def manifest(self, source: str = "<memory>") -> dict:
@@ -331,14 +336,34 @@ class Trajectory:
 # -- engine --------------------------------------------------------------------
 
 
+def _literal(value) -> str:
+    """The source text of a number in the float path's generated step: an
+    int, or a finite float's repr, which reads back as the same float."""
+    if type(value) is int:
+        return repr(value)
+    # float() drops a float subclass's own repr, such as numpy's
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(float(value))
+    raise ValueError(f"not an int or a finite float: {value!r}")
+
+
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{j}" for j in range(count)]
+
+
+def _listed(names) -> str:
+    return f"[{', '.join(names)}]"
+
+
 class _Engine:
     """Flattened, loop-friendly view of the system for the hot stepping path.
 
     This is the float path, for networks with at most one passive bus: the
     state y and the bus voltages V and angles th are lists of Python floats,
     which at this size cost less per element than numpy costs per call.
-    :class:`_ArrayEngine` is the path for more passive buses; use
-    :func:`_make_engine` to get the one for a network.
+    ``stage`` and ``advance`` are generated for each network (see
+    :meth:`_steps_for`). :class:`_ArrayEngine` is the path for more passive
+    buses; use :func:`_make_engine` to get the one for a network.
     """
 
     def __init__(
@@ -407,13 +432,13 @@ class _Engine:
 
     def _use_network(self, net: NetworkModel) -> None:
         """Switch to `net`: drop the chord Jacobian built on the last one,
-        take the passive loads and build the stage for `net`."""
+        take the passive loads and build the stage and the step for `net`."""
         self.net = net
         self.passive_p = np.array(net.load_p)[self.passive]
         self.passive_q = np.array(net.load_q)[self.passive]
         self.passive_loads = np.concatenate([self.passive_p, self.passive_q])
         self.jac_inv: np.ndarray | None = None
-        self.stage = self._stage_for(net)
+        self.stage, self.advance = self._steps_for(net)
 
     def rebuild_with_mods(self) -> None:
         net = self.base_net
@@ -431,81 +456,188 @@ class _Engine:
             f"voltage collapse at bus {self.net.non_ground[node]!r}, t = {t:.6g}"
         )
 
-    def _stage_for(self, net: NetworkModel):
-        """The stage evaluation on `net`, ``stage(y, V, th, t) -> (dy, P,
-        Q)``: scatter the terminals into V/th, set the passive bus (if any)
-        to its closed form in place, evaluate the line terms, check the
-        passive balance (continuing by :meth:`_solve_chord` if it misses
-        ``newton_tol``) and apply the affine table, one pass over its rows.
-        Everything it reads is taken here, once per network."""
-        engine = self
-        terminals = self.terminals
-        table = self.affine_rows
-        edges = net.edges
-        n = net.n_nodes
-        tol = self.config.newton_tol
-        sin, cos, sqrt, atan2 = math.sin, math.cos, math.sqrt, math.atan2
+    def _component_collapse(self, c: int, t: float) -> SimulationError:
+        return SimulationError(
+            f"voltage collapse in component {self.comp_ids[c]!r} at t = {t:.6g}"
+        )
+
+    def _steps_for(self, net: NetworkModel):
+        """The stage, ``stage(y, V, th, t) -> (dy, P, Q)``, and the RK4 step,
+        ``advance(y, dy, V, th, h, step) -> (y, dy, P, Q)``, on `net`, as
+        straight-line Python generated and compiled here, once per network.
+
+        Both write V and th in place. The stage body comes from
+        :meth:`_stage_source`; the step runs it four times (the three inner
+        stages and the stage at the step's end) and then takes the trapezoid
+        step of the path integrals between the step's endpoints. The source
+        holds the network's and the components' numbers as literals and
+        nothing else from the input: ids and messages stay in the engine,
+        which the code calls to raise a collapse or to continue by the
+        chord."""
+        n, ny, m = net.n_nodes, self.ny, len(self.terminals)
+        p, q = _names("p", n), _names("q", n)
+        y, dy, s = _names("y", ny), _names("dy", ny), _names("s", ny)
+        warm = []
+        if self.passive_nodes:
+            bus = _literal(self.passive_nodes[0])
+            warm = [f"vb = V[{bus}]", f"tb = th[{bus}]"]
+
+        def finish(V, th, outputs):
+            return [
+                f"V[:] = {_listed(V[j] for j in range(n))}",
+                f"th[:] = {_listed(th[j] for j in range(n))}",
+                f"return {', '.join(map(_listed, outputs))}",
+            ]
+
+        stage = [f"{_listed(s)} = y", *warm, "engine.inner_solves += 1"]
+        body, V, th = self._stage_source(net, s, "t", "dy")
+        stage += body + finish(V, th, (dy, p, q))
+
+        step = [
+            f"{_listed(y)} = y",
+            f"{_listed(dy)} = dy",
+            *warm,
+            "engine.inner_solves += 4",
+            "t = step * h",
+            "half = 0.5 * h",
+        ]
+        for slope, scale, out, at in (
+            ("dy", "half", "k2_", "t + half"),
+            ("k2_", "half", "k3_", "t + half"),
+            ("k3_", "h", "k4_", "t + h"),
+        ):
+            step += [f"s{r} = y{r} + {scale} * {slope}{r}" for r in range(ny)]
+            step += self._stage_source(net, s, at, out)[0]
+        step.append("sixth = h / 6.0")
+        step += [
+            f"y{r} = y{r} + sixth * (dy{r} + 2.0 * (k2_{r} + k3_{r}) + k4_{r})"
+            for r in range(ny)
+        ]
+        body, V, th = self._stage_source(net, y, "(step + 1) * h", "dy")
+        step += body
+        # the trapezoid step of the path integrals, component by component;
+        # (theta, ln v, P, Q) at the step's start are t0_, l0_, p0_, q0_
+        step += [
+            f"{_listed(f'(t0_{c}, l0_{c}, p0_{c}, q0_{c})' for c in range(m))} = engine.prev",
+            f"{_listed(_names('a_p', m))} = engine.anchor_p",
+            f"{_listed(_names('a_q', m))} = engine.anchor_q",
+            f"{_listed(_names('sh', m))} = engine.shifted",
+            "u = engine.unshifted",
+        ]
+        now = []
+        for c, (node, i_theta, i_v, _) in enumerate(self.terminals):
+            now.append(f"(y{i_theta}, l{c}, p{node}, q{node})")
+            step += [
+                f"l{c} = log(y{i_v})",
+                f"p_mid = 0.5 * (p0_{c} + p{node})",
+                f"q_mid = 0.5 * (q0_{c} + q{node})",
+                f"d_theta = y{i_theta} - t0_{c}",
+                f"d_lnv = l{c} - l0_{c}",
+                "u += p_mid * d_theta + q_mid * d_lnv",
+                f"sh{c} += (p_mid - a_p{c}) * d_theta + (q_mid - a_q{c}) * d_lnv",
+            ]
+        step += [
+            "engine.unshifted = u",
+            f"engine.shifted = {_listed(_names('sh', m))}",
+            f"engine.prev = {_listed(now)}",
+        ]
+        step += finish(V, th, (y, dy, p, q))
+
+        source = "\n".join([
+            "def stage(y, V, th, t):", *("    " + line for line in stage),
+            "def advance(y, dy, V, th, h, step):", *("    " + line for line in step),
+        ])
+        namespace = {
+            "engine": self,
+            # the module's function as it is now, so a replacement holds
+            "passive_bus_solution": passive_bus_solution,
+            "sin": math.sin,
+            "cos": math.cos,
+            "sqrt": math.sqrt,
+            "atan2": math.atan2,
+            "log": math.log,
+        }
+        exec(compile(source, "<float step>", "exec"), namespace)
+        return namespace["stage"], namespace["advance"]
+
+    def _stage_source(self, net: NetworkModel, y: list[str], t: str, out: str):
+        """The source lines of one stage on `net` at the state named `y`
+        (one name per state) and the time expression `t`: scatter the
+        terminals, set the passive bus (if any; its V and theta are the
+        names ``vb`` and ``tb``) to its closed form, evaluate the line terms
+        of :func:`~phasorstab.network.power_injection` into ``p0, q0, ...``,
+        check the passive balance (continuing by :meth:`_chord_on_floats` if
+        it misses ``newton_tol``) and evaluate the rows of the affine table
+        into ``{out}0, {out}1, ...``, each summed in its order from 0.0.
+        Returns the lines and the names of every bus's V and theta."""
+        lines = []
+        V: dict[int, str] = {}
+        th: dict[int, str] = {}
+        for c, (node, i_theta, i_v, _) in enumerate(self.terminals):
+            lines += [
+                f"if {y[i_v]} <= 0.0:",
+                f"    raise engine._component_collapse({_literal(c)}, {t})",
+            ]
+            V[node], th[node] = y[i_v], y[i_theta]
         bus = self.passive_nodes[0] if self.passive_nodes else None
         if bus is not None:
-            lines = [(k, b) for _, k, b in self._passive_lines(net)]
-            coupling, load_p, load_q = net.coupling_sum[bus], net.load_p[bus], net.load_q[bus]
-
-        def stage(y, V, th, t):
-            engine.inner_solves += 1
-            for node, i_theta, i_v, cid in terminals:
-                v = y[i_v]
-                if v <= 0.0:
-                    raise SimulationError(
-                        f"voltage collapse in component {cid!r} at t = {t:.6g}"
-                    )
-                th[node] = y[i_theta]
-                V[node] = v
-            if bus is not None:
-                e_re = e_im = 0.0
-                for k, b in lines:
-                    bv = b * V[k]
-                    e_re += bv * cos(th[k])
-                    e_im += bv * sin(th[k])
-                try:
-                    V[bus], th[bus] = passive_bus_solution(
-                        e_re, e_im, coupling, load_p, load_q, V[bus], th[bus], sqrt, atan2
-                    )
-                except (ValueError, ZeroDivisionError):
-                    raise engine._collapse(bus, t) from None
-            # the line terms of power_injection, generation-positive
-            p = [0.0] * n
-            q = p.copy()
-            for i, k, b in edges:
-                vi = V[i]
-                vk = V[k]
-                d = th[i] - th[k]
-                vv = vi * vk
-                flow = b * vv * sin(d)
-                cross = vv * cos(d)
-                p[i] += flow
-                p[k] -= flow
-                q[i] += b * (vi * vi - cross)
-                q[k] += b * (vk * vk - cross)
+            V[bus], th[bus] = "vb", "tb"
+            load_p, load_q = _literal(net.load_p[bus]), _literal(net.load_q[bus])
+            e_re = e_im = "0.0"
+            for _, k, b in self._passive_lines(net):
+                lines += [
+                    f"bv = {_literal(b)} * {V[k]}",
+                    f"e_re = {e_re} + bv * cos({th[k]})",
+                    f"e_im = {e_im} + bv * sin({th[k]})",
+                ]
+                e_re, e_im = "e_re", "e_im"
+            lines += [
+                "try:",
+                f"    vb, tb = passive_bus_solution({e_re}, {e_im}, "
+                f"{_literal(net.coupling_sum[bus])}, {load_p}, {load_q}, vb, tb, sqrt, atan2)",
+                "except (ValueError, ZeroDivisionError):",
+                f"    raise engine._collapse({_literal(bus)}, {t}) from None",
+            ]
+        # the line terms of power_injection, generation-positive
+        n = net.n_nodes
+        p, q = _names("p", n), _names("q", n)
+        lines.append(" = ".join(p + q + ["0.0"]))
+        for i, k, b in net.edges:
+            b = _literal(b)
+            lines += [
+                f"d = {th[i]} - {th[k]}",
+                f"vv = {V[i]} * {V[k]}",
+                f"flow = {b} * vv * sin(d)",
+                "cross = vv * cos(d)",
+                f"{p[i]} += flow",
+                f"{p[k]} -= flow",
+                f"{q[i]} += {b} * ({V[i]} * {V[i]} - cross)",
+                f"{q[k]} += {b} * ({V[k]} * {V[k]} - cross)",
+            ]
+        if bus is not None:
+            tol = _literal(self.config.newton_tol)
             # written to take the chord for NaN as well
-            if bus is not None and not (
-                abs(p[bus] + load_p) <= tol and abs(q[bus] + load_q) <= tol
-            ):
-                v = np.array(V)
-                a = np.array(th)
-                p, q = (x.tolist() for x in engine._solve_chord(v, a, t))
-                V[:] = v.tolist()
-                th[:] = a.tolist()
-            # the rows of AffineStack, summed in its order
-            x = y + p + q
-            dy = []
-            for c, terms in table:
-                acc = 0.0
-                for col, val in terms:
-                    acc += val * x[col]
-                dy.append(acc + c)
-            return dy, p, q
+            lines += [
+                f"if not (abs({p[bus]} + {load_p}) <= {tol} and abs({q[bus]} + {load_q}) <= {tol}):",
+                f"    vb, tb, {_listed(p)}, {_listed(q)} = engine._chord_on_floats("
+                f"{_listed(V[j] for j in range(n))}, {_listed(th[j] for j in range(n))}, {t})",
+            ]
+        # the rows of AffineStack over x = (y, P, Q), summed in its order
+        x = [*y, *p, *q]
+        for r, (c, terms) in enumerate(self.affine_rows):
+            row = "".join(f" + {_literal(val)} * {x[col]}" for col, val in terms)
+            lines.append(f"{out}{r} = 0.0{row} + {_literal(c)}")
+        return lines, V, th
 
-        return stage
+    def _chord_on_floats(self, V: list[float], th: list[float], t: float):
+        """:meth:`_solve_chord` from the float path's bus state; returns the
+        passive bus's accepted (V, theta) and the injections (P, Q) as
+        lists."""
+        v = np.array(V)
+        a = np.array(th)
+        p, q = self._solve_chord(v, a, t)
+        bus = self.passive_nodes[0]
+        return float(v[bus]), float(a[bus]), p.tolist(), q.tolist()
 
     def _solve_chord(
         self, v: np.ndarray, a: np.ndarray, t: float
@@ -585,39 +717,6 @@ class _Engine:
             for node, i_theta, i_v, _ in self.terminals
         ]
 
-    def advance(self, y, dy, V, th, h: float, step: int):
-        """One RK4 step from (y, dy) at t = step h: the three inner stages,
-        the stage at the step's end, and the trapezoid step of the path
-        integrals between the step's endpoints. Returns (y, dy, P, Q) at the
-        end of the step."""
-        stage = self.stage
-        t = step * h
-        half = 0.5 * h
-        k2, _, _ = stage([a + half * b for a, b in zip(y, dy)], V, th, t + half)
-        k3, _, _ = stage([a + half * b for a, b in zip(y, k2)], V, th, t + half)
-        k4, _, _ = stage([a + h * b for a, b in zip(y, k3)], V, th, t + h)
-        sixth = h / 6.0
-        y = [
-            a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, dy, k2, k3, k4)
-        ]
-        dy, p, q = stage(y, V, th, (step + 1) * h)
-        now = self.endpoints(y, p, q)
-        shifted = self.shifted
-        unshifted = self.unshifted
-        for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1), ap, aq) in enumerate(
-            zip(self.prev, now, self.anchor_p, self.anchor_q)
-        ):
-            p_mid = 0.5 * (p0 + p1)
-            q_mid = 0.5 * (q0 + q1)
-            d_theta = theta1 - theta0
-            d_lnv = lnv1 - lnv0
-            unshifted += p_mid * d_theta + q_mid * d_lnv
-            shifted[c] += (p_mid - ap) * d_theta + (q_mid - aq) * d_lnv
-        self.unshifted = unshifted
-        self.prev = now
-        return y, dy, p, q
-
 
 class _ArrayEngine(_Engine):
     """The array path, for networks with two or more passive buses: y, V
@@ -659,11 +758,11 @@ class _ArrayEngine(_Engine):
     def buffer(values) -> np.ndarray:
         return np.array(values, dtype=float)
 
-    def _stage_for(self, net: NetworkModel):
-        """:meth:`_stage`, after dropping the predictor's K with the chord
-        Jacobian and, for the closed form, taking the incidence arrays
-        (passive position, neighbour node, B) and the passive coupling sums
-        of `net`."""
+    def _steps_for(self, net: NetworkModel):
+        """:meth:`_stage` and :meth:`_advance`, after dropping the
+        predictor's K with the chord Jacobian and, for the closed form,
+        taking the incidence arrays (passive position, neighbour node, B)
+        and the passive coupling sums of `net`."""
         self.tangent: np.ndarray | None = None
         if not self.coupled:
             lines = self._passive_lines(net)
@@ -673,7 +772,7 @@ class _ArrayEngine(_Engine):
                 np.array([b for _, _, b in lines], dtype=float),
             )
             self.passive_coupling = np.array(net.coupling_sum)[self.passive]
-        return self._stage
+        return self._stage, self._advance
 
     def solve_algebraic(
         self, V: np.ndarray, th: np.ndarray, t: float
@@ -736,8 +835,7 @@ class _ArrayEngine(_Engine):
         v = y[self.term_v]
         bad = v <= 0.0
         if bad.any():
-            cid = self.comp_ids[int(np.argmax(bad))]
-            raise SimulationError(f"voltage collapse in component {cid!r} at t = {t:.6g}")
+            raise self._component_collapse(int(np.argmax(bad)), t)
         th[self.term_node] = y[self.term_theta]
         V[self.term_node] = v
         p, q = self.solve_algebraic(V, th, t)
@@ -748,8 +846,11 @@ class _ArrayEngine(_Engine):
         node = self.term_node
         return y[self.term_theta], np.log(y[self.term_v]), p[node], q[node]
 
-    def advance(self, y, dy, V, th, h: float, step: int):
-        """As for the float path, on arrays."""
+    def _advance(self, y, dy, V, th, h: float, step: int):
+        """One RK4 step from (y, dy) at t = step h: the three inner stages,
+        the stage at the step's end, and the trapezoid step of the path
+        integrals between the step's endpoints. Returns (y, dy, P, Q) at the
+        end of the step."""
         t = step * h
         half = 0.5 * h
         k2, _, _ = self._stage(y + half * dy, V, th, t + half)
@@ -799,6 +900,22 @@ class _Event:
     ends: bool = False
 
 
+def _sample_grid(scenario: Scenario, h: float) -> tuple[int, int]:
+    """The step count and the steps per sample of `scenario` at step `h`;
+    raises ScenarioError where they do not fit the step grid."""
+    n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
+    sample_every = _snap_to_grid(scenario.output_period, h, "output period")
+    if sample_every <= 0:
+        raise ScenarioError("output period shorter than one step")
+    if scenario.horizon > 0 and n_steps % sample_every != 0:
+        raise ScenarioError(
+            f"horizon {scenario.horizon} must be a whole number of output periods "
+            f"(the output period snaps to {sample_every * h:.6g}, "
+            f"{sample_every} steps of h = {h})"
+        )
+    return n_steps, sample_every
+
+
 def _schedule(
     net: NetworkModel,
     components: dict[str, Component],
@@ -809,12 +926,7 @@ def _schedule(
     work: the commands that solve the equilibrium first call it too.
     Returns the step count, the steps per sample, and the events due at
     each step index."""
-    n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
-    sample_every = _snap_to_grid(scenario.output_period, h, "output period")
-    if sample_every <= 0:
-        raise ScenarioError("output period shorter than one step")
-    if scenario.horizon > 0 and n_steps % sample_every != 0:
-        raise ScenarioError("horizon must be a whole number of output periods")
+    n_steps, sample_every = _sample_grid(scenario, h)
     comp_ids = {s.component_id for s in net.dynamic_shunts}
     if scenario.initial == "explicit":
         for s in net.dynamic_shunts:
@@ -916,29 +1028,23 @@ def simulate(
     dy, p, q = engine.stage(y, V, th, 0.0)
     engine.start_integrals(anchors, y, p, q)
 
-    n_samples = n_steps_total // sample_every + 1 if n_steps_total else 1
-    times = np.zeros(n_samples)
-    bus_v = np.zeros((n_samples, net.n_nodes))
-    bus_t = np.zeros((n_samples, net.n_nodes))
-    bus_p = np.zeros((n_samples, net.n_nodes))
-    bus_q = np.zeros((n_samples, net.n_nodes))
-    states = np.zeros((n_samples, engine.ny))
-    integrals = np.zeros((n_samples, len(comp_ids)))
-    unshifted_series = np.zeros(n_samples)
+    # the raw samples, one entry per sample in each list; V, th and the
+    # integrals are copied, since the step writes them in place
+    samples = ([], [], [], [], [], [], [], [])
+    times, bus_v, bus_t, bus_p, bus_q, states, integrals, unshifted_series = samples
 
-    def record(sample: int, t: float) -> None:
-        """Keep the raw sample, whole rows only; the diagnostics are
-        evaluated after the run."""
-        times[sample] = t
-        bus_v[sample] = V
-        bus_t[sample] = th
-        bus_p[sample] = p
-        bus_q[sample] = q
-        states[sample] = y
-        integrals[sample] = engine.shifted
-        unshifted_series[sample] = engine.unshifted
+    def record(t: float) -> None:
+        """Keep the raw sample; the diagnostics are evaluated after the run."""
+        times.append(t)
+        bus_v.append(V.copy())
+        bus_t.append(th.copy())
+        bus_p.append(p)
+        bus_q.append(q)
+        states.append(y)
+        integrals.append(engine.shifted.copy())
+        unshifted_series.append(engine.unshifted)
 
-    record(0, 0.0)
+    record(0.0)
 
     for step in range(n_steps_total):
         y, dy, p, q = engine.advance(y, dy, V, th, h, step)
@@ -948,7 +1054,11 @@ def simulate(
             # restart the integrals' endpoints across the discontinuity
             engine.prev = engine.endpoints(y, p, q)
         if (step + 1) % sample_every == 0:
-            record((step + 1) // sample_every, (step + 1) * h)
+            record((step + 1) * h)
+
+    # each column of samples as one array
+    times, bus_v, bus_t, bus_p, bus_q, states, integrals, unshifted_series = map(np.array, samples)
+    n_samples = len(times)
 
     # the samples per component
     comp_states: dict[str, np.ndarray] = {}

@@ -95,7 +95,7 @@ def make_vsg_with_empty_bus():
     return net, comps
 
 
-def make_compensated_load_case():
+def make_compensated_load_case(cid="vsg1"):
     """Swing source with zero reactive setpoint feeding a compensated load.
 
     The load bus voltage is 1/cos(alpha), which puts the source exactly at
@@ -107,19 +107,17 @@ def make_compensated_load_case():
     q_load = -(v2 * v2 - v2 * math.cos(alpha)) / x  # injects reactive power
     net = NetworkModel(
         buses=[
-            Bus("gen", BusKind.DYNAMIC, "vsg1"),
+            Bus("gen", BusKind.DYNAMIC, cid),
             Bus("load", BusKind.PASSIVE),
             Bus("gnd", BusKind.GROUND),
         ],
         lines=[LosslessLine("gen", "load", x)],
         constant_power=[ConstantPowerBranch("load", p_load, q_load)],
-        dynamic_shunts=[DynamicShunt("gen", "vsg1")],
+        dynamic_shunts=[DynamicShunt("gen", cid)],
     )
-    comps = {
-        "vsg1": VsgComponent(id="vsg1", bus="gen", M=0.2, Dp=0.1, Dq=0.05, tau_q=0.5)
-    }
+    comps = {cid: VsgComponent(id=cid, bus="gen", M=0.2, Dp=0.1, Dq=0.05, tau_q=0.5)}
     sp = solve_setpoints(net, comps, [1.0, v2], [0.0, -alpha])
-    comps["vsg1"] = comps["vsg1"].with_setpoints(sp.setpoints["vsg1"])
+    comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
     return net, comps
 
 

@@ -1,5 +1,5 @@
-"""Finite-difference, alternative-coordinate and complex-arithmetic references
-used only by tests."""
+"""Finite-difference, alternative-coordinate, complex-arithmetic and loop
+references used only by tests."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from phasorstab import simulator
 from phasorstab.components import Anchor, Component, SupplyConvention, supply_rate
 from phasorstab.equilibrium import steady_state_residual
 from phasorstab.network import BusState, NetworkModel, injection_partials, power_injection
@@ -151,3 +152,118 @@ def power_injection_loop(net: NetworkModel, V, theta) -> tuple[list[float], list
         q[i] += b * (vi * vi - cross)
         q[k] += b * (vk * vk - cross)
     return p, q
+
+
+def reference_stage(engine, net: NetworkModel):
+    """The float path's stage on `net` as a closure over loops, ``stage(y,
+    V, th, t) -> (dy, P, Q)``: scatter the terminals into V/th, set the
+    passive bus (if any) to its closed form in place, evaluate the line
+    terms, check the passive balance (continuing by the engine's chord
+    iteration if it misses ``newton_tol``) and apply the affine table, one
+    pass over its rows. The reference for the generated stage, which must
+    perform the same floating-point operations in the same order."""
+    terminals = engine.terminals
+    table = engine.affine_rows
+    edges = net.edges
+    n = net.n_nodes
+    tol = engine.config.newton_tol
+    sin, cos, sqrt, atan2 = math.sin, math.cos, math.sqrt, math.atan2
+    solution = simulator.passive_bus_solution
+    bus = engine.passive_nodes[0] if engine.passive_nodes else None
+    if bus is not None:
+        lines = [(k, b) for _, k, b in engine._passive_lines(net)]
+        coupling, load_p, load_q = net.coupling_sum[bus], net.load_p[bus], net.load_q[bus]
+
+    def stage(y, V, th, t):
+        engine.inner_solves += 1
+        for node, i_theta, i_v, cid in terminals:
+            v = y[i_v]
+            if v <= 0.0:
+                raise simulator.SimulationError(
+                    f"voltage collapse in component {cid!r} at t = {t:.6g}"
+                )
+            th[node] = y[i_theta]
+            V[node] = v
+        if bus is not None:
+            e_re = e_im = 0.0
+            for k, b in lines:
+                bv = b * V[k]
+                e_re += bv * cos(th[k])
+                e_im += bv * sin(th[k])
+            try:
+                V[bus], th[bus] = solution(
+                    e_re, e_im, coupling, load_p, load_q, V[bus], th[bus], sqrt, atan2
+                )
+            except (ValueError, ZeroDivisionError):
+                raise simulator.SimulationError(
+                    f"voltage collapse at bus {net.non_ground[bus]!r}, t = {t:.6g}"
+                ) from None
+        p, q = power_injection_loop(net, V, th)
+        # written to take the chord for NaN as well
+        if bus is not None and not (
+            abs(p[bus] + load_p) <= tol and abs(q[bus] + load_q) <= tol
+        ):
+            v = np.array(V)
+            a = np.array(th)
+            p, q = (x.tolist() for x in engine._solve_chord(v, a, t))
+            V[:] = v.tolist()
+            th[:] = a.tolist()
+        # the rows of AffineStack, summed in its order
+        x = y + p + q
+        dy = []
+        for c, terms in table:
+            acc = 0.0
+            for col, val in terms:
+                acc += val * x[col]
+            dy.append(acc + c)
+        return dy, p, q
+
+    return stage
+
+
+def reference_advance(engine, stage):
+    """The float path's RK4 step on `stage` as loops over lists, ``advance(y,
+    dy, V, th, h, step) -> (y, dy, P, Q)``: the three inner stages, the
+    stage at the step's end, and the trapezoid step of the engine's path
+    integrals between the step's endpoints."""
+
+    def advance(y, dy, V, th, h, step):
+        t = step * h
+        half = 0.5 * h
+        k2, _, _ = stage([a + half * b for a, b in zip(y, dy)], V, th, t + half)
+        k3, _, _ = stage([a + half * b for a, b in zip(y, k2)], V, th, t + half)
+        k4, _, _ = stage([a + h * b for a, b in zip(y, k3)], V, th, t + h)
+        sixth = h / 6.0
+        y = [
+            a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, dy, k2, k3, k4)
+        ]
+        dy, p, q = stage(y, V, th, (step + 1) * h)
+        now = engine.endpoints(y, p, q)
+        shifted = list(engine.shifted)
+        unshifted = engine.unshifted
+        for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1), ap, aq) in enumerate(
+            zip(engine.prev, now, engine.anchor_p, engine.anchor_q)
+        ):
+            p_mid = 0.5 * (p0 + p1)
+            q_mid = 0.5 * (q0 + q1)
+            d_theta = theta1 - theta0
+            d_lnv = lnv1 - lnv0
+            unshifted += p_mid * d_theta + q_mid * d_lnv
+            shifted[c] += (p_mid - ap) * d_theta + (q_mid - aq) * d_lnv
+        engine.shifted = shifted
+        engine.unshifted = unshifted
+        engine.prev = now
+        return y, dy, p, q
+
+    return advance
+
+
+class ReferenceEngine(simulator._Engine):
+    """A float-path engine whose stage and step are the loop references
+    above, rebuilt on every network switch like the generated ones; takes
+    the arguments of ``simulator._make_engine``."""
+
+    def _steps_for(self, net):
+        stage = reference_stage(self, net)
+        return stage, reference_advance(self, stage)

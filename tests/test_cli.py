@@ -430,6 +430,9 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
         (["verify-identities", "case3bus", "--h-sweep", "2e-3,-1e-3"], "--h-sweep step sizes must be positive"),
         (["verify-identities", "case3bus", "--h-sweep", "4e-3,2e-3,1.5e-3", "--horizon", "2"],
          "--h-sweep step 0.0015: horizon = 2.0 does not align"),
+        (["verify-identities", "case3bus", "--horizon", "0.1"],
+         "--h-sweep step 0.004: horizon 0.1 must be a whole number of output periods "
+         "(the output period snaps to 0.008, 2 steps of h = 0.004)\n"),
         (["--tol", "nan", "certify", "case3bus", "--with-trajectory"], "--tol expects a finite"),
         (["--tol", "abc", "certify", "case3bus"], "--tol expects a finite number, got 'abc'"),
         (["--tol=-1e-6", "certify", "case3bus"], "--tol must be nonnegative"),
@@ -442,6 +445,7 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
     ],
     ids=["h-text", "h-zero", "horizon-text", "horizon-nan", "certify-h", "verify-horizon",
          "h-sweep-empty-entry", "h-sweep-repeated", "h-sweep-negative", "h-sweep-off-horizon",
+         "h-sweep-off-period",
          "tol-nan", "tol-text", "tol-negative", "g-nan", "b-inf", "width-text",
          "height-inf", "width-text-with-contours"],
 )

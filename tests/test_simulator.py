@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasorstab import simulator
-from phasorstab.components import DroopComponent, Setpoints, VsgComponent
+from phasorstab.components import Anchor, DroopComponent, Setpoints, VsgComponent
 from phasorstab.cli import solve_case_equilibrium
 from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.network import (
@@ -35,6 +35,7 @@ from phasorstab.simulator import (
 )
 
 from conftest import (
+    make_compensated_load_case,
     make_load_ladder,
     make_mesh,
     make_soft_anchor_case,
@@ -42,7 +43,7 @@ from conftest import (
     thevenin_networks,
     thevenin_sources,
 )
-from helpers import kcl_residual
+from helpers import ReferenceEngine, kcl_residual
 
 
 def quiet(horizon, period=0.01, **kw):
@@ -263,7 +264,11 @@ def test_bad_disturbance_rejected_before_any_work(monkeypatch, case3bus, bad, er
         pytest.fail("simulate did work before rejecting the scenario")
 
     monkeypatch.setattr(simulator, "solve_equilibrium", must_not_run)
-    monkeypatch.setattr(simulator._Engine, "advance", must_not_run)
+    # the step is generated per network, so the guard goes on what is built
+    build = simulator._Engine._steps_for
+    monkeypatch.setattr(
+        simulator._Engine, "_steps_for", lambda engine, net: (build(engine, net)[0], must_not_run)
+    )
     scen = Scenario(horizon=1.0, output_period=0.1, disturbances=[bad])
     with pytest.raises(error, match=message):
         simulate(case3bus.net, case3bus.components, scen, SolverConfig(step_size=1e-3))
@@ -476,6 +481,142 @@ def test_float_stage_continues_by_the_chord(monkeypatch, case3bus, case3bus_solu
         assert abs(p[node] + net.load_p[node]) <= engine.config.newton_tol
         assert abs(q[node] + net.load_q[node]) <= engine.config.newton_tol
     assert engine.inner_iterations > 0 and engine.factorizations == 1
+
+
+def bits(values):
+    """Each float's bit pattern, so that -0.0 and NaN compare as themselves."""
+    return [float.hex(float(x)) for x in values]
+
+
+def run_steps(make, net, comps, y, v, th, h, steps, event=None):
+    """`steps` RK4 steps, on the engine `make` builds, from the state (y, V,
+    th), with `event` switching the network after the first step. Returns
+    every step's (y, dy, P, Q, V, theta, integrals) as bit patterns and then
+    the inner-solve counters, or then the message of the collapse that
+    stopped the run."""
+    engine = make(net, comps, SolverConfig())
+    assert not isinstance(engine, simulator._ArrayEngine)
+    y, V, th = engine.buffer(y), engine.buffer(v), engine.buffer(th)
+    anchors = {cid: Anchor.from_setpoints(comp.setpoints) for cid, comp in comps.items()}
+    out = []
+    try:
+        dy, p, q = engine.stage(y, V, th, 0.0)
+        engine.start_integrals(anchors, y, p, q)
+        for step in range(steps):
+            y, dy, p, q = engine.advance(y, dy, V, th, h, step)
+            if event is not None and step == 0:
+                engine.active_mods.append(event)
+                engine.rebuild_with_mods()
+                dy, p, q = engine.stage(y, V, th, h)
+                engine.prev = engine.endpoints(y, p, q)
+            out.append([bits(x) for x in (y, dy, p, q, V, th, engine.shifted, [engine.unshifted])])
+    except SimulationError as exc:
+        # the counters of a stopped run are not reported anywhere
+        return out, str(exc)
+    return out, (engine.inner_solves, engine.inner_iterations, engine.factorizations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=float_path_cases(), h=st.sampled_from([1e-3, 1e-2]), data=st.data())
+def test_generated_step_is_the_loop_reference_bitwise(case, h, data):
+    # the generated stage and step against the loops they replace, with no
+    # event, a line scale or (at the passive bus) a load step after step 1
+    net, comps, y, v, th = case
+    events = [None]
+    if net.lines:
+        events.append(LineScale(at=h, line_index=data.draw(st.integers(0, len(net.lines) - 1)),
+                                factor=data.draw(st.floats(0.5, 2.0))))
+    if net.constant_power:
+        events.append(LoadStep(at=h, bus=net.constant_power[0].bus,
+                               dp=data.draw(st.floats(-0.2, 0.2)), dq=data.draw(st.floats(-0.2, 0.2))))
+    event = data.draw(st.sampled_from(events))
+    generated = run_steps(simulator._make_engine, net, comps, y, v, th, h, 20, event)
+    assert generated == run_steps(ReferenceEngine, net, comps, y, v, th, h, 20, event)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0", None, np.int64(1)])
+def test_generated_source_takes_only_ints_and_finite_floats(value):
+    with pytest.raises(ValueError, match="not an int or a finite float"):
+        simulator._literal(value)
+
+
+def test_generated_source_spells_floats_exactly():
+    for value in (-0.0, 5e-324, 0.1, -1.7976931348623157e308, np.float64(1 / 3)):
+        text = simulator._literal(value)
+        assert text == repr(float(value)) and float.hex(eval(text)) == float.hex(float(value))
+    assert simulator._literal(7) == "7"
+
+
+def trajectory_bits(traj):
+    return (
+        [bits(row) for row in traj.table()],
+        bits(traj.unshifted_integral),
+        (traj.inner_solves, traj.inner_iterations, traj.jacobian_factorizations),
+    )
+
+
+@pytest.mark.parametrize("chord", [False, True], ids=["closed-form", "chord"])
+def test_generated_step_runs_case3bus_as_the_reference(monkeypatch, case3bus, case3bus_solution, chord):
+    # the packaged kicks, a load step and a line scale: the step is built
+    # again at each of the four network switches. With a closed form that
+    # misses the balance, every stage continues by the chord iteration
+    if chord:
+        monkeypatch.setattr(
+            simulator, "passive_bus_solution", lambda *args: (1.01 * args[5], args[6] + 0.01)
+        )
+    events = [
+        LoadStep(at=0.1, bus="bus3", dp=0.05, dq=0.02, duration=0.1),
+        LineScale(at=0.15, line_index=1, factor=0.5, duration=0.1),
+    ]
+    scen = Scenario(0.4, 0.01, disturbances=[*case3bus.scenario.disturbances, *events])
+    args = (case3bus.net, case3bus.components, scen, SolverConfig(step_size=1e-3), case3bus_solution)
+    generated = simulate(*args)
+    monkeypatch.setattr(simulator, "_make_engine", ReferenceEngine)
+    assert trajectory_bits(generated) == trajectory_bits(simulate(*args))
+    assert generated.network_changed
+    assert (generated.inner_iterations > 0) == chord
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("slope", "voltage collapse in component 'droop2' at t = 0.0075"),
+     ("load", "voltage collapse at bus 'bus3', t = 0.0075")],
+)
+def test_generated_step_collapses_as_the_reference(case3bus, case3bus_solution, fault, message):
+    # inside a step, at its first inner stage: droop2's v crosses zero along
+    # its slope, or a load beyond the transfer limit leaves no closed form
+    raised = []
+    for make in (simulator._make_engine, ReferenceEngine):
+        engine = make(case3bus.net, case3bus.components, case3bus.solver)
+        y = engine.buffer([x for cid in engine.comp_ids for x in case3bus_solution.component_states[cid]])
+        V = engine.buffer(case3bus_solution.state.V)
+        T = engine.buffer(case3bus_solution.state.theta)
+        dy, p, q = engine.stage(y, V, T, 0.0)
+        engine.start_integrals(case3bus_solution.anchors, y, p, q)
+        if fault == "slope":
+            dy[engine.terminals[1][2]] = -4000.0
+        else:
+            engine.active_mods.append(LoadStep(at=0.0, bus="bus3", dp=50.0, dq=50.0))
+            engine.rebuild_with_mods()
+        with pytest.raises(SimulationError) as exc:
+            engine.advance(y, dy, V, T, 1e-3, 7)
+        raised.append(str(exc.value))
+    assert raised == [message, message]
+
+
+def test_any_component_id_runs_and_is_named_in_a_collapse():
+    # ids reach the generated step only through the engine, never its source
+    cid = 'v"1\'{x}\n}'
+    net, comps = make_compensated_load_case(cid)
+    sol = solve_equilibrium(net, comps)
+    kick = StatePerturbation(at=0.0, component=cid, delta={"omega": 0.05})
+    traj = simulate(net, comps, Scenario(0.1, 0.01, disturbances=[kick]), SolverConfig(), sol)
+    assert traj.component_ids() == [cid]
+    assert np.isfinite(traj.comp_states[cid]).all() and traj.comp_states[cid][-1, 1] != 0.0
+    fall = StatePerturbation(at=0.05, component=cid, delta={"v": -2.0})
+    with pytest.raises(SimulationError) as exc:
+        simulate(net, comps, Scenario(0.1, 0.01, disturbances=[fall]), SolverConfig(), sol)
+    assert str(exc.value) == f"voltage collapse in component {cid!r} at t = 0.05"
 
 
 def test_float_and_array_paths_agree_on_case3bus(monkeypatch, case3bus, case3bus_solution):
@@ -761,6 +902,21 @@ def test_csv_round_trips_every_value(tmp_path, case3bus, case3bus_solution):
         if name == "softanchor":
             storage_col = header.index("vsg1_storage")
             assert all(row[storage_col] == "nan" for row in cells)
+
+
+def test_csv_writer_is_the_per_value_writer(tmp_path, case3bus, case3bus_solution):
+    # one repr per row is each value's repr, for the values repr spells out
+    traj = simulate(
+        case3bus.net, case3bus.components, kicked(0.1),
+        SolverConfig(step_size=1e-3), case3bus_solution,
+    )
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 1e300, 0.1]
+    traj.vp[1 : 1 + len(special)] = special
+    traj.w[: len(special)] = special[::-1]
+    out = tmp_path / "traj.csv"
+    traj.to_csv(str(out))
+    rows = "".join(",".join(map(repr, row)) + "\n" for row in traj.table().tolist())
+    assert out.read_text() == ",".join(traj.columns()) + "\n" + rows
 
 
 def test_csv_layout_and_manifest(tmp_path, case3bus, case3bus_solution):
