@@ -49,9 +49,8 @@ from .records import asdict, replace
 from .simulator import (
     ScenarioError,
     SimulationError,
-    _sample_grid,
+    _check_scenario,
     _schedule,
-    _snap_to_grid,
     simulate,
 )
 
@@ -226,10 +225,9 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _step_sweep(text: str, horizon: float, disturbances: list) -> list[float]:
-    """The step sizes of ``--h-sweep``, checked before any work: at least two,
-    positive, distinct, and each putting the horizon and every disturbance
-    time on its step grid."""
+def _step_sweep(text: str) -> list[float]:
+    """The step sizes of ``--h-sweep``, largest first: at least two,
+    positive and distinct. Each run's scenario checks its own grid."""
     steps = [_number_option(s, "--h-sweep") for s in text.split(",")]
     if len(steps) < 2:
         raise ScenarioError("--h-sweep needs at least two step sizes")
@@ -238,13 +236,18 @@ def _step_sweep(text: str, horizon: float, disturbances: list) -> list[float]:
     for h in steps:
         if not h > 0.0:
             raise ScenarioError(f"--h-sweep step sizes must be positive, got {h}")
-        try:
-            _snap_to_grid(horizon, h, "horizon")
-            for d in disturbances:
-                _snap_to_grid(d.at, h, "disturbance time")
-        except ScenarioError as exc:
-            raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
-    return steps
+    return sorted(steps, reverse=True)
+
+
+def _sweep_period(scenario, h: float) -> float:
+    """The output period of a sweep run at step `h`: of the multiples of h
+    whose step counts divide the horizon's, the one nearest the scenario's
+    period (the shorter of two as near)."""
+    n_steps = round(scenario.horizon / h)
+    target = scenario.output_period / h
+    # every step count divides a zero horizon's
+    counts = [d for d in range(1, n_steps + 1) if n_steps % d == 0] or [max(1, round(target))]
+    return h * min(counts, key=lambda d: abs(d - target))
 
 
 def cmd_verify_identities(args) -> int:
@@ -261,22 +264,20 @@ def cmd_verify_identities(args) -> int:
         if args.horizon is not None
         else scenario.horizon
     )
-    disturbances = [d for d in scenario.disturbances if d.at <= horizon]
+    scenario = replace(
+        scenario,
+        horizon=horizon,
+        disturbances=[d for d in scenario.disturbances if d.at <= horizon],
+    )
+    steps = _step_sweep(args.h_sweep)
+    _check_scenario(case.net, case.components, scenario)
     runs = []
-    for h in sorted(_step_sweep(args.h_sweep, horizon, disturbances), reverse=True):
-        # snap the output period onto the integration grid of this sweep point
-        period = h * max(1, round(max(h, scenario.output_period) / h))
-        run_scenario = replace(
-            scenario,
-            horizon=horizon,
-            output_period=period,
-            disturbances=disturbances,
-        )
+    for h in steps:
+        run_scenario = replace(scenario, output_period=_sweep_period(scenario, h))
         try:
-            _sample_grid(run_scenario, h)
+            _schedule(case.net, case.components, run_scenario, h)
         except ScenarioError as exc:
             raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
-        _schedule(case.net, case.components, run_scenario, h)
         runs.append((h, run_scenario))
     sol = solve_case_equilibrium(case)
     from .certify import identity_residuals

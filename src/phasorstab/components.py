@@ -17,14 +17,16 @@ The :class:`Component` base derives the rest from them: the one table of
 coefficients ``affine_matrix()`` / ``affine_offset()`` (f = D_f (x, P, Q) + c,
 D_f from the parameters and c from the setpoints, both read off
 ``derivative``), ``steady_state_residual``, ``equilibrium_state``,
-``anchors_angle`` and ``storage_rate`` (chain rule, never numeric
-differencing), along with the setpoint binding, the stiffness guard and the
-parameter check.
+``anchors_angle`` and ``storage_rate(x, dx)`` (the chain rule on a given
+derivative dx, never numeric differencing), along with the setpoint
+binding, the stiffness guard and the parameter check. A run calls
+``derivative`` only to build the table: it steps on the table and hands
+the dy it produced to ``storage_rate`` and :func:`supply_rate`.
 
 ``derivative``, ``storage``, ``storage_rate`` and :func:`supply_rate` are
-elementwise arithmetic, so a state x and input u may be floats or arrays
-over samples: x of shape (nstates, S) with P and Q of shape (S,) gives one
-value per sample.
+elementwise arithmetic, so a state x, its derivative dx and input u may be
+floats or arrays over samples: x of shape (nstates, S) with P and Q of
+shape (S,) gives one value per sample.
 
 Inputs are generation-positive branch powers. Storage functions are
 normalized so they evaluate to zero at their anchor point; the anchor
@@ -157,13 +159,13 @@ class Component:
     def with_setpoints(self, sp: Setpoints):
         return replace(self, setpoints=sp)
 
-    def storage_rate(self, x, u, anchor: Anchor | None = None) -> float:
-        """Chain rule: sum over states of storage gradient times derivative."""
+    def storage_rate(self, x, dx, anchor: Anchor | None = None) -> float:
+        """Chain rule: sum over states of storage gradient times the given
+        state derivative ``dx`` at x."""
         g = self.storage_gradient(x, anchor)
-        f = self.derivative(x, u)
-        rate = g[0] * f[0]
+        rate = g[0] * dx[0]
         for j in range(1, len(g)):
-            rate += g[j] * f[j]
+            rate += g[j] * dx[j]
         return rate
 
     def affine_matrix(self) -> np.ndarray:

@@ -106,14 +106,17 @@ def _residual(
 
 
 def _steady_rows(net: NetworkModel, components: dict[str, Component]):
-    """The dynamic nodes, and the columns (theta, V, P, Q) of their
-    components' ``steady_state_partials``, one array per row pair: the
-    constants :func:`_jacobian` combines the injection partials with."""
+    """The constants :func:`_jacobian` needs: the index that interleaves the
+    injection Jacobian's rows (P then Q) and columns (theta then V) per bus,
+    the dynamic nodes, and the columns (theta, V, P, Q) of their components'
+    ``steady_state_partials``, one array per row pair."""
+    # (P_0, Q_0, P_1, ...) and (theta_0, V_0, theta_1, ...)
+    order = np.arange(2 * net.n_nodes).reshape(2, -1).T.ravel()
     dyn = np.array(net.dynamic_nodes(), dtype=np.intp)
     rows = np.array(
         [components[net.shunt_at[i].component_id].steady_state_partials() for i in dyn]
     ).reshape(len(dyn), 2, 4)
-    return dyn, rows[:, 0].T, rows[:, 1].T
+    return np.ix_(order, order), dyn, rows[:, 0].T, rows[:, 1].T
 
 
 def _jacobian(net: NetworkModel, steady_rows, V, theta, injections=None) -> np.ndarray:
@@ -125,13 +128,9 @@ def _jacobian(net: NetworkModel, steady_rows, V, theta, injections=None) -> np.n
     ``steady_rows`` is :func:`_steady_rows`; ``injections`` is the (P, Q)
     at the state, if the caller holds it.
     """
-    n = net.n_nodes
+    interleave, dyn, first, second = steady_rows
     # rows (P_0, Q_0, P_1, ...), columns (theta_0, V_0, theta_1, ...)
-    jac = np.empty((2 * n, 2 * n))
-    partials = injection_partials(net, V, theta, injections)
-    for (row, col), block in zip(((0, 0), (0, 1), (1, 0), (1, 1)), partials):
-        jac[row::2, col::2] = block
-    dyn, first, second = steady_rows
+    jac = injection_partials(net, V, theta, injections)[interleave]
     at = 2 * dyn  # each dynamic bus's P row and theta column
     p_rows = jac[at]
     q_rows = jac[at + 1]

@@ -11,11 +11,13 @@ so a passive bus balances at P_i + load_p_i = 0 and Q_i + load_q_i = 0.
 This module is the network kernel: :func:`power_injection` evaluates the
 line power-flow terms on edge arrays (one gather, one sin and one cos over
 all lines, one scatter onto the buses), and :func:`injection_partials` is
-the only source of their partials. The equilibrium solver, the transient
-simulator and the potential's gradient and Hessian are all built on these
-two functions; the simulator's float path, for at most one passive bus,
-evaluates the same line terms as a loop over ``edges`` inside its stage,
-where per-call numpy overhead would outweigh the work.
+the only source of their partials, as one 2n x 2n matrix (rows P then Q,
+columns theta then V). The equilibrium solver, the transient simulator and
+the potential's gradient and Hessian are all built on these two functions,
+and each indexes that one matrix rather than reassembling it. The
+simulator's float path, for at most one passive bus, evaluates the same
+line terms as a loop over ``edges`` inside its stage, where per-call numpy
+overhead would outweigh the work.
 :func:`passive_bus_solution` solves the balance of a passive bus whose line
 neighbours are held fixed in closed form; the simulator uses it when no
 line joins two passive buses (on floats or on arrays). The
@@ -48,7 +50,6 @@ __all__ = [
     "BusState",
     "power_injection",
     "injection_partials",
-    "self_partials",
     "passive_bus_solution",
     "branch_currents_oracle",
     "tellegen_sum",
@@ -374,20 +375,6 @@ def power_injection(net: NetworkModel, V, theta) -> tuple[np.ndarray, np.ndarray
     return pq[:n], pq[n:]
 
 
-def self_partials(V, coupling_sum, P, Q):
-    """Partials of a bus's injections by its own angle and magnitude.
-
-    Exact identities of the closed form of :func:`power_injection`, with
-    S_i the coupling sum at bus i:
-    dP_i/dtheta_i = V_i^2 S_i - Q_i, dP_i/dV_i = P_i / V_i,
-    dQ_i/dtheta_i = P_i, dQ_i/dV_i = Q_i / V_i + V_i S_i.
-    Returned in that order; elementwise, so the arguments are one bus's
-    floats or arrays over buses.
-    """
-    vs = V * coupling_sum
-    return V * vs - Q, P / V, P, Q / V + vs
-
-
 def passive_bus_solution(
     e_re, e_im, coupling_sum, load_p, load_q, v0, theta0, sqrt=np.sqrt, atan2=np.arctan2
 ):
@@ -431,23 +418,27 @@ def passive_bus_solution(
 def _partials_slots(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Flat positions, in the 2n x 2n matrix with rows (P, Q) and columns
     (theta, V), of the terms :func:`injection_partials` lists: eight per
-    line, then the four diagonal blocks."""
+    line, then the diagonals of the four blocks."""
     r = np.arange(n)
     rows = np.concatenate([i, k, i, k, n + i, n + k, n + i, n + k, r, r, n + r, n + r])
     cols = np.concatenate([k, i, n + k, n + i, k, i, n + k, n + i, r, n + r, r, n + r])
     return rows * (2 * n) + cols
 
 
-def injection_partials(
-    net: NetworkModel, V, theta, injections=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic partials (dP/dtheta, dP/dV, dQ/dtheta, dQ/dV) as dense arrays.
+def injection_partials(net: NetworkModel, V, theta, injections=None) -> np.ndarray:
+    """The analytic injection Jacobian, one dense 2n x 2n matrix: rows P
+    then Q, columns theta then V, each in node order.
 
-    Entry [i, k] is the partial of bus i's injection by bus k's coordinate.
-    Off-diagonal entries come from one vectorized pass over the lines; the
-    diagonal comes from the injections through :func:`self_partials`.
+    Entry [r, c] is the partial of row r's injection by column c's
+    coordinate. Off-diagonal entries come from one vectorized pass over the
+    lines. The diagonal of each block comes from the injections, by exact
+    identities of the closed form of :func:`power_injection`, with S_i the
+    coupling sum at bus i:
+    dP_i/dtheta_i = V_i^2 S_i - Q_i, dP_i/dV_i = P_i / V_i,
+    dQ_i/dtheta_i = P_i, dQ_i/dV_i = Q_i / V_i + V_i S_i.
     ``injections`` is the (P, Q) of :func:`power_injection` at the same
     state, for callers that hold it already; it is computed when omitted.
+    Callers take what they need by indexing this one matrix.
     """
     n = net.n_nodes
     v = np.asarray(V, dtype=float)
@@ -461,13 +452,13 @@ def injection_partials(
     vk = v[k]
     vvc = vi * vk * c
     vvs = vi * vk * s
-    diag = self_partials(v, np.asarray(net.coupling_sum), np.asarray(p), np.asarray(q))
-    terms = np.concatenate(
-        [-vvc, -vvc, vi * s, -vk * s, -vvs, vvs, -vi * c, -vk * c, *diag]
-    )
+    vs = v * np.asarray(net.coupling_sum)
+    terms = np.concatenate([
+        -vvc, -vvc, vi * s, -vk * s, -vvs, vvs, -vi * c, -vk * c,
+        v * vs - q, p / v, p, q / v + vs,
+    ])
     jac = np.bincount(net.partials_slots, weights=terms, minlength=4 * n * n)
-    jac = jac.reshape(2 * n, 2 * n)
-    return jac[:n, :n], jac[:n, n:], jac[n:, :n], jac[n:, n:]
+    return jac.reshape(2 * n, 2 * n)
 
 
 def branch_currents_oracle(

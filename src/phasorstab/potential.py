@@ -82,9 +82,8 @@ def hessian_vp(net: NetworkModel, V, theta) -> np.ndarray:
     the Hessian is the injection Jacobian with its V columns scaled by V.
     The uniform angle-shift vector is in the kernel for every state.
     """
-    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta)
     v = np.asarray(V, dtype=float)
-    return np.block([[dp_dt, dp_dv * v], [dq_dt, dq_dv * v]])
+    return injection_partials(net, v, theta) * np.concatenate([np.ones(len(v)), v])
 
 
 @recordclass

@@ -67,9 +67,11 @@ step grid and the network before any work, by the same function in every
 command that runs one. Path integrals are accumulated with
 the trapezoid rule at every integration step (second-order in the step
 size). The step loop records only the raw samples (time, bus state,
-injections, component states and integrals); the other diagnostics (Vp, W,
-and each component's storage, storage rate and supply rate) are evaluated
-after the run, in one array pass over all samples.
+injections, component states, the dy the step produced there, and
+integrals); the other diagnostics (Vp, W, and each component's storage,
+storage rate and supply rate) are evaluated after the run, in one array
+pass over all samples, the rates from the recorded dy's rows, so no
+model's ``derivative`` is evaluated again.
 
 A single simulation is a sequential state recurrence with no dependence on
 timing: every run performs the same floating-point operations in the same
@@ -404,11 +406,21 @@ class _Engine:
         self.affine_rows = tuple(zip(stack.offset.tolist(), map(tuple, rows)))
         self.active_mods: list[NetworkDisturbance] = []
         self.passive = np.array(self.passive_nodes, dtype=np.intp)
-        self.passive_block = np.ix_(self.passive, self.passive)
-        # a topology property, so load and line events keep it
+        # topology properties, so load and line events keep them
         position = {node: j for j, node in enumerate(self.passive_nodes)}
         self.passive_position = position
         self.coupled = any(i in position and k in position for i, k, _ in net.edges)
+        # the dynamic buses with a line to a passive bus, the only columns
+        # where J_pd is nonzero
+        boundary = {k if i in position else i for i, k, _ in net.edges
+                    if (i in position) != (k in position)}
+        self.boundary_nodes = bnd = np.array(sorted(boundary), dtype=np.intp)
+        # J_pp and J_pd in the injection Jacobian: the passive buses' rows
+        # (P, Q) by their own and the boundary buses' columns (theta, V)
+        n = net.n_nodes
+        rows = np.concatenate([self.passive, n + self.passive])
+        self.passive_block = np.ix_(rows, rows)
+        self.boundary_block = np.ix_(rows, np.concatenate([bnd, n + bnd]))
         # counts of the inner solve, reported in the manifest
         self.inner_solves = 0
         self.inner_iterations = 0
@@ -683,21 +695,21 @@ class _Engine:
             f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
         )
 
-    def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float):
-        """Invert the passive-bus Jacobian at (v, a) for the chord iteration;
-        returns the injection partials it was taken from."""
-        partials = injection_partials(self.net, v, a, injections)
-        dp_dt, dp_dv, dq_dt, dq_dv = partials
-        blk = self.passive_block
-        jac = np.block([[dp_dt[blk], dp_dv[blk]], [dq_dt[blk], dq_dv[blk]]])
+    def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float) -> None:
+        """Invert J_pp, the passive-bus block of the injection Jacobian at
+        (v, a), for the chord iteration; when the passive buses are coupled,
+        also keep the predictor's K = -J_pp^-1 J_pd over the boundary
+        buses."""
+        jac = injection_partials(self.net, v, a, injections)
         try:
-            self.jac_inv = np.linalg.inv(jac)
+            self.jac_inv = np.linalg.inv(jac[self.passive_block])
         except np.linalg.LinAlgError as exc:
             raise SimulationError(
                 f"algebraic Jacobian singular at t = {t:.6g}: {exc}"
             ) from exc
         self.factorizations += 1
-        return partials
+        if self.coupled:
+            self.tangent = -(self.jac_inv @ jac[self.boundary_block])
 
     # integrator -----------------------------------------------------------------
 
@@ -744,13 +756,6 @@ class _ArrayEngine(_Engine):
         self.term_node = np.array([i for i, _, _, _ in self.terminals], dtype=np.intp)
         self.term_theta = np.array([i for _, i, _, _ in self.terminals], dtype=np.intp)
         self.term_v = np.array([i for _, _, i, _ in self.terminals], dtype=np.intp)
-        position = self.passive_position
-        boundary = sorted(
-            {k for i, k, _ in net.edges if i in position and k not in position}
-            | {i for i, k, _ in net.edges if k in position and i not in position}
-        )
-        self.boundary_nodes = np.array(boundary, dtype=np.intp)
-        self.boundary_block = np.ix_(self.passive, self.boundary_nodes)
         # (theta, V) of the boundary buses at the last converged coupled solve
         self.boundary_state: np.ndarray | None = None
 
@@ -817,16 +822,6 @@ class _ArrayEngine(_Engine):
             raise self._collapse(int(pas[np.argmax(bad)]), t)
         V[pas] = v_pas
         th[pas] = a_pas
-
-    def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float):
-        """As for the float path; when coupled, also keep the predictor's
-        K = -J_pp^-1 J_pd over the boundary buses."""
-        dp_dt, dp_dv, dq_dt, dq_dv = partials = super()._factorize(v, a, injections, t)
-        if self.coupled:
-            blk = self.boundary_block
-            j_pd = np.block([[dp_dt[blk], dp_dv[blk]], [dq_dt[blk], dq_dv[blk]]])
-            self.tangent = -(self.jac_inv @ j_pd)
-        return partials
 
     def _stage(
         self, y: np.ndarray, V: np.ndarray, th: np.ndarray, t: float
@@ -900,33 +895,12 @@ class _Event:
     ends: bool = False
 
 
-def _sample_grid(scenario: Scenario, h: float) -> tuple[int, int]:
-    """The step count and the steps per sample of `scenario` at step `h`;
-    raises ScenarioError where they do not fit the step grid."""
-    n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
-    sample_every = _snap_to_grid(scenario.output_period, h, "output period")
-    if sample_every <= 0:
-        raise ScenarioError("output period shorter than one step")
-    if scenario.horizon > 0 and n_steps % sample_every != 0:
-        raise ScenarioError(
-            f"horizon {scenario.horizon} must be a whole number of output periods "
-            f"(the output period snaps to {sample_every * h:.6g}, "
-            f"{sample_every} steps of h = {h})"
-        )
-    return n_steps, sample_every
-
-
-def _schedule(
-    net: NetworkModel,
-    components: dict[str, Component],
-    scenario: Scenario,
-    h: float,
-) -> tuple[int, int, dict[int, list[_Event]]]:
-    """Check a scenario against the step grid and the network, before any
-    work: the commands that solve the equilibrium first call it too.
-    Returns the step count, the steps per sample, and the events due at
-    each step index."""
-    n_steps, sample_every = _sample_grid(scenario, h)
+def _check_scenario(
+    net: NetworkModel, components: dict[str, Component], scenario: Scenario
+) -> None:
+    """Check a scenario against the network and the components: the checks
+    that no step size changes. Raises ScenarioError, or what applying a
+    network event would raise."""
     comp_ids = {s.component_id for s in net.dynamic_shunts}
     if scenario.initial == "explicit":
         for s in net.dynamic_shunts:
@@ -938,7 +912,6 @@ def _schedule(
                     raise ScenarioError(
                         f"explicit state for {s.component_id!r} missing field {label!r}"
                     )
-    events: dict[int, list[_Event]] = {}
     for d in scenario.disturbances:
         if isinstance(d, StatePerturbation):
             if d.component not in comp_ids:
@@ -954,6 +927,31 @@ def _schedule(
             net.with_load_delta(d.bus, d.dp, d.dq)
         else:
             net.with_scaled_line(d.line_index, d.factor)
+
+
+def _schedule(
+    net: NetworkModel,
+    components: dict[str, Component],
+    scenario: Scenario,
+    h: float,
+) -> tuple[int, int, dict[int, list[_Event]]]:
+    """Check a scenario against the step grid, the network and the
+    components, before any work: the commands that solve the equilibrium
+    first call it too. Returns the step count, the steps per sample, and
+    the events due at each step index."""
+    n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
+    sample_every = _snap_to_grid(scenario.output_period, h, "output period")
+    if sample_every <= 0:
+        raise ScenarioError("output period shorter than one step")
+    if scenario.horizon > 0 and n_steps % sample_every != 0:
+        raise ScenarioError(
+            f"horizon {scenario.horizon} must be a whole number of output periods "
+            f"(the output period snaps to {sample_every * h:.6g}, "
+            f"{sample_every} steps of h = {h})"
+        )
+    _check_scenario(net, components, scenario)
+    events: dict[int, list[_Event]] = {}
+    for d in scenario.disturbances:
         idx = _snap_to_grid(d.at, h, "disturbance time")
         events.setdefault(idx, []).append(_Event(d))
         if not isinstance(d, StatePerturbation) and d.duration is not None:
@@ -1029,18 +1027,21 @@ def simulate(
     engine.start_integrals(anchors, y, p, q)
 
     # the raw samples, one entry per sample in each list; V, th and the
-    # integrals are copied, since the step writes them in place
-    samples = ([], [], [], [], [], [], [], [])
-    times, bus_v, bus_t, bus_p, bus_q, states, integrals, unshifted_series = samples
+    # integrals are copied, since the step writes them in place, while each
+    # step returns y, dy, P and Q as new objects
+    samples = ([], [], [], [], [], [], [], [], [])
+    times, bus_v, bus_t, bus_p, bus_q, states, rates, integrals, unshifted_series = samples
 
     def record(t: float) -> None:
-        """Keep the raw sample; the diagnostics are evaluated after the run."""
+        """Keep the raw sample and the state's derivative dy there; the
+        diagnostics are evaluated from them after the run."""
         times.append(t)
         bus_v.append(V.copy())
         bus_t.append(th.copy())
         bus_p.append(p)
         bus_q.append(q)
         states.append(y)
+        rates.append(dy)
         integrals.append(engine.shifted.copy())
         unshifted_series.append(engine.unshifted)
 
@@ -1057,43 +1058,35 @@ def simulate(
             record((step + 1) * h)
 
     # each column of samples as one array
-    times, bus_v, bus_t, bus_p, bus_q, states, integrals, unshifted_series = map(np.array, samples)
+    times, bus_v, bus_t, bus_p, bus_q, states, rates, integrals, unshifted_series = map(
+        np.array, samples
+    )
     n_samples = len(times)
 
-    # the samples per component
-    comp_states: dict[str, np.ndarray] = {}
-    series_p: dict[str, np.ndarray] = {}
-    series_q: dict[str, np.ndarray] = {}
-    integral_series: dict[str, np.ndarray] = {}
-    for c, (cid, comp, lo) in enumerate(zip(comp_ids, engine.comps, engine.offsets)):
-        node = engine.terminals[c][0]
+    # the samples per component, and the diagnostics in one array pass over
+    # all samples, on the recorded dy. Vp is the base network's potential
+    # relative to the initial point, sample 0
+    vp = eval_vp(net, bus_v, bus_t)
+    comp_states, series_p, series_q, integral_series = {}, {}, {}, {}
+    storage_series, wdot_series, supply_series = {}, {}, {}
+    for c, (comp, lo, terminal) in enumerate(zip(engine.comps, engine.offsets, engine.terminals)):
+        node, i_theta, i_v, cid = terminal
         comp_states[cid] = states[:, lo : lo + comp.nstates].copy()
         series_p[cid] = bus_p[:, node].copy()
         series_q[cid] = bus_q[:, node].copy()
         integral_series[cid] = integrals[:, c].copy()
-
-    # the diagnostics, one array pass over all samples. Vp is the base
-    # network's potential relative to the initial point, sample 0
-    vp = eval_vp(net, bus_v, bus_t)
-    storage_series: dict[str, np.ndarray] = {}
-    wdot_series: dict[str, np.ndarray] = {}
-    supply_series: dict[str, np.ndarray] = {}
-    for cid, comp in zip(comp_ids, engine.comps):
         x = comp_states[cid].T  # (nstates, samples)
-        u = (series_p[cid], series_q[cid])
         anchor = anchors[cid]
         try:
             storage_series[cid] = comp.storage(x, anchor)
-            wdot_series[cid] = comp.storage_rate(x, u, anchor)
+            wdot_series[cid] = comp.storage_rate(x, rates[:, lo : lo + comp.nstates].T, anchor)
         except CertificateUnavailable:
             # storage diagnostics degrade to NaN; flows and integrals stay valid
             storage_series[cid] = np.full(n_samples, math.nan)
             wdot_series[cid] = np.full(n_samples, math.nan)
-        f = comp.derivative(x, u)
-        i_theta = comp.state_labels.index("theta")
-        i_v = comp.state_labels.index("v")
         supply_series[cid] = supply_rate(
-            u[0] - anchor.P, u[1] - anchor.Q, f[i_theta], x[i_v], f[i_v], config.convention
+            series_p[cid] - anchor.P, series_q[cid] - anchor.Q,
+            rates[:, i_theta], states[:, i_v], rates[:, i_v], config.convention,
         )
 
     return Trajectory(

@@ -55,12 +55,13 @@ def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
     The V gradient is (Q_i + q0_i) / V_i, so the rows of the Q partials are
     divided by V_i and its diagonal loses (Q_i + q0_i) / V_i^2.
     """
+    n = net.n_nodes
     p, q = power_injection(net, V, theta)
-    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(net, V, theta, (p, q))
+    h = injection_partials(net, V, theta, (p, q))
     v = np.asarray(V, dtype=float)
-    rows = v[:, None]
-    curvature = np.diag((q + net.load_q) / v**2)
-    return np.block([[dp_dt, dp_dv], [dq_dt / rows, dq_dv / rows - curvature]])
+    h[n:] /= v[:, None]
+    h[n:, n:] -= np.diag((q + net.load_q) / v**2)
+    return h
 
 
 def stencil_certificate_matrix(
@@ -83,7 +84,7 @@ def stencil_certificate_matrix(
         u = (anchor.P + dp, anchor.Q + dq)
         f = comp.derivative(x, u)
         s = supply_rate(dp, dq, f[i_theta], x[i_v], f[i_v], convention)
-        return comp.storage_rate(x, u, anchor) - s
+        return comp.storage_rate(x, f, anchor) - s
 
     m = n + 2
     h = np.zeros((m, m))

@@ -182,6 +182,32 @@ def test_verify_identities_sweep(capsys, tmp_path):
     assert max(r["tellegen_max"] for r in rows) <= 1e-9
 
 
+def test_verify_identities_takes_a_period_that_divides_the_horizon(capsys, tmp_path):
+    # at h = 4e-3 the case's 0.01 s period is 2.5 steps, and no whole number
+    # of steps near it but 1 divides the 25 steps of a 0.1 s horizon
+    out_path = tmp_path / "identities.json"
+    code, out, err = run_cli(
+        capsys, "verify-identities", "case3bus", "--horizon", "0.1", "--out", str(out_path)
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out_path.read_text())
+    assert [r["h"] for r in doc["sweep"]] == [4e-3, 2e-3, 1e-3]
+    for order in doc["fitted_order"].values():
+        assert order == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "horizon, h, period",
+    [(0.1, 4e-3, 4e-3), (2.0, 4e-3, 8e-3), (0.1, 2e-3, 0.01), (0.0, 4e-3, 8e-3),
+     (0.1, 0.05, 0.05), (0.3, 1e-3, 0.01)],
+)
+def test_sweep_period_is_the_nearest_that_divides_the_horizon(horizon, h, period):
+    from phasorstab.cli import _sweep_period
+    from phasorstab.simulator import Scenario
+
+    assert _sweep_period(Scenario(horizon, 0.01), h) == pytest.approx(period, rel=1e-12)
+
+
 def test_path_experiment_command(capsys):
     code, out, err = run_cli(
         capsys, "path-experiment", "--g", "1.0", "--b", "0.0"
@@ -430,9 +456,6 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
         (["verify-identities", "case3bus", "--h-sweep", "2e-3,-1e-3"], "--h-sweep step sizes must be positive"),
         (["verify-identities", "case3bus", "--h-sweep", "4e-3,2e-3,1.5e-3", "--horizon", "2"],
          "--h-sweep step 0.0015: horizon = 2.0 does not align"),
-        (["verify-identities", "case3bus", "--horizon", "0.1"],
-         "--h-sweep step 0.004: horizon 0.1 must be a whole number of output periods "
-         "(the output period snaps to 0.008, 2 steps of h = 0.004)\n"),
         (["--tol", "nan", "certify", "case3bus", "--with-trajectory"], "--tol expects a finite"),
         (["--tol", "abc", "certify", "case3bus"], "--tol expects a finite number, got 'abc'"),
         (["--tol=-1e-6", "certify", "case3bus"], "--tol must be nonnegative"),
@@ -445,7 +468,6 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
     ],
     ids=["h-text", "h-zero", "horizon-text", "horizon-nan", "certify-h", "verify-horizon",
          "h-sweep-empty-entry", "h-sweep-repeated", "h-sweep-negative", "h-sweep-off-horizon",
-         "h-sweep-off-period",
          "tol-nan", "tol-text", "tol-negative", "g-nan", "b-inf", "width-text",
          "height-inf", "width-text-with-contours"],
 )

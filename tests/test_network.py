@@ -281,10 +281,12 @@ def test_passive_bus_solution_balances_and_keeps_branch(case, turns):
 def test_injection_partials_match_finite_differences(case3bus):
     v = np.array([1.02, 0.95, 0.99])
     th = np.array([0.1, -0.05, 0.02])
-    dp_dt, dp_dv, dq_dt, dq_dv = injection_partials(case3bus.net, v, th)
+    jac = injection_partials(case3bus.net, v, th)
+    assert jac.shape == (6, 6)
     eps = 1e-7
     for k in range(3):
-        for block, sel in ((dp_dt, "t"), (dp_dv, "v")):
+        # the P rows by the theta columns, then by the V columns
+        for block, sel in ((jac[:3, :3], "t"), (jac[:3, 3:], "v")):
             vp, tp = v.copy(), th.copy()
             vm, tm = v.copy(), th.copy()
             if sel == "t":
@@ -305,7 +307,7 @@ def test_injection_partials_match_finite_differences(case3bus):
 def test_all_partial_blocks_match_finite_differences(case):
     net, v, th = case
     n = net.n_nodes
-    blocks = injection_partials(net, v, th)
+    jac = injection_partials(net, v, th)
     eps = 1e-6
     for k in range(n):
         for col, coord in ((0, th), (1, v)):
@@ -318,9 +320,9 @@ def test_all_partial_blocks_match_finite_differences(case):
             p_minus, q_minus = power_injection(net, *args_minus)
             fd_p = (np.array(p_plus) - np.array(p_minus)) / (2 * eps)
             fd_q = (np.array(q_plus) - np.array(q_minus)) / (2 * eps)
-            # blocks: dP/dtheta, dP/dV, dQ/dtheta, dQ/dV
-            assert np.allclose(blocks[col][:, k], fd_p, rtol=1e-6, atol=1e-6)
-            assert np.allclose(blocks[2 + col][:, k], fd_q, rtol=1e-6, atol=1e-6)
+            # rows P then Q, columns theta then V
+            assert np.allclose(jac[:n, col * n + k], fd_p, rtol=1e-6, atol=1e-6)
+            assert np.allclose(jac[n:, col * n + k], fd_q, rtol=1e-6, atol=1e-6)
 
 
 # -- oracle branch laws ------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasorstab import simulator
-from phasorstab.components import Anchor, DroopComponent, Setpoints, VsgComponent
+from phasorstab.components import Anchor, DroopComponent, Setpoints, VsgComponent, supply_rate
 from phasorstab.cli import solve_case_equilibrium
 from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.network import (
@@ -40,6 +40,7 @@ from conftest import (
     make_mesh,
     make_soft_anchor_case,
     make_two_load_chain,
+    ring_networks,
     thevenin_networks,
     thevenin_sources,
 )
@@ -343,7 +344,7 @@ def test_chord_jacobian_refreshed_after_line_scale(tmp_path):
             assert abs(q[node] + net.load_q[node]) <= config.newton_tol
 
 
-def engine_for(net):
+def engine_for(net, config=SolverConfig()):
     """An inner-solve engine on `net`, with a swing source on every dynamic
     bus (the setpoints only fill the array path's affine table)."""
     sp = Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0)
@@ -353,7 +354,7 @@ def engine_for(net):
         )
         for s in net.dynamic_shunts
     }
-    return simulator._make_engine(net, comps, SolverConfig())
+    return simulator._make_engine(net, comps, config)
 
 
 def rest_state(engine, V, T):
@@ -389,6 +390,38 @@ def test_load_beyond_transfer_limit_is_voltage_collapse(case):
     engine = engine_for(net)
     with pytest.raises(SimulationError, match=r"^voltage collapse at bus 'b1', t = 0\.25$"):
         engine.stage(rest_state(engine, v, th), engine.buffer(v), engine.buffer(th), 0.25)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ring_networks())
+def test_tangent_is_the_derivative_of_the_passive_solution(case):
+    # K = -J_pp^-1 J_pd, kept with the factorization, against central
+    # differences of the chord's solutions as each boundary coordinate moves
+    net, v, th = case
+    # near the flat state, far from the loadability limit, where the
+    # passive solution's curvature keeps the central difference accurate
+    v, th = 1.0 + 0.125 * (v - 1.0), 0.05 * th / math.pi
+    p, q = power_injection(net, v, th)
+    # loads that balance the passive buses at the drawn state
+    loads = [ConstantPowerBranch(net.non_ground[i], -p[i], -q[i]) for i in net.passive_nodes()]
+    net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
+    engine = engine_for(net, SolverConfig(newton_tol=1e-12))
+    assert isinstance(engine, simulator._ArrayEngine) and engine.coupled
+    engine._factorize(v, th, None, 0.0)
+    tangent = engine.tangent.copy()
+    pas, nodes = engine.passive, engine.boundary_nodes
+    assert tangent.shape == (2 * len(pas), 2 * len(nodes))
+    eps = 1e-7
+    columns = [(False, node) for node in nodes] + [(True, node) for node in nodes]
+    for j, (is_v, node) in enumerate(columns):
+        solved = []
+        for sign in (1.0, -1.0):
+            V, T = v.copy(), th.copy()
+            (V if is_v else T)[node] += sign * eps
+            engine._solve_chord(V, T, 0.0)
+            solved.append(np.concatenate([T[pas], V[pas]]))
+        fd = (solved[0] - solved[1]) / (2.0 * eps)
+        np.testing.assert_allclose(tangent[:, j], fd, rtol=1e-5, atol=1e-6)
 
 
 @st.composite
@@ -634,6 +667,70 @@ def test_float_and_array_paths_agree_on_case3bus(monkeypatch, case3bus, case3bus
     np.testing.assert_allclose(on_arrays.table(), on_floats.table(), rtol=0.0, atol=1e-12)
     assert on_arrays.manifest() == on_floats.manifest()
     assert on_floats.network_changed
+
+
+def dynamics_case(name, case3bus):
+    """case3bus with its kicks (the float path), or the mesh with a kick and
+    a load step (the array path, coupled chord, a network rebuilt twice)."""
+    if name == "case3bus":
+        scen = Scenario(1.0, 0.01, disturbances=case3bus.scenario.disturbances)
+        return case3bus.net, case3bus.components, scen
+    net, comps = make_mesh()
+    load_bus = net.non_ground[net.passive_nodes()[-1]]
+    step = LoadStep(at=0.1, bus=load_bus, dp=0.05, dq=0.02, duration=0.1)
+    return net, comps, Scenario(0.3, 0.01, disturbances=[*kicked_pair(comps), step])
+
+
+@pytest.mark.parametrize("name", ["case3bus", "mesh"])
+def test_dynamics_are_evaluated_only_by_the_table_builds(monkeypatch, case3bus, name):
+    # the step and the diagnostics read the affine table's dy: a model's
+    # derivative runs once for affine_matrix and once for affine_offset
+    net, comps, scen = dynamics_case(name, case3bus)
+    sol = solve_equilibrium(net, comps)
+    calls = []
+    for model in (VsgComponent, DroopComponent):
+        def counted(self, x, u, derivative=model.derivative):
+            calls.append(self.id)
+            return derivative(self, x, u)
+
+        monkeypatch.setattr(model, "derivative", counted)
+    traj = simulate(net, comps, scen, SolverConfig(), sol)
+    assert traj.n_samples > 1
+    assert sorted(calls) == sorted(list(comps) * 2)
+
+
+@pytest.mark.parametrize("name", ["case3bus", "mesh"])
+def test_diagnostics_from_dy_match_the_model_derivative(case3bus, name):
+    # the storage and supply rates from the recorded dy against the same
+    # rates from each model's derivative at the samples; they differ only
+    # by the rounding of the table's row sums, bounded by the magnitude of
+    # the terms each row sums
+    net, comps, scen = dynamics_case(name, case3bus)
+    traj = simulate(net, comps, scen, SolverConfig(), solve_equilibrium(net, comps))
+    for cid, comp in comps.items():
+        x = traj.comp_states[cid].T
+        P, Q = traj.P[cid], traj.Q[cid]
+        anchor = traj.anchors[cid]
+        f = comp.derivative(x, (P, Q))
+        i_theta, i_v = comp.state_labels.index("theta"), comp.state_labels.index("v")
+        dp, dq = P - anchor.P, Q - anchor.Q
+        terms = np.abs(comp.affine_matrix()) @ np.abs(np.vstack([x, P, Q]))
+        terms += np.abs(comp.affine_offset())[:, None]
+        gradient = np.broadcast_arrays(*comp.storage_gradient(x, anchor))
+        expected = {
+            "storage_rate": (
+                comp.storage_rate(x, f, anchor),
+                sum(np.abs(g) * row for g, row in zip(gradient, terms)),
+            ),
+            "supply": (
+                supply_rate(dp, dq, f[i_theta], x[i_v], f[i_v], traj.convention),
+                np.abs(dp) * terms[i_theta] + np.abs(dq) * terms[i_v] / x[i_v],
+            ),
+        }
+        for series, (want, scale) in expected.items():
+            got = getattr(traj, series)[cid]
+            assert np.all(np.abs(got - want) <= 1e-15 * scale), (cid, series)
+        assert np.abs(traj.supply[cid]).max() > 1e-6
 
 
 def passive_residuals(traj, active_at):
