@@ -31,7 +31,7 @@ from .components import (
 from .equilibrium import EquilibriumSolution
 from .potential import POS_TOL, ZERO_TOL, ConvexityReport, convexity_check, hessian_vp
 from .network import NetworkModel
-from .records import recordclass
+from .records import asdict, recordclass
 from .simulator import Trajectory
 
 __all__ = [
@@ -86,31 +86,21 @@ class CertificateReport:
     )
 
     def to_dict(self) -> dict:
-        def storage_block(verdicts: dict[str, StorageVerdict]) -> dict:
+        def block(verdicts: dict) -> dict:
+            """Each verdict's fields in order, without those the keys hold."""
             return {
                 cid: {
-                    "satisfied": v.satisfied,
-                    "worst_margin": v.worst_margin,
-                    "time_of_worst": v.time_of_worst,
-                    "tol": v.tol,
-                    "unavailable_reason": v.unavailable_reason,
+                    k: value
+                    for k, value in asdict(v).items()
+                    if k not in ("component_id", "convention")
                 }
                 for cid, v in verdicts.items()
             }
 
         return {
-            "integral_criterion": {
-                cid: {
-                    "satisfied": v.satisfied,
-                    "max_value": v.max_value,
-                    "time_of_max": v.time_of_max,
-                    "tol": v.tol,
-                }
-                for cid, v in self.integral.items()
-            },
+            "integral_criterion": block(self.integral),
             "storage_criterion": {
-                conv.value: storage_block(block)
-                for conv, block in self.storage.items()
+                conv.value: block(verdicts) for conv, verdicts in self.storage.items()
             },
             "local_quadratic_forms": {
                 cid: {

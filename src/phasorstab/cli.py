@@ -189,7 +189,9 @@ def cmd_simulate(args) -> int:
             horizon=horizon,
             disturbances=[d for d in scenario.disturbances if d.at <= horizon],
         )
-    traj = simulate(case.net, case.components, scenario, case.solver)
+    _schedule(case.net, case.components, scenario, case.solver.step_size)
+    sol = solve_case_equilibrium(case)
+    traj = simulate(case.net, case.components, scenario, case.solver, sol)
     traj.to_csv(args.out)
     manifest_path = args.manifest or (os.path.splitext(args.out)[0] + ".manifest.json")
     traj.write_manifest(manifest_path, source=case.source)

@@ -1,27 +1,27 @@
 """Dynamic components: swing-type and first-order droop voltage sources.
 
-Each component is an immutable value object. A model states its physics
-once, in five members:
+Each component is an immutable value object. A model states its dynamics
+and its storage once, in four members:
 
-* ``derivative(x, u)``        -- state derivative for input u = (P, Q); it
-  must be affine in (x, P, Q),
-* ``steady_state_partials()`` -- the rows of its equilibrium relations, as
-  constant partials by (theta, V, P, Q),
+* ``derivative(x, u)``   -- state derivative for input u = (P, Q); it must
+  be affine in (x, P, Q) and written in deviations from the setpoints, so
+  that the model rests at them,
 * ``storage`` / ``storage_gradient`` -- a candidate storage function and its
   analytic gradient,
-* ``linearization(anchor)``   -- the table D_f and the Hessian of ``storage``
-  at the anchor, in closed form; the local certificate is built from these
-  two matrices.
+* ``storage_hessian(anchor)`` -- the Hessian of ``storage`` at the anchor,
+  in closed form.
 
 The :class:`Component` base derives the rest from them: the one table of
 coefficients ``affine_matrix()`` / ``affine_offset()`` (f = D_f (x, P, Q) + c,
 D_f from the parameters and c from the setpoints, both read off
-``derivative``), ``steady_state_residual``, ``equilibrium_state``,
-``anchors_angle`` and ``storage_rate(x, dx)`` (the chain rule on a given
-derivative dx, never numeric differencing), along with the setpoint
-binding, the stiffness guard and the parameter check. A run calls
-``derivative`` only to build the table: it steps on the table and hands
-the dy it produced to ``storage_rate`` and :func:`supply_rate`.
+``derivative``), the equilibrium relations ``steady_state_partials()`` (the
+rows of D_f on the terminal columns), ``equilibrium_state`` and
+``storage_rate(x, dx)`` (the chain rule on a given derivative dx, never
+numeric differencing), along with the setpoint binding, the stiffness guard
+and the parameter check. A run calls ``derivative`` only to build the
+table: it steps on the table and hands the dy it produced to
+``storage_rate`` and :func:`supply_rate`; the local certificate reads D_f
+from the same table.
 
 ``derivative``, ``storage``, ``storage_rate`` and :func:`supply_rate` are
 elementwise arithmetic, so a state x, its derivative dx and input u may be
@@ -137,9 +137,9 @@ class Component:
     """What every model shares. A model declares ``state_labels`` (with
     ``"theta"`` and ``"v"`` among them; any other state is an internal
     deviation that rests at zero) and ``positive_params``, and defines
-    ``derivative``, ``steady_state_partials``, ``storage``,
-    ``storage_gradient`` and ``linearization``. The members below derive
-    everything else from those."""
+    ``derivative``, ``storage``, ``storage_gradient`` and
+    ``storage_hessian``. The members below derive everything else from
+    those."""
 
     positive_params: tuple[str, ...] = ()
 
@@ -181,26 +181,23 @@ class Component:
         P = Q = 0, from the setpoints."""
         return np.array(self.derivative((0.0,) * self.nstates, (0.0, 0.0))) + 0.0
 
-    def steady_state_residual(
-        self, theta: float, V: float, P: float, Q: float
-    ) -> tuple[float, ...]:
-        """The relations that vanish at equilibrium: each row of
-        ``steady_state_partials`` times the deviations from the setpoints."""
-        sp = self._sp()
-        deviation = (theta - sp.theta_e, V - sp.V_e, P - sp.P_e, Q - sp.Q_e)
-        residual = []
-        for row in self.steady_state_partials():
-            total = 0.0
-            for coeff, d in zip(row, deviation):
-                if coeff:
-                    total += coeff * d
-            residual.append(total)
-        return tuple(residual)
-
-    @property
-    def anchors_angle(self) -> bool:
-        """True when the steady state depends on the absolute angle."""
-        return any(row[0] for row in self.steady_state_partials())
+    def steady_state_partials(self) -> np.ndarray:
+        """The equilibrium relations as constant partials by (theta, V, P,
+        Q), one row each: D_f on those columns, keeping the rows that are
+        nonzero there. Internal states rest at zero and ``derivative`` rests
+        at the setpoints, so each row times the deviations from the
+        setpoints vanishes at equilibrium. Each row is divided by its first
+        nonzero entry, so that a relation has the scale of the deviation it
+        leads with; ``+ 0.0`` turns the -0.0 of a zero over a negative entry
+        into 0.0."""
+        n = self.nstates
+        cols = [self.state_labels.index("theta"), self.state_labels.index("v"), n, n + 1]
+        relations = []
+        for row in self.affine_matrix()[:, cols].tolist():
+            lead = next((c for c in row if c), 0.0)
+            if lead:
+                relations.append([c / lead + 0.0 for c in row])
+        return np.array(relations)
 
     def equilibrium_state(self, theta: float, V: float) -> tuple[float, ...]:
         """The state at rest at terminal angle theta and voltage V."""
@@ -264,20 +261,9 @@ class VsgComponent(Component):
         k = self.require_stiffness(a)
         return (0.0, self.M * x[1], _voltage_store_grad(k, self.Dq, x[2], a.V))
 
-    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
-        """D_f by (theta, omega, v, P, Q), and the storage Hessian at anchor."""
+    def storage_hessian(self, anchor: Anchor) -> np.ndarray:
         k = self.require_stiffness(anchor)
-        hess = np.diag([0.0, self.M, _voltage_store_curvature(k, self.Dq, anchor.V)])
-        return self.affine_matrix(), hess
-
-    # -- equilibrium interface ----------------------------------------------
-
-    def steady_state_partials(self) -> tuple[tuple[float, float, float, float], ...]:
-        """Rows of d(residual)/d(theta, V, P, Q)."""
-        return (
-            (0.0, 0.0, 1.0, 0.0),
-            (0.0, 1.0, 0.0, self.Dq),
-        )
+        return np.diag([0.0, self.M, _voltage_store_curvature(k, self.Dq, anchor.V)])
 
 
 @recordclass(frozen=True)
@@ -325,19 +311,9 @@ class DroopComponent(Component):
             _voltage_store_grad(k, self.Dq, x[1], a.V),
         )
 
-    def linearization(self, anchor: Anchor) -> tuple[np.ndarray, np.ndarray]:
-        """D_f by (theta, v, P, Q), and the storage Hessian at anchor."""
+    def storage_hessian(self, anchor: Anchor) -> np.ndarray:
         k = self.require_stiffness(anchor)
-        hess = np.diag([1.0 / self.Dp, _voltage_store_curvature(k, self.Dq, anchor.V)])
-        return self.affine_matrix(), hess
-
-    # -- equilibrium interface ----------------------------------------------
-
-    def steady_state_partials(self) -> tuple[tuple[float, float, float, float], ...]:
-        return (
-            (1.0, 0.0, self.Dp, 0.0),
-            (0.0, 1.0, 0.0, self.Dq),
-        )
+        return np.diag([1.0 / self.Dp, _voltage_store_curvature(k, self.Dq, anchor.V)])
 
 
 class AffineStack:
@@ -408,8 +384,8 @@ def local_certificate(comp: Component, anchor: Anchor | None = None) -> LocalCer
     Both the rate and the supply vanish to first order at the anchor, so
     their difference is locally a quadratic form in the deviations
     (component states, dP, dQ). Its symmetric matrix is the Hessian of the
-    difference, which is exact from :meth:`linearization`: the storage
-    gradient, f, dP and dQ all vanish at the anchor, so the storage rate
+    difference, which is exact from the storage Hessian at the anchor and
+    the table D_f (``affine_matrix``): the storage gradient, f, dP and dQ all vanish at the anchor, so the storage rate
     contributes A + A' with A = (padded storage Hessian) * D_f, and the
     supply the symmetrized products of (dP, dQ) with the rows of D_f for
     theta_dot and v_dot / V. The form is classified per convention:
@@ -424,7 +400,8 @@ def local_certificate(comp: Component, anchor: Anchor | None = None) -> LocalCer
         if comp.setpoints is None:
             raise ValueError(f"{comp.id}: no anchor and no setpoints")
         anchor = Anchor.from_setpoints(comp.setpoints)
-    d_f, hess = comp.linearization(anchor)  # CertificateUnavailable if k <= 0
+    hess = comp.storage_hessian(anchor)  # CertificateUnavailable if k <= 0
+    d_f = comp.affine_matrix()
     n = comp.nstates
     labels = comp.state_labels + ("dP", "dQ")
     rate = np.zeros((n + 2, n + 2))

@@ -2,11 +2,13 @@
 
 The steady-state system stacks, per non-ground bus, either the component's
 equilibrium relations (dynamic bus) or the constant-power balance (passive
-bus), over unknowns (theta_i, V_i). When no component anchors the absolute
-angle the system is invariant under uniform angle shifts; in that case the
-reference bus's angle-type row is replaced by a pin to its setpoint and the
-replaced relation is checked after convergence, so inconsistent setpoints
-are reported rather than silently absorbed.
+bus), over unknowns (theta_i, V_i). The relations are each component's
+``steady_state_partials`` times its deviations from the setpoints,
+evaluated for all dynamic buses at once. When no relation has a theta
+coefficient the system is invariant under uniform angle shifts; in that
+case the reference bus's angle-type row is replaced by a pin to its
+setpoint and the replaced relation is checked after convergence, so
+inconsistent setpoints are reported rather than silently absorbed.
 
 The Jacobian is assembled from the same closed-form injection partials used
 by the power-flow map. Solves are deterministic and independent of each
@@ -62,14 +64,12 @@ class EquilibriumSolution:
     iterations: int
     residual_history: list[float] = field(default_factory=list)
     pinned_reference: bool = False
-    pin_consistency_residual: float = 0.0
 
 
 @recordclass
 class SetpointSolution:
     setpoints: dict[str, Setpoints]            # keyed by component id
     implied_loads: dict[str, tuple[float, float]]  # consumption-positive, by bus
-    load_mismatch: dict[str, tuple[float, float]]  # declared minus implied
 
 
 def steady_state_residual(
@@ -84,39 +84,41 @@ def steady_state_residual(
     injections. Passive bus: generation balance P_i + p0 = 0, Q_i + q0 = 0
     (loads consumption-positive, so an empty bus balances at zero flow).
     """
-    return _residual(net, components, V, theta, power_injection(net, V, theta))
+    V, theta = np.asarray(V, dtype=float), np.asarray(theta, dtype=float)
+    injections = power_injection(net, V, theta)
+    return _residual(net, _steady_rows(net, components), V, theta, injections)
 
 
-def _residual(
-    net: NetworkModel,
-    components: dict[str, Component],
-    V,
-    theta,
-    injections,
-) -> np.ndarray:
-    """:func:`steady_state_residual` given the injections (P, Q) at the state."""
+def _residual(net: NetworkModel, steady_rows, V, theta, injections) -> np.ndarray:
+    """:func:`steady_state_residual` given :func:`_steady_rows` and the
+    injections (P, Q) at the state."""
+    _, dyn, rows, setpoints = steady_rows
     p, q = injections
     res = np.empty(2 * net.n_nodes)
     res[0::2] = p + net.load_p
     res[1::2] = q + net.load_q
-    for i in net.dynamic_nodes():
-        comp = components[net.shunt_at[i].component_id]
-        res[2 * i : 2 * i + 2] = comp.steady_state_residual(theta[i], V[i], p[i], q[i])
+    # coefficient times deviation, by relation, column and node
+    terms = rows * (np.array([theta[dyn], V[dyn], p[dyn], q[dyn]]) - setpoints)
+    res.reshape(-1, 2)[dyn] = (((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]).T
     return res
 
 
 def _steady_rows(net: NetworkModel, components: dict[str, Component]):
-    """The constants :func:`_jacobian` needs: the index that interleaves the
-    injection Jacobian's rows (P then Q) and columns (theta then V) per bus,
-    the dynamic nodes, and the columns (theta, V, P, Q) of their components'
-    ``steady_state_partials``, one array per row pair."""
+    """What the residual and :func:`_jacobian` need of the components, read
+    once per solve: the index that interleaves the injection Jacobian's
+    rows (P then Q) and columns (theta then V) per bus, the dynamic nodes,
+    their components' ``steady_state_partials`` as one array by relation,
+    column (theta, V, P, Q) and node, and their setpoints (theta_e, V_e,
+    P_e, Q_e) by node."""
     # (P_0, Q_0, P_1, ...) and (theta_0, V_0, theta_1, ...)
     order = np.arange(2 * net.n_nodes).reshape(2, -1).T.ravel()
     dyn = np.array(net.dynamic_nodes(), dtype=np.intp)
-    rows = np.array(
-        [components[net.shunt_at[i].component_id].steady_state_partials() for i in dyn]
-    ).reshape(len(dyn), 2, 4)
-    return np.ix_(order, order), dyn, rows[:, 0].T, rows[:, 1].T
+    comps = [components[net.shunt_at[i].component_id] for i in dyn]
+    rows = np.array([c.steady_state_partials() for c in comps]).reshape(len(dyn), 2, 4)
+    setpoints = np.array(
+        [(sp.theta_e, sp.V_e, sp.P_e, sp.Q_e) for sp in (c._sp() for c in comps)]
+    ).reshape(len(dyn), 4)
+    return np.ix_(order, order), dyn, rows.transpose(1, 2, 0), setpoints.T
 
 
 def _jacobian(net: NetworkModel, steady_rows, V, theta, injections=None) -> np.ndarray:
@@ -128,24 +130,17 @@ def _jacobian(net: NetworkModel, steady_rows, V, theta, injections=None) -> np.n
     ``steady_rows`` is :func:`_steady_rows`; ``injections`` is the (P, Q)
     at the state, if the caller holds it.
     """
-    interleave, dyn, first, second = steady_rows
+    interleave, dyn, rows, _ = steady_rows
     # rows (P_0, Q_0, P_1, ...), columns (theta_0, V_0, theta_1, ...)
     jac = injection_partials(net, V, theta, injections)[interleave]
     at = 2 * dyn  # each dynamic bus's P row and theta column
     p_rows = jac[at]
     q_rows = jac[at + 1]
-    for row, (d_theta, d_v, d_p, d_q) in ((at, first), (at + 1, second)):
+    for row, (d_theta, d_v, d_p, d_q) in zip((at, at + 1), rows):
         jac[row] = d_p[:, None] * p_rows + d_q[:, None] * q_rows
         jac[row, at] += d_theta
         jac[row, at + 1] += d_v
     return jac
-
-
-def _rotation_symmetric(net: NetworkModel, components: dict[str, Component]) -> bool:
-    """True when no component's steady state depends on absolute angle."""
-    return not any(
-        components[s.component_id].anchors_angle for s in net.dynamic_shunts
-    )
 
 
 def solve_equilibrium(
@@ -174,27 +169,23 @@ def solve_equilibrium(
     if v.shape != (n,) or t.shape != (n,):
         raise InconsistentInput("initial guess has wrong length")
 
-    pin = _rotation_symmetric(net, components)
-    dynamic = net.dynamic_nodes()
-    ref = dynamic[0] if dynamic else 0
+    steady_rows = _steady_rows(net, components)
+    _, dyn, rows, setpoints = steady_rows
+    pin = not rows[:, 0].any()
+    ref = dyn[0] if len(dyn) else 0
     ref_row = 2 * ref  # the angle-type relation of the reference bus
-    ref_shunt = net.shunt_at[ref]
     if pin:
-        if ref_shunt is not None:
-            theta_pin = components[ref_shunt.component_id].setpoints.theta_e
-        else:
-            theta_pin = 0.0
+        theta_pin = setpoints[0, 0] if len(dyn) else 0.0
         t[ref] = theta_pin
 
     def residual(vv, tt):
         """Residual with the reference row pinned, and the injections (P, Q)."""
         inj = power_injection(net, vv, tt)
-        res = _residual(net, components, vv, tt, inj)
+        res = _residual(net, steady_rows, vv, tt, inj)
         if pin:
             res[ref_row] = tt[ref] - theta_pin
         return res, inj
 
-    steady_rows = _steady_rows(net, components)
     res, inj = residual(v, t)
     norm = float(np.max(np.abs(res)))
     history = [norm]
@@ -240,10 +231,8 @@ def solve_equilibrium(
         history.append(norm)
         iterations += 1
 
-    pin_resid = 0.0
     if pin:
-        full = _residual(net, components, v, t, inj)
-        pin_resid = float(abs(full[ref_row]))
+        pin_resid = float(abs(_residual(net, steady_rows, v, t, inj)[ref_row]))
         if not pin_resid <= CONSISTENCY_TOL:
             raise InconsistentInput(
                 f"setpoints inconsistent: pinned relation at bus "
@@ -268,7 +257,6 @@ def solve_equilibrium(
         iterations=iterations,
         residual_history=history,
         pinned_reference=pin,
-        pin_consistency_residual=pin_resid,
     )
 
 
@@ -295,7 +283,6 @@ def solve_setpoints(
     p, q = (x.tolist() for x in power_injection(net, V, theta))
     setpoints: dict[str, Setpoints] = {}
     implied: dict[str, tuple[float, float]] = {}
-    mismatch: dict[str, tuple[float, float]] = {}
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
         setpoints[shunt.component_id] = Setpoints(
@@ -309,7 +296,6 @@ def solve_setpoints(
         declared_q = net.load_q[i]
         dp = declared_p - implied[bus][0]
         dq = declared_q - implied[bus][1]
-        mismatch[bus] = (dp, dq)
         if abs(dp) > LOAD_MATCH_TOL or abs(dq) > LOAD_MATCH_TOL:
             bad.append(
                 f"{bus}: declared ({declared_p:.6g}, {declared_q:.6g}) vs "
@@ -319,6 +305,4 @@ def solve_setpoints(
         raise InconsistentInput(
             "operating point violates constant-power balance: " + "; ".join(bad)
         )
-    return SetpointSolution(
-        setpoints=setpoints, implied_loads=implied, load_mismatch=mismatch
-    )
+    return SetpointSolution(setpoints=setpoints, implied_loads=implied)

@@ -60,7 +60,6 @@ class CaseDefinition:
     operating_point: dict[str, tuple[float, float]] | None  # bus -> (V, theta)
     scenario: Scenario | None
     solver: SolverConfig
-    setpoints_declared: bool
     source: str = "<memory>"
 
 
@@ -334,24 +333,18 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
     lines, cps = _parse_branches(_require(doc, "branches", "document"), ground[0].id)
     shunts, comps, setpoints_declared = _parse_components(doc.get("components", []))
 
-    # bind component ids onto their buses
-    comp_bus = {s.bus: s.component_id for s in shunts}
-    bound = []
+    comp_buses = {s.bus for s in shunts}
     for bus in buses:
-        if bus.id in comp_bus:
-            if bus.kind is not BusKind.DYNAMIC:
-                raise NetworkFileError(
-                    f"bus {bus.id!r} carries a component but is declared {bus.kind.value!r}"
-                )
-            bound.append(Bus(id=bus.id, kind=bus.kind, component_id=comp_bus[bus.id]))
-        else:
-            if bus.kind is BusKind.DYNAMIC:
-                raise NetworkFileError(
-                    f"bus {bus.id!r} is declared dynamic but no component sits on it"
-                )
-            bound.append(bus)
+        if bus.id in comp_buses and bus.kind is not BusKind.DYNAMIC:
+            raise NetworkFileError(
+                f"bus {bus.id!r} carries a component but is declared {bus.kind.value!r}"
+            )
+        if bus.id not in comp_buses and bus.kind is BusKind.DYNAMIC:
+            raise NetworkFileError(
+                f"bus {bus.id!r} is declared dynamic but no component sits on it"
+            )
     try:
-        net = NetworkModel(bound, lines, cps, shunts)
+        net = NetworkModel(buses, lines, cps, shunts)
     except NetworkError as exc:
         raise NetworkFileError(str(exc)) from exc
 
@@ -389,7 +382,6 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
         operating_point=operating_point,
         scenario=scenario,
         solver=solver,
-        setpoints_declared=setpoints_declared,
         source=source,
     )
 

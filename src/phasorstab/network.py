@@ -72,7 +72,6 @@ class BusKind(Enum):
 class Bus:
     id: str
     kind: BusKind
-    component_id: str | None = None
 
 
 @recordclass(frozen=True)
@@ -201,7 +200,7 @@ class NetworkModel:
             if cp.bus == ground:
                 raise NetworkError("constant-power branch may not sit on ground")
         kind_of = {b.id: b.kind for b in self.buses}
-        comp_of = {b.id: b.component_id for b in self.buses}
+        shunted: set[str] = set()
         for shunt in self.dynamic_shunts:
             if shunt.bus not in ids:
                 raise NetworkError(f"dynamic shunt at unknown bus {shunt.bus!r}")
@@ -209,12 +208,10 @@ class NetworkModel:
                 raise NetworkError(
                     f"dynamic shunt {shunt.component_id!r} must sit on a dynamic bus"
                 )
-            if comp_of[shunt.bus] != shunt.component_id:
-                raise NetworkError(
-                    f"bus {shunt.bus!r} does not carry component {shunt.component_id!r}"
-                )
+            if shunt.bus in shunted:
+                raise NetworkError(f"bus {shunt.bus!r} carries more than one component")
+            shunted.add(shunt.bus)
         dynamic_buses = {b.id for b in self.buses if b.kind is BusKind.DYNAMIC}
-        shunted = {s.bus for s in self.dynamic_shunts}
         missing = dynamic_buses - shunted
         if missing:
             raise NetworkError(

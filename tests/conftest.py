@@ -52,8 +52,8 @@ def make_vsg_pair():
     """Two swing sources over one line; rotation-symmetric, closed-form angle."""
     net = NetworkModel(
         buses=[
-            Bus("a", BusKind.DYNAMIC, "vsg_a"),
-            Bus("b", BusKind.DYNAMIC, "vsg_b"),
+            Bus("a", BusKind.DYNAMIC),
+            Bus("b", BusKind.DYNAMIC),
             Bus("gnd", BusKind.GROUND),
         ],
         lines=[LosslessLine("a", "b", 1.0)],
@@ -78,7 +78,7 @@ def make_vsg_with_empty_bus():
     """Swing source feeding an unloaded bus: zero flow at all times."""
     net = NetworkModel(
         buses=[
-            Bus("gen", BusKind.DYNAMIC, "vsg1"),
+            Bus("gen", BusKind.DYNAMIC),
             Bus("far", BusKind.PASSIVE),
             Bus("gnd", BusKind.GROUND),
         ],
@@ -107,7 +107,7 @@ def make_compensated_load_case(cid="vsg1"):
     q_load = -(v2 * v2 - v2 * math.cos(alpha)) / x  # injects reactive power
     net = NetworkModel(
         buses=[
-            Bus("gen", BusKind.DYNAMIC, cid),
+            Bus("gen", BusKind.DYNAMIC),
             Bus("load", BusKind.PASSIVE),
             Bus("gnd", BusKind.GROUND),
         ],
@@ -125,8 +125,8 @@ def make_mixed_pair():
     """Swing source and droop source over one line, no passive buses."""
     net = NetworkModel(
         buses=[
-            Bus("a", BusKind.DYNAMIC, "vsg_a"),
-            Bus("b", BusKind.DYNAMIC, "droop_b"),
+            Bus("a", BusKind.DYNAMIC),
+            Bus("b", BusKind.DYNAMIC),
             Bus("gnd", BusKind.GROUND),
         ],
         lines=[LosslessLine("a", "b", 0.8)],
@@ -177,7 +177,7 @@ def ring_networks(draw, min_buses=3, max_buses=12):
     xs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
     ids = [f"b{j}" for j in range(n)]
     net = NetworkModel(
-        buses=[Bus(ids[0], BusKind.DYNAMIC, "src")]
+        buses=[Bus(ids[0], BusKind.DYNAMIC)]
         + [Bus(bid, BusKind.PASSIVE) for bid in ids[1:]]
         + [Bus("gnd", BusKind.GROUND)],
         lines=[LosslessLine(ids[a], ids[b], x) for (a, b), x in zip(pairs, xs)],
@@ -236,7 +236,7 @@ def thevenin_networks(draw, load_factor=(0.1, 0.9), max_buses=12):
     th = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)))
     lines = [LosslessLine(ids[a], ids[b], x) for (a, b), x in zip(pairs, xs)]
     buses = [
-        Bus(bid, BusKind.DYNAMIC, f"c{j}") if j % 2 == 0 else Bus(bid, BusKind.PASSIVE)
+        Bus(bid, BusKind.DYNAMIC) if j % 2 == 0 else Bus(bid, BusKind.PASSIVE)
         for j, bid in enumerate(ids)
     ]
     shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(0, n, 2)]
@@ -252,6 +252,51 @@ def thevenin_networks(draw, load_factor=(0.1, 0.9), max_buses=12):
     return net, v, th
 
 
+@st.composite
+def float_path_cases(draw):
+    """One to five sources of either model with drawn parameters, setpoints
+    and states, on a ring plus chords, and at most one passive bus with a
+    line to one or more of them and a load within its transfer limit."""
+    n_src = draw(st.integers(1, 5))
+    passive = draw(st.booleans())
+    ids = [f"b{j}" for j in range(n_src + passive)]
+    pairs = [(j, (j + 1) % n_src) for j in range(n_src)] if n_src > 2 else [(0, 1)] * (n_src - 1)
+    pairs += draw(st.lists(st.tuples(st.integers(0, n_src - 1), st.integers(0, n_src - 1))
+                           .filter(lambda ab: ab[0] != ab[1]), max_size=n_src))
+    if passive:
+        feeds = draw(st.lists(st.integers(0, n_src - 1), min_size=1, max_size=n_src, unique=True))
+        pairs += [(n_src, j) for j in feeds]
+    xs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    lines = [LosslessLine(ids[a], ids[b], x) for (a, b), x in zip(pairs, xs)]
+    buses = [Bus(ids[j], BusKind.DYNAMIC) for j in range(n_src)]
+    buses += [Bus(bid, BusKind.PASSIVE) for bid in ids[n_src:]] + [Bus("gnd", BusKind.GROUND)]
+    shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(n_src)]
+    v = np.array(draw(st.lists(st.floats(0.9, 1.1), min_size=len(ids), max_size=len(ids))))
+    th = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=len(ids), max_size=len(ids))))
+    loads = []
+    if passive:
+        # a drawn fraction of the largest load at a drawn power-factor angle
+        probe = NetworkModel(buses, lines, [], shunts)
+        e = thevenin_sources(probe, v, th)[n_src]
+        psi, f = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.1, 0.9))
+        p = f * abs(e) ** 2 / (2.0 * probe.coupling_sum[n_src] * (math.tan(psi) + 1.0 / math.cos(psi)))
+        loads = [ConstantPowerBranch(ids[n_src], p, p * math.tan(psi))]
+    net = NetworkModel(buses, lines, loads, shunts)
+    param = st.floats(0.05, 2.0)
+    comps, y = {}, []
+    for j, shunt in enumerate(shunts):
+        sp = Setpoints(*draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.9, 1.1),
+                                       st.floats(-0.3, 0.3))))
+        if draw(st.booleans()):
+            comp = VsgComponent(shunt.component_id, shunt.bus, *draw(st.tuples(*[param] * 4)), sp)
+            y += [th[j], draw(st.floats(-0.5, 0.5)), v[j]]
+        else:
+            comp = DroopComponent(shunt.component_id, shunt.bus, *draw(st.tuples(*[param] * 4)), sp)
+            y += [th[j], v[j]]
+        comps[shunt.component_id] = comp
+    return net, comps, [float(x) for x in y], v, th
+
+
 def make_load_ladder(rungs=4):
     """Two rails of `rungs` buses joined at every position, sources (swing
     and droop alternating) and loads in a checkerboard, so every load bus
@@ -264,7 +309,7 @@ def make_load_ladder(rungs=4):
     edges += [(j, rungs + j) for j in range(rungs)]
     lines = [LosslessLine(ids[i], ids[k], 0.1 + 0.01 * (e % 5)) for e, (i, k) in enumerate(edges)]
     buses = [
-        Bus(bid, BusKind.PASSIVE) if is_load[j] else Bus(bid, BusKind.DYNAMIC, f"c{j}")
+        Bus(bid, BusKind.PASSIVE) if is_load[j] else Bus(bid, BusKind.DYNAMIC)
         for j, bid in enumerate(ids)
     ] + [Bus("gnd", BusKind.GROUND)]
     shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(n) if not is_load[j]]
@@ -302,10 +347,10 @@ def make_two_load_chain():
         LosslessLine("g2", "g1", 0.4),
     ]
     buses = [
-        Bus("g1", BusKind.DYNAMIC, "vsg1"),
+        Bus("g1", BusKind.DYNAMIC),
         Bus("l1", BusKind.PASSIVE),
         Bus("l2", BusKind.PASSIVE),
-        Bus("g2", BusKind.DYNAMIC, "droop2"),
+        Bus("g2", BusKind.DYNAMIC),
         Bus("gnd", BusKind.GROUND),
     ]
     shunts = [DynamicShunt("g1", "vsg1"), DynamicShunt("g2", "droop2")]
@@ -344,7 +389,7 @@ def make_mesh(n=12, chords=4, seed=3):
         edges.append((min(i, k), max(i, k)))
     lines = [LosslessLine(ids[i], ids[k], 0.1 + 0.02 * (e % 4)) for e, (i, k) in enumerate(edges)]
     buses = [
-        Bus(bid, BusKind.PASSIVE) if is_load[j] else Bus(bid, BusKind.DYNAMIC, f"c{j}")
+        Bus(bid, BusKind.PASSIVE) if is_load[j] else Bus(bid, BusKind.DYNAMIC)
         for j, bid in enumerate(ids)
     ] + [Bus("gnd", BusKind.GROUND)]
     shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(n) if not is_load[j]]

@@ -36,7 +36,7 @@ def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
     from phasorstab.network import Bus, BusKind, DynamicShunt, NetworkModel
 
     net = NetworkModel(
-        buses=[Bus("a", BusKind.DYNAMIC, "c"), Bus("gnd", BusKind.GROUND)],
+        buses=[Bus("a", BusKind.DYNAMIC), Bus("gnd", BusKind.GROUND)],
         lines=[],
         constant_power=[],
         dynamic_shunts=[DynamicShunt("a", "c")],

@@ -522,8 +522,32 @@ def test_h_sweep_is_checked_before_the_equilibrium_solve(capsys, tmp_path, monke
     assert out == ""
 
 
+def test_simulate_runs_from_the_case_equilibrium(capsys, tmp_path, monkeypatch):
+    import phasorstab.cli as cli
+
+    solved, given = [], []
+    solve, run = cli.solve_case_equilibrium, cli.simulate
+
+    def spy_solve(case):
+        solved.append(solve(case))
+        return solved[-1]
+
+    def spy_simulate(net, components, scenario, config, equilibrium=None):
+        given.append(equilibrium)
+        return run(net, components, scenario, config, equilibrium)
+
+    monkeypatch.setattr(cli, "solve_case_equilibrium", spy_solve)
+    monkeypatch.setattr(cli, "simulate", spy_simulate)
+    code, _, _ = run_cli(
+        capsys, "simulate", "case3bus", "--horizon", "0.1", "--out", str(tmp_path / "t.csv")
+    )
+    assert code == 0
+    assert len(solved) == len(given) == 1 and given[0] is solved[0]
+
+
 CERTIFY_TRAJECTORY = ["certify", "--with-trajectory"]
 VERIFY = ["verify-identities", "--horizon", "0.2"]
+SIMULATE = ["simulate"]
 NO_SCENARIO = "case 'case3bus' declares no scenario"
 
 
@@ -539,10 +563,14 @@ NO_SCENARIO = "case 'case3bus' declares no scenario"
         (CERTIFY_TRAJECTORY, "load-step-without-load",
          "load step at bus 'bus1' with no constant-power branch"),
         (CERTIFY_TRAJECTORY, "line-index", "line index 5 out of range"),
+        (SIMULATE, "no-scenario", NO_SCENARIO),
+        (SIMULATE, "unknown-component", "unknown component 'ghost'"),
+        (SIMULATE, "line-index", "line index 5 out of range"),
     ],
     ids=["certify-no-scenario", "verify-no-scenario", "certify-unknown-component",
          "verify-unknown-component", "certify-unknown-state", "verify-unknown-state",
-         "certify-load-step-without-load", "certify-line-index"],
+         "certify-load-step-without-load", "certify-line-index", "simulate-no-scenario",
+         "simulate-unknown-component", "simulate-line-index"],
 )
 def test_scenario_is_checked_before_the_equilibrium_solve(
     capsys, tmp_path, monkeypatch, command, fault, message

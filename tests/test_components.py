@@ -19,7 +19,10 @@ from phasorstab.components import (
     local_certificate,
     supply_rate,
 )
+from phasorstab.equilibrium import steady_state_residual
+from phasorstab.network import power_injection
 
+from conftest import float_path_cases
 from helpers import stencil_certificate_matrix
 
 SP = Setpoints(P_e=0.2, Q_e=0.1, V_e=1.0, theta_e=0.05)
@@ -160,9 +163,7 @@ def test_stacked_map_is_every_components_derivative(case, seed):
         # rounding is relative to the terms summed, which may cancel
         scale = np.abs(d_f) @ np.abs(z) + np.abs(comp.affine_offset())
         assert np.all(np.abs(dy[lo:hi] - f) <= 1e-14 * scale)
-        # the table is the linearization's D_f, bit for bit, and the stack
-        # holds it at the component's states and bus
-        assert np.array_equal(comp.linearization(Anchor(0.1, 0.1, 1.0, 0.0))[0], d_f)
+        # the stack holds the table at the component's states and bus
         cols = [*range(lo, hi), ny + bus, ny + n_buses + bus]
         assert np.array_equal(dense[lo:hi][:, cols], d_f)
         lo = hi
@@ -197,6 +198,14 @@ def written_table(c):
     )
 
 
+def written_relations(c):
+    """The equilibrium relations' partials by (theta, V, P, Q), as each
+    model wrote them out."""
+    if isinstance(c, VsgComponent):
+        return np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, c.Dq]])
+    return np.array([[1.0, 0.0, c.Dp, 0.0], [0.0, 1.0, 0.0, c.Dq]])
+
+
 def written_residual(c, theta, V, P, Q):
     sp = c.setpoints
     if isinstance(c, VsgComponent):
@@ -215,9 +224,8 @@ setpoint_value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
     is_vsg=st.booleans(),
     params=st.tuples(*[positive] * 4),
     sp=st.builds(Setpoints, *[setpoint_value] * 4),
-    at=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
 )
-def test_derived_members_match_the_written_formulas(is_vsg, params, sp, at):
+def test_derived_members_match_the_written_formulas(is_vsg, params, sp):
     cls = VsgComponent if is_vsg else DroopComponent
     c = cls("c", "b", *params, sp)
     d_f, offset = written_table(c)
@@ -225,22 +233,35 @@ def test_derived_members_match_the_written_formulas(is_vsg, params, sp, at):
     # a setpoint of -0.0 gives an offset entry 0.0 where the written form
     # gave -0.0; "+ 0.0" on the reference changes only that
     assert c.affine_offset().tobytes() == (offset + 0.0).tobytes()
-    assert c.steady_state_residual(*at) == written_residual(c, *at)
-    assert c.anchors_angle is not is_vsg
     x_e = c.equilibrium_state(sp.theta_e, sp.V_e)
     assert all(f == 0.0 for f in c.derivative(x_e, (sp.P_e, sp.Q_e)))
-    # each steady-state relation is a row of the table times a constant:
-    # omega's and v's rows for the VSG (omega rests at zero), theta's and
-    # v's for droop; columns theta, v, P, Q
-    labels = c.state_labels
-    cols = [labels.index("theta"), labels.index("v"), c.nstates, c.nstates + 1]
-    if is_vsg:
-        pairs = [(labels.index("omega"), -c.M), (labels.index("v"), -c.tau_q)]
-    else:
-        pairs = [(labels.index("theta"), -c.tau_p), (labels.index("v"), -c.tau_q)]
-    for partials, (row, scale) in zip(c.steady_state_partials(), pairs):
-        partials = np.array(partials)
-        assert np.all(np.abs(partials - scale * d_f[row, cols]) <= 1e-12 * np.abs(partials))
+    # the relations are table rows over their leading entry: the unit and
+    # zero coefficients come out exact, Dp and Dq from a quotient of two
+    # rounded quotients (within 2 ulp)
+    derived, written = c.steady_state_partials(), written_relations(c)
+    exact = (written == 0.0) | (written == 1.0)
+    assert derived[exact].tobytes() == written[exact].tobytes()
+    assert np.all(np.abs(derived - written) <= 4.5e-16 * np.abs(written))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=float_path_cases())
+def test_steady_state_residual_is_the_written_relations(case):
+    # on generated networks at drawn states: each dynamic bus's rows are its
+    # model's written relations at the bus injections, up to the rounding of
+    # Dp and Dq (see above); each passive bus's rows are its balance
+    net, comps, _, v, th = case
+    res = steady_state_residual(net, comps, v, th)
+    p, q = power_injection(net, v, th)
+    for i in net.passive_nodes():
+        assert (res[2 * i], res[2 * i + 1]) == (p[i] + net.load_p[i], q[i] + net.load_q[i])
+    for i in net.dynamic_nodes():
+        c = comps[net.shunt_at[i].component_id]
+        sp = c.setpoints
+        deviation = np.array([th[i] - sp.theta_e, v[i] - sp.V_e, p[i] - sp.P_e, q[i] - sp.Q_e])
+        scale = np.abs(written_relations(c)) @ np.abs(deviation)
+        written = written_residual(c, th[i], v[i], p[i], q[i])
+        assert np.all(np.abs(res[2 * i : 2 * i + 2] - written) <= 1e-15 * scale)
 
 
 # -- storage -------------------------------------------------------------------

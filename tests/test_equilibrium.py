@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from phasorstab import equilibrium
 from phasorstab.components import Setpoints, VsgComponent
@@ -25,6 +26,7 @@ from phasorstab.network import (
     power_injection,
 )
 
+from conftest import float_path_cases
 from helpers import fd_jacobian
 
 
@@ -43,7 +45,7 @@ def test_vsg_pair_reproduces_closed_form_angle(vsg_pair):
 
 def test_flat_no_load_case_needs_no_correction():
     net = NetworkModel(
-        buses=[Bus("a", BusKind.DYNAMIC, "c"), Bus("gnd", BusKind.GROUND)],
+        buses=[Bus("a", BusKind.DYNAMIC), Bus("gnd", BusKind.GROUND)],
         lines=[],
         constant_power=[],
         dynamic_shunts=[DynamicShunt("a", "c")],
@@ -147,6 +149,31 @@ def test_analytic_jacobian_matches_fd(case3bus):
     j = _jacobian(case3bus.net, _steady_rows(case3bus.net, case3bus.components), v, th)
     j_fd = fd_jacobian(case3bus.net, case3bus.components, v, th)
     assert np.allclose(j, j_fd, rtol=1e-5, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=float_path_cases())
+def test_analytic_jacobian_matches_fd_on_generated_networks(case):
+    net, comps, _, v, th = case
+    j = _jacobian(net, _steady_rows(net, comps), v, th)
+    np.testing.assert_allclose(j, fd_jacobian(net, comps, v, th), rtol=1e-5, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=float_path_cases())
+def test_angle_is_pinned_when_no_relation_reads_it(case):
+    # with loads and setpoints taken from the drawn state, that state is the
+    # equilibrium; the reference angle is pinned exactly when every source
+    # is swing-type, whose relations have no theta coefficient
+    net, comps, _, v, th = case
+    p, q = power_injection(net, v, th)
+    loads = [ConstantPowerBranch(net.non_ground[i], -p[i], -q[i]) for i in net.passive_nodes()]
+    net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
+    setpoints = solve_setpoints(net, comps, v, th).setpoints
+    comps = {cid: c.with_setpoints(setpoints[cid]) for cid, c in comps.items()}
+    sol = solve_equilibrium(net, comps, v, th)
+    assert sol.iterations == 0 and sol.residual_norm == 0.0
+    assert sol.pinned_reference == all(isinstance(c, VsgComponent) for c in comps.values())
 
 
 def test_newton_quadratic_tail(case3bus):

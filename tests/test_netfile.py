@@ -111,14 +111,21 @@ def test_missing_setpoints_require_operating_point():
         "b": {"V": 0.98, "theta": -0.01},
     }
     case = parse_case(doc)
-    assert case.components["v1"].setpoints is None
-    assert not case.setpoints_declared
+    assert all(c.setpoints is None for c in case.components.values())
 
 
 def test_operating_point_must_cover_all_buses():
     doc = minimal_doc()
     doc["operating_point"] = {"a": {"V": 1.0, "theta": 0.0}}
     with pytest.raises(NetworkFileError, match="missing bus"):
+        parse_case(doc)
+
+
+def test_second_component_on_a_bus_rejected():
+    doc = minimal_doc()
+    comp2 = dict(doc["components"][0], id="v2")
+    doc["components"].append(comp2)
+    with pytest.raises(NetworkFileError, match="bus 'a' carries more than one component"):
         parse_case(doc)
 
 

@@ -31,8 +31,8 @@ from helpers import kcl_residual, power_injection_loop
 def two_bus(x=1.0):
     return NetworkModel(
         buses=[
-            Bus("a", BusKind.DYNAMIC, "ca"),
-            Bus("b", BusKind.DYNAMIC, "cb"),
+            Bus("a", BusKind.DYNAMIC),
+            Bus("b", BusKind.DYNAMIC),
             Bus("gnd", BusKind.GROUND),
         ],
         lines=[LosslessLine("a", "b", x)],
@@ -44,7 +44,7 @@ def two_bus(x=1.0):
 def loaded_bus():
     return NetworkModel(
         buses=[
-            Bus("a", BusKind.DYNAMIC, "ca"),
+            Bus("a", BusKind.DYNAMIC),
             Bus("b", BusKind.PASSIVE),
             Bus("gnd", BusKind.GROUND),
         ],
@@ -68,7 +68,7 @@ def test_case_file_coupling_values(case3bus):
 
 def test_trivial_shunt_only_network_is_valid():
     net = NetworkModel(
-        buses=[Bus("a", BusKind.DYNAMIC, "c"), Bus("gnd", BusKind.GROUND)],
+        buses=[Bus("a", BusKind.DYNAMIC), Bus("gnd", BusKind.GROUND)],
         lines=[],
         constant_power=[],
         dynamic_shunts=[DynamicShunt("a", "c")],
@@ -105,7 +105,7 @@ def test_disconnected_graph_rejected():
     with pytest.raises(NetworkError, match="not connected"):
         NetworkModel(
             buses=[
-                Bus("a", BusKind.DYNAMIC, "c"),
+                Bus("a", BusKind.DYNAMIC),
                 Bus("island", BusKind.PASSIVE),
                 Bus("gnd", BusKind.GROUND),
             ],

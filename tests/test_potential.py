@@ -35,8 +35,8 @@ from helpers import hessian_vp_polar
 def line_only_pair(x=1.0):
     return NetworkModel(
         buses=[
-            Bus("a", BusKind.DYNAMIC, "ca"),
-            Bus("b", BusKind.DYNAMIC, "cb"),
+            Bus("a", BusKind.DYNAMIC),
+            Bus("b", BusKind.DYNAMIC),
             Bus("gnd", BusKind.GROUND),
         ],
         lines=[LosslessLine("a", "b", x)],
@@ -182,7 +182,7 @@ def test_two_bus_equal_voltage_theta_block():
 
 def test_no_branch_hessian_is_zero():
     net = NetworkModel(
-        buses=[Bus("a", BusKind.DYNAMIC, "c"), Bus("gnd", BusKind.GROUND)],
+        buses=[Bus("a", BusKind.DYNAMIC), Bus("gnd", BusKind.GROUND)],
         lines=[],
         constant_power=[],
         dynamic_shunts=[DynamicShunt("a", "c")],

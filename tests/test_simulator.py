@@ -12,12 +12,8 @@ from phasorstab.components import Anchor, DroopComponent, Setpoints, VsgComponen
 from phasorstab.cli import solve_case_equilibrium
 from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.network import (
-    Bus,
-    BusKind,
     BusState,
     ConstantPowerBranch,
-    DynamicShunt,
-    LosslessLine,
     NetworkError,
     NetworkModel,
     power_injection,
@@ -35,6 +31,7 @@ from phasorstab.simulator import (
 )
 
 from conftest import (
+    float_path_cases,
     make_compensated_load_case,
     make_load_ladder,
     make_mesh,
@@ -42,7 +39,6 @@ from conftest import (
     make_two_load_chain,
     ring_networks,
     thevenin_networks,
-    thevenin_sources,
 )
 from helpers import ReferenceEngine, kcl_residual
 
@@ -422,51 +418,6 @@ def test_tangent_is_the_derivative_of_the_passive_solution(case):
             solved.append(np.concatenate([T[pas], V[pas]]))
         fd = (solved[0] - solved[1]) / (2.0 * eps)
         np.testing.assert_allclose(tangent[:, j], fd, rtol=1e-5, atol=1e-6)
-
-
-@st.composite
-def float_path_cases(draw):
-    """One to five sources of either model with drawn parameters, setpoints
-    and states, on a ring plus chords, and at most one passive bus with a
-    line to one or more of them and a load within its transfer limit."""
-    n_src = draw(st.integers(1, 5))
-    passive = draw(st.booleans())
-    ids = [f"b{j}" for j in range(n_src + passive)]
-    pairs = [(j, (j + 1) % n_src) for j in range(n_src)] if n_src > 2 else [(0, 1)] * (n_src - 1)
-    pairs += draw(st.lists(st.tuples(st.integers(0, n_src - 1), st.integers(0, n_src - 1))
-                           .filter(lambda ab: ab[0] != ab[1]), max_size=n_src))
-    if passive:
-        feeds = draw(st.lists(st.integers(0, n_src - 1), min_size=1, max_size=n_src, unique=True))
-        pairs += [(n_src, j) for j in feeds]
-    xs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
-    lines = [LosslessLine(ids[a], ids[b], x) for (a, b), x in zip(pairs, xs)]
-    buses = [Bus(ids[j], BusKind.DYNAMIC, f"c{j}") for j in range(n_src)]
-    buses += [Bus(bid, BusKind.PASSIVE) for bid in ids[n_src:]] + [Bus("gnd", BusKind.GROUND)]
-    shunts = [DynamicShunt(ids[j], f"c{j}") for j in range(n_src)]
-    v = np.array(draw(st.lists(st.floats(0.9, 1.1), min_size=len(ids), max_size=len(ids))))
-    th = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=len(ids), max_size=len(ids))))
-    loads = []
-    if passive:
-        # a drawn fraction of the largest load at a drawn power-factor angle
-        probe = NetworkModel(buses, lines, [], shunts)
-        e = thevenin_sources(probe, v, th)[n_src]
-        psi, f = draw(st.floats(-0.5, 0.5)), draw(st.floats(0.1, 0.9))
-        p = f * abs(e) ** 2 / (2.0 * probe.coupling_sum[n_src] * (math.tan(psi) + 1.0 / math.cos(psi)))
-        loads = [ConstantPowerBranch(ids[n_src], p, p * math.tan(psi))]
-    net = NetworkModel(buses, lines, loads, shunts)
-    param = st.floats(0.05, 2.0)
-    comps, y = {}, []
-    for j, shunt in enumerate(shunts):
-        sp = Setpoints(*draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.9, 1.1),
-                                       st.floats(-0.3, 0.3))))
-        if draw(st.booleans()):
-            comp = VsgComponent(shunt.component_id, shunt.bus, *draw(st.tuples(*[param] * 4)), sp)
-            y += [th[j], draw(st.floats(-0.5, 0.5)), v[j]]
-        else:
-            comp = DroopComponent(shunt.component_id, shunt.bus, *draw(st.tuples(*[param] * 4)), sp)
-            y += [th[j], v[j]]
-        comps[shunt.component_id] = comp
-    return net, comps, [float(x) for x in y], v, th
 
 
 @settings(max_examples=100, deadline=None)
