@@ -22,7 +22,8 @@ import numpy as np
 from phasorstab.certify import identity_residuals
 from phasorstab.cli import back_solve_setpoints, resolve_case_path, solve_case_equilibrium
 from phasorstab.netfile import load_case
-from phasorstab.simulator import Scenario, SolverConfig, StatePerturbation, simulate
+from phasorstab.scenario import Scenario, SolverConfig, StatePerturbation
+from phasorstab.simulator import simulate
 
 
 def main() -> None:

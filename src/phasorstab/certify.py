@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_CRITERION_TOL = 1e-6
+MARGIN_ULPS = 4  # storage margins this close to their terms count as 0.0
 
 
 @recordclass(frozen=True)
@@ -165,7 +166,10 @@ def check_storage_criterion(
 
     The recorded supply series carries the trajectory's convention; the
     other convention is its negation. Storage rates are analytic (chain
-    rule), so the pointwise margin carries no differencing noise.
+    rule), so the pointwise margin carries no differencing noise; a margin
+    within ``MARGIN_ULPS`` ulps of the larger of its two terms counts as
+    0.0, so among margins that are zero up to rounding the worst is the
+    first sample's.
     """
     components = components or traj.components
     verdicts: dict[str, StorageVerdict] = {}
@@ -188,7 +192,10 @@ def check_storage_criterion(
         supply = traj.supply[cid]
         if convention is not traj.convention:
             supply = -supply
-        margin = supply - traj.storage_rate[cid]  # satisfied when >= 0
+        rate = traj.storage_rate[cid]
+        margin = supply - rate  # satisfied when >= 0
+        rounding = MARGIN_ULPS * np.spacing(np.maximum(np.abs(supply), np.abs(rate)))
+        margin = np.where(np.abs(margin) <= rounding, 0.0, margin)
         idx = int(np.argmin(margin))
         worst = float(margin[idx])
         verdicts[cid] = StorageVerdict(

@@ -34,10 +34,10 @@ from .equilibrium import (
 from .netfile import (
     CaseDefinition,
     NetworkFileError,
-    _read_json,
     load_case,
     load_contours,
     parse_solver,
+    read_json,
 )
 from .network import NetworkError
 from .potential import (
@@ -46,13 +46,8 @@ from .potential import (
     rectangle_contour_pair,
 )
 from .records import asdict, replace
-from .simulator import (
-    ScenarioError,
-    SimulationError,
-    _check_scenario,
-    _schedule,
-    simulate,
-)
+from .scenario import Scenario, ScenarioError, check_scenario, plan_run
+from .simulator import SimulationError, simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -101,7 +96,7 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     """Apply global overrides and back-solve missing setpoints."""
     solver = case.solver
     if getattr(args, "config", None):
-        overrides = _read_json(args.config)
+        overrides = read_json(args.config)
         if isinstance(overrides, dict):
             overrides = overrides.get("solver", overrides)
         if not isinstance(overrides, dict):
@@ -177,19 +172,46 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    case = _prepare(load_case(resolve_case_path(args.case)), args)
+def _planned_runs(case: CaseDefinition, args, what: str = "") -> list[tuple[float, Scenario]]:
+    """The runs of a transient command, each a step size and its scenario,
+    planned before any work. The case's scenario is required (`what` ends
+    the message if it is missing) and cut at ``--horizon`` when given. With
+    ``--h-sweep`` there is one run per sweep step, sampled at
+    :func:`_sweep_period`, whose grid errors name the step; otherwise one
+    run at the case's step."""
     scenario = case.scenario
     if scenario is None:
-        raise ScenarioError(f"case {case.name!r} declares no scenario")
-    if args.horizon is not None:
+        raise ScenarioError(f"case {case.name!r} declares no scenario{what}")
+    if getattr(args, "horizon", None) is not None:
         horizon = _number_option(args.horizon, "--horizon")
         scenario = replace(
             scenario,
             horizon=horizon,
             disturbances=[d for d in scenario.disturbances if d.at <= horizon],
         )
-    _schedule(case.net, case.components, scenario, case.solver.step_size)
+    if getattr(args, "h_sweep", None) is None:
+        plan_run(case.net, case.components, scenario, case.solver.step_size)
+        return [(case.solver.step_size, scenario)]
+    if scenario.network_events():
+        raise ScenarioError(
+            "identity verification requires a scenario without load or line events"
+        )
+    steps = _step_sweep(args.h_sweep)
+    check_scenario(case.net, case.components, scenario)
+    runs = []
+    for h in steps:
+        run = replace(scenario, output_period=_sweep_period(scenario, h))
+        try:
+            plan_run(case.net, case.components, run, h)
+        except ScenarioError as exc:
+            raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
+        runs.append((h, run))
+    return runs
+
+
+def cmd_simulate(args) -> int:
+    case = _prepare(load_case(resolve_case_path(args.case)), args)
+    [(_, scenario)] = _planned_runs(case, args)
     sol = solve_case_equilibrium(case)
     traj = simulate(case.net, case.components, scenario, case.solver, sol)
     traj.to_csv(args.out)
@@ -207,20 +229,12 @@ def cmd_certify(args) -> int:
         raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
     case = _prepare(load_case(resolve_case_path(args.case)), args)
     if args.with_trajectory:
-        if case.scenario is None:
-            raise ScenarioError(
-                f"case {case.name!r} declares no scenario for --with-trajectory"
-            )
-        _schedule(case.net, case.components, case.scenario, case.solver.step_size)
+        [(_, scenario)] = _planned_runs(case, args, " for --with-trajectory")
     sol = solve_case_equilibrium(case)
-    traj = (
-        simulate(case.net, case.components, case.scenario, case.solver, sol)
-        if args.with_trajectory
-        else None
-    )
-    report = run_certify(
-        case.net, case.components, sol, traj, tol=tol
-    )
+    traj = None
+    if args.with_trajectory:
+        traj = simulate(case.net, case.components, scenario, case.solver, sol)
+    report = run_certify(case.net, case.components, sol, traj, tol=tol)
     if args.out:
         _atomic_write(args.out, report.to_json())
     sys.stdout.write(render_report(report))
@@ -254,33 +268,7 @@ def _sweep_period(scenario, h: float) -> float:
 
 def cmd_verify_identities(args) -> int:
     case = _prepare(load_case(resolve_case_path(args.case)), args)
-    scenario = case.scenario
-    if scenario is None:
-        raise ScenarioError(f"case {case.name!r} declares no scenario")
-    if scenario.network_events():
-        raise ScenarioError(
-            "identity verification requires a scenario without load or line events"
-        )
-    horizon = (
-        _number_option(args.horizon, "--horizon")
-        if args.horizon is not None
-        else scenario.horizon
-    )
-    scenario = replace(
-        scenario,
-        horizon=horizon,
-        disturbances=[d for d in scenario.disturbances if d.at <= horizon],
-    )
-    steps = _step_sweep(args.h_sweep)
-    _check_scenario(case.net, case.components, scenario)
-    runs = []
-    for h in steps:
-        run_scenario = replace(scenario, output_period=_sweep_period(scenario, h))
-        try:
-            _schedule(case.net, case.components, run_scenario, h)
-        except ScenarioError as exc:
-            raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
-        runs.append((h, run_scenario))
+    runs = _planned_runs(case, args)
     sol = solve_case_equilibrium(case)
     from .certify import identity_residuals
     from .network import BusState, tellegen_sum
@@ -316,7 +304,7 @@ def cmd_verify_identities(args) -> int:
     lossy = path_dependence_experiment(1.0, 0.0, contour_a, contour_b)
     doc = {
         "case": case.name,
-        "horizon": horizon,
+        "horizon": runs[0][1].horizon,
         "sweep": rows,
         "fitted_order": {
             "potential_identity": fitted_order("potential_identity_residual"),

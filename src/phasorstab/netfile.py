@@ -28,13 +28,7 @@ from .network import (
 )
 from .potential import shared_endpoints
 from .records import recordclass
-from .simulator import (
-    LineScale,
-    LoadStep,
-    Scenario,
-    SolverConfig,
-    StatePerturbation,
-)
+from .scenario import LineScale, LoadStep, Scenario, SolverConfig, StatePerturbation
 
 __all__ = [
     "NetworkFileError",
@@ -43,6 +37,7 @@ __all__ = [
     "load_contours",
     "parse_case",
     "parse_solver",
+    "read_json",
 ]
 
 
@@ -159,8 +154,8 @@ def _parse_branches(
                     f"{where}: constant-power branch must terminate at ground "
                     f"({ground_id!r}), got {to!r}"
                 )
-            p0 = _number(_require(entry, "p0", where), f"{where}.p0")
-            q0 = _number(_require(entry, "q0", where), f"{where}.q0")
+            p0 = _finite(_require(entry, "p0", where), f"{where}.p0")
+            q0 = _finite(_require(entry, "q0", where), f"{where}.q0")
             convention = entry.get("convention", "consumption")
             if convention not in ("consumption", "generation"):
                 raise NetworkFileError(
@@ -386,7 +381,7 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
     )
 
 
-def _read_json(path: str) -> Any:
+def read_json(path: str) -> Any:
     """The JSON document in a file, reporting parse errors with position."""
     try:
         with open(path) as fh:
@@ -401,7 +396,7 @@ def _read_json(path: str) -> Any:
 
 def load_case(path: str) -> CaseDefinition:
     """Parse a case from a JSON file, reporting parse errors with position."""
-    return parse_case(_read_json(path), source=path)
+    return parse_case(read_json(path), source=path)
 
 
 def _contour(raw: Any, where: str) -> list[complex]:
@@ -422,7 +417,7 @@ def load_contours(path: str) -> tuple[list[complex], list[complex]]:
     """The two contours of a ``path-experiment --contours`` file,
     ``{"a": [[x, y], ...], "b": [[x, y], ...]}``: each two or more points of
     finite coordinates, the two sharing their first and their last point."""
-    doc = _read_json(path)
+    doc = read_json(path)
     _check_fields(doc, {"a", "b"}, "contours")
     contour_a = _contour(_require(doc, "a", "contours"), "contours.a")
     contour_b = _contour(_require(doc, "b", "contours"), "contours.b")

@@ -61,11 +61,11 @@ the tolerance, while the closed form is exact up to rounding. The manifest
 records the solves, the chord steps and the Jacobian factorizations of the
 run; a closed-form solve counts as one solve with neither.
 
-Scenarios perturb component states, step loads, or scale line couplings at
-times aligned with the integration grid. A scenario is checked against the
-step grid and the network before any work, by the same function in every
-command that runs one. Path integrals are accumulated with
-the trapezoid rule at every integration step (second-order in the step
+A run steps on the plan of its scenario
+(:func:`~phasorstab.scenario.plan_run`), made before any work: the state
+perturbations due at each event step, and the network in force after it,
+which the engine switches to. Path integrals are accumulated with the
+trapezoid rule at every integration step (second-order in the step
 size). The step loop records only the raw samples (time, bus state,
 injections, component states, the dy the step produced there, and
 integrals); the other diagnostics (Vp, W, and each component's storage,
@@ -104,21 +104,11 @@ from .network import (
     power_injection,
 )
 from .potential import BregmanDivergence, eval_vp
-from .records import field, recordclass
+from .records import recordclass
+from .scenario import Scenario, SolverConfig, plan_run
 
-__all__ = [
-    "SimulationError",
-    "ScenarioError",
-    "StatePerturbation",
-    "LoadStep",
-    "LineScale",
-    "Scenario",
-    "SolverConfig",
-    "Trajectory",
-    "simulate",
-]
+__all__ = ["SimulationError", "Trajectory", "simulate"]
 
-GRID_ALIGN_TOL = 1e-9
 # a chord step must cut the passive residual at least this much, or the
 # passive-bus Jacobian is rebuilt at the current state before the next step
 CHORD_CONTRACTION = 0.25
@@ -126,93 +116,6 @@ CHORD_CONTRACTION = 0.25
 
 class SimulationError(RuntimeError):
     """Inner Newton failure or voltage collapse, with time and residual."""
-
-
-class ScenarioError(ValueError):
-    """Scenario fields violate their invariants."""
-
-
-# -- scenario ----------------------------------------------------------------
-
-
-@recordclass(frozen=True)
-class StatePerturbation:
-    at: float
-    component: str
-    delta: dict[str, float]  # state label -> additive increment
-
-
-@recordclass(frozen=True)
-class LoadStep:
-    at: float
-    bus: str
-    dp: float  # consumption-positive deltas
-    dq: float
-    duration: float | None = None
-
-
-@recordclass(frozen=True)
-class LineScale:
-    at: float
-    line_index: int
-    factor: float
-    duration: float | None = None
-
-
-NetworkDisturbance = LoadStep | LineScale
-Disturbance = StatePerturbation | NetworkDisturbance
-
-
-@recordclass
-class Scenario:
-    horizon: float
-    output_period: float = 0.01
-    initial: str = "equilibrium"  # or "explicit"
-    explicit_states: dict[str, dict[str, float]] | None = None
-    disturbances: list[Disturbance] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # the comparisons are written to fail for NaN as well
-        if not 0.0 <= self.horizon < math.inf:
-            raise ScenarioError(f"horizon must be nonnegative, got {self.horizon}")
-        if not 0.0 < self.output_period < math.inf:
-            raise ScenarioError("output period must be positive")
-        if self.initial not in ("equilibrium", "explicit"):
-            raise ScenarioError(f"unknown initial condition source {self.initial!r}")
-        if self.initial == "explicit" and not self.explicit_states:
-            raise ScenarioError("explicit initial condition requires explicit_states")
-        for i, d in enumerate(self.disturbances):
-            if not 0.0 <= d.at <= self.horizon:
-                raise ScenarioError(
-                    f"disturbance time {d.at} outside horizon [0, {self.horizon}]"
-                )
-            if isinstance(d, LineScale) and d.factor <= 0.0:
-                raise ScenarioError(f"line scale factor must be positive, got {d.factor}")
-            duration = getattr(d, "duration", None)
-            if duration is not None and not 0.0 < duration < math.inf:
-                raise ScenarioError(
-                    f"disturbances[{i}].duration must be positive, got {duration}"
-                )
-
-    def network_events(self) -> bool:
-        return any(isinstance(d, (LoadStep, LineScale)) for d in self.disturbances)
-
-
-@recordclass(frozen=True)
-class SolverConfig:
-    step_size: float = 1e-3
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
-    convention: SupplyConvention = SupplyConvention.NEGATED
-
-    def __post_init__(self) -> None:
-        # the comparisons are written to fail for NaN as well
-        if not 0.0 < self.step_size < math.inf:
-            raise ScenarioError("step size must be positive")
-        if not self.newton_tol > 0.0:
-            raise ScenarioError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 0:
-            raise ScenarioError("newton_max_iter must be nonnegative")
 
 
 # -- trajectory ----------------------------------------------------------------
@@ -374,7 +277,6 @@ class _Engine:
         components: dict[str, Component],
         config: SolverConfig,
     ) -> None:
-        self.base_net = net
         self.config = config
         self.comp_ids = [s.component_id for s in net.dynamic_shunts]
         self.comps = [components[cid] for cid in self.comp_ids]
@@ -404,7 +306,6 @@ class _Engine:
         for r, col, val in zip(stack.rows.tolist(), stack.cols.tolist(), stack.vals.tolist()):
             rows[r].append((col, val))
         self.affine_rows = tuple(zip(stack.offset.tolist(), map(tuple, rows)))
-        self.active_mods: list[NetworkDisturbance] = []
         self.passive = np.array(self.passive_nodes, dtype=np.intp)
         # topology properties, so load and line events keep them
         position = {node: j for j, node in enumerate(self.passive_nodes)}
@@ -425,7 +326,7 @@ class _Engine:
         self.inner_solves = 0
         self.inner_iterations = 0
         self.factorizations = 0
-        self._use_network(net)
+        self.use_network(net)
 
     @staticmethod
     def buffer(values) -> list[float]:
@@ -442,7 +343,7 @@ class _Engine:
             if i in position or k in position
         ]
 
-    def _use_network(self, net: NetworkModel) -> None:
+    def use_network(self, net: NetworkModel) -> None:
         """Switch to `net`: drop the chord Jacobian built on the last one,
         take the passive loads and build the stage and the step for `net`."""
         self.net = net
@@ -451,15 +352,6 @@ class _Engine:
         self.passive_loads = np.concatenate([self.passive_p, self.passive_q])
         self.jac_inv: np.ndarray | None = None
         self.stage, self.advance = self._steps_for(net)
-
-    def rebuild_with_mods(self) -> None:
-        net = self.base_net
-        for mod in self.active_mods:
-            if isinstance(mod, LoadStep):
-                net = net.with_load_delta(mod.bus, mod.dp, mod.dq)
-            else:
-                net = net.with_scaled_line(mod.line_index, mod.factor)
-        self._use_network(net)
 
     # evaluation ----------------------------------------------------------------
 
@@ -878,88 +770,6 @@ def _make_engine(
 # -- driver --------------------------------------------------------------------
 
 
-def _snap_to_grid(value: float, h: float, what: str) -> int:
-    steps = round(value / h)
-    if abs(value - steps * h) > GRID_ALIGN_TOL:
-        raise ScenarioError(
-            f"{what} = {value} does not align with the step grid (h = {h})"
-        )
-    return steps
-
-
-@recordclass(frozen=True)
-class _Event:
-    """A disturbance taking effect, or with ``ends`` a timed one expiring."""
-
-    disturbance: Disturbance
-    ends: bool = False
-
-
-def _check_scenario(
-    net: NetworkModel, components: dict[str, Component], scenario: Scenario
-) -> None:
-    """Check a scenario against the network and the components: the checks
-    that no step size changes. Raises ScenarioError, or what applying a
-    network event would raise."""
-    comp_ids = {s.component_id for s in net.dynamic_shunts}
-    if scenario.initial == "explicit":
-        for s in net.dynamic_shunts:
-            given = scenario.explicit_states.get(s.component_id)
-            if given is None:
-                raise ScenarioError(f"explicit initial state missing for {s.component_id!r}")
-            for label in components[s.component_id].state_labels:
-                if label not in given:
-                    raise ScenarioError(
-                        f"explicit state for {s.component_id!r} missing field {label!r}"
-                    )
-    for d in scenario.disturbances:
-        if isinstance(d, StatePerturbation):
-            if d.component not in comp_ids:
-                raise ScenarioError(f"unknown component {d.component!r}")
-            labels = components[d.component].state_labels
-            for label in d.delta:
-                if label not in labels:
-                    raise ScenarioError(
-                        f"component {d.component!r} has no state {label!r}"
-                    )
-        elif isinstance(d, LoadStep):
-            # the network the event switches to raises what applying it would
-            net.with_load_delta(d.bus, d.dp, d.dq)
-        else:
-            net.with_scaled_line(d.line_index, d.factor)
-
-
-def _schedule(
-    net: NetworkModel,
-    components: dict[str, Component],
-    scenario: Scenario,
-    h: float,
-) -> tuple[int, int, dict[int, list[_Event]]]:
-    """Check a scenario against the step grid, the network and the
-    components, before any work: the commands that solve the equilibrium
-    first call it too. Returns the step count, the steps per sample, and
-    the events due at each step index."""
-    n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
-    sample_every = _snap_to_grid(scenario.output_period, h, "output period")
-    if sample_every <= 0:
-        raise ScenarioError("output period shorter than one step")
-    if scenario.horizon > 0 and n_steps % sample_every != 0:
-        raise ScenarioError(
-            f"horizon {scenario.horizon} must be a whole number of output periods "
-            f"(the output period snaps to {sample_every * h:.6g}, "
-            f"{sample_every} steps of h = {h})"
-        )
-    _check_scenario(net, components, scenario)
-    events: dict[int, list[_Event]] = {}
-    for d in scenario.disturbances:
-        idx = _snap_to_grid(d.at, h, "disturbance time")
-        events.setdefault(idx, []).append(_Event(d))
-        if not isinstance(d, StatePerturbation) and d.duration is not None:
-            end_idx = _snap_to_grid(d.at + d.duration, h, "disturbance end time")
-            events.setdefault(end_idx, []).append(_Event(d, ends=True))
-    return n_steps, sample_every, events
-
-
 def simulate(
     net: NetworkModel,
     components: dict[str, Component],
@@ -975,7 +785,7 @@ def simulate(
     Deterministic for fixed inputs and step size.
     """
     h = config.step_size
-    n_steps_total, sample_every, events = _schedule(net, components, scenario, h)
+    n_steps_total, sample_every, events = plan_run(net, components, scenario, h)
     if equilibrium is None:
         equilibrium = solve_equilibrium(net, components)
 
@@ -997,32 +807,24 @@ def simulate(
             y.extend(float(given[label]) for label in comp.state_labels)
     y = engine.buffer(y)
 
-    def apply_events(step_idx: int, y) -> bool:
-        """Apply the events due at `step_idx` to y (in place) and the engine;
-        returns whether the network changed."""
-        network_dirty = False
-        for event in events[step_idx]:
-            d = event.disturbance
-            if isinstance(d, StatePerturbation):
-                c = comp_ids.index(d.component)
-                labels = engine.comps[c].state_labels
-                for label, delta in d.delta.items():
-                    y[engine.offsets[c] + labels.index(label)] += delta
-                continue
-            if event.ends:
-                engine.active_mods.remove(d)
-            else:
-                engine.active_mods.append(d)
-            network_dirty = True
-        if network_dirty:
-            engine.rebuild_with_mods()
-        return network_dirty
+    def apply_events(step_idx: int, y) -> None:
+        """Apply the perturbations due at `step_idx` to y (in place) and
+        switch the engine to the network the plan has in force after it."""
+        kicks, switched = events[step_idx]
+        for d in kicks:
+            c = comp_ids.index(d.component)
+            labels = engine.comps[c].state_labels
+            for label, delta in d.delta.items():
+                y[engine.offsets[c] + labels.index(label)] += delta
+        if switched is not None:
+            engine.use_network(switched)
 
     # working buffers start at the equilibrium bus state
     V = engine.buffer(equilibrium.state.V)
     th = engine.buffer(equilibrium.state.theta)
 
-    network_changed = 0 in events and apply_events(0, y)
+    if 0 in events:
+        apply_events(0, y)
     dy, p, q = engine.stage(y, V, th, 0.0)
     engine.start_integrals(anchors, y, p, q)
 
@@ -1050,7 +852,7 @@ def simulate(
     for step in range(n_steps_total):
         y, dy, p, q = engine.advance(y, dy, V, th, h, step)
         if step + 1 in events:
-            network_changed = apply_events(step + 1, y) or network_changed
+            apply_events(step + 1, y)
             dy, p, q = engine.stage(y, V, th, (step + 1) * h)
             # restart the integrals' endpoints across the discontinuity
             engine.prev = engine.endpoints(y, p, q)
@@ -1113,7 +915,8 @@ def simulate(
         components=dict(components),
         config=config,
         scenario=scenario,
-        network_changed=network_changed,
+        # every network event starts within the horizon
+        network_changed=scenario.network_events(),
         inner_solves=engine.inner_solves,
         inner_iterations=engine.inner_iterations,
         jacobian_factorizations=engine.factorizations,

@@ -33,7 +33,8 @@ from phasorstab.potential import (
     path_dependence_experiment,
     rectangle_contour_pair,
 )
-from phasorstab.simulator import Scenario, SolverConfig, StatePerturbation, simulate
+from phasorstab.scenario import Scenario, SolverConfig, StatePerturbation
+from phasorstab.simulator import simulate
 
 from conftest import make_vsg_with_empty_bus
 

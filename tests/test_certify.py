@@ -15,14 +15,8 @@ from phasorstab.certify import (
 )
 from phasorstab.components import Anchor, SupplyConvention, VsgComponent, Setpoints
 from phasorstab.equilibrium import solve_equilibrium
-from phasorstab.simulator import (
-    LoadStep,
-    Scenario,
-    SolverConfig,
-    StatePerturbation,
-    Trajectory,
-    simulate,
-)
+from phasorstab.scenario import LoadStep, Scenario, SolverConfig, StatePerturbation
+from phasorstab.simulator import Trajectory, simulate
 
 
 def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
@@ -106,6 +100,27 @@ def test_equilibrium_trajectory_storage_margin_zero(case3bus, case3bus_solution)
         for v in verdicts.values():
             assert v.satisfied
             assert abs(v.worst_margin) <= 1e-9
+
+
+def test_storage_margins_zero_up_to_rounding_tie_at_the_first_sample():
+    # supply and storage rates that cancel to within an ulp or two of the
+    # larger term: every margin counts as 0.0, so the first sample is the
+    # worst, with the margin 0.0 (not -0.0, nor a rounding's sign)
+    traj = synthetic_trajectory([0.0] * 4)
+    rate = np.array([0.0, 1e-20, 3e-20, 2e-20])
+    ulps = np.array([0.0, -1.0, 1.0, -2.0]) * np.spacing(rate)
+    traj.storage_rate["c"] = rate
+    traj.supply["c"] = np.where(rate == 0.0, -0.0, rate + ulps)
+    assert (traj.supply["c"] - rate)[3] < 0.0
+    verdict = check_storage_criterion(traj)["c"]
+    assert (verdict.worst_margin, verdict.time_of_worst) == (0.0, 0.0)
+    assert np.copysign(1.0, verdict.worst_margin) == 1.0
+    # a margin beyond the rounding of its terms is kept as it is
+    traj.supply["c"] = rate - np.array([0.0, 0.0, 1e-30, 0.0])
+    margin = traj.supply["c"][2] - rate[2]
+    assert -1.01e-30 < margin < -0.99e-30
+    verdict = check_storage_criterion(traj)["c"]
+    assert (verdict.worst_margin, verdict.time_of_worst) == (margin, traj.times[2])
 
 
 def test_default_run_storage_verdicts(traj_default, case3bus):

@@ -203,7 +203,7 @@ def test_verify_identities_takes_a_period_that_divides_the_horizon(capsys, tmp_p
 )
 def test_sweep_period_is_the_nearest_that_divides_the_horizon(horizon, h, period):
     from phasorstab.cli import _sweep_period
-    from phasorstab.simulator import Scenario
+    from phasorstab.scenario import Scenario
 
     assert _sweep_period(Scenario(horizon, 0.01), h) == pytest.approx(period, rel=1e-12)
 
@@ -348,6 +348,14 @@ def _nan_setpoint(doc):
     doc["components"][0]["setpoints"] = {"P_e": math.nan, "Q_e": 0.0, "V_e": 1.0, "theta_e": 0.0}
 
 
+def _nan_load(doc):
+    doc["branches"][2]["p0"] = math.nan
+
+
+def _inf_newton_tol(doc):
+    doc["solver"]["newton_tol"] = math.inf
+
+
 def _inf_operating_angle(doc):
     doc["operating_point"]["bus3"]["theta"] = -math.inf
 
@@ -367,6 +375,8 @@ def _disturbance(**fields):
     [(_nan_mass, "parameter M must be positive and finite"),
      (_nan_reactance, "non-finite reactance nan"),
      (_nan_setpoint, "components[0].setpoints.P_e: expected a finite number, got nan"),
+     (_nan_load, "branches[2].p0: expected a finite number, got nan"),
+     (_inf_newton_tol, "solver: newton_tol must be positive and finite, got inf"),
      (_inf_operating_angle, "operating_point.bus3.theta: expected a finite number, got -inf"),
      (_nan_perturbation,
       "scenario.disturbances[0].delta.omega: expected a finite number, got nan"),
@@ -378,8 +388,8 @@ def _disturbance(**fields):
       "scenario.disturbances[2].factor: expected a finite number, got nan"),
      (_disturbance(kind="line_scale", line=0, factor=math.inf),
       "scenario.disturbances[2].factor: expected a finite number, got inf")],
-    ids=["component-nan", "reactance-nan", "setpoint-nan", "operating-angle-inf",
-         "perturbation-nan", "load-step-dp-nan", "load-step-dq-inf",
+    ids=["component-nan", "reactance-nan", "setpoint-nan", "load-nan", "newton-tol-inf",
+         "operating-angle-inf", "perturbation-nan", "load-step-dp-nan", "load-step-dq-inf",
          "line-factor-nan", "line-factor-inf"],
 )
 def test_non_finite_case_value_exits_one(capsys, tmp_path, edit, message):
@@ -598,6 +608,27 @@ def test_scenario_is_checked_before_the_equilibrium_solve(
     assert (code, err, solves) == (1, f"error: {message}\n", [])
     assert out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_overlapping_events_fail_before_the_equilibrium_solve(capsys, tmp_path, monkeypatch):
+    # two overlapping scales of line 0: each alone leaves a finite reactance,
+    # together they do not; the run is refused before any work
+    import phasorstab.cli as cli
+
+    monkeypatch.setattr(
+        cli, "solve_equilibrium", lambda *a: pytest.fail("solved before the plan")
+    )
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    doc["scenario"]["disturbances"] += [
+        {"at": at, "kind": "line_scale", "line": 0, "factor": 1e-300, "duration": 1.0}
+        for at in (0.5, 1.0)
+    ]
+    path = write_case(tmp_path, doc)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "simulate", path, "--horizon", "2", "--out", str(out_csv))
+    assert (code, out) == (1, "")
+    assert err == "error: line 'bus1'-'bus3' has non-finite reactance inf\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "case.json"]
 
 
 def test_convention_flag_changes_recorded_supply(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from phasorstab.cli import resolve_case_path
 from phasorstab.components import DroopComponent, VsgComponent
 from phasorstab.netfile import NetworkFileError, load_case, parse_case, parse_solver
-from phasorstab.simulator import SolverConfig, StatePerturbation
+from phasorstab.scenario import SolverConfig, StatePerturbation
 
 
 def minimal_doc(**overrides):
@@ -271,7 +271,7 @@ def test_bad_disturbance_duration_names_the_field(kind, duration, message):
 
 
 def test_scenario_names_a_bad_duration_and_its_value():
-    from phasorstab.simulator import LoadStep, Scenario, ScenarioError
+    from phasorstab.scenario import LoadStep, Scenario, ScenarioError
 
     with pytest.raises(
         ScenarioError, match=re.escape("disturbances[1].duration must be positive, got -0.5")

@@ -9,7 +9,7 @@ import pytest
 
 from phasorstab.components import VsgComponent
 from phasorstab.records import asdict, field, recordclass, replace
-from phasorstab.simulator import ScenarioError, SolverConfig
+from phasorstab.scenario import ScenarioError, SolverConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -19,16 +19,15 @@ from phasorstab.network import (
     power_injection,
 )
 from phasorstab.potential import eval_vp
-from phasorstab.simulator import (
+from phasorstab.scenario import (
     LineScale,
     LoadStep,
     Scenario,
     ScenarioError,
-    SimulationError,
     SolverConfig,
     StatePerturbation,
-    simulate,
 )
+from phasorstab.simulator import SimulationError, simulate
 
 from conftest import (
     float_path_cases,
@@ -472,12 +471,12 @@ def bits(values):
     return [float.hex(float(x)) for x in values]
 
 
-def run_steps(make, net, comps, y, v, th, h, steps, event=None):
+def run_steps(make, net, comps, y, v, th, h, steps, switched=None):
     """`steps` RK4 steps, on the engine `make` builds, from the state (y, V,
-    th), with `event` switching the network after the first step. Returns
-    every step's (y, dy, P, Q, V, theta, integrals) as bit patterns and then
-    the inner-solve counters, or then the message of the collapse that
-    stopped the run."""
+    th), switching the engine to the network `switched` after the first
+    step. Returns every step's (y, dy, P, Q, V, theta, integrals) as bit
+    patterns and then the inner-solve counters, or then the message of the
+    collapse that stopped the run."""
     engine = make(net, comps, SolverConfig())
     assert not isinstance(engine, simulator._ArrayEngine)
     y, V, th = engine.buffer(y), engine.buffer(v), engine.buffer(th)
@@ -488,9 +487,8 @@ def run_steps(make, net, comps, y, v, th, h, steps, event=None):
         engine.start_integrals(anchors, y, p, q)
         for step in range(steps):
             y, dy, p, q = engine.advance(y, dy, V, th, h, step)
-            if event is not None and step == 0:
-                engine.active_mods.append(event)
-                engine.rebuild_with_mods()
+            if switched is not None and step == 0:
+                engine.use_network(switched)
                 dy, p, q = engine.stage(y, V, th, h)
                 engine.prev = engine.endpoints(y, p, q)
             out.append([bits(x) for x in (y, dy, p, q, V, th, engine.shifted, [engine.unshifted])])
@@ -506,16 +504,17 @@ def test_generated_step_is_the_loop_reference_bitwise(case, h, data):
     # the generated stage and step against the loops they replace, with no
     # event, a line scale or (at the passive bus) a load step after step 1
     net, comps, y, v, th = case
-    events = [None]
+    networks = [None]
     if net.lines:
-        events.append(LineScale(at=h, line_index=data.draw(st.integers(0, len(net.lines) - 1)),
-                                factor=data.draw(st.floats(0.5, 2.0))))
+        networks.append(net.with_scaled_line(data.draw(st.integers(0, len(net.lines) - 1)),
+                                             data.draw(st.floats(0.5, 2.0))))
     if net.constant_power:
-        events.append(LoadStep(at=h, bus=net.constant_power[0].bus,
-                               dp=data.draw(st.floats(-0.2, 0.2)), dq=data.draw(st.floats(-0.2, 0.2))))
-    event = data.draw(st.sampled_from(events))
-    generated = run_steps(simulator._make_engine, net, comps, y, v, th, h, 20, event)
-    assert generated == run_steps(ReferenceEngine, net, comps, y, v, th, h, 20, event)
+        networks.append(net.with_load_delta(net.constant_power[0].bus,
+                                            data.draw(st.floats(-0.2, 0.2)),
+                                            data.draw(st.floats(-0.2, 0.2))))
+    switched = data.draw(st.sampled_from(networks))
+    generated = run_steps(simulator._make_engine, net, comps, y, v, th, h, 20, switched)
+    assert generated == run_steps(ReferenceEngine, net, comps, y, v, th, h, 20, switched)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0", None, np.int64(1)])
@@ -580,8 +579,7 @@ def test_generated_step_collapses_as_the_reference(case3bus, case3bus_solution, 
         if fault == "slope":
             dy[engine.terminals[1][2]] = -4000.0
         else:
-            engine.active_mods.append(LoadStep(at=0.0, bus="bus3", dp=50.0, dq=50.0))
-            engine.rebuild_with_mods()
+            engine.use_network(case3bus.net.with_load_delta("bus3", 50.0, 50.0))
         with pytest.raises(SimulationError) as exc:
             engine.advance(y, dy, V, T, 1e-3, 7)
         raised.append(str(exc.value))
