@@ -46,7 +46,7 @@ from .potential import (
     rectangle_contour_pair,
 )
 from .records import asdict, replace
-from .scenario import Scenario, ScenarioError, check_scenario, plan_run
+from .scenario import Scenario, ScenarioError, SolverConfig, check_scenario, plan_run
 from .simulator import SimulationError, simulate
 
 EXIT_OK = 0
@@ -112,22 +112,14 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     return back_solve_setpoints(case)
 
 
-def _operating_point(case: CaseDefinition) -> tuple[list[float], list[float]]:
-    """The case's operating point as (V, theta) lists in network order."""
-    op = case.operating_point
-    return [op[b][0] for b in case.net.non_ground], [op[b][1] for b in case.net.non_ground]
-
-
 def back_solve_setpoints(case: CaseDefinition) -> CaseDefinition:
     """Give every component without setpoints the ones back-solved from the
-    case's operating point, in place; returns the case."""
+    case's operating point, which :func:`parse_case` requires of such a
+    case; returns the case, changed in place."""
     missing = [cid for cid, c in case.components.items() if c.setpoints is None]
     if missing:
-        if case.operating_point is None:
-            raise InconsistentInput(
-                f"components {missing} lack setpoints and the file has no operating_point"
-            )
-        sol = solve_setpoints(case.net, case.components, *_operating_point(case))
+        op = case.operating_point
+        sol = solve_setpoints(case.net, case.components, op.V, op.theta)
         for cid in missing:
             case.components[cid] = case.components[cid].with_setpoints(
                 sol.setpoints[cid]
@@ -137,7 +129,8 @@ def back_solve_setpoints(case: CaseDefinition) -> CaseDefinition:
 
 def solve_case_equilibrium(case: CaseDefinition):
     """The case's equilibrium, from its operating point when it has one."""
-    guess = _operating_point(case) if case.operating_point is not None else ()
+    op = case.operating_point
+    guess = (op.V, op.theta) if op is not None else ()
     return solve_equilibrium(case.net, case.components, *guess)
 
 
@@ -172,13 +165,15 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
-def _planned_runs(case: CaseDefinition, args, what: str = "") -> list[tuple[float, Scenario]]:
-    """The runs of a transient command, each a step size and its scenario,
-    planned before any work. The case's scenario is required (`what` ends
-    the message if it is missing) and cut at ``--horizon`` when given. With
-    ``--h-sweep`` there is one run per sweep step, sampled at
-    :func:`_sweep_period`, whose grid errors name the step; otherwise one
-    run at the case's step."""
+def _planned_runs(
+    case: CaseDefinition, args, what: str = ""
+) -> list[tuple[SolverConfig, Scenario]]:
+    """The runs of a transient command, each a solver configuration and its
+    scenario, planned before any work. The case's scenario is required
+    (`what` ends the message if it is missing) and cut at ``--horizon`` when
+    given. With ``--h-sweep`` there is one run per sweep step, sampled at
+    :func:`_sweep_period`, whose errors name the step; otherwise one run
+    with the case's solver."""
     scenario = case.scenario
     if scenario is None:
         raise ScenarioError(f"case {case.name!r} declares no scenario{what}")
@@ -191,7 +186,7 @@ def _planned_runs(case: CaseDefinition, args, what: str = "") -> list[tuple[floa
         )
     if getattr(args, "h_sweep", None) is None:
         plan_run(case.net, case.components, scenario, case.solver.step_size)
-        return [(case.solver.step_size, scenario)]
+        return [(case.solver, scenario)]
     if scenario.network_events():
         raise ScenarioError(
             "identity verification requires a scenario without load or line events"
@@ -200,12 +195,13 @@ def _planned_runs(case: CaseDefinition, args, what: str = "") -> list[tuple[floa
     check_scenario(case.net, case.components, scenario)
     runs = []
     for h in steps:
-        run = replace(scenario, output_period=_sweep_period(scenario, h))
         try:
+            config = replace(case.solver, step_size=h)
+            run = replace(scenario, output_period=_sweep_period(scenario, h))
             plan_run(case.net, case.components, run, h)
         except ScenarioError as exc:
             raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
-        runs.append((h, run))
+        runs.append((config, run))
     return runs
 
 
@@ -242,16 +238,13 @@ def cmd_certify(args) -> int:
 
 
 def _step_sweep(text: str) -> list[float]:
-    """The step sizes of ``--h-sweep``, largest first: at least two,
-    positive and distinct. Each run's scenario checks its own grid."""
+    """The step sizes of ``--h-sweep``, largest first: at least two, and
+    distinct. Each run's solver checks its step, and its scenario its grid."""
     steps = [_number_option(s, "--h-sweep") for s in text.split(",")]
     if len(steps) < 2:
         raise ScenarioError("--h-sweep needs at least two step sizes")
     if len(set(steps)) < len(steps):
         raise ScenarioError(f"--h-sweep step sizes must be distinct, got {text!r}")
-    for h in steps:
-        if not h > 0.0:
-            raise ScenarioError(f"--h-sweep step sizes must be positive, got {h}")
     return sorted(steps, reverse=True)
 
 
@@ -274,9 +267,8 @@ def cmd_verify_identities(args) -> int:
     from .network import BusState, tellegen_sum
 
     rows = []
-    for h, run_scenario in runs:
-        solver = replace(case.solver, step_size=h)
-        traj = simulate(case.net, case.components, run_scenario, solver, sol)
+    for config, run_scenario in runs:
+        traj = simulate(case.net, case.components, run_scenario, config, sol)
         potential_res, divergence_res = identity_residuals(traj)
         # one Tellegen sum per sample, over the sample axis at once
         inj = {cid: (traj.P[cid], traj.Q[cid]) for cid in traj.component_ids()}
@@ -284,7 +276,7 @@ def cmd_verify_identities(args) -> int:
         tellegen = float(np.abs(tellegen_sum(case.net, state, inj)).max())
         rows.append(
             {
-                "h": h,
+                "h": config.step_size,
                 "potential_identity_residual": potential_res,
                 "divergence_identity_residual": divergence_res,
                 "tellegen_max": tellegen,

@@ -278,8 +278,8 @@ def solve_setpoints(
     n = net.n_nodes
     if len(V) != n or len(theta) != n:
         raise InconsistentInput("operating point has wrong length")
-    if any(val <= 0.0 for val in V):
-        raise InconsistentInput("operating point voltages must be positive")
+    op = BusState(V=V, theta=theta)  # raises for V <= 0
+    V, theta = op.V.tolist(), op.theta.tolist()
     p, q = (x.tolist() for x in power_injection(net, V, theta))
     setpoints: dict[str, Setpoints] = {}
     implied: dict[str, tuple[float, float]] = {}

@@ -20,6 +20,7 @@ from .components import Component, DroopComponent, Setpoints, SupplyConvention, 
 from .network import (
     Bus,
     BusKind,
+    BusState,
     ConstantPowerBranch,
     DynamicShunt,
     LosslessLine,
@@ -52,22 +53,32 @@ class CaseDefinition:
     name: str
     net: NetworkModel
     components: dict[str, Component]
-    operating_point: dict[str, tuple[float, float]] | None  # bus -> (V, theta)
+    operating_point: BusState | None
     scenario: Scenario | None
     solver: SolverConfig
     source: str = "<memory>"
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise NetworkFileError(f"{where}: expected an object")
+    return value
+
+
+def _array(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise NetworkFileError(f"{where}: expected an array")
+    return value
+
+
+def _require(obj: Any, key: str, where: str) -> Any:
+    if key not in _object(obj, where):
         raise NetworkFileError(f"{where}: missing required field {key!r}")
     return obj[key]
 
 
 def _check_fields(obj: Any, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise NetworkFileError(f"{where}: expected an object")
-    unknown = set(obj) - allowed
+    unknown = set(_object(obj, where)) - allowed
     if unknown:
         raise NetworkFileError(f"{where}: unknown field(s) {sorted(unknown)}")
 
@@ -79,21 +90,16 @@ def _number(value: Any, where: str) -> float:
 
 def _finite(value: Any, where: str) -> float:
     """A number that must also be finite: JSON as Python reads it accepts
-    NaN and Infinity, and no later check catches them in these fields."""
+    NaN and Infinity, and no record checks them in these fields."""
     number = _number(value, where)
     if not math.isfinite(number):
         raise NetworkFileError(f"{where}: expected a finite number, got {value!r}")
     return number
 
 
-def _duration(entry: dict, where: str) -> float | None:
-    """A network event's optional ``duration``: finite and positive."""
-    if "duration" not in entry:
-        return None
-    duration = _finite(entry["duration"], f"{where}.duration")
-    if not duration > 0.0:
-        raise NetworkFileError(f"{where}.duration: must be positive, got {duration!r}")
-    return duration
+def _numbers(raw: Any, where: str) -> dict[str, float]:
+    """An object of numbers, by name."""
+    return {key: _number(value, f"{where}.{key}") for key, value in _object(raw, where).items()}
 
 
 def _integer(value: Any, where: str) -> int:
@@ -126,11 +132,9 @@ def _parse_buses(raw: Any) -> list[Bus]:
 def _parse_branches(
     raw: Any, ground_id: str
 ) -> tuple[list[LosslessLine], list[ConstantPowerBranch]]:
-    if not isinstance(raw, list):
-        raise NetworkFileError("branches: expected an array")
     lines: list[LosslessLine] = []
     cps: list[ConstantPowerBranch] = []
-    for idx, entry in enumerate(raw):
+    for idx, entry in enumerate(_array(raw, "branches")):
         where = f"branches[{idx}]"
         kind = _require(entry, "kind", where)
         if kind == "line":
@@ -174,15 +178,10 @@ def _parse_branches(
 _MODELS = {"vsg": VsgComponent, "droop": DroopComponent}
 
 
-def _parse_components(
-    raw: Any,
-) -> tuple[list[DynamicShunt], dict[str, Component], bool]:
-    if not isinstance(raw, list):
-        raise NetworkFileError("components: expected an array")
+def _parse_components(raw: Any) -> tuple[list[DynamicShunt], dict[str, Component]]:
     shunts: list[DynamicShunt] = []
     comps: dict[str, Component] = {}
-    all_have_setpoints = True
-    for idx, entry in enumerate(raw):
+    for idx, entry in enumerate(_array(raw, "components")):
         where = f"components[{idx}]"
         _check_fields(entry, {"id", "bus", "model", "params", "setpoints"}, where)
         model = _require(entry, "model", where)
@@ -199,7 +198,7 @@ def _parse_components(
         missing = expected - set(params)
         if missing:
             raise NetworkFileError(f"{where}.params: missing {sorted(missing)}")
-        values = {k: _number(v, f"{where}.params.{k}") for k, v in params.items()}
+        values = _numbers(params, f"{where}.params")
         setpoints = None
         if "setpoints" in entry:
             sp_where = f"{where}.setpoints"
@@ -208,22 +207,19 @@ def _parse_components(
                 name: _finite(_require(entry["setpoints"], name, sp_where), f"{sp_where}.{name}")
                 for name in ("P_e", "Q_e", "V_e", "theta_e")
             })
-        else:
-            all_have_setpoints = False
         try:
             comp = cls(id=cid, bus=bus, setpoints=setpoints, **values)
         except ValueError as exc:
             raise NetworkFileError(f"{where}: {exc}") from exc
-        if cid in comps:
-            raise NetworkFileError(f"{where}: duplicate component id {cid!r}")
         comps[cid] = comp
         shunts.append(DynamicShunt(bus=bus, component_id=cid))
-    return shunts, comps, all_have_setpoints
+    return shunts, comps
 
 
 def _parse_disturbance(entry: Any, where: str):
     kind = _require(entry, "kind", where)
     at = _number(_require(entry, "at", where), f"{where}.at")
+    duration = _number(entry["duration"], f"{where}.duration") if "duration" in entry else None
     if kind == "state_perturbation":
         _check_fields(entry, {"at", "kind", "component", "delta"}, where)
         delta = _require(entry, "delta", where)
@@ -232,24 +228,24 @@ def _parse_disturbance(entry: Any, where: str):
         return StatePerturbation(
             at=at,
             component=str(_require(entry, "component", where)),
-            delta={str(k): _finite(v, f"{where}.delta.{k}") for k, v in delta.items()},
+            delta=_numbers(delta, f"{where}.delta"),
         )
     if kind == "load_step":
         _check_fields(entry, {"at", "kind", "bus", "dp", "dq", "duration"}, where)
         return LoadStep(
             at=at,
             bus=str(_require(entry, "bus", where)),
-            dp=_finite(_require(entry, "dp", where), f"{where}.dp"),
-            dq=_finite(_require(entry, "dq", where), f"{where}.dq"),
-            duration=_duration(entry, where),
+            dp=_number(_require(entry, "dp", where), f"{where}.dp"),
+            dq=_number(_require(entry, "dq", where), f"{where}.dq"),
+            duration=duration,
         )
     if kind == "line_scale":
         _check_fields(entry, {"at", "kind", "line", "factor", "duration"}, where)
         return LineScale(
             at=at,
             line_index=_integer(_require(entry, "line", where), f"{where}.line"),
-            factor=_finite(_require(entry, "factor", where), f"{where}.factor"),
-            duration=_duration(entry, where),
+            factor=_number(_require(entry, "factor", where), f"{where}.factor"),
+            duration=duration,
         )
     raise NetworkFileError(
         f"{where}: unknown disturbance kind {kind!r} "
@@ -264,16 +260,22 @@ def _parse_scenario(raw: Any) -> Scenario:
         {"horizon", "output_period", "initial", "explicit_states", "disturbances"},
         where,
     )
+    path = f"{where}.disturbances"
     disturbances = [
-        _parse_disturbance(entry, f"{where}.disturbances[{i}]")
-        for i, entry in enumerate(raw.get("disturbances", []))
+        _parse_disturbance(entry, f"{path}[{i}]")
+        for i, entry in enumerate(_array(raw.get("disturbances", []), path))
     ]
+    path = f"{where}.explicit_states"
+    explicit_states = {
+        cid: _numbers(states, f"{path}.{cid}")
+        for cid, states in _object(raw["explicit_states"], path).items()
+    } if "explicit_states" in raw else None
     try:
         return Scenario(
             horizon=_number(_require(raw, "horizon", where), f"{where}.horizon"),
             output_period=_number(raw.get("output_period", 0.01), f"{where}.output_period"),
             initial=str(raw.get("initial", "equilibrium")),
-            explicit_states=raw.get("explicit_states"),
+            explicit_states=explicit_states,
             disturbances=disturbances,
         )
     except ValueError as exc:
@@ -326,18 +328,7 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
             f"buses: exactly one ground bus required, found {len(ground)}"
         )
     lines, cps = _parse_branches(_require(doc, "branches", "document"), ground[0].id)
-    shunts, comps, setpoints_declared = _parse_components(doc.get("components", []))
-
-    comp_buses = {s.bus for s in shunts}
-    for bus in buses:
-        if bus.id in comp_buses and bus.kind is not BusKind.DYNAMIC:
-            raise NetworkFileError(
-                f"bus {bus.id!r} carries a component but is declared {bus.kind.value!r}"
-            )
-        if bus.id not in comp_buses and bus.kind is BusKind.DYNAMIC:
-            raise NetworkFileError(
-                f"bus {bus.id!r} is declared dynamic but no component sits on it"
-            )
+    shunts, comps = _parse_components(doc.get("components", []))
     try:
         net = NetworkModel(buses, lines, cps, shunts)
     except NetworkError as exc:
@@ -345,25 +336,29 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
 
     operating_point = None
     if "operating_point" in doc:
-        raw_op = doc["operating_point"]
-        if not isinstance(raw_op, dict):
-            raise NetworkFileError("operating_point: expected an object")
-        operating_point = {}
-        for bus_id, entry in raw_op.items():
+        points = {}
+        for bus_id, entry in _object(doc["operating_point"], "operating_point").items():
             where = f"operating_point.{bus_id}"
             if bus_id not in net.node_index:
                 raise NetworkFileError(f"{where}: unknown non-ground bus")
             _check_fields(entry, {"V", "theta"}, where)
-            operating_point[bus_id] = (
+            points[bus_id] = (
                 _finite(_require(entry, "V", where), f"{where}.V"),
                 _finite(_require(entry, "theta", where), f"{where}.theta"),
             )
-        missing = set(net.non_ground) - set(operating_point)
+        missing = set(net.non_ground) - set(points)
         if missing:
             raise NetworkFileError(
                 f"operating_point: missing bus(es) {sorted(missing)}"
             )
-    if not setpoints_declared and operating_point is None and comps:
+        try:
+            operating_point = BusState(
+                V=[points[b][0] for b in net.non_ground],
+                theta=[points[b][1] for b in net.non_ground],
+            )
+        except ValueError as exc:
+            raise NetworkFileError(f"operating_point: {exc}") from exc
+    if operating_point is None and any(c.setpoints is None for c in comps.values()):
         raise NetworkFileError(
             "components without setpoints require an operating_point to back-solve"
         )

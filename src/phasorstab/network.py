@@ -263,8 +263,6 @@ class NetworkModel:
         for shunt in self.dynamic_shunts:
             neighbors[shunt.bus].add(ground)
             neighbors[ground].add(shunt.bus)
-        if not self.buses:
-            raise NetworkError("network has no buses")
         stack = [self.buses[0].id]
         seen = {self.buses[0].id}
         while stack:
@@ -280,10 +278,8 @@ class NetworkModel:
 
     @property
     def ground_id(self) -> str:
-        for b in self.buses:
-            if b.kind is BusKind.GROUND:
-                return b.id
-        raise NetworkError("no ground bus")
+        # _validate_ids has found exactly one
+        return next(b.id for b in self.buses if b.kind is BusKind.GROUND)
 
     @property
     def n_nodes(self) -> int:

@@ -74,24 +74,27 @@ class Scenario:
             raise ScenarioError(f"unknown initial condition source {self.initial!r}")
         if self.initial == "explicit" and not self.explicit_states:
             raise ScenarioError("explicit initial condition requires explicit_states")
+        # (where, values by name) of every value that must be finite
+        finite = [(f"explicit_states.{cid}", v) for cid, v in (self.explicit_states or {}).items()]
         for i, d in enumerate(self.disturbances):
             where = f"disturbances[{i}]"
             if not 0.0 <= d.at <= self.horizon:
                 raise ScenarioError(f"disturbance time {d.at} outside horizon [0, {self.horizon}]")
             if isinstance(d, StatePerturbation):
-                values = {f"delta.{label}": v for label, v in d.delta.items()}
+                finite.append((f"{where}.delta", d.delta))
             elif isinstance(d, LoadStep):
-                values = {"dp": d.dp, "dq": d.dq}
+                finite.append((where, {"dp": d.dp, "dq": d.dq}))
             else:
-                values = {"factor": d.factor}
-            for name, value in values.items():
-                if not math.isfinite(value):
-                    raise ScenarioError(f"{where}.{name} must be finite, got {value}")
+                finite.append((where, {"factor": d.factor}))
             if isinstance(d, LineScale) and d.factor <= 0.0:
                 raise ScenarioError(f"line scale factor must be positive, got {d.factor}")
             duration = getattr(d, "duration", None)
             if duration is not None and not 0.0 < duration < math.inf:
-                raise ScenarioError(f"{where}.duration must be positive, got {duration}")
+                raise ScenarioError(f"{where}.duration must be positive and finite, got {duration}")
+        for where, values in finite:
+            for name, value in values.items():
+                if not math.isfinite(value):
+                    raise ScenarioError(f"{where}.{name} must be finite, got {value}")
 
     def network_events(self) -> bool:
         return any(isinstance(d, (LoadStep, LineScale)) for d in self.disturbances)
@@ -118,30 +121,38 @@ def check_scenario(
     net: NetworkModel, components: dict[str, Component], scenario: Scenario
 ) -> None:
     """Check a scenario's explicit states and state perturbations against
-    the network's components: the checks that no step size changes."""
-    comp_ids = {s.component_id for s in net.dynamic_shunts}
-    if scenario.initial == "explicit":
-        for s in net.dynamic_shunts:
-            given = scenario.explicit_states.get(s.component_id)
-            if given is None:
-                raise ScenarioError(f"explicit initial state missing for {s.component_id!r}")
-            for label in components[s.component_id].state_labels:
-                if label not in given:
-                    raise ScenarioError(
-                        f"explicit state for {s.component_id!r} missing field {label!r}"
-                    )
-    for d in scenario.disturbances:
-        if isinstance(d, StatePerturbation):
-            if d.component not in comp_ids:
-                raise ScenarioError(f"unknown component {d.component!r}")
-            labels = components[d.component].state_labels
-            for label in d.delta:
-                if label not in labels:
-                    raise ScenarioError(f"component {d.component!r} has no state {label!r}")
+    the network's components: the checks that no step size changes. Each
+    names only components and their states; explicit states hold a
+    positive ``v``, and with ``initial="explicit"`` cover every component."""
+    comp_ids = [s.component_id for s in net.dynamic_shunts]
+    states = scenario.explicit_states or {}
+    missing = [cid for cid in comp_ids if cid not in states]
+    if scenario.initial == "explicit" and missing:
+        raise ScenarioError(f"explicit_states: missing component(s) {missing}")
+    named = [(f"explicit_states.{cid}", cid, given) for cid, given in states.items()]
+    named += [
+        (f"disturbances[{i}]", d.component, d.delta)
+        for i, d in enumerate(scenario.disturbances)
+        if isinstance(d, StatePerturbation)
+    ]
+    for where, cid, given in named:
+        if cid not in comp_ids:
+            raise ScenarioError(f"{where}: unknown component {cid!r}")
+        for label in given:
+            if label not in components[cid].state_labels:
+                raise ScenarioError(f"{where}: component {cid!r} has no state {label!r}")
+    for cid, given in states.items():
+        missing = [label for label in components[cid].state_labels if label not in given]
+        if scenario.initial == "explicit" and missing:
+            raise ScenarioError(f"explicit_states.{cid}: missing state(s) {missing}")
+        if not given.get("v", 1.0) > 0.0:
+            raise ScenarioError(f"explicit_states.{cid}.v must be positive, got {given['v']}")
 
 
 def _snap_to_grid(value: float, h: float, what: str) -> int:
-    steps = round(value / h)
+    ratio = value / h
+    # a ratio past the float range is no step count; 0 then fails the check
+    steps = round(ratio) if math.isfinite(ratio) else 0
     if abs(value - steps * h) > GRID_ALIGN_TOL:
         raise ScenarioError(f"{what} = {value} does not align with the step grid (h = {h})")
     return steps

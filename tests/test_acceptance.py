@@ -87,19 +87,12 @@ def fitted_slope(rows, column):
 
 
 def test_criterion_01_equilibrium_reproduction(case3bus):
-    guess_v = np.array([case3bus.operating_point[b][0] for b in case3bus.net.non_ground])
-    guess_t = np.array([case3bus.operating_point[b][1] for b in case3bus.net.non_ground])
+    op = case3bus.operating_point
     start = time.perf_counter()
-    sol = solve_equilibrium(case3bus.net, case3bus.components, guess_v, guess_t)
+    sol = solve_equilibrium(case3bus.net, case3bus.components, op.V, op.theta)
     elapsed = time.perf_counter() - start
-    v_ok = all(
-        abs(sol.state.V[i] - case3bus.operating_point[b][0]) <= 5e-3
-        for i, b in enumerate(case3bus.net.non_ground)
-    )
-    t_ok = all(
-        abs(sol.state.theta[i] - case3bus.operating_point[b][1]) <= 5e-4
-        for i, b in enumerate(case3bus.net.non_ground)
-    )
+    v_ok = bool(np.all(np.abs(sol.state.V - op.V) <= 5e-3))
+    t_ok = bool(np.all(np.abs(sol.state.theta - op.theta) <= 5e-4))
     ok = v_ok and t_ok and sol.residual_norm <= 1e-10 and elapsed < 1.0
     report(
         1, ok,
@@ -112,9 +105,8 @@ def test_criterion_01_equilibrium_reproduction(case3bus):
 
 
 def test_criterion_02_operating_point_load_consistency(case3bus):
-    v = [case3bus.operating_point[b][0] for b in case3bus.net.non_ground]
-    th = [case3bus.operating_point[b][1] for b in case3bus.net.non_ground]
-    p, q = power_injection(case3bus.net, v, th)
+    op = case3bus.operating_point
+    p, q = power_injection(case3bus.net, op.V, op.theta)
     load = case3bus.net.node_index["bus3"]
     ok = abs(p[load] - (-0.03)) <= 0.01 and abs(q[load] - (-0.55)) <= 0.01
     report(2, ok, f"bus3 injection ({p[load]:.6f}, {q[load]:.6f}) vs (-0.03, -0.55)")

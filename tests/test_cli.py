@@ -378,16 +378,15 @@ def _disturbance(**fields):
      (_nan_load, "branches[2].p0: expected a finite number, got nan"),
      (_inf_newton_tol, "solver: newton_tol must be positive and finite, got inf"),
      (_inf_operating_angle, "operating_point.bus3.theta: expected a finite number, got -inf"),
-     (_nan_perturbation,
-      "scenario.disturbances[0].delta.omega: expected a finite number, got nan"),
+     (_nan_perturbation, "scenario: disturbances[0].delta.omega must be finite, got nan"),
      (_disturbance(kind="load_step", bus="bus3", dp=math.nan, dq=0.0),
-      "scenario.disturbances[2].dp: expected a finite number, got nan"),
+      "scenario: disturbances[2].dp must be finite, got nan"),
      (_disturbance(kind="load_step", bus="bus3", dp=0.0, dq=-math.inf),
-      "scenario.disturbances[2].dq: expected a finite number, got -inf"),
+      "scenario: disturbances[2].dq must be finite, got -inf"),
      (_disturbance(kind="line_scale", line=0, factor=math.nan),
-      "scenario.disturbances[2].factor: expected a finite number, got nan"),
+      "scenario: disturbances[2].factor must be finite, got nan"),
      (_disturbance(kind="line_scale", line=0, factor=math.inf),
-      "scenario.disturbances[2].factor: expected a finite number, got inf")],
+      "scenario: disturbances[2].factor must be finite, got inf")],
     ids=["component-nan", "reactance-nan", "setpoint-nan", "load-nan", "newton-tol-inf",
          "operating-angle-inf", "perturbation-nan", "load-step-dp-nan", "load-step-dq-inf",
          "line-factor-nan", "line-factor-inf"],
@@ -406,14 +405,11 @@ def test_non_finite_case_value_exits_one(capsys, tmp_path, edit, message):
 
 @pytest.mark.parametrize("kind", ["load_step", "line_scale"])
 @pytest.mark.parametrize(
-    "duration, message",
-    [(math.inf, "expected a finite number, got inf"),
-     (math.nan, "expected a finite number, got nan"),
-     (0, "must be positive, got 0.0"),
-     (-1, "must be positive, got -1.0")],
+    "duration, shown",
+    [(math.inf, "inf"), (math.nan, "nan"), (0, "0.0"), (-1, "-1.0")],
     ids=["infinity", "nan", "zero", "negative"],
 )
-def test_bad_disturbance_duration_exits_one(capsys, tmp_path, kind, duration, message):
+def test_bad_disturbance_duration_exits_one(capsys, tmp_path, kind, duration, shown):
     from phasorstab.cli import resolve_case_path
 
     doc = json.loads(open(resolve_case_path("case3bus")).read())
@@ -426,7 +422,9 @@ def test_bad_disturbance_duration_exits_one(capsys, tmp_path, kind, duration, me
     out_csv = tmp_path / "out.csv"
     code, out, err = run_cli(capsys, "simulate", path, "--horizon", "1", "--out", str(out_csv))
     assert code == 1
-    assert err == f"error: scenario.disturbances[2].duration: {message}\n"
+    assert err == (
+        f"error: scenario: disturbances[2].duration must be positive and finite, got {shown}\n"
+    )
     assert not out_csv.exists()
 
 
@@ -463,7 +461,7 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
         (["verify-identities", "case3bus", "--horizon", "x"], "--horizon expects"),
         (["verify-identities", "case3bus", "--h-sweep", "2e-3,1e-3,"], "--h-sweep expects"),
         (["verify-identities", "case3bus", "--h-sweep", "2e-3,2e-3"], "--h-sweep step sizes must be distinct"),
-        (["verify-identities", "case3bus", "--h-sweep", "2e-3,-1e-3"], "--h-sweep step sizes must be positive"),
+        (["verify-identities", "case3bus", "--h-sweep", "2e-3,-1e-3"], "--h-sweep step -0.001: step size must be positive"),
         (["verify-identities", "case3bus", "--h-sweep", "4e-3,2e-3,1.5e-3", "--horizon", "2"],
          "--h-sweep step 0.0015: horizon = 2.0 does not align"),
         (["--tol", "nan", "certify", "case3bus", "--with-trajectory"], "--tol expects a finite"),
@@ -559,6 +557,8 @@ CERTIFY_TRAJECTORY = ["certify", "--with-trajectory"]
 VERIFY = ["verify-identities", "--horizon", "0.2"]
 SIMULATE = ["simulate"]
 NO_SCENARIO = "case 'case3bus' declares no scenario"
+GHOST = "disturbances[0]: unknown component 'ghost'"
+PSI = "disturbances[0]: component 'vsg1' has no state 'psi'"
 
 
 @pytest.mark.parametrize(
@@ -566,15 +566,15 @@ NO_SCENARIO = "case 'case3bus' declares no scenario"
     [
         (CERTIFY_TRAJECTORY, "no-scenario", NO_SCENARIO + " for --with-trajectory"),
         (VERIFY, "no-scenario", NO_SCENARIO),
-        (CERTIFY_TRAJECTORY, "unknown-component", "unknown component 'ghost'"),
-        (VERIFY, "unknown-component", "unknown component 'ghost'"),
-        (CERTIFY_TRAJECTORY, "unknown-state", "component 'vsg1' has no state 'psi'"),
-        (VERIFY, "unknown-state", "component 'vsg1' has no state 'psi'"),
+        (CERTIFY_TRAJECTORY, "unknown-component", GHOST),
+        (VERIFY, "unknown-component", GHOST),
+        (CERTIFY_TRAJECTORY, "unknown-state", PSI),
+        (VERIFY, "unknown-state", PSI),
         (CERTIFY_TRAJECTORY, "load-step-without-load",
          "load step at bus 'bus1' with no constant-power branch"),
         (CERTIFY_TRAJECTORY, "line-index", "line index 5 out of range"),
         (SIMULATE, "no-scenario", NO_SCENARIO),
-        (SIMULATE, "unknown-component", "unknown component 'ghost'"),
+        (SIMULATE, "unknown-component", GHOST),
         (SIMULATE, "line-index", "line index 5 out of range"),
     ],
     ids=["certify-no-scenario", "verify-no-scenario", "certify-unknown-component",
@@ -673,3 +673,83 @@ def test_benchmark_tracer_bindings_resolve():
             assert hasattr(owner, name), binding
             owner = getattr(owner, name)
         assert callable(owner), binding
+
+
+def _explicit_states(doc):
+    doc["scenario"].update(initial="explicit", explicit_states={
+        "vsg1": {"theta": 0.0, "omega": 0.0, "v": 1.0},
+        "droop2": {"theta": 0.001, "v": 0.97},
+    })
+    return doc["scenario"]["explicit_states"]
+
+
+def _declared_setpoints(doc):
+    # the setpoints the shipped operating point back-solves to
+    doc["components"][0]["setpoints"] = {
+        "P_e": 0.0118749955468755, "Q_e": 0.41667557291499757, "V_e": 1.0, "theta_e": 0.0}
+    doc["components"][1]["setpoints"] = {
+        "P_e": 0.019197896668843056, "Q_e": 0.16169066405000154, "V_e": 0.97,
+        "theta_e": 0.001}
+
+
+def _negative_bus3_voltage(doc):
+    _declared_setpoints(doc)
+    doc["operating_point"]["bus3"]["V"] = -0.95
+
+
+def _misspelt_explicit_label(doc):
+    vsg = _explicit_states(doc)["vsg1"]
+    vsg["omgea"] = vsg.pop("omega")
+
+
+OP_VOLTAGE = "operating_point: bus voltage magnitudes must be positive"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda d: d["branches"].append(3), "branches[3]: expected an object"),
+     (lambda d: d["scenario"]["disturbances"].__setitem__(0, None),
+      "scenario.disturbances[0]: expected an object"),
+     (lambda d: d["scenario"].update(disturbances={"kind": "load_step"}),
+      "scenario.disturbances: expected an array"),
+     (lambda d: _explicit_states(d) and d["scenario"].update(explicit_states=[{"v": 1.0}]),
+      "scenario.explicit_states: expected an object"),
+     (lambda d: _explicit_states(d).update(vsg1=[0.0, 0.0, 1.0]),
+      "scenario.explicit_states.vsg1: expected an object"),
+     (lambda d: _explicit_states(d)["vsg1"].update(omega="0.1"),
+      "scenario.explicit_states.vsg1.omega: expected a number, got '0.1'"),
+     (lambda d: _explicit_states(d)["vsg1"].update(omega=math.nan),
+      "scenario: explicit_states.vsg1.omega must be finite, got nan"),
+     (lambda d: _explicit_states(d)["vsg1"].update(v=-1),
+      "explicit_states.vsg1.v must be positive, got -1.0"),
+     (_misspelt_explicit_label,
+      "explicit_states.vsg1: component 'vsg1' has no state 'omgea'"),
+     (lambda d: _explicit_states(d).update(ghost={"v": 1.0}),
+      "explicit_states.ghost: unknown component 'ghost'"),
+     (lambda d: _explicit_states(d)["droop2"].pop("v"),
+      "explicit_states.droop2: missing state(s) ['v']"),
+     (lambda d: _explicit_states(d).pop("droop2"),
+      "explicit_states: missing component(s) ['droop2']"),
+     (lambda d: d["operating_point"]["bus3"].update(V=0), OP_VOLTAGE),
+     (_negative_bus3_voltage, OP_VOLTAGE)],
+    ids=["branch-number", "disturbance-null", "disturbances-object", "explicit-list",
+         "explicit-entry-list", "explicit-string", "explicit-nan", "explicit-negative-v",
+         "explicit-misspelt-label", "explicit-unknown-id", "explicit-missing-state",
+         "explicit-missing-component", "op-voltage-zero-back-solved",
+         "op-voltage-negative-declared-setpoints"],
+)
+def test_malformed_case_fails_before_the_equilibrium_solve(
+    capsys, tmp_path, monkeypatch, edit, message
+):
+    import phasorstab.cli as cli
+
+    monkeypatch.setattr(
+        cli, "solve_case_equilibrium", lambda case: pytest.fail("solved a malformed case")
+    )
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    edit(doc)
+    path = write_case(tmp_path, doc)
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "simulate", path, "--horizon", "0.05", "--out", str(out_csv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_csv.exists()

@@ -64,10 +64,9 @@ def test_flat_no_load_case_needs_no_correction():
 
 def test_case_equilibrium_matches_operating_point(case3bus, case3bus_solution):
     sol = case3bus_solution
-    for i, bus in enumerate(case3bus.net.non_ground):
-        v_ref, th_ref = case3bus.operating_point[bus]
-        assert sol.state.V[i] == pytest.approx(v_ref, abs=5e-3)
-        assert sol.state.theta[i] == pytest.approx(th_ref, abs=5e-4)
+    op = case3bus.operating_point
+    assert sol.state.V == pytest.approx(op.V, abs=5e-3)
+    assert sol.state.theta == pytest.approx(op.theta, abs=5e-4)
     assert sol.residual_norm <= 1e-10
     assert not sol.pinned_reference  # the droop anchors the angle frame
 
@@ -76,9 +75,8 @@ def test_round_trip_with_implied_loads(case3bus):
     # swapping the declared load for the implied one makes the operating
     # point an exact equilibrium, so the round trip reproduces it
     net = case3bus.net
-    v = [case3bus.operating_point[b][0] for b in net.non_ground]
-    th = [case3bus.operating_point[b][1] for b in net.non_ground]
-    sp = solve_setpoints(net, case3bus.components, v, th)
+    op = case3bus.operating_point
+    sp = solve_setpoints(net, case3bus.components, op.V, op.theta)
     p_imp, q_imp = sp.implied_loads["bus3"]
     consistent = NetworkModel(
         buses=list(net.buses),
@@ -91,19 +89,16 @@ def test_round_trip_with_implied_loads(case3bus):
         for cid in case3bus.components
     }
     sol = solve_equilibrium(consistent, comps)
-    for i, bus in enumerate(net.non_ground):
-        assert sol.state.V[i] == pytest.approx(v[i], abs=1e-9)
-        assert sol.state.theta[i] == pytest.approx(th[i], abs=1e-9)
+    assert sol.state.V == pytest.approx(op.V, abs=1e-9)
+    assert sol.state.theta == pytest.approx(op.theta, abs=1e-9)
     assert sol.residual_norm <= 1e-10
 
 
 def test_back_solved_setpoints_frozen_values(case3bus):
     # values recorded from the closed-form injection oracle at the shipped
     # operating point, frozen as regression anchors
-    net = case3bus.net
-    v = [case3bus.operating_point[b][0] for b in net.non_ground]
-    th = [case3bus.operating_point[b][1] for b in net.non_ground]
-    sp = solve_setpoints(net, case3bus.components, v, th)
+    op = case3bus.operating_point
+    sp = solve_setpoints(case3bus.net, case3bus.components, op.V, op.theta)
     vsg = sp.setpoints["vsg1"]
     assert vsg.P_e == pytest.approx(0.0118749955468755, abs=1e-12)
     assert vsg.Q_e == pytest.approx(0.41667557291499757, abs=1e-12)
@@ -125,11 +120,11 @@ def test_setpoints_of_flat_unloaded_network(vsg_pair):
 
 
 def test_setpoints_reject_infeasible_operating_point(case3bus):
-    v = [case3bus.operating_point[b][0] for b in case3bus.net.non_ground]
-    th = [case3bus.operating_point[b][1] for b in case3bus.net.non_ground]
+    op = case3bus.operating_point
+    v = op.V.copy()
     v[2] += 0.1  # violates the declared load balance by ~1.6 pu
     with pytest.raises(InconsistentInput, match="constant-power balance"):
-        solve_setpoints(case3bus.net, case3bus.components, v, th)
+        solve_setpoints(case3bus.net, case3bus.components, v, op.theta)
 
 
 def test_inconsistent_power_setpoints_reported(vsg_pair):

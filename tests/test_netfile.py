@@ -1,14 +1,19 @@
 """Network description files: schema validation and assembly."""
 
+import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasorstab.cli import resolve_case_path
 from phasorstab.components import DroopComponent, VsgComponent
+from phasorstab.equilibrium import InconsistentInput
 from phasorstab.netfile import NetworkFileError, load_case, parse_case, parse_solver
-from phasorstab.scenario import SolverConfig, StatePerturbation
+from phasorstab.network import BusState, NetworkError
+from phasorstab.scenario import ScenarioError, SolverConfig, StatePerturbation, plan_run
 
 
 def minimal_doc(**overrides):
@@ -46,7 +51,9 @@ def test_packaged_case_parses(case3bus):
     kinds = [type(d) for d in case3bus.scenario.disturbances]
     assert kinds == [StatePerturbation, StatePerturbation]
     assert case3bus.solver.step_size == 1e-3
-    assert case3bus.operating_point["bus2"] == (0.97, 0.001)
+    op = case3bus.operating_point
+    assert isinstance(op, BusState)
+    assert (op.V.tolist(), op.theta.tolist()) == ([1.0, 0.97, 0.95], [0.0, 0.001, -0.0015])
 
 
 def test_unknown_field_rejected_with_location():
@@ -90,15 +97,17 @@ def test_component_on_non_dynamic_bus_rejected():
     doc = minimal_doc()
     doc["buses"][0]["kind"] = "passive"
     doc["components"][0]["bus"] = "b"
-    with pytest.raises(NetworkFileError, match="declared 'passive'"):
+    with pytest.raises(NetworkFileError) as info:
         parse_case(doc)
+    assert str(info.value) == "dynamic shunt 'v1' must sit on a dynamic bus"
 
 
 def test_dynamic_bus_without_component_rejected():
     doc = minimal_doc()
     doc["buses"][1]["kind"] = "dynamic"
-    with pytest.raises(NetworkFileError, match="no component sits on it"):
+    with pytest.raises(NetworkFileError) as info:
         parse_case(doc)
+    assert str(info.value) == "dynamic bus(es) without a component: ['b']"
 
 
 def test_missing_setpoints_require_operating_point():
@@ -135,8 +144,9 @@ def test_duplicate_component_id_rejected():
     comp2 = dict(doc["components"][0])
     comp2["bus"] = "a2"
     doc["components"].append(comp2)
-    with pytest.raises(NetworkFileError, match="duplicate component id"):
+    with pytest.raises(NetworkFileError) as info:
         parse_case(doc)
+    assert str(info.value) == "duplicate dynamic component id 'v1'"
 
 
 VSG_PARAMS = {"M": 0.1, "Dp": 0.2, "Dq": 0.3, "tau_q": 0.4}
@@ -249,14 +259,11 @@ def test_setpoint_type_error_names_the_field():
 
 @pytest.mark.parametrize("kind", ["load_step", "line_scale"])
 @pytest.mark.parametrize(
-    "duration, message",
-    [(math.inf, "expected a finite number, got inf"),
-     (math.nan, "expected a finite number, got nan"),
-     (0, "must be positive, got 0.0"),
-     (-1, "must be positive, got -1.0")],
+    "duration, shown",
+    [(math.inf, "inf"), (math.nan, "nan"), (0, "0.0"), (-1, "-1.0")],
     ids=["infinity", "nan", "zero", "negative"],
 )
-def test_bad_disturbance_duration_names_the_field(kind, duration, message):
+def test_bad_disturbance_duration_names_the_field(kind, duration, shown):
     doc = minimal_doc()
     fields = {"bus": "b", "dp": 0.1, "dq": 0.0} if kind == "load_step" else {
         "line": 0, "factor": 0.5}
@@ -264,17 +271,19 @@ def test_bad_disturbance_duration_names_the_field(kind, duration, message):
         "horizon": 1.0,
         "disturbances": [{"at": 0.1, "kind": kind, **fields, "duration": duration}],
     }
-    with pytest.raises(
-        NetworkFileError, match=re.escape(f"scenario.disturbances[0].duration: {message}")
-    ):
+    with pytest.raises(NetworkFileError) as info:
         parse_case(doc)
+    assert str(info.value) == (
+        f"scenario: disturbances[0].duration must be positive and finite, got {shown}"
+    )
 
 
 def test_scenario_names_a_bad_duration_and_its_value():
     from phasorstab.scenario import LoadStep, Scenario, ScenarioError
 
     with pytest.raises(
-        ScenarioError, match=re.escape("disturbances[1].duration must be positive, got -0.5")
+        ScenarioError,
+        match=re.escape("disturbances[1].duration must be positive and finite, got -0.5"),
     ):
         Scenario(
             horizon=1.0,
@@ -283,3 +292,65 @@ def test_scenario_names_a_bad_duration_and_its_value():
                 LoadStep(0.2, "b", 0.1, 0.0, duration=-0.5),
             ],
         )
+
+
+def _explicit_case_doc():
+    """The packaged case3bus document, started from explicit states."""
+    doc = json.loads(open(resolve_case_path("case3bus")).read())
+    doc["scenario"].update(initial="explicit", explicit_states={
+        "vsg1": {"theta": 0.0, "omega": 0.0, "v": 1.0},
+        "droop2": {"theta": 0.001, "v": 0.97},
+    })
+    return doc
+
+
+def _paths(value, path=()):
+    """Every position in a JSON document below its root, containers too."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+def _scalars(value):
+    """The keys and leaf values of a JSON document."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield key
+            yield from _scalars(child)
+    elif isinstance(value, list):
+        for child in value:
+            yield from _scalars(child)
+    else:
+        yield value
+
+
+_FUZZ_DOC = _explicit_case_doc()
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    # the document's own names and numbers: well-typed, and wrong in another place
+    | st.sampled_from(sorted({repr(s): s for s in _scalars(_FUZZ_DOC)}.values(), key=repr)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(sorted(_paths(_FUZZ_DOC), key=repr)), value=_json_value)
+def test_any_one_bad_value_is_a_validation_error(path, value):
+    # a malformed case is refused with its place named, before any work,
+    # and never escapes as another exception
+    doc = _explicit_case_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        case = parse_case(doc)
+        if case.scenario is not None:
+            plan_run(case.net, case.components, case.scenario, case.solver.step_size)
+    except (NetworkFileError, NetworkError, ScenarioError, InconsistentInput):
+        pass

@@ -153,9 +153,8 @@ def test_uniform_state_has_zero_injection(case3bus):
 
 
 def test_case_operating_point_load_bus_injection(case3bus):
-    v = [case3bus.operating_point[b][0] for b in case3bus.net.non_ground]
-    th = [case3bus.operating_point[b][1] for b in case3bus.net.non_ground]
-    p, q = power_injection(case3bus.net, v, th)
+    op = case3bus.operating_point
+    p, q = power_injection(case3bus.net, op.V, op.theta)
     # the declared consumption (0.03, 0.55) is reproduced to print rounding
     assert p[2] == pytest.approx(-0.03, abs=0.01)
     assert q[2] == pytest.approx(-0.55, abs=0.01)
@@ -427,9 +426,7 @@ def test_constant_power_branch_current_reproduces_consumption(case3bus):
     # the power generated in the branch, -Vbar conj(I) in the associated
     # reference direction of the oracle's current, is the declared
     # consumption as negative generation, exactly
-    v = [case3bus.operating_point[b][0] for b in case3bus.net.non_ground]
-    th = [case3bus.operating_point[b][1] for b in case3bus.net.non_ground]
-    state = BusState(np.array(v), np.array(th))
+    state = case3bus.operating_point
     cur = branch_currents_oracle(case3bus.net, state)["cp:bus3:0"]
     load = case3bus.net.node_index["bus3"]
     s = -state.phasors()[load] * cur.conjugate()

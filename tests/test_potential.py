@@ -60,8 +60,7 @@ def test_flat_unloaded_state_is_zero(case3bus):
 
 def test_case_potential_matches_branch_phasor_sum(case3bus):
     net = case3bus.net
-    v = [case3bus.operating_point[b][0] for b in net.non_ground]
-    th = [case3bus.operating_point[b][1] for b in net.non_ground]
+    v, th = case3bus.operating_point.V, case3bus.operating_point.theta
     vbar = [v[i] * cmath.exp(1j * th[i]) for i in range(3)]
     expected = 0.0
     for line in net.lines:
