@@ -93,7 +93,11 @@ def _number_option(text: str, flag: str) -> float:
 
 
 def _prepare(case: CaseDefinition, args) -> CaseDefinition:
-    """Apply global overrides and back-solve missing setpoints."""
+    """Check the case's scenario, if it declares one, against its network,
+    apply global overrides and back-solve missing setpoints: every command
+    rejects a malformed scenario before any solve."""
+    if case.scenario is not None:
+        check_scenario(case.net, case.components, case.scenario)
     solver = case.solver
     if getattr(args, "config", None):
         overrides = read_json(args.config)
@@ -192,7 +196,6 @@ def _planned_runs(
             "identity verification requires a scenario without load or line events"
         )
     steps = _step_sweep(args.h_sweep)
-    check_scenario(case.net, case.components, scenario)
     runs = []
     for h in steps:
         try:

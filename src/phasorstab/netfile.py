@@ -327,12 +327,19 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
         raise NetworkFileError(
             f"buses: exactly one ground bus required, found {len(ground)}"
         )
-    lines, cps = _parse_branches(_require(doc, "branches", "document"), ground[0].id)
+    branches = _require(doc, "branches", "document")
+    lines, cps = _parse_branches(branches, ground[0].id)
     shunts, comps = _parse_components(doc.get("components", []))
     try:
         net = NetworkModel(buses, lines, cps, shunts)
     except NetworkError as exc:
-        raise NetworkFileError(str(exc)) from exc
+        # the document path of the record at fault, found by identity
+        paths = {id(bus): f"buses[{j}]" for j, bus in enumerate(buses)}
+        paths.update((id(shunt), f"components[{j}]") for j, shunt in enumerate(shunts))
+        for kind, records in (("line", lines), ("constant_power", cps)):
+            at = [j for j, entry in enumerate(branches) if entry["kind"] == kind]
+            paths.update((id(record), f"branches[{j}]") for j, record in zip(at, records))
+        raise NetworkFileError(f"{paths.get(id(exc.record), 'document')}: {exc}") from exc
 
     operating_point = None
     if "operating_point" in doc:

@@ -59,7 +59,15 @@ TWO_PI = 2.0 * math.pi
 
 
 class NetworkError(ValueError):
-    """Raised when a network description violates a structural invariant."""
+    """Raised when a network description violates a structural invariant.
+
+    ``record`` is the input record at fault (a bus, line, constant-power
+    branch or dynamic shunt; the first one where several are), or None when
+    the fault is not one record's."""
+
+    def __init__(self, message: str, record=None) -> None:
+        super().__init__(message)
+        self.record = record
 
 
 class BusKind(Enum):
@@ -159,7 +167,7 @@ class NetworkModel:
         seen: set[str] = set()
         for bus in self.buses:
             if bus.id in seen:
-                raise NetworkError(f"duplicate bus id {bus.id!r}")
+                raise NetworkError(f"duplicate bus id {bus.id!r}", bus)
             seen.add(bus.id)
         grounds = [b for b in self.buses if b.kind is BusKind.GROUND]
         if len(grounds) != 1:
@@ -170,7 +178,7 @@ class NetworkModel:
         for shunt in self.dynamic_shunts:
             if shunt.component_id in comp_ids:
                 raise NetworkError(
-                    f"duplicate dynamic component id {shunt.component_id!r}"
+                    f"duplicate dynamic component id {shunt.component_id!r}", shunt
                 )
             comp_ids.add(shunt.component_id)
 
@@ -180,42 +188,45 @@ class NetworkModel:
         for line in self.lines:
             if line.from_bus not in ids or line.to_bus not in ids:
                 raise NetworkError(
-                    f"line {line.from_bus!r}-{line.to_bus!r} references unknown bus"
+                    f"line {line.from_bus!r}-{line.to_bus!r} references unknown bus", line
                 )
             # written to fail for NaN as well
             if not 0.0 < line.x < math.inf:
                 what = "zero" if line.x == 0.0 else "negative" if line.x < 0.0 else "non-finite"
                 raise NetworkError(
-                    f"line {line.from_bus!r}-{line.to_bus!r} has {what} reactance {line.x}"
+                    f"line {line.from_bus!r}-{line.to_bus!r} has {what} reactance {line.x}",
+                    line,
                 )
             if ground in (line.from_bus, line.to_bus):
                 raise NetworkError(
-                    f"line {line.from_bus!r}-{line.to_bus!r} may not touch ground"
+                    f"line {line.from_bus!r}-{line.to_bus!r} may not touch ground", line
                 )
             if line.from_bus == line.to_bus:
-                raise NetworkError(f"line at {line.from_bus!r} is a self-loop")
+                raise NetworkError(f"line at {line.from_bus!r} is a self-loop", line)
         for cp in self.constant_power:
             if cp.bus not in ids:
-                raise NetworkError(f"constant-power branch at unknown bus {cp.bus!r}")
+                raise NetworkError(f"constant-power branch at unknown bus {cp.bus!r}", cp)
             if cp.bus == ground:
-                raise NetworkError("constant-power branch may not sit on ground")
+                raise NetworkError("constant-power branch may not sit on ground", cp)
         kind_of = {b.id: b.kind for b in self.buses}
         shunted: set[str] = set()
         for shunt in self.dynamic_shunts:
             if shunt.bus not in ids:
-                raise NetworkError(f"dynamic shunt at unknown bus {shunt.bus!r}")
+                raise NetworkError(f"dynamic shunt at unknown bus {shunt.bus!r}", shunt)
             if kind_of[shunt.bus] is not BusKind.DYNAMIC:
                 raise NetworkError(
-                    f"dynamic shunt {shunt.component_id!r} must sit on a dynamic bus"
+                    f"dynamic shunt {shunt.component_id!r} must sit on a dynamic bus", shunt
                 )
             if shunt.bus in shunted:
-                raise NetworkError(f"bus {shunt.bus!r} carries more than one component")
+                raise NetworkError(
+                    f"bus {shunt.bus!r} carries more than one component", shunt
+                )
             shunted.add(shunt.bus)
-        dynamic_buses = {b.id for b in self.buses if b.kind is BusKind.DYNAMIC}
-        missing = dynamic_buses - shunted
+        missing = [b for b in self.buses if b.kind is BusKind.DYNAMIC and b.id not in shunted]
         if missing:
             raise NetworkError(
-                f"dynamic bus(es) without a component: {sorted(missing)}"
+                f"dynamic bus(es) without a component: {sorted(b.id for b in missing)}",
+                missing[0],
             )
 
     def _build_derived(self) -> None:
@@ -270,9 +281,12 @@ class NetworkModel:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        unreached = [b.id for b in self.buses if b.id not in seen]
+        unreached = [b for b in self.buses if b.id not in seen]
         if unreached:
-            raise NetworkError(f"graph is not connected; unreachable: {unreached}")
+            raise NetworkError(
+                f"graph is not connected; unreachable: {[b.id for b in unreached]}",
+                unreached[0],
+            )
 
     # -- accessors ---------------------------------------------------------
 

@@ -9,11 +9,12 @@ The topology picks one of two paths for the whole run:
 
 * the float path, for at most one passive bus: the state and the bus
   voltages and angles are lists of Python floats. For each network the
-  engine writes the whole RK4 step as straight-line Python on local names,
-  with the network's and the components' numbers as literals, and compiles
-  it: per stage it checks the terminals, sets the passive bus to its
-  closed-form solution (:func:`~phasorstab.network.passive_bus_solution`
-  on floats), evaluates the line terms of
+  engine writes the RK4 step as straight-line Python on local names, with
+  the network's and the components' numbers as literals, inside a loop over
+  steps, and compiles it: per stage it checks the terminals, sets the
+  passive bus to its closed-form solution (the operations of
+  :func:`~phasorstab.network.passive_bus_solution` on floats, written out
+  with the network's constants folded in), evaluates the line terms of
   :func:`~phasorstab.network.power_injection` line by line, checks the
   balance, and evaluates each row of the components' stacked affine table;
 * the array path, for two or more passive buses: the state, voltages and
@@ -26,11 +27,13 @@ The topology picks one of two paths for the whole run:
   trapezoid accumulation are array expressions.
 
 Both paths read the same (row, column, value) table and sum each row in
-the same order, and each takes one engine call per integration step: the
-RK4 stages, the stage at the step's end and the path integrals' step. The
-generated float step performs the floating-point operations of the loops
-it was unrolled from, in their order, so its results are those loops'
-bit for bit; the tests keep the loops as its reference.
+the same order. Each takes one engine call per stop, the next step at which
+the run samples or applies an event, and steps to it in its own loop: per
+step, the RK4 stages, the stage at the step's end and the path integrals'
+step. The generated float step performs the floating-point operations of
+the loops it was unrolled from, in their order, so its results are those
+loops' bit for bit; the tests keep the loops, and ``passive_bus_solution``,
+as its reference.
 
 The inner solve of the array path takes one of two forms, by the topology
 of the passive buses:
@@ -98,6 +101,7 @@ from .components import (
 )
 from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .network import (
+    TWO_PI,
     NetworkModel,
     injection_partials,
     passive_bus_solution,
@@ -366,18 +370,23 @@ class _Engine:
         )
 
     def _steps_for(self, net: NetworkModel):
-        """The stage, ``stage(y, V, th, t) -> (dy, P, Q)``, and the RK4 step,
-        ``advance(y, dy, V, th, h, step) -> (y, dy, P, Q)``, on `net`, as
-        straight-line Python generated and compiled here, once per network.
+        """The stage, ``stage(y, V, th, t) -> (dy, P, Q)``, and the RK4
+        steps, ``advance(y, dy, V, th, h, first, stop) -> (y, dy, P, Q)``, on
+        `net`, as straight-line Python generated and compiled here, once per
+        network.
 
-        Both write V and th in place. The stage body comes from
-        :meth:`_stage_source`; the step runs it four times (the three inner
-        stages and the stage at the step's end) and then takes the trapezoid
-        step of the path integrals between the step's endpoints. The source
-        holds the network's and the components' numbers as literals and
-        nothing else from the input: ids and messages stay in the engine,
-        which the code calls to raise a collapse or to continue by the
-        chord."""
+        ``advance`` takes the steps ``first`` to ``stop - 1`` (at least one)
+        in its own loop, from (y, dy) at t = first h, and returns the state
+        at t = stop h. Each step runs the stage body four times (the three
+        inner stages and the stage at the step's end) and then takes the
+        trapezoid step of the path integrals between the step's endpoints.
+        Between steps y, dy, the passive bus's (V, theta), the integrals and
+        their endpoints stay local names: they are read before the loop and
+        written back after it. Both functions write V and th in place. The
+        stage body comes from :meth:`_stage_source`. The source holds the
+        network's and the components' numbers as literals and nothing else
+        from the input: ids and messages stay in the engine, which the code
+        calls to raise a collapse or to continue by the chord."""
         n, ny, m = net.n_nodes, self.ny, len(self.terminals)
         p, q = _names("p", n), _names("q", n)
         y, dy, s = _names("y", ny), _names("dy", ny), _names("s", ny)
@@ -397,41 +406,41 @@ class _Engine:
         body, V, th = self._stage_source(net, s, "t", "dy")
         stage += body + finish(V, th, (dy, p, q))
 
+        # (theta, ln v, P, Q) of each component at the step's start are
+        # t0_, l0_, p0_, q0_, its shifted integral sh
+        ends = _listed(f"(t0_{c}, l0_{c}, p0_{c}, q0_{c})" for c in range(m))
+        shifted = _listed(_names("sh", m))
         step = [
             f"{_listed(y)} = y",
             f"{_listed(dy)} = dy",
             *warm,
-            "engine.inner_solves += 4",
-            "t = step * h",
+            f"{ends} = engine.prev",
+            f"{_listed(_names('a_p', m))} = engine.anchor_p",
+            f"{_listed(_names('a_q', m))} = engine.anchor_q",
+            f"{shifted} = engine.shifted",
+            "u = engine.unshifted",
+            "engine.inner_solves += 4 * (stop - first)",
             "half = 0.5 * h",
+            "sixth = h / 6.0",
+            "for step in range(first, stop):",
         ]
+        loop = ["t = step * h"]
         for slope, scale, out, at in (
             ("dy", "half", "k2_", "t + half"),
             ("k2_", "half", "k3_", "t + half"),
             ("k3_", "h", "k4_", "t + h"),
         ):
-            step += [f"s{r} = y{r} + {scale} * {slope}{r}" for r in range(ny)]
-            step += self._stage_source(net, s, at, out)[0]
-        step.append("sixth = h / 6.0")
-        step += [
+            loop += [f"s{r} = y{r} + {scale} * {slope}{r}" for r in range(ny)]
+            loop += self._stage_source(net, s, at, out)[0]
+        loop += [
             f"y{r} = y{r} + sixth * (dy{r} + 2.0 * (k2_{r} + k3_{r}) + k4_{r})"
             for r in range(ny)
         ]
         body, V, th = self._stage_source(net, y, "(step + 1) * h", "dy")
-        step += body
-        # the trapezoid step of the path integrals, component by component;
-        # (theta, ln v, P, Q) at the step's start are t0_, l0_, p0_, q0_
-        step += [
-            f"{_listed(f'(t0_{c}, l0_{c}, p0_{c}, q0_{c})' for c in range(m))} = engine.prev",
-            f"{_listed(_names('a_p', m))} = engine.anchor_p",
-            f"{_listed(_names('a_q', m))} = engine.anchor_q",
-            f"{_listed(_names('sh', m))} = engine.shifted",
-            "u = engine.unshifted",
-        ]
-        now = []
+        loop += body
+        # the trapezoid step of the path integrals, component by component
         for c, (node, i_theta, i_v, _) in enumerate(self.terminals):
-            now.append(f"(y{i_theta}, l{c}, p{node}, q{node})")
-            step += [
+            loop += [
                 f"l{c} = log(y{i_v})",
                 f"p_mid = 0.5 * (p0_{c} + p{node})",
                 f"q_mid = 0.5 * (q0_{c} + q{node})",
@@ -439,22 +448,22 @@ class _Engine:
                 f"d_lnv = l{c} - l0_{c}",
                 "u += p_mid * d_theta + q_mid * d_lnv",
                 f"sh{c} += (p_mid - a_p{c}) * d_theta + (q_mid - a_q{c}) * d_lnv",
+                f"t0_{c}, l0_{c}, p0_{c}, q0_{c} = y{i_theta}, l{c}, p{node}, q{node}",
             ]
+        step += ["    " + line for line in loop]
         step += [
             "engine.unshifted = u",
-            f"engine.shifted = {_listed(_names('sh', m))}",
-            f"engine.prev = {_listed(now)}",
+            f"engine.shifted = {shifted}",
+            f"engine.prev = {ends}",
         ]
         step += finish(V, th, (y, dy, p, q))
 
         source = "\n".join([
             "def stage(y, V, th, t):", *("    " + line for line in stage),
-            "def advance(y, dy, V, th, h, step):", *("    " + line for line in step),
+            "def advance(y, dy, V, th, h, first, stop):", *("    " + line for line in step),
         ])
         namespace = {
             "engine": self,
-            # the module's function as it is now, so a replacement holds
-            "passive_bus_solution": passive_bus_solution,
             "sin": math.sin,
             "cos": math.cos,
             "sqrt": math.sqrt,
@@ -468,8 +477,9 @@ class _Engine:
         """The source lines of one stage on `net` at the state named `y`
         (one name per state) and the time expression `t`: scatter the
         terminals, set the passive bus (if any; its V and theta are the
-        names ``vb`` and ``tb``) to its closed form, evaluate the line terms
-        of :func:`~phasorstab.network.power_injection` into ``p0, q0, ...``,
+        names ``vb`` and ``tb``) to its closed form
+        (:meth:`_closed_form_source`), evaluate the line terms of
+        :func:`~phasorstab.network.power_injection` into ``p0, q0, ...``,
         check the passive balance (continuing by :meth:`_chord_on_floats` if
         it misses ``newton_tol``) and evaluate the rows of the affine table
         into ``{out}0, {out}1, ...``, each summed in its order from 0.0.
@@ -486,7 +496,6 @@ class _Engine:
         bus = self.passive_nodes[0] if self.passive_nodes else None
         if bus is not None:
             V[bus], th[bus] = "vb", "tb"
-            load_p, load_q = _literal(net.load_p[bus]), _literal(net.load_q[bus])
             e_re = e_im = "0.0"
             for _, k, b in self._passive_lines(net):
                 lines += [
@@ -497,8 +506,7 @@ class _Engine:
                 e_re, e_im = "e_re", "e_im"
             lines += [
                 "try:",
-                f"    vb, tb = passive_bus_solution({e_re}, {e_im}, "
-                f"{_literal(net.coupling_sum[bus])}, {load_p}, {load_q}, vb, tb, sqrt, atan2)",
+                *("    " + line for line in self._closed_form_source(net, bus, e_re, e_im)),
                 "except (ValueError, ZeroDivisionError):",
                 f"    raise engine._collapse({_literal(bus)}, {t}) from None",
             ]
@@ -519,6 +527,7 @@ class _Engine:
                 f"{q[k]} += {b} * ({V[k]} * {V[k]} - cross)",
             ]
         if bus is not None:
+            load_p, load_q = _literal(net.load_p[bus]), _literal(net.load_q[bus])
             tol = _literal(self.config.newton_tol)
             # written to take the chord for NaN as well
             lines += [
@@ -532,6 +541,43 @@ class _Engine:
             row = "".join(f" + {_literal(val)} * {x[col]}" for col, val in terms)
             lines.append(f"{out}{r} = 0.0{row} + {_literal(c)}")
         return lines, V, th
+
+    def _closed_form_source(self, net: NetworkModel, bus: int, e_re: str, e_im: str):
+        """The source lines that move the passive bus `bus` from its warm
+        start (``vb``, ``tb``) to its closed form on `net` against the
+        source E = `e_re` + j `e_im` (names or literals):
+        :func:`~phasorstab.network.passive_bus_solution` on floats, its
+        floating-point operations in its order, with the network's
+        constants folded into literals (S q, S^2, S^2 (p^2 + q^2),
+        p^2 + q^2 and -p) and the root choice as an ``if``. They raise
+        ValueError or ZeroDivisionError where that function does."""
+        s = net.coupling_sum[bus]
+        load_p, load_q = net.load_p[bus], net.load_q[bus]
+        s2 = s * s
+        load2 = load_p * load_p + load_q * load_q
+        lines = [
+            f"mid = 0.5 * ({e_re} * {e_re} + {e_im} * {e_im}) - {_literal(s * load_q)}",
+            f"gap = sqrt(mid * mid - {_literal(s2 * load2)})",
+            f"x = {_literal(load2)} / (mid + gap)",
+        ]
+        # The function adds its bool root choice times 2 gap / S^2. Not
+        # chosen, that product is +0.0 wherever mid * mid is finite: S > 0
+        # on a bus with a line, as NetworkModel requires x > 0 and a
+        # connected graph (a bus without one has E = 0 and S = 0, and the
+        # division above raises). The low root is then at least +0.0, since
+        # mid > vb^2 S^2 >= 0, so adding +0.0 leaves it as it is.
+        high = f"x = x + 2.0 * gap / {_literal(s2)}"
+        if load2 == 0.0:
+            lines.append(high)
+        else:
+            lines += [f"if vb * vb * {_literal(s2)} >= mid:", "    " + high]
+        two_pi = _literal(TWO_PI)
+        return lines + [
+            f"ang = atan2({e_im}, {e_re}) + atan2({_literal(-load_p)}, "
+            f"{_literal(s)} * x + {_literal(load_q)})",
+            f"tb = ang + {two_pi} * (((tb - ang) / {two_pi} + 0.5) // 1.0)",
+            "vb = sqrt(x)",
+        ]
 
     def _chord_on_floats(self, V: list[float], th: list[float], t: float):
         """:meth:`_solve_chord` from the float path's bus state; returns the
@@ -733,28 +779,29 @@ class _ArrayEngine(_Engine):
         node = self.term_node
         return y[self.term_theta], np.log(y[self.term_v]), p[node], q[node]
 
-    def _advance(self, y, dy, V, th, h: float, step: int):
-        """One RK4 step from (y, dy) at t = step h: the three inner stages,
-        the stage at the step's end, and the trapezoid step of the path
-        integrals between the step's endpoints. Returns (y, dy, P, Q) at the
-        end of the step."""
-        t = step * h
-        half = 0.5 * h
-        k2, _, _ = self._stage(y + half * dy, V, th, t + half)
-        k3, _, _ = self._stage(y + half * k2, V, th, t + half)
-        k4, _, _ = self._stage(y + h * k3, V, th, t + h)
-        y = y + (h / 6.0) * (dy + 2.0 * (k2 + k3) + k4)
-        dy, p, q = self._stage(y, V, th, (step + 1) * h)
-        now = self.endpoints(y, p, q)
-        theta0, lnv0, p0, q0 = self.prev
-        theta1, lnv1, p1, q1 = now
-        p_mid = 0.5 * (p0 + p1)
-        q_mid = 0.5 * (q0 + q1)
-        d_theta = theta1 - theta0
-        d_lnv = lnv1 - lnv0
-        self.shifted += (p_mid - self.anchor_p) * d_theta + (q_mid - self.anchor_q) * d_lnv
-        self.unshifted += float(np.sum(p_mid * d_theta + q_mid * d_lnv))
-        self.prev = now
+    def _advance(self, y, dy, V, th, h: float, first: int, stop: int):
+        """The RK4 steps ``first`` to ``stop - 1`` from (y, dy) at
+        t = first h. Each step runs the three inner stages, the stage at the
+        step's end, and the trapezoid step of the path integrals between
+        the step's endpoints. Returns (y, dy, P, Q) at t = stop h."""
+        for step in range(first, stop):
+            t = step * h
+            half = 0.5 * h
+            k2, _, _ = self._stage(y + half * dy, V, th, t + half)
+            k3, _, _ = self._stage(y + half * k2, V, th, t + half)
+            k4, _, _ = self._stage(y + h * k3, V, th, t + h)
+            y = y + (h / 6.0) * (dy + 2.0 * (k2 + k3) + k4)
+            dy, p, q = self._stage(y, V, th, (step + 1) * h)
+            now = self.endpoints(y, p, q)
+            theta0, lnv0, p0, q0 = self.prev
+            theta1, lnv1, p1, q1 = now
+            p_mid = 0.5 * (p0 + p1)
+            q_mid = 0.5 * (q0 + q1)
+            d_theta = theta1 - theta0
+            d_lnv = lnv1 - lnv0
+            self.shifted += (p_mid - self.anchor_p) * d_theta + (q_mid - self.anchor_q) * d_lnv
+            self.unshifted += float(np.sum(p_mid * d_theta + q_mid * d_lnv))
+            self.prev = now
         return y, dy, p, q
 
 
@@ -849,15 +896,20 @@ def simulate(
 
     record(0.0)
 
-    for step in range(n_steps_total):
-        y, dy, p, q = engine.advance(y, dy, V, th, h, step)
-        if step + 1 in events:
-            apply_events(step + 1, y)
-            dy, p, q = engine.stage(y, V, th, (step + 1) * h)
+    # one engine call per stop: every sample step (the plan puts the last
+    # step among them) and every event step
+    stops = {*range(sample_every, n_steps_total + 1, sample_every), *events} - {0}
+    first = 0
+    for stop in sorted(stops):
+        y, dy, p, q = engine.advance(y, dy, V, th, h, first, stop)
+        if stop in events:
+            apply_events(stop, y)
+            dy, p, q = engine.stage(y, V, th, stop * h)
             # restart the integrals' endpoints across the discontinuity
             engine.prev = engine.endpoints(y, p, q)
-        if (step + 1) % sample_every == 0:
-            record((step + 1) * h)
+        if stop % sample_every == 0:
+            record(stop * h)
+        first = stop
 
     # each column of samples as one array
     times, bus_v, bus_t, bus_p, bus_q, states, rates, integrals, unshifted_series = map(

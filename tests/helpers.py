@@ -223,38 +223,40 @@ def reference_stage(engine, net: NetworkModel):
 
 
 def reference_advance(engine, stage):
-    """The float path's RK4 step on `stage` as loops over lists, ``advance(y,
-    dy, V, th, h, step) -> (y, dy, P, Q)``: the three inner stages, the
-    stage at the step's end, and the trapezoid step of the engine's path
-    integrals between the step's endpoints."""
+    """The float path's RK4 steps on `stage` as loops over lists, ``advance(y,
+    dy, V, th, h, first, stop) -> (y, dy, P, Q)``: per step from ``first`` to
+    ``stop - 1``, the three inner stages, the stage at the step's end, and
+    the trapezoid step of the engine's path integrals between the step's
+    endpoints."""
 
-    def advance(y, dy, V, th, h, step):
-        t = step * h
-        half = 0.5 * h
-        k2, _, _ = stage([a + half * b for a, b in zip(y, dy)], V, th, t + half)
-        k3, _, _ = stage([a + half * b for a, b in zip(y, k2)], V, th, t + half)
-        k4, _, _ = stage([a + h * b for a, b in zip(y, k3)], V, th, t + h)
-        sixth = h / 6.0
-        y = [
-            a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, dy, k2, k3, k4)
-        ]
-        dy, p, q = stage(y, V, th, (step + 1) * h)
-        now = engine.endpoints(y, p, q)
-        shifted = list(engine.shifted)
-        unshifted = engine.unshifted
-        for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1), ap, aq) in enumerate(
-            zip(engine.prev, now, engine.anchor_p, engine.anchor_q)
-        ):
-            p_mid = 0.5 * (p0 + p1)
-            q_mid = 0.5 * (q0 + q1)
-            d_theta = theta1 - theta0
-            d_lnv = lnv1 - lnv0
-            unshifted += p_mid * d_theta + q_mid * d_lnv
-            shifted[c] += (p_mid - ap) * d_theta + (q_mid - aq) * d_lnv
-        engine.shifted = shifted
-        engine.unshifted = unshifted
-        engine.prev = now
+    def advance(y, dy, V, th, h, first, stop):
+        for step in range(first, stop):
+            t = step * h
+            half = 0.5 * h
+            k2, _, _ = stage([a + half * b for a, b in zip(y, dy)], V, th, t + half)
+            k3, _, _ = stage([a + half * b for a, b in zip(y, k2)], V, th, t + half)
+            k4, _, _ = stage([a + h * b for a, b in zip(y, k3)], V, th, t + h)
+            sixth = h / 6.0
+            y = [
+                a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                for a, b1, b2, b3, b4 in zip(y, dy, k2, k3, k4)
+            ]
+            dy, p, q = stage(y, V, th, (step + 1) * h)
+            now = engine.endpoints(y, p, q)
+            shifted = list(engine.shifted)
+            unshifted = engine.unshifted
+            for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1), ap, aq) in enumerate(
+                zip(engine.prev, now, engine.anchor_p, engine.anchor_q)
+            ):
+                p_mid = 0.5 * (p0 + p1)
+                q_mid = 0.5 * (q0 + q1)
+                d_theta = theta1 - theta0
+                d_lnv = lnv1 - lnv0
+                unshifted += p_mid * d_theta + q_mid * d_lnv
+                shifted[c] += (p_mid - ap) * d_theta + (q_mid - aq) * d_lnv
+            engine.shifted = shifted
+            engine.unshifted = unshifted
+            engine.prev = now
         return y, dy, p, q
 
     return advance

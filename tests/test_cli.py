@@ -556,9 +556,12 @@ def test_simulate_runs_from_the_case_equilibrium(capsys, tmp_path, monkeypatch):
 CERTIFY_TRAJECTORY = ["certify", "--with-trajectory"]
 VERIFY = ["verify-identities", "--horizon", "0.2"]
 SIMULATE = ["simulate"]
+EQUILIBRIUM = ["equilibrium"]
+CERTIFY = ["certify"]
 NO_SCENARIO = "case 'case3bus' declares no scenario"
 GHOST = "disturbances[0]: unknown component 'ghost'"
 PSI = "disturbances[0]: component 'vsg1' has no state 'psi'"
+NEGATIVE_V = "explicit_states.vsg1.v must be positive, got -1.0"
 
 
 @pytest.mark.parametrize(
@@ -576,11 +579,18 @@ PSI = "disturbances[0]: component 'vsg1' has no state 'psi'"
         (SIMULATE, "no-scenario", NO_SCENARIO),
         (SIMULATE, "unknown-component", GHOST),
         (SIMULATE, "line-index", "line index 5 out of range"),
+        # the commands that run no scenario still refuse a malformed one
+        (EQUILIBRIUM, "unknown-component", GHOST),
+        (CERTIFY, "unknown-component", GHOST),
+        (EQUILIBRIUM, "negative-explicit-v", NEGATIVE_V),
+        (CERTIFY, "negative-explicit-v", NEGATIVE_V),
     ],
     ids=["certify-no-scenario", "verify-no-scenario", "certify-unknown-component",
          "verify-unknown-component", "certify-unknown-state", "verify-unknown-state",
          "certify-load-step-without-load", "certify-line-index", "simulate-no-scenario",
-         "simulate-unknown-component", "simulate-line-index"],
+         "simulate-unknown-component", "simulate-line-index", "equilibrium-unknown-component",
+         "static-certify-unknown-component", "equilibrium-negative-explicit-v",
+         "static-certify-negative-explicit-v"],
 )
 def test_scenario_is_checked_before_the_equilibrium_solve(
     capsys, tmp_path, monkeypatch, command, fault, message
@@ -597,6 +607,8 @@ def test_scenario_is_checked_before_the_equilibrium_solve(
         disturbances[0]["component"] = "ghost"
     elif fault == "unknown-state":
         disturbances[0]["delta"] = {"psi": 0.1}
+    elif fault == "negative-explicit-v":
+        _explicit_states(doc)["vsg1"]["v"] = -1.0
     elif fault == "load-step-without-load":
         disturbances.append({"at": 0.05, "kind": "load_step", "bus": "bus1", "dp": 0.1, "dq": 0.0})
     else:

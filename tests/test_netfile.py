@@ -77,6 +77,32 @@ def test_zero_reactance_reported():
         parse_case(doc)
 
 
+def _append_branches(*entries):
+    return lambda doc: doc["branches"].extend(entries)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda d: d["branches"][0].update(x=0.0), "branches[0]: line 'a'-'b' has zero reactance 0.0"),
+     (lambda d: d["branches"][1].update({"from": "zz"}),
+      "branches[1]: constant-power branch at unknown bus 'zz'"),
+     # the second line comes after the load branch in the document
+     (_append_branches({"from": "b", "to": "b", "kind": "line", "x": 0.3}),
+      "branches[2]: line at 'b' is a self-loop"),
+     (lambda d: d["buses"].append({"id": "a", "kind": "passive"}), "buses[3]: duplicate bus id 'a'"),
+     (lambda d: d["buses"].insert(2, {"id": "c", "kind": "passive"}),
+      "buses[2]: graph is not connected; unreachable: ['c']")],
+    ids=["line", "load", "line-after-load", "bus", "unreachable-bus"],
+)
+def test_network_errors_name_the_record_at_fault(edit, message):
+    # NetworkModel's errors carry the document path of the record they name
+    doc = minimal_doc()
+    edit(doc)
+    with pytest.raises(NetworkFileError) as info:
+        parse_case(doc)
+    assert str(info.value) == message
+
+
 def test_lossy_line_rejected():
     doc = minimal_doc()
     doc["branches"][0]["g"] = 0.3
@@ -99,7 +125,7 @@ def test_component_on_non_dynamic_bus_rejected():
     doc["components"][0]["bus"] = "b"
     with pytest.raises(NetworkFileError) as info:
         parse_case(doc)
-    assert str(info.value) == "dynamic shunt 'v1' must sit on a dynamic bus"
+    assert str(info.value) == "components[0]: dynamic shunt 'v1' must sit on a dynamic bus"
 
 
 def test_dynamic_bus_without_component_rejected():
@@ -107,7 +133,7 @@ def test_dynamic_bus_without_component_rejected():
     doc["buses"][1]["kind"] = "dynamic"
     with pytest.raises(NetworkFileError) as info:
         parse_case(doc)
-    assert str(info.value) == "dynamic bus(es) without a component: ['b']"
+    assert str(info.value) == "buses[1]: dynamic bus(es) without a component: ['b']"
 
 
 def test_missing_setpoints_require_operating_point():
@@ -146,7 +172,7 @@ def test_duplicate_component_id_rejected():
     doc["components"].append(comp2)
     with pytest.raises(NetworkFileError) as info:
         parse_case(doc)
-    assert str(info.value) == "duplicate dynamic component id 'v1'"
+    assert str(info.value) == "components[1]: duplicate dynamic component id 'v1'"
 
 
 VSG_PARAMS = {"M": 0.1, "Dp": 0.2, "Dq": 0.3, "tau_q": 0.4}

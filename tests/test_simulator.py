@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasorstab import simulator
@@ -12,10 +12,16 @@ from phasorstab.components import Anchor, DroopComponent, Setpoints, VsgComponen
 from phasorstab.cli import solve_case_equilibrium
 from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.network import (
+    TWO_PI,
+    Bus,
+    BusKind,
     BusState,
     ConstantPowerBranch,
+    DynamicShunt,
+    LosslessLine,
     NetworkError,
     NetworkModel,
+    passive_bus_solution,
     power_injection,
 )
 from phasorstab.potential import eval_vp
@@ -446,12 +452,23 @@ def test_float_stage_is_every_derivative_on_the_kernel(case):
     assert (engine.inner_solves, engine.inner_iterations, engine.factorizations) == (1, 0, 0)
 
 
-def test_float_stage_continues_by_the_chord(monkeypatch, case3bus, case3bus_solution):
-    # a closed form that misses the balance: the chord iteration takes over
-    # and the stage returns, and leaves in V/th, the state it accepted
+def force_chord(monkeypatch):
+    """Make the closed form miss the balance, V -> 1.01 V and theta ->
+    theta + 0.01 from the warm start, in the generated step (through the
+    source it writes) and in the loop reference (through the function)."""
+    monkeypatch.setattr(
+        simulator._Engine, "_closed_form_source",
+        lambda *args: ["vb = 1.01 * vb", "tb = tb + 0.01"],
+    )
     monkeypatch.setattr(
         simulator, "passive_bus_solution", lambda *args: (1.01 * args[5], args[6] + 0.01)
     )
+
+
+def test_float_stage_continues_by_the_chord(monkeypatch, case3bus, case3bus_solution):
+    # a closed form that misses the balance: the chord iteration takes over
+    # and the stage returns, and leaves in V/th, the state it accepted
+    force_chord(monkeypatch)
     net = case3bus.net
     engine = simulator._make_engine(net, case3bus.components, case3bus.solver)
     y = [x for cid in engine.comp_ids for x in case3bus_solution.component_states[cid]]
@@ -471,12 +488,13 @@ def bits(values):
     return [float.hex(float(x)) for x in values]
 
 
-def run_steps(make, net, comps, y, v, th, h, steps, switched=None):
-    """`steps` RK4 steps, on the engine `make` builds, from the state (y, V,
-    th), switching the engine to the network `switched` after the first
-    step. Returns every step's (y, dy, P, Q, V, theta, integrals) as bit
-    patterns and then the inner-solve counters, or then the message of the
-    collapse that stopped the run."""
+def run_steps(make, net, comps, y, v, th, h, stops, switched=None, switch_at=1):
+    """RK4 steps, on the engine `make` builds, from the state (y, V, th): one
+    ``advance`` call up to each step in `stops`, switching the engine to the
+    network `switched` at the stop `switch_at`. Returns the (y, dy, P, Q, V,
+    theta, integrals) of every stop as bit patterns and then the
+    inner-solve counters, or then the message of the collapse that stopped
+    the run."""
     engine = make(net, comps, SolverConfig())
     assert not isinstance(engine, simulator._ArrayEngine)
     y, V, th = engine.buffer(y), engine.buffer(v), engine.buffer(th)
@@ -485,13 +503,15 @@ def run_steps(make, net, comps, y, v, th, h, steps, switched=None):
     try:
         dy, p, q = engine.stage(y, V, th, 0.0)
         engine.start_integrals(anchors, y, p, q)
-        for step in range(steps):
-            y, dy, p, q = engine.advance(y, dy, V, th, h, step)
-            if switched is not None and step == 0:
+        first = 0
+        for stop in stops:
+            y, dy, p, q = engine.advance(y, dy, V, th, h, first, stop)
+            if switched is not None and stop == switch_at:
                 engine.use_network(switched)
-                dy, p, q = engine.stage(y, V, th, h)
+                dy, p, q = engine.stage(y, V, th, stop * h)
                 engine.prev = engine.endpoints(y, p, q)
             out.append([bits(x) for x in (y, dy, p, q, V, th, engine.shifted, [engine.unshifted])])
+            first = stop
     except SimulationError as exc:
         # the counters of a stopped run are not reported anywhere
         return out, str(exc)
@@ -513,8 +533,125 @@ def test_generated_step_is_the_loop_reference_bitwise(case, h, data):
                                             data.draw(st.floats(-0.2, 0.2)),
                                             data.draw(st.floats(-0.2, 0.2))))
     switched = data.draw(st.sampled_from(networks))
-    generated = run_steps(simulator._make_engine, net, comps, y, v, th, h, 20, switched)
-    assert generated == run_steps(ReferenceEngine, net, comps, y, v, th, h, 20, switched)
+    steps = range(1, 21)
+    generated = run_steps(simulator._make_engine, net, comps, y, v, th, h, steps, switched)
+    assert generated == run_steps(ReferenceEngine, net, comps, y, v, th, h, steps, switched)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=float_path_cases(), data=st.data())
+def test_one_advance_over_several_steps_is_the_single_steps_bitwise(case, data):
+    # one advance(first, stop) call per drawn stop, with a line scale at one
+    # of them, against one call per step and against the loop reference
+    net, comps, y, v, th = case
+    stops = sorted(data.draw(st.sets(st.integers(1, 19), max_size=5)) | {20})
+    switch_at = data.draw(st.sampled_from(stops))
+    switched = net.with_scaled_line(0, 0.5) if net.lines else None
+    args = (net, comps, y, v, th, 1e-2)
+    several = run_steps(simulator._make_engine, *args, stops, switched, switch_at)
+    assert several == run_steps(ReferenceEngine, *args, stops, switched, switch_at)
+    single = run_steps(simulator._make_engine, *args, range(1, 21), switched, switch_at)
+    # a collapse stops both runs at the same step
+    assert several[0] == [single[0][stop - 1] for stop in stops if stop <= len(single[0])]
+    assert several[1] == single[1]
+
+
+def generated_closed_form(engine, net):
+    """The closed form the generated stage writes for `net`'s passive bus,
+    compiled alone: ``solve(e_re, e_im, v0, theta0) -> (V, theta)``."""
+    body = engine._closed_form_source(net, engine.passive_nodes[0], "e_re", "e_im")
+    source = "\n".join(
+        ["def solve(e_re, e_im, vb, tb):", *("    " + line for line in body), "    return vb, tb"]
+    )
+    namespace = {"sqrt": math.sqrt, "atan2": math.atan2}
+    exec(source, namespace)
+    return namespace["solve"]
+
+
+def outcome(fn, *args):
+    """What fn returns, as bit patterns, or the type of the error it raises."""
+    try:
+        return bits(fn(*args))
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+HIGH_ROOT = dict(xs=[0.3, 0.6], sources=[(1.0, 0.1), (0.95, -0.2)], psi=0.2, load=0.6,
+                 v0=1.0, angle=0.0, turns=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    sources=st.lists(st.tuples(st.floats(0.9, 1.1), st.floats(-0.3, 0.3)), min_size=3,
+                     max_size=3),
+    psi=st.floats(-0.5, 0.5),
+    load=st.floats(-0.5, 1.5),
+    v0=st.floats(1e-3, 1.5),
+    angle=st.floats(-math.pi, math.pi),
+    turns=st.integers(-5, 5),
+)
+@example(**HIGH_ROOT)
+@example(**{**HIGH_ROOT, "v0": 0.05})  # the low root
+@example(**{**HIGH_ROOT, "load": 0.0})  # no load: the high root, whatever v0
+@example(**{**HIGH_ROOT, "load": 0.0, "v0": 0.05})
+@example(**{**HIGH_ROOT, "turns": 4, "angle": 3.0})  # warm start turns away
+@example(**{**HIGH_ROOT, "turns": -3, "angle": -3.1})
+@example(**{**HIGH_ROOT, "load": 1.2})  # beyond the transfer limit
+def test_generated_closed_form_is_the_function_bitwise(xs, sources, psi, load, v0, angle, turns):
+    # a passive bus fed by len(xs) sources at (V, theta) = sources, with a
+    # load taking the fraction `load` of its transfer limit there, and the
+    # warm start (v0, angle + turns 2 pi)
+    ids = [f"b{j}" for j in range(len(xs))]
+    buses = [Bus(bid, BusKind.DYNAMIC) for bid in ids]
+    buses += [Bus("pb", BusKind.PASSIVE), Bus("gnd", BusKind.GROUND)]
+    lines = [LosslessLine("pb", bid, x) for bid, x in zip(ids, xs)]
+    shunts = [DynamicShunt(bid, f"c{j}") for j, bid in enumerate(ids)]
+    sp = Setpoints(0.0, 0.0, 1.0, 0.0)
+    comps = {s.component_id: DroopComponent(s.component_id, s.bus, 0.5, 0.5, 0.5, 0.5, sp)
+             for s in shunts}
+    probe = NetworkModel(buses, lines, [], shunts)
+    bus = len(xs)
+    v = [sv for sv, _ in sources[:bus]] + [v0]
+    th = [sa for _, sa in sources[:bus]] + [angle + turns * TWO_PI]
+    # E as the stage forms it
+    e_re = e_im = 0.0
+    for i, k, b in probe.edges:
+        bv = b * v[k]
+        e_re = e_re + bv * math.cos(th[k])
+        e_im = e_im + bv * math.sin(th[k])
+    s = probe.coupling_sum[bus]
+    p = load * (e_re * e_re + e_im * e_im) / (2.0 * s * (math.tan(psi) + 1.0 / math.cos(psi)))
+    net = NetworkModel(buses, lines, [ConstantPowerBranch("pb", p, p * math.tan(psi))], shunts)
+    engine = simulator._make_engine(net, comps, SolverConfig())
+    want = outcome(passive_bus_solution, e_re, e_im, s, net.load_p[bus], net.load_q[bus],
+                   v[bus], th[bus], math.sqrt, math.atan2)
+    assert outcome(generated_closed_form(engine, net), e_re, e_im, v[bus], th[bus]) == want
+    if isinstance(want, list):
+        return
+    # no solution: the generated stage and the loop reference collapse alike
+    messages = []
+    for make in (simulator._make_engine, ReferenceEngine):
+        engine = make(net, comps, SolverConfig())
+        y = [0.0] * engine.ny
+        for node, i_theta, i_v, _ in engine.terminals:
+            y[i_theta], y[i_v] = th[node], v[node]
+        with pytest.raises(SimulationError) as exc:
+            engine.stage(y, engine.buffer(v), engine.buffer(th), 0.25)
+        messages.append(str(exc.value))
+    assert messages == ["voltage collapse at bus 'pb', t = 0.25"] * 2
+
+
+def test_generated_step_reads_only_the_engine_and_math(case3bus):
+    # the generated code reaches the input only through the engine and its
+    # literals, and calls nothing but math's functions and the builtins
+    engine = simulator._make_engine(case3bus.net, case3bus.components, case3bus.solver)
+    functions = ("sin", "cos", "sqrt", "atan2", "log")
+    for fn in (engine.stage, engine.advance):
+        names = fn.__globals__
+        assert set(names) - {"__builtins__", "stage", "advance"} == {"engine", *functions}
+        assert names["engine"] is engine
+        assert all(names[f] is getattr(math, f) for f in functions)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0", None, np.int64(1)])
@@ -544,9 +681,7 @@ def test_generated_step_runs_case3bus_as_the_reference(monkeypatch, case3bus, ca
     # again at each of the four network switches. With a closed form that
     # misses the balance, every stage continues by the chord iteration
     if chord:
-        monkeypatch.setattr(
-            simulator, "passive_bus_solution", lambda *args: (1.01 * args[5], args[6] + 0.01)
-        )
+        force_chord(monkeypatch)
     events = [
         LoadStep(at=0.1, bus="bus3", dp=0.05, dq=0.02, duration=0.1),
         LineScale(at=0.15, line_index=1, factor=0.5, duration=0.1),
@@ -581,7 +716,7 @@ def test_generated_step_collapses_as_the_reference(case3bus, case3bus_solution, 
         else:
             engine.use_network(case3bus.net.with_load_delta("bus3", 50.0, 50.0))
         with pytest.raises(SimulationError) as exc:
-            engine.advance(y, dy, V, T, 1e-3, 7)
+            engine.advance(y, dy, V, T, 1e-3, 7, 8)
         raised.append(str(exc.value))
     assert raised == [message, message]
 
