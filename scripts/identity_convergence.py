@@ -22,7 +22,7 @@ import numpy as np
 from phasorstab.certify import identity_residuals
 from phasorstab.cli import back_solve_setpoints, resolve_case_path, solve_case_equilibrium
 from phasorstab.netfile import load_case
-from phasorstab.scenario import Scenario, SolverConfig, StatePerturbation
+from phasorstab.scenario import Scenario, SolverConfig, StatePerturbation, plan_run
 from phasorstab.simulator import simulate
 
 
@@ -49,8 +49,9 @@ def main() -> None:
                 StatePerturbation(at=0.0, component="droop2", delta={"v": -0.02}),
             ],
         )
+        plan = plan_run(case.net, case.components, scen, SolverConfig(step_size=h))
         start = time.perf_counter()
-        traj = simulate(case.net, case.components, scen, SolverConfig(step_size=h), sol)
+        traj = simulate(plan, sol)
         wall = time.perf_counter() - start
         potential_gap, divergence_gap = identity_residuals(traj)
         ratio_p = rows[-1][1] / potential_gap if rows else float("nan")

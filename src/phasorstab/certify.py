@@ -190,7 +190,7 @@ def check_storage_criterion(
             )
             continue
         supply = traj.supply[cid]
-        if convention is not traj.convention:
+        if convention is not traj.config.convention:
             supply = -supply
         rate = traj.storage_rate[cid]
         margin = supply - rate  # satisfied when >= 0

@@ -46,7 +46,7 @@ from .potential import (
     rectangle_contour_pair,
 )
 from .records import asdict, replace
-from .scenario import Scenario, ScenarioError, SolverConfig, check_scenario, plan_run
+from .scenario import RunPlan, ScenarioError, check_scenario, plan_run
 from .simulator import SimulationError, simulate
 
 EXIT_OK = 0
@@ -169,13 +169,11 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
-def _planned_runs(
-    case: CaseDefinition, args, what: str = ""
-) -> list[tuple[SolverConfig, Scenario]]:
-    """The runs of a transient command, each a solver configuration and its
-    scenario, planned before any work. The case's scenario is required
-    (`what` ends the message if it is missing) and cut at ``--horizon`` when
-    given. With ``--h-sweep`` there is one run per sweep step, sampled at
+def _planned_runs(case: CaseDefinition, args, what: str = "") -> list[RunPlan]:
+    """The plans of a transient command's runs, made before any work; the
+    command steps on these. The case's scenario is required (`what` ends the
+    message if it is missing) and cut at ``--horizon`` when given. With
+    ``--h-sweep`` there is one run per sweep step, sampled at
     :func:`_sweep_period`, whose errors name the step; otherwise one run
     with the case's solver."""
     scenario = case.scenario
@@ -189,30 +187,28 @@ def _planned_runs(
             disturbances=[d for d in scenario.disturbances if d.at <= horizon],
         )
     if getattr(args, "h_sweep", None) is None:
-        plan_run(case.net, case.components, scenario, case.solver.step_size)
-        return [(case.solver, scenario)]
+        return [plan_run(case.net, case.components, scenario, case.solver)]
     if scenario.network_events():
         raise ScenarioError(
             "identity verification requires a scenario without load or line events"
         )
     steps = _step_sweep(args.h_sweep)
-    runs = []
+    plans = []
     for h in steps:
         try:
             config = replace(case.solver, step_size=h)
             run = replace(scenario, output_period=_sweep_period(scenario, h))
-            plan_run(case.net, case.components, run, h)
+            plans.append(plan_run(case.net, case.components, run, config))
         except ScenarioError as exc:
             raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
-        runs.append((config, run))
-    return runs
+    return plans
 
 
 def cmd_simulate(args) -> int:
     case = _prepare(load_case(resolve_case_path(args.case)), args)
-    [(_, scenario)] = _planned_runs(case, args)
+    [plan] = _planned_runs(case, args)
     sol = solve_case_equilibrium(case)
-    traj = simulate(case.net, case.components, scenario, case.solver, sol)
+    traj = simulate(plan, sol)
     traj.to_csv(args.out)
     manifest_path = args.manifest or (os.path.splitext(args.out)[0] + ".manifest.json")
     traj.write_manifest(manifest_path, source=case.source)
@@ -228,11 +224,9 @@ def cmd_certify(args) -> int:
         raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
     case = _prepare(load_case(resolve_case_path(args.case)), args)
     if args.with_trajectory:
-        [(_, scenario)] = _planned_runs(case, args, " for --with-trajectory")
+        [plan] = _planned_runs(case, args, " for --with-trajectory")
     sol = solve_case_equilibrium(case)
-    traj = None
-    if args.with_trajectory:
-        traj = simulate(case.net, case.components, scenario, case.solver, sol)
+    traj = simulate(plan, sol) if args.with_trajectory else None
     report = run_certify(case.net, case.components, sol, traj, tol=tol)
     if args.out:
         _atomic_write(args.out, report.to_json())
@@ -264,14 +258,14 @@ def _sweep_period(scenario, h: float) -> float:
 
 def cmd_verify_identities(args) -> int:
     case = _prepare(load_case(resolve_case_path(args.case)), args)
-    runs = _planned_runs(case, args)
+    plans = _planned_runs(case, args)
     sol = solve_case_equilibrium(case)
     from .certify import identity_residuals
     from .network import BusState, tellegen_sum
 
     rows = []
-    for config, run_scenario in runs:
-        traj = simulate(case.net, case.components, run_scenario, config, sol)
+    for plan in plans:
+        traj = simulate(plan, sol)
         potential_res, divergence_res = identity_residuals(traj)
         # one Tellegen sum per sample, over the sample axis at once
         inj = {cid: (traj.P[cid], traj.Q[cid]) for cid in traj.component_ids()}
@@ -279,7 +273,7 @@ def cmd_verify_identities(args) -> int:
         tellegen = float(np.abs(tellegen_sum(case.net, state, inj)).max())
         rows.append(
             {
-                "h": config.step_size,
+                "h": plan.config.step_size,
                 "potential_identity_residual": potential_res,
                 "divergence_identity_residual": divergence_res,
                 "tellegen_max": tellegen,
@@ -299,7 +293,7 @@ def cmd_verify_identities(args) -> int:
     lossy = path_dependence_experiment(1.0, 0.0, contour_a, contour_b)
     doc = {
         "case": case.name,
-        "horizon": runs[0][1].horizon,
+        "horizon": plans[0].scenario.horizon,
         "sweep": rows,
         "fitted_order": {
             "potential_identity": fitted_order("potential_identity_residual"),

@@ -2,10 +2,11 @@
 
 A scenario perturbs component states, steps loads, or scales line couplings
 at times aligned with the integration grid. :func:`check_scenario` checks
-it against the network and the components; :func:`plan_run` also checks it
-against the step grid and builds every network the run switches to, so a
-bad input, or a bad combination of overlapping events, fails before any
-work.
+it against the network and the components, each load and line event
+applied alone; :func:`plan_run` also checks it against the step grid and
+builds every network the run switches to, so a bad input, or a bad
+combination of overlapping events, fails before any work. The
+:class:`RunPlan` it returns is what the simulator steps on.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import math
 
 from .components import Component, SupplyConvention
-from .network import NetworkModel
+from .network import NetworkError, NetworkModel
 from .records import field, recordclass
 
 __all__ = [
     "ScenarioError", "StatePerturbation", "LoadStep", "LineScale", "Scenario",
-    "SolverConfig", "check_scenario", "plan_run",
+    "SolverConfig", "RunPlan", "check_scenario", "plan_run",
 ]
 
 GRID_ALIGN_TOL = 1e-9
@@ -117,13 +118,31 @@ class SolverConfig:
             raise ScenarioError("newton_max_iter must be nonnegative")
 
 
+@recordclass(frozen=True)
+class RunPlan:
+    """The plan of one run, made by :func:`plan_run` before any work: the
+    network, components, scenario and solver settings it was checked for,
+    the step count, the steps per sample, and for each event step the run
+    reaches, the state perturbations due there and the network in force
+    after it (None when no load or line event starts or ends there)."""
+
+    net: NetworkModel
+    components: dict[str, Component]
+    scenario: Scenario
+    config: SolverConfig
+    n_steps: int
+    sample_every: int
+    events: dict[int, tuple[list[StatePerturbation], NetworkModel | None]]
+
+
 def check_scenario(
     net: NetworkModel, components: dict[str, Component], scenario: Scenario
 ) -> None:
-    """Check a scenario's explicit states and state perturbations against
-    the network's components: the checks that no step size changes. Each
-    names only components and their states; explicit states hold a
-    positive ``v``, and with ``initial="explicit"`` cover every component."""
+    """Check a scenario against the network and its components: the checks
+    that no step size changes. Explicit states and state perturbations name
+    only components and their states; explicit states hold a positive
+    ``v``, and with ``initial="explicit"`` cover every component. Each load
+    and line event, applied alone to `net`, builds a network."""
     comp_ids = [s.component_id for s in net.dynamic_shunts]
     states = scenario.explicit_states or {}
     missing = [cid for cid in comp_ids if cid not in states]
@@ -147,6 +166,19 @@ def check_scenario(
             raise ScenarioError(f"explicit_states.{cid}: missing state(s) {missing}")
         if not given.get("v", 1.0) > 0.0:
             raise ScenarioError(f"explicit_states.{cid}.v must be positive, got {given['v']}")
+    for i, d in enumerate(scenario.disturbances):
+        if not isinstance(d, StatePerturbation):
+            try:
+                _switched(net, d)
+            except NetworkError as exc:
+                raise ScenarioError(f"disturbances[{i}]: {exc}") from None
+
+
+def _switched(net: NetworkModel, d: NetworkDisturbance) -> NetworkModel:
+    """`net` with the load or line event `d` applied."""
+    if isinstance(d, LoadStep):
+        return net.with_load_delta(d.bus, d.dp, d.dq)
+    return net.with_scaled_line(d.line_index, d.factor)
 
 
 def _snap_to_grid(value: float, h: float, what: str) -> int:
@@ -159,18 +191,19 @@ def _snap_to_grid(value: float, h: float, what: str) -> int:
 
 
 def plan_run(
-    net: NetworkModel, components: dict[str, Component], scenario: Scenario, h: float
-) -> tuple[int, int, dict[int, tuple[list[StatePerturbation], NetworkModel | None]]]:
-    """Plan a run of `scenario` on `net` at step `h`, before any work.
+    net: NetworkModel, components: dict[str, Component], scenario: Scenario,
+    config: SolverConfig,
+) -> RunPlan:
+    """Plan a run of `scenario` on `net` at `config`'s step, before any work.
 
     Checks the scenario against the step grid, the network and the
-    components. Returns the step count, the steps per sample, and for each
-    event step the run reaches, the state perturbations due there and the
-    network in force after it: None when no load or line event starts or
-    ends there, else built from `net` with the events in force applied in
-    the order they started. So every combination of overlapping events is
-    built here, and raises what building it raises.
+    components, and builds the network in force after each event step the
+    run reaches: from `net`, with the load and line events in force applied
+    in the order they started. So every combination of overlapping events is
+    built here; one that fails names the disturbances in force and the
+    step's time in front of the network's message.
     """
+    h = config.step_size
     n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
     sample_every = _snap_to_grid(scenario.output_period, h, "output period")
     if sample_every <= 0:
@@ -182,30 +215,32 @@ def plan_run(
             f"{sample_every} steps of h = {h})"
         )
     check_scenario(net, components, scenario)
-    # per step, the disturbances due there, each with whether it ends there
-    due: dict[int, list[tuple[Disturbance, bool]]] = {}
-    for d in scenario.disturbances:
-        due.setdefault(_snap_to_grid(d.at, h, "disturbance time"), []).append((d, False))
+    # per step, the disturbances due there by index, each with whether it ends there
+    due: dict[int, list[tuple[int, Disturbance, bool]]] = {}
+    for i, d in enumerate(scenario.disturbances):
+        due.setdefault(_snap_to_grid(d.at, h, "disturbance time"), []).append((i, d, False))
         if not isinstance(d, StatePerturbation) and d.duration is not None:
             end = _snap_to_grid(d.at + d.duration, h, "disturbance end time")
-            due.setdefault(end, []).append((d, True))
+            due.setdefault(end, []).append((i, d, True))
     events = {}
-    active: list[NetworkDisturbance] = []
+    # the load and line events in force by index, in the order they started
+    active: dict[int, NetworkDisturbance] = {}
     for step in sorted(s for s in due if s <= n_steps):
         kicks, switched = [], None
-        for d, ends in due[step]:
+        for i, d, ends in due[step]:
             if isinstance(d, StatePerturbation):
                 kicks.append(d)
             elif ends:
-                active.remove(d)
+                del active[i]
             else:
-                active.append(d)
+                active[i] = d
         if len(kicks) < len(due[step]):  # a load or line event is due
             switched = net
-            for d in active:
-                if isinstance(d, LoadStep):
-                    switched = switched.with_load_delta(d.bus, d.dp, d.dq)
-                else:
-                    switched = switched.with_scaled_line(d.line_index, d.factor)
+            try:
+                for d in active.values():
+                    switched = _switched(switched, d)
+            except NetworkError as exc:
+                names = ", ".join(f"disturbances[{i}]" for i in active)
+                raise ScenarioError(f"{names} at t = {step * h:.6g}: {exc}") from None
         events[step] = (kicks, switched)
-    return n_steps, sample_every, events
+    return RunPlan(net, components, scenario, config, n_steps, sample_every, events)

@@ -64,12 +64,13 @@ the tolerance, while the closed form is exact up to rounding. The manifest
 records the solves, the chord steps and the Jacobian factorizations of the
 run; a closed-form solve counts as one solve with neither.
 
-A run steps on the plan of its scenario
-(:func:`~phasorstab.scenario.plan_run`), made before any work: the state
-perturbations due at each event step, and the network in force after it,
-which the engine switches to. Path integrals are accumulated with the
-trapezoid rule at every integration step (second-order in the step
-size). The step loop records only the raw samples (time, bus state,
+A run steps on a plan (:class:`~phasorstab.scenario.RunPlan`), which its
+caller makes with :func:`~phasorstab.scenario.plan_run` before any work:
+the network, components, scenario and solver settings it was checked for,
+and per event step the state perturbations due there and the network in
+force after it, which the engine switches to. Path integrals are
+accumulated with the trapezoid rule at every integration step
+(second-order in the step size). The step loop records only the raw samples (time, bus state,
 injections, component states, the dy the step produced there, and
 integrals); the other diagnostics (Vp, W, and each component's storage,
 storage rate and supply rate) are evaluated after the run, in one array
@@ -96,7 +97,6 @@ from .components import (
     Anchor,
     CertificateUnavailable,
     Component,
-    SupplyConvention,
     supply_rate,
 )
 from .equilibrium import EquilibriumSolution, solve_equilibrium
@@ -109,7 +109,7 @@ from .network import (
 )
 from .potential import BregmanDivergence, eval_vp
 from .records import recordclass
-from .scenario import Scenario, SolverConfig, plan_run
+from .scenario import RunPlan, Scenario, SolverConfig
 
 __all__ = ["SimulationError", "Trajectory", "simulate"]
 
@@ -133,8 +133,8 @@ class Trajectory:
     series are keyed by component id. ``vp`` is the potential of the base
     network (load and line events do not change it) relative to the
     trajectory's initial point; ``w`` is the divergence anchored at the
-    equilibrium under test. ``supply`` is recorded under the run's
-    convention and ``integral`` holds the deviation path integrals.
+    equilibrium under test. ``supply`` is recorded under the convention of
+    ``config`` and ``integral`` holds the deviation path integrals.
     """
 
     times: np.ndarray
@@ -152,7 +152,6 @@ class Trajectory:
     supply: dict[str, np.ndarray]
     integral: dict[str, np.ndarray]
     unshifted_integral: np.ndarray
-    convention: SupplyConvention
     equilibrium: EquilibriumSolution
     network: NetworkModel
     components: dict[str, Component]
@@ -224,7 +223,7 @@ class Trajectory:
             "step_size": float(self.config.step_size),
             "integrator": "rk4",  # the only integrator; the key stays in the layout
             "newton_tol": float(self.config.newton_tol),
-            "convention": self.convention.value,
+            "convention": self.config.convention.value,
             "columns": self.columns(),
             "network_changed_during_run": self.network_changed,
             "inner_solves": self.inner_solves,
@@ -817,22 +816,17 @@ def _make_engine(
 # -- driver --------------------------------------------------------------------
 
 
-def simulate(
-    net: NetworkModel,
-    components: dict[str, Component],
-    scenario: Scenario,
-    config: SolverConfig = SolverConfig(),
-    equilibrium: EquilibriumSolution | None = None,
-) -> Trajectory:
-    """Run a scenario and return the sampled trajectory with diagnostics.
+def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> Trajectory:
+    """Run a planned scenario and return the sampled trajectory with
+    diagnostics.
 
     The reference equilibrium (solved here unless supplied) anchors the
     divergence, the component storages, and the deviation integrals; with
     ``initial="equilibrium"`` it is also the pre-disturbance initial state.
     Deterministic for fixed inputs and step size.
     """
-    h = config.step_size
-    n_steps_total, sample_every, events = plan_run(net, components, scenario, h)
+    net, components, scenario, config = plan.net, plan.components, plan.scenario, plan.config
+    events, sample_every, h = plan.events, plan.sample_every, config.step_size
     if equilibrium is None:
         equilibrium = solve_equilibrium(net, components)
 
@@ -898,7 +892,7 @@ def simulate(
 
     # one engine call per stop: every sample step (the plan puts the last
     # step among them) and every event step
-    stops = {*range(sample_every, n_steps_total + 1, sample_every), *events} - {0}
+    stops = {*range(sample_every, plan.n_steps + 1, sample_every), *events} - {0}
     first = 0
     for stop in sorted(stops):
         y, dy, p, q = engine.advance(y, dy, V, th, h, first, stop)
@@ -961,7 +955,6 @@ def simulate(
         supply=supply_series,
         integral=integral_series,
         unshifted_integral=unshifted_series,
-        convention=config.convention,
         equilibrium=equilibrium,
         network=net,
         components=dict(components),

@@ -22,6 +22,7 @@ from phasorstab.network import (
     NetworkModel,
     power_injection,
 )
+from phasorstab.scenario import plan_run
 from phasorstab.simulator import simulate
 
 
@@ -40,10 +41,7 @@ def case3bus_solution(case3bus):
 def traj_default(case3bus, case3bus_solution):
     """The shipped default scenario (state perturbation, 40 s)."""
     return simulate(
-        case3bus.net,
-        case3bus.components,
-        case3bus.scenario,
-        case3bus.solver,
+        plan_run(case3bus.net, case3bus.components, case3bus.scenario, case3bus.solver),
         case3bus_solution,
     )
 

@@ -33,7 +33,7 @@ from phasorstab.potential import (
     path_dependence_experiment,
     rectangle_contour_pair,
 )
-from phasorstab.scenario import Scenario, SolverConfig, StatePerturbation
+from phasorstab.scenario import Scenario, SolverConfig, StatePerturbation, plan_run
 from phasorstab.simulator import simulate
 
 from conftest import make_vsg_with_empty_bus
@@ -62,14 +62,20 @@ def identity_sweep(case3bus, case3bus_solution):
     rows = []
     for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
         traj = simulate(
-            case3bus.net, case3bus.components, kicked_scenario(10.0, 0.1),
-            SolverConfig(step_size=h), case3bus_solution,
+            plan_run(
+                case3bus.net, case3bus.components, kicked_scenario(10.0, 0.1),
+                SolverConfig(step_size=h),
+            ),
+            case3bus_solution,
         )
         potential_gap, divergence_gap = identity_residuals(traj)
         rows.append((h, potential_gap, divergence_gap))
     fine = simulate(
-        case3bus.net, case3bus.components, kicked_scenario(10.0, 0.1),
-        SolverConfig(step_size=1e-4), case3bus_solution,
+        plan_run(
+            case3bus.net, case3bus.components, kicked_scenario(10.0, 0.1),
+            SolverConfig(step_size=1e-4),
+        ),
+        case3bus_solution,
     )
     fine_potential, fine_divergence = identity_residuals(fine)
     elapsed = time.perf_counter() - start
@@ -256,7 +262,7 @@ def test_criterion_09_certificate_engine(case3bus, case3bus_solution, traj_defau
         output_period=0.01,
         disturbances=[StatePerturbation(at=0.0, component="vsg1", delta={"omega": 0.2})],
     )
-    traj = simulate(net, comps, scen, SolverConfig(step_size=1e-3), sol)
+    traj = simulate(plan_run(net, comps, scen, SolverConfig(step_size=1e-3)), sol)
     dp = comps["vsg1"].Dp
     omega = traj.comp_states["vsg1"][:, 1]
     margin = traj.storage_rate["vsg1"] - traj.supply["vsg1"]  # negated convention
@@ -331,8 +337,11 @@ def test_criterion_10_numerical_hygiene(tmp_path, case3bus, case3bus_solution):
     outputs = []
     for run in range(2):
         traj = simulate(
-            case3bus.net, case3bus.components, kicked_scenario(0.5, 0.01),
-            SolverConfig(step_size=1e-3), case3bus_solution,
+            plan_run(
+                case3bus.net, case3bus.components, kicked_scenario(0.5, 0.01),
+                SolverConfig(step_size=1e-3),
+            ),
+            case3bus_solution,
         )
         path = tmp_path / f"hygiene{run}.csv"
         traj.to_csv(str(path))

@@ -15,7 +15,7 @@ from phasorstab.certify import (
 )
 from phasorstab.components import Anchor, SupplyConvention, VsgComponent, Setpoints
 from phasorstab.equilibrium import solve_equilibrium
-from phasorstab.scenario import LoadStep, Scenario, SolverConfig, StatePerturbation
+from phasorstab.scenario import LoadStep, Scenario, SolverConfig, StatePerturbation, plan_run
 from phasorstab.simulator import Trajectory, simulate
 
 
@@ -53,7 +53,6 @@ def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
         supply={"c": zeros.copy()},
         integral={"c": np.array(integral_series, dtype=float)},
         unshifted_integral=zeros.copy(),
-        convention=SupplyConvention.NEGATED,
         equilibrium=sol,
         network=net,
         components={"c": comp},
@@ -91,9 +90,11 @@ def test_loosening_tolerance_never_flips_to_violated():
 
 def test_equilibrium_trajectory_storage_margin_zero(case3bus, case3bus_solution):
     traj = simulate(
-        case3bus.net, case3bus.components,
-        Scenario(horizon=0.2, output_period=0.05),
-        SolverConfig(step_size=1e-3), case3bus_solution,
+        plan_run(
+            case3bus.net, case3bus.components, Scenario(horizon=0.2, output_period=0.05),
+            SolverConfig(step_size=1e-3),
+        ),
+        case3bus_solution,
     )
     for conv in SupplyConvention:
         verdicts = check_storage_criterion(traj, case3bus.components, conv, 1e-6)
@@ -171,7 +172,7 @@ def test_compensated_load_case_goes_green_on_trajectory_criteria(compensated_loa
         output_period=0.02,
         disturbances=[LoadStep(at=0.5, bus="load", dp=0.05, dq=0.0, duration=1.0)],
     )
-    traj = simulate(net, comps, scen, SolverConfig(step_size=1e-3), sol)
+    traj = simulate(plan_run(net, comps, scen, SolverConfig(step_size=1e-3)), sol)
     report = certify(net, comps, sol, traj, tol=1e-6)
     assert report.integral["vsg1"].satisfied
     assert report.storage[SupplyConvention.NEGATED]["vsg1"].satisfied
@@ -213,8 +214,11 @@ def test_unavailable_certificate_surfaces(vsg_empty_bus):
     net, comps = vsg_empty_bus
     sol = solve_equilibrium(net, comps)
     traj = simulate(
-        net, comps, Scenario(horizon=0.1, output_period=0.1),
-        SolverConfig(step_size=1e-3), sol,
+        plan_run(
+            net, comps, Scenario(horizon=0.1, output_period=0.1),
+            SolverConfig(step_size=1e-3),
+        ),
+        sol,
     )
     # no feasible equilibrium has k <= 0 for this toy, so force the anchor
     sol.anchors["vsg1"] = Anchor(P=0.0, Q=-60.0, V=1.0, theta=0.0)
@@ -246,8 +250,8 @@ def test_identity_residuals_scale(case3bus, case3bus_solution):
     res = {}
     for h in (4e-3, 1e-3):
         traj = simulate(
-            case3bus.net, case3bus.components, scen,
-            SolverConfig(step_size=h), case3bus_solution,
+            plan_run(case3bus.net, case3bus.components, scen, SolverConfig(step_size=h)),
+            case3bus_solution,
         )
         res[h] = identity_residuals(traj)
     assert res[4e-3][0] > res[1e-3][0]

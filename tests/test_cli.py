@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -540,9 +542,9 @@ def test_simulate_runs_from_the_case_equilibrium(capsys, tmp_path, monkeypatch):
         solved.append(solve(case))
         return solved[-1]
 
-    def spy_simulate(net, components, scenario, config, equilibrium=None):
+    def spy_simulate(plan, equilibrium=None):
         given.append(equilibrium)
-        return run(net, components, scenario, config, equilibrium)
+        return run(plan, equilibrium)
 
     monkeypatch.setattr(cli, "solve_case_equilibrium", spy_solve)
     monkeypatch.setattr(cli, "simulate", spy_simulate)
@@ -562,6 +564,10 @@ NO_SCENARIO = "case 'case3bus' declares no scenario"
 GHOST = "disturbances[0]: unknown component 'ghost'"
 PSI = "disturbances[0]: component 'vsg1' has no state 'psi'"
 NEGATIVE_V = "explicit_states.vsg1.v must be positive, got -1.0"
+# the packaged scenario holds two disturbances; a fault adds a third
+UNKNOWN_LOAD_BUS = "disturbances[2]: load step at unknown bus 'ghost'"
+NO_LOAD = "disturbances[2]: load step at bus 'bus1' with no constant-power branch"
+LINE_INDEX = "disturbances[2]: line index 5 out of range"
 
 
 @pytest.mark.parametrize(
@@ -573,24 +579,32 @@ NEGATIVE_V = "explicit_states.vsg1.v must be positive, got -1.0"
         (VERIFY, "unknown-component", GHOST),
         (CERTIFY_TRAJECTORY, "unknown-state", PSI),
         (VERIFY, "unknown-state", PSI),
-        (CERTIFY_TRAJECTORY, "load-step-without-load",
-         "load step at bus 'bus1' with no constant-power branch"),
-        (CERTIFY_TRAJECTORY, "line-index", "line index 5 out of range"),
+        (CERTIFY_TRAJECTORY, "load-step-without-load", NO_LOAD),
+        (CERTIFY_TRAJECTORY, "line-index", LINE_INDEX),
         (SIMULATE, "no-scenario", NO_SCENARIO),
         (SIMULATE, "unknown-component", GHOST),
-        (SIMULATE, "line-index", "line index 5 out of range"),
+        (SIMULATE, "line-index", LINE_INDEX),
         # the commands that run no scenario still refuse a malformed one
         (EQUILIBRIUM, "unknown-component", GHOST),
         (CERTIFY, "unknown-component", GHOST),
         (EQUILIBRIUM, "negative-explicit-v", NEGATIVE_V),
         (CERTIFY, "negative-explicit-v", NEGATIVE_V),
+        (EQUILIBRIUM, "unknown-load-bus", UNKNOWN_LOAD_BUS),
+        (CERTIFY, "unknown-load-bus", UNKNOWN_LOAD_BUS),
+        (EQUILIBRIUM, "load-step-without-load", NO_LOAD),
+        (CERTIFY, "load-step-without-load", NO_LOAD),
+        (EQUILIBRIUM, "line-index", LINE_INDEX),
+        (CERTIFY, "line-index", LINE_INDEX),
     ],
     ids=["certify-no-scenario", "verify-no-scenario", "certify-unknown-component",
          "verify-unknown-component", "certify-unknown-state", "verify-unknown-state",
          "certify-load-step-without-load", "certify-line-index", "simulate-no-scenario",
          "simulate-unknown-component", "simulate-line-index", "equilibrium-unknown-component",
          "static-certify-unknown-component", "equilibrium-negative-explicit-v",
-         "static-certify-negative-explicit-v"],
+         "static-certify-negative-explicit-v", "equilibrium-unknown-load-bus",
+         "static-certify-unknown-load-bus", "equilibrium-load-step-without-load",
+         "static-certify-load-step-without-load", "equilibrium-line-index",
+         "static-certify-line-index"],
 )
 def test_scenario_is_checked_before_the_equilibrium_solve(
     capsys, tmp_path, monkeypatch, command, fault, message
@@ -611,6 +625,8 @@ def test_scenario_is_checked_before_the_equilibrium_solve(
         _explicit_states(doc)["vsg1"]["v"] = -1.0
     elif fault == "load-step-without-load":
         disturbances.append({"at": 0.05, "kind": "load_step", "bus": "bus1", "dp": 0.1, "dq": 0.0})
+    elif fault == "unknown-load-bus":
+        disturbances.append({"at": 0.05, "kind": "load_step", "bus": "ghost", "dp": 0.1, "dq": 0.0})
     else:
         disturbances.append({"at": 0.05, "kind": "line_scale", "line": 5, "factor": 0.5})
     path = write_case(tmp_path, doc)
@@ -639,7 +655,10 @@ def test_overlapping_events_fail_before_the_equilibrium_solve(capsys, tmp_path, 
     out_csv = tmp_path / "out.csv"
     code, out, err = run_cli(capsys, "simulate", path, "--horizon", "2", "--out", str(out_csv))
     assert (code, out) == (1, "")
-    assert err == "error: line 'bus1'-'bus3' has non-finite reactance inf\n"
+    assert err == (
+        "error: disturbances[2], disturbances[3] at t = 1:"
+        " line 'bus1'-'bus3' has non-finite reactance inf\n"
+    )
     assert list(tmp_path.iterdir()) == [tmp_path / "case.json"]
 
 
@@ -668,15 +687,23 @@ def test_convention_flag_changes_recorded_supply(capsys, tmp_path):
     assert row_n[v_col] == row_p[v_col]
 
 
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    """perfbench/tracer.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_benchmark_tracer_bindings_resolve():
     # perfbench/tracer.py wraps these functions by name in a traced run; a
     # rename must fail here, not in that run
     import phasorstab.cli  # noqa: F401  (loads every module the tracer wraps)
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     for binding in [*tracer.BINDINGS, tracer.ROOT_SPAN]:
         module, *path_in_module = binding.split(".")
         owner = sys.modules.get(f"phasorstab.{module}")
@@ -685,6 +712,54 @@ def test_benchmark_tracer_bindings_resolve():
             assert hasattr(owner, name), binding
             owner = getattr(owner, name)
         assert callable(owner), binding
+
+
+def test_benchmark_tracer_runs_a_traced_command(tmp_path):
+    # the traced run also reads what the wrapped calls return (the
+    # trajectory's scenario and solver settings, the solution's iterations)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(TRACER.parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    spans = tmp_path / "spans.npz"
+    argv = ["simulate", "case3bus", "--horizon", "0.1", "--out", str(tmp_path / "t.csv")]
+    done = subprocess.run([sys.executable, str(TRACER), str(spans), "--", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    metrics = load_tracer().summarize([str(spans)])
+    assert (metrics["simulator.steps"], metrics["simulator.samples"]) == (100, 11)
+    assert metrics["equilibrium.newton_iterations"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [(["simulate", "case3bus", "--horizon", "0.1"], 1),
+     (["certify", "case3bus", "--with-trajectory"], 1),
+     (["verify-identities", "case3bus", "--horizon", "0.1"], 3)],
+    ids=["simulate", "certify-with-trajectory", "verify-identities"],
+)
+def test_each_run_is_planned_once(capsys, tmp_path, monkeypatch, argv, runs):
+    # the plan a command checks before its equilibrium solve is the plan it
+    # steps on: the simulator plans nothing itself
+    import phasorstab.cli as cli
+    import phasorstab.simulator as simulator
+
+    assert not hasattr(simulator, "plan_run")
+    made, stepped = [], []
+    plan, run = cli.plan_run, cli.simulate
+
+    def counted_plan(*args):
+        made.append(plan(*args))
+        return made[-1]
+
+    def spy_simulate(planned, equilibrium=None):
+        stepped.append(planned)
+        return run(planned, equilibrium)
+
+    monkeypatch.setattr(cli, "plan_run", counted_plan)
+    monkeypatch.setattr(cli, "simulate", spy_simulate)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, len(made)) == (0, runs)
+    assert len(stepped) == runs and all(s is m for s, m in zip(stepped, made))
 
 
 def _explicit_states(doc):

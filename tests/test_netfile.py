@@ -377,6 +377,6 @@ def test_any_one_bad_value_is_a_validation_error(path, value):
     try:
         case = parse_case(doc)
         if case.scenario is not None:
-            plan_run(case.net, case.components, case.scenario, case.solver.step_size)
+            plan_run(case.net, case.components, case.scenario, case.solver)
     except (NetworkFileError, NetworkError, ScenarioError, InconsistentInput):
         pass

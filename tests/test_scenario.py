@@ -3,21 +3,24 @@ is built and checked before any work."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from phasorstab.network import NetworkError
 from phasorstab.scenario import (
     LineScale,
     LoadStep,
     Scenario,
     ScenarioError,
+    SolverConfig,
     StatePerturbation,
     plan_run,
 )
+
+COARSE = SolverConfig(step_size=1e-2)
 
 
 @pytest.mark.parametrize(
@@ -50,10 +53,14 @@ def test_plan_builds_each_network_from_the_base_in_order(case3bus):
     second = LineScale(0.3, 0, 0.8, duration=10.0)
     kick = StatePerturbation(0.3, "vsg1", {"omega": 0.1})
     scen = Scenario(1.0, 0.1, disturbances=[load, first, second, kick])
-    n_steps, sample_every, events = plan_run(net, case3bus.components, scen, 1e-2)
-    assert (n_steps, sample_every) == (100, 10)
+    plan = plan_run(net, case3bus.components, scen, COARSE)
+    assert (plan.n_steps, plan.sample_every) == (100, 10)
+    # the plan holds what it was made for
+    assert (plan.net, plan.components, plan.scenario, plan.config) == (
+        net, case3bus.components, scen, COARSE
+    )
     stepped = net.with_load_delta("bus3", 0.05, 0.02)
-    planned = {step: (kicks, branches(switched)) for step, (kicks, switched) in events.items()}
+    planned = {step: (kicks, branches(switched)) for step, (kicks, switched) in plan.events.items()}
     assert planned == {
         10: ([], branches(stepped)),
         20: ([], branches(stepped.with_scaled_line(0, 0.5))),
@@ -63,7 +70,7 @@ def test_plan_builds_each_network_from_the_base_in_order(case3bus):
     }
     # a step with perturbations only keeps the network
     calm = Scenario(1.0, 0.1, disturbances=[kick])
-    assert plan_run(net, case3bus.components, calm, 1e-2)[2] == {30: ([kick], None)}
+    assert plan_run(net, case3bus.components, calm, COARSE).events == {30: ([kick], None)}
 
 
 def test_overlapping_events_are_checked_together_in_the_plan(case3bus):
@@ -71,9 +78,14 @@ def test_overlapping_events_are_checked_together_in_the_plan(case3bus):
     tiny = [LineScale(at, 0, 1e-300, duration=0.5) for at in (0.1, 0.3)]
     scen = Scenario(1.0, 0.1, disturbances=tiny)
     alone = Scenario(1.0, 0.1, disturbances=tiny[:1])
-    plan_run(case3bus.net, case3bus.components, alone, 1e-2)
-    with pytest.raises(NetworkError, match="line 'bus1'-'bus3' has non-finite reactance inf"):
-        plan_run(case3bus.net, case3bus.components, scen, 1e-2)
+    plan_run(case3bus.net, case3bus.components, alone, COARSE)
+    # the message names the disturbances in force and the step's time
+    message = (
+        "disturbances[0], disturbances[1] at t = 0.3:"
+        " line 'bus1'-'bus3' has non-finite reactance inf"
+    )
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        plan_run(case3bus.net, case3bus.components, scen, COARSE)
 
 
 @pytest.mark.parametrize("module", ["phasorstab.netfile", "phasorstab.scenario"])
