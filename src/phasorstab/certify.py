@@ -22,7 +22,7 @@ import json
 import numpy as np
 
 from .components import (
-    CertificateUnavailable,
+    EIG_TOL,
     Component,
     LocalCertificate,
     SupplyConvention,
@@ -62,11 +62,10 @@ class IntegralVerdict:
 class StorageVerdict:
     component_id: str
     convention: SupplyConvention
-    satisfied: bool | None          # None when the certificate is unavailable
-    worst_margin: float | None      # min over t of (supply - storage_rate)
-    time_of_worst: float | None
+    satisfied: bool
+    worst_margin: float      # min over t of (supply - storage_rate)
+    time_of_worst: float
     tol: float
-    unavailable_reason: str | None = None
 
 
 @recordclass
@@ -158,7 +157,6 @@ def check_integral_criterion(
 
 def check_storage_criterion(
     traj: Trajectory,
-    components: dict[str, Component] | None = None,
     convention: SupplyConvention = SupplyConvention.NEGATED,
     tol: float = DEFAULT_CRITERION_TOL,
 ) -> dict[str, StorageVerdict]:
@@ -171,24 +169,8 @@ def check_storage_criterion(
     0.0, so among margins that are zero up to rounding the worst is the
     first sample's.
     """
-    components = components or traj.components
     verdicts: dict[str, StorageVerdict] = {}
     for cid in traj.component_ids():
-        comp = components[cid]
-        anchor = traj.anchors[cid]
-        try:
-            comp.require_stiffness(anchor)
-        except CertificateUnavailable as exc:
-            verdicts[cid] = StorageVerdict(
-                component_id=cid,
-                convention=convention,
-                satisfied=None,
-                worst_margin=None,
-                time_of_worst=None,
-                tol=tol,
-                unavailable_reason=str(exc),
-            )
-            continue
         supply = traj.supply[cid]
         if convention is not traj.config.convention:
             supply = -supply
@@ -268,17 +250,15 @@ def certify(
     hess = hessian_vp(net, equilibrium.state.V, equilibrium.state.theta)
     convexity = convexity_check(hess)
 
-    local_forms: dict[str, LocalCertificate] = {}
-    for cid, anchor in equilibrium.anchors.items():
-        try:
-            local_forms[cid] = local_certificate(components[cid], anchor)
-        except CertificateUnavailable:
-            pass  # surfaced through the storage verdicts below
+    local_forms = {
+        cid: local_certificate(components[cid], anchor)
+        for cid, anchor in equilibrium.anchors.items()
+    }
 
     if traj is not None:
         integral = check_integral_criterion(traj, tol)
         storage = {
-            conv: check_storage_criterion(traj, components, conv, tol)
+            conv: check_storage_criterion(traj, conv, tol)
             for conv in SupplyConvention
         }
         if traj.network_changed:
@@ -322,11 +302,7 @@ def certify(
         if default_storage and not all(
             v.satisfied for v in default_storage.values()
         ):
-            bad = [
-                cid
-                for cid, v in default_storage.items()
-                if v.satisfied is not True
-            ]
+            bad = [cid for cid, v in default_storage.items() if not v.satisfied]
             reasons.append(f"storage criterion not satisfied for {bad}")
         conclusion = "not certified: " + "; ".join(reasons)
 
@@ -339,7 +315,9 @@ def certify(
         identity_residual_divergence=divergence_res,
         w_consistency=w_note,
         conclusion=conclusion,
-        tolerances={"criterion_tol": tol, "zero_tol": ZERO_TOL, "pos_tol": POS_TOL},
+        tolerances={
+            "criterion_tol": tol, "zero_tol": ZERO_TOL, "pos_tol": POS_TOL, "eig_tol": EIG_TOL,
+        },
         trajectory_evaluated=traj is not None,
     )
 
@@ -363,17 +341,11 @@ def render_report(report: CertificateReport) -> str:
             lines.append(f"storage criterion ({conv.value}): not evaluated")
             continue
         for cid, v in block.items():
-            if v.satisfied is None:
-                lines.append(
-                    f"storage criterion ({conv.value}) [{cid}]: unavailable "
-                    f"({v.unavailable_reason})"
-                )
-            else:
-                status = "satisfied" if v.satisfied else "VIOLATED"
-                lines.append(
-                    f"storage criterion ({conv.value}) [{cid}]: {status} "
-                    f"(worst margin {v.worst_margin:.3e} at t = {v.time_of_worst:.3g})"
-                )
+            status = "satisfied" if v.satisfied else "VIOLATED"
+            lines.append(
+                f"storage criterion ({conv.value}) [{cid}]: {status} "
+                f"(worst margin {v.worst_margin:.3e} at t = {v.time_of_worst:.3g})"
+            )
     for cid, cert in report.local_forms.items():
         for conv, rep in cert.reports.items():
             lines.append(

@@ -92,12 +92,16 @@ def _number_option(text: str, flag: str) -> float:
     return value
 
 
-def _prepare(case: CaseDefinition, args) -> CaseDefinition:
-    """Check the case's scenario, if it declares one, against its network,
-    apply global overrides and back-solve missing setpoints: every command
-    rejects a malformed scenario before any solve."""
-    if case.scenario is not None:
-        check_scenario(case.net, case.components, case.scenario)
+def _prepare(
+    case: CaseDefinition, args, transient: str | None = None
+) -> tuple[CaseDefinition, list[RunPlan]]:
+    """Apply global overrides, check the case's scenario against its network
+    and back-solve missing setpoints, in that order: every command rejects a
+    malformed scenario before any solve. A transient command gives
+    `transient` (see :func:`_planned_runs`) and checks the scenario by
+    planning its runs, which come back with the case; the plans hold the
+    case's components, which the back-solve completes in place. Any other
+    command checks a declared scenario alone and gets no plans."""
     solver = case.solver
     if getattr(args, "config", None):
         overrides = read_json(args.config)
@@ -113,7 +117,12 @@ def _prepare(case: CaseDefinition, args) -> CaseDefinition:
     if getattr(args, "h", None) is not None:
         solver = replace(solver, step_size=_number_option(args.h, "--h"))
     case.solver = solver
-    return back_solve_setpoints(case)
+    plans = []
+    if transient is not None:
+        plans = _planned_runs(case, args, transient)
+    elif case.scenario is not None:
+        check_scenario(case.net, case.components, case.scenario)
+    return back_solve_setpoints(case), plans
 
 
 def back_solve_setpoints(case: CaseDefinition) -> CaseDefinition:
@@ -142,7 +151,7 @@ def solve_case_equilibrium(case: CaseDefinition):
 
 
 def cmd_equilibrium(args) -> int:
-    case = _prepare(load_case(resolve_case_path(args.case)), args)
+    case, _ = _prepare(load_case(resolve_case_path(args.case)), args)
     sol = solve_case_equilibrium(case)
     doc = {
         "case": case.name,
@@ -169,13 +178,13 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
-def _planned_runs(case: CaseDefinition, args, what: str = "") -> list[RunPlan]:
+def _planned_runs(case: CaseDefinition, args, what: str) -> list[RunPlan]:
     """The plans of a transient command's runs, made before any work; the
     command steps on these. The case's scenario is required (`what` ends the
     message if it is missing) and cut at ``--horizon`` when given. With
     ``--h-sweep`` there is one run per sweep step, sampled at
-    :func:`_sweep_period`, whose errors name the step; otherwise one run
-    with the case's solver."""
+    :func:`_sweep_period`, whose errors name the step unless they are the
+    scenario's own; otherwise one run with the case's solver."""
     scenario = case.scenario
     if scenario is None:
         raise ScenarioError(f"case {case.name!r} declares no scenario{what}")
@@ -200,13 +209,14 @@ def _planned_runs(case: CaseDefinition, args, what: str = "") -> list[RunPlan]:
             run = replace(scenario, output_period=_sweep_period(scenario, h))
             plans.append(plan_run(case.net, case.components, run, config))
         except ScenarioError as exc:
+            # a fault of the scenario itself is no step's: it goes out as it is
+            check_scenario(case.net, case.components, scenario)
             raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
     return plans
 
 
 def cmd_simulate(args) -> int:
-    case = _prepare(load_case(resolve_case_path(args.case)), args)
-    [plan] = _planned_runs(case, args)
+    case, [plan] = _prepare(load_case(resolve_case_path(args.case)), args, "")
     sol = solve_case_equilibrium(case)
     traj = simulate(plan, sol)
     traj.to_csv(args.out)
@@ -222,11 +232,10 @@ def cmd_certify(args) -> int:
     tol = _number_option(args.tol, "--tol")
     if tol < 0.0:
         raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
-    case = _prepare(load_case(resolve_case_path(args.case)), args)
-    if args.with_trajectory:
-        [plan] = _planned_runs(case, args, " for --with-trajectory")
+    transient = " for --with-trajectory" if args.with_trajectory else None
+    case, plans = _prepare(load_case(resolve_case_path(args.case)), args, transient)
     sol = solve_case_equilibrium(case)
-    traj = simulate(plan, sol) if args.with_trajectory else None
+    traj = simulate(plans[0], sol) if plans else None
     report = run_certify(case.net, case.components, sol, traj, tol=tol)
     if args.out:
         _atomic_write(args.out, report.to_json())
@@ -257,8 +266,7 @@ def _sweep_period(scenario, h: float) -> float:
 
 
 def cmd_verify_identities(args) -> int:
-    case = _prepare(load_case(resolve_case_path(args.case)), args)
-    plans = _planned_runs(case, args)
+    case, plans = _prepare(load_case(resolve_case_path(args.case)), args, "")
     sol = solve_case_equilibrium(case)
     from .certify import identity_residuals
     from .network import BusState, tellegen_sum

@@ -17,11 +17,10 @@ D_f from the parameters and c from the setpoints, both read off
 ``derivative``), the equilibrium relations ``steady_state_partials()`` (the
 rows of D_f on the terminal columns), ``equilibrium_state`` and
 ``storage_rate(x, dx)`` (the chain rule on a given derivative dx, never
-numeric differencing), along with the setpoint binding, the stiffness guard
-and the parameter check. A run calls ``derivative`` only to build the
-table: it steps on the table and hands the dy it produced to
-``storage_rate`` and :func:`supply_rate`; the local certificate reads D_f
-from the same table.
+numeric differencing), along with the setpoint binding and the parameter
+check. A run calls ``derivative`` only to build the table: it steps on the
+table and hands the dy it produced to ``storage_rate`` and
+:func:`supply_rate`; the local certificate reads D_f from the same table.
 
 ``derivative``, ``storage``, ``storage_rate`` and :func:`supply_rate` are
 elementwise arithmetic, so a state x, its derivative dx and input u may be
@@ -34,9 +33,12 @@ defaults to the component's setpoints and can be rebound to a solved
 equilibrium for certification (the two coincide whenever the setpoints are
 consistent with an equilibrium).
 
-The supply-rate inequality is evaluated under two sign conventions, since
-the sign that makes the swing component verify exactly (dissipation
--Dp*omega^2) is the negated one; both are always reported downstream.
+The supply-rate inequality is evaluated under two sign conventions; both
+are always reported downstream. The shipped storages verify the negated
+one exactly: at every state with V > 0, storage_rate minus the negated
+supply is -Dp omega^2 - tau_q v_dot^2 / (Dq V) for the swing model and
+-tau_p theta_dot^2 / Dp - tau_q v_dot^2 / (Dq V) for droop, with the anchor
+at a rest point of the component.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ __all__ = [
     "SupplyConvention",
     "Setpoints",
     "Anchor",
-    "CertificateUnavailable",
     "VsgComponent",
     "DroopComponent",
     "supply_rate",
@@ -61,10 +62,6 @@ __all__ = [
     "LocalCertificate",
     "QuadraticFormReport",
 ]
-
-
-class CertificateUnavailable(RuntimeError):
-    """Raised when a storage-based certificate cannot be formed (k <= 0)."""
 
 
 class SupplyConvention(Enum):
@@ -117,20 +114,23 @@ def supply_rate(
     return convention.apply(dP * theta_dot + dQ * V_dot / V)
 
 
-def _voltage_store(k: float, Dq: float, V, V_anchor: float):
-    """Normalized voltage well (k/Dq)*(V/Va - ln V) - value at V = Va."""
-    g = V / V_anchor - np.log(V)
-    g0 = 1.0 - math.log(V_anchor)
-    return (k / Dq) * (g - g0)
+def _voltage_store(Dq: float, V, V_anchor: float):
+    """Voltage well (V - Va - Va ln(V/Va)) / Dq, zero at its anchor V = Va.
+
+    Its gradient (V - Va) / (Dq V) is what matches the supply: with a rest
+    point as anchor, tau_q v_dot = -(V - Va) - Dq dQ, so the well's rate is
+    -tau_q v_dot^2 / (Dq V) - dQ v_dot / V, the negated supply's voltage
+    term plus a dissipation, exactly, at every V > 0."""
+    return (V - V_anchor - V_anchor * np.log(V / V_anchor)) / Dq
 
 
-def _voltage_store_grad(k: float, Dq: float, V: float, V_anchor: float) -> float:
-    return (k / Dq) * (1.0 / V_anchor - 1.0 / V)
+def _voltage_store_grad(Dq: float, V, V_anchor: float):
+    return (V - V_anchor) / (Dq * V)
 
 
-def _voltage_store_curvature(k: float, Dq: float, V_anchor: float) -> float:
+def _voltage_store_curvature(Dq: float, V_anchor: float) -> float:
     """Second derivative of the voltage well at its anchor."""
-    return k / (Dq * V_anchor * V_anchor)
+    return 1.0 / (Dq * V_anchor)
 
 
 class Component:
@@ -204,14 +204,6 @@ class Component:
         terminal = {"theta": theta, "v": V}
         return tuple(terminal.get(label, 0.0) for label in self.state_labels)
 
-    def require_stiffness(self, a: Anchor) -> float:
-        k = a.V + self.Dq * a.Q
-        if k <= 0.0:
-            raise CertificateUnavailable(
-                f"{self.id}: voltage stiffness k = V + Dq*Q = {k:.6g} <= 0 at anchor"
-            )
-        return k
-
     def _sp(self) -> Setpoints:
         if self.setpoints is None:
             raise ValueError(f"{self.id}: setpoints not set")
@@ -253,17 +245,14 @@ class VsgComponent(Component):
 
     def storage(self, x, anchor: Anchor | None = None) -> float:
         a = anchor or Anchor.from_setpoints(self._sp())
-        k = self.require_stiffness(a)
-        return 0.5 * self.M * x[1] * x[1] + _voltage_store(k, self.Dq, x[2], a.V)
+        return 0.5 * self.M * x[1] * x[1] + _voltage_store(self.Dq, x[2], a.V)
 
     def storage_gradient(self, x, anchor: Anchor | None = None) -> tuple[float, ...]:
         a = anchor or Anchor.from_setpoints(self._sp())
-        k = self.require_stiffness(a)
-        return (0.0, self.M * x[1], _voltage_store_grad(k, self.Dq, x[2], a.V))
+        return (0.0, self.M * x[1], _voltage_store_grad(self.Dq, x[2], a.V))
 
     def storage_hessian(self, anchor: Anchor) -> np.ndarray:
-        k = self.require_stiffness(anchor)
-        return np.diag([0.0, self.M, _voltage_store_curvature(k, self.Dq, anchor.V)])
+        return np.diag([0.0, self.M, _voltage_store_curvature(self.Dq, anchor.V)])
 
 
 @recordclass(frozen=True)
@@ -297,23 +286,15 @@ class DroopComponent(Component):
 
     def storage(self, x, anchor: Anchor | None = None) -> float:
         a = anchor or Anchor.from_setpoints(self._sp())
-        k = self.require_stiffness(a)
         d_theta = x[0] - a.theta
-        return d_theta * d_theta / (2.0 * self.Dp) + _voltage_store(
-            k, self.Dq, x[1], a.V
-        )
+        return d_theta * d_theta / (2.0 * self.Dp) + _voltage_store(self.Dq, x[1], a.V)
 
     def storage_gradient(self, x, anchor: Anchor | None = None) -> tuple[float, ...]:
         a = anchor or Anchor.from_setpoints(self._sp())
-        k = self.require_stiffness(a)
-        return (
-            (x[0] - a.theta) / self.Dp,
-            _voltage_store_grad(k, self.Dq, x[1], a.V),
-        )
+        return ((x[0] - a.theta) / self.Dp, _voltage_store_grad(self.Dq, x[1], a.V))
 
     def storage_hessian(self, anchor: Anchor) -> np.ndarray:
-        k = self.require_stiffness(anchor)
-        return np.diag([1.0 / self.Dp, _voltage_store_curvature(k, self.Dq, anchor.V)])
+        return np.diag([1.0 / self.Dp, _voltage_store_curvature(self.Dq, anchor.V)])
 
 
 class AffineStack:
@@ -400,7 +381,7 @@ def local_certificate(comp: Component, anchor: Anchor | None = None) -> LocalCer
         if comp.setpoints is None:
             raise ValueError(f"{comp.id}: no anchor and no setpoints")
         anchor = Anchor.from_setpoints(comp.setpoints)
-    hess = comp.storage_hessian(anchor)  # CertificateUnavailable if k <= 0
+    hess = comp.storage_hessian(anchor)
     d_f = comp.affine_matrix()
     n = comp.nstates
     labels = comp.state_labels + ("dP", "dQ")

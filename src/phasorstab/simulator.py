@@ -95,7 +95,6 @@ import numpy as np
 from .components import (
     AffineStack,
     Anchor,
-    CertificateUnavailable,
     Component,
     supply_rate,
 )
@@ -154,7 +153,6 @@ class Trajectory:
     unshifted_integral: np.ndarray
     equilibrium: EquilibriumSolution
     network: NetworkModel
-    components: dict[str, Component]
     config: SolverConfig
     scenario: Scenario
     network_changed: bool
@@ -909,7 +907,6 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
     times, bus_v, bus_t, bus_p, bus_q, states, rates, integrals, unshifted_series = map(
         np.array, samples
     )
-    n_samples = len(times)
 
     # the samples per component, and the diagnostics in one array pass over
     # all samples, on the recorded dy. Vp is the base network's potential
@@ -925,13 +922,8 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
         integral_series[cid] = integrals[:, c].copy()
         x = comp_states[cid].T  # (nstates, samples)
         anchor = anchors[cid]
-        try:
-            storage_series[cid] = comp.storage(x, anchor)
-            wdot_series[cid] = comp.storage_rate(x, rates[:, lo : lo + comp.nstates].T, anchor)
-        except CertificateUnavailable:
-            # storage diagnostics degrade to NaN; flows and integrals stay valid
-            storage_series[cid] = np.full(n_samples, math.nan)
-            wdot_series[cid] = np.full(n_samples, math.nan)
+        storage_series[cid] = comp.storage(x, anchor)
+        wdot_series[cid] = comp.storage_rate(x, rates[:, lo : lo + comp.nstates].T, anchor)
         supply_series[cid] = supply_rate(
             series_p[cid] - anchor.P, series_q[cid] - anchor.Q,
             rates[:, i_theta], states[:, i_v], rates[:, i_v], config.convention,
@@ -957,7 +949,6 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
         unshifted_integral=unshifted_series,
         equilibrium=equilibrium,
         network=net,
-        components=dict(components),
         config=config,
         scenario=scenario,
         # every network event starts within the horizon

@@ -295,6 +295,16 @@ def float_path_cases(draw):
     return net, comps, [float(x) for x in y], v, th
 
 
+def at_rest(net, comps, v, th):
+    """`net` and `comps` with the loads and setpoints that make the bus
+    state (v, th) their equilibrium."""
+    p, q = power_injection(net, v, th)
+    loads = [ConstantPowerBranch(net.non_ground[i], -p[i], -q[i]) for i in net.passive_nodes()]
+    net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
+    setpoints = solve_setpoints(net, comps, v, th).setpoints
+    return net, {cid: c.with_setpoints(setpoints[cid]) for cid, c in comps.items()}
+
+
 def make_load_ladder(rungs=4):
     """Two rails of `rungs` buses joined at every position, sources (swing
     and droop alternating) and loads in a checkerboard, so every load bus
@@ -414,10 +424,10 @@ def make_mesh(n=12, chords=4, seed=3):
 
 
 def soft_anchor_doc():
-    """Case file of a swing source whose storage certificate is unavailable.
+    """Case file of a swing source anchored at Q below -V/Dq.
 
-    A large voltage-droop gain with a capacitive load pulls the anchor
-    stiffness k = V + Dq*Q below zero at a perfectly solvable equilibrium.
+    A large voltage-droop gain with a capacitive load puts the anchor there
+    at a perfectly solvable equilibrium.
     """
     x = 0.5
     v2, th2 = 1.16, -math.acos(1.15 / 1.16)

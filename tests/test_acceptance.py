@@ -267,7 +267,7 @@ def test_criterion_09_certificate_engine(case3bus, case3bus_solution, traj_defau
     omega = traj.comp_states["vsg1"][:, 1]
     margin = traj.storage_rate["vsg1"] - traj.supply["vsg1"]  # negated convention
     analytic_gap = float(np.max(np.abs(margin - (-dp * omega * omega))))
-    verdict = check_storage_criterion(traj, comps, SupplyConvention.NEGATED, 1e-6)
+    verdict = check_storage_criterion(traj, SupplyConvention.NEGATED, 1e-6)
     toy_ok = verdict["vsg1"].satisfied and analytic_gap <= 1e-9
 
     full = certify(

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from phasorstab.certify import (
     certify,
@@ -13,10 +14,13 @@ from phasorstab.certify import (
     identity_residuals,
     render_report,
 )
-from phasorstab.components import Anchor, SupplyConvention, VsgComponent, Setpoints
+from phasorstab.cli import solve_case_equilibrium
+from phasorstab.components import SupplyConvention, VsgComponent, Setpoints
 from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.scenario import LoadStep, Scenario, SolverConfig, StatePerturbation, plan_run
 from phasorstab.simulator import Trajectory, simulate
+
+from conftest import at_rest, float_path_cases, make_load_ladder, make_mesh, make_soft_anchor_case
 
 
 def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
@@ -55,7 +59,6 @@ def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
         unshifted_integral=zeros.copy(),
         equilibrium=sol,
         network=net,
-        components={"c": comp},
         config=SolverConfig(),
         scenario=Scenario(horizon=1.0, output_period=1.0),
         network_changed=network_changed,
@@ -97,7 +100,7 @@ def test_equilibrium_trajectory_storage_margin_zero(case3bus, case3bus_solution)
         case3bus_solution,
     )
     for conv in SupplyConvention:
-        verdicts = check_storage_criterion(traj, case3bus.components, conv, 1e-6)
+        verdicts = check_storage_criterion(traj, conv, 1e-6)
         for v in verdicts.values():
             assert v.satisfied
             assert abs(v.worst_margin) <= 1e-9
@@ -124,15 +127,11 @@ def test_storage_margins_zero_up_to_rounding_tie_at_the_first_sample():
     assert (verdict.worst_margin, verdict.time_of_worst) == (margin, traj.times[2])
 
 
-def test_default_run_storage_verdicts(traj_default, case3bus):
-    negated = check_storage_criterion(
-        traj_default, case3bus.components, SupplyConvention.NEGATED, 1e-6
-    )
+def test_default_run_storage_verdicts(traj_default):
+    negated = check_storage_criterion(traj_default, SupplyConvention.NEGATED, 1e-6)
     assert negated["vsg1"].satisfied
     assert negated["droop2"].satisfied
-    printed = check_storage_criterion(
-        traj_default, case3bus.components, SupplyConvention.PRINTED, 1e-6
-    )
+    printed = check_storage_criterion(traj_default, SupplyConvention.PRINTED, 1e-6)
     # the swing source fails the printed sign along this transient
     assert not printed["vsg1"].satisfied
     assert printed["vsg1"].worst_margin < -1e-3
@@ -210,24 +209,49 @@ def test_report_without_trajectory(case3bus, case3bus_solution):
     assert "convexity" in text
 
 
-def test_unavailable_certificate_surfaces(vsg_empty_bus):
-    net, comps = vsg_empty_bus
-    sol = solve_equilibrium(net, comps)
-    traj = simulate(
-        plan_run(
-            net, comps, Scenario(horizon=0.1, output_period=0.1),
-            SolverConfig(step_size=1e-3),
-        ),
-        sol,
-    )
-    # no feasible equilibrium has k <= 0 for this toy, so force the anchor
-    sol.anchors["vsg1"] = Anchor(P=0.0, Q=-60.0, V=1.0, theta=0.0)
-    report = certify(net, comps, sol, traj)
+def test_soft_anchor_certificate_exists():
+    # the soft-anchor source rests at Q below -V/Dq; its storage, its storage
+    # verdicts and its local form exist all the same, and the storage
+    # balances the negated supply to its dissipation along the run
+    case = make_soft_anchor_case()
+    sol = solve_case_equilibrium(case)
+    anchor = sol.anchors["vsg1"]
+    assert anchor.Q < -anchor.V / case.components["vsg1"].Dq
+    traj = simulate(plan_run(case.net, case.components, case.scenario, case.solver), sol)
+    assert np.all(np.isfinite(traj.storage["vsg1"]))
+    report = certify(case.net, case.components, sol, traj)
     verdict = report.storage[SupplyConvention.NEGATED]["vsg1"]
-    assert verdict.satisfied is None
-    assert "k = V + Dq*Q" in verdict.unavailable_reason
-    assert "unavailable" in render_report(report)
-    assert "vsg1" not in report.local_forms
+    assert verdict.satisfied and np.isfinite(verdict.worst_margin)
+    assert report.local_forms["vsg1"].reports[SupplyConvention.NEGATED].verdict == "holds"
+    assert "storage criterion (negated) [vsg1]: satisfied" in render_report(report)
+
+
+def negated_local_verdicts(net, comps, sol):
+    report = certify(net, comps, sol)
+    return {cid: cert.reports[SupplyConvention.NEGATED].verdict
+            for cid, cert in report.local_forms.items()}
+
+
+@pytest.mark.parametrize("name", ["ladder", "mesh", "soft-anchor"])
+def test_negated_local_forms_hold_at_network_equilibria(name):
+    if name == "soft-anchor":
+        case = make_soft_anchor_case()
+        net, comps, sol = case.net, case.components, solve_case_equilibrium(case)
+    else:
+        net, comps = make_load_ladder() if name == "ladder" else make_mesh()
+        sol = solve_equilibrium(net, comps)
+    verdicts = negated_local_verdicts(net, comps, sol)
+    assert verdicts.keys() == comps.keys()
+    assert set(verdicts.values()) == {"holds"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=float_path_cases())
+def test_negated_local_forms_hold_at_drawn_equilibria(case):
+    net, comps, _, v, th = case
+    net, comps = at_rest(net, comps, v, th)
+    verdicts = negated_local_verdicts(net, comps, solve_equilibrium(net, comps, v, th))
+    assert set(verdicts.values()) == {"holds"}
 
 
 def test_report_determinism(case3bus, case3bus_solution, traj_default):

@@ -289,18 +289,21 @@ def test_bad_contours_file_exits_one(capsys, tmp_path, monkeypatch, text, messag
     assert not out_file.exists()
 
 
-def test_certify_reports_unavailable_certificate(capsys, tmp_path):
+def test_certify_reports_soft_anchor_certificate(capsys, tmp_path):
+    # a source anchored at Q below -V/Dq gets a storage verdict with its
+    # margin, and a local form that holds
     path = write_case(tmp_path, soft_anchor_doc())
     report_path = tmp_path / "report.json"
     code, out, err = run_cli(
         capsys, "certify", path, "--with-trajectory", "--out", str(report_path)
     )
     assert code == 0
-    assert "unavailable" in out
+    assert "storage criterion (negated) [vsg1]: satisfied" in out
     report = json.loads(report_path.read_text())
     entry = report["storage_criterion"]["negated"]["vsg1"]
-    assert entry["satisfied"] is None
-    assert "k = V + Dq*Q" in entry["unavailable_reason"]
+    assert list(entry) == ["satisfied", "worst_margin", "time_of_worst", "tol"]
+    assert entry["satisfied"] is True and math.isfinite(entry["worst_margin"])
+    assert report["local_quadratic_forms"]["vsg1"]["negated"]["verdict"] == "holds"
 
 
 def test_config_file_overrides_solver(capsys, tmp_path):
@@ -760,6 +763,41 @@ def test_each_run_is_planned_once(capsys, tmp_path, monkeypatch, argv, runs):
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert (code, len(made)) == (0, runs)
     assert len(stepped) == runs and all(s is m for s, m in zip(stepped, made))
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [(["equilibrium", "case3bus"], 1),
+     (["certify", "case3bus"], 1),
+     (["simulate", "case3bus", "--horizon", "0.1"], 1),
+     (["certify", "case3bus", "--with-trajectory"], 1),
+     (["verify-identities", "case3bus", "--horizon", "0.1"], 3)],
+    ids=["equilibrium", "static-certify", "simulate", "certify-with-trajectory",
+         "verify-identities"],
+)
+def test_scenario_is_checked_once_per_plan(capsys, tmp_path, monkeypatch, argv, checks):
+    # a transient command checks its scenario in each plan it makes (one per
+    # sweep step), and a command that makes no plan checks it once alone;
+    # either way before the setpoints are back-solved
+    import phasorstab.cli as cli
+    import phasorstab.scenario as scenario
+
+    calls = []
+    check, back_solve = scenario.check_scenario, cli.back_solve_setpoints
+
+    def counted_check(*args):
+        calls.append("check")
+        return check(*args)
+
+    def spy_back_solve(case):
+        calls.append("back-solve")
+        return back_solve(case)
+
+    monkeypatch.setattr(cli, "check_scenario", counted_check)
+    monkeypatch.setattr(scenario, "check_scenario", counted_check)
+    monkeypatch.setattr(cli, "back_solve_setpoints", spy_back_solve)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, calls) == (0, ["check"] * checks + ["back-solve"])
 
 
 def _explicit_states(doc):

@@ -11,7 +11,6 @@ from phasorstab.components import (
     EIG_TOL,
     AffineStack,
     Anchor,
-    CertificateUnavailable,
     DroopComponent,
     Setpoints,
     SupplyConvention,
@@ -346,10 +345,57 @@ def test_storage_rate_matches_directional_difference(d_theta, d_omega, d_v, dp, 
     assert rate == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
-def test_negative_stiffness_blocks_certificate():
-    bad = Anchor(P=0.0, Q=-60.0, V=1.0, theta=0.0)  # k = 1 + 0.03*(-60) < 0
-    with pytest.raises(CertificateUnavailable, match="k = V . Dq.Q"):
-        vsg().storage((0.0, 0.0, 1.0), bad)
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(["vsg", "droop"]),
+    params=st.tuples(*[st.floats(0.01, 5.0)] * 4),
+    setpoints=st.tuples(st.floats(-1, 1), st.floats(0.8, 1.2), st.floats(-0.5, 0.5)),
+    V_a=st.floats(0.5, 1.5),
+    # the anchor's Q in units of V_a / Dq: below -1 is Q_a < -V_a / Dq
+    q_ratio=st.floats(-3.0, 3.0),
+    P_a=st.floats(-1, 1),
+    theta_a=st.floats(-0.5, 0.5),
+    x=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.3, 2.0)),
+    u=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+)
+def test_storage_balances_the_negated_supply_exactly(
+    model, params, setpoints, V_a, q_ratio, P_a, theta_a, x, u
+):
+    # anchored at one of its own rest points, a source's storage rate minus
+    # the negated supply is its dissipation and nothing else, at any state
+    # with V > 0: -Dp w^2 - tq v_dot^2/(Dq V) for the swing model and
+    # -tp theta_dot^2/Dp - tq v_dot^2/(Dq V) for droop
+    first, second, Dp, Dq = params
+    P_e, V_e, theta_e = setpoints
+    Q_a = q_ratio * V_a / Dq
+    # the rest point's voltage relation: -(V_a - V_e) - Dq (Q_a - Q_e) = 0
+    Q_e = Q_a + (V_a - V_e) / Dq
+    if model == "vsg":
+        # a swing source rests only at P_a = P_e, at any angle
+        P_a = P_e
+        sp = Setpoints(P_e=P_e, Q_e=Q_e, V_e=V_e, theta_e=theta_e)
+        c = VsgComponent("v", "a", M=first, Dp=Dp, Dq=Dq, tau_q=second, setpoints=sp)
+        state = x
+    else:
+        # the angle relation: -(theta_a - theta_e) - Dp (P_a - P_e) = 0
+        sp = Setpoints(P_e=P_e, Q_e=Q_e, V_e=V_e, theta_e=theta_a + Dp * (P_a - P_e))
+        c = DroopComponent("d", "a", tau_p=first, tau_q=second, Dp=Dp, Dq=Dq, setpoints=sp)
+        state = (x[0], x[2])
+    anchor = Anchor(P=P_a, Q=Q_a, V=V_a, theta=theta_a)
+    rest = c.derivative(c.equilibrium_state(theta_a, V_a), (P_a, Q_a))
+    assert max(map(abs, rest)) <= 1e-12 * (1.0 + abs(Q_a) * Dq)
+    dx = c.derivative(state, u)
+    V, theta_dot, v_dot = state[-1], dx[0], dx[-1]
+    rate = c.storage_rate(state, dx, anchor)
+    supply = supply_rate(u[0] - P_a, u[1] - Q_a, theta_dot, V, v_dot, SupplyConvention.NEGATED)
+    voltage = -c.tau_q * v_dot * v_dot / (Dq * V)
+    if model == "vsg":
+        dissipation = -Dp * state[1] * state[1] + voltage
+    else:
+        dissipation = -c.tau_p * theta_dot * theta_dot / Dp + voltage
+    grad = c.storage_gradient(state, anchor)
+    scale = sum(abs(g * d) for g, d in zip(grad, dx)) + abs(supply) + abs(dissipation)
+    assert abs(rate - supply - dissipation) <= 1e-12 * scale
 
 
 # -- supply rate --------------------------------------------------------------
@@ -491,19 +537,15 @@ def test_droop_zero_reactive_certificate():
     assert np.allclose(block, expected_angle, atol=1e-12)
 
 
-def test_nonzero_reactive_anchor_breaks_exact_semidefiniteness():
-    sp = Setpoints(P_e=0.1, Q_e=0.4, V_e=1.0, theta_e=0.0)
-    cert = local_certificate(vsg(setpoints=sp))
-    rep = cert.reports[SupplyConvention.NEGATED]
-    # the voltage-pair discriminant is (k/Ve - 1)^2 > 0 here
-    assert rep.verdict == "fails"
-    assert rep.eigenvalues[-1] > 0.0
-
-
-def test_certificate_unavailable_for_negative_stiffness():
-    anchor = Anchor(P=0.0, Q=-60.0, V=1.0, theta=0.0)
-    with pytest.raises(CertificateUnavailable):
-        local_certificate(vsg(), anchor)
+def test_nonzero_reactive_anchor_keeps_exact_semidefiniteness():
+    # the voltage pair is -(1/(tq V Dq)) (u + Dq q)^2 whatever the anchor's
+    # Q, so its discriminant is zero and the form stays semidefinite, with
+    # Q below -V/Dq (here -1/0.03) too
+    for Q_e in (0.4, -60.0):
+        sp = Setpoints(P_e=0.1, Q_e=Q_e, V_e=1.0, theta_e=0.0)
+        rep = local_certificate(vsg(setpoints=sp)).reports[SupplyConvention.NEGATED]
+        assert rep.verdict == "holds"
+        assert rep.eigenvalues[-1] <= EIG_TOL * np.max(np.abs(rep.eigenvalues))
 
 
 def _classify(eigs: np.ndarray) -> str:

@@ -26,7 +26,7 @@ from phasorstab.network import (
     power_injection,
 )
 
-from conftest import float_path_cases
+from conftest import at_rest, float_path_cases
 from helpers import fd_jacobian
 
 
@@ -161,11 +161,7 @@ def test_angle_is_pinned_when_no_relation_reads_it(case):
     # equilibrium; the reference angle is pinned exactly when every source
     # is swing-type, whose relations have no theta coefficient
     net, comps, _, v, th = case
-    p, q = power_injection(net, v, th)
-    loads = [ConstantPowerBranch(net.non_ground[i], -p[i], -q[i]) for i in net.passive_nodes()]
-    net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
-    setpoints = solve_setpoints(net, comps, v, th).setpoints
-    comps = {cid: c.with_setpoints(setpoints[cid]) for cid, c in comps.items()}
+    net, comps = at_rest(net, comps, v, th)
     sol = solve_equilibrium(net, comps, v, th)
     assert sol.iterations == 0 and sol.residual_norm == 0.0
     assert sol.pinned_reference == all(isinstance(c, VsgComponent) for c in comps.values())

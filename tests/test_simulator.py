@@ -1069,13 +1069,13 @@ def test_csv_round_trips_every_value(tmp_path, case3bus, case3bus_solution):
             plan_run(case3bus.net, case3bus.components, kicked(0.1), SolverConfig(step_size=1e-3)),
             case3bus_solution,
         ),
-        # storage unavailable at the anchor: its column holds NaN
+        # a source anchored at Q below -V/Dq
         "softanchor": simulate(
             plan_run(soft.net, soft.components, soft.scenario, soft.solver),
             solve_case_equilibrium(soft),
         ),
     }
-    assert np.isnan(runs["softanchor"].storage["vsg1"]).all()
+    assert np.isfinite(runs["softanchor"].storage["vsg1"]).all()
     for name, traj in runs.items():
         out = tmp_path / f"{name}.csv"
         traj.to_csv(str(out))
@@ -1087,10 +1087,7 @@ def test_csv_round_trips_every_value(tmp_path, case3bus, case3bus_solution):
         cells = [line.split(",") for line in lines]
         for j, column in enumerate(header):
             parsed = np.array([float(row[j]) for row in cells])
-            assert np.array_equal(parsed, expected[column], equal_nan=True), column
-        if name == "softanchor":
-            storage_col = header.index("vsg1_storage")
-            assert all(row[storage_col] == "nan" for row in cells)
+            assert np.array_equal(parsed, expected[column]), column
 
 
 def test_csv_writer_is_the_per_value_writer(tmp_path, case3bus, case3bus_solution):
