@@ -162,9 +162,9 @@ def check_storage_criterion(
 ) -> dict[str, StorageVerdict]:
     """Pointwise storage-rate vs supply-rate verdict per component.
 
-    The recorded supply series carries the trajectory's convention; the
-    other convention is its negation. Storage rates are analytic (chain
-    rule), so the pointwise margin carries no differencing noise; a margin
+    The recorded supply series is the negated supply; the printed one is
+    its negation. Storage rates are analytic (chain rule), so the
+    pointwise margin carries no differencing noise; a margin
     within ``MARGIN_ULPS`` ulps of the larger of its two terms counts as
     0.0, so among margins that are zero up to rounding the worst is the
     first sample's.
@@ -172,7 +172,7 @@ def check_storage_criterion(
     verdicts: dict[str, StorageVerdict] = {}
     for cid in traj.component_ids():
         supply = traj.supply[cid]
-        if convention is not traj.config.convention:
+        if convention is SupplyConvention.PRINTED:
             supply = -supply
         rate = traj.storage_rate[cid]
         margin = supply - rate  # satisfied when >= 0
@@ -244,8 +244,8 @@ def certify(
     """Assemble the full certificate report for one equilibrium.
 
     Trajectory-dependent criteria are marked not-evaluated when no
-    trajectory is supplied. Storage anchors are the solved equilibrium
-    (identical to the setpoints whenever those are consistent).
+    trajectory is supplied. Storages and local forms are anchored at the
+    solved equilibrium.
     """
     hess = hessian_vp(net, equilibrium.state.V, equilibrium.state.theta)
     convexity = convexity_check(hess)

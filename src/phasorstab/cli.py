@@ -2,9 +2,11 @@
 
 Subcommands: equilibrium | simulate | certify | verify-identities |
 path-experiment. Structured results go to JSON files or stdout, trajectories
-to CSV; every write is write-to-temp plus atomic rename so a failing run
-never leaves a partial file. Exit codes: 0 success, 1 validation/parse
-error, 2 solver failure or inconsistent inputs.
+to CSV; every write is write-to-temp plus atomic rename
+(:func:`~phasorstab.netfile.output_file`), so a failing run never leaves a
+partial file, and a path that cannot be written is a validation error.
+Exit codes: 0 success, 1 validation/parse error, 2 solver failure or
+inconsistent inputs.
 
 A positional CASE argument is either a path to a network description file
 or the name of a packaged case (currently ``case3bus``).
@@ -24,7 +26,6 @@ import numpy as np
 from . import __version__
 from .certify import certify as run_certify
 from .certify import render_report
-from .components import SupplyConvention
 from .equilibrium import (
     EquilibriumError,
     InconsistentInput,
@@ -36,6 +37,7 @@ from .netfile import (
     NetworkFileError,
     load_case,
     load_contours,
+    output_file,
     parse_solver,
     read_json,
 )
@@ -66,16 +68,10 @@ def resolve_case_path(case: str) -> str:
     )
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        with output_file(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -109,11 +105,7 @@ def _prepare(
             overrides = overrides.get("solver", overrides)
         if not isinstance(overrides, dict):
             raise NetworkFileError("config file must hold a solver object")
-        merged = {**asdict(solver), "convention": solver.convention.value}
-        merged.update(overrides)
-        solver = parse_solver(merged)
-    if args.convention is not None:
-        solver = replace(solver, convention=SupplyConvention(args.convention))
+        solver = parse_solver({**asdict(solver), **overrides})
     if getattr(args, "h", None) is not None:
         solver = replace(solver, step_size=_number_option(args.h, "--h"))
     case.solver = solver
@@ -164,11 +156,11 @@ def cmd_equilibrium(args) -> int:
         },
         "components": {
             cid: {
-                "state": list(map(float, sol.component_states[cid])),
-                "P": float(sol.anchors[cid].P),
-                "Q": float(sol.anchors[cid].Q),
+                "state": list(case.components[cid].equilibrium_state(a.theta, a.V)),
+                "P": a.P,
+                "Q": a.Q,
             }
-            for cid in sol.component_states
+            for cid, a in sol.anchors.items()
         },
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
@@ -238,7 +230,7 @@ def cmd_certify(args) -> int:
     traj = simulate(plans[0], sol) if plans else None
     report = run_certify(case.net, case.components, sol, traj, tol=tol)
     if args.out:
-        _atomic_write(args.out, report.to_json())
+        _emit(report.to_json(), args.out)
     sys.stdout.write(render_report(report))
     return EXIT_OK
 
@@ -367,12 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         default="1e-6",
         help="criterion tolerance for certification checks",
-    )
-    parser.add_argument(
-        "--convention",
-        choices=["printed", "negated"],
-        default=None,
-        help="supply-rate sign convention override",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,7 +7,7 @@ and its storage once, in four members:
   be affine in (x, P, Q) and written in deviations from the setpoints, so
   that the model rests at them,
 * ``storage`` / ``storage_gradient`` -- a candidate storage function and its
-  analytic gradient,
+  analytic gradient, anchored at a given equilibrium,
 * ``storage_hessian(anchor)`` -- the Hessian of ``storage`` at the anchor,
   in closed form.
 
@@ -16,10 +16,10 @@ coefficients ``affine_matrix()`` / ``affine_offset()`` (f = D_f (x, P, Q) + c,
 D_f from the parameters and c from the setpoints, both read off
 ``derivative``), the equilibrium relations ``steady_state_partials()`` (the
 rows of D_f on the terminal columns), ``equilibrium_state`` and
-``storage_rate(x, dx)`` (the chain rule on a given derivative dx, never
-numeric differencing), along with the setpoint binding and the parameter
-check. A run calls ``derivative`` only to build the table: it steps on the
-table and hands the dy it produced to ``storage_rate`` and
+``storage_rate(x, dx, anchor)`` (the chain rule on a given derivative dx,
+never numeric differencing), along with the setpoint binding and the
+parameter check. A run calls ``derivative`` only to build the table: it
+steps on the table and hands the dy it produced to ``storage_rate`` and
 :func:`supply_rate`; the local certificate reads D_f from the same table.
 
 ``derivative``, ``storage``, ``storage_rate`` and :func:`supply_rate` are
@@ -27,18 +27,17 @@ elementwise arithmetic, so a state x, its derivative dx and input u may be
 floats or arrays over samples: x of shape (nstates, S) with P and Q of
 shape (S,) gives one value per sample.
 
-Inputs are generation-positive branch powers. Storage functions are
-normalized so they evaluate to zero at their anchor point; the anchor
-defaults to the component's setpoints and can be rebound to a solved
-equilibrium for certification (the two coincide whenever the setpoints are
-consistent with an equilibrium).
+Inputs are generation-positive branch powers. Every storage, and every
+local form, is anchored at the solved equilibrium of the network: the
+:class:`Anchor` each component's terminal has there. A storage evaluates to
+zero at its anchor.
 
-The supply-rate inequality is evaluated under two sign conventions; both
-are always reported downstream. The shipped storages verify the negated
-one exactly: at every state with V > 0, storage_rate minus the negated
+:func:`supply_rate` is the negated supply, the one the shipped storages
+verify exactly: at every state with V > 0, storage_rate minus the negated
 supply is -Dp omega^2 - tau_q v_dot^2 / (Dq V) for the swing model and
 -tau_p theta_dot^2 / Dp - tau_q v_dot^2 / (Dq V) for droop, with the anchor
-at a rest point of the component.
+at a rest point of the component. The local certificate reports the form
+under both sign conventions.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class SupplyConvention(Enum):
     """Sign of the supply rate s = dP*theta_dot + dQ*V_dot/V."""
 
     PRINTED = "printed"   # s as written above
-    NEGATED = "negated"   # -s; the convention the shipped storages verify
+    NEGATED = "negated"   # -s; what supply_rate returns and the shipped storages verify
 
     def apply(self, s: float) -> float:
         return s if self is SupplyConvention.PRINTED else -s
@@ -91,10 +90,6 @@ class Anchor:
     V: float
     theta: float
 
-    @staticmethod
-    def from_setpoints(sp: Setpoints) -> "Anchor":
-        return Anchor(sp.P_e, sp.Q_e, sp.V_e, sp.theta_e)
-
 
 def supply_rate(
     dP: float,
@@ -102,16 +97,14 @@ def supply_rate(
     theta_dot: float,
     V: float,
     V_dot: float,
-    convention: SupplyConvention = SupplyConvention.NEGATED,
 ) -> float:
-    """Supply rate pairing power deviations with terminal-coordinate rates.
-
-    Bilinear in (dP, dQ) against (theta_dot, V_dot/V); the convention flag
-    selects the sign. Elementwise: floats, or arrays over samples.
+    """The negated supply rate, -(dP theta_dot + dQ V_dot / V): power
+    deviations paired with terminal-coordinate rates. Elementwise: floats,
+    or arrays over samples.
     """
     if np.any(V <= 0.0):
         raise ValueError(f"terminal voltage must be positive, got {np.min(V)}")
-    return convention.apply(dP * theta_dot + dQ * V_dot / V)
+    return -(dP * theta_dot + dQ * V_dot / V)
 
 
 def _voltage_store(Dq: float, V, V_anchor: float):
@@ -159,7 +152,7 @@ class Component:
     def with_setpoints(self, sp: Setpoints):
         return replace(self, setpoints=sp)
 
-    def storage_rate(self, x, dx, anchor: Anchor | None = None) -> float:
+    def storage_rate(self, x, dx, anchor: Anchor) -> float:
         """Chain rule: sum over states of storage gradient times the given
         state derivative ``dx`` at x."""
         g = self.storage_gradient(x, anchor)
@@ -243,13 +236,11 @@ class VsgComponent(Component):
 
     # -- storage -----------------------------------------------------------
 
-    def storage(self, x, anchor: Anchor | None = None) -> float:
-        a = anchor or Anchor.from_setpoints(self._sp())
-        return 0.5 * self.M * x[1] * x[1] + _voltage_store(self.Dq, x[2], a.V)
+    def storage(self, x, anchor: Anchor) -> float:
+        return 0.5 * self.M * x[1] * x[1] + _voltage_store(self.Dq, x[2], anchor.V)
 
-    def storage_gradient(self, x, anchor: Anchor | None = None) -> tuple[float, ...]:
-        a = anchor or Anchor.from_setpoints(self._sp())
-        return (0.0, self.M * x[1], _voltage_store_grad(self.Dq, x[2], a.V))
+    def storage_gradient(self, x, anchor: Anchor) -> tuple[float, ...]:
+        return (0.0, self.M * x[1], _voltage_store_grad(self.Dq, x[2], anchor.V))
 
     def storage_hessian(self, anchor: Anchor) -> np.ndarray:
         return np.diag([0.0, self.M, _voltage_store_curvature(self.Dq, anchor.V)])
@@ -284,14 +275,12 @@ class DroopComponent(Component):
 
     # -- storage -----------------------------------------------------------
 
-    def storage(self, x, anchor: Anchor | None = None) -> float:
-        a = anchor or Anchor.from_setpoints(self._sp())
-        d_theta = x[0] - a.theta
-        return d_theta * d_theta / (2.0 * self.Dp) + _voltage_store(self.Dq, x[1], a.V)
+    def storage(self, x, anchor: Anchor) -> float:
+        d_theta = x[0] - anchor.theta
+        return d_theta * d_theta / (2.0 * self.Dp) + _voltage_store(self.Dq, x[1], anchor.V)
 
-    def storage_gradient(self, x, anchor: Anchor | None = None) -> tuple[float, ...]:
-        a = anchor or Anchor.from_setpoints(self._sp())
-        return ((x[0] - a.theta) / self.Dp, _voltage_store_grad(self.Dq, x[1], a.V))
+    def storage_gradient(self, x, anchor: Anchor) -> tuple[float, ...]:
+        return ((x[0] - anchor.theta) / self.Dp, _voltage_store_grad(self.Dq, x[1], anchor.V))
 
     def storage_hessian(self, anchor: Anchor) -> np.ndarray:
         return np.diag([1.0 / self.Dp, _voltage_store_curvature(self.Dq, anchor.V)])
@@ -359,7 +348,7 @@ class LocalCertificate:
 EIG_TOL = 1e-9
 
 
-def local_certificate(comp: Component, anchor: Anchor | None = None) -> LocalCertificate:
+def local_certificate(comp: Component, anchor: Anchor) -> LocalCertificate:
     """Definiteness analysis of storage_rate - supply_rate near equilibrium.
 
     Both the rate and the supply vanish to first order at the anchor, so
@@ -377,10 +366,6 @@ def local_certificate(comp: Component, anchor: Anchor | None = None) -> LocalCer
     * "fails"            -- some eigenvalue is positive (the inequality can
                             be violated arbitrarily close to equilibrium).
     """
-    if anchor is None:
-        if comp.setpoints is None:
-            raise ValueError(f"{comp.id}: no anchor and no setpoints")
-        anchor = Anchor.from_setpoints(comp.setpoints)
     hess = comp.storage_hessian(anchor)
     d_f = comp.affine_matrix()
     n = comp.nstates

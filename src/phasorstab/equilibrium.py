@@ -57,7 +57,6 @@ class InconsistentInput(ValueError):
 @recordclass
 class EquilibriumSolution:
     state: BusState
-    component_states: dict[str, tuple[float, ...]]
     # each component's terminal (P, Q, V, theta), P and Q generation-positive
     anchors: dict[str, Anchor]
     residual_norm: float
@@ -143,6 +142,20 @@ def _jacobian(net: NetworkModel, steady_rows, V, theta, injections=None) -> np.n
     return jac
 
 
+def _worst_row(net: NetworkModel, res: np.ndarray) -> str:
+    """The largest entry of a steady-state residual (the first that is not
+    finite, if any) and where it sits: the P or Q balance of a passive bus,
+    or the first or second relation of a dynamic bus's component."""
+    row = int(np.argmax(np.abs(res)))  # argmax stops at the first NaN
+    i, second = divmod(row, 2)
+    shunt = net.shunt_at[i]
+    if shunt is None:
+        what = "Q balance" if second else "P balance"
+    else:
+        what = f"relation {second + 1} of {shunt.component_id!r}"
+    return f"residual {abs(res[row]):.3e}, {what} at bus {net.non_ground[i]!r}"
+
+
 def solve_equilibrium(
     net: NetworkModel,
     components: dict[str, Component],
@@ -194,12 +207,13 @@ def solve_equilibrium(
     while not norm <= TOL:
         if not math.isfinite(norm):
             raise EquilibriumError(
-                f"residual not finite at iteration {iterations} (residual {norm:.3e})"
+                f"residual not finite at iteration {iterations} "
+                f"({_worst_row(net, res)})"
             )
         if iterations >= MAX_ITER:
             raise EquilibriumError(
                 f"Newton did not converge in {MAX_ITER} iterations "
-                f"(residual {norm:.3e})"
+                f"({_worst_row(net, res)})"
             )
         jac = _jacobian(net, steady_rows, v, t, inj)
         if pin:
@@ -225,7 +239,7 @@ def solve_equilibrium(
             scale *= 0.5
         else:
             raise EquilibriumError(
-                f"Newton stalled at iteration {iterations} (residual {norm:.3e})"
+                f"Newton stalled at iteration {iterations} ({_worst_row(net, res)})"
             )
         v, t, res, inj, norm = v_new, t_new, res_new, inj_new, norm_new
         history.append(norm)
@@ -240,18 +254,14 @@ def solve_equilibrium(
             )
 
     p, q = inj[0].tolist(), inj[1].tolist()
-    comp_states: dict[str, tuple[float, ...]] = {}
     anchors: dict[str, Anchor] = {}
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
-        comp = components[shunt.component_id]
-        comp_states[shunt.component_id] = comp.equilibrium_state(t[i], v[i])
         anchors[shunt.component_id] = Anchor(
             P=p[i], Q=q[i], V=float(v[i]), theta=float(t[i])
         )
     return EquilibriumSolution(
         state=BusState(V=v, theta=t),
-        component_states=comp_states,
         anchors=anchors,
         residual_norm=norm,
         iterations=iterations,

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from typing import Any
 
-from .components import Component, DroopComponent, Setpoints, SupplyConvention, VsgComponent
+from .components import Component, DroopComponent, Setpoints, VsgComponent
 from .network import (
     Bus,
     BusKind,
@@ -36,6 +38,7 @@ __all__ = [
     "CaseDefinition",
     "load_case",
     "load_contours",
+    "output_file",
     "parse_case",
     "parse_solver",
     "read_json",
@@ -290,17 +293,12 @@ def parse_solver(raw: Any) -> SolverConfig:
         {"step_size", "newton_tol", "newton_max_iter", "integrator", "convention"},
         where,
     )
-    convention_raw = raw.get("convention", "negated")
-    try:
-        convention = SupplyConvention(convention_raw)
-    except ValueError:
-        raise NetworkFileError(
-            f"{where}.convention: must be printed or negated, got {convention_raw!r}"
-        ) from None
-    # "rk4" is the only integrator; the field stays for the files that name it
-    integrator = raw.get("integrator", "rk4")
-    if integrator != "rk4":
-        raise NetworkFileError(f"{where}.integrator: must be rk4, got {integrator!r}")
+    # fields with one value each, which stay for the files that name them:
+    # the only integrator and the only supply sign
+    for name, only in (("integrator", "rk4"), ("convention", "negated")):
+        value = raw.get(name, only)
+        if value != only:
+            raise NetworkFileError(f"{where}.{name}: must be {only}, got {value!r}")
     try:
         return SolverConfig(
             step_size=_number(raw.get("step_size", 1e-3), f"{where}.step_size"),
@@ -308,7 +306,6 @@ def parse_solver(raw: Any) -> SolverConfig:
             newton_max_iter=_integer(
                 raw.get("newton_max_iter", 25), f"{where}.newton_max_iter"
             ),
-            convention=convention,
         )
     except ValueError as exc:
         raise NetworkFileError(f"{where}: {exc}") from exc
@@ -394,6 +391,24 @@ def read_json(path: str) -> Any:
         raise NetworkFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+@contextmanager
+def output_file(path: str):
+    """A text file to write `path` through: the writes go to ``path +
+    ".tmp"``, which replaces `path` when the block ends. A failure leaves
+    neither `path` changed nor the temporary file behind, and an error of
+    the file system is a NetworkFileError naming `path`."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise NetworkFileError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        with suppress(OSError):
+            os.remove(tmp)
 
 
 def load_case(path: str) -> CaseDefinition:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .components import Component, SupplyConvention
+from .components import Component
 from .network import NetworkError, NetworkModel
 from .records import field, recordclass
 
@@ -106,7 +106,6 @@ class SolverConfig:
     step_size: float = 1e-3
     newton_tol: float = 1e-10
     newton_max_iter: int = 25
-    convention: SupplyConvention = SupplyConvention.NEGATED
 
     def __post_init__(self) -> None:
         # the comparisons are written to fail for NaN as well

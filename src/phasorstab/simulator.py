@@ -73,9 +73,10 @@ accumulated with the trapezoid rule at every integration step
 (second-order in the step size). The step loop records only the raw samples (time, bus state,
 injections, component states, the dy the step produced there, and
 integrals); the other diagnostics (Vp, W, and each component's storage,
-storage rate and supply rate) are evaluated after the run, in one array
-pass over all samples, the rates from the recorded dy's rows, so no
-model's ``derivative`` is evaluated again.
+storage rate and negated supply rate, anchored at the run's equilibrium)
+are evaluated after the run, in one array pass over all samples, the rates
+from the recorded dy's rows, so no model's ``derivative`` is evaluated
+again.
 
 A single simulation is a sequential state recurrence with no dependence on
 timing: every run performs the same floating-point operations in the same
@@ -88,7 +89,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -99,6 +99,7 @@ from .components import (
     supply_rate,
 )
 from .equilibrium import EquilibriumSolution, solve_equilibrium
+from .netfile import output_file
 from .network import (
     TWO_PI,
     NetworkModel,
@@ -132,8 +133,8 @@ class Trajectory:
     series are keyed by component id. ``vp`` is the potential of the base
     network (load and line events do not change it) relative to the
     trajectory's initial point; ``w`` is the divergence anchored at the
-    equilibrium under test. ``supply`` is recorded under the convention of
-    ``config`` and ``integral`` holds the deviation path integrals.
+    equilibrium under test. ``supply`` is the negated supply rate and
+    ``integral`` holds the deviation path integrals.
     """
 
     times: np.ndarray
@@ -160,11 +161,6 @@ class Trajectory:
     inner_solves: int = 0
     inner_iterations: int = 0
     jacobian_factorizations: int = 0
-
-    @property
-    def anchors(self) -> dict[str, Anchor]:
-        """Each component's equilibrium terminal state and injections."""
-        return self.equilibrium.anchors
 
     @property
     def n_samples(self) -> int:
@@ -204,13 +200,11 @@ class Trajectory:
 
     def to_csv(self, path: str) -> None:
         """Write the sample table; repr() of each float round-trips exactly."""
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        with output_file(path) as fh:
             fh.write(",".join(self.columns()) + "\n")
             # a list's repr is its floats' reprs joined by ", "
             for row in self.table().tolist():
                 fh.write(repr(row)[1:-1].replace(", ", ",") + "\n")
-        os.replace(tmp, path)
 
     def manifest(self, source: str = "<memory>") -> dict:
         return {
@@ -221,7 +215,7 @@ class Trajectory:
             "step_size": float(self.config.step_size),
             "integrator": "rk4",  # the only integrator; the key stays in the layout
             "newton_tol": float(self.config.newton_tol),
-            "convention": self.config.convention.value,
+            "convention": "negated",  # the only supply sign; the key stays in the layout
             "columns": self.columns(),
             "network_changed_during_run": self.network_changed,
             "inner_solves": self.inner_solves,
@@ -232,11 +226,9 @@ class Trajectory:
         }
 
     def write_manifest(self, path: str, source: str = "<memory>") -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        with output_file(path) as fh:
             json.dump(self.manifest(source), fh, indent=2)
             fh.write("\n")
-        os.replace(tmp, path)
 
 
 # -- engine --------------------------------------------------------------------
@@ -626,8 +618,11 @@ class _Engine:
             a[pas] += scale * step[:m]
             v[pas] = v_new
             self.inner_iterations += 1
+        j = int(np.argmax(np.abs(r)))
+        balance = "Q" if j >= m else "P"
         raise SimulationError(
-            f"inner Newton failed at t = {t:.6g} (residual {worst:.3e})"
+            f"inner Newton failed at t = {t:.6g} (residual {worst:.3e}, "
+            f"{balance} balance at bus {net.non_ground[pas[j % m]]!r})"
         )
 
     def _factorize(self, v: np.ndarray, a: np.ndarray, injections, t: float) -> None:
@@ -840,7 +835,7 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
     y: list[float] = []
     for cid, comp in zip(comp_ids, engine.comps):
         if scenario.initial == "equilibrium":
-            y.extend(map(float, equilibrium.component_states[cid]))
+            y.extend(comp.equilibrium_state(anchors[cid].theta, anchors[cid].V))
         else:
             given = scenario.explicit_states[cid]
             y.extend(float(given[label]) for label in comp.state_labels)
@@ -926,7 +921,7 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
         wdot_series[cid] = comp.storage_rate(x, rates[:, lo : lo + comp.nstates].T, anchor)
         supply_series[cid] = supply_rate(
             series_p[cid] - anchor.P, series_q[cid] - anchor.Q,
-            rates[:, i_theta], states[:, i_v], rates[:, i_v], config.convention,
+            rates[:, i_theta], states[:, i_v], rates[:, i_v],
         )
 
     return Trajectory(

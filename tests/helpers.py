@@ -83,7 +83,9 @@ def stencil_certificate_matrix(
         dp, dq = delta[n], delta[n + 1]
         u = (anchor.P + dp, anchor.Q + dq)
         f = comp.derivative(x, u)
-        s = supply_rate(dp, dq, f[i_theta], x[i_v], f[i_v], convention)
+        s = supply_rate(dp, dq, f[i_theta], x[i_v], f[i_v])
+        if convention is SupplyConvention.PRINTED:
+            s = -s
         return comp.storage_rate(x, f, anchor) - s
 
     m = n + 2

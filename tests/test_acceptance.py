@@ -324,14 +324,15 @@ def test_criterion_10_numerical_hygiene(tmp_path, case3bus, case3bus_solution):
                 worst_hess = max(worst_hess, abs(h_mat[a, b] - fd) / max(1.0, abs(fd)))
 
     comp = case3bus.components["vsg1"]
+    anchor = case3bus_solution.anchors["vsg1"]
     anchor_x = comp.equilibrium_state(0.0, 1.0)
     eps = 1e-6
     worst_storage = 0.0
     for j in range(comp.nstates):
         xp = list(anchor_x); xp[j] += eps
         xm = list(anchor_x); xm[j] -= eps
-        fd = (comp.storage(tuple(xp)) - comp.storage(tuple(xm))) / (2 * eps)
-        g_j = comp.storage_gradient(anchor_x)[j]
+        fd = (comp.storage(tuple(xp), anchor) - comp.storage(tuple(xm), anchor)) / (2 * eps)
+        g_j = comp.storage_gradient(anchor_x, anchor)[j]
         worst_storage = max(worst_storage, abs(fd - g_j))
 
     outputs = []

@@ -280,3 +280,15 @@ def test_identity_residuals_scale(case3bus, case3bus_solution):
         res[h] = identity_residuals(traj)
     assert res[4e-3][0] > res[1e-3][0]
     assert res[4e-3][1] > res[1e-3][1]
+    # the array path, with the passive buses in closed form (ladder) and by
+    # the chord (mesh): each halving of h cuts both residuals fourfold
+    for net, comps in (make_load_ladder(), make_mesh()):
+        kick = StatePerturbation(at=0.0, component=next(iter(comps)), delta={"v": -0.02})
+        scen = Scenario(horizon=0.4, output_period=0.04, disturbances=[kick])
+        sol = solve_equilibrium(net, comps)
+        res = np.array([
+            identity_residuals(simulate(plan_run(net, comps, scen, SolverConfig(step_size=h)), sol))
+            for h in (8e-3, 4e-3, 2e-3)
+        ])
+        orders = np.log2(res[:-1] / res[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.1), orders

@@ -665,29 +665,66 @@ def test_overlapping_events_fail_before_the_equilibrium_solve(capsys, tmp_path, 
     assert list(tmp_path.iterdir()) == [tmp_path / "case.json"]
 
 
-def test_convention_flag_changes_recorded_supply(capsys, tmp_path):
-    outs = {}
-    for convention in ("negated", "printed"):
-        out_csv = tmp_path / f"{convention}.csv"
-        code, _, _ = run_cli(
-            capsys, "--convention", convention, "simulate", "case3bus",
-            "--horizon", "0.1", "--out", str(out_csv),
-            "--manifest", str(tmp_path / f"{convention}.manifest.json"),
+def test_supply_sign_is_negated_only(capsys, tmp_path):
+    # no flag picks the sign of the supply column, and a case or a config
+    # file may name only the negated one
+    import phasorstab.cli as cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--convention", "printed", "simulate", "case3bus"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: phasorstab")
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    doc["solver"]["convention"] = "printed"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"convention": "printed"}}))
+    for argv in (["equilibrium", write_case(tmp_path, doc)],
+                 ["--config", str(cfg), "equilibrium", "case3bus"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (
+            1, "", "error: solver.convention: must be negated, got 'printed'\n"
         )
-        assert code == 0
-        manifest = json.loads(
-            (tmp_path / f"{convention}.manifest.json").read_text()
-        )
-        assert manifest["convention"] == convention
-        outs[convention] = out_csv.read_text().splitlines()
-    # supply columns are negatives of each other; state columns identical
-    header = outs["negated"][0].split(",")
-    supply_col = header.index("vsg1_supply")
-    v_col = header.index("bus1_V")
-    row_n = outs["negated"][-1].split(",")
-    row_p = outs["printed"][-1].split(",")
-    assert float(row_n[supply_col]) == pytest.approx(-float(row_p[supply_col]), rel=1e-12)
-    assert row_n[v_col] == row_p[v_col]
+    out_csv = tmp_path / "run.csv"
+    code, _, _ = run_cli(capsys, "simulate", "case3bus", "--horizon", "0.1", "--out", str(out_csv))
+    assert code == 0
+    assert json.loads((tmp_path / "run.manifest.json").read_text())["convention"] == "negated"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "case3bus", "--horizon", "0.01", "--out", "{target}"],
+     ["simulate", "case3bus", "--horizon", "0.01", "--out", "{tmp}/run.csv",
+      "--manifest", "{target}"],
+     ["equilibrium", "case3bus", "--out", "{target}"],
+     ["certify", "case3bus", "--out", "{target}"],
+     ["verify-identities", "case3bus", "--horizon", "0.04", "--out", "{target}"]],
+    ids=["simulate-csv", "simulate-manifest", "equilibrium", "certify", "verify-identities"],
+)
+def test_unwritable_output_exits_one(capsys, tmp_path, argv):
+    # a path in a missing directory, and a directory in the file's place,
+    # where the temporary file is written and then cannot replace it: one
+    # error line, and no temporary file left behind
+    (tmp_path / "taken").mkdir()
+    for target, reason in ((tmp_path / "missing" / "out", "No such file or directory"),
+                           (tmp_path / "taken", "Is a directory")):
+        code, out, err = run_cli(capsys, *(a.format(target=target, tmp=tmp_path) for a in argv))
+        assert (code, out, err) == (1, "", f"error: cannot write {target}: {reason}\n")
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_equilibrium_failure_names_the_bus(capsys, tmp_path):
+    # declared setpoints, no operating point, and a load at bus3 that the
+    # lines cannot carry: Newton stalls, at bus3's P balance
+    import phasorstab.cli as cli
+
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    _declared_setpoints(doc)
+    del doc["operating_point"]
+    doc["branches"][2]["p0"] = 9
+    code, out, err = run_cli(capsys, "equilibrium", write_case(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Newton stalled at iteration ")
+    assert err.endswith(", P balance at bus 'bus3')\n")
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

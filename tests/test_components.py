@@ -27,6 +27,14 @@ from helpers import stencil_certificate_matrix
 SP = Setpoints(P_e=0.2, Q_e=0.1, V_e=1.0, theta_e=0.05)
 
 
+def rest_at(sp):
+    """The anchor at which a component with setpoints `sp` rests."""
+    return Anchor(P=sp.P_e, Q=sp.Q_e, V=sp.V_e, theta=sp.theta_e)
+
+
+REST = rest_at(SP)
+
+
 def vsg(**overrides):
     params = dict(id="v1", bus="a", M=0.16, Dp=0.076, Dq=0.03, tau_q=0.3, setpoints=SP)
     params.update(overrides)
@@ -267,27 +275,27 @@ def test_steady_state_residual_is_the_written_relations(case):
 
 
 def test_storage_vanishes_at_anchor():
-    assert vsg().storage((SP.theta_e, 0.0, SP.V_e)) == pytest.approx(0.0, abs=1e-15)
-    assert droop().storage((SP.theta_e, SP.V_e)) == pytest.approx(0.0, abs=1e-15)
+    assert vsg().storage((SP.theta_e, 0.0, SP.V_e), REST) == pytest.approx(0.0, abs=1e-15)
+    assert droop().storage((SP.theta_e, SP.V_e), REST) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_vsg_kinetic_term():
     c = vsg()
-    w = c.storage((SP.theta_e, 0.2, SP.V_e))
+    w = c.storage((SP.theta_e, 0.2, SP.V_e), REST)
     assert w == pytest.approx(0.5 * 0.16 * 0.04, rel=1e-12)
 
 
 def test_vsg_voltage_well_value():
-    c = vsg(setpoints=Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0))
-    w = c.storage((0.0, 0.0, 1.1))
+    sp = Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0)
+    w = vsg(setpoints=sp).storage((0.0, 0.0, 1.1), rest_at(sp))
     assert w == pytest.approx((1.0 / 0.03) * (0.1 - math.log(1.1)), rel=1e-9)
     assert w == pytest.approx(0.15632733985583805, rel=1e-9)
 
 
 @pytest.mark.parametrize("v", np.linspace(0.5, 2.0, 13))
 def test_voltage_well_positive_away_from_anchor(v):
-    c = vsg(setpoints=Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0))
-    w = c.storage((0.0, 0.0, v))
+    sp = Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0)
+    w = vsg(setpoints=sp).storage((0.0, 0.0, v), rest_at(sp))
     if abs(v - 1.0) < 1e-12:
         assert w == pytest.approx(0.0, abs=1e-14)
     else:
@@ -298,7 +306,7 @@ def test_voltage_well_positive_away_from_anchor(v):
 def test_storage_gradient_vanishes_at_anchor(make):
     c = make()
     x_e = c.equilibrium_state(SP.theta_e, SP.V_e)
-    grads = c.storage_gradient(x_e)
+    grads = c.storage_gradient(x_e, REST)
     assert max(abs(g) for g in grads) <= 1e-12
 
     # finite-difference gradient agrees and the Hessian is positive
@@ -313,10 +321,10 @@ def test_storage_gradient_vanishes_at_anchor(make):
             xmp = list(x_e); xmp[a] -= eps; xmp[b] += eps
             xmm = list(x_e); xmm[a] -= eps; xmm[b] -= eps
             h[a, b] = (
-                c.storage(tuple(xpp))
-                - c.storage(tuple(xpm))
-                - c.storage(tuple(xmp))
-                + c.storage(tuple(xmm))
+                c.storage(tuple(xpp), REST)
+                - c.storage(tuple(xpm), REST)
+                - c.storage(tuple(xmp), REST)
+                + c.storage(tuple(xmm), REST)
             ) / (4 * eps * eps)
     eigs = np.linalg.eigvalsh(h)
     stored_dims = n - (1 if isinstance(c, VsgComponent) else 0)
@@ -337,11 +345,11 @@ def test_storage_rate_matches_directional_difference(d_theta, d_omega, d_v, dp, 
     x = (SP.theta_e + d_theta, d_omega, SP.V_e + d_v)
     u = (SP.P_e + dp, SP.Q_e + dq)
     f = c.derivative(x, u)
-    rate = c.storage_rate(x, f)
+    rate = c.storage_rate(x, f, REST)
     eps = 1e-5
     x_plus = tuple(a + eps * b for a, b in zip(x, f))
     x_minus = tuple(a - eps * b for a, b in zip(x, f))
-    fd = (c.storage(x_plus) - c.storage(x_minus)) / (2 * eps)
+    fd = (c.storage(x_plus, REST) - c.storage(x_minus, REST)) / (2 * eps)
     assert rate == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -387,7 +395,7 @@ def test_storage_balances_the_negated_supply_exactly(
     dx = c.derivative(state, u)
     V, theta_dot, v_dot = state[-1], dx[0], dx[-1]
     rate = c.storage_rate(state, dx, anchor)
-    supply = supply_rate(u[0] - P_a, u[1] - Q_a, theta_dot, V, v_dot, SupplyConvention.NEGATED)
+    supply = supply_rate(u[0] - P_a, u[1] - Q_a, theta_dot, V, v_dot)
     voltage = -c.tau_q * v_dot * v_dot / (Dq * V)
     if model == "vsg":
         dissipation = -Dp * state[1] * state[1] + voltage
@@ -406,9 +414,8 @@ def test_supply_rate_zero_for_zero_deviation():
 
 
 def test_supply_rate_printed_sign_example():
-    s = supply_rate(0.1, 0.0, 0.05, 1.0, 0.0, SupplyConvention.PRINTED)
-    assert s == pytest.approx(0.005, abs=1e-15)
-    assert supply_rate(0.1, 0.0, 0.05, 1.0, 0.0, SupplyConvention.NEGATED) == -s
+    # the printed supply dP theta_dot is 0.1 * 0.05; supply_rate negates it
+    assert supply_rate(0.1, 0.0, 0.05, 1.0, 0.0) == pytest.approx(-0.005, abs=1e-15)
 
 
 @given(
@@ -459,12 +466,7 @@ def test_diagnostics_over_a_sample_axis_match_per_sample(make, samples):
         "storage": c.storage(x, anchor),
         "storage_rate": c.storage_rate(x, f, anchor),
         **{f"derivative[{j}]": f[j] for j in range(c.nstates)},
-        **{
-            conv.value: supply_rate(
-                u[0] - anchor.P, u[1] - anchor.Q, f[i_theta], x[i_v], f[i_v], conv
-            )
-            for conv in SupplyConvention
-        },
+        "supply": supply_rate(u[0] - anchor.P, u[1] - anchor.Q, f[i_theta], x[i_v], f[i_v]),
     }
     for s in range(len(samples)):
         xs = x[:, s].tolist()
@@ -474,12 +476,9 @@ def test_diagnostics_over_a_sample_axis_match_per_sample(make, samples):
             "storage": c.storage(xs, anchor),
             "storage_rate": c.storage_rate(xs, fs, anchor),
             **{f"derivative[{j}]": fs[j] for j in range(c.nstates)},
-            **{
-                conv.value: supply_rate(
-                    us[0] - anchor.P, us[1] - anchor.Q, fs[i_theta], xs[i_v], fs[i_v], conv
-                )
-                for conv in SupplyConvention
-            },
+            "supply": supply_rate(
+                us[0] - anchor.P, us[1] - anchor.Q, fs[i_theta], xs[i_v], fs[i_v]
+            ),
         }
         for name, value in scalars.items():
             assert arrays[name].shape == (len(samples),), name
@@ -492,7 +491,7 @@ def test_diagnostics_over_a_sample_axis_match_per_sample(make, samples):
 def test_vsg_zero_reactive_certificate_matches_closed_form():
     sp = Setpoints(P_e=0.15, Q_e=0.0, V_e=1.0, theta_e=0.0)
     c = vsg(setpoints=sp)
-    cert = local_certificate(c)
+    cert = local_certificate(c, rest_at(sp))
     rep = cert.reports[SupplyConvention.NEGATED]
     assert rep.verdict == "holds"
     # rate-minus-supply expands to -Dp w^2 in the frequency pair and
@@ -516,7 +515,7 @@ def test_vsg_zero_reactive_certificate_matches_closed_form():
 
 def test_vsg_printed_convention_fails():
     sp = Setpoints(P_e=0.15, Q_e=0.0, V_e=1.0, theta_e=0.0)
-    cert = local_certificate(vsg(setpoints=sp))
+    cert = local_certificate(vsg(setpoints=sp), rest_at(sp))
     rep = cert.reports[SupplyConvention.PRINTED]
     assert rep.verdict == "fails"
     assert rep.eigenvalues[-1] > 1e-6
@@ -525,7 +524,7 @@ def test_vsg_printed_convention_fails():
 def test_droop_zero_reactive_certificate():
     sp = Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0)
     c = droop(setpoints=sp)
-    cert = local_certificate(c)
+    cert = local_certificate(c, rest_at(sp))
     rep = cert.reports[SupplyConvention.NEGATED]
     assert rep.verdict == "holds"
     # angle pair contributes -(1/(tp Dp)) (p + Dp dP)^2
@@ -543,7 +542,7 @@ def test_nonzero_reactive_anchor_keeps_exact_semidefiniteness():
     # Q below -V/Dq (here -1/0.03) too
     for Q_e in (0.4, -60.0):
         sp = Setpoints(P_e=0.1, Q_e=Q_e, V_e=1.0, theta_e=0.0)
-        rep = local_certificate(vsg(setpoints=sp)).reports[SupplyConvention.NEGATED]
+        rep = local_certificate(vsg(setpoints=sp), rest_at(sp)).reports[SupplyConvention.NEGATED]
         assert rep.verdict == "holds"
         assert rep.eigenvalues[-1] <= EIG_TOL * np.max(np.abs(rep.eigenvalues))
 
@@ -570,8 +569,8 @@ def _classify(eigs: np.ndarray) -> str:
 def test_closed_form_certificate_matches_stencil(
     model, inertia_or_tau_p, tau_q, Dp, Dq, P, Q, V, theta
 ):
-    anchor = Anchor(P=P, Q=Q, V=V, theta=theta)
     sp = Setpoints(P_e=P, Q_e=Q, V_e=V, theta_e=theta)
+    anchor = rest_at(sp)
     if model == "vsg":
         c = vsg(M=inertia_or_tau_p, Dp=Dp, Dq=Dq, tau_q=tau_q, setpoints=sp)
     else:

@@ -236,9 +236,10 @@ def test_unknown_disturbance_kind_rejected():
 
 def test_bad_convention_value_rejected():
     doc = minimal_doc()
-    doc["solver"] = {"convention": "sideways"}
-    with pytest.raises(NetworkFileError, match="printed or negated"):
-        parse_case(doc)
+    for value in ("sideways", "printed"):
+        doc["solver"] = {"convention": value}
+        with pytest.raises(NetworkFileError, match=f"solver.convention: must be negated, got '{value}'"):
+            parse_case(doc)
 
 
 def test_case_name_resolution_error():

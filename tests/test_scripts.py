@@ -32,6 +32,17 @@ def test_run_case3bus_demo(tmp_path):
     assert "conclusion:" in result.stdout
 
 
+def test_benchmark_check_selftest():
+    # the benchmark's output checks accept the genuine outputs of a
+    # generated case and reject corrupted ones; it writes only under the
+    # ignored perfbench/_work/
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_identity_convergence_script(tmp_path):
     result = run_script(
         "identity_convergence.py", "--horizon", "0.2", "--halvings", "1", cwd=tmp_path

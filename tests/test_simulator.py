@@ -360,6 +360,12 @@ def rest_state(engine, V, T):
     return engine.buffer([x for node, _, _, _ in engine.terminals for x in (T[node], 0.0, V[node])])
 
 
+def equilibrium_states(engine, sol):
+    """The components' states, back to back, at rest at the equilibrium `sol`."""
+    anchors = [sol.anchors[cid] for cid in engine.comp_ids]
+    return [x for c, a in zip(engine.comps, anchors) for x in c.equilibrium_state(a.theta, a.V)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=thevenin_networks())
 def test_uncoupled_passive_buses_solve_without_iteration(case):
@@ -467,7 +473,7 @@ def test_float_stage_continues_by_the_chord(monkeypatch, case3bus, case3bus_solu
     force_chord(monkeypatch)
     net = case3bus.net
     engine = simulator._make_engine(net, case3bus.components, case3bus.solver)
-    y = [x for cid in engine.comp_ids for x in case3bus_solution.component_states[cid]]
+    y = equilibrium_states(engine, case3bus_solution)
     V = engine.buffer(case3bus_solution.state.V)
     T = engine.buffer(case3bus_solution.state.theta)
     _, p, q = engine.stage(y, V, T, 0.0)
@@ -494,7 +500,8 @@ def run_steps(make, net, comps, y, v, th, h, stops, switched=None, switch_at=1):
     engine = make(net, comps, SolverConfig())
     assert not isinstance(engine, simulator._ArrayEngine)
     y, V, th = engine.buffer(y), engine.buffer(v), engine.buffer(th)
-    anchors = {cid: Anchor.from_setpoints(comp.setpoints) for cid, comp in comps.items()}
+    sps = {cid: comp.setpoints for cid, comp in comps.items()}
+    anchors = {cid: Anchor(sp.P_e, sp.Q_e, sp.V_e, sp.theta_e) for cid, sp in sps.items()}
     out = []
     try:
         dy, p, q = engine.stage(y, V, th, 0.0)
@@ -705,7 +712,7 @@ def test_generated_step_collapses_as_the_reference(case3bus, case3bus_solution, 
     raised = []
     for make in (simulator._make_engine, ReferenceEngine):
         engine = make(case3bus.net, case3bus.components, case3bus.solver)
-        y = engine.buffer([x for cid in engine.comp_ids for x in case3bus_solution.component_states[cid]])
+        y = engine.buffer(equilibrium_states(engine, case3bus_solution))
         V = engine.buffer(case3bus_solution.state.V)
         T = engine.buffer(case3bus_solution.state.theta)
         dy, p, q = engine.stage(y, V, T, 0.0)
@@ -799,7 +806,7 @@ def test_diagnostics_from_dy_match_the_model_derivative(case3bus, name):
     for cid, comp in comps.items():
         x = traj.comp_states[cid].T
         P, Q = traj.P[cid], traj.Q[cid]
-        anchor = traj.anchors[cid]
+        anchor = traj.equilibrium.anchors[cid]
         f = comp.derivative(x, (P, Q))
         i_theta, i_v = comp.state_labels.index("theta"), comp.state_labels.index("v")
         dp, dq = P - anchor.P, Q - anchor.Q
@@ -812,7 +819,7 @@ def test_diagnostics_from_dy_match_the_model_derivative(case3bus, name):
                 sum(np.abs(g) * row for g, row in zip(gradient, terms)),
             ),
             "supply": (
-                supply_rate(dp, dq, f[i_theta], x[i_v], f[i_v], traj.config.convention),
+                supply_rate(dp, dq, f[i_theta], x[i_v], f[i_v]),
                 np.abs(dp) * terms[i_theta] + np.abs(dq) * terms[i_v] / x[i_v],
             ),
         }
@@ -960,7 +967,8 @@ def test_chord_failure_reports_time_and_residual():
         disturbances=[StatePerturbation(at=0.0, component="vsg1", delta={"v": 0.01})],
     )
     with pytest.raises(
-        SimulationError, match=r"inner Newton failed at t = 0 \(residual \d\.\d{3}e-\d+\)"
+        SimulationError,
+        match=r"inner Newton failed at t = 0 \(residual \d\.\d{3}e-\d+, [PQ] balance at bus 'l[12]'\)",
     ):
         simulate(plan_run(net, comps, scen, SolverConfig(newton_max_iter=0)), sol)
 
