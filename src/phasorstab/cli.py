@@ -4,9 +4,13 @@ Subcommands: equilibrium | simulate | certify | verify-identities |
 path-experiment. Structured results go to JSON files or stdout, trajectories
 to CSV; every write is write-to-temp plus atomic rename
 (:func:`~phasorstab.netfile.output_file`), so a failing run never leaves a
-partial file, and a path that cannot be written is a validation error.
-Exit codes: 0 success, 1 validation/parse error, 2 solver failure or
-inconsistent inputs.
+partial file, and a path that cannot be written is a validation error,
+raised before the command does any work. Exit codes: 0 success,
+1 validation/parse error, 2 solver failure or inconsistent inputs.
+
+:func:`run` is the process entry (``python -m phasorstab.cli`` and the
+``phasorstab`` script); :func:`main` is the same command for a caller in
+the same process.
 
 A positional CASE argument is either a path to a network description file
 or the name of a packaged case (currently ``case3bus``).
@@ -15,11 +19,14 @@ or the name of a packaged case (currently ``case3bus``).
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import json
 import math
 import os
 import sys
 from importlib import resources
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .equilibrium import (
 from .netfile import (
     CaseDefinition,
     NetworkFileError,
+    check_output_path,
     load_case,
     load_contours,
     output_file,
@@ -212,12 +220,23 @@ def cmd_simulate(args) -> int:
     sol = solve_case_equilibrium(case)
     traj = simulate(plan, sol)
     traj.to_csv(args.out)
-    manifest_path = args.manifest or (os.path.splitext(args.out)[0] + ".manifest.json")
+    manifest_path = _manifest_path(args)
     traj.write_manifest(manifest_path, source=case.source)
     sys.stdout.write(
         f"wrote {traj.n_samples} samples to {args.out} (manifest {manifest_path})\n"
     )
     return EXIT_OK
+
+
+def _manifest_path(args) -> str:
+    return args.manifest or (os.path.splitext(args.out)[0] + ".manifest.json")
+
+
+def _output_paths(args) -> list[str]:
+    """Every file the command writes."""
+    if args.command == "simulate":
+        return [args.out, _manifest_path(args)]
+    return [args.out] if args.out else []
 
 
 def cmd_certify(args) -> int:
@@ -344,12 +363,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="phasorstab",
-        description="Phasor-circuit stability analytics",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
+def _add_global_options(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Add the options before the subcommand that take a value."""
     parser.add_argument(
         "--config",
         default=None,
@@ -360,6 +375,35 @@ def build_parser() -> argparse.ArgumentParser:
         default="1e-6",
         help="criterion tolerance for certification checks",
     )
+    return parser
+
+
+def _usage_error(exc: argparse.ArgumentError, argv: list[str] | None) -> str:
+    """argparse's message for `exc`, except that an unknown option before
+    the subcommand is named: argparse reads the option's value as the
+    subcommand and names the value instead."""
+    if exc.argument_name == "command":
+        options = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+        try:
+            _, rest = _add_global_options(options).parse_known_args(argv)
+        except argparse.ArgumentError:
+            rest = []
+        unknown = list(itertools.takewhile(lambda arg: arg.startswith("-"), rest))
+        if unknown:
+            return f"unrecognized arguments: {' '.join(unknown)}"
+    return str(exc)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # top-level usage errors come back to main, which names an unknown
+    # option (see _usage_error)
+    parser = _Parser(
+        prog="phasorstab",
+        description="Phasor-circuit stability analytics",
+        exit_on_error=False,
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    _add_global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eq = sub.add_parser("equilibrium", help="solve the steady state")
@@ -406,8 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        parser.error(_usage_error(exc, argv))
+    try:
+        for path in _output_paths(args):
+            check_output_path(path)
         return args.func(args)
     except (NetworkFileError, NetworkError, ScenarioError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -417,5 +466,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SOLVER
 
 
+def run() -> NoReturn:
+    """The process entry: :func:`main` on the command line, whose status is
+    the exit code. Once main has returned or raised, every live object is
+    frozen into the collector's permanent generation (:func:`gc.freeze`),
+    which the interpreter's full collections at exit skip; with numpy and
+    the package loaded, those passes would take tens of milliseconds of
+    every command. ``atexit`` handlers and the stdout and stderr flushes
+    still run. :func:`main` freezes nothing, so a caller in a longer-lived
+    process keeps its collector as it was."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,6 +12,7 @@ Loads are consumption-positive by default; a branch may declare
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from .scenario import LineScale, LoadStep, Scenario, SolverConfig, StatePerturba
 __all__ = [
     "NetworkFileError",
     "CaseDefinition",
+    "check_output_path",
     "load_case",
     "load_contours",
     "output_file",
@@ -391,6 +393,20 @@ def read_json(path: str) -> Any:
         raise NetworkFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def check_output_path(path: str) -> None:
+    """Fail as :func:`output_file` would for a `path` that names a
+    directory or lies in one that does not exist, so that a command can
+    refuse it before any work."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise NetworkFileError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextmanager

@@ -673,7 +673,10 @@ def test_supply_sign_is_negated_only(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--convention", "printed", "simulate", "case3bus"])
     assert exc.value.code == 1
-    assert capsys.readouterr().err.startswith("usage: phasorstab")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: phasorstab")
+    # the flag is named, not its value read as the subcommand
+    assert err.endswith("phasorstab: error: unrecognized arguments: --convention\n")
     doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
     doc["solver"]["convention"] = "printed"
     cfg = tmp_path / "cfg.json"
@@ -700,34 +703,110 @@ def test_supply_sign_is_negated_only(capsys, tmp_path):
      ["verify-identities", "case3bus", "--horizon", "0.04", "--out", "{target}"]],
     ids=["simulate-csv", "simulate-manifest", "equilibrium", "certify", "verify-identities"],
 )
-def test_unwritable_output_exits_one(capsys, tmp_path, argv):
-    # a path in a missing directory, and a directory in the file's place,
-    # where the temporary file is written and then cannot replace it: one
-    # error line, and no temporary file left behind
+def test_unwritable_output_exits_one(capsys, tmp_path, monkeypatch, argv):
+    # a path in a missing directory, and a directory in the file's place:
+    # one error line before any solve, and no file left behind, neither a
+    # temporary one nor a CSV whose manifest could not be written
+    import phasorstab.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "solve_case_equilibrium", lambda case: ran.append("solve"))
+    monkeypatch.setattr(cli, "simulate", lambda *a: ran.append("simulate"))
     (tmp_path / "taken").mkdir()
     for target, reason in ((tmp_path / "missing" / "out", "No such file or directory"),
                            (tmp_path / "taken", "Is a directory")):
         code, out, err = run_cli(capsys, *(a.format(target=target, tmp=tmp_path) for a in argv))
         assert (code, out, err) == (1, "", f"error: cannot write {target}: {reason}\n")
-        assert not list(tmp_path.rglob("*.tmp"))
+        assert ran == []
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "taken"]
 
 
-def test_equilibrium_failure_names_the_bus(capsys, tmp_path):
-    # declared setpoints, no operating point, and a load at bus3 that the
-    # lines cannot carry: Newton stalls, at bus3's P balance
+def test_output_file_still_refuses_a_path_at_the_write(tmp_path):
+    # a path that passes the check but cannot be written when the output
+    # is ready (here a directory made in the meantime) fails the same way
+    from phasorstab.netfile import NetworkFileError, check_output_path, output_file
+
+    target = tmp_path / "out.json"
+    check_output_path(str(target))
+    target.mkdir()
+    with pytest.raises(NetworkFileError, match=f"cannot write {target}: Is a directory"):
+        with output_file(str(target)) as fh:
+            fh.write("{}")
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+def stalled_doc():
+    """case3bus with declared setpoints, no operating point, and a load at
+    bus3 that the lines cannot carry: Newton stalls, at bus3's P balance."""
     import phasorstab.cli as cli
 
     doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
     _declared_setpoints(doc)
     del doc["operating_point"]
     doc["branches"][2]["p0"] = 9
-    code, out, err = run_cli(capsys, "equilibrium", write_case(tmp_path, doc))
+    return doc
+
+
+def test_equilibrium_failure_names_the_bus(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "equilibrium", write_case(tmp_path, stalled_doc()))
     assert (code, out) == (2, "")
     assert err.startswith("error: Newton stalled at iteration ")
     assert err.endswith(", P balance at bus 'bus3')\n")
 
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parents[1]
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+)}
+# the process entry, run with an exit hook that reports the collector's
+# frozen objects after the command has returned
+ENTRY_WITH_HOOK = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+    "from phasorstab.cli import run\n"
+    "run()\n"
+)
+
+
+def test_process_entry_freezes_the_collector_and_keeps_the_exit(capsys, tmp_path):
+    import phasorstab.cli as cli
+
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    doc["scenario"]["disturbances"].append(
+        {"at": 0.05, "kind": "line_scale", "line": 5, "factor": 0.5})
+    rejected = write_case(tmp_path, doc, "rejected.json")
+    stalled = write_case(tmp_path, stalled_doc(), "stalled.json")
+    runs = [(["equilibrium", "case3bus"], 0, ""),
+            (["simulate", rejected, "--out", str(tmp_path / "x.csv")], 1, f"error: {LINE_INDEX}\n"),
+            (["--convention", "printed", "simulate", "case3bus"], 1,
+             "phasorstab: error: unrecognized arguments: --convention\n"),
+            (["equilibrium", stalled], 2, ", P balance at bus 'bus3')\n"),
+            (["certify", "case3bus"], 0, "")]
+    for argv, code, err_end in runs:
+        done = subprocess.run([sys.executable, "-c", ENTRY_WITH_HOOK, *argv], env=SRC_ENV,
+                              capture_output=True, text=True, timeout=120)
+        err, _, hook = done.stderr.rpartition("frozen ")
+        assert done.returncode == code, done.stderr
+        assert err.endswith(err_end) if code else err == "", done.stderr
+        assert int(hook) > 0, done.stderr
+    # what the last process printed is what main prints in this one
+    assert run_cli(capsys, "certify", "case3bus") == (0, done.stdout, "")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_console_script_is_the_process_entry():
+    import tomllib
+
+    import phasorstab.cli as cli
+
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["phasorstab"]
+    module, _, name = target.partition(":")
+    assert (module, name) == ("phasorstab.cli", "run")
+    assert callable(getattr(cli, name))
+
+
+TRACER = REPO / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -757,12 +836,9 @@ def test_benchmark_tracer_bindings_resolve():
 def test_benchmark_tracer_runs_a_traced_command(tmp_path):
     # the traced run also reads what the wrapped calls return (the
     # trajectory's scenario and solver settings, the solution's iterations)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(TRACER.parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    )}
     spans = tmp_path / "spans.npz"
     argv = ["simulate", "case3bus", "--horizon", "0.1", "--out", str(tmp_path / "t.csv")]
-    done = subprocess.run([sys.executable, str(TRACER), str(spans), "--", *argv], env=env,
+    done = subprocess.run([sys.executable, str(TRACER), str(spans), "--", *argv], env=SRC_ENV,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     metrics = load_tracer().summarize([str(spans)])
