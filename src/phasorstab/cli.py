@@ -183,8 +183,9 @@ def _planned_runs(case: CaseDefinition, args, what: str) -> list[RunPlan]:
     command steps on these. The case's scenario is required (`what` ends the
     message if it is missing) and cut at ``--horizon`` when given. With
     ``--h-sweep`` there is one run per sweep step, sampled at
-    :func:`_sweep_period`, whose errors name the step unless they are the
-    scenario's own; otherwise one run with the case's solver."""
+    :func:`_sweep_period`, whose errors name the step, after one check of
+    the scenario, whose own errors go out as they are; otherwise one run
+    with the case's solver."""
     scenario = case.scenario
     if scenario is None:
         raise ScenarioError(f"case {case.name!r} declares no scenario{what}")
@@ -202,15 +203,15 @@ def _planned_runs(case: CaseDefinition, args, what: str) -> list[RunPlan]:
             "identity verification requires a scenario without load or line events"
         )
     steps = _step_sweep(args.h_sweep)
+    # a fault of the scenario itself is no step's: it goes out as it is
+    check_scenario(case.net, case.components, scenario)
     plans = []
     for h in steps:
         try:
             config = replace(case.solver, step_size=h)
             run = replace(scenario, output_period=_sweep_period(scenario, h))
-            plans.append(plan_run(case.net, case.components, run, config))
+            plans.append(plan_run(case.net, case.components, run, config, checked=True))
         except ScenarioError as exc:
-            # a fault of the scenario itself is no step's: it goes out as it is
-            check_scenario(case.net, case.components, scenario)
             raise ScenarioError(f"--h-sweep step {h}: {exc}") from None
     return plans
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,11 @@ def _voltage_store_curvature(Dq: float, V_anchor: float) -> float:
     return 1.0 / (Dq * V_anchor)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class Component:
     """What every model shares. A model declares ``state_labels`` (with
     ``"theta"`` and ``"v"`` among them; any other state is an internal
@@ -164,15 +170,25 @@ class Component:
     def affine_matrix(self) -> np.ndarray:
         """D_f, the partials of ``derivative`` by (x, P, Q): ``derivative`` of
         the unit columns with zero setpoints. ``+ 0.0`` turns the -0.0 that
-        the zero terms leave into 0.0."""
-        unit = np.eye(self.nstates + 2)
-        at_zero = self.with_setpoints(Setpoints(0.0, 0.0, 0.0, 0.0))
-        return np.array(at_zero.derivative(unit[:-2], (unit[-2], unit[-1]))) + 0.0
+        the zero terms leave into 0.0. Built once per instance, as the
+        record is frozen; the array is read-only."""
+        return self._affine_matrix
 
     def affine_offset(self) -> np.ndarray:
         """c = ``derivative`` - D_f (x, P, Q): ``derivative`` at x = 0 and
-        P = Q = 0, from the setpoints."""
-        return np.array(self.derivative((0.0,) * self.nstates, (0.0, 0.0))) + 0.0
+        P = Q = 0, from the setpoints. Built once per instance, as the
+        record is frozen; the array is read-only."""
+        return self._affine_offset
+
+    @cached_property
+    def _affine_matrix(self) -> np.ndarray:
+        unit = np.eye(self.nstates + 2)
+        at_zero = self.with_setpoints(Setpoints(0.0, 0.0, 0.0, 0.0))
+        return _read_only(np.array(at_zero.derivative(unit[:-2], (unit[-2], unit[-1]))) + 0.0)
+
+    @cached_property
+    def _affine_offset(self) -> np.ndarray:
+        return _read_only(np.array(self.derivative((0.0,) * self.nstates, (0.0, 0.0))) + 0.0)
 
     def steady_state_partials(self) -> np.ndarray:
         """The equilibrium relations as constant partials by (theta, V, P,
@@ -290,9 +306,10 @@ class AffineStack:
     """Every component's affine table as one sparse map over the stacked
     states: dy = D (y, P, Q) + c.
 
-    y holds the components' states back to back, in the order given, and P
-    and Q are bus-indexed injections, of which component j reads the entry
-    at ``buses[j]``. The nonzero entries of each D_f are kept as (row,
+    y holds the components' states back to back, in the order given, and
+    (P, Q) are the bus-indexed injections stacked in one array, P first, of
+    which component j reads the entries at ``buses[j]``. The nonzero
+    entries of each D_f are kept as (row,
     column, value) triples; a call gathers the inputs they read, multiplies,
     sums each row with one ``np.bincount`` in a fixed order and adds c. No
     matrix product is formed, so no BLAS call (nor thread) is made.
@@ -321,8 +338,8 @@ class AffineStack:
         self.vals = np.array(vals)
         self.offset = np.concatenate(offsets) if offsets else np.zeros(0)
 
-    def __call__(self, y: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        terms = self.vals * np.concatenate([y, P, Q])[self.cols]
+    def __call__(self, y: np.ndarray, pq: np.ndarray) -> np.ndarray:
+        terms = self.vals * np.concatenate([y, pq])[self.cols]
         return np.bincount(self.rows, weights=terms, minlength=self.nstates) + self.offset
 
 

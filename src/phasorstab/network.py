@@ -8,19 +8,22 @@ consumption-positive in input files, and ``NetworkModel.load_p`` and
 generation-positive (power injected from the shunt side into the network),
 so a passive bus balances at P_i + load_p_i = 0 and Q_i + load_q_i = 0.
 
-This module is the network kernel: :func:`power_injection` evaluates the
-line power-flow terms on edge arrays (one gather, one sin and one cos over
-all lines, one scatter onto the buses), and :func:`injection_partials` is
-the only source of their partials, as one 2n x 2n matrix (rows P then Q,
-columns theta then V). The equilibrium solver, the transient simulator and
-the potential's gradient and Hessian are all built on these two functions,
-and each indexes that one matrix rather than reassembling it. The
-simulator's float path, for at most one passive bus, evaluates the same
-line terms as a loop over ``edges`` inside its stage, where per-call numpy
-overhead would outweigh the work.
+This module is the network kernel: :func:`stacked_injection` evaluates the
+line power-flow terms on the stacked bus state x = (theta, V) (one gather
+of both line ends, one sin and one cos over all lines, one scatter onto the
+buses), :func:`power_injection` is its entry on separate V and theta, and
+:func:`injection_partials` is the only source of their partials, as one
+2n x 2n matrix (rows P then Q, columns theta then V). The equilibrium
+solver, the transient simulator and the potential's gradient and Hessian
+are all built on these functions, and each indexes that one matrix rather
+than reassembling it. The simulator's float path, for at most one passive
+bus, evaluates the same line terms as a loop over ``edges`` inside its
+stage, where per-call numpy overhead would outweigh the work.
 :func:`passive_bus_solution` solves the balance of a passive bus whose line
 neighbours are held fixed in closed form; the simulator uses it when no
-line joins two passive buses (on floats or on arrays). The
+line joins two passive buses (on floats or on arrays), through
+:func:`solve_passive_bus` on the constants of :func:`passive_bus_constants`,
+folded once per network. The
 complex-arithmetic oracles at the end of the module
 (:func:`branch_currents_oracle`, :func:`tellegen_sum`) recompute the same
 physics independently, for checking.
@@ -48,9 +51,12 @@ __all__ = [
     "NetworkModel",
     "NetworkError",
     "BusState",
+    "stacked_injection",
     "power_injection",
     "injection_partials",
+    "passive_bus_constants",
     "passive_bus_solution",
+    "solve_passive_bus",
     "branch_currents_oracle",
     "tellegen_sum",
 ]
@@ -131,8 +137,11 @@ class NetworkModel:
 
     Derived, in network node order: ``edges`` holds one (i, k, B) triple per
     line in declaration order, and ``edge_arrays`` the same as three numpy
-    arrays (from, to, B); ``injection_slots`` and ``partials_slots`` place
-    the terms of :func:`power_injection` and :func:`injection_partials`;
+    arrays (from, to, B); ``injection_slots`` are the rows of both line ends
+    in the stacked state (theta, V), which :func:`stacked_injection` reads
+    and then adds its terms into, and ``stacked_coupling`` is B twice, once
+    per end; ``partials_slots`` place the terms of
+    :func:`injection_partials`;
     ``load_p`` and ``load_q`` are the summed consumption-positive
     constant-power loads per bus; ``coupling_sum`` is the summed line
     coupling B per bus.
@@ -149,6 +158,7 @@ class NetworkModel:
     edges: list[tuple[int, int, float]] = field(default_factory=list, repr=False)
     edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
     injection_slots: np.ndarray = field(init=False, repr=False)
+    stacked_coupling: np.ndarray = field(init=False, repr=False)
     partials_slots: np.ndarray = field(init=False, repr=False)
     load_p: list[float] = field(default_factory=list, repr=False)
     load_q: list[float] = field(default_factory=list, repr=False)
@@ -242,9 +252,10 @@ class NetworkModel:
             np.array([k for _, k, _ in self.edges], dtype=np.intp),
             np.array([b for _, _, b in self.edges], dtype=float),
         )
-        i, k, _ = self.edge_arrays
-        # P rows take each line's from and to end, then Q rows the same
+        i, k, b = self.edge_arrays
+        # theta (or P) rows of each line's from and to end, then V (or Q) rows
         self.injection_slots = np.concatenate([i, k, n + i, n + k])
+        self.stacked_coupling = np.concatenate([b, b])
         self.partials_slots = _partials_slots(n, i, k)
         self.coupling_sum = [0.0] * n
         for i, k, b in self.edges:
@@ -356,30 +367,56 @@ class BusState:
 # -- evaluation ------------------------------------------------------------
 
 
-def power_injection(net: NetworkModel, V, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Net power injected from the shunt side into the network at each bus.
+def stacked_injection(net: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """Net power injected from the shunt side into the network at each bus,
+    on the stacked bus state x = (theta, V), a float array of length 2n.
+    Returns (P, Q) stacked the same way, P in the first n entries.
 
     Closed form over lines: P_i = sum_k B_ik V_i V_k sin(theta_i - theta_k),
-    Q_i = sum_k B_ik (V_i^2 - V_i V_k cos(theta_i - theta_k)). Generation
-    convention; returns two arrays in node order.
-
-    The edge-array kernel: one gather of the line ends from ``edge_arrays``,
-    one sin and one cos over all lines, one ``np.bincount`` scatter onto
-    the buses in a fixed order.
+    Q_i = sum_k B_ik (V_i^2 - V_i V_k cos(theta_i - theta_k)), generation
+    convention. One gather of both line ends (theta_i, theta_k, V_i, V_k),
+    one sin and one cos over all lines, the products (B V_i) V_i and
+    (B V_k) V_k formed on the stacked ends (B V_i, B V_k), the terms written
+    into one buffer in ``injection_slots`` order, and one ``np.bincount``
+    scatter onto the buses in that fixed order.
     """
-    n = net.n_nodes
-    i, k, b = net.edge_arrays
-    v = np.asarray(V, dtype=float)
-    t = np.asarray(theta, dtype=float)
-    vi = v[i]
-    vk = v[k]
-    d = t[i] - t[k]
-    bvv = b * vi * vk
-    flow = bvv * np.sin(d)
+    slots = net.injection_slots
+    lines = len(net.edges)
+    ends = x[slots]
+    v = ends[2 * lines:]
+    bv = net.stacked_coupling * v
+    d = ends[:lines] - ends[lines : 2 * lines]
+    bvv = bv[:lines] * v[lines:]
+    terms = np.empty(4 * lines)
+    flow = terms[:lines]
+    np.multiply(bvv, np.sin(d), out=flow)
+    np.negative(flow, out=terms[lines : 2 * lines])
     cross = bvv * np.cos(d)
-    terms = np.concatenate([flow, -flow, b * vi * vi - cross, b * vk * vk - cross])
-    pq = np.bincount(net.injection_slots, weights=terms, minlength=2 * n)
+    square = bv * v
+    np.subtract(square[:lines], cross, out=terms[2 * lines : 3 * lines])
+    np.subtract(square[lines:], cross, out=terms[3 * lines:])
+    return np.bincount(slots, weights=terms, minlength=2 * net.n_nodes)
+
+
+def power_injection(net: NetworkModel, V, theta) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stacked_injection` at the bus voltages V and angles theta, as
+    two arrays (P, Q) in node order."""
+    pq = stacked_injection(net, np.concatenate((theta, V), dtype=float))
+    n = net.n_nodes
     return pq[:n], pq[n:]
+
+
+def passive_bus_constants(coupling_sum, load_p, load_q):
+    """The constants of :func:`solve_passive_bus` for passive buses with
+    coupling sums S and consumption-positive loads (p, q): (S, q, -p, S^2,
+    S q, p^2 + q^2, S^2 (p^2 + q^2), and whether p^2 + q^2 is zero).
+    Elementwise, on floats or on arrays over buses."""
+    s2 = coupling_sum * coupling_sum
+    load2 = load_p * load_p + load_q * load_q
+    return (
+        coupling_sum, load_q, -load_p, s2, coupling_sum * load_q, load2, s2 * load2,
+        load2 == 0.0,
+    )
 
 
 def passive_bus_solution(
@@ -408,16 +445,25 @@ def passive_bus_solution(
     which raise ValueError or ZeroDivisionError where no solution with
     V_n > 0 exists (a load beyond the transfer limit, or S = 0), or arrays
     over buses with the numpy defaults, which give NaN there.
+
+    It is :func:`solve_passive_bus` on :func:`passive_bus_constants`, which
+    a caller that solves the same buses many times folds once.
     """
-    s2 = coupling_sum * coupling_sum
-    load2 = load_p * load_p + load_q * load_q
+    constants = passive_bus_constants(coupling_sum, load_p, load_q)
+    return solve_passive_bus(e_re, e_im, constants, v0, theta0, sqrt, atan2)
+
+
+def solve_passive_bus(e_re, e_im, constants, v0, theta0, sqrt=np.sqrt, atan2=np.arctan2):
+    """:func:`passive_bus_solution` given the buses' constants from
+    :func:`passive_bus_constants`."""
+    coupling_sum, load_q, neg_p, s2, s_q, load2, s2_load2, no_load = constants
     # S^2 times the midpoint of the roots, and S^2 times their half distance
-    mid = 0.5 * (e_re * e_re + e_im * e_im) - coupling_sum * load_q
-    half_gap = sqrt(mid * mid - s2 * load2)
+    mid = 0.5 * (e_re * e_re + e_im * e_im) - s_q
+    half_gap = sqrt(mid * mid - s2_load2)
     low = load2 / (mid + half_gap)
-    high = (v0 * v0 * s2 >= mid) | (load2 == 0.0)
+    high = (v0 * v0 * s2 >= mid) | no_load
     x = low + high * (2.0 * half_gap / s2)
-    theta = atan2(e_im, e_re) + atan2(-load_p, coupling_sum * x + load_q)
+    theta = atan2(e_im, e_re) + atan2(neg_p, coupling_sum * x + load_q)
     theta += TWO_PI * (((theta0 - theta) / TWO_PI + 0.5) // 1.0)
     return sqrt(x), theta
 

@@ -191,16 +191,18 @@ def _snap_to_grid(value: float, h: float, what: str) -> int:
 
 def plan_run(
     net: NetworkModel, components: dict[str, Component], scenario: Scenario,
-    config: SolverConfig,
+    config: SolverConfig, checked: bool = False,
 ) -> RunPlan:
     """Plan a run of `scenario` on `net` at `config`'s step, before any work.
 
-    Checks the scenario against the step grid, the network and the
-    components, and builds the network in force after each event step the
-    run reaches: from `net`, with the load and line events in force applied
-    in the order they started. So every combination of overlapping events is
-    built here; one that fails names the disturbances in force and the
-    step's time in front of the network's message.
+    Checks the scenario against the step grid and, unless the caller has
+    already passed it through :func:`check_scenario` (``checked``), against
+    the network and the components, and builds the network in force after
+    each event step the run reaches: from `net`, with the load and line
+    events in force applied in the order they started. So every combination
+    of overlapping events is built here; one that fails names the
+    disturbances in force and the step's time in front of the network's
+    message.
     """
     h = config.step_size
     n_steps = _snap_to_grid(scenario.horizon, h, "horizon")
@@ -213,7 +215,8 @@ def plan_run(
             f"(the output period snaps to {sample_every * h:.6g}, "
             f"{sample_every} steps of h = {h})"
         )
-    check_scenario(net, components, scenario)
+    if not checked:
+        check_scenario(net, components, scenario)
     # per step, the disturbances due there by index, each with whether it ends there
     due: dict[int, list[tuple[int, Disturbance, bool]]] = {}
     for i, d in enumerate(scenario.disturbances):

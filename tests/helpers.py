@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from phasorstab import simulator
+from phasorstab import network, simulator
 from phasorstab.components import Anchor, Component, SupplyConvention, supply_rate
 from phasorstab.equilibrium import steady_state_residual
 from phasorstab.network import BusState, NetworkModel, injection_partials, power_injection
@@ -171,7 +171,7 @@ def reference_stage(engine, net: NetworkModel):
     n = net.n_nodes
     tol = engine.config.newton_tol
     sin, cos, sqrt, atan2 = math.sin, math.cos, math.sqrt, math.atan2
-    solution = simulator.passive_bus_solution
+    solution = network.passive_bus_solution
     bus = engine.passive_nodes[0] if engine.passive_nodes else None
     if bus is not None:
         lines = [(k, b) for _, k, b in engine._passive_lines(net)]
@@ -206,11 +206,11 @@ def reference_stage(engine, net: NetworkModel):
         if bus is not None and not (
             abs(p[bus] + load_p) <= tol and abs(q[bus] + load_q) <= tol
         ):
-            v = np.array(V)
-            a = np.array(th)
-            p, q = (x.tolist() for x in engine._solve_chord(v, a, t))
-            V[:] = v.tolist()
-            th[:] = a.tolist()
+            x = np.array(th + V)
+            pq = engine._solve_chord(x, t)
+            p, q = pq[:n].tolist(), pq[n:].tolist()
+            th[:] = x[:n].tolist()
+            V[:] = x[n:].tolist()
         # the rows of AffineStack, summed in its order
         x = y + p + q
         dy = []
@@ -272,3 +272,205 @@ class ReferenceEngine(simulator._Engine):
     def _steps_for(self, net):
         stage = reference_stage(self, net)
         return stage, reference_advance(self, stage)
+
+
+def stacked_injection_loop(net: NetworkModel, x) -> list[float]:
+    """:func:`~phasorstab.network.stacked_injection` as a Python loop over
+    ``net.edges`` on the stacked state x = (theta, V), returning the stacked
+    (P, Q) as a list of floats. The sines and cosines come from numpy over
+    all lines, as in the kernel, and each bus sums its terms from 0.0 in the
+    kernel's order: every line's from end, then every line's to end, P
+    before Q. So it is the kernel's bit for bit."""
+    n = len(x) // 2
+    i, k, _ = net.edge_arrays
+    d = np.asarray(x)[i] - np.asarray(x)[k]
+    sines, cosines = np.sin(d).tolist(), np.cos(d).tolist()
+    terms = [[], [], [], []]  # P at the from and to ends, then Q
+    for (a, c, b), sin_d, cos_d in zip(net.edges, sines, cosines):
+        va, vc = x[n + a], x[n + c]
+        bvv = b * va * vc
+        flow = bvv * sin_d
+        cross = bvv * cos_d
+        terms[0].append((a, flow))
+        terms[1].append((c, -flow))
+        terms[2].append((n + a, b * va * va - cross))
+        terms[3].append((n + c, b * vc * vc - cross))
+    pq = [0.0] * (2 * n)
+    for group in terms:
+        for slot, term in group:
+            pq[slot] += term
+    return pq
+
+
+def array_reference_stage(engine, net: NetworkModel):
+    """The array path's stage on `net` as a closure over loops and the
+    kernel's entry :func:`power_injection`, ``stage(y, V, th, t) -> (dy, P,
+    Q)`` on separate arrays V and th, written in place: check and scatter
+    the terminals; solve the passive buses, in closed form through
+    :func:`~phasorstab.network.passive_bus_solution` (E summed line by line
+    from the numpy sines and cosines) or, coupled, by the tangent predictor
+    and the chord iteration on V and th; apply the affine table, one pass
+    over its rows. The reference for :class:`~phasorstab.simulator._ArrayEngine`,
+    which must perform the same floating-point operations in the same
+    order."""
+    terminals = engine.terminals
+    table = engine.affine_rows
+    config = engine.config
+    pas = engine.passive
+    m = len(pas)
+    loads = np.concatenate([np.array(net.load_p)[pas], np.array(net.load_q)[pas]])
+    lines = engine._passive_lines(net)
+
+    def factorize(V, th, injections, t):
+        jac = injection_partials(net, V, th, injections)
+        try:
+            engine.jac_inv = np.linalg.inv(jac[engine.passive_block])
+        except np.linalg.LinAlgError as exc:
+            raise simulator.SimulationError(
+                f"algebraic Jacobian singular at t = {t:.6g}: {exc}"
+            ) from exc
+        engine.factorizations += 1
+        if engine.coupled:
+            engine.tangent = -(engine.jac_inv @ jac[engine.boundary_block])
+
+    def collapse(node, t):
+        return simulator.SimulationError(
+            f"voltage collapse at bus {net.non_ground[node]!r}, t = {t:.6g}"
+        )
+
+    def chord(V, th, t):
+        last = math.inf
+        for it in range(config.newton_max_iter + 1):
+            p, q = power_injection(net, V, th)
+            r = np.concatenate([p[pas], q[pas]]) + loads
+            worst = float(np.abs(r).max())
+            if worst <= config.newton_tol:
+                return p, q
+            if it == config.newton_max_iter:
+                break
+            if engine.jac_inv is None or worst > simulator.CHORD_CONTRACTION * last:
+                factorize(V, th, (p, q), t)
+            last = worst
+            step = -(engine.jac_inv @ r)
+            scale = 1.0
+            v_new = V[pas] + step[m:]
+            while any(v <= 0.0 for v in v_new.tolist()):
+                scale *= 0.5
+                if scale < 1e-12:
+                    raise collapse(next(node for node, v in zip(pas, v_new) if v <= 0.0), t)
+                v_new = V[pas] + scale * step[m:]
+            th[pas] += scale * step[:m]
+            V[pas] = v_new
+            engine.inner_iterations += 1
+        j = int(np.argmax(np.abs(r)))
+        raise simulator.SimulationError(
+            f"inner Newton failed at t = {t:.6g} (residual {worst:.3e}, "
+            f"{'Q' if j >= m else 'P'} balance at bus {net.non_ground[pas[j % m]]!r})"
+        )
+
+    def closed_form(V, th, t):
+        nbr = [k for _, k, _ in lines]
+        bv = np.array([b for _, _, b in lines]) * V[nbr]
+        e_re, e_im = np.zeros(m), np.zeros(m)
+        for (j, _, _), w_re, w_im in zip(lines, (bv * np.cos(th[nbr])).tolist(),
+                                         (bv * np.sin(th[nbr])).tolist()):
+            e_re[j] += w_re
+            e_im[j] += w_im
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_pas, a_pas = network.passive_bus_solution(
+                e_re, e_im, np.array(net.coupling_sum)[pas], loads[:m], loads[m:],
+                V[pas], th[pas],
+            )
+        for node, v in zip(pas, v_pas.tolist()):
+            if not v > 0.0:
+                raise collapse(node, t)
+        V[pas] = v_pas
+        th[pas] = a_pas
+
+    def stage(y, V, th, t):
+        for node, i_theta, i_v, cid in terminals:
+            if y[i_v] <= 0.0:
+                raise simulator.SimulationError(
+                    f"voltage collapse in component {cid!r} at t = {t:.6g}"
+                )
+            th[node] = y[i_theta]
+            V[node] = y[i_v]
+        engine.inner_solves += 1
+        if not engine.coupled:
+            closed_form(V, th, t)
+            p, q = chord(V, th, t)
+        else:
+            nodes = engine.boundary_nodes
+            boundary = np.concatenate([th[nodes], V[nodes]])
+            if engine.tangent is not None:
+                shift = engine.tangent @ (boundary - engine.boundary_state)
+                v_pas = V[pas] + shift[m:]
+                if all(v > 0.0 for v in v_pas.tolist()):
+                    th[pas] += shift[:m]
+                    V[pas] = v_pas
+            p, q = chord(V, th, t)
+            engine.boundary_state = boundary
+        # the rows of AffineStack, summed in its order
+        x = y.tolist() + p.tolist() + q.tolist()
+        dy = []
+        for c, terms in table:
+            acc = 0.0
+            for col, val in terms:
+                acc += val * x[col]
+            dy.append(acc + c)
+        return np.array(dy), p, q
+
+    return stage
+
+
+def array_reference_advance(engine, stage):
+    """The array path's RK4 steps on `stage`, ``advance(y, dy, V, th, h,
+    first, stop) -> (y, dy, P, Q)``: the stages and the combination as
+    array expressions, the trapezoid step of the path integrals component
+    by component (ln v from numpy, the unshifted step summed with
+    ``np.sum``)."""
+
+    def advance(y, dy, V, th, h, first, stop):
+        for step in range(first, stop):
+            t = step * h
+            half = 0.5 * h
+            k2, _, _ = stage(y + half * dy, V, th, t + half)
+            k3, _, _ = stage(y + half * k2, V, th, t + half)
+            k4, _, _ = stage(y + h * k3, V, th, t + h)
+            y = y + (h / 6.0) * (dy + 2.0 * (k2 + k3) + k4)
+            dy, p, q = stage(y, V, th, (step + 1) * h)
+            now = engine.endpoints(y, p, q)
+            steps = []
+            for c, (before, after, ap, aq) in enumerate(
+                zip(engine.prev, now, engine.anchor_p, engine.anchor_q)
+            ):
+                (theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1) = before, after
+                p_mid = 0.5 * (p0 + p1)
+                q_mid = 0.5 * (q0 + q1)
+                d_theta = theta1 - theta0
+                d_lnv = lnv1 - lnv0
+                steps.append(p_mid * d_theta + q_mid * d_lnv)
+                engine.shifted[c] += (p_mid - ap) * d_theta + (q_mid - aq) * d_lnv
+            engine.unshifted += float(np.sum(steps))
+            engine.prev = now
+        return y, dy, p, q
+
+    return advance
+
+
+class ArrayReferenceEngine(simulator._ArrayEngine):
+    """An array-path engine whose stage and step are the references above,
+    with the integrals' endpoints as (theta, ln v, P, Q) per component;
+    takes the arguments of ``simulator._make_engine``."""
+
+    def _steps_for(self, net):
+        self.tangent = None
+        stage = array_reference_stage(self, net)
+        return stage, array_reference_advance(self, stage)
+
+    def endpoints(self, y, p, q):
+        lnv = np.log(y[[i_v for _, _, i_v, _ in self.terminals]]).tolist()
+        return [
+            (float(y[i_theta]), ln, float(p[node]), float(q[node]))
+            for (node, i_theta, _, _), ln in zip(self.terminals, lnv)
+        ]

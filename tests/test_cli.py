@@ -863,8 +863,8 @@ def test_each_run_is_planned_once(capsys, tmp_path, monkeypatch, argv, runs):
     made, stepped = [], []
     plan, run = cli.plan_run, cli.simulate
 
-    def counted_plan(*args):
-        made.append(plan(*args))
+    def counted_plan(*args, **kwargs):
+        made.append(plan(*args, **kwargs))
         return made[-1]
 
     def spy_simulate(planned, equilibrium=None):
@@ -884,14 +884,14 @@ def test_each_run_is_planned_once(capsys, tmp_path, monkeypatch, argv, runs):
      (["certify", "case3bus"], 1),
      (["simulate", "case3bus", "--horizon", "0.1"], 1),
      (["certify", "case3bus", "--with-trajectory"], 1),
-     (["verify-identities", "case3bus", "--horizon", "0.1"], 3)],
+     (["verify-identities", "case3bus", "--horizon", "0.1"], 1)],
     ids=["equilibrium", "static-certify", "simulate", "certify-with-trajectory",
          "verify-identities"],
 )
 def test_scenario_is_checked_once_per_plan(capsys, tmp_path, monkeypatch, argv, checks):
-    # a transient command checks its scenario in each plan it makes (one per
-    # sweep step), and a command that makes no plan checks it once alone;
-    # either way before the setpoints are back-solved
+    # every command checks its scenario once, before the setpoints are
+    # back-solved: a transient command in the plan it makes, a sweep once
+    # for all its plans, and a command that makes no plan alone
     import phasorstab.cli as cli
     import phasorstab.scenario as scenario
 
@@ -911,6 +911,55 @@ def test_scenario_is_checked_once_per_plan(capsys, tmp_path, monkeypatch, argv, 
     monkeypatch.setattr(cli, "back_solve_setpoints", spy_back_solve)
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert (code, calls) == (0, ["check"] * checks + ["back-solve"])
+
+
+def test_sweep_compiles_its_float_step_once(capsys, tmp_path, monkeypatch):
+    # the default three-step sweep on case3bus runs one generated step: it
+    # is compiled once, and the JSON is the one that compiling it for every
+    # engine writes
+    import phasorstab.simulator as simulator
+
+    compiled = []
+
+    def counted_compile(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    argv = ["verify-identities", "case3bus", "--horizon", "0.1", "--out"]
+    monkeypatch.setattr(simulator, "compile", counted_compile, raising=False)
+    simulator._compiled.cache_clear()
+    assert run_cli(capsys, *argv, str(tmp_path / "once.json"))[0] == 0
+    assert compiled == ["<float step>"]
+    monkeypatch.setattr(simulator, "_compiled", simulator._compiled.__wrapped__)
+    assert run_cli(capsys, *argv, str(tmp_path / "each.json"))[0] == 0
+    assert len(compiled) == 4
+    assert (tmp_path / "once.json").read_bytes() == (tmp_path / "each.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [(["equilibrium", "case3bus"], 1),
+     (["certify", "case3bus"], 1),
+     (["certify", "case3bus", "--with-trajectory"], 2),
+     (["verify-identities", "case3bus", "--horizon", "0.1"], 2)],
+    ids=["equilibrium", "static-certify", "certify-with-trajectory", "verify-identities"],
+)
+def test_each_affine_table_is_built_once_per_command(capsys, tmp_path, monkeypatch, argv, builds):
+    # a model's derivative runs once for D_f, which the equilibrium solve,
+    # every run of a sweep and the certificate read, and once for c, which
+    # only a run reads
+    from phasorstab.components import DroopComponent, VsgComponent
+
+    calls = []
+    for model in (VsgComponent, DroopComponent):
+        def counted(self, x, u, derivative=model.derivative):
+            calls.append(self.id)
+            return derivative(self, x, u)
+
+        monkeypatch.setattr(model, "derivative", counted)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert sorted(calls) == sorted(["vsg1", "droop2"] * builds)
 
 
 def _explicit_states(doc):

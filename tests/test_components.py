@@ -157,7 +157,7 @@ def test_stacked_map_is_every_components_derivative(case, seed):
     ny = sum(c.nstates for c in comps)
     y = rng.uniform(-1.0, 1.0, ny)
     P, Q = rng.uniform(-2.0, 2.0, (2, n_buses))
-    dy = stack(y, P, Q)
+    dy = stack(y, np.concatenate([P, Q]))
     assert dy.shape == (ny,) and dy.dtype == np.float64
     dense = np.zeros((ny, ny + 2 * n_buses))
     dense[stack.rows, stack.cols] = stack.vals

@@ -21,11 +21,12 @@ from phasorstab.network import (
     injection_partials,
     passive_bus_solution,
     power_injection,
+    stacked_injection,
     tellegen_sum,
 )
 
 from conftest import ring_network_samples, ring_networks, thevenin_networks, thevenin_sources
-from helpers import kcl_residual, power_injection_loop
+from helpers import kcl_residual, power_injection_loop, stacked_injection_loop
 
 
 def two_bus(x=1.0):
@@ -196,6 +197,24 @@ def test_active_power_balance_and_rotation_symmetry(case3bus, state, shift):
     p2, q2 = power_injection(case3bus.net, v, [t + shift for t in th])
     for a, b in zip(np.concatenate([p, q]), np.concatenate([p2, q2])):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+
+def bit_patterns(values):
+    return [float.hex(float(x)) for x in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ring_network_samples())
+def test_stacked_kernel_is_the_line_loop_bitwise(case):
+    # each sample's state through the kernel and its entry on (V, theta),
+    # against a loop over the lines summed in the kernel's order
+    net, V, theta, _, _ = case
+    for v, th in zip(V, theta):
+        x = np.concatenate([th, v])
+        want = bit_patterns(stacked_injection_loop(net, x.tolist()))
+        assert bit_patterns(stacked_injection(net, x)) == want
+        assert bit_patterns(np.concatenate(power_injection(net, v, th))) == want
+        assert bit_patterns(np.concatenate(power_injection(net, v.tolist(), th.tolist()))) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -52,3 +52,19 @@ def test_identity_convergence_script(tmp_path):
     assert rows == ["1.00e-02", "5.00e-03"]
     order = float(result.stdout.rsplit("fitted order (potential identity):", 1)[1])
     assert order == pytest.approx(2.0, abs=0.1)
+
+
+def test_output_digests_script(tmp_path):
+    # one line per command on case3bus: exit code, digests and stderr, with
+    # no path of the run in them
+    out = run_script("output_digests.py", "--sets", "case3bus", cwd=tmp_path).stdout
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "case3bus equilibrium", "case3bus simulate", "case3bus certify",
+        "case3bus certify --with-trajectory", "case3bus verify-identities",
+        "case3bus simulate rejected",
+    ]
+    assert all("exit=0" in line and "stderr=''" in line for line in lines[:-1])
+    assert "exit=1" in lines[-1] and "sim.csv=absent" in lines[-1]
+    assert "unknown component 'ghost_source'" in lines[-1]
+    assert "tmp" not in out

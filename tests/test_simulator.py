@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasorstab import simulator
+from phasorstab import network, simulator
 from phasorstab.components import Anchor, DroopComponent, Setpoints, VsgComponent, supply_rate
 from phasorstab.cli import solve_case_equilibrium
 from phasorstab.equilibrium import solve_equilibrium
@@ -23,8 +23,10 @@ from phasorstab.network import (
     NetworkModel,
     passive_bus_solution,
     power_injection,
+    stacked_injection,
 )
 from phasorstab.potential import eval_vp
+from phasorstab.records import replace
 from phasorstab.scenario import (
     LineScale,
     LoadStep,
@@ -37,6 +39,7 @@ from phasorstab.scenario import (
 from phasorstab.simulator import SimulationError, simulate
 
 from conftest import (
+    at_rest,
     float_path_cases,
     make_compensated_load_case,
     make_load_ladder,
@@ -46,7 +49,7 @@ from conftest import (
     ring_networks,
     thevenin_networks,
 )
-from helpers import ReferenceEngine, kcl_residual
+from helpers import ArrayReferenceEngine, ReferenceEngine, kcl_residual
 
 
 def quiet(horizon, period=0.01, **kw):
@@ -410,19 +413,20 @@ def test_tangent_is_the_derivative_of_the_passive_solution(case):
     net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
     engine = engine_for(net, SolverConfig(newton_tol=1e-12))
     assert isinstance(engine, simulator._ArrayEngine) and engine.coupled
-    engine._factorize(v, th, None, 0.0)
+    x = np.concatenate([th, v])
+    engine._factorize(x, stacked_injection(net, x), 0.0)
     tangent = engine.tangent.copy()
     pas, nodes = engine.passive, engine.boundary_nodes
     assert tangent.shape == (2 * len(pas), 2 * len(nodes))
     eps = 1e-7
-    columns = [(False, node) for node in nodes] + [(True, node) for node in nodes]
-    for j, (is_v, node) in enumerate(columns):
+    # the boundary buses' theta rows, then their V rows, in x = (theta, V)
+    for j, row in enumerate(engine.boundary_rows):
         solved = []
         for sign in (1.0, -1.0):
-            V, T = v.copy(), th.copy()
-            (V if is_v else T)[node] += sign * eps
-            engine._solve_chord(V, T, 0.0)
-            solved.append(np.concatenate([T[pas], V[pas]]))
+            moved = x.copy()
+            moved[row] += sign * eps
+            engine._solve_chord(moved, 0.0)
+            solved.append(moved[engine.passive_rows])
         fd = (solved[0] - solved[1]) / (2.0 * eps)
         np.testing.assert_allclose(tangent[:, j], fd, rtol=1e-5, atol=1e-6)
 
@@ -463,7 +467,7 @@ def force_chord(monkeypatch):
         lambda *args: ["vb = 1.01 * vb", "tb = tb + 0.01"],
     )
     monkeypatch.setattr(
-        simulator, "passive_bus_solution", lambda *args: (1.01 * args[5], args[6] + 0.01)
+        network, "passive_bus_solution", lambda *args: (1.01 * args[5], args[6] + 0.01)
     )
 
 
@@ -498,7 +502,7 @@ def run_steps(make, net, comps, y, v, th, h, stops, switched=None, switch_at=1):
     inner-solve counters, or then the message of the collapse that stopped
     the run."""
     engine = make(net, comps, SolverConfig())
-    assert not isinstance(engine, simulator._ArrayEngine)
+    assert isinstance(engine, simulator._ArrayEngine) == (len(net.passive_nodes()) > 1)
     y, V, th = engine.buffer(y), engine.buffer(v), engine.buffer(th)
     sps = {cid: comp.setpoints for cid, comp in comps.items()}
     anchors = {cid: Anchor(sp.P_e, sp.Q_e, sp.V_e, sp.theta_e) for cid, sp in sps.items()}
@@ -539,6 +543,59 @@ def test_generated_step_is_the_loop_reference_bitwise(case, h, data):
     steps = range(1, 21)
     generated = run_steps(simulator._make_engine, net, comps, y, v, th, h, steps, switched)
     assert generated == run_steps(ReferenceEngine, net, comps, y, v, th, h, steps, switched)
+
+
+def array_path_case(name, data):
+    """A network of the array path with its components and a state near its
+    equilibrium: the load ladder (closed form), the mesh (coupled chord) or
+    a drawn ring (coupled chord, every bus but one passive), with drawn
+    nonzero kicks to the sources' states."""
+    if name == "ring":
+        net, v, th = data.draw(ring_networks())
+        # near the flat state, where the chord converges
+        v, th = 1.0 + 0.125 * (v - 1.0), 0.05 * th / math.pi
+        sp = Setpoints(P_e=0.0, Q_e=0.0, V_e=1.0, theta_e=0.0)
+        comps = {s.component_id: VsgComponent(s.component_id, s.bus, 0.2, 0.1, 0.05, 0.5, sp)
+                 for s in net.dynamic_shunts}
+        net, comps = at_rest(net, comps, v, th)
+    else:
+        net, comps = make_load_ladder() if name == "ladder" else make_mesh()
+        sol = solve_equilibrium(net, comps)
+        v, th = sol.state.V, sol.state.theta
+    y = []
+    for shunt in net.dynamic_shunts:
+        comp = comps[shunt.component_id]
+        node = net.node_index[shunt.bus]
+        rest = dict(zip(comp.state_labels, comp.equilibrium_state(th[node], v[node])))
+        label = data.draw(st.sampled_from(comp.state_labels))
+        rest[label] += data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.01, 0.05))
+        y += [rest[label] for label in comp.state_labels]
+    return net, comps, y, v, th
+
+
+@pytest.mark.parametrize("name", ["ladder", "mesh", "ring"])
+@settings(max_examples=15, deadline=None)
+@given(h=st.sampled_from([1e-3, 1e-2]), data=st.data())
+def test_array_step_is_the_loop_reference_bitwise(name, h, data):
+    # the array path's stage and step against the loops on the kernel's
+    # entry power_injection, passive_bus_solution and the chord on separate
+    # V and theta, with no event, a line scale or a load step at a drawn stop
+    net, comps, y, v, th = array_path_case(name, data)
+    assert len(net.passive_nodes()) > 1
+    networks = [None, net.with_scaled_line(data.draw(st.integers(0, len(net.lines) - 1)),
+                                           data.draw(st.floats(0.5, 2.0)))]
+    networks.append(net.with_load_delta(data.draw(st.sampled_from(net.constant_power)).bus,
+                                        data.draw(st.floats(-0.05, 0.05)),
+                                        data.draw(st.floats(-0.05, 0.05))))
+    switched = data.draw(st.sampled_from(networks))
+    stops = sorted(data.draw(st.sets(st.integers(1, 9), max_size=4)) | {10})
+    switch_at = data.draw(st.sampled_from(stops))
+    args = (net, comps, y, v, th, h, stops, switched, switch_at)
+    stepped = run_steps(simulator._make_engine, *args)
+    assert stepped == run_steps(ArrayReferenceEngine, *args)
+    # the run went through every stop, and the coupled cases iterated
+    assert len(stepped[0]) == len(stops)
+    assert (stepped[1][1] > 0) == (name != "ladder")
 
 
 @settings(max_examples=30, deadline=None)
@@ -780,9 +837,11 @@ def dynamics_case(name, case3bus):
 @pytest.mark.parametrize("name", ["case3bus", "mesh"])
 def test_dynamics_are_evaluated_only_by_the_table_builds(monkeypatch, case3bus, name):
     # the step and the diagnostics read the affine table's dy: a model's
-    # derivative runs once for affine_matrix and once for affine_offset
+    # derivative runs once for affine_matrix and once for affine_offset.
+    # The run takes fresh instances, whose tables the solve has not built
     net, comps, scen = dynamics_case(name, case3bus)
     sol = solve_equilibrium(net, comps)
+    comps = {cid: replace(comp) for cid, comp in comps.items()}
     calls = []
     for model in (VsgComponent, DroopComponent):
         def counted(self, x, u, derivative=model.derivative):
