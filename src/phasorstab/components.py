@@ -309,10 +309,10 @@ class AffineStack:
     y holds the components' states back to back, in the order given, and
     (P, Q) are the bus-indexed injections stacked in one array, P first, of
     which component j reads the entries at ``buses[j]``. The nonzero
-    entries of each D_f are kept as (row,
-    column, value) triples; a call gathers the inputs they read, multiplies,
-    sums each row with one ``np.bincount`` in a fixed order and adds c. No
-    matrix product is formed, so no BLAS call (nor thread) is made.
+    entries of each D_f are kept as (row, column, value) triples; a call
+    gathers the inputs they read, multiplies, sums each row with one
+    ``np.bincount`` in a fixed order and adds c. No matrix product is
+    formed, so no BLAS call (nor thread) is made.
     """
 
     def __init__(self, components: list[Component], buses: list[int], n_buses: int) -> None:
