@@ -9,6 +9,7 @@ import numpy as np
 
 from phasorstab import network, simulator
 from phasorstab.components import Anchor, Component, SupplyConvention, supply_rate
+from phasorstab.engine import CHORD_CONTRACTION, _ArrayEngine, _Engine
 from phasorstab.equilibrium import steady_state_residual
 from phasorstab.network import BusState, NetworkModel, injection_partials, power_injection
 
@@ -264,10 +265,10 @@ def reference_advance(engine, stage):
     return advance
 
 
-class ReferenceEngine(simulator._Engine):
+class ReferenceEngine(_Engine):
     """A float-path engine whose stage and step are the loop references
     above, rebuilt on every network switch like the generated ones; takes
-    the arguments of ``simulator._make_engine``."""
+    the arguments of ``phasorstab.engine._make_engine``."""
 
     def _steps_for(self, net):
         stage = reference_stage(self, net)
@@ -310,7 +311,7 @@ def array_reference_stage(engine, net: NetworkModel):
     :func:`~phasorstab.network.passive_bus_solution` (E summed line by line
     from the numpy sines and cosines) or, coupled, by the tangent predictor
     and the chord iteration on V and th; apply the affine table, one pass
-    over its rows. The reference for :class:`~phasorstab.simulator._ArrayEngine`,
+    over its rows. The reference for :class:`~phasorstab.engine._ArrayEngine`,
     which must perform the same floating-point operations in the same
     order."""
     terminals = engine.terminals
@@ -348,7 +349,7 @@ def array_reference_stage(engine, net: NetworkModel):
                 return p, q
             if it == config.newton_max_iter:
                 break
-            if engine.jac_inv is None or worst > simulator.CHORD_CONTRACTION * last:
+            if engine.jac_inv is None or worst > CHORD_CONTRACTION * last:
                 factorize(V, th, (p, q), t)
             last = worst
             step = -(engine.jac_inv @ r)
@@ -458,10 +459,10 @@ def array_reference_advance(engine, stage):
     return advance
 
 
-class ArrayReferenceEngine(simulator._ArrayEngine):
+class ArrayReferenceEngine(_ArrayEngine):
     """An array-path engine whose stage and step are the references above,
     with the integrals' endpoints as (theta, ln v, P, Q) per component;
-    takes the arguments of ``simulator._make_engine``."""
+    takes the arguments of ``phasorstab.engine._make_engine``."""
 
     def _steps_for(self, net):
         self.tangent = None

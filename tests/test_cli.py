@@ -817,20 +817,69 @@ def load_tracer():
     return tracer
 
 
-def test_benchmark_tracer_bindings_resolve():
-    # perfbench/tracer.py wraps these functions by name in a traced run; a
-    # rename must fail here, not in that run
-    import phasorstab.cli  # noqa: F401  (loads every module the tracer wraps)
+# the bindings in argv[1] that a fresh interpreter cannot resolve to a
+# callable right after `import phasorstab.cli`
+UNRESOLVED_BINDINGS = (
+    "import json, sys\n"
+    "import phasorstab.cli\n"
+    "unresolved = []\n"
+    "for binding in json.loads(sys.argv[1]):\n"
+    "    module, *path_in_module = binding.split('.')\n"
+    "    owner = sys.modules.get(f'phasorstab.{module}')\n"
+    "    for name in path_in_module:\n"
+    "        owner = getattr(owner, name, None)\n"
+    "    if not callable(owner):\n"
+    "        unresolved.append(binding)\n"
+    "print(json.dumps(unresolved))\n"
+)
 
+
+def test_benchmark_tracer_bindings_resolve():
+    # perfbench/tracer.py wraps these functions by name right after a cold
+    # `import phasorstab.cli`; a rename, or a module that cli no longer
+    # loads at start-up, must fail here, not in a traced run. Earlier tests
+    # load every module into this process, so the lookups run in a fresh
+    # interpreter
     tracer = load_tracer()
-    for binding in [*tracer.BINDINGS, tracer.ROOT_SPAN]:
-        module, *path_in_module = binding.split(".")
-        owner = sys.modules.get(f"phasorstab.{module}")
-        assert owner is not None, binding
-        for name in path_in_module:
-            assert hasattr(owner, name), binding
-            owner = getattr(owner, name)
-        assert callable(owner), binding
+    bindings = json.dumps([*tracer.BINDINGS, tracer.ROOT_SPAN])
+    done = subprocess.run([sys.executable, "-c", UNRESOLVED_BINDINGS, bindings], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+# after `import phasorstab.cli` and after each command in argv[1]: the
+# command's exit code and whether the stepping engine is loaded
+ENGINE_LOADED = (
+    "import json, sys\n"
+    "import phasorstab.cli as cli\n"
+    "loaded = ['phasorstab.engine' in sys.modules]\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    loaded.append([cli.main(argv), 'phasorstab.engine' in sys.modules])\n"
+    "print(json.dumps(loaded))\n"
+)
+
+
+def test_only_a_command_that_steps_loads_the_engine(tmp_path):
+    # start-up, the commands that never step and a run rejected before its
+    # first step leave the stepping engine uncompiled; a run loads it
+    import phasorstab.cli as cli
+
+    doc = json.loads(open(cli.resolve_case_path("case3bus")).read())
+    doc["scenario"]["disturbances"][0]["component"] = "ghost"
+    rejected = write_case(tmp_path, doc)
+    out = str(tmp_path / "out")
+    commands = [["equilibrium", "case3bus", "--out", out],
+                ["certify", "case3bus", "--out", out],
+                ["path-experiment", "--out", out],
+                ["simulate", rejected, "--out", out],
+                ["simulate", "case3bus", "--horizon", "0.1", "--out", out]]
+    done = subprocess.run([sys.executable, "-c", ENGINE_LOADED, json.dumps(commands)],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"error: {GHOST}\n"
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == [False, [0, False], [0, False], [0, False], [1, False], [0, True]]
 
 
 def test_benchmark_tracer_runs_a_traced_command(tmp_path):
@@ -917,7 +966,7 @@ def test_sweep_compiles_its_float_step_once(capsys, tmp_path, monkeypatch):
     # the default three-step sweep on case3bus runs one generated step: it
     # is compiled once, and the JSON is the one that compiling it for every
     # engine writes
-    import phasorstab.simulator as simulator
+    import phasorstab.engine as engine
 
     compiled = []
 
@@ -926,11 +975,11 @@ def test_sweep_compiles_its_float_step_once(capsys, tmp_path, monkeypatch):
         return compile(*args)
 
     argv = ["verify-identities", "case3bus", "--horizon", "0.1", "--out"]
-    monkeypatch.setattr(simulator, "compile", counted_compile, raising=False)
-    simulator._compiled.cache_clear()
+    monkeypatch.setattr(engine, "compile", counted_compile, raising=False)
+    engine._compiled.cache_clear()
     assert run_cli(capsys, *argv, str(tmp_path / "once.json"))[0] == 0
     assert compiled == ["<float step>"]
-    monkeypatch.setattr(simulator, "_compiled", simulator._compiled.__wrapped__)
+    monkeypatch.setattr(engine, "_compiled", engine._compiled.__wrapped__)
     assert run_cli(capsys, *argv, str(tmp_path / "each.json"))[0] == 0
     assert len(compiled) == 4
     assert (tmp_path / "once.json").read_bytes() == (tmp_path / "each.json").read_bytes()

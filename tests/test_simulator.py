@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasorstab import network, simulator
+from phasorstab import network
 from phasorstab.components import Anchor, DroopComponent, Setpoints, VsgComponent, supply_rate
 from phasorstab.cli import solve_case_equilibrium
+from phasorstab.engine import _ArrayEngine, _Engine, _literal, _make_engine
 from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.network import (
     TWO_PI,
@@ -354,7 +355,7 @@ def engine_for(net, config=SolverConfig()):
         )
         for s in net.dynamic_shunts
     }
-    return simulator._make_engine(net, comps, config)
+    return _make_engine(net, comps, config)
 
 
 def rest_state(engine, V, T):
@@ -412,7 +413,7 @@ def test_tangent_is_the_derivative_of_the_passive_solution(case):
     loads = [ConstantPowerBranch(net.non_ground[i], -p[i], -q[i]) for i in net.passive_nodes()]
     net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
     engine = engine_for(net, SolverConfig(newton_tol=1e-12))
-    assert isinstance(engine, simulator._ArrayEngine) and engine.coupled
+    assert isinstance(engine, _ArrayEngine) and engine.coupled
     x = np.concatenate([th, v])
     engine._factorize(x, stacked_injection(net, x), 0.0)
     tangent = engine.tangent.copy()
@@ -437,8 +438,8 @@ def test_float_stage_is_every_derivative_on_the_kernel(case):
     # the stage's (dy, P, Q) against each component's written derivative at
     # the array kernel's injections of the solved bus state
     net, comps, y, v, th = case
-    engine = simulator._make_engine(net, comps, SolverConfig())
-    assert type(engine) is simulator._Engine
+    engine = _make_engine(net, comps, SolverConfig())
+    assert type(engine) is _Engine
     V, T = engine.buffer(v), engine.buffer(th)
     dy, p, q = engine.stage(list(y), V, T, 0.0)
     p_ref, q_ref = power_injection(net, V, T)
@@ -463,7 +464,7 @@ def force_chord(monkeypatch):
     theta + 0.01 from the warm start, in the generated step (through the
     source it writes) and in the loop reference (through the function)."""
     monkeypatch.setattr(
-        simulator._Engine, "_closed_form_source",
+        _Engine, "_closed_form_source",
         lambda *args: ["vb = 1.01 * vb", "tb = tb + 0.01"],
     )
     monkeypatch.setattr(
@@ -476,7 +477,7 @@ def test_float_stage_continues_by_the_chord(monkeypatch, case3bus, case3bus_solu
     # and the stage returns, and leaves in V/th, the state it accepted
     force_chord(monkeypatch)
     net = case3bus.net
-    engine = simulator._make_engine(net, case3bus.components, case3bus.solver)
+    engine = _make_engine(net, case3bus.components, case3bus.solver)
     y = equilibrium_states(engine, case3bus_solution)
     V = engine.buffer(case3bus_solution.state.V)
     T = engine.buffer(case3bus_solution.state.theta)
@@ -502,7 +503,7 @@ def run_steps(make, net, comps, y, v, th, h, stops, switched=None, switch_at=1):
     inner-solve counters, or then the message of the collapse that stopped
     the run."""
     engine = make(net, comps, SolverConfig())
-    assert isinstance(engine, simulator._ArrayEngine) == (len(net.passive_nodes()) > 1)
+    assert isinstance(engine, _ArrayEngine) == (len(net.passive_nodes()) > 1)
     y, V, th = engine.buffer(y), engine.buffer(v), engine.buffer(th)
     sps = {cid: comp.setpoints for cid, comp in comps.items()}
     anchors = {cid: Anchor(sp.P_e, sp.Q_e, sp.V_e, sp.theta_e) for cid, sp in sps.items()}
@@ -541,7 +542,7 @@ def test_generated_step_is_the_loop_reference_bitwise(case, h, data):
                                             data.draw(st.floats(-0.2, 0.2))))
     switched = data.draw(st.sampled_from(networks))
     steps = range(1, 21)
-    generated = run_steps(simulator._make_engine, net, comps, y, v, th, h, steps, switched)
+    generated = run_steps(_make_engine, net, comps, y, v, th, h, steps, switched)
     assert generated == run_steps(ReferenceEngine, net, comps, y, v, th, h, steps, switched)
 
 
@@ -591,7 +592,7 @@ def test_array_step_is_the_loop_reference_bitwise(name, h, data):
     stops = sorted(data.draw(st.sets(st.integers(1, 9), max_size=4)) | {10})
     switch_at = data.draw(st.sampled_from(stops))
     args = (net, comps, y, v, th, h, stops, switched, switch_at)
-    stepped = run_steps(simulator._make_engine, *args)
+    stepped = run_steps(_make_engine, *args)
     assert stepped == run_steps(ArrayReferenceEngine, *args)
     # the run went through every stop, and the coupled cases iterated
     assert len(stepped[0]) == len(stops)
@@ -608,9 +609,9 @@ def test_one_advance_over_several_steps_is_the_single_steps_bitwise(case, data):
     switch_at = data.draw(st.sampled_from(stops))
     switched = net.with_scaled_line(0, 0.5) if net.lines else None
     args = (net, comps, y, v, th, 1e-2)
-    several = run_steps(simulator._make_engine, *args, stops, switched, switch_at)
+    several = run_steps(_make_engine, *args, stops, switched, switch_at)
     assert several == run_steps(ReferenceEngine, *args, stops, switched, switch_at)
-    single = run_steps(simulator._make_engine, *args, range(1, 21), switched, switch_at)
+    single = run_steps(_make_engine, *args, range(1, 21), switched, switch_at)
     # a collapse stops both runs at the same step
     assert several[0] == [single[0][stop - 1] for stop in stops if stop <= len(single[0])]
     assert several[1] == single[1]
@@ -683,7 +684,7 @@ def test_generated_closed_form_is_the_function_bitwise(xs, sources, psi, load, v
     s = probe.coupling_sum[bus]
     p = load * (e_re * e_re + e_im * e_im) / (2.0 * s * (math.tan(psi) + 1.0 / math.cos(psi)))
     net = NetworkModel(buses, lines, [ConstantPowerBranch("pb", p, p * math.tan(psi))], shunts)
-    engine = simulator._make_engine(net, comps, SolverConfig())
+    engine = _make_engine(net, comps, SolverConfig())
     want = outcome(passive_bus_solution, e_re, e_im, s, net.load_p[bus], net.load_q[bus],
                    v[bus], th[bus], math.sqrt, math.atan2)
     assert outcome(generated_closed_form(engine, net), e_re, e_im, v[bus], th[bus]) == want
@@ -691,7 +692,7 @@ def test_generated_closed_form_is_the_function_bitwise(xs, sources, psi, load, v
         return
     # no solution: the generated stage and the loop reference collapse alike
     messages = []
-    for make in (simulator._make_engine, ReferenceEngine):
+    for make in (_make_engine, ReferenceEngine):
         engine = make(net, comps, SolverConfig())
         y = [0.0] * engine.ny
         for node, i_theta, i_v, _ in engine.terminals:
@@ -705,7 +706,7 @@ def test_generated_closed_form_is_the_function_bitwise(xs, sources, psi, load, v
 def test_generated_step_reads_only_the_engine_and_math(case3bus):
     # the generated code reaches the input only through the engine and its
     # literals, and calls nothing but math's functions and the builtins
-    engine = simulator._make_engine(case3bus.net, case3bus.components, case3bus.solver)
+    engine = _make_engine(case3bus.net, case3bus.components, case3bus.solver)
     functions = ("sin", "cos", "sqrt", "atan2", "log")
     for fn in (engine.stage, engine.advance):
         names = fn.__globals__
@@ -717,14 +718,14 @@ def test_generated_step_reads_only_the_engine_and_math(case3bus):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0", None, np.int64(1)])
 def test_generated_source_takes_only_ints_and_finite_floats(value):
     with pytest.raises(ValueError, match="not an int or a finite float"):
-        simulator._literal(value)
+        _literal(value)
 
 
 def test_generated_source_spells_floats_exactly():
     for value in (-0.0, 5e-324, 0.1, -1.7976931348623157e308, np.float64(1 / 3)):
-        text = simulator._literal(value)
+        text = _literal(value)
         assert text == repr(float(value)) and float.hex(eval(text)) == float.hex(float(value))
-    assert simulator._literal(7) == "7"
+    assert _literal(7) == "7"
 
 
 def trajectory_bits(traj):
@@ -752,7 +753,7 @@ def test_generated_step_runs_case3bus_as_the_reference(monkeypatch, case3bus, ca
         case3bus_solution,
     )
     generated = simulate(*args)
-    monkeypatch.setattr(simulator, "_make_engine", ReferenceEngine)
+    monkeypatch.setattr("phasorstab.engine._make_engine", ReferenceEngine)
     assert trajectory_bits(generated) == trajectory_bits(simulate(*args))
     assert generated.network_changed
     assert (generated.inner_iterations > 0) == chord
@@ -767,7 +768,7 @@ def test_generated_step_collapses_as_the_reference(case3bus, case3bus_solution, 
     # inside a step, at its first inner stage: droop2's v crosses zero along
     # its slope, or a load beyond the transfer limit leaves no closed form
     raised = []
-    for make in (simulator._make_engine, ReferenceEngine):
+    for make in (_make_engine, ReferenceEngine):
         engine = make(case3bus.net, case3bus.components, case3bus.solver)
         y = engine.buffer(equilibrium_states(engine, case3bus_solution))
         V = engine.buffer(case3bus_solution.state.V)
@@ -812,9 +813,9 @@ def test_float_and_array_paths_agree_on_case3bus(monkeypatch, case3bus, case3bus
     scen = Scenario(2.0, 0.01, disturbances=[*case3bus.scenario.disturbances, step])
     config = SolverConfig(step_size=1e-3)
     args = (plan_run(case3bus.net, case3bus.components, scen, config), case3bus_solution)
-    assert type(simulator._make_engine(case3bus.net, case3bus.components, config)) is simulator._Engine
+    assert type(_make_engine(case3bus.net, case3bus.components, config)) is _Engine
     on_floats = simulate(*args)
-    monkeypatch.setattr(simulator, "_make_engine", simulator._ArrayEngine)
+    monkeypatch.setattr("phasorstab.engine._make_engine", _ArrayEngine)
     on_arrays = simulate(*args)
     assert on_floats.columns() == on_arrays.columns()
     np.testing.assert_allclose(on_arrays.table(), on_floats.table(), rtol=0.0, atol=1e-12)
