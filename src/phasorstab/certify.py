@@ -247,7 +247,7 @@ def certify(
     trajectory is supplied. Storages and local forms are anchored at the
     solved equilibrium.
     """
-    hess = hessian_vp(net, equilibrium.state.V, equilibrium.state.theta)
+    hess = hessian_vp(net, equilibrium.state.x)
     convexity = convexity_check(hess)
 
     local_forms = {

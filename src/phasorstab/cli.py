@@ -131,8 +131,7 @@ def back_solve_setpoints(case: CaseDefinition) -> CaseDefinition:
     case; returns the case, changed in place."""
     missing = [cid for cid, c in case.components.items() if c.setpoints is None]
     if missing:
-        op = case.operating_point
-        sol = solve_setpoints(case.net, case.components, op.V, op.theta)
+        sol = solve_setpoints(case.net, case.components, case.operating_point.x)
         for cid in missing:
             case.components[cid] = case.components[cid].with_setpoints(
                 sol.setpoints[cid]
@@ -143,8 +142,7 @@ def back_solve_setpoints(case: CaseDefinition) -> CaseDefinition:
 def solve_case_equilibrium(case: CaseDefinition):
     """The case's equilibrium, from its operating point when it has one."""
     op = case.operating_point
-    guess = (op.V, op.theta) if op is not None else ()
-    return solve_equilibrium(case.net, case.components, *guess)
+    return solve_equilibrium(case.net, case.components, op.x if op is not None else None)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -281,7 +279,7 @@ def cmd_verify_identities(args) -> int:
     case, plans = _prepare(load_case(resolve_case_path(args.case)), args, "")
     sol = solve_case_equilibrium(case)
     from .certify import identity_residuals
-    from .network import BusState, tellegen_sum
+    from .network import tellegen_sum
 
     rows = []
     for plan in plans:
@@ -289,8 +287,7 @@ def cmd_verify_identities(args) -> int:
         potential_res, divergence_res = identity_residuals(traj)
         # one Tellegen sum per sample, over the sample axis at once
         inj = {cid: (traj.P[cid], traj.Q[cid]) for cid in traj.component_ids()}
-        state = BusState(V=traj.V, theta=traj.theta)
-        tellegen = float(np.abs(tellegen_sum(case.net, state, inj)).max())
+        tellegen = float(np.abs(tellegen_sum(case.net, traj.x, inj)).max())
         rows.append(
             {
                 "h": plan.config.step_size,

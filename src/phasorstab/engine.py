@@ -5,8 +5,8 @@ command that never steps never compiles it.
 
 The topology picks one of two paths for the whole run:
 
-* the float path, for at most one passive bus: the state and the bus
-  voltages and angles are lists of Python floats. For each network the
+* the float path, for at most one passive bus: the state and the stacked
+  bus state x = (theta, V) are lists of Python floats. For each network the
   engine writes the RK4 step as straight-line Python on local names, with
   the network's and the components' numbers as literals, inside a loop over
   steps, and compiles it: per stage it checks the terminals, sets the
@@ -15,19 +15,19 @@ The topology picks one of two paths for the whole run:
   with the network's constants folded in), evaluates the line terms of
   :func:`~phasorstab.network.power_injection` line by line, checks the
   balance, and evaluates each row of the components' stacked affine table;
-* the array path, for two or more passive buses: the state is a float
-  array, and the bus angles and voltages one stacked float array
-  x = (theta, V), for the whole step. A stage scatters the component
+* the array path, for two or more passive buses: the state and x are float
+  arrays. A stage scatters the component
   terminals into x with one gather and one scatter, solves the passive
   buses on their rows of x, evaluates
-  :func:`~phasorstab.network.stacked_injection` once per check, and
+  :func:`~phasorstab.network.power_injection` once per check, and
   applies every component's affine table at once
   (:class:`~phasorstab.components.AffineStack`: a gather and one
   ``np.bincount``, no matrix product). The RK4 combinations and the
   trapezoid accumulation are array expressions on stacked arrays.
 
 Both paths read the same (row, column, value) table and sum each row in
-the same order. Each takes one engine call per stop, the next step at which
+the same order, take the caller's x and write it in place, and return the
+injections stacked as x is, (P, Q). Each takes one engine call per stop, the next step at which
 the run samples or applies an event, and steps to it in its own loop: per
 step, the RK4 stages, the stage at the step's end and the path integrals'
 step. The generated float step performs the floating-point operations of
@@ -78,8 +78,8 @@ from .network import (
     NetworkModel,
     injection_partials,
     passive_bus_constants,
+    power_injection,
     solve_passive_bus,
-    stacked_injection,
 )
 from .scenario import SolverConfig
 from .simulator import SimulationError
@@ -121,8 +121,9 @@ class _Engine:
     """Flattened, loop-friendly view of the system for the hot stepping path.
 
     This is the float path, for networks with at most one passive bus: the
-    state y and the bus voltages V and angles th are lists of Python floats,
-    which at this size cost less per element than numpy costs per call.
+    state y and the stacked bus state x = (theta, V) are lists of Python
+    floats, which at this size cost less per element than numpy costs per
+    call.
     ``stage`` and ``advance`` are generated for each network (see
     :meth:`_steps_for`). :class:`_ArrayEngine` is the path for more passive
     buses; use :func:`_make_engine` to get the one for a network.
@@ -225,10 +226,10 @@ class _Engine:
         )
 
     def _steps_for(self, net: NetworkModel):
-        """The stage, ``stage(y, V, th, t) -> (dy, P, Q)``, and the RK4
-        steps, ``advance(y, dy, V, th, h, first, stop) -> (y, dy, P, Q)``, on
-        `net`, as straight-line Python generated and compiled here, once per
-        network.
+        """The stage, ``stage(y, x, t) -> (dy, PQ)``, and the RK4 steps,
+        ``advance(y, dy, x, h, first, stop) -> (y, dy, PQ)``, on `net`, as
+        straight-line Python generated and compiled here, once per network;
+        PQ is the stacked injections (P, Q).
 
         ``advance`` takes the steps ``first`` to ``stop - 1`` (at least one)
         in its own loop, from (y, dy) at t = first h, and returns the state
@@ -237,7 +238,7 @@ class _Engine:
         trapezoid step of the path integrals between the step's endpoints.
         Between steps y, dy, the passive bus's (V, theta), the integrals and
         their endpoints stay local names: they are read before the loop and
-        written back after it. Both functions write V and th in place. The
+        written back after it. Both functions write x in place, once. The
         stage body comes from :meth:`_stage_source`. The source holds the
         network's and the components' numbers as literals and nothing else
         from the input: ids and messages stay in the engine, which the code
@@ -247,19 +248,15 @@ class _Engine:
         y, dy, s = _names("y", ny), _names("dy", ny), _names("s", ny)
         warm = []
         if self.passive_nodes:
-            bus = _literal(self.passive_nodes[0])
-            warm = [f"vb = V[{bus}]", f"tb = th[{bus}]"]
+            bus = self.passive_nodes[0]
+            warm = [f"tb = x[{_literal(bus)}]", f"vb = x[{_literal(n + bus)}]"]
 
-        def finish(V, th, outputs):
-            return [
-                f"V[:] = {_listed(V[j] for j in range(n))}",
-                f"th[:] = {_listed(th[j] for j in range(n))}",
-                f"return {', '.join(map(_listed, outputs))}",
-            ]
+        def finish(state, outputs):
+            return [f"x[:] = {_listed(state)}", f"return {', '.join(map(_listed, outputs))}"]
 
         stage = [f"{_listed(s)} = y", *warm, "engine.inner_solves += 1"]
-        body, V, th = self._stage_source(net, s, "t", "dy")
-        stage += body + finish(V, th, (dy, p, q))
+        body, state = self._stage_source(net, s, "t", "dy")
+        stage += body + finish(state, (dy, p + q))
 
         # (theta, ln v, P, Q) of each component at the step's start are
         # t0_, l0_, p0_, q0_, its shifted integral sh
@@ -291,7 +288,7 @@ class _Engine:
             f"y{r} = y{r} + sixth * (dy{r} + 2.0 * (k2_{r} + k3_{r}) + k4_{r})"
             for r in range(ny)
         ]
-        body, V, th = self._stage_source(net, y, "(step + 1) * h", "dy")
+        body, state = self._stage_source(net, y, "(step + 1) * h", "dy")
         loop += body
         # the trapezoid step of the path integrals, component by component
         for c, (node, i_theta, i_v, _) in enumerate(self.terminals):
@@ -311,11 +308,11 @@ class _Engine:
             f"engine.shifted = {shifted}",
             f"engine.prev = {ends}",
         ]
-        step += finish(V, th, (y, dy, p, q))
+        step += finish(state, (y, dy, p + q))
 
         source = "\n".join([
-            "def stage(y, V, th, t):", *("    " + line for line in stage),
-            "def advance(y, dy, V, th, h, first, stop):", *("    " + line for line in step),
+            "def stage(y, x, t):", *("    " + line for line in stage),
+            "def advance(y, dy, x, h, first, stop):", *("    " + line for line in step),
         ])
         namespace = {
             "engine": self,
@@ -338,7 +335,7 @@ class _Engine:
         check the passive balance (continuing by :meth:`_chord_on_floats` if
         it misses ``newton_tol``) and evaluate the rows of the affine table
         into ``{out}0, {out}1, ...``, each summed in its order from 0.0.
-        Returns the lines and the names of every bus's V and theta."""
+        Returns the lines and the names of the stacked bus state's entries."""
         lines = []
         V: dict[int, str] = {}
         th: dict[int, str] = {}
@@ -368,6 +365,7 @@ class _Engine:
         # the line terms of power_injection, generation-positive
         n = net.n_nodes
         p, q = _names("p", n), _names("q", n)
+        state = [th[j] for j in range(n)] + [V[j] for j in range(n)]
         lines.append(" = ".join(p + q + ["0.0"]))
         for i, k, b in net.edges:
             b = _literal(b)
@@ -387,15 +385,14 @@ class _Engine:
             # written to take the chord for NaN as well
             lines += [
                 f"if not (abs({p[bus]} + {load_p}) <= {tol} and abs({q[bus]} + {load_q}) <= {tol}):",
-                f"    vb, tb, {_listed(p)}, {_listed(q)} = engine._chord_on_floats("
-                f"{_listed(V[j] for j in range(n))}, {_listed(th[j] for j in range(n))}, {t})",
+                f"    vb, tb, {_listed(p + q)} = engine._chord_on_floats({_listed(state)}, {t})",
             ]
         # the rows of AffineStack over x = (y, P, Q), summed in its order
         x = [*y, *p, *q]
         for r, (c, terms) in enumerate(self.affine_rows):
             row = "".join(f" + {_literal(val)} * {x[col]}" for col, val in terms)
             lines.append(f"{out}{r} = 0.0{row} + {_literal(c)}")
-        return lines, V, th
+        return lines, state
 
     def _closed_form_source(self, net: NetworkModel, bus: int, e_re: str, e_im: str):
         """The source lines that move the passive bus `bus` from its warm
@@ -412,7 +409,7 @@ class _Engine:
         lines = [
             f"mid = 0.5 * ({e_re} * {e_re} + {e_im} * {e_im}) - {_literal(s_q)}",
             f"gap = sqrt(mid * mid - {_literal(s2_load2)})",
-            f"x = {_literal(load2)} / (mid + gap)",
+            f"vb2 = {_literal(load2)} / (mid + gap)",
         ]
         # The function adds its bool root choice times 2 gap / S^2. Not
         # chosen, that product is +0.0 wherever mid * mid is finite: S > 0
@@ -420,7 +417,7 @@ class _Engine:
         # connected graph (a bus without one has E = 0 and S = 0, and the
         # division above raises). The low root is then at least +0.0, since
         # mid > vb^2 S^2 >= 0, so adding +0.0 leaves it as it is.
-        high = f"x = x + 2.0 * gap / {_literal(s2)}"
+        high = f"vb2 = vb2 + 2.0 * gap / {_literal(s2)}"
         if no_load:
             lines.append(high)
         else:
@@ -428,20 +425,19 @@ class _Engine:
         two_pi = _literal(TWO_PI)
         return lines + [
             f"ang = atan2({e_im}, {e_re}) + atan2({_literal(neg_p)}, "
-            f"{_literal(s)} * x + {_literal(load_q)})",
+            f"{_literal(s)} * vb2 + {_literal(load_q)})",
             f"tb = ang + {two_pi} * (((tb - ang) / {two_pi} + 0.5) // 1.0)",
-            "vb = sqrt(x)",
+            "vb = sqrt(vb2)",
         ]
 
-    def _chord_on_floats(self, V: list[float], th: list[float], t: float):
-        """:meth:`_solve_chord` from the float path's bus state; returns the
-        passive bus's accepted (V, theta) and the injections (P, Q) as
-        lists."""
-        x = np.array(th + V)
+    def _chord_on_floats(self, state: list[float], t: float):
+        """:meth:`_solve_chord` from the float path's stacked bus state;
+        returns the passive bus's accepted (V, theta) and the stacked
+        injections (P, Q) as a list."""
+        x = np.array(state)
         pq = self._solve_chord(x, t)
-        n = len(V)
         bus = self.passive_nodes[0]
-        return float(x[n + bus]), float(x[bus]), pq[:n].tolist(), pq[n:].tolist()
+        return float(x[len(x) // 2 + bus]), float(x[bus]), pq.tolist()
 
     def _solve_chord(self, x: np.ndarray, t: float) -> np.ndarray:
         """Chord iteration on the array kernel from the stacked bus state
@@ -458,7 +454,7 @@ class _Engine:
         max_iter = self.config.newton_max_iter
         last = math.inf
         for it in range(max_iter + 1):
-            pq = stacked_injection(net, x)
+            pq = power_injection(net, x)
             r = pq[rows] + self.passive_loads
             worst = float(np.abs(r).max())
             if worst <= self.config.newton_tol:
@@ -492,8 +488,7 @@ class _Engine:
         the stacked bus state x with injections pq, for the chord iteration;
         when the passive buses are coupled, also keep the predictor's
         K = -J_pp^-1 J_pd over the boundary buses."""
-        n = self.net.n_nodes
-        jac = injection_partials(self.net, x[n:], x[:n], (pq[:n], pq[n:]))
+        jac = injection_partials(self.net, x, pq)
         try:
             self.jac_inv = np.linalg.inv(jac[self.passive_block])
         except np.linalg.LinAlgError as exc:
@@ -506,27 +501,28 @@ class _Engine:
 
     # integrator -----------------------------------------------------------------
 
-    def start_integrals(self, anchors: dict[str, Anchor], y, p, q) -> None:
-        """Start the path integrals at zero from the state (y, P, Q); each
-        component's is shifted by its anchor's (P, Q)."""
+    def start_integrals(self, anchors: dict[str, Anchor], y, pq) -> None:
+        """Start the path integrals at zero from the state y with the stacked
+        injections pq; each component's is shifted by its anchor's (P, Q)."""
         self.anchor_p = self.buffer([anchors[cid].P for cid in self.comp_ids])
         self.anchor_q = self.buffer([anchors[cid].Q for cid in self.comp_ids])
         self.shifted = self.buffer([0.0] * len(self.comp_ids))
         self.unshifted = 0.0
-        self.prev = self.endpoints(y, p, q)
+        self.prev = self.endpoints(y, pq)
 
-    def endpoints(self, y, p, q) -> list[tuple[float, float, float, float]]:
-        """(theta, ln v, P, Q) of every component at the state (y, P, Q)."""
+    def endpoints(self, y, pq) -> list[tuple[float, float, float, float]]:
+        """(theta, ln v, P, Q) of every component at the state y with the
+        stacked injections pq."""
+        n = len(pq) // 2
         return [
-            (y[i_theta], math.log(y[i_v]), p[node], q[node])
+            (y[i_theta], math.log(y[i_v]), pq[node], pq[n + node])
             for node, i_theta, i_v, _ in self.terminals
         ]
 
 
 class _ArrayEngine(_Engine):
-    """The array path, for networks with two or more passive buses: y is a
-    float array, and the bus state one stacked float array x = (theta, V),
-    for the whole step.
+    """The array path, for networks with two or more passive buses: y and the
+    stacked bus state x = (theta, V) are float arrays.
 
     A stage scatters the terminals into x (one gather from y, one scatter),
     solves the passive buses on their rows of x in closed form (no line
@@ -537,9 +533,7 @@ class _ArrayEngine(_Engine):
     since the last converged solve (the first-order continuation predictor;
     Allgower & Georg, *Introduction to Numerical Continuation Methods*,
     ch. 2). The boundary buses are the dynamic buses with a line to a
-    passive bus, the only columns where J_pd is nonzero. ``stage`` and
-    ``advance`` take V and th as the float path does, stack them into x on
-    entry and write x back to them on return.
+    passive bus, the only columns where J_pd is nonzero.
     """
 
     def __init__(
@@ -629,7 +623,7 @@ class _ArrayEngine(_Engine):
             raise self._collapse(int(self.passive[np.argmin(ok)]), t)
         x[self.passive_rows] = np.concatenate([a_pas, v_pas])
 
-    def _stage_on(self, y: np.ndarray, x: np.ndarray, t: float):
+    def _stage(self, y: np.ndarray, x: np.ndarray, t: float):
         """Scatter the terminals into x, solve the passive buses in place,
         and return (dy, stacked P and Q)."""
         terminal = y[self.term_states]
@@ -640,37 +634,26 @@ class _ArrayEngine(_Engine):
         pq = self.solve_algebraic(x, t)
         return self.rhs(y, pq), pq
 
-    def _stage(
-        self, y: np.ndarray, V: np.ndarray, th: np.ndarray, t: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scatter terminals, solve algebraic in place, return (dy, P, Q)."""
-        x = np.concatenate([th, V])
-        dy, pq = self._stage_on(y, x, t)
-        n = len(V)
-        th[:] = x[:n]
-        V[:] = x[n:]
-        return dy, pq[:n], pq[n:]
-
-    def endpoints(self, y, p, q) -> tuple[np.ndarray, np.ndarray]:
+    def endpoints(self, y, pq) -> tuple[np.ndarray, np.ndarray]:
         """(theta, ln v) and (P, Q) of every component, each one stacked
         array."""
         terminal = y[self.term_states]
         m = len(self.terminals)
         np.log(terminal[m:], out=terminal[m:])
-        return terminal, np.concatenate([p, q])[self.term_rows]
+        return terminal, pq[self.term_rows]
 
-    def start_integrals(self, anchors: dict[str, Anchor], y, p, q) -> None:
-        super().start_integrals(anchors, y, p, q)
+    def start_integrals(self, anchors: dict[str, Anchor], y, pq) -> None:
+        super().start_integrals(anchors, y, pq)
         self.anchor_pq = np.concatenate([self.anchor_p, self.anchor_q])
 
-    def _advance(self, y, dy, V, th, h: float, first: int, stop: int):
+    def _advance(self, y, dy, x, h: float, first: int, stop: int):
         """The RK4 steps ``first`` to ``stop - 1`` from (y, dy) at
         t = first h. Each step runs the three inner stages, the stage at the
         step's end, and the trapezoid step of the path integrals between
-        the step's endpoints. Returns (y, dy, P, Q) at t = stop h."""
-        stage = self._stage_on
-        x = np.concatenate([th, V])
-        n, m = len(V), len(self.terminals)
+        the step's endpoints. Returns (y, dy, stacked P and Q) at
+        t = stop h."""
+        stage = self._stage
+        m = len(self.terminals)
         for step in range(first, stop):
             t = step * h
             half = 0.5 * h
@@ -679,7 +662,7 @@ class _ArrayEngine(_Engine):
             k4, _ = stage(y + h * k3, x, t + h)
             y = y + (h / 6.0) * (dy + 2.0 * (k2 + k3) + k4)
             dy, pq = stage(y, x, (step + 1) * h)
-            now = self.endpoints(y, pq[:n], pq[n:])
+            now = self.endpoints(y, pq)
             (angle0, power0), (angle1, power1) = self.prev, now
             # (P, Q) at the midpoint and the steps of (theta, ln v)
             mid = 0.5 * (power0 + power1)
@@ -689,9 +672,7 @@ class _ArrayEngine(_Engine):
             unshifted = mid * delta
             self.unshifted += float(np.add.reduce(unshifted[:m] + unshifted[m:]))
             self.prev = now
-        th[:] = x[:n]
-        V[:] = x[n:]
-        return y, dy, pq[:n], pq[n:]
+        return y, dy, pq
 
 
 def _make_engine(

@@ -2,9 +2,10 @@
 
 The steady-state system stacks, per non-ground bus, either the component's
 equilibrium relations (dynamic bus) or the constant-power balance (passive
-bus), over unknowns (theta_i, V_i). The relations are each component's
-``steady_state_partials`` times its deviations from the setpoints,
-evaluated for all dynamic buses at once. When no relation has a theta
+bus), over unknowns (theta_i, V_i) interleaved per bus; the iterate is the
+stacked bus state x = (theta, V) of :mod:`phasorstab.network`. The
+relations are each component's ``steady_state_partials`` times its
+deviations from the setpoints, evaluated for all dynamic buses at once. When no relation has a theta
 coefficient the system is invariant under uniform angle shifts; in that
 case the reference bus's angle-type row is replaced by a pin to its
 setpoint and the replaced relation is checked after convergence, so
@@ -56,7 +57,7 @@ class InconsistentInput(ValueError):
 
 @recordclass
 class EquilibriumSolution:
-    state: BusState
+    state: BusState  # the solved stacked bus state x = (theta, V)
     # each component's terminal (P, Q, V, theta), P and Q generation-positive
     anchors: dict[str, Anchor]
     residual_norm: float
@@ -72,32 +73,29 @@ class SetpointSolution:
 
 
 def steady_state_residual(
-    net: NetworkModel,
-    components: dict[str, Component],
-    V,
-    theta,
+    net: NetworkModel, components: dict[str, Component], x
 ) -> np.ndarray:
-    """Stacked steady-state residual, two rows per non-ground bus.
+    """Steady-state residual at the stacked bus state x, two rows per
+    non-ground bus.
 
     Dynamic bus: the component's equilibrium relations evaluated at the bus
     injections. Passive bus: generation balance P_i + p0 = 0, Q_i + q0 = 0
     (loads consumption-positive, so an empty bus balances at zero flow).
     """
-    V, theta = np.asarray(V, dtype=float), np.asarray(theta, dtype=float)
-    injections = power_injection(net, V, theta)
-    return _residual(net, _steady_rows(net, components), V, theta, injections)
+    x = np.asarray(x, dtype=float)
+    return _residual(net, _steady_rows(net, components), x, power_injection(net, x))
 
 
-def _residual(net: NetworkModel, steady_rows, V, theta, injections) -> np.ndarray:
+def _residual(net: NetworkModel, steady_rows, x, pq) -> np.ndarray:
     """:func:`steady_state_residual` given :func:`_steady_rows` and the
-    injections (P, Q) at the state."""
+    stacked injections (P, Q) at the state."""
     _, dyn, rows, setpoints = steady_rows
-    p, q = injections
-    res = np.empty(2 * net.n_nodes)
-    res[0::2] = p + net.load_p
-    res[1::2] = q + net.load_q
+    n = net.n_nodes
+    res = np.empty(2 * n)
+    res[0::2] = pq[:n] + net.load_p
+    res[1::2] = pq[n:] + net.load_q
     # coefficient times deviation, by relation, column and node
-    terms = rows * (np.array([theta[dyn], V[dyn], p[dyn], q[dyn]]) - setpoints)
+    terms = rows * (np.array([x[dyn], x[n + dyn], pq[dyn], pq[n + dyn]]) - setpoints)
     res.reshape(-1, 2)[dyn] = (((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]).T
     return res
 
@@ -120,18 +118,18 @@ def _steady_rows(net: NetworkModel, components: dict[str, Component]):
     return np.ix_(order, order), dyn, rows.transpose(1, 2, 0), setpoints.T
 
 
-def _jacobian(net: NetworkModel, steady_rows, V, theta, injections=None) -> np.ndarray:
+def _jacobian(net: NetworkModel, steady_rows, x, injections=None) -> np.ndarray:
     """Analytic Jacobian of the steady-state residual w.r.t. (theta_i, V_i).
 
     A passive bus's rows are its injection partials; a dynamic bus's rows
     combine them with the component's partials by P and Q, plus its direct
     dependence on the bus's own (theta, V), for all dynamic buses at once.
-    ``steady_rows`` is :func:`_steady_rows`; ``injections`` is the (P, Q)
-    at the state, if the caller holds it.
+    ``steady_rows`` is :func:`_steady_rows`; ``injections`` is the stacked
+    (P, Q) at the state, if the caller holds it.
     """
     interleave, dyn, rows, _ = steady_rows
     # rows (P_0, Q_0, P_1, ...), columns (theta_0, V_0, theta_1, ...)
-    jac = injection_partials(net, V, theta, injections)[interleave]
+    jac = injection_partials(net, x, injections)[interleave]
     at = 2 * dyn  # each dynamic bus's P row and theta column
     p_rows = jac[at]
     q_rows = jac[at + 1]
@@ -159,13 +157,12 @@ def _worst_row(net: NetworkModel, res: np.ndarray) -> str:
 def solve_equilibrium(
     net: NetworkModel,
     components: dict[str, Component],
-    initial_V=None,
-    initial_theta=None,
+    initial=None,
 ) -> EquilibriumSolution:
     """Newton solve of the whole-system steady state.
 
-    ``components`` is keyed by component id. Starts from the supplied guess
-    (flat V = 1, theta = 0 by default), damps by halving on residual
+    ``components`` is keyed by component id. Starts from the supplied
+    stacked bus state ``initial`` (flat theta = 0, V = 1 by default), damps by halving on residual
     increase, and stops at max-norm residual <= TOL. For rotation-symmetric
     systems the angle row of the reference bus (the first dynamic bus,
     otherwise the first non-ground bus) is pinned; its displaced relation is
@@ -177,9 +174,11 @@ def solve_equilibrium(
                 f"no component supplied for id {shunt.component_id!r}"
             )
     n = net.n_nodes
-    v = np.array(initial_V, dtype=float) if initial_V is not None else np.ones(n)
-    t = np.array(initial_theta, dtype=float) if initial_theta is not None else np.zeros(n)
-    if v.shape != (n,) or t.shape != (n,):
+    if initial is None:
+        x = np.concatenate([np.zeros(n), np.ones(n)])
+    else:
+        x = np.array(initial, dtype=float)
+    if x.shape != (2 * n,):
         raise InconsistentInput("initial guess has wrong length")
 
     steady_rows = _steady_rows(net, components)
@@ -189,17 +188,17 @@ def solve_equilibrium(
     ref_row = 2 * ref  # the angle-type relation of the reference bus
     if pin:
         theta_pin = setpoints[0, 0] if len(dyn) else 0.0
-        t[ref] = theta_pin
+        x[ref] = theta_pin
 
-    def residual(vv, tt):
+    def residual(xx):
         """Residual with the reference row pinned, and the injections (P, Q)."""
-        inj = power_injection(net, vv, tt)
-        res = _residual(net, steady_rows, vv, tt, inj)
+        inj = power_injection(net, xx)
+        res = _residual(net, steady_rows, xx, inj)
         if pin:
-            res[ref_row] = tt[ref] - theta_pin
+            res[ref_row] = xx[ref] - theta_pin
         return res, inj
 
-    res, inj = residual(v, t)
+    res, inj = residual(x)
     norm = float(np.max(np.abs(res)))
     history = [norm]
     iterations = 0
@@ -215,7 +214,7 @@ def solve_equilibrium(
                 f"Newton did not converge in {MAX_ITER} iterations "
                 f"({_worst_row(net, res)})"
             )
-        jac = _jacobian(net, steady_rows, v, t, inj)
+        jac = _jacobian(net, steady_rows, x, inj)
         if pin:
             jac[ref_row, :] = 0.0
             jac[ref_row, 2 * ref] = 1.0
@@ -225,14 +224,15 @@ def solve_equilibrium(
             raise EquilibriumError(
                 f"Jacobian singular at iteration {iterations}: {exc}"
             ) from exc
+        # the step's theta entries, then its V entries, as in x
+        step = np.concatenate([step[0::2], step[1::2]])
         scale = 1.0
         for _ in range(30):
-            t_new = t + scale * step[0::2]
-            v_new = v + scale * step[1::2]
-            if np.any(v_new <= 0.0):
+            x_new = x + scale * step
+            if np.any(x_new[n:] <= 0.0):
                 scale *= 0.5
                 continue
-            res_new, inj_new = residual(v_new, t_new)
+            res_new, inj_new = residual(x_new)
             norm_new = float(np.max(np.abs(res_new)))
             if norm_new < norm or norm_new <= TOL:
                 break
@@ -241,27 +241,27 @@ def solve_equilibrium(
             raise EquilibriumError(
                 f"Newton stalled at iteration {iterations} ({_worst_row(net, res)})"
             )
-        v, t, res, inj, norm = v_new, t_new, res_new, inj_new, norm_new
+        x, res, inj, norm = x_new, res_new, inj_new, norm_new
         history.append(norm)
         iterations += 1
 
     if pin:
-        pin_resid = float(abs(_residual(net, steady_rows, v, t, inj)[ref_row]))
+        pin_resid = float(abs(_residual(net, steady_rows, x, inj)[ref_row]))
         if not pin_resid <= CONSISTENCY_TOL:
             raise InconsistentInput(
                 f"setpoints inconsistent: pinned relation at bus "
                 f"{net.non_ground[ref]!r} has residual {pin_resid:.3e}"
             )
 
-    p, q = inj[0].tolist(), inj[1].tolist()
+    pq, xs = inj.tolist(), x.tolist()
     anchors: dict[str, Anchor] = {}
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
         anchors[shunt.component_id] = Anchor(
-            P=p[i], Q=q[i], V=float(v[i]), theta=float(t[i])
+            P=pq[i], Q=pq[n + i], V=xs[n + i], theta=xs[i]
         )
     return EquilibriumSolution(
-        state=BusState(V=v, theta=t),
+        state=BusState(x),
         anchors=anchors,
         residual_norm=norm,
         iterations=iterations,
@@ -273,10 +273,10 @@ def solve_equilibrium(
 def solve_setpoints(
     net: NetworkModel,
     components: dict[str, Component],
-    V,
-    theta,
+    x,
 ) -> SetpointSolution:
-    """Back-solve component setpoints from a target operating point.
+    """Back-solve component setpoints from a target operating point, the
+    stacked bus state x.
 
     Given bus voltages and angles, the natural setpoint choice
     (P_e, Q_e, V_e, theta_e) = (P_i, Q_i, V_i, theta_i) makes every
@@ -286,22 +286,21 @@ def solve_setpoints(
     reported as inconsistent input.
     """
     n = net.n_nodes
-    if len(V) != n or len(theta) != n:
+    if len(x) != 2 * n:
         raise InconsistentInput("operating point has wrong length")
-    op = BusState(V=V, theta=theta)  # raises for V <= 0
-    V, theta = op.V.tolist(), op.theta.tolist()
-    p, q = (x.tolist() for x in power_injection(net, V, theta))
+    op = BusState(x)  # raises for V <= 0
+    pq, xs = power_injection(net, op.x).tolist(), op.x.tolist()
     setpoints: dict[str, Setpoints] = {}
     implied: dict[str, tuple[float, float]] = {}
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
         setpoints[shunt.component_id] = Setpoints(
-            P_e=p[i], Q_e=q[i], V_e=V[i], theta_e=theta[i]
+            P_e=pq[i], Q_e=pq[n + i], V_e=xs[n + i], theta_e=xs[i]
         )
     bad: list[str] = []
     for i in net.passive_nodes():
         bus = net.non_ground[i]
-        implied[bus] = (-p[i], -q[i])  # consumption-positive
+        implied[bus] = (-pq[i], -pq[n + i])  # consumption-positive
         declared_p = net.load_p[i]
         declared_q = net.load_q[i]
         dp = declared_p - implied[bus][0]

@@ -359,8 +359,7 @@ def parse_case(doc: Any, source: str = "<memory>") -> CaseDefinition:
             )
         try:
             operating_point = BusState(
-                V=[points[b][0] for b in net.non_ground],
-                theta=[points[b][1] for b in net.non_ground],
+                [points[b][1] for b in net.non_ground] + [points[b][0] for b in net.non_ground]
             )
         except ValueError as exc:
             raise NetworkFileError(f"operating_point: {exc}") from exc

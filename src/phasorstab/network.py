@@ -8,12 +8,15 @@ consumption-positive in input files, and ``NetworkModel.load_p`` and
 generation-positive (power injected from the shunt side into the network),
 so a passive bus balances at P_i + load_p_i = 0 and Q_i + load_q_i = 0.
 
-This module is the network kernel: :func:`stacked_injection` evaluates the
-line power-flow terms on the stacked bus state x = (theta, V) (one gather
-of both line ends, one sin and one cos over all lines, one scatter onto the
-buses), :func:`power_injection` is its entry on separate V and theta, and
-:func:`injection_partials` is the only source of their partials, as one
-2n x 2n matrix (rows P then Q, columns theta then V). The equilibrium
+Every bus state in the package is the stacked state x = (theta, V), a float
+array of length 2n: the angles of the n non-ground buses in node order, then
+their voltage magnitudes (:class:`BusState` holds one and checks V > 0).
+This module is the network kernel: :func:`power_injection` evaluates the
+line power-flow terms on x (one gather of both line ends, one sin and one
+cos over all lines, one scatter onto the buses) and returns the injections
+stacked the same way, (P, Q), and :func:`injection_partials` is the only
+source of their partials, as one 2n x 2n matrix (rows P then Q, columns
+theta then V). The equilibrium
 solver, the transient simulator and the potential's gradient and Hessian
 are all built on these functions, and each indexes that one matrix rather
 than reassembling it. The simulator's float path, for at most one passive
@@ -51,7 +54,6 @@ __all__ = [
     "NetworkModel",
     "NetworkError",
     "BusState",
-    "stacked_injection",
     "power_injection",
     "injection_partials",
     "passive_bus_constants",
@@ -138,7 +140,7 @@ class NetworkModel:
     Derived, in network node order: ``edges`` holds one (i, k, B) triple per
     line in declaration order, and ``edge_arrays`` the same as three numpy
     arrays (from, to, B); ``injection_slots`` are the rows of both line ends
-    in the stacked state (theta, V), which :func:`stacked_injection` reads
+    in the stacked state (theta, V), which :func:`power_injection` reads
     and then adds its terms into, and ``stacked_coupling`` is B twice, once
     per end; ``partials_slots`` place the terms of
     :func:`injection_partials`;
@@ -343,31 +345,31 @@ class NetworkModel:
 
 @recordclass
 class BusState:
-    """Voltage magnitude/angle per non-ground bus, in network node order.
+    """A stacked bus state x = (theta, V): unwrapped angles (radians) of the
+    non-ground buses in network node order, then their voltage magnitudes,
+    which must be positive (log V is taken downstream). ``theta`` and ``V``
+    are the two halves of ``x``, as views."""
 
-    V entries must stay positive (log V is taken downstream); theta entries
-    are unwrapped radians.
-    """
-
-    V: np.ndarray
-    theta: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self) -> None:
-        self.V = np.asarray(self.V, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.V.shape != self.theta.shape:
-            raise ValueError("V and theta must have the same length")
+        self.x = np.asarray(self.x, dtype=float)
         if np.any(self.V <= 0.0):
             raise ValueError("bus voltage magnitudes must be positive")
 
-    def phasors(self) -> np.ndarray:
-        return self.V * np.exp(1j * self.theta)
+    @property
+    def theta(self) -> np.ndarray:
+        return self.x[: len(self.x) // 2]
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.x[len(self.x) // 2 :]
 
 
 # -- evaluation ------------------------------------------------------------
 
 
-def stacked_injection(net: NetworkModel, x: np.ndarray) -> np.ndarray:
+def power_injection(net: NetworkModel, x: np.ndarray) -> np.ndarray:
     """Net power injected from the shunt side into the network at each bus,
     on the stacked bus state x = (theta, V), a float array of length 2n.
     Returns (P, Q) stacked the same way, P in the first n entries.
@@ -396,14 +398,6 @@ def stacked_injection(net: NetworkModel, x: np.ndarray) -> np.ndarray:
     np.subtract(square[:lines], cross, out=terms[2 * lines : 3 * lines])
     np.subtract(square[lines:], cross, out=terms[3 * lines:])
     return np.bincount(slots, weights=terms, minlength=2 * net.n_nodes)
-
-
-def power_injection(net: NetworkModel, V, theta) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`stacked_injection` at the bus voltages V and angles theta, as
-    two arrays (P, Q) in node order."""
-    pq = stacked_injection(net, np.concatenate((theta, V), dtype=float))
-    n = net.n_nodes
-    return pq[:n], pq[n:]
 
 
 def passive_bus_constants(coupling_sum, load_p, load_q):
@@ -478,9 +472,9 @@ def _partials_slots(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     return rows * (2 * n) + cols
 
 
-def injection_partials(net: NetworkModel, V, theta, injections=None) -> np.ndarray:
-    """The analytic injection Jacobian, one dense 2n x 2n matrix: rows P
-    then Q, columns theta then V, each in node order.
+def injection_partials(net: NetworkModel, x, injections=None) -> np.ndarray:
+    """The analytic injection Jacobian at the stacked bus state x, one dense
+    2n x 2n matrix: rows P then Q, columns theta then V, each in node order.
 
     Entry [r, c] is the partial of row r's injection by column c's
     coordinate. Off-diagonal entries come from one vectorized pass over the
@@ -489,14 +483,15 @@ def injection_partials(net: NetworkModel, V, theta, injections=None) -> np.ndarr
     coupling sum at bus i:
     dP_i/dtheta_i = V_i^2 S_i - Q_i, dP_i/dV_i = P_i / V_i,
     dQ_i/dtheta_i = P_i, dQ_i/dV_i = Q_i / V_i + V_i S_i.
-    ``injections`` is the (P, Q) of :func:`power_injection` at the same
-    state, for callers that hold it already; it is computed when omitted.
-    Callers take what they need by indexing this one matrix.
+    ``injections`` is the stacked (P, Q) of :func:`power_injection` at the
+    same state, for callers that hold it already; it is computed when
+    omitted. Callers take what they need by indexing this one matrix.
     """
     n = net.n_nodes
-    v = np.asarray(V, dtype=float)
-    t = np.asarray(theta, dtype=float)
-    p, q = power_injection(net, v, t) if injections is None else injections
+    x = np.asarray(x, dtype=float)
+    pq = power_injection(net, x) if injections is None else injections
+    t, v = x[:n], x[n:]
+    p, q = pq[:n], pq[n:]
     i, k, b = net.edge_arrays
     d = t[i] - t[k]
     s = b * np.sin(d)
@@ -514,9 +509,15 @@ def injection_partials(net: NetworkModel, V, theta, injections=None) -> np.ndarr
     return jac.reshape(2 * n, 2 * n)
 
 
+def _phasors(net: NetworkModel, x) -> np.ndarray:
+    """V e^(j theta) per bus at the stacked bus state x, on its last axis."""
+    n = net.n_nodes
+    return x[..., n:] * np.exp(1j * x[..., :n])
+
+
 def branch_currents_oracle(
     net: NetworkModel,
-    state: BusState,
+    x: np.ndarray,
     dynamic_injections: dict[str, tuple[float, float]] | None = None,
 ) -> dict[str, complex]:
     """Branch currents by direct complex arithmetic, associated reference
@@ -528,10 +529,11 @@ def branch_currents_oracle(
     exactly). Keys are "line:<from>-<to>:<idx>", "cp:<bus>:<idx>" and
     "dyn:<component>".
 
-    ``state`` may carry a leading sample axis (V and theta of shape (S, n),
-    injections of shape (S,)); each current is then an array over samples.
+    ``x`` is the stacked bus state and may carry a leading sample axis
+    (shape (S, 2n), injections of shape (S,)); each current is then an
+    array over samples.
     """
-    vbar = state.phasors()
+    vbar = _phasors(net, x)
     currents: dict[str, complex] = {}
     nodal = [0j] * net.n_nodes
     for idx, line in enumerate(net.lines):
@@ -560,7 +562,7 @@ def branch_currents_oracle(
 
 def tellegen_sum(
     net: NetworkModel,
-    state: BusState,
+    x: np.ndarray,
     dynamic_injections: dict[str, tuple[float, float]] | None = None,
 ) -> complex:
     """Sum over all branches of Vbar_mu * conj(I_mu).
@@ -568,11 +570,11 @@ def tellegen_sum(
     Vanishes whenever the currents satisfy KCL and the voltages KVL; with
     dynamic currents taken from nodal balance this is an orthogonality
     identity, and with explicit injections it measures their imbalance.
-    With a sample axis on ``state`` (see :func:`branch_currents_oracle`),
-    one sum per sample, accumulated branch by branch as for one state.
+    With a sample axis on ``x`` (see :func:`branch_currents_oracle`), one
+    sum per sample, accumulated branch by branch as for one state.
     """
-    vbar = state.phasors()
-    currents = branch_currents_oracle(net, state, dynamic_injections)
+    vbar = _phasors(net, x)
+    currents = branch_currents_oracle(net, x, dynamic_injections)
     total = 0j
     for idx, line in enumerate(net.lines):
         i = net.node_index[line.from_bus]

@@ -11,9 +11,11 @@ integral; callers report it relative to a reference of their choosing.
 
 Working coordinates are z = (theta, ln V): the trajectory identities pair
 power deviations with d(theta) and d(ln V), and they are exact only in these
-coordinates. In them the gradient of Vp is the bus injections plus the load
-constants, and its Hessian is the injection Jacobian with the V columns
-scaled by V, so both come from the network kernel
+coordinates. Every function here takes the bus state as the stacked
+x = (theta, V) of :mod:`phasorstab.network`. In z the gradient of Vp is the
+bus injections plus the load constants, and its Hessian is the injection
+Jacobian with the V columns scaled by V, so both come from the network
+kernel
 (:func:`~phasorstab.network.power_injection`,
 :func:`~phasorstab.network.injection_partials`). Convexity verdicts depend on
 the coordinates: a divergence anchored linearly in V is a different function,
@@ -45,17 +47,17 @@ __all__ = [
 ]
 
 
-def eval_vp(net: NetworkModel, V, theta):
-    """Voltage potential at a bus state (absolute; see module docstring).
+def eval_vp(net: NetworkModel, x):
+    """Voltage potential at the stacked bus state x (absolute; see module
+    docstring).
 
-    ``V`` and ``theta`` have the buses on their last axis and may carry a
-    leading sample axis: one state of shape (n,) gives a scalar, S states
-    of shape (S, n) give S values. Elementwise operations over
-    ``net.edge_arrays`` and sums over the last axis only, so each sample's
-    value does not depend on the others."""
+    ``x`` has the stacked buses on its last axis and may carry a leading
+    sample axis: one state of shape (2n,) gives a scalar, S states of shape
+    (S, 2n) give S values. Elementwise operations over ``net.edge_arrays``
+    and sums over the last axis only, so each sample's value does not
+    depend on the others."""
     i, k, b = net.edge_arrays
-    v = np.asarray(V, dtype=float)
-    t = np.asarray(theta, dtype=float)
+    t, v = _halves(net, x)
     vi = v[..., i]
     vk = v[..., k]
     lines = 0.5 * b * (vi * vi + vk * vk - 2.0 * vi * vk * np.cos(t[..., i] - t[..., k]))
@@ -63,7 +65,14 @@ def eval_vp(net: NetworkModel, V, theta):
     return lines.sum(axis=-1) + loads.sum(axis=-1)
 
 
-def grad_vp(net: NetworkModel, V, theta) -> np.ndarray:
+def _halves(net: NetworkModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """theta and V, the halves of the stacked bus state x on its last axis."""
+    x = np.asarray(x, dtype=float)
+    n = net.n_nodes
+    return x[..., :n], x[..., n:]
+
+
+def grad_vp(net: NetworkModel, x) -> np.ndarray:
     """Gradient of Vp in (theta, ln V) coordinates, length 2n.
 
     Entry layout: all theta partials first, then all ln V partials. The
@@ -71,19 +80,19 @@ def grad_vp(net: NetworkModel, V, theta) -> np.ndarray:
     p0_i; the ln V partial is Q_i plus q0_i. Both vanish at load buses of a
     solved state and equal the component injections at dynamic buses.
     """
-    p, q = power_injection(net, V, theta)
-    return np.concatenate([p + net.load_p, q + net.load_q])
+    loads = np.concatenate([net.load_p, net.load_q])
+    return power_injection(net, np.asarray(x, dtype=float)) + loads
 
 
-def hessian_vp(net: NetworkModel, V, theta) -> np.ndarray:
+def hessian_vp(net: NetworkModel, x) -> np.ndarray:
     """Analytic Hessian of Vp in (theta, ln V) coordinates, 2n x 2n.
 
     Load terms are linear in these coordinates, so only lines contribute:
     the Hessian is the injection Jacobian with its V columns scaled by V.
     The uniform angle-shift vector is in the kernel for every state.
     """
-    v = np.asarray(V, dtype=float)
-    return injection_partials(net, v, theta) * np.concatenate([np.ones(len(v)), v])
+    _, v = _halves(net, x)
+    return injection_partials(net, x) * np.concatenate([np.ones(len(v)), v])
 
 
 @recordclass
@@ -95,33 +104,36 @@ class BregmanDivergence:
     """
 
     net: NetworkModel
-    V0: np.ndarray
-    theta0: np.ndarray
+    x0: np.ndarray  # the equilibrium's stacked bus state (theta, V)
     vp0: float = field(init=False)
     grad0: np.ndarray = field(init=False)
     z0: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.V0 = np.asarray(self.V0, dtype=float)
-        self.theta0 = np.asarray(self.theta0, dtype=float)
-        if np.any(self.V0 <= 0.0):
+        self.x0 = np.array(self.x0, dtype=float)
+        if np.any(self.x0[self.net.n_nodes:] <= 0.0):
             raise ValueError("reference state must have positive voltages")
-        self.vp0 = eval_vp(self.net, self.V0, self.theta0)
-        self.grad0 = grad_vp(self.net, self.V0, self.theta0)
-        self.z0 = np.concatenate([self.theta0, np.log(self.V0)])
+        self.z0 = _log_coordinates(self.net, self.x0)
+        self.vp0 = eval_vp(self.net, self.x0)
+        self.grad0 = grad_vp(self.net, self.x0)
 
-    def value(self, V, theta, vp=None):
-        """W at (V, theta); ``vp`` is :func:`eval_vp` at the same state, for
-        callers that hold it already. It is computed when omitted.
+    def value(self, x, vp=None):
+        """W at the stacked bus state x; ``vp`` is :func:`eval_vp` at the
+        same state, for callers that hold it already. It is computed when
+        omitted.
 
-        Like :func:`eval_vp`, takes one state of shape (n,) for a scalar or
-        S states of shape (S, n) for S values, with ``vp`` of shape (S,)."""
+        Like :func:`eval_vp`, takes one state of shape (2n,) for a scalar or
+        S states of shape (S, 2n) for S values, with ``vp`` of shape (S,)."""
         if vp is None:
-            vp = eval_vp(self.net, V, theta)
-        z = np.concatenate(
-            [np.asarray(theta, dtype=float), np.log(np.asarray(V, dtype=float))], axis=-1
-        )
+            vp = eval_vp(self.net, x)
+        z = _log_coordinates(self.net, x)
         return vp - self.vp0 - (self.grad0 * (z - self.z0)).sum(axis=-1)
+
+
+def _log_coordinates(net: NetworkModel, x) -> np.ndarray:
+    """z = (theta, ln V) at the stacked bus state x, on its last axis."""
+    t, v = _halves(net, x)
+    return np.concatenate([t, np.log(v)], axis=-1)
 
 
 @recordclass(frozen=True)

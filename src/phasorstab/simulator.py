@@ -15,9 +15,10 @@ the network, components, scenario and solver settings it was checked for,
 and per event step the state perturbations due there and the network in
 force after it, which the engine switches to. Path integrals are
 accumulated with the trapezoid rule at every integration step
-(second-order in the step size). The step loop records only the raw samples (time, bus state,
-injections, component states, the dy the step produced there, and
-integrals); the other diagnostics (Vp, W, and each component's storage,
+(second-order in the step size). The run holds one stacked bus state
+x = (theta, V), which the engine writes in place. The step loop records only
+the raw samples (time, x, the stacked injections, component states, the dy
+the step produced there, and integrals); the other diagnostics (Vp, W, and each component's storage,
 storage rate and negated supply rate, anchored at the run's equilibrium)
 are evaluated after the run, in one array pass over all samples, the rates
 from the recorded dy's rows, so no model's ``derivative`` is evaluated
@@ -58,8 +59,9 @@ class SimulationError(RuntimeError):
 class Trajectory:
     """Uniformly sampled simulation output with per-sample diagnostics.
 
-    Angle/voltage columns are per non-ground bus in network order; component
-    series are keyed by component id. ``vp`` is the potential of the base
+    ``x`` holds the stacked bus state (theta, V) of each sample, one row per
+    sample, and ``theta`` and ``V`` are its halves, per non-ground bus in
+    network order; component series are keyed by component id. ``vp`` is the potential of the base
     network (load and line events do not change it) relative to the
     trajectory's initial point; ``w`` is the divergence anchored at the
     equilibrium under test. ``supply`` is the negated supply rate and
@@ -68,8 +70,7 @@ class Trajectory:
 
     times: np.ndarray
     bus_ids: list[str]
-    V: np.ndarray
-    theta: np.ndarray
+    x: np.ndarray
     comp_states: dict[str, np.ndarray]
     comp_labels: dict[str, tuple[str, ...]]
     P: dict[str, np.ndarray]
@@ -94,6 +95,14 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return len(self.times)
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.x[:, : len(self.bus_ids)]
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.x[:, len(self.bus_ids) :]
 
     def component_ids(self) -> list[str]:
         return [s.component_id for s in self.network.dynamic_shunts]
@@ -183,9 +192,7 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
     comp_ids = engine.comp_ids
 
     anchors = equilibrium.anchors
-    bregman = BregmanDivergence(
-        net, equilibrium.state.V.copy(), equilibrium.state.theta.copy()
-    )
+    bregman = BregmanDivergence(net, equilibrium.state.x)
 
     # initial differential state
     y: list[float] = []
@@ -209,29 +216,26 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
         if switched is not None:
             engine.use_network(switched)
 
-    # working buffers start at the equilibrium bus state
-    V = engine.buffer(equilibrium.state.V)
-    th = engine.buffer(equilibrium.state.theta)
+    # the working bus state starts at the equilibrium
+    x = engine.buffer(equilibrium.state.x)
 
     if 0 in events:
         apply_events(0, y)
-    dy, p, q = engine.stage(y, V, th, 0.0)
-    engine.start_integrals(anchors, y, p, q)
+    dy, pq = engine.stage(y, x, 0.0)
+    engine.start_integrals(anchors, y, pq)
 
-    # the raw samples, one entry per sample in each list; V, th and the
+    # the raw samples, one entry per sample in each list; x and the
     # integrals are copied, since the step writes them in place, while each
-    # step returns y, dy, P and Q as new objects
-    samples = ([], [], [], [], [], [], [], [], [])
-    times, bus_v, bus_t, bus_p, bus_q, states, rates, integrals, unshifted_series = samples
+    # step returns y, dy and the injections as new objects
+    samples = ([], [], [], [], [], [], [])
+    times, bus_x, bus_pq, states, rates, integrals, unshifted_series = samples
 
     def record(t: float) -> None:
         """Keep the raw sample and the state's derivative dy there; the
         diagnostics are evaluated from them after the run."""
         times.append(t)
-        bus_v.append(V.copy())
-        bus_t.append(th.copy())
-        bus_p.append(p)
-        bus_q.append(q)
+        bus_x.append(x.copy())
+        bus_pq.append(pq)
         states.append(y)
         rates.append(dy)
         integrals.append(engine.shifted.copy())
@@ -244,37 +248,36 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
     stops = {*range(sample_every, plan.n_steps + 1, sample_every), *events} - {0}
     first = 0
     for stop in sorted(stops):
-        y, dy, p, q = engine.advance(y, dy, V, th, h, first, stop)
+        y, dy, pq = engine.advance(y, dy, x, h, first, stop)
         if stop in events:
             apply_events(stop, y)
-            dy, p, q = engine.stage(y, V, th, stop * h)
+            dy, pq = engine.stage(y, x, stop * h)
             # restart the integrals' endpoints across the discontinuity
-            engine.prev = engine.endpoints(y, p, q)
+            engine.prev = engine.endpoints(y, pq)
         if stop % sample_every == 0:
             record(stop * h)
         first = stop
 
     # each column of samples as one array
-    times, bus_v, bus_t, bus_p, bus_q, states, rates, integrals, unshifted_series = map(
-        np.array, samples
-    )
+    times, bus_x, bus_pq, states, rates, integrals, unshifted_series = map(np.array, samples)
 
     # the samples per component, and the diagnostics in one array pass over
     # all samples, on the recorded dy. Vp is the base network's potential
     # relative to the initial point, sample 0
-    vp = eval_vp(net, bus_v, bus_t)
+    vp = eval_vp(net, bus_x)
     comp_states, series_p, series_q, integral_series = {}, {}, {}, {}
     storage_series, wdot_series, supply_series = {}, {}, {}
+    n = net.n_nodes
     for c, (comp, lo, terminal) in enumerate(zip(engine.comps, engine.offsets, engine.terminals)):
         node, i_theta, i_v, cid = terminal
         comp_states[cid] = states[:, lo : lo + comp.nstates].copy()
-        series_p[cid] = bus_p[:, node].copy()
-        series_q[cid] = bus_q[:, node].copy()
+        series_p[cid] = bus_pq[:, node].copy()
+        series_q[cid] = bus_pq[:, n + node].copy()
         integral_series[cid] = integrals[:, c].copy()
-        x = comp_states[cid].T  # (nstates, samples)
+        xc = comp_states[cid].T  # (nstates, samples)
         anchor = anchors[cid]
-        storage_series[cid] = comp.storage(x, anchor)
-        wdot_series[cid] = comp.storage_rate(x, rates[:, lo : lo + comp.nstates].T, anchor)
+        storage_series[cid] = comp.storage(xc, anchor)
+        wdot_series[cid] = comp.storage_rate(xc, rates[:, lo : lo + comp.nstates].T, anchor)
         supply_series[cid] = supply_rate(
             series_p[cid] - anchor.P, series_q[cid] - anchor.Q,
             rates[:, i_theta], states[:, i_v], rates[:, i_v],
@@ -283,8 +286,7 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
     return Trajectory(
         times=times,
         bus_ids=list(net.non_ground),
-        V=bus_v,
-        theta=bus_t,
+        x=bus_x,
         comp_states=comp_states,
         comp_labels={
             cid: comp.state_labels for cid, comp in zip(comp_ids, engine.comps)
@@ -292,7 +294,7 @@ def simulate(plan: RunPlan, equilibrium: EquilibriumSolution | None = None) -> T
         P=series_p,
         Q=series_q,
         vp=vp - vp[0],
-        w=bregman.value(bus_v, bus_t, vp=vp),
+        w=bregman.value(bus_x, vp=vp),
         storage=storage_series,
         storage_rate=wdot_series,
         supply=supply_series,

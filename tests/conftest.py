@@ -26,6 +26,12 @@ from phasorstab.scenario import plan_run
 from phasorstab.simulator import simulate
 
 
+def stacked(v, th) -> np.ndarray:
+    """The stacked bus state x = (theta, V) of bus voltages `v` and angles
+    `th`, on their last axis."""
+    return np.concatenate([np.asarray(th, dtype=float), np.asarray(v, dtype=float)], axis=-1)
+
+
 @pytest.fixture(scope="session")
 def case3bus():
     """Packaged 3-bus case with setpoints back-solved from its operating point."""
@@ -114,7 +120,7 @@ def make_compensated_load_case(cid="vsg1"):
         dynamic_shunts=[DynamicShunt("gen", cid)],
     )
     comps = {cid: VsgComponent(id=cid, bus="gen", M=0.2, Dp=0.1, Dq=0.05, tau_q=0.5)}
-    sp = solve_setpoints(net, comps, [1.0, v2], [0.0, -alpha])
+    sp = solve_setpoints(net, comps, stacked([1.0, v2], [0.0, -alpha]))
     comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
     return net, comps
 
@@ -298,10 +304,11 @@ def float_path_cases(draw):
 def at_rest(net, comps, v, th):
     """`net` and `comps` with the loads and setpoints that make the bus
     state (v, th) their equilibrium."""
-    p, q = power_injection(net, v, th)
-    loads = [ConstantPowerBranch(net.non_ground[i], -p[i], -q[i]) for i in net.passive_nodes()]
+    n = net.n_nodes
+    pq = power_injection(net, stacked(v, th))
+    loads = [ConstantPowerBranch(net.non_ground[i], -pq[i], -pq[n + i]) for i in net.passive_nodes()]
     net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
-    setpoints = solve_setpoints(net, comps, v, th).setpoints
+    setpoints = solve_setpoints(net, comps, stacked(v, th)).setpoints
     return net, {cid: c.with_setpoints(setpoints[cid]) for cid, c in comps.items()}
 
 
@@ -324,8 +331,8 @@ def make_load_ladder(rungs=4):
     v = [0.97 - 0.002 * (j % 3) if is_load[j] else 1.0 + 0.005 * (j % 2) for j in range(n)]
     th = [0.004 * ((3 * j) % 5) - (0.03 if is_load[j] else 0.0) for j in range(n)]
     probe = NetworkModel(buses, lines, [ConstantPowerBranch(ids[j], 0.0, 0.0) for j in range(n) if is_load[j]], shunts)
-    p, q = power_injection(probe, v, th)
-    loads = [ConstantPowerBranch(ids[j], -p[j], -q[j]) for j in range(n) if is_load[j]]
+    pq = power_injection(probe, stacked(v, th))
+    loads = [ConstantPowerBranch(ids[j], -pq[j], -pq[n + j]) for j in range(n) if is_load[j]]
     net = NetworkModel(buses, lines, loads, shunts)
     comps = {}
     for c, shunt in enumerate(shunts):
@@ -337,7 +344,7 @@ def make_load_ladder(rungs=4):
             comps[shunt.component_id] = DroopComponent(
                 id=shunt.component_id, bus=shunt.bus, tau_p=0.5, tau_q=0.3, Dp=0.05, Dq=0.03
             )
-    sp = solve_setpoints(net, comps, v, th)
+    sp = solve_setpoints(net, comps, stacked(v, th))
     for cid in comps:
         comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
     return net, comps
@@ -365,14 +372,14 @@ def make_two_load_chain():
     v = [1.0, 0.97, 0.96, 1.0]
     th = [0.0, -0.04, -0.06, -0.01]
     probe = NetworkModel(buses, lines, [ConstantPowerBranch(b, 0.0, 0.0) for b in ids[1:3]], shunts)
-    p, q = power_injection(probe, v, th)
-    loads = [ConstantPowerBranch(b, -p[i], -q[i]) for i, b in enumerate(ids) if b in ("l1", "l2")]
+    pq = power_injection(probe, stacked(v, th))
+    loads = [ConstantPowerBranch(b, -pq[i], -pq[4 + i]) for i, b in enumerate(ids) if b in ("l1", "l2")]
     net = NetworkModel(buses, lines, loads, shunts)
     comps = {
         "vsg1": VsgComponent(id="vsg1", bus="g1", M=0.16, Dp=0.076, Dq=0.03, tau_q=0.3),
         "droop2": DroopComponent(id="droop2", bus="g2", tau_p=0.5, tau_q=0.3, Dp=0.05, Dq=0.03),
     }
-    sp = solve_setpoints(net, comps, v, th)
+    sp = solve_setpoints(net, comps, stacked(v, th))
     for cid in comps:
         comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
     return net, comps
@@ -404,8 +411,8 @@ def make_mesh(n=12, chords=4, seed=3):
     v = [0.97 - 0.003 * (j % 2) if is_load[j] else 1.0 + 0.004 * (j % 3) for j in range(n)]
     th = [0.005 * ((5 * j) % 7) - (0.04 if is_load[j] else 0.0) for j in range(n)]
     probe = NetworkModel(buses, lines, [ConstantPowerBranch(ids[j], 0.0, 0.0) for j in range(n) if is_load[j]], shunts)
-    p, q = power_injection(probe, v, th)
-    loads = [ConstantPowerBranch(ids[j], -p[j], -q[j]) for j in range(n) if is_load[j]]
+    pq = power_injection(probe, stacked(v, th))
+    loads = [ConstantPowerBranch(ids[j], -pq[j], -pq[n + j]) for j in range(n) if is_load[j]]
     net = NetworkModel(buses, lines, loads, shunts)
     comps = {}
     for c, shunt in enumerate(shunts):
@@ -417,7 +424,7 @@ def make_mesh(n=12, chords=4, seed=3):
             comps[shunt.component_id] = DroopComponent(
                 id=shunt.component_id, bus=shunt.bus, tau_p=0.5, tau_q=0.3, Dp=0.05, Dq=0.03
             )
-    sp = solve_setpoints(net, comps, v, th)
+    sp = solve_setpoints(net, comps, stacked(v, th))
     for cid in comps:
         comps[cid] = comps[cid].with_setpoints(sp.setpoints[cid])
     return net, comps

@@ -11,41 +11,34 @@ from phasorstab import network, simulator
 from phasorstab.components import Anchor, Component, SupplyConvention, supply_rate
 from phasorstab.engine import CHORD_CONTRACTION, _ArrayEngine, _Engine
 from phasorstab.equilibrium import steady_state_residual
-from phasorstab.network import BusState, NetworkModel, injection_partials, power_injection
+from phasorstab.network import NetworkModel, injection_partials, power_injection
 
 
 def fd_jacobian(
     net: NetworkModel,
     components: dict[str, Component],
-    V,
-    theta,
+    x,
     step: float = 1e-7,
 ) -> np.ndarray:
-    """Central finite-difference Jacobian of the steady-state residual; an
-    oracle for the analytic one."""
+    """Central finite-difference Jacobian of the steady-state residual at the
+    stacked bus state x, columns interleaved (theta_0, V_0, theta_1, ...);
+    an oracle for the analytic one."""
     n = net.n_nodes
     jac = np.zeros((2 * n, 2 * n))
-    v = np.array(V, dtype=float)
-    t = np.array(theta, dtype=float)
+    x = np.array(x, dtype=float)
     for k in range(n):
-        for sel, col in ((0, 2 * k), (1, 2 * k + 1)):
-            tv, vv = t.copy(), v.copy()
-            if sel == 0:
-                tv[k] += step
-            else:
-                vv[k] += step
-            r_plus = steady_state_residual(net, components, vv, tv)
-            tv, vv = t.copy(), v.copy()
-            if sel == 0:
-                tv[k] -= step
-            else:
-                vv[k] -= step
-            r_minus = steady_state_residual(net, components, vv, tv)
+        for row, col in ((k, 2 * k), (n + k, 2 * k + 1)):
+            xx = x.copy()
+            xx[row] += step
+            r_plus = steady_state_residual(net, components, xx)
+            xx = x.copy()
+            xx[row] -= step
+            r_minus = steady_state_residual(net, components, xx)
             jac[:, col] = (r_plus - r_minus) / (2.0 * step)
     return jac
 
 
-def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
+def hessian_vp_polar(net: NetworkModel, x) -> np.ndarray:
     """Hessian of Vp in (theta, V) coordinates, 2n x 2n.
 
     This is the curvature of the divergence anchored linearly in V rather
@@ -57,11 +50,12 @@ def hessian_vp_polar(net: NetworkModel, V, theta) -> np.ndarray:
     divided by V_i and its diagonal loses (Q_i + q0_i) / V_i^2.
     """
     n = net.n_nodes
-    p, q = power_injection(net, V, theta)
-    h = injection_partials(net, V, theta, (p, q))
-    v = np.asarray(V, dtype=float)
+    x = np.asarray(x, dtype=float)
+    pq = power_injection(net, x)
+    h = injection_partials(net, x, pq)
+    v = x[n:]
     h[n:] /= v[:, None]
-    h[n:, n:] -= np.diag((q + net.load_q) / v**2)
+    h[n:, n:] -= np.diag((pq[n:] + net.load_q) / v**2)
     return h
 
 
@@ -108,10 +102,11 @@ def stencil_certificate_matrix(
 
 def kcl_residual(
     net: NetworkModel,
-    state: BusState,
+    x,
     dynamic_injections: dict[str, tuple[float, float]] | None = None,
 ) -> list[complex]:
-    """Complex nodal current-balance residual per non-ground bus.
+    """Complex nodal current-balance residual per non-ground bus at the
+    stacked bus state x.
 
     Shunt components contribute injected current conj((P + jQ)/Vbar) with
     generation-positive (P, Q); constant-power branches contribute
@@ -119,7 +114,8 @@ def kcl_residual(
     has residual ~0 everywhere.
     """
     dynamic_injections = dynamic_injections or {}
-    vbar = state.phasors()
+    n = net.n_nodes
+    vbar = x[n:] * np.exp(1j * x[:n])
     res = [0j] * net.n_nodes
     for shunt in net.dynamic_shunts:
         i = net.node_index[shunt.bus]
@@ -127,7 +123,7 @@ def kcl_residual(
         res[i] += (complex(gp, gq) / vbar[i]).conjugate()
     for cp in net.constant_power:
         i = net.node_index[cp.bus]
-        # BusState enforces V > 0, so the 1/Vbar here cannot be singular
+        # the states tested here have V > 0, so the 1/Vbar cannot be singular
         res[i] += (complex(-cp.p0, -cp.q0) / vbar[i]).conjugate()
     for line in net.lines:
         i = net.node_index[line.from_bus]
@@ -138,29 +134,30 @@ def kcl_residual(
     return res
 
 
-def power_injection_loop(net: NetworkModel, V, theta) -> tuple[list[float], list[float]]:
+def float_injection_loop(net: NetworkModel, x) -> list[float]:
     """:func:`~phasorstab.network.power_injection` as a Python loop over
-    ``net.edges``, returning lists of floats; a reference for the array
-    kernel and for the simulator's float stage."""
-    p = [0.0] * len(V)
-    q = p.copy()
+    ``net.edges`` on the stacked state x, line by line, returning the
+    stacked (P, Q) as a list of floats; a reference for the array kernel and
+    for the simulator's float stage."""
+    n = len(x) // 2
+    pq = [0.0] * (2 * n)
     for i, k, b in net.edges:
-        vi = V[i]
-        vk = V[k]
-        d = theta[i] - theta[k]
+        vi = x[n + i]
+        vk = x[n + k]
+        d = x[i] - x[k]
         vv = vi * vk
         flow = b * vv * math.sin(d)
         cross = vv * math.cos(d)
-        p[i] += flow
-        p[k] -= flow
-        q[i] += b * (vi * vi - cross)
-        q[k] += b * (vk * vk - cross)
-    return p, q
+        pq[i] += flow
+        pq[k] -= flow
+        pq[n + i] += b * (vi * vi - cross)
+        pq[n + k] += b * (vk * vk - cross)
+    return pq
 
 
 def reference_stage(engine, net: NetworkModel):
     """The float path's stage on `net` as a closure over loops, ``stage(y,
-    V, th, t) -> (dy, P, Q)``: scatter the terminals into V/th, set the
+    x, t) -> (dy, PQ)``: scatter the terminals into x, set the
     passive bus (if any) to its closed form in place, evaluate the line
     terms, check the passive balance (continuing by the engine's chord
     iteration if it misses ``newton_tol``) and apply the affine table, one
@@ -178,7 +175,7 @@ def reference_stage(engine, net: NetworkModel):
         lines = [(k, b) for _, k, b in engine._passive_lines(net)]
         coupling, load_p, load_q = net.coupling_sum[bus], net.load_p[bus], net.load_q[bus]
 
-    def stage(y, V, th, t):
+    def stage(y, x, t):
         engine.inner_solves += 1
         for node, i_theta, i_v, cid in terminals:
             v = y[i_v]
@@ -186,66 +183,64 @@ def reference_stage(engine, net: NetworkModel):
                 raise simulator.SimulationError(
                     f"voltage collapse in component {cid!r} at t = {t:.6g}"
                 )
-            th[node] = y[i_theta]
-            V[node] = v
+            x[node] = y[i_theta]
+            x[n + node] = v
         if bus is not None:
             e_re = e_im = 0.0
             for k, b in lines:
-                bv = b * V[k]
-                e_re += bv * cos(th[k])
-                e_im += bv * sin(th[k])
+                bv = b * x[n + k]
+                e_re += bv * cos(x[k])
+                e_im += bv * sin(x[k])
             try:
-                V[bus], th[bus] = solution(
-                    e_re, e_im, coupling, load_p, load_q, V[bus], th[bus], sqrt, atan2
+                x[n + bus], x[bus] = solution(
+                    e_re, e_im, coupling, load_p, load_q, x[n + bus], x[bus], sqrt, atan2
                 )
             except (ValueError, ZeroDivisionError):
                 raise simulator.SimulationError(
                     f"voltage collapse at bus {net.non_ground[bus]!r}, t = {t:.6g}"
                 ) from None
-        p, q = power_injection_loop(net, V, th)
+        pq = float_injection_loop(net, x)
         # written to take the chord for NaN as well
         if bus is not None and not (
-            abs(p[bus] + load_p) <= tol and abs(q[bus] + load_q) <= tol
+            abs(pq[bus] + load_p) <= tol and abs(pq[n + bus] + load_q) <= tol
         ):
-            x = np.array(th + V)
-            pq = engine._solve_chord(x, t)
-            p, q = pq[:n].tolist(), pq[n:].tolist()
-            th[:] = x[:n].tolist()
-            V[:] = x[n:].tolist()
+            solved = np.array(x)
+            pq = engine._solve_chord(solved, t).tolist()
+            x[:] = solved.tolist()
         # the rows of AffineStack, summed in its order
-        x = y + p + q
+        columns = y + pq
         dy = []
         for c, terms in table:
             acc = 0.0
             for col, val in terms:
-                acc += val * x[col]
+                acc += val * columns[col]
             dy.append(acc + c)
-        return dy, p, q
+        return dy, pq
 
     return stage
 
 
 def reference_advance(engine, stage):
     """The float path's RK4 steps on `stage` as loops over lists, ``advance(y,
-    dy, V, th, h, first, stop) -> (y, dy, P, Q)``: per step from ``first`` to
+    dy, x, h, first, stop) -> (y, dy, PQ)``: per step from ``first`` to
     ``stop - 1``, the three inner stages, the stage at the step's end, and
     the trapezoid step of the engine's path integrals between the step's
     endpoints."""
 
-    def advance(y, dy, V, th, h, first, stop):
+    def advance(y, dy, x, h, first, stop):
         for step in range(first, stop):
             t = step * h
             half = 0.5 * h
-            k2, _, _ = stage([a + half * b for a, b in zip(y, dy)], V, th, t + half)
-            k3, _, _ = stage([a + half * b for a, b in zip(y, k2)], V, th, t + half)
-            k4, _, _ = stage([a + h * b for a, b in zip(y, k3)], V, th, t + h)
+            k2, _ = stage([a + half * b for a, b in zip(y, dy)], x, t + half)
+            k3, _ = stage([a + half * b for a, b in zip(y, k2)], x, t + half)
+            k4, _ = stage([a + h * b for a, b in zip(y, k3)], x, t + h)
             sixth = h / 6.0
             y = [
                 a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
                 for a, b1, b2, b3, b4 in zip(y, dy, k2, k3, k4)
             ]
-            dy, p, q = stage(y, V, th, (step + 1) * h)
-            now = engine.endpoints(y, p, q)
+            dy, pq = stage(y, x, (step + 1) * h)
+            now = engine.endpoints(y, pq)
             shifted = list(engine.shifted)
             unshifted = engine.unshifted
             for c, ((theta0, lnv0, p0, q0), (theta1, lnv1, p1, q1), ap, aq) in enumerate(
@@ -260,7 +255,7 @@ def reference_advance(engine, stage):
             engine.shifted = shifted
             engine.unshifted = unshifted
             engine.prev = now
-        return y, dy, p, q
+        return y, dy, pq
 
     return advance
 
@@ -275,8 +270,8 @@ class ReferenceEngine(_Engine):
         return stage, reference_advance(self, stage)
 
 
-def stacked_injection_loop(net: NetworkModel, x) -> list[float]:
-    """:func:`~phasorstab.network.stacked_injection` as a Python loop over
+def power_injection_loop(net: NetworkModel, x) -> list[float]:
+    """:func:`~phasorstab.network.power_injection` as a Python loop over
     ``net.edges`` on the stacked state x = (theta, V), returning the stacked
     (P, Q) as a list of floats. The sines and cosines come from numpy over
     all lines, as in the kernel, and each bus sums its terms from 0.0 in the
@@ -305,13 +300,12 @@ def stacked_injection_loop(net: NetworkModel, x) -> list[float]:
 
 def array_reference_stage(engine, net: NetworkModel):
     """The array path's stage on `net` as a closure over loops and the
-    kernel's entry :func:`power_injection`, ``stage(y, V, th, t) -> (dy, P,
-    Q)`` on separate arrays V and th, written in place: check and scatter
-    the terminals; solve the passive buses, in closed form through
+    kernel :func:`power_injection`, ``stage(y, x, t) -> (dy, PQ)``, written
+    in place on x by its angle and voltage rows: check and scatter the
+    terminals; solve the passive buses, in closed form through
     :func:`~phasorstab.network.passive_bus_solution` (E summed line by line
     from the numpy sines and cosines) or, coupled, by the tangent predictor
-    and the chord iteration on V and th; apply the affine table, one pass
-    over its rows. The reference for :class:`~phasorstab.engine._ArrayEngine`,
+    and the chord iteration; apply the affine table, one pass over its rows. The reference for :class:`~phasorstab.engine._ArrayEngine`,
     which must perform the same floating-point operations in the same
     order."""
     terminals = engine.terminals
@@ -319,11 +313,12 @@ def array_reference_stage(engine, net: NetworkModel):
     config = engine.config
     pas = engine.passive
     m = len(pas)
+    n = net.n_nodes
     loads = np.concatenate([np.array(net.load_p)[pas], np.array(net.load_q)[pas]])
     lines = engine._passive_lines(net)
 
-    def factorize(V, th, injections, t):
-        jac = injection_partials(net, V, th, injections)
+    def factorize(x, injections, t):
+        jac = injection_partials(net, x, injections)
         try:
             engine.jac_inv = np.linalg.inv(jac[engine.passive_block])
         except np.linalg.LinAlgError as exc:
@@ -339,29 +334,29 @@ def array_reference_stage(engine, net: NetworkModel):
             f"voltage collapse at bus {net.non_ground[node]!r}, t = {t:.6g}"
         )
 
-    def chord(V, th, t):
+    def chord(x, t):
         last = math.inf
         for it in range(config.newton_max_iter + 1):
-            p, q = power_injection(net, V, th)
-            r = np.concatenate([p[pas], q[pas]]) + loads
+            pq = power_injection(net, x)
+            r = np.concatenate([pq[pas], pq[n + pas]]) + loads
             worst = float(np.abs(r).max())
             if worst <= config.newton_tol:
-                return p, q
+                return pq
             if it == config.newton_max_iter:
                 break
             if engine.jac_inv is None or worst > CHORD_CONTRACTION * last:
-                factorize(V, th, (p, q), t)
+                factorize(x, pq, t)
             last = worst
             step = -(engine.jac_inv @ r)
             scale = 1.0
-            v_new = V[pas] + step[m:]
+            v_new = x[n + pas] + step[m:]
             while any(v <= 0.0 for v in v_new.tolist()):
                 scale *= 0.5
                 if scale < 1e-12:
                     raise collapse(next(node for node, v in zip(pas, v_new) if v <= 0.0), t)
-                v_new = V[pas] + scale * step[m:]
-            th[pas] += scale * step[:m]
-            V[pas] = v_new
+                v_new = x[n + pas] + scale * step[m:]
+            x[pas] += scale * step[:m]
+            x[n + pas] = v_new
             engine.inner_iterations += 1
         j = int(np.argmax(np.abs(r)))
         raise simulator.SimulationError(
@@ -369,78 +364,78 @@ def array_reference_stage(engine, net: NetworkModel):
             f"{'Q' if j >= m else 'P'} balance at bus {net.non_ground[pas[j % m]]!r})"
         )
 
-    def closed_form(V, th, t):
-        nbr = [k for _, k, _ in lines]
-        bv = np.array([b for _, _, b in lines]) * V[nbr]
+    def closed_form(x, t):
+        nbr = np.array([k for _, k, _ in lines], dtype=np.intp)
+        bv = np.array([b for _, _, b in lines]) * x[n + nbr]
         e_re, e_im = np.zeros(m), np.zeros(m)
-        for (j, _, _), w_re, w_im in zip(lines, (bv * np.cos(th[nbr])).tolist(),
-                                         (bv * np.sin(th[nbr])).tolist()):
+        for (j, _, _), w_re, w_im in zip(lines, (bv * np.cos(x[nbr])).tolist(),
+                                         (bv * np.sin(x[nbr])).tolist()):
             e_re[j] += w_re
             e_im[j] += w_im
         with np.errstate(divide="ignore", invalid="ignore"):
             v_pas, a_pas = network.passive_bus_solution(
                 e_re, e_im, np.array(net.coupling_sum)[pas], loads[:m], loads[m:],
-                V[pas], th[pas],
+                x[n + pas], x[pas],
             )
         for node, v in zip(pas, v_pas.tolist()):
             if not v > 0.0:
                 raise collapse(node, t)
-        V[pas] = v_pas
-        th[pas] = a_pas
+        x[n + pas] = v_pas
+        x[pas] = a_pas
 
-    def stage(y, V, th, t):
+    def stage(y, x, t):
         for node, i_theta, i_v, cid in terminals:
             if y[i_v] <= 0.0:
                 raise simulator.SimulationError(
                     f"voltage collapse in component {cid!r} at t = {t:.6g}"
                 )
-            th[node] = y[i_theta]
-            V[node] = y[i_v]
+            x[node] = y[i_theta]
+            x[n + node] = y[i_v]
         engine.inner_solves += 1
         if not engine.coupled:
-            closed_form(V, th, t)
-            p, q = chord(V, th, t)
+            closed_form(x, t)
+            pq = chord(x, t)
         else:
             nodes = engine.boundary_nodes
-            boundary = np.concatenate([th[nodes], V[nodes]])
+            boundary = np.concatenate([x[nodes], x[n + nodes]])
             if engine.tangent is not None:
                 shift = engine.tangent @ (boundary - engine.boundary_state)
-                v_pas = V[pas] + shift[m:]
+                v_pas = x[n + pas] + shift[m:]
                 if all(v > 0.0 for v in v_pas.tolist()):
-                    th[pas] += shift[:m]
-                    V[pas] = v_pas
-            p, q = chord(V, th, t)
+                    x[pas] += shift[:m]
+                    x[n + pas] = v_pas
+            pq = chord(x, t)
             engine.boundary_state = boundary
         # the rows of AffineStack, summed in its order
-        x = y.tolist() + p.tolist() + q.tolist()
+        columns = y.tolist() + pq.tolist()
         dy = []
         for c, terms in table:
             acc = 0.0
             for col, val in terms:
-                acc += val * x[col]
+                acc += val * columns[col]
             dy.append(acc + c)
-        return np.array(dy), p, q
+        return np.array(dy), pq
 
     return stage
 
 
 def array_reference_advance(engine, stage):
-    """The array path's RK4 steps on `stage`, ``advance(y, dy, V, th, h,
-    first, stop) -> (y, dy, P, Q)``: the stages and the combination as
+    """The array path's RK4 steps on `stage`, ``advance(y, dy, x, h, first,
+    stop) -> (y, dy, PQ)``: the stages and the combination as
     array expressions, the trapezoid step of the path integrals component
     by component (ln v from numpy, the unshifted step summed with
     ``np.sum``)."""
 
-    def advance(y, dy, V, th, h, first, stop):
+    def advance(y, dy, x, h, first, stop):
         for step in range(first, stop):
             t = step * h
             half = 0.5 * h
-            k2, _, _ = stage(y + half * dy, V, th, t + half)
-            k3, _, _ = stage(y + half * k2, V, th, t + half)
-            k4, _, _ = stage(y + h * k3, V, th, t + h)
+            k2, _ = stage(y + half * dy, x, t + half)
+            k3, _ = stage(y + half * k2, x, t + half)
+            k4, _ = stage(y + h * k3, x, t + h)
             y = y + (h / 6.0) * (dy + 2.0 * (k2 + k3) + k4)
-            dy, p, q = stage(y, V, th, (step + 1) * h)
-            now = engine.endpoints(y, p, q)
+            dy, pq = stage(y, x, (step + 1) * h)
+            now = engine.endpoints(y, pq)
             steps = []
             for c, (before, after, ap, aq) in enumerate(
                 zip(engine.prev, now, engine.anchor_p, engine.anchor_q)
@@ -454,7 +449,7 @@ def array_reference_advance(engine, stage):
                 engine.shifted[c] += (p_mid - ap) * d_theta + (q_mid - aq) * d_lnv
             engine.unshifted += float(np.sum(steps))
             engine.prev = now
-        return y, dy, p, q
+        return y, dy, pq
 
     return advance
 
@@ -469,9 +464,10 @@ class ArrayReferenceEngine(_ArrayEngine):
         stage = array_reference_stage(self, net)
         return stage, array_reference_advance(self, stage)
 
-    def endpoints(self, y, p, q):
+    def endpoints(self, y, pq):
+        n = len(pq) // 2
         lnv = np.log(y[[i_v for _, _, i_v, _ in self.terminals]]).tolist()
         return [
-            (float(y[i_theta]), ln, float(p[node]), float(q[node]))
+            (float(y[i_theta]), ln, float(pq[node]), float(pq[n + node]))
             for (node, i_theta, _, _), ln in zip(self.terminals, lnv)
         ]

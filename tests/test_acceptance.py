@@ -24,7 +24,7 @@ from phasorstab.certify import (
 )
 from phasorstab.components import SupplyConvention
 from phasorstab.equilibrium import solve_equilibrium
-from phasorstab.network import BusState, branch_currents_oracle, power_injection, tellegen_sum
+from phasorstab.network import branch_currents_oracle, power_injection, tellegen_sum
 from phasorstab.potential import (
     convexity_check,
     eval_vp,
@@ -36,7 +36,7 @@ from phasorstab.potential import (
 from phasorstab.scenario import Scenario, SolverConfig, StatePerturbation, plan_run
 from phasorstab.simulator import simulate
 
-from conftest import make_vsg_with_empty_bus
+from conftest import make_vsg_with_empty_bus, stacked
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -95,7 +95,7 @@ def fitted_slope(rows, column):
 def test_criterion_01_equilibrium_reproduction(case3bus):
     op = case3bus.operating_point
     start = time.perf_counter()
-    sol = solve_equilibrium(case3bus.net, case3bus.components, op.V, op.theta)
+    sol = solve_equilibrium(case3bus.net, case3bus.components, op.x)
     elapsed = time.perf_counter() - start
     v_ok = bool(np.all(np.abs(sol.state.V - op.V) <= 5e-3))
     t_ok = bool(np.all(np.abs(sol.state.theta - op.theta) <= 5e-4))
@@ -112,7 +112,7 @@ def test_criterion_01_equilibrium_reproduction(case3bus):
 
 def test_criterion_02_operating_point_load_consistency(case3bus):
     op = case3bus.operating_point
-    p, q = power_injection(case3bus.net, op.V, op.theta)
+    p, q = np.split(power_injection(case3bus.net, op.x), 2)
     load = case3bus.net.node_index["bus3"]
     ok = abs(p[load] - (-0.03)) <= 0.01 and abs(q[load] - (-0.55)) <= 0.01
     report(2, ok, f"bus3 injection ({p[load]:.6f}, {q[load]:.6f}) vs (-0.03, -0.55)")
@@ -144,9 +144,7 @@ def test_criterion_04_divergence_identity(identity_sweep):
 
 
 def test_criterion_05_convexity_membership(case3bus, case3bus_solution):
-    h = hessian_vp(
-        case3bus.net, case3bus_solution.state.V, case3bus_solution.state.theta
-    )
+    h = hessian_vp(case3bus.net, case3bus_solution.state.x)
     rep = convexity_check(h, zero_tol=1e-8, pos_tol=1e-10)
     eigs = np.linalg.eigvalsh(h)
     ok = rep.member
@@ -222,9 +220,9 @@ def test_criterion_08_oracle_equivalence(case3bus, traj_default):
     for _ in range(1000):
         v = rng.uniform(0.5, 1.5, size=3)
         th = rng.uniform(-math.pi, math.pi, size=3)
-        p, q = power_injection(net, v, th)
+        p, q = np.split(power_injection(net, stacked(v, th)), 2)
         vbar = [v[i] * cmath.exp(1j * th[i]) for i in range(3)]
-        currents = branch_currents_oracle(net, BusState(v, th))
+        currents = branch_currents_oracle(net, stacked(v, th))
         nodal = [0j] * 3
         for idx, line in enumerate(net.lines):
             cur = currents[f"line:{line.from_bus}-{line.to_bus}:{idx}"]
@@ -238,12 +236,11 @@ def test_criterion_08_oracle_equivalence(case3bus, traj_default):
             )
     tellegen_worst = 0.0
     for s in range(traj_default.n_samples):
-        state = BusState(traj_default.V[s].copy(), traj_default.theta[s].copy())
         inj = {
             cid: (traj_default.P[cid][s], traj_default.Q[cid][s])
             for cid in traj_default.component_ids()
         }
-        tellegen_worst = max(tellegen_worst, abs(tellegen_sum(net, state, inj)))
+        tellegen_worst = max(tellegen_worst, abs(tellegen_sum(net, traj_default.x[s], inj)))
     ok = worst <= 1e-12 and tellegen_worst <= 1e-9
     report(
         8, ok,
@@ -300,9 +297,9 @@ def test_criterion_10_numerical_hygiene(tmp_path, case3bus, case3bus_solution):
         z = np.concatenate([th, np.log(v)])
 
         def vp_of(zz):
-            return eval_vp(net, np.exp(zz[n:]), zz[:n])
+            return eval_vp(net, stacked(np.exp(zz[n:]), zz[:n]))
 
-        g = grad_vp(net, v, th)
+        g = grad_vp(net, stacked(v, th))
         eps = 1e-6
         for j in range(2 * n):
             zp, zm = z.copy(), z.copy()
@@ -310,7 +307,7 @@ def test_criterion_10_numerical_hygiene(tmp_path, case3bus, case3bus_solution):
             zm[j] -= eps
             fd = (vp_of(zp) - vp_of(zm)) / (2 * eps)
             worst_grad = max(worst_grad, abs(g[j] - fd) / max(1.0, abs(fd)))
-        h_mat = hessian_vp(net, v, th)
+        h_mat = hessian_vp(net, stacked(v, th))
         eps = 1e-4
         for a in range(2 * n):
             for b in range(2 * n):

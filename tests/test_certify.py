@@ -20,7 +20,9 @@ from phasorstab.equilibrium import solve_equilibrium
 from phasorstab.scenario import LoadStep, Scenario, SolverConfig, StatePerturbation, plan_run
 from phasorstab.simulator import Trajectory, simulate
 
-from conftest import at_rest, float_path_cases, make_load_ladder, make_mesh, make_soft_anchor_case
+from conftest import (
+    at_rest, float_path_cases, make_load_ladder, make_mesh, make_soft_anchor_case, stacked,
+)
 
 
 def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
@@ -44,8 +46,7 @@ def synthetic_trajectory(integral_series, w_series=None, network_changed=False):
     return Trajectory(
         times=times,
         bus_ids=["a"],
-        V=np.ones((n, 1)),
-        theta=np.zeros((n, 1)),
+        x=np.column_stack([np.zeros(n), np.ones(n)]),  # theta = 0, V = 1
         comp_states={"c": np.zeros((n, 3))},
         comp_labels={"c": ("theta", "omega", "v")},
         P={"c": zeros.copy()},
@@ -250,7 +251,7 @@ def test_negated_local_forms_hold_at_network_equilibria(name):
 def test_negated_local_forms_hold_at_drawn_equilibria(case):
     net, comps, _, v, th = case
     net, comps = at_rest(net, comps, v, th)
-    verdicts = negated_local_verdicts(net, comps, solve_equilibrium(net, comps, v, th))
+    verdicts = negated_local_verdicts(net, comps, solve_equilibrium(net, comps, stacked(v, th)))
     assert set(verdicts.values()) == {"holds"}
 
 

@@ -21,7 +21,7 @@ from phasorstab.components import (
 from phasorstab.equilibrium import steady_state_residual
 from phasorstab.network import power_injection
 
-from conftest import float_path_cases
+from conftest import float_path_cases, stacked
 from helpers import stencil_certificate_matrix
 
 SP = Setpoints(P_e=0.2, Q_e=0.1, V_e=1.0, theta_e=0.05)
@@ -258,8 +258,8 @@ def test_steady_state_residual_is_the_written_relations(case):
     # model's written relations at the bus injections, up to the rounding of
     # Dp and Dq (see above); each passive bus's rows are its balance
     net, comps, _, v, th = case
-    res = steady_state_residual(net, comps, v, th)
-    p, q = power_injection(net, v, th)
+    res = steady_state_residual(net, comps, stacked(v, th))
+    p, q = np.split(power_injection(net, stacked(v, th)), 2)
     for i in net.passive_nodes():
         assert (res[2 * i], res[2 * i + 1]) == (p[i] + net.load_p[i], q[i] + net.load_q[i])
     for i in net.dynamic_nodes():

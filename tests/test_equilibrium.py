@@ -26,7 +26,7 @@ from phasorstab.network import (
     power_injection,
 )
 
-from conftest import at_rest, float_path_cases
+from conftest import at_rest, float_path_cases, stacked
 from helpers import fd_jacobian
 
 
@@ -76,7 +76,7 @@ def test_round_trip_with_implied_loads(case3bus):
     # point an exact equilibrium, so the round trip reproduces it
     net = case3bus.net
     op = case3bus.operating_point
-    sp = solve_setpoints(net, case3bus.components, op.V, op.theta)
+    sp = solve_setpoints(net, case3bus.components, op.x)
     p_imp, q_imp = sp.implied_loads["bus3"]
     consistent = NetworkModel(
         buses=list(net.buses),
@@ -98,7 +98,7 @@ def test_back_solved_setpoints_frozen_values(case3bus):
     # values recorded from the closed-form injection oracle at the shipped
     # operating point, frozen as regression anchors
     op = case3bus.operating_point
-    sp = solve_setpoints(case3bus.net, case3bus.components, op.V, op.theta)
+    sp = solve_setpoints(case3bus.net, case3bus.components, op.x)
     vsg = sp.setpoints["vsg1"]
     assert vsg.P_e == pytest.approx(0.0118749955468755, abs=1e-12)
     assert vsg.Q_e == pytest.approx(0.41667557291499757, abs=1e-12)
@@ -113,7 +113,7 @@ def test_back_solved_setpoints_frozen_values(case3bus):
 
 def test_setpoints_of_flat_unloaded_network(vsg_pair):
     net, comps = vsg_pair
-    sp = solve_setpoints(net, comps, [1.0, 1.0], [0.0, 0.0])
+    sp = solve_setpoints(net, comps, stacked([1.0, 1.0], [0.0, 0.0]))
     for cid in comps:
         s = sp.setpoints[cid]
         assert (s.P_e, s.Q_e, s.V_e, s.theta_e) == (0.0, 0.0, 1.0, 0.0)
@@ -124,7 +124,7 @@ def test_setpoints_reject_infeasible_operating_point(case3bus):
     v = op.V.copy()
     v[2] += 0.1  # violates the declared load balance by ~1.6 pu
     with pytest.raises(InconsistentInput, match="constant-power balance"):
-        solve_setpoints(case3bus.net, case3bus.components, v, op.theta)
+        solve_setpoints(case3bus.net, case3bus.components, stacked(v, op.theta))
 
 
 def test_inconsistent_power_setpoints_reported(vsg_pair):
@@ -141,8 +141,8 @@ def test_inconsistent_power_setpoints_reported(vsg_pair):
 def test_analytic_jacobian_matches_fd(case3bus):
     v = np.array([1.03, 0.94, 0.98])
     th = np.array([0.04, -0.03, 0.01])
-    j = _jacobian(case3bus.net, _steady_rows(case3bus.net, case3bus.components), v, th)
-    j_fd = fd_jacobian(case3bus.net, case3bus.components, v, th)
+    j = _jacobian(case3bus.net, _steady_rows(case3bus.net, case3bus.components), stacked(v, th))
+    j_fd = fd_jacobian(case3bus.net, case3bus.components, stacked(v, th))
     assert np.allclose(j, j_fd, rtol=1e-5, atol=1e-6)
 
 
@@ -150,8 +150,8 @@ def test_analytic_jacobian_matches_fd(case3bus):
 @given(case=float_path_cases())
 def test_analytic_jacobian_matches_fd_on_generated_networks(case):
     net, comps, _, v, th = case
-    j = _jacobian(net, _steady_rows(net, comps), v, th)
-    np.testing.assert_allclose(j, fd_jacobian(net, comps, v, th), rtol=1e-5, atol=1e-6)
+    j = _jacobian(net, _steady_rows(net, comps), stacked(v, th))
+    np.testing.assert_allclose(j, fd_jacobian(net, comps, stacked(v, th)), rtol=1e-5, atol=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,7 +162,7 @@ def test_angle_is_pinned_when_no_relation_reads_it(case):
     # is swing-type, whose relations have no theta coefficient
     net, comps, _, v, th = case
     net, comps = at_rest(net, comps, v, th)
-    sol = solve_equilibrium(net, comps, v, th)
+    sol = solve_equilibrium(net, comps, stacked(v, th))
     assert sol.iterations == 0 and sol.residual_norm == 0.0
     assert sol.pinned_reference == all(isinstance(c, VsgComponent) for c in comps.values())
 
@@ -180,7 +180,7 @@ def test_solution_invariant_to_uniform_guess_rotation(vsg_pair):
     net, comps = vsg_pair
     base = solve_equilibrium(net, comps)
     shifted = solve_equilibrium(
-        net, comps, initial_V=np.array([1.0, 1.0]), initial_theta=np.array([0.7, 0.7])
+        net, comps, initial=stacked(np.array([1.0, 1.0]), np.array([0.7, 0.7]))
     )
     assert np.allclose(base.state.theta, shifted.state.theta, atol=1e-9)
     assert np.allclose(base.state.V, shifted.state.V, atol=1e-9)
@@ -198,30 +198,27 @@ def test_inputs_checked_before_the_solve(case3bus):
     with pytest.raises(InconsistentInput, match="no component supplied for id 'droop2'"):
         solve_equilibrium(case3bus.net, comps)
     with pytest.raises(InconsistentInput, match="initial guess has wrong length"):
-        solve_equilibrium(case3bus.net, case3bus.components, initial_V=np.ones(2))
+        solve_equilibrium(case3bus.net, case3bus.components, initial=np.ones(5))
 
 
 def test_nan_initial_guess_is_not_accepted(case3bus):
     theta = np.zeros(case3bus.net.n_nodes)
     theta[-1] = math.nan
     with pytest.raises(EquilibriumError, match="residual nan"):
-        solve_equilibrium(case3bus.net, case3bus.components, initial_theta=theta)
+        solve_equilibrium(case3bus.net, case3bus.components, initial=stacked(np.ones(3), theta))
 
 
 def test_residual_stacks_component_and_balance_rows(case3bus, case3bus_solution):
     res = steady_state_residual(
         case3bus.net,
         case3bus.components,
-        case3bus_solution.state.V,
-        case3bus_solution.state.theta,
+        case3bus_solution.state.x,
     )
     assert np.max(np.abs(res)) <= 1e-10
 
 
 def test_injections_consistent_with_solution(case3bus, case3bus_solution):
-    p, q = power_injection(
-        case3bus.net, case3bus_solution.state.V, case3bus_solution.state.theta
-    )
+    p, q = np.split(power_injection(case3bus.net, case3bus_solution.state.x), 2)
     i1 = case3bus.net.node_index["bus1"]
     assert case3bus_solution.anchors["vsg1"].P == pytest.approx(p[i1], abs=1e-14)
     assert case3bus_solution.anchors["vsg1"].Q == pytest.approx(q[i1], abs=1e-14)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from phasorstab.network import (
     Bus,
     BusKind,
-    BusState,
     ConstantPowerBranch,
     DynamicShunt,
     LosslessLine,
@@ -21,12 +20,11 @@ from phasorstab.network import (
     injection_partials,
     passive_bus_solution,
     power_injection,
-    stacked_injection,
     tellegen_sum,
 )
 
-from conftest import ring_network_samples, ring_networks, thevenin_networks, thevenin_sources
-from helpers import kcl_residual, power_injection_loop, stacked_injection_loop
+from conftest import ring_network_samples, ring_networks, stacked, thevenin_networks, thevenin_sources
+from helpers import float_injection_loop, kcl_residual, power_injection_loop
 
 
 def two_bus(x=1.0):
@@ -141,7 +139,7 @@ def test_line_to_ground_rejected():
 
 def test_quarter_turn_two_bus_flows():
     net = two_bus(x=1.0)
-    p, q = power_injection(net, [1.0, 1.0], [math.pi / 2, 0.0])
+    p, q = np.split(power_injection(net, stacked([1.0, 1.0], [math.pi / 2, 0.0])), 2)
     assert p[0] == pytest.approx(1.0, abs=1e-12)
     assert q[0] == pytest.approx(1.0, abs=1e-12)
     assert p[1] == pytest.approx(-1.0, abs=1e-12)
@@ -149,13 +147,12 @@ def test_quarter_turn_two_bus_flows():
 
 
 def test_uniform_state_has_zero_injection(case3bus):
-    p, q = power_injection(case3bus.net, [1.0] * 3, [0.3] * 3)
+    p, q = np.split(power_injection(case3bus.net, stacked([1.0] * 3, [0.3] * 3)), 2)
     assert np.max(np.abs(np.concatenate([p, q]))) <= 1e-14
 
 
 def test_case_operating_point_load_bus_injection(case3bus):
-    op = case3bus.operating_point
-    p, q = power_injection(case3bus.net, op.V, op.theta)
+    p, q = np.split(power_injection(case3bus.net, case3bus.operating_point.x), 2)
     # the declared consumption (0.03, 0.55) is reproduced to print rounding
     assert p[2] == pytest.approx(-0.03, abs=0.01)
     assert q[2] == pytest.approx(-0.55, abs=0.01)
@@ -174,9 +171,9 @@ state_strategy = st.tuples(
 def test_closed_form_matches_complex_oracle(case3bus, state):
     v, th = state
     net = case3bus.net
-    p, q = power_injection(net, v, th)
+    p, q = np.split(power_injection(net, stacked(v, th)), 2)
     vbar = [v[i] * cmath.exp(1j * th[i]) for i in range(3)]
-    currents = branch_currents_oracle(net, BusState(np.array(v), np.array(th)))
+    currents = branch_currents_oracle(net, stacked(v, th))
     nodal = [0j] * 3
     for idx, line in enumerate(net.lines):
         cur = currents[f"line:{line.from_bus}-{line.to_bus}:{idx}"]
@@ -192,9 +189,9 @@ def test_closed_form_matches_complex_oracle(case3bus, state):
 @given(state=state_strategy, shift=st.floats(min_value=-10, max_value=10))
 def test_active_power_balance_and_rotation_symmetry(case3bus, state, shift):
     v, th = state
-    p, q = power_injection(case3bus.net, v, th)
+    p, q = np.split(power_injection(case3bus.net, stacked(v, th)), 2)
     assert sum(p) == pytest.approx(0.0, abs=1e-10)
-    p2, q2 = power_injection(case3bus.net, v, [t + shift for t in th])
+    p2, q2 = np.split(power_injection(case3bus.net, stacked(v, [t + shift for t in th])), 2)
     for a, b in zip(np.concatenate([p, q]), np.concatenate([p2, q2])):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
@@ -206,24 +203,23 @@ def bit_patterns(values):
 @settings(max_examples=100, deadline=None)
 @given(case=ring_network_samples())
 def test_stacked_kernel_is_the_line_loop_bitwise(case):
-    # each sample's state through the kernel and its entry on (V, theta),
-    # against a loop over the lines summed in the kernel's order
+    # each sample's state through the kernel, as one row of a stacked array
+    # and as a fresh array, against a loop over the lines summed in the
+    # kernel's order
     net, V, theta, _, _ = case
-    for v, th in zip(V, theta):
-        x = np.concatenate([th, v])
-        want = bit_patterns(stacked_injection_loop(net, x.tolist()))
-        assert bit_patterns(stacked_injection(net, x)) == want
-        assert bit_patterns(np.concatenate(power_injection(net, v, th))) == want
-        assert bit_patterns(np.concatenate(power_injection(net, v.tolist(), th.tolist()))) == want
+    for x in stacked(V, theta):
+        want = bit_patterns(power_injection_loop(net, x.tolist()))
+        assert bit_patterns(power_injection(net, x)) == want
+        assert bit_patterns(power_injection(net, np.array(x.tolist()))) == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=ring_networks())
 def test_array_kernel_scalar_loop_and_oracle_agree(case):
     net, v, th = case
-    p, q = power_injection(net, v, th)
-    p_loop, q_loop = power_injection_loop(net, v.tolist(), th.tolist())
-    currents = branch_currents_oracle(net, BusState(v, th))
+    p, q = np.split(power_injection(net, stacked(v, th)), 2)
+    p_loop, q_loop = np.split(np.array(float_injection_loop(net, stacked(v, th).tolist())), 2)
+    currents = branch_currents_oracle(net, stacked(v, th))
     nodal = np.zeros(net.n_nodes, dtype=complex)
     for idx, line in enumerate(net.lines):
         cur = currents[f"line:{line.from_bus}-{line.to_bus}:{idx}"]
@@ -239,7 +235,7 @@ def test_array_kernel_scalar_loop_and_oracle_agree(case):
 
 def passive_balance(net, v, th):
     """Per passive bus: the balance residual and the load size |p| + |q|."""
-    p, q = power_injection(net, v, th)
+    p, q = np.split(power_injection(net, stacked(v, th)), 2)
     return [
         (max(abs(p[n] + net.load_p[n]), abs(q[n] + net.load_q[n])),
          abs(net.load_p[n]) + abs(net.load_q[n]))
@@ -299,7 +295,7 @@ def test_passive_bus_solution_balances_and_keeps_branch(case, turns):
 def test_injection_partials_match_finite_differences(case3bus):
     v = np.array([1.02, 0.95, 0.99])
     th = np.array([0.1, -0.05, 0.02])
-    jac = injection_partials(case3bus.net, v, th)
+    jac = injection_partials(case3bus.net, stacked(v, th))
     assert jac.shape == (6, 6)
     eps = 1e-7
     for k in range(3):
@@ -313,8 +309,8 @@ def test_injection_partials_match_finite_differences(case3bus):
             else:
                 vp[k] += eps
                 vm[k] -= eps
-            p_plus, _ = power_injection(case3bus.net, vp, tp)
-            p_minus, _ = power_injection(case3bus.net, vm, tm)
+            p_plus = power_injection(case3bus.net, stacked(vp, tp))
+            p_minus = power_injection(case3bus.net, stacked(vm, tm))
             for i in range(3):
                 fd = (p_plus[i] - p_minus[i]) / (2 * eps)
                 assert block[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
@@ -325,7 +321,7 @@ def test_injection_partials_match_finite_differences(case3bus):
 def test_all_partial_blocks_match_finite_differences(case):
     net, v, th = case
     n = net.n_nodes
-    jac = injection_partials(net, v, th)
+    jac = injection_partials(net, stacked(v, th))
     eps = 1e-6
     for k in range(n):
         for col, coord in ((0, th), (1, v)):
@@ -334,8 +330,8 @@ def test_all_partial_blocks_match_finite_differences(case):
             minus[k] -= eps
             args_plus = (v, plus) if col == 0 else (plus, th)
             args_minus = (v, minus) if col == 0 else (minus, th)
-            p_plus, q_plus = power_injection(net, *args_plus)
-            p_minus, q_minus = power_injection(net, *args_minus)
+            p_plus, q_plus = np.split(power_injection(net, stacked(*args_plus)), 2)
+            p_minus, q_minus = np.split(power_injection(net, stacked(*args_minus)), 2)
             fd_p = (np.array(p_plus) - np.array(p_minus)) / (2 * eps)
             fd_q = (np.array(q_plus) - np.array(q_minus)) / (2 * eps)
             # rows P then Q, columns theta then V
@@ -349,16 +345,16 @@ def test_all_partial_blocks_match_finite_differences(case):
 def test_line_current_from_unit_branch_voltage():
     net = two_bus(x=1.0)
     # branch phasor voltage j gives current -j * j = 1
-    state = BusState(np.array([2.0, 1.0]), np.array([math.pi / 2, math.pi / 2]))
-    cur = branch_currents_oracle(net, state)["line:a-b:0"]
+    x = stacked([2.0, 1.0], [math.pi / 2, math.pi / 2])
+    cur = branch_currents_oracle(net, x)["line:a-b:0"]
     assert cur.real == pytest.approx(1.0, abs=1e-12)
     assert cur.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_branch_voltage_zero_current():
     net = two_bus()
-    state = BusState(np.array([1.0, 1.0]), np.array([0.4, 0.4]))
-    cur = branch_currents_oracle(net, state)["line:a-b:0"]
+    x = stacked([1.0, 1.0], [0.4, 0.4])
+    cur = branch_currents_oracle(net, x)["line:a-b:0"]
     assert abs(cur) == 0.0
 
 
@@ -367,15 +363,15 @@ def test_zero_branch_voltage_zero_current():
 
 def test_flat_start_residual_equals_load_magnitude():
     net = loaded_bus()
-    state = BusState(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-    res = kcl_residual(net, state, {"ca": (0.0, 0.0)})
+    x = stacked([1.0, 1.0], [0.0, 0.0])
+    res = kcl_residual(net, x, {"ca": (0.0, 0.0)})
     load_node = net.node_index["b"]
     assert abs(res[load_node]) == pytest.approx(abs(complex(0.4, 0.1)), rel=1e-12)
 
 
 def test_solved_equilibrium_residual_small(case3bus, case3bus_solution):
     inj = {cid: (a.P, a.Q) for cid, a in case3bus_solution.anchors.items()}
-    res = kcl_residual(case3bus.net, case3bus_solution.state, inj)
+    res = kcl_residual(case3bus.net, case3bus_solution.state.x, inj)
     assert max(abs(r) for r in res) <= 1e-10
 
 
@@ -385,11 +381,11 @@ def test_residual_scales_linearly_with_perturbation(case3bus, case3bus_solution)
     direction = rng.normal(size=3)
     norms = []
     for delta in (1e-4, 5e-5):
-        state = BusState(
+        x = stacked(
             case3bus_solution.state.V + delta * direction,
             case3bus_solution.state.theta + delta * direction[::-1],
         )
-        res = kcl_residual(case3bus.net, state, inj)
+        res = kcl_residual(case3bus.net, x, inj)
         norms.append(max(abs(r) for r in res))
     assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.2)
 
@@ -412,7 +408,7 @@ def test_branch_voltage_current_orthogonality(state):
     # algebra is satisfied (covered by the trajectory-sample checks)
     v, th = state
     net = two_bus(x=0.7)
-    total = tellegen_sum(net, BusState(np.array(v), np.array(th)))
+    total = tellegen_sum(net, stacked(v, th))
     assert abs(total) <= 1e-9
 
 
@@ -422,22 +418,22 @@ def test_tellegen_over_a_sample_axis_matches_per_sample(case):
     net, V, TH, P, Q = case
     # every branch power is at most 4 B Vmax^2 on a line, about 1 elsewhere
     scale = 1.0 + 4.0 * float(V.max()) ** 2 * sum(b for _, _, b in net.edges)
-    states = BusState(V, TH)
+    states = stacked(V, TH)
     for inj in (None, {"src": (P, Q)}):
         batch = tellegen_sum(net, states, inj)
         assert batch.shape == (len(V),)
         for s in range(len(V)):
             one = None if inj is None else {"src": (float(P[s]), float(Q[s]))}
-            ref = tellegen_sum(net, BusState(V[s], TH[s]), one)
+            ref = tellegen_sum(net, stacked(V[s], TH[s]), one)
             assert abs(batch[s] - ref) <= 1e-12 * max(abs(ref), scale)
 
 
 def test_orthogonality_needs_balanced_injections(case3bus, case3bus_solution):
     inj = {cid: (a.P, a.Q) for cid, a in case3bus_solution.anchors.items()}
-    balanced = tellegen_sum(case3bus.net, case3bus_solution.state, inj)
+    balanced = tellegen_sum(case3bus.net, case3bus_solution.state.x, inj)
     assert abs(balanced) <= 1e-10
     inj["vsg1"] = (inj["vsg1"][0] + 0.05, inj["vsg1"][1])
-    unbalanced = tellegen_sum(case3bus.net, case3bus_solution.state, inj)
+    unbalanced = tellegen_sum(case3bus.net, case3bus_solution.state.x, inj)
     assert abs(unbalanced) == pytest.approx(0.05, rel=1e-9)
 
 
@@ -446,9 +442,9 @@ def test_constant_power_branch_current_reproduces_consumption(case3bus):
     # reference direction of the oracle's current, is the declared
     # consumption as negative generation, exactly
     state = case3bus.operating_point
-    cur = branch_currents_oracle(case3bus.net, state)["cp:bus3:0"]
+    cur = branch_currents_oracle(case3bus.net, state.x)["cp:bus3:0"]
     load = case3bus.net.node_index["bus3"]
-    s = -state.phasors()[load] * cur.conjugate()
+    s = -state.V[load] * cmath.exp(1j * state.theta[load]) * cur.conjugate()
     assert s.real == pytest.approx(-0.03, abs=1e-12)
     assert s.imag == pytest.approx(-0.55, abs=1e-12)
 

@@ -28,7 +28,7 @@ from phasorstab.potential import (
     uniform_angle_mode,
 )
 
-from conftest import ring_network_samples, ring_networks
+from conftest import ring_network_samples, ring_networks, stacked
 from helpers import hessian_vp_polar
 
 
@@ -50,12 +50,12 @@ def line_only_pair(x=1.0):
 
 def test_antiphase_line_energy():
     net = line_only_pair(x=1.0)
-    assert eval_vp(net, [1.0, 1.0], [0.0, math.pi]) == pytest.approx(2.0, rel=1e-12)
+    assert eval_vp(net, stacked([1.0, 1.0], [0.0, math.pi])) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_flat_unloaded_state_is_zero(case3bus):
     net = line_only_pair()
-    assert eval_vp(net, [1.0, 1.0], [0.0, 0.0]) == 0.0
+    assert eval_vp(net, stacked([1.0, 1.0], [0.0, 0.0])) == 0.0
 
 
 def test_case_potential_matches_branch_phasor_sum(case3bus):
@@ -70,7 +70,7 @@ def test_case_potential_matches_branch_phasor_sum(case3bus):
     for cp in net.constant_power:
         i = net.node_index[cp.bus]
         expected += cp.p0 * th[i] + cp.q0 * math.log(v[i])
-    assert eval_vp(net, v, th) == pytest.approx(expected, rel=1e-12)
+    assert eval_vp(net, stacked(v, th)) == pytest.approx(expected, rel=1e-12)
 
 
 def vp_loop(net, V, theta):
@@ -92,17 +92,17 @@ def vp_loop(net, V, theta):
 @given(case=ring_network_samples())
 def test_vp_and_divergence_over_a_sample_axis_match_per_state(case):
     net, V, TH, _, _ = case
-    bre = BregmanDivergence(net, V[0], TH[0])
-    vp = eval_vp(net, V, TH)
-    w = bre.value(V, TH, vp=vp)
+    bre = BregmanDivergence(net, stacked(V[0], TH[0]))
+    vp = eval_vp(net, stacked(V, TH))
+    w = bre.value(stacked(V, TH), vp=vp)
     assert vp.shape == w.shape == (len(V),)
-    assert np.array_equal(bre.value(V, TH), w)
+    assert np.array_equal(bre.value(stacked(V, TH)), w)
     for s in range(len(V)):
         ref, scale = vp_loop(net, V[s].tolist(), TH[s].tolist())
-        assert eval_vp(net, V[s], TH[s]) == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
+        assert eval_vp(net, stacked(V[s], TH[s])) == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
         assert vp[s] == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
         w_scale = scale + abs(bre.vp0) + float(np.abs(bre.grad0).sum())
-        assert w[s] == pytest.approx(bre.value(V[s], TH[s]), rel=1e-12, abs=1e-12 * w_scale)
+        assert w[s] == pytest.approx(bre.value(stacked(V[s], TH[s])), rel=1e-12, abs=1e-12 * w_scale)
 
 
 # -- gradient ------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_vp_and_divergence_over_a_sample_axis_match_per_state(case):
 
 def test_gradient_equals_injections_at_equilibrium(case3bus, case3bus_solution):
     sol = case3bus_solution
-    g = grad_vp(case3bus.net, sol.state.V, sol.state.theta)
+    g = grad_vp(case3bus.net, sol.state.x)
     n = case3bus.net.n_nodes
     for cid in ("vsg1", "droop2"):
         i = case3bus.net.node_index[case3bus.components[cid].bus]
@@ -123,7 +123,7 @@ def test_gradient_equals_injections_at_equilibrium(case3bus, case3bus_solution):
 
 
 def test_gradient_of_no_flow_state_is_load_only(case3bus):
-    g = grad_vp(case3bus.net, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+    g = grad_vp(case3bus.net, stacked([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]))
     n = case3bus.net.n_nodes
     load = case3bus.net.node_index["bus3"]
     expected = np.zeros(2 * n)
@@ -140,12 +140,12 @@ def test_gradient_of_no_flow_state_is_load_only(case3bus):
 def test_gradient_matches_finite_differences(case3bus, v, th):
     net = case3bus.net
     n = net.n_nodes
-    g = grad_vp(net, v, th)
+    g = grad_vp(net, stacked(v, th))
     z = np.concatenate([th, np.log(v)])
     eps = 1e-6
 
     def vp_of(zz):
-        return eval_vp(net, np.exp(zz[n:]), zz[:n])
+        return eval_vp(net, stacked(np.exp(zz[n:]), zz[:n]))
 
     for j in range(2 * n):
         zp, zm = z.copy(), z.copy()
@@ -159,9 +159,9 @@ def test_uniform_angle_shift_changes_only_load_terms(case3bus):
     net = case3bus.net
     v = [1.01, 0.96, 0.93]
     th = [0.02, -0.01, 0.004]
-    base = eval_vp(net, v, th)
+    base = eval_vp(net, stacked(v, th))
     c = 0.37
-    shifted = eval_vp(net, v, [t + c for t in th])
+    shifted = eval_vp(net, stacked(v, [t + c for t in th]))
     total_load = sum(cp.p0 for cp in net.constant_power)
     assert shifted - base == pytest.approx(total_load * c, rel=1e-12)
 
@@ -172,7 +172,7 @@ def test_uniform_angle_shift_changes_only_load_terms(case3bus):
 def test_two_bus_equal_voltage_theta_block():
     net = line_only_pair(x=0.5)  # B = 2
     v = 1.1
-    h = hessian_vp(net, [v, v], [0.0, 0.0])
+    h = hessian_vp(net, stacked([v, v], [0.0, 0.0]))
     theta_block = h[:2, :2]
     eigs = np.linalg.eigvalsh(theta_block)
     assert eigs[0] == pytest.approx(0.0, abs=1e-12)
@@ -186,7 +186,7 @@ def test_no_branch_hessian_is_zero():
         constant_power=[],
         dynamic_shunts=[DynamicShunt("a", "c")],
     )
-    assert np.all(hessian_vp(net, [1.0], [0.0]) == 0.0)
+    assert np.all(hessian_vp(net, stacked([1.0], [0.0])) == 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,12 +197,12 @@ def test_no_branch_hessian_is_zero():
 def test_hessian_matches_finite_differences(case3bus, v, th):
     net = case3bus.net
     n = net.n_nodes
-    h = hessian_vp(net, v, th)
+    h = hessian_vp(net, stacked(v, th))
     z = np.concatenate([th, np.log(v)])
     eps = 1e-4
 
     def vp_of(zz):
-        return eval_vp(net, np.exp(zz[n:]), zz[:n])
+        return eval_vp(net, stacked(np.exp(zz[n:]), zz[:n]))
 
     for a in range(2 * n):
         for b in range(a, 2 * n):
@@ -220,7 +220,7 @@ def test_hessian_matches_finite_differences(case3bus, v, th):
     th=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3, max_size=3),
 )
 def test_uniform_angle_mode_always_in_kernel(case3bus, v, th):
-    h = hessian_vp(case3bus.net, v, th)
+    h = hessian_vp(case3bus.net, stacked(v, th))
     mode = uniform_angle_mode(case3bus.net.n_nodes)
     assert np.linalg.norm(h @ mode) <= 1e-10 * max(1.0, np.linalg.norm(h))
 
@@ -230,7 +230,7 @@ def test_uniform_angle_mode_always_in_kernel(case3bus, v, th):
 def test_hessian_is_symmetric_gradient_jacobian(case):
     net, v, th = case
     n = net.n_nodes
-    h = hessian_vp(net, v, th)
+    h = hessian_vp(net, stacked(v, th))
     scale = max(1.0, float(np.max(np.abs(h))))
     assert np.allclose(h, h.T, rtol=0.0, atol=1e-13 * scale)
     z = np.concatenate([th, np.log(v)])
@@ -240,7 +240,7 @@ def test_hessian_is_symmetric_gradient_jacobian(case):
         zp[j] += eps
         zm[j] -= eps
         fd = (
-            grad_vp(net, np.exp(zp[n:]), zp[:n]) - grad_vp(net, np.exp(zm[n:]), zm[:n])
+            grad_vp(net, stacked(np.exp(zp[n:]), zp[:n])) - grad_vp(net, stacked(np.exp(zm[n:]), zm[:n]))
         ) / (2 * eps)
         assert np.allclose(h[:, j], fd, rtol=1e-6, atol=1e-6 * scale)
 
@@ -250,16 +250,16 @@ def test_hessian_is_symmetric_gradient_jacobian(case):
 
 def test_divergence_vanishes_at_reference(case3bus, case3bus_solution):
     sol = case3bus_solution
-    bre = BregmanDivergence(case3bus.net, sol.state.V.copy(), sol.state.theta.copy())
-    assert bre.value(sol.state.V, sol.state.theta) == pytest.approx(0.0, abs=1e-14)
-    grad = grad_vp(case3bus.net, sol.state.V, sol.state.theta) - bre.grad0
+    bre = BregmanDivergence(case3bus.net, sol.state.x)
+    assert bre.value(sol.state.x) == pytest.approx(0.0, abs=1e-14)
+    grad = grad_vp(case3bus.net, sol.state.x) - bre.grad0
     assert np.linalg.norm(grad) <= 1e-12
 
 
 def test_divergence_matches_quadratic_expansion(case3bus, case3bus_solution):
     sol = case3bus_solution
-    bre = BregmanDivergence(case3bus.net, sol.state.V.copy(), sol.state.theta.copy())
-    h = hessian_vp(case3bus.net, bre.V0, bre.theta0)
+    bre = BregmanDivergence(case3bus.net, sol.state.x)
+    h = hessian_vp(case3bus.net, bre.x0)
     rng = np.random.default_rng(3)
     n = case3bus.net.n_nodes
     for _ in range(10):
@@ -267,7 +267,7 @@ def test_divergence_matches_quadratic_expansion(case3bus, case3bus_solution):
         v = sol.state.V * np.exp(dz[n:])
         th = sol.state.theta + dz[:n]
         quad = 0.5 * dz @ h @ dz
-        assert bre.value(v, th) == pytest.approx(quad, rel=5e-3, abs=1e-14)
+        assert bre.value(stacked(v, th)) == pytest.approx(quad, rel=5e-3, abs=1e-14)
 
 
 # -- convexity verdicts -----------------------------------------------------------
@@ -333,7 +333,7 @@ def test_case_equilibrium_is_not_a_member(case3bus, case3bus_solution):
     # the line energy in these coordinates is indefinite between buses of
     # unequal magnitude, so the loaded flat-profile equilibrium fails
     sol = case3bus_solution
-    h = hessian_vp(case3bus.net, sol.state.V, sol.state.theta)
+    h = hessian_vp(case3bus.net, sol.state.x)
     rep = convexity_check(h)
     assert not rep.member
     eigs = np.linalg.eigvalsh(h)
@@ -346,8 +346,8 @@ def test_divergence_anchor_coordinates_change_the_signature(case3bus, case3bus_s
     # (theta, ln V) one, so the inertia of their Hessians can differ: here
     # the load's -q0/V^2 makes the polar form strictly worse
     sol = case3bus_solution
-    h_log = hessian_vp(case3bus.net, sol.state.V, sol.state.theta)
-    h_polar = hessian_vp_polar(case3bus.net, sol.state.V, sol.state.theta)
+    h_log = hessian_vp(case3bus.net, sol.state.x)
+    h_polar = hessian_vp_polar(case3bus.net, sol.state.x)
     neg_log = int(np.sum(np.linalg.eigvalsh(h_log) < -1e-9))
     neg_polar = int(np.sum(np.linalg.eigvalsh(h_polar) < -1e-9))
     assert neg_log == 1
@@ -359,8 +359,8 @@ def test_nonmember_verdict_is_operational(case3bus, case3bus_solution):
     # the negative eigendirection really does take the divergence below
     # zero, so the non-member verdict reflects the function, not a tolerance
     sol = case3bus_solution
-    bre = BregmanDivergence(case3bus.net, sol.state.V.copy(), sol.state.theta.copy())
-    h = hessian_vp(case3bus.net, bre.V0, bre.theta0)
+    bre = BregmanDivergence(case3bus.net, sol.state.x)
+    h = hessian_vp(case3bus.net, bre.x0)
     eigvals, eigvecs = np.linalg.eigh(h)
     direction = eigvecs[:, 0]
     assert eigvals[0] < -1e-3
@@ -370,20 +370,20 @@ def test_nonmember_verdict_is_operational(case3bus, case3bus_solution):
         dz = t * direction
         v = sol.state.V * np.exp(dz[n:])
         th = sol.state.theta + dz[:n]
-        values.append(bre.value(v, th))
+        values.append(bre.value(stacked(v, th)))
     assert min(values) < 0.0
 
 
 def test_divergence_nonnegative_when_member(case3bus, case3bus_solution):
     sol = case3bus_solution
-    h = hessian_vp(case3bus.net, sol.state.V, sol.state.theta)
+    h = hessian_vp(case3bus.net, sol.state.x)
     rep = convexity_check(h)
     if not rep.member:
         pytest.skip(
             "equilibrium is not in the convexity set; the operational "
             "non-member check above covers this case"
         )
-    bre = BregmanDivergence(case3bus.net, sol.state.V.copy(), sol.state.theta.copy())
+    bre = BregmanDivergence(case3bus.net, sol.state.x)
     n = case3bus.net.n_nodes
     mode = uniform_angle_mode(n)
     rng = np.random.default_rng(17)
@@ -393,7 +393,7 @@ def test_divergence_nonnegative_when_member(case3bus, case3bus_solution):
         dz *= 1e-2 / np.linalg.norm(dz)
         v = sol.state.V * np.exp(dz[n:])
         th = sol.state.theta + dz[:n]
-        assert bre.value(v, th) >= -1e-12
+        assert bre.value(stacked(v, th)) >= -1e-12
 
 
 def test_load_scaling_sweep_records_verdicts(case3bus, case3bus_solution):
@@ -406,10 +406,9 @@ def test_load_scaling_sweep_records_verdicts(case3bus, case3bus_solution):
     sol = solve_equilibrium(
         net,
         case3bus.components,
-        case3bus_solution.state.V.copy(),
-        case3bus_solution.state.theta.copy(),
+        case3bus_solution.state.x,
     )
-    rep = convexity_check(hessian_vp(net, sol.state.V, sol.state.theta))
+    rep = convexity_check(hessian_vp(net, sol.state.x))
     assert rep.eigenvalues is not None
     assert not rep.member
 
@@ -419,11 +418,11 @@ def test_polar_hessian_matches_finite_differences(case3bus):
     n = net.n_nodes
     v = np.array([1.02, 0.95, 0.9])
     th = np.array([0.05, -0.02, 0.01])
-    h = hessian_vp_polar(net, v, th)
+    h = hessian_vp_polar(net, stacked(v, th))
     eps = 1e-4
 
     def vp_of(vv, tt):
-        return eval_vp(net, vv, tt)
+        return eval_vp(net, stacked(vv, tt))
 
     for a in range(2 * n):
         for b in range(a, 2 * n):

@@ -17,14 +17,12 @@ from phasorstab.network import (
     TWO_PI,
     Bus,
     BusKind,
-    BusState,
     ConstantPowerBranch,
     DynamicShunt,
     LosslessLine,
     NetworkModel,
     passive_bus_solution,
     power_injection,
-    stacked_injection,
 )
 from phasorstab.potential import eval_vp
 from phasorstab.records import replace
@@ -48,6 +46,7 @@ from conftest import (
     make_soft_anchor_case,
     make_two_load_chain,
     ring_networks,
+    stacked,
     thevenin_networks,
 )
 from helpers import ArrayReferenceEngine, ReferenceEngine, kcl_residual
@@ -124,11 +123,10 @@ def test_algebraic_residual_stays_within_tolerance(case3bus, case3bus_solution):
     )
     load = case3bus.net.node_index["bus3"]
     for s in range(0, traj.n_samples, 10):
-        state = BusState(traj.V[s].copy(), traj.theta[s].copy())
         inj = {
             cid: (traj.P[cid][s], traj.Q[cid][s]) for cid in traj.component_ids()
         }
-        res = kcl_residual(case3bus.net, state, inj)
+        res = kcl_residual(case3bus.net, traj.x[s], inj)
         assert abs(res[load]) <= 1e-9
 
 
@@ -208,7 +206,7 @@ def test_vp_stays_on_the_base_network_during_a_load_step(case3bus, case3bus_solu
     assert traj.network_changed
 
     def per_sample_vp(net):
-        return np.array([eval_vp(net, traj.V[s], traj.theta[s]) for s in range(traj.n_samples)])
+        return np.array([eval_vp(net, traj.x[s]) for s in range(traj.n_samples)])
 
     base = per_sample_vp(case3bus.net)
     assert np.all(np.abs(traj.vp - (base - base[0])) <= 1e-12 * np.maximum(1.0, np.abs(base)))
@@ -299,7 +297,7 @@ def test_coupled_passive_buses_stay_balanced(tmp_path):
     moved = 0.0
     for s, t in enumerate(traj.times):
         active = stepped if 0.3 - 1e-9 < t < 0.6 - 1e-9 else net
-        p, q = power_injection(net, traj.V[s], traj.theta[s])
+        p, q = np.split(power_injection(net, traj.x[s]), 2)
         for node in net.passive_nodes():
             assert abs(p[node] + active.load_p[node]) <= config.newton_tol
             assert abs(q[node] + active.load_q[node]) <= config.newton_tol
@@ -339,7 +337,7 @@ def test_chord_jacobian_refreshed_after_line_scale(tmp_path):
     scaled = net.with_scaled_line(1, 0.5)
     for s, t in enumerate(traj.times):
         active = scaled if 0.3 - 1e-9 < t < 0.6 - 1e-9 else net
-        p, q = power_injection(active, traj.V[s], traj.theta[s])
+        p, q = np.split(power_injection(active, traj.x[s]), 2)
         for node in net.passive_nodes():
             assert abs(p[node] + net.load_p[node]) <= config.newton_tol
             assert abs(q[node] + net.load_q[node]) <= config.newton_tol
@@ -358,10 +356,11 @@ def engine_for(net, config=SolverConfig()):
     return _make_engine(net, comps, config)
 
 
-def rest_state(engine, V, T):
-    """The sources' states (theta, omega, v) at rest at their buses' V and
-    theta, so a stage scatters the given bus state back unchanged."""
-    return engine.buffer([x for node, _, _, _ in engine.terminals for x in (T[node], 0.0, V[node])])
+def rest_state(engine, x):
+    """The sources' states (theta, omega, v) at rest at their buses' theta
+    and V in the stacked bus state x, so a stage scatters x back unchanged."""
+    n = len(x) // 2
+    return engine.buffer([s for node, _, _, _ in engine.terminals for s in (x[node], 0.0, x[n + node])])
 
 
 def equilibrium_states(engine, sol):
@@ -377,10 +376,11 @@ def test_uncoupled_passive_buses_solve_without_iteration(case):
     # array one on arrays
     net, v, th = case
     engine = engine_for(net)
-    V, T = engine.buffer(v), engine.buffer(th)
-    assert isinstance(V, list) == (len(net.passive_nodes()) == 1)
-    _, p, q = engine.stage(rest_state(engine, V, T), V, T, 0.0)
-    p_ref, q_ref = power_injection(net, V, T)
+    x = engine.buffer(stacked(v, th))
+    assert isinstance(x, list) == (len(net.passive_nodes()) == 1)
+    _, pq = engine.stage(rest_state(engine, x), x, 0.0)
+    p, q = np.split(np.array(pq), 2)
+    p_ref, q_ref = np.split(power_injection(net, np.array(x)), 2)
     assert np.allclose(p, p_ref, rtol=0.0, atol=1e-12)
     assert np.allclose(q, q_ref, rtol=0.0, atol=1e-12)
     for node in net.passive_nodes():
@@ -396,7 +396,7 @@ def test_load_beyond_transfer_limit_is_voltage_collapse(case):
     net, v, th = case
     engine = engine_for(net)
     with pytest.raises(SimulationError, match=r"^voltage collapse at bus 'b1', t = 0\.25$"):
-        engine.stage(rest_state(engine, v, th), engine.buffer(v), engine.buffer(th), 0.25)
+        engine.stage(rest_state(engine, stacked(v, th)), engine.buffer(stacked(v, th)), 0.25)
 
 
 @settings(max_examples=40, deadline=None)
@@ -408,14 +408,14 @@ def test_tangent_is_the_derivative_of_the_passive_solution(case):
     # near the flat state, far from the loadability limit, where the
     # passive solution's curvature keeps the central difference accurate
     v, th = 1.0 + 0.125 * (v - 1.0), 0.05 * th / math.pi
-    p, q = power_injection(net, v, th)
+    x = stacked(v, th)
+    p, q = np.split(power_injection(net, x), 2)
     # loads that balance the passive buses at the drawn state
     loads = [ConstantPowerBranch(net.non_ground[i], -p[i], -q[i]) for i in net.passive_nodes()]
     net = NetworkModel(net.buses, net.lines, loads, net.dynamic_shunts)
     engine = engine_for(net, SolverConfig(newton_tol=1e-12))
     assert isinstance(engine, _ArrayEngine) and engine.coupled
-    x = np.concatenate([th, v])
-    engine._factorize(x, stacked_injection(net, x), 0.0)
+    engine._factorize(x, power_injection(net, x), 0.0)
     tangent = engine.tangent.copy()
     pas, nodes = engine.passive, engine.boundary_nodes
     assert tangent.shape == (2 * len(pas), 2 * len(nodes))
@@ -440,9 +440,11 @@ def test_float_stage_is_every_derivative_on_the_kernel(case):
     net, comps, y, v, th = case
     engine = _make_engine(net, comps, SolverConfig())
     assert type(engine) is _Engine
-    V, T = engine.buffer(v), engine.buffer(th)
-    dy, p, q = engine.stage(list(y), V, T, 0.0)
-    p_ref, q_ref = power_injection(net, V, T)
+    n = net.n_nodes
+    x = engine.buffer(stacked(v, th))
+    dy, pq = engine.stage(list(y), x, 0.0)
+    p, q = pq[:n], pq[n:]
+    p_ref, q_ref = np.split(power_injection(net, np.array(x)), 2)
     dy_ref = []
     for (node, _, _, cid), lo in zip(engine.terminals, engine.offsets):
         comp = comps[cid]
@@ -454,7 +456,7 @@ def test_float_stage_is_every_derivative_on_the_kernel(case):
         assert abs(p[node] + net.load_p[node]) <= engine.config.newton_tol
         assert abs(q[node] + net.load_q[node]) <= engine.config.newton_tol
     for node, i_theta, i_v, _ in engine.terminals:
-        assert (V[node], T[node]) == (y[i_v], y[i_theta])
+        assert (x[n + node], x[node]) == (y[i_v], y[i_theta])
     # the closed form balanced the passive bus; the chord did not run
     assert (engine.inner_solves, engine.inner_iterations, engine.factorizations) == (1, 0, 0)
 
@@ -474,16 +476,15 @@ def force_chord(monkeypatch):
 
 def test_float_stage_continues_by_the_chord(monkeypatch, case3bus, case3bus_solution):
     # a closed form that misses the balance: the chord iteration takes over
-    # and the stage returns, and leaves in V/th, the state it accepted
+    # and the stage returns, and leaves in x, the state it accepted
     force_chord(monkeypatch)
     net = case3bus.net
     engine = _make_engine(net, case3bus.components, case3bus.solver)
     y = equilibrium_states(engine, case3bus_solution)
-    V = engine.buffer(case3bus_solution.state.V)
-    T = engine.buffer(case3bus_solution.state.theta)
-    _, p, q = engine.stage(y, V, T, 0.0)
-    p_ref, q_ref = power_injection(net, V, T)
-    assert (p, q) == (p_ref.tolist(), q_ref.tolist())
+    x = engine.buffer(case3bus_solution.state.x)
+    _, pq = engine.stage(y, x, 0.0)
+    assert pq == power_injection(net, np.array(x)).tolist()
+    p, q = np.split(np.array(pq), 2)
     for node in net.passive_nodes():
         assert abs(p[node] + net.load_p[node]) <= engine.config.newton_tol
         assert abs(q[node] + net.load_q[node]) <= engine.config.newton_tol
@@ -496,29 +497,29 @@ def bits(values):
 
 
 def run_steps(make, net, comps, y, v, th, h, stops, switched=None, switch_at=1):
-    """RK4 steps, on the engine `make` builds, from the state (y, V, th): one
-    ``advance`` call up to each step in `stops`, switching the engine to the
-    network `switched` at the stop `switch_at`. Returns the (y, dy, P, Q, V,
-    theta, integrals) of every stop as bit patterns and then the
-    inner-solve counters, or then the message of the collapse that stopped
-    the run."""
+    """RK4 steps, on the engine `make` builds, from the state y and the bus
+    state (v, th): one ``advance`` call up to each step in `stops`,
+    switching the engine to the network `switched` at the stop `switch_at`.
+    Returns the (y, dy, stacked P and Q, stacked bus state, integrals) of
+    every stop as bit patterns and then the inner-solve counters, or then
+    the message of the collapse that stopped the run."""
     engine = make(net, comps, SolverConfig())
     assert isinstance(engine, _ArrayEngine) == (len(net.passive_nodes()) > 1)
-    y, V, th = engine.buffer(y), engine.buffer(v), engine.buffer(th)
+    y, x = engine.buffer(y), engine.buffer(stacked(v, th))
     sps = {cid: comp.setpoints for cid, comp in comps.items()}
     anchors = {cid: Anchor(sp.P_e, sp.Q_e, sp.V_e, sp.theta_e) for cid, sp in sps.items()}
     out = []
     try:
-        dy, p, q = engine.stage(y, V, th, 0.0)
-        engine.start_integrals(anchors, y, p, q)
+        dy, pq = engine.stage(y, x, 0.0)
+        engine.start_integrals(anchors, y, pq)
         first = 0
         for stop in stops:
-            y, dy, p, q = engine.advance(y, dy, V, th, h, first, stop)
+            y, dy, pq = engine.advance(y, dy, x, h, first, stop)
             if switched is not None and stop == switch_at:
                 engine.use_network(switched)
-                dy, p, q = engine.stage(y, V, th, stop * h)
-                engine.prev = engine.endpoints(y, p, q)
-            out.append([bits(x) for x in (y, dy, p, q, V, th, engine.shifted, [engine.unshifted])])
+                dy, pq = engine.stage(y, x, stop * h)
+                engine.prev = engine.endpoints(y, pq)
+            out.append([bits(a) for a in (y, dy, pq, x, engine.shifted, [engine.unshifted])])
             first = stop
     except SimulationError as exc:
         # the counters of a stopped run are not reported anywhere
@@ -579,8 +580,9 @@ def array_path_case(name, data):
 @given(h=st.sampled_from([1e-3, 1e-2]), data=st.data())
 def test_array_step_is_the_loop_reference_bitwise(name, h, data):
     # the array path's stage and step against the loops on the kernel's
-    # entry power_injection, passive_bus_solution and the chord on separate
-    # V and theta, with no event, a line scale or a load step at a drawn stop
+    # kernel power_injection, passive_bus_solution and the chord on the angle
+    # and voltage rows of x, with no event, a line scale or a load step at a
+    # drawn stop
     net, comps, y, v, th = array_path_case(name, data)
     assert len(net.passive_nodes()) > 1
     networks = [None, net.with_scaled_line(data.draw(st.integers(0, len(net.lines) - 1)),
@@ -698,7 +700,7 @@ def test_generated_closed_form_is_the_function_bitwise(xs, sources, psi, load, v
         for node, i_theta, i_v, _ in engine.terminals:
             y[i_theta], y[i_v] = th[node], v[node]
         with pytest.raises(SimulationError) as exc:
-            engine.stage(y, engine.buffer(v), engine.buffer(th), 0.25)
+            engine.stage(y, engine.buffer(stacked(v, th)), 0.25)
         messages.append(str(exc.value))
     assert messages == ["voltage collapse at bus 'pb', t = 0.25"] * 2
 
@@ -771,16 +773,15 @@ def test_generated_step_collapses_as_the_reference(case3bus, case3bus_solution, 
     for make in (_make_engine, ReferenceEngine):
         engine = make(case3bus.net, case3bus.components, case3bus.solver)
         y = engine.buffer(equilibrium_states(engine, case3bus_solution))
-        V = engine.buffer(case3bus_solution.state.V)
-        T = engine.buffer(case3bus_solution.state.theta)
-        dy, p, q = engine.stage(y, V, T, 0.0)
-        engine.start_integrals(case3bus_solution.anchors, y, p, q)
+        x = engine.buffer(case3bus_solution.state.x)
+        dy, pq = engine.stage(y, x, 0.0)
+        engine.start_integrals(case3bus_solution.anchors, y, pq)
         if fault == "slope":
             dy[engine.terminals[1][2]] = -4000.0
         else:
             engine.use_network(case3bus.net.with_load_delta("bus3", 50.0, 50.0))
         with pytest.raises(SimulationError) as exc:
-            engine.advance(y, dy, V, T, 1e-3, 7, 8)
+            engine.advance(y, dy, x, 1e-3, 7, 8)
         raised.append(str(exc.value))
     assert raised == [message, message]
 
@@ -895,7 +896,7 @@ def passive_residuals(traj, active_at):
     out = []
     for s, t in enumerate(traj.times):
         active = active_at(t)
-        p, q = power_injection(active, traj.V[s], traj.theta[s])
+        p, q = np.split(power_injection(active, traj.x[s]), 2)
         out.append(max(
             max(abs(p[n] + active.load_p[n]), abs(q[n] + active.load_q[n]))
             for n in active.passive_nodes()
