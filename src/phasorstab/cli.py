@@ -453,8 +453,14 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentError as exc:
         parser.error(_usage_error(exc, argv))
     try:
-        for path in _output_paths(args):
+        paths = _output_paths(args)
+        for path in paths:
             check_output_path(path)
+        # only simulate writes two files
+        if len({os.path.realpath(path) for path in paths}) < len(paths):
+            raise NetworkFileError(
+                f"cannot write {paths[-1]}: --out and --manifest name the same file"
+            )
         return args.func(args)
     except (NetworkFileError, NetworkError, ScenarioError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -176,23 +176,33 @@ class NetworkModel:
     # -- validation -------------------------------------------------------
 
     def _validate_ids(self) -> None:
-        seen: set[str] = set()
+        """Ids are unique across buses and components, and hold none of
+        ``,`` ``"`` CR LF: the trajectory CSV names its columns by them."""
+        seen: dict[str, str] = {}
+
+        def claim(name: str, what: str, record) -> None:
+            if any(c in name for c in ',"\r\n'):
+                raise NetworkError(
+                    f"{what} id {name!r} holds a comma, a double quote or a line break", record
+                )
+            if name in seen:
+                other = seen[name]
+                raise NetworkError(
+                    f"duplicate {what} id {name!r}" if other == what
+                    else f"{what} id {name!r} is also a {other} id",
+                    record,
+                )
+            seen[name] = what
+
         for bus in self.buses:
-            if bus.id in seen:
-                raise NetworkError(f"duplicate bus id {bus.id!r}", bus)
-            seen.add(bus.id)
+            claim(bus.id, "bus", bus)
         grounds = [b for b in self.buses if b.kind is BusKind.GROUND]
         if len(grounds) != 1:
             raise NetworkError(
                 f"exactly one ground bus required, found {len(grounds)}"
             )
-        comp_ids: set[str] = set()
         for shunt in self.dynamic_shunts:
-            if shunt.component_id in comp_ids:
-                raise NetworkError(
-                    f"duplicate dynamic component id {shunt.component_id!r}", shunt
-                )
-            comp_ids.add(shunt.component_id)
+            claim(shunt.component_id, "dynamic component", shunt)
 
     def _validate_branches(self) -> None:
         ids = {b.id for b in self.buses}

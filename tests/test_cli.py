@@ -719,6 +719,14 @@ def test_unwritable_output_exits_one(capsys, tmp_path, monkeypatch, argv):
         assert (code, out, err) == (1, "", f"error: cannot write {target}: {reason}\n")
         assert ran == []
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "taken"]
+    if "--manifest" in argv:
+        # the manifest path names the CSV's file, however it is spelt
+        for target in (tmp_path / "run.csv", f"{tmp_path}/./run.csv"):
+            code, out, err = run_cli(capsys, *(a.format(target=target, tmp=tmp_path) for a in argv))
+            reason = "--out and --manifest name the same file"
+            assert (code, out, err) == (1, "", f"error: cannot write {target}: {reason}\n")
+            assert ran == []
+            assert sorted(tmp_path.rglob("*")) == [tmp_path / "taken"]
 
 
 def test_output_file_still_refuses_a_path_at_the_write(tmp_path):
@@ -893,6 +901,10 @@ def test_benchmark_tracer_runs_a_traced_command(tmp_path):
     metrics = load_tracer().summarize([str(spans)])
     assert (metrics["simulator.steps"], metrics["simulator.samples"]) == (100, 11)
     assert metrics["equilibrium.newton_iterations"] > 0
+    # every bound name still carries its layer's calls, so a rename that
+    # moves a call off a bound name fails here
+    for layer in ("network.power_injection", "network.injection_partials", "potential.eval_vp"):
+        assert metrics[f"{layer}_calls"] > 0, layer
 
 
 @pytest.mark.parametrize(
@@ -1038,6 +1050,27 @@ def _misspelt_explicit_label(doc):
     vsg["omgea"] = vsg.pop("omega")
 
 
+def _rename_bus(doc, old, new):
+    # a case with a bus renamed everywhere the document names it
+    for entry in doc["buses"] + doc["components"]:
+        for key in ("id", "bus"):
+            if entry.get(key) == old:
+                entry[key] = new
+    for branch in doc["branches"]:
+        for key in ("from", "to"):
+            if branch[key] == old:
+                branch[key] = new
+    doc["operating_point"][new] = doc["operating_point"].pop(old)
+
+
+def _rename_component(doc, old, new):
+    # a case with a component renamed everywhere the document names it
+    for entry in doc["components"] + doc["scenario"]["disturbances"]:
+        for key in ("id", "component"):
+            if entry.get(key) == old:
+                entry[key] = new
+
+
 OP_VOLTAGE = "operating_point: bus voltage magnitudes must be positive"
 
 
@@ -1067,12 +1100,18 @@ OP_VOLTAGE = "operating_point: bus voltage magnitudes must be positive"
      (lambda d: _explicit_states(d).pop("droop2"),
       "explicit_states: missing component(s) ['droop2']"),
      (lambda d: d["operating_point"]["bus3"].update(V=0), OP_VOLTAGE),
-     (_negative_bus3_voltage, OP_VOLTAGE)],
+     (_negative_bus3_voltage, OP_VOLTAGE),
+     # a CSV column per id: two columns named bus1_theta, or a split header
+     (lambda d: _rename_component(d, "vsg1", "bus1"),
+      "components[0]: dynamic component id 'bus1' is also a bus id"),
+     (lambda d: _rename_bus(d, "bus3", "bus,3"),
+      "buses[2]: bus id 'bus,3' holds a comma, a double quote or a line break")],
     ids=["branch-number", "disturbance-null", "disturbances-object", "explicit-list",
          "explicit-entry-list", "explicit-string", "explicit-nan", "explicit-negative-v",
          "explicit-misspelt-label", "explicit-unknown-id", "explicit-missing-state",
          "explicit-missing-component", "op-voltage-zero-back-solved",
-         "op-voltage-negative-declared-setpoints"],
+         "op-voltage-negative-declared-setpoints", "component-id-is-a-bus-id",
+         "bus-id-with-comma"],
 )
 def test_malformed_case_fails_before_the_equilibrium_solve(
     capsys, tmp_path, monkeypatch, edit, message

@@ -91,8 +91,16 @@ def _append_branches(*entries):
       "branches[2]: line at 'b' is a self-loop"),
      (lambda d: d["buses"].append({"id": "a", "kind": "passive"}), "buses[3]: duplicate bus id 'a'"),
      (lambda d: d["buses"].insert(2, {"id": "c", "kind": "passive"}),
-      "buses[2]: graph is not connected; unreachable: ['c']")],
-    ids=["line", "load", "line-after-load", "bus", "unreachable-bus"],
+      "buses[2]: graph is not connected; unreachable: ['c']"),
+     (lambda d: d["buses"].append({"id": 'c"', "kind": "passive"}),
+      "buses[3]: bus id 'c\"' holds a comma, a double quote or a line break"),
+     (lambda d: d["components"][0].update(id="v\r\n1"),
+      "components[0]: dynamic component id 'v\\r\\n1' holds a comma, a double quote or a "
+      "line break"),
+     (lambda d: d["components"][0].update(id="b"),
+      "components[0]: dynamic component id 'b' is also a bus id")],
+    ids=["line", "load", "line-after-load", "bus", "unreachable-bus", "bus-id-quote",
+         "component-id-line-break", "component-id-is-a-bus-id"],
 )
 def test_network_errors_name_the_record_at_fault(edit, message):
     # NetworkModel's errors carry the document path of the record they name

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,17 +40,6 @@ def test_benchmark_check_selftest():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-
-
-def test_identity_convergence_script(tmp_path):
-    result = run_script(
-        "identity_convergence.py", "--horizon", "0.2", "--halvings", "1", cwd=tmp_path
-    )
-    # one row per step size, then the fitted order of the potential identity
-    rows = [line.split()[0] for line in result.stdout.splitlines()[1:3]]
-    assert rows == ["1.00e-02", "5.00e-03"]
-    order = float(result.stdout.rsplit("fitted order (potential identity):", 1)[1])
-    assert order == pytest.approx(2.0, abs=0.1)
 
 
 def test_output_digests_script(tmp_path):

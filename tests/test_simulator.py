@@ -787,8 +787,10 @@ def test_generated_step_collapses_as_the_reference(case3bus, case3bus_solution, 
 
 
 def test_any_component_id_runs_and_is_named_in_a_collapse():
-    # ids reach the generated step only through the engine, never its source
-    cid = 'v"1\'{x}\n}'
+    # ids reach the generated step only through the engine, never its source:
+    # a quote, a backslash and braces would break a literal or an f-string
+    # there (a double quote or a line break is not a valid id)
+    cid = "v'1\\{x}}"
     net, comps = make_compensated_load_case(cid)
     sol = solve_equilibrium(net, comps)
     kick = StatePerturbation(at=0.0, component=cid, delta={"omega": 0.05})
