@@ -16,21 +16,20 @@ The topology picks one of two paths for the whole run:
   :func:`~phasorstab.network.power_injection` line by line, checks the
   balance, and evaluates each row of the components' stacked affine table;
 * the array path, for two or more passive buses: the state and x are float
-  arrays. A stage scatters the component
-  terminals into x with one gather and one scatter, solves the passive
-  buses on their rows of x, evaluates
-  :func:`~phasorstab.network.power_injection` once per check, and
-  applies every component's affine table at once
+  arrays. A stage scatters the component terminals into x with one gather
+  and one scatter, solves the passive buses on their rows of x, evaluates
+  :func:`~phasorstab.network.power_injection` once per check, and applies
+  every component's affine table at once
   (:class:`~phasorstab.components.AffineStack`: a gather and one
   ``np.bincount``, no matrix product). The RK4 combinations and the
   trapezoid accumulation are array expressions on stacked arrays.
 
 Both paths read the same (row, column, value) table and sum each row in
-the same order, take the caller's x and write it in place, and return the
-injections stacked as x is, (P, Q). Each takes one engine call per stop, the next step at which
-the run samples or applies an event, and steps to it in its own loop: per
-step, the RK4 stages, the stage at the step's end and the path integrals'
-step. The generated float step performs the floating-point operations of
+the same order, write the caller's x in place, and return the injections
+stacked as x is, (P, Q). Each takes one engine call per stop, the next
+step at which the run samples or applies an event, and steps to it in its
+own loop: per step, the RK4 stages, the stage at the step's end and the
+path integrals' step. The generated float step performs the floating-point operations of
 the loops it was unrolled from, in their order, so its results are those
 loops' bit for bit; the tests keep the loops, and ``passive_bus_solution``,
 as its reference.

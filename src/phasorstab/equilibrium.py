@@ -5,11 +5,12 @@ equilibrium relations (dynamic bus) or the constant-power balance (passive
 bus), over unknowns (theta_i, V_i) interleaved per bus; the iterate is the
 stacked bus state x = (theta, V) of :mod:`phasorstab.network`. The
 relations are each component's ``steady_state_partials`` times its
-deviations from the setpoints, evaluated for all dynamic buses at once. When no relation has a theta
-coefficient the system is invariant under uniform angle shifts; in that
-case the reference bus's angle-type row is replaced by a pin to its
-setpoint and the replaced relation is checked after convergence, so
-inconsistent setpoints are reported rather than silently absorbed.
+deviations from the setpoints, evaluated for all dynamic buses at once.
+When no relation has a theta coefficient the system is invariant under
+uniform angle shifts; in that case the reference bus's angle-type row is
+replaced by a pin to its setpoint and the replaced relation is checked
+after convergence, so inconsistent setpoints are reported rather than
+silently absorbed.
 
 The Jacobian is assembled from the same closed-form injection partials used
 by the power-flow map. Solves are deterministic and independent of each
@@ -161,12 +162,12 @@ def solve_equilibrium(
 ) -> EquilibriumSolution:
     """Newton solve of the whole-system steady state.
 
-    ``components`` is keyed by component id. Starts from the supplied
-    stacked bus state ``initial`` (flat theta = 0, V = 1 by default), damps by halving on residual
-    increase, and stops at max-norm residual <= TOL. For rotation-symmetric
-    systems the angle row of the reference bus (the first dynamic bus,
-    otherwise the first non-ground bus) is pinned; its displaced relation is
-    then verified against CONSISTENCY_TOL.
+    ``components`` is keyed by component id. Starts from the stacked bus
+    state ``initial`` (flat theta = 0, V = 1 by default), damps by halving
+    on residual increase, and stops at max-norm residual <= TOL. For
+    rotation-symmetric systems the angle row of the reference bus (the
+    first dynamic bus, otherwise the first non-ground bus) is pinned; its
+    displaced relation is then verified against CONSISTENCY_TOL.
     """
     for shunt in net.dynamic_shunts:
         if shunt.component_id not in components:

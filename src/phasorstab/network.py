@@ -178,31 +178,26 @@ class NetworkModel:
     def _validate_ids(self) -> None:
         """Ids are unique across buses and components, and hold none of
         ``,`` ``"`` CR LF: the trajectory CSV names its columns by them."""
-        seen: dict[str, str] = {}
-
-        def claim(name: str, what: str, record) -> None:
-            if any(c in name for c in ',"\r\n'):
+        kinds: dict[str, str] = {}
+        named = [("bus", bus.id, bus) for bus in self.buses]
+        named += [("dynamic component", s.component_id, s) for s in self.dynamic_shunts]
+        for what, name, record in named:
+            if set(name) & set(',"\r\n'):
                 raise NetworkError(
                     f"{what} id {name!r} holds a comma, a double quote or a line break", record
                 )
-            if name in seen:
-                other = seen[name]
+            if name in kinds:
                 raise NetworkError(
-                    f"duplicate {what} id {name!r}" if other == what
-                    else f"{what} id {name!r} is also a {other} id",
+                    f"duplicate {what} id {name!r}" if kinds[name] == what
+                    else f"{what} id {name!r} is also a bus id",
                     record,
                 )
-            seen[name] = what
-
-        for bus in self.buses:
-            claim(bus.id, "bus", bus)
+            kinds[name] = what
         grounds = [b for b in self.buses if b.kind is BusKind.GROUND]
         if len(grounds) != 1:
             raise NetworkError(
                 f"exactly one ground bus required, found {len(grounds)}"
             )
-        for shunt in self.dynamic_shunts:
-            claim(shunt.component_id, "dynamic component", shunt)
 
     def _validate_branches(self) -> None:
         ids = {b.id for b in self.buses}

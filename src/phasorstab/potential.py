@@ -57,19 +57,13 @@ def eval_vp(net: NetworkModel, x):
     and sums over the last axis only, so each sample's value does not
     depend on the others."""
     i, k, b = net.edge_arrays
-    t, v = _halves(net, x)
+    n = net.n_nodes
+    t, v = x[..., :n], x[..., n:]
     vi = v[..., i]
     vk = v[..., k]
     lines = 0.5 * b * (vi * vi + vk * vk - 2.0 * vi * vk * np.cos(t[..., i] - t[..., k]))
     loads = np.asarray(net.load_p) * t + np.asarray(net.load_q) * np.log(v)
     return lines.sum(axis=-1) + loads.sum(axis=-1)
-
-
-def _halves(net: NetworkModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """theta and V, the halves of the stacked bus state x on its last axis."""
-    x = np.asarray(x, dtype=float)
-    n = net.n_nodes
-    return x[..., :n], x[..., n:]
 
 
 def grad_vp(net: NetworkModel, x) -> np.ndarray:
@@ -80,8 +74,7 @@ def grad_vp(net: NetworkModel, x) -> np.ndarray:
     p0_i; the ln V partial is Q_i plus q0_i. Both vanish at load buses of a
     solved state and equal the component injections at dynamic buses.
     """
-    loads = np.concatenate([net.load_p, net.load_q])
-    return power_injection(net, np.asarray(x, dtype=float)) + loads
+    return power_injection(net, x) + np.concatenate([net.load_p, net.load_q])
 
 
 def hessian_vp(net: NetworkModel, x) -> np.ndarray:
@@ -91,8 +84,8 @@ def hessian_vp(net: NetworkModel, x) -> np.ndarray:
     the Hessian is the injection Jacobian with its V columns scaled by V.
     The uniform angle-shift vector is in the kernel for every state.
     """
-    _, v = _halves(net, x)
-    return injection_partials(net, x) * np.concatenate([np.ones(len(v)), v])
+    n = net.n_nodes
+    return injection_partials(net, x) * np.concatenate([np.ones(n), x[n:]])
 
 
 @recordclass
@@ -132,8 +125,8 @@ class BregmanDivergence:
 
 def _log_coordinates(net: NetworkModel, x) -> np.ndarray:
     """z = (theta, ln V) at the stacked bus state x, on its last axis."""
-    t, v = _halves(net, x)
-    return np.concatenate([t, np.log(v)], axis=-1)
+    n = net.n_nodes
+    return np.concatenate([x[..., :n], np.log(x[..., n:])], axis=-1)
 
 
 @recordclass(frozen=True)
