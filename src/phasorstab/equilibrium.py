@@ -175,10 +175,7 @@ def solve_equilibrium(
                 f"no component supplied for id {shunt.component_id!r}"
             )
     n = net.n_nodes
-    if initial is None:
-        x = np.concatenate([np.zeros(n), np.ones(n)])
-    else:
-        x = np.array(initial, dtype=float)
+    x = np.array([0.0] * n + [1.0] * n if initial is None else initial, dtype=float)
     if x.shape != (2 * n,):
         raise InconsistentInput("initial guess has wrong length")
 

@@ -16,13 +16,13 @@ and per event step the state perturbations due there and the network in
 force after it, which the engine switches to. Path integrals are
 accumulated with the trapezoid rule at every integration step
 (second-order in the step size). The run holds one stacked bus state
-x = (theta, V), which the engine writes in place. The step loop records only
-the raw samples (time, x, the stacked injections, component states, the dy
-the step produced there, and integrals); the other diagnostics (Vp, W, and each component's storage,
-storage rate and negated supply rate, anchored at the run's equilibrium)
-are evaluated after the run, in one array pass over all samples, the rates
-from the recorded dy's rows, so no model's ``derivative`` is evaluated
-again.
+x = (theta, V), which the engine writes in place. The step loop records
+only the raw samples (time, x, the stacked injections, component states,
+the dy the step produced there, and integrals); the other diagnostics (Vp,
+W, and each component's storage, storage rate and negated supply rate,
+anchored at the run's equilibrium) are evaluated after the run, in one
+array pass over all samples, the rates from the recorded dy's rows, so no
+model's ``derivative`` is evaluated again.
 
 A single simulation is a sequential state recurrence with no dependence on
 timing: every run performs the same floating-point operations in the same
@@ -61,11 +61,11 @@ class Trajectory:
 
     ``x`` holds the stacked bus state (theta, V) of each sample, one row per
     sample, and ``theta`` and ``V`` are its halves, per non-ground bus in
-    network order; component series are keyed by component id. ``vp`` is the potential of the base
-    network (load and line events do not change it) relative to the
-    trajectory's initial point; ``w`` is the divergence anchored at the
-    equilibrium under test. ``supply`` is the negated supply rate and
-    ``integral`` holds the deviation path integrals.
+    network order; component series are keyed by component id. ``vp`` is
+    the potential of the base network (load and line events do not change
+    it) relative to the trajectory's initial point; ``w`` is the divergence
+    anchored at the equilibrium under test. ``supply`` is the negated
+    supply rate and ``integral`` holds the deviation path integrals.
     """
 
     times: np.ndarray
