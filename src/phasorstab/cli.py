@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from typing import NoReturn
 
 import numpy as np
@@ -68,6 +67,8 @@ def resolve_case_path(case: str) -> str:
     """A filesystem path wins; otherwise fall back to a packaged case name."""
     if os.path.exists(case):
         return case
+    from importlib import resources  # only a packaged name needs it
+
     packaged = resources.files("phasorstab").joinpath("cases", f"{case}.json")
     if packaged.is_file():
         return str(packaged)

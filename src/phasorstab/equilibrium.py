@@ -1,16 +1,16 @@
 """Damped-Newton steady-state solver and setpoint back-solver.
 
-The steady-state system stacks, per non-ground bus, either the component's
-equilibrium relations (dynamic bus) or the constant-power balance (passive
-bus), over unknowns (theta_i, V_i) interleaved per bus; the iterate is the
-stacked bus state x = (theta, V) of :mod:`phasorstab.network`. The
-relations are each component's ``steady_state_partials`` times its
-deviations from the setpoints, evaluated for all dynamic buses at once.
-When no relation has a theta coefficient the system is invariant under
-uniform angle shifts; in that case the reference bus's angle-type row is
-replaced by a pin to its setpoint and the replaced relation is checked
-after convergence, so inconsistent setpoints are reported rather than
-silently absorbed.
+The steady-state system is solved for the stacked bus state x = (theta, V)
+of :mod:`phasorstab.network`, in x's own layout: the residual's rows are
+stacked as the injections (P, Q) are, one P-type and one Q-type row per
+non-ground bus. A passive bus's rows are its constant-power balance; a
+dynamic bus's are its component's first and second equilibrium relations,
+each component's ``steady_state_partials`` times its deviations from the
+setpoints, evaluated for all dynamic buses at once. When no relation has a
+theta coefficient the system is invariant under uniform angle shifts; in
+that case the reference bus's P-type row is replaced by a pin to its
+setpoint and the replaced relation is checked after convergence, so
+inconsistent setpoints are reported rather than silently absorbed.
 
 The Jacobian is assembled from the same closed-form injection partials used
 by the power-flow map. Solves are deterministic and independent of each
@@ -76,12 +76,13 @@ class SetpointSolution:
 def steady_state_residual(
     net: NetworkModel, components: dict[str, Component], x
 ) -> np.ndarray:
-    """Steady-state residual at the stacked bus state x, two rows per
-    non-ground bus.
+    """Steady-state residual at the stacked bus state x, stacked as x is:
+    the P-type rows of the non-ground buses, then their Q-type rows.
 
-    Dynamic bus: the component's equilibrium relations evaluated at the bus
-    injections. Passive bus: generation balance P_i + p0 = 0, Q_i + q0 = 0
-    (loads consumption-positive, so an empty bus balances at zero flow).
+    Dynamic bus: the component's first and second equilibrium relations
+    evaluated at the bus injections. Passive bus: generation balance
+    P_i + p0 = 0, Q_i + q0 = 0 (loads consumption-positive, so an empty bus
+    balances at zero flow).
     """
     x = np.asarray(x, dtype=float)
     return _residual(net, _steady_rows(net, components), x, power_injection(net, x))
@@ -90,63 +91,58 @@ def steady_state_residual(
 def _residual(net: NetworkModel, steady_rows, x, pq) -> np.ndarray:
     """:func:`steady_state_residual` given :func:`_steady_rows` and the
     stacked injections (P, Q) at the state."""
-    _, dyn, rows, setpoints = steady_rows
+    dyn, rows, setpoints = steady_rows
     n = net.n_nodes
-    res = np.empty(2 * n)
-    res[0::2] = pq[:n] + net.load_p
-    res[1::2] = pq[n:] + net.load_q
+    res = np.concatenate([pq[:n] + net.load_p, pq[n:] + net.load_q])
     # coefficient times deviation, by relation, column and node
     terms = rows * (np.array([x[dyn], x[n + dyn], pq[dyn], pq[n + dyn]]) - setpoints)
-    res.reshape(-1, 2)[dyn] = (((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]).T
+    res.reshape(2, n)[:, dyn] = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
     return res
 
 
 def _steady_rows(net: NetworkModel, components: dict[str, Component]):
     """What the residual and :func:`_jacobian` need of the components, read
-    once per solve: the index that interleaves the injection Jacobian's
-    rows (P then Q) and columns (theta then V) per bus, the dynamic nodes,
-    their components' ``steady_state_partials`` as one array by relation,
-    column (theta, V, P, Q) and node, and their setpoints (theta_e, V_e,
-    P_e, Q_e) by node."""
-    # (P_0, Q_0, P_1, ...) and (theta_0, V_0, theta_1, ...)
-    order = np.arange(2 * net.n_nodes).reshape(2, -1).T.ravel()
+    once per solve: the dynamic nodes, their components'
+    ``steady_state_partials`` as one array by relation, column (theta, V,
+    P, Q) and node, and their setpoints (theta_e, V_e, P_e, Q_e) by node."""
     dyn = np.array(net.dynamic_nodes(), dtype=np.intp)
     comps = [components[net.shunt_at[i].component_id] for i in dyn]
     rows = np.array([c.steady_state_partials() for c in comps]).reshape(len(dyn), 2, 4)
     setpoints = np.array(
         [(sp.theta_e, sp.V_e, sp.P_e, sp.Q_e) for sp in (c._sp() for c in comps)]
     ).reshape(len(dyn), 4)
-    return np.ix_(order, order), dyn, rows.transpose(1, 2, 0), setpoints.T
+    return dyn, rows.transpose(1, 2, 0), setpoints.T
 
 
 def _jacobian(net: NetworkModel, steady_rows, x, injections=None) -> np.ndarray:
-    """Analytic Jacobian of the steady-state residual w.r.t. (theta_i, V_i).
+    """Analytic Jacobian of the steady-state residual w.r.t. x = (theta, V).
 
-    A passive bus's rows are its injection partials; a dynamic bus's rows
-    combine them with the component's partials by P and Q, plus its direct
-    dependence on the bus's own (theta, V), for all dynamic buses at once.
-    ``steady_rows`` is :func:`_steady_rows`; ``injections`` is the stacked
-    (P, Q) at the state, if the caller holds it.
+    It is the matrix of :func:`~phasorstab.network.injection_partials`
+    (rows P then Q, columns theta then V) with each dynamic bus's two rows
+    replaced in place: they combine its P and Q rows by the component's
+    partials, plus its direct dependence on the bus's own (theta, V), for
+    all dynamic buses at once. ``steady_rows`` is :func:`_steady_rows`;
+    ``injections`` is the stacked (P, Q) at the state, if the caller holds
+    it.
     """
-    interleave, dyn, rows, _ = steady_rows
-    # rows (P_0, Q_0, P_1, ...), columns (theta_0, V_0, theta_1, ...)
-    jac = injection_partials(net, x, injections)[interleave]
-    at = 2 * dyn  # each dynamic bus's P row and theta column
-    p_rows = jac[at]
-    q_rows = jac[at + 1]
-    for row, (d_theta, d_v, d_p, d_q) in zip((at, at + 1), rows):
+    dyn, rows, _ = steady_rows
+    n = net.n_nodes
+    jac = injection_partials(net, x, injections)
+    p_rows = jac[dyn]
+    q_rows = jac[n + dyn]
+    for row, (d_theta, d_v, d_p, d_q) in zip((dyn, n + dyn), rows):
         jac[row] = d_p[:, None] * p_rows + d_q[:, None] * q_rows
-        jac[row, at] += d_theta
-        jac[row, at + 1] += d_v
+        jac[row, dyn] += d_theta
+        jac[row, n + dyn] += d_v
     return jac
 
 
 def _worst_row(net: NetworkModel, res: np.ndarray) -> str:
-    """The largest entry of a steady-state residual (the first that is not
-    finite, if any) and where it sits: the P or Q balance of a passive bus,
-    or the first or second relation of a dynamic bus's component."""
+    """The largest entry of a steady-state residual (the first NaN, if any)
+    and where it sits: the P or Q balance of a passive bus, or the first or
+    second relation of a dynamic bus's component."""
     row = int(np.argmax(np.abs(res)))  # argmax stops at the first NaN
-    i, second = divmod(row, 2)
+    second, i = divmod(row, net.n_nodes)
     shunt = net.shunt_at[i]
     if shunt is None:
         what = "Q balance" if second else "P balance"
@@ -180,10 +176,9 @@ def solve_equilibrium(
         raise InconsistentInput("initial guess has wrong length")
 
     steady_rows = _steady_rows(net, components)
-    _, dyn, rows, setpoints = steady_rows
+    dyn, rows, setpoints = steady_rows
     pin = not rows[:, 0].any()
-    ref = dyn[0] if len(dyn) else 0
-    ref_row = 2 * ref  # the angle-type relation of the reference bus
+    ref = dyn[0] if len(dyn) else 0  # its P-type row and its theta entry
     if pin:
         theta_pin = setpoints[0, 0] if len(dyn) else 0.0
         x[ref] = theta_pin
@@ -193,7 +188,7 @@ def solve_equilibrium(
         inj = power_injection(net, xx)
         res = _residual(net, steady_rows, xx, inj)
         if pin:
-            res[ref_row] = xx[ref] - theta_pin
+            res[ref] = xx[ref] - theta_pin
         return res, inj
 
     res, inj = residual(x)
@@ -214,16 +209,14 @@ def solve_equilibrium(
             )
         jac = _jacobian(net, steady_rows, x, inj)
         if pin:
-            jac[ref_row, :] = 0.0
-            jac[ref_row, 2 * ref] = 1.0
+            jac[ref, :] = 0.0
+            jac[ref, ref] = 1.0
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
             raise EquilibriumError(
                 f"Jacobian singular at iteration {iterations}: {exc}"
             ) from exc
-        # the step's theta entries, then its V entries, as in x
-        step = np.concatenate([step[0::2], step[1::2]])
         scale = 1.0
         for _ in range(30):
             x_new = x + scale * step
@@ -244,7 +237,7 @@ def solve_equilibrium(
         iterations += 1
 
     if pin:
-        pin_resid = float(abs(_residual(net, steady_rows, x, inj)[ref_row]))
+        pin_resid = float(abs(_residual(net, steady_rows, x, inj)[ref]))
         if not pin_resid <= CONSISTENCY_TOL:
             raise InconsistentInput(
                 f"setpoints inconsistent: pinned relation at bus "

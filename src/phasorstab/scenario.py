@@ -213,7 +213,7 @@ def plan_run(
         raise ScenarioError(
             f"horizon {scenario.horizon} must be a whole number of output periods "
             f"(the output period snaps to {sample_every * h:.6g}, "
-            f"{sample_every} steps of h = {h})"
+            f"{sample_every:.6g} steps of h = {h})"
         )
     if not checked:
         check_scenario(net, components, scenario)

@@ -21,20 +21,18 @@ def fd_jacobian(
     step: float = 1e-7,
 ) -> np.ndarray:
     """Central finite-difference Jacobian of the steady-state residual at the
-    stacked bus state x, columns interleaved (theta_0, V_0, theta_1, ...);
-    an oracle for the analytic one."""
-    n = net.n_nodes
-    jac = np.zeros((2 * n, 2 * n))
+    stacked bus state x, columns theta then V as in x; an oracle for the
+    analytic one."""
     x = np.array(x, dtype=float)
-    for k in range(n):
-        for row, col in ((k, 2 * k), (n + k, 2 * k + 1)):
-            xx = x.copy()
-            xx[row] += step
-            r_plus = steady_state_residual(net, components, xx)
-            xx = x.copy()
-            xx[row] -= step
-            r_minus = steady_state_residual(net, components, xx)
-            jac[:, col] = (r_plus - r_minus) / (2.0 * step)
+    jac = np.zeros((len(x), len(x)))
+    for col in range(len(x)):
+        xx = x.copy()
+        xx[col] += step
+        r_plus = steady_state_residual(net, components, xx)
+        xx = x.copy()
+        xx[col] -= step
+        r_minus = steady_state_residual(net, components, xx)
+        jac[:, col] = (r_plus - r_minus) / (2.0 * step)
     return jac
 
 

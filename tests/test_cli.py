@@ -462,6 +462,9 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
         (["simulate", "case3bus", "--h", "0"], "step size must be positive"),
         (["simulate", "case3bus", "--horizon", "1s"], "--horizon expects a finite"),
         (["simulate", "case3bus", "--horizon", "nan"], "--horizon expects a finite"),
+        (["simulate", "case3bus", "--h", "1e-300", "--horizon", "0.001"],
+         "horizon 0.001 must be a whole number of output periods (the output period"
+         " snaps to 0.01, 1e+298 steps of h = 1e-300)\n"),
         (["certify", "case3bus", "--h", "fast"], "--h expects a finite"),
         (["verify-identities", "case3bus", "--horizon", "x"], "--horizon expects"),
         (["verify-identities", "case3bus", "--h-sweep", "2e-3,1e-3,"], "--h-sweep expects"),
@@ -479,10 +482,10 @@ def test_line_scale_index_must_be_an_integer(capsys, tmp_path, line, shown):
         (["path-experiment", "--contours", "missing.json", "--width", "wide"],
          "--width expects a finite number"),
     ],
-    ids=["h-text", "h-zero", "horizon-text", "horizon-nan", "certify-h", "verify-horizon",
-         "h-sweep-empty-entry", "h-sweep-repeated", "h-sweep-negative", "h-sweep-off-horizon",
-         "tol-nan", "tol-text", "tol-negative", "g-nan", "b-inf", "width-text",
-         "height-inf", "width-text-with-contours"],
+    ids=["h-text", "h-zero", "horizon-text", "horizon-nan", "horizon-off-period", "certify-h",
+         "verify-horizon", "h-sweep-empty-entry", "h-sweep-repeated", "h-sweep-negative",
+         "h-sweep-off-horizon", "tol-nan", "tol-text", "tol-negative", "g-nan", "b-inf",
+         "width-text", "height-inf", "width-text-with-contours"],
 )
 def test_bad_numeric_option_exits_one(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
@@ -888,6 +891,32 @@ def test_only_a_command_that_steps_loads_the_engine(tmp_path):
     assert done.stderr == f"error: {GHOST}\n"
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded == [False, [0, False], [0, False], [0, False], [1, False], [0, True]]
+
+
+# after `import phasorstab.cli` and after resolving a packaged case name:
+# whether importlib.resources is loaded, and the path resolved
+RESOURCES_LOADED = (
+    "import sys\n"
+    "import phasorstab.cli as cli\n"
+    "print('importlib.resources' in sys.modules)\n"
+    "print(cli.resolve_case_path('case3bus'))\n"
+    "print('importlib.resources' in sys.modules)\n"
+)
+
+
+def test_only_a_packaged_case_name_loads_importlib_resources():
+    # -S leaves out the site hook, whose .pth files may load the module
+    # before the package does; numpy's directory then goes on the path by hand
+    import numpy as np
+
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), site])}
+    done = subprocess.run([sys.executable, "-S", "-c", RESOURCES_LOADED], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, path, after = done.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    assert Path(path) == REPO / "src" / "phasorstab" / "cases" / "case3bus.json"
 
 
 def test_benchmark_tracer_runs_a_traced_command(tmp_path):

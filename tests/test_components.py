@@ -258,17 +258,18 @@ def test_steady_state_residual_is_the_written_relations(case):
     # model's written relations at the bus injections, up to the rounding of
     # Dp and Dq (see above); each passive bus's rows are its balance
     net, comps, _, v, th = case
+    n = net.n_nodes
     res = steady_state_residual(net, comps, stacked(v, th))
     p, q = np.split(power_injection(net, stacked(v, th)), 2)
     for i in net.passive_nodes():
-        assert (res[2 * i], res[2 * i + 1]) == (p[i] + net.load_p[i], q[i] + net.load_q[i])
+        assert (res[i], res[n + i]) == (p[i] + net.load_p[i], q[i] + net.load_q[i])
     for i in net.dynamic_nodes():
         c = comps[net.shunt_at[i].component_id]
         sp = c.setpoints
         deviation = np.array([th[i] - sp.theta_e, v[i] - sp.V_e, p[i] - sp.P_e, q[i] - sp.Q_e])
         scale = np.abs(written_relations(c)) @ np.abs(deviation)
         written = written_residual(c, th[i], v[i], p[i], q[i])
-        assert np.all(np.abs(res[2 * i : 2 * i + 2] - written) <= 1e-15 * scale)
+        assert np.all(np.abs(res[[i, n + i]] - written) <= 1e-15 * scale)
 
 
 # -- storage -------------------------------------------------------------------

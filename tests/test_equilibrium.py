@@ -208,6 +208,28 @@ def test_nan_initial_guess_is_not_accepted(case3bus):
         solve_equilibrium(case3bus.net, case3bus.components, initial=stacked(np.ones(3), theta))
 
 
+def test_worst_row_names_each_kind_of_row_in_the_stacked_layout(case3bus):
+    # case3bus: bus1 holds vsg1, bus2 droop2, bus3 is passive; row i is node
+    # i's P balance or first relation, row n + i its Q balance or second
+    net = case3bus.net
+    n = net.n_nodes
+    named = {
+        2: "residual 2.000e+00, P balance at bus 'bus3'",
+        n + 2: "residual 2.000e+00, Q balance at bus 'bus3'",
+        0: "residual 2.000e+00, relation 1 of 'vsg1' at bus 'bus1'",
+        n: "residual 2.000e+00, relation 2 of 'vsg1' at bus 'bus1'",
+        1: "residual 2.000e+00, relation 1 of 'droop2' at bus 'bus2'",
+        n + 1: "residual 2.000e+00, relation 2 of 'droop2' at bus 'bus2'",
+    }
+    for row, message in named.items():
+        res = np.full(2 * n, 1e-3)
+        res[row] = -2.0
+        assert equilibrium._worst_row(net, res) == message
+    # the first NaN wins over any other entry, an infinite one included
+    res = np.array([math.inf, 1.0, 5.0, 1.0, math.nan, math.nan])
+    assert equilibrium._worst_row(net, res) == "residual nan, relation 2 of 'droop2' at bus 'bus2'"
+
+
 def test_residual_stacks_component_and_balance_rows(case3bus, case3bus_solution):
     res = steady_state_residual(
         case3bus.net,
