@@ -161,9 +161,9 @@ def solve_equilibrium(
     ``components`` is keyed by component id. Starts from the stacked bus
     state ``initial`` (flat theta = 0, V = 1 by default), damps by halving
     on residual increase, and stops at max-norm residual <= TOL. For
-    rotation-symmetric systems the angle row of the reference bus (the
-    first dynamic bus, otherwise the first non-ground bus) is pinned; its
-    displaced relation is then verified against CONSISTENCY_TOL.
+    rotation-symmetric systems the P-type row of the reference bus (the
+    first dynamic bus, otherwise the first non-ground bus) pins its angle;
+    its displaced relation is then verified against CONSISTENCY_TOL.
     """
     for shunt in net.dynamic_shunts:
         if shunt.component_id not in components:
